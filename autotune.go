@@ -95,7 +95,7 @@ func AutoFactorize(a *Dense, procs int, opts Options) (*Result, error) {
 	}
 	//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
 	if opts.CondEst == 0 {
-		opts.CondEst = lin.EstimateCond(a.toLin(), condEstIters)
+		opts.CondEst = lin.EstimateCond(a.view(), condEstIters)
 	}
 	best, err := plan.Best(planRequest(a.Rows, a.Cols, procs, opts))
 	if err != nil {

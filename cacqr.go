@@ -53,21 +53,29 @@ func (d *Dense) At(i, j int) float64 { return d.Data[i*d.Cols+j] }
 // Set assigns element (i, j).
 func (d *Dense) Set(i, j int, v float64) { d.Data[i*d.Cols+j] = v }
 
+// toLin copies d into a lin.Matrix the callee may keep or modify.
 func (d *Dense) toLin() *lin.Matrix { return lin.FromSlice(d.Rows, d.Cols, d.Data) }
 
+// view wraps d's storage in a lin.Matrix without copying, for callees
+// that only read it and do not retain it.
+func (d *Dense) view() *lin.Matrix {
+	return &lin.Matrix{Rows: d.Rows, Cols: d.Cols, Stride: d.Cols, Data: d.Data}
+}
+
+// fromLin hands a freshly computed lin.Matrix to the caller as a Dense.
+// Compact storage is adopted, not copied; only a strided view is copied.
 func fromLin(m *lin.Matrix) *Dense {
-	out := NewDense(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		copy(out.Data[i*m.Cols:(i+1)*m.Cols], m.Data[i*m.Stride:i*m.Stride+m.Cols])
+	if m.Stride != m.Cols {
+		m = m.Clone()
 	}
-	return out
+	return &Dense{Rows: m.Rows, Cols: m.Cols, Data: m.Data[:m.Rows*m.Cols]}
 }
 
 // CholeskyQR2 computes the reduced QR factorization A = Q·R by two
 // CholeskyQR passes. Q has orthonormal columns to machine precision when
 // κ(A) ≲ 10⁷; beyond that it returns an error (use ShiftedCQR3).
 func CholeskyQR2(a *Dense) (q, r *Dense, err error) {
-	ql, rl, err := core.CholeskyQR2(a.toLin(), 0)
+	ql, rl, err := core.CholeskyQR2(a.view(), 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -77,7 +85,7 @@ func CholeskyQR2(a *Dense) (q, r *Dense, err error) {
 // ShiftedCQR3 is the unconditionally stable three-pass variant: a shifted
 // CholeskyQR pass followed by CholeskyQR2.
 func ShiftedCQR3(a *Dense) (q, r *Dense, err error) {
-	ql, rl, err := core.ShiftedCQR3(a.toLin(), 0)
+	ql, rl, err := core.ShiftedCQR3(a.view(), 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -86,7 +94,7 @@ func ShiftedCQR3(a *Dense) (q, r *Dense, err error) {
 
 // HouseholderQR is the classical reference factorization.
 func HouseholderQR(a *Dense) (q, r *Dense, err error) {
-	ql, rl, err := lin.QR(a.toLin())
+	ql, rl, err := lin.QR(a.view())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -94,11 +102,11 @@ func HouseholderQR(a *Dense) (q, r *Dense, err error) {
 }
 
 // OrthogonalityError returns ‖QᵀQ − I‖_F.
-func OrthogonalityError(q *Dense) float64 { return lin.OrthogonalityError(q.toLin()) }
+func OrthogonalityError(q *Dense) float64 { return lin.OrthogonalityError(q.view()) }
 
 // ResidualNorm returns ‖A − Q·R‖_F / ‖A‖_F.
 func ResidualNorm(a, q, r *Dense) float64 {
-	return lin.ResidualNorm(a.toLin(), q.toLin(), r.toLin())
+	return lin.ResidualNorm(a.view(), q.view(), r.view())
 }
 
 // EstimateCondition returns a cheap power-iteration estimate of κ₂(A) —
@@ -110,7 +118,7 @@ func ResidualNorm(a, q, r *Dense) float64 {
 // regime from true TSQR territory. The estimate converges from below;
 // +Inf means numerically rank-deficient.
 func EstimateCondition(a *Dense) float64 {
-	return lin.EstimateCond(a.toLin(), condEstIters)
+	return lin.EstimateCond(a.view(), condEstIters)
 }
 
 // RandomMatrix returns a deterministic random m×n test matrix.

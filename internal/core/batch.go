@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"cacqr/internal/lin"
-)
+import "cacqr/internal/lin"
 
 // Batched CholeskyQR drivers: the throughput mode for floods of
 // same-shape small/medium factorizations. The CA-CQR2 insight — amortize
@@ -76,7 +72,7 @@ func batchedQR(as []*lin.Matrix, workers int, shifted bool) (qs, rs []*lin.Matri
 		if errs[i] != nil {
 			return
 		}
-		r := passRs[passes-1][i].Clone()
+		r := passRs[passes-1][i]
 		for p := passes - 2; p >= 0; p-- {
 			lin.Trmm(lin.Right, lin.Upper, false, passRs[p][i], r)
 		}
@@ -87,9 +83,8 @@ func batchedQR(as []*lin.Matrix, workers int, shifted bool) (qs, rs []*lin.Matri
 }
 
 // batchedPass runs one fused CholeskyQR pass over the slab: BatchSYRK
-// for every Gram matrix (accumulating into the freshly zeroed w slab
-// with beta=1, bitwise identical to the sequential beta=0
-// zero-then-accumulate minus the redundant clear), then one pooled
+// for every Gram matrix (beta=0, the kernel's store form: w is written
+// without being read, exactly as the sequential pass does), then one pooled
 // per-item sweep doing CholInv (with the Fukaya shift first when
 // shifted) and the in-place triangular Q update A_i := A_i·(L⁻¹)ᵀ —
 // the same Trmm the sequential drivers apply, so lanes stay bitwise
@@ -101,7 +96,7 @@ func batchedQR(as []*lin.Matrix, workers int, shifted bool) (qs, rs []*lin.Matri
 func batchedPass(a *lin.Slab, workers int, shifted bool, errs []error) (q *lin.Slab, rts []*lin.Matrix) {
 	b, m, n := a.Batch, a.Rows, a.Cols
 	w := lin.NewSlab(b, n, n)
-	lin.BatchSYRK(workers, 1, a, 1, w)
+	lin.BatchSYRK(workers, 1, a, 0, w)
 	rts = make([]*lin.Matrix, b)
 	lin.BatchApply(workers, b, func(i int) {
 		if errs[i] != nil {
@@ -109,27 +104,11 @@ func batchedPass(a *lin.Slab, workers int, shifted bool, errs []error) (q *lin.S
 		}
 		wi := w.Item(i)
 		if shifted {
-			// The Fukaya et al. shift, exactly as ShiftedCholeskyQR
-			// computes it: s = 11·(mn + n(n+1))·ε·‖A‖₂² with the Gram
-			// trace as the norm bound.
-			norm2sq := 0.0
-			for d := 0; d < n; d++ {
-				if v := wi.At(d, d); v > 0 {
-					norm2sq += v
-				}
-			}
-			s := 11 * float64(m*n+n*(n+1)) * lin.Eps * norm2sq
-			for d := 0; d < n; d++ {
-				wi.Set(d, d, wi.At(d, d)+s)
-			}
+			shiftGram(wi, m)
 		}
 		l, y, err := lin.CholInv(wi)
 		if err != nil {
-			if shifted {
-				errs[i] = fmt.Errorf("%w: shifted Gram still indefinite: %w", ErrIllConditioned, err)
-			} else {
-				errs[i] = fmt.Errorf("%w: %w", ErrIllConditioned, err)
-			}
+			errs[i] = illConditioned(err, shifted)
 			return
 		}
 		lin.Trmm(lin.Right, lin.Lower, true, y, a.Item(i))

@@ -8,7 +8,7 @@ package lin
 // into one contiguous 3-D allocation [batch][rows][cols], and the Batch*
 // kernels sweep it with ONE worker-pool dispatch: the pool's dynamic
 // chunk claiming spreads items over workers, while each item runs the
-// serial blocked kernel on its own lane. Per item the floating-point
+// serial kernel on its own lane. Per item the floating-point
 // operation sequence is exactly the serial kernel's, so batched results
 // are bitwise equal to per-item serial calls for any worker count — the
 // same contract the parallel kernels in parallel.go keep.
@@ -92,8 +92,8 @@ func BatchSYRK(workers int, alpha float64, a *Slab, beta float64, c *Slab) {
 // BatchGEMM computes C_i = beta*C_i + alpha*op(A_i)*op(B_i) for every
 // item in one pool dispatch. Shapes are validated once for the whole
 // slab (items are same-shape by construction); each item then runs the
-// serial blocked Gemm, so results are bitwise identical to per-item
-// serial calls.
+// serial Gemm, so results are bitwise identical to per-item serial
+// calls.
 func BatchGEMM(workers int, transA, transB bool, alpha float64, a, b *Slab, beta float64, c *Slab) {
 	if a.Batch != b.Batch || a.Batch != c.Batch {
 		panic(ErrShape)

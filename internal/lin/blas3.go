@@ -2,15 +2,22 @@ package lin
 
 //lint:allow floatcompare exact zero tests are structural fast paths and bit-identity is the kernel contract, not data tolerance checks
 
-// Level-3 kernels: GEMM, SYRK, TRSM, TRMM. All are cache-blocked with a
-// fixed tile size; correctness, not peak rate, is the goal (the cost model
-// owns rates). Each kernel documents its flop count so instrumentation in
-// the distributed algorithms can charge the α-β-γ model exactly.
+// Level-3 BLAS: GEMM, SYRK, TRMM and TRSM. The first three are thin
+// drivers over the one tiled micro-kernel in kernel.go: each describes
+// its operands by strides, names the structural zeros (SYRK's lower
+// triangle, TRMM's triangular factor) and hands the product to the
+// shared tile loops, serial (workers = 1) or on the worker pool. The
+// serial, parallel and batched entry points are therefore the same
+// computation per element and agree bitwise. TRSM has no hot caller and
+// stays a scalar substitution. Each kernel documents its flop count so
+// the distributed algorithms can charge the α-β-γ model exactly —
+// parallelism and vector width change wall-clock, not the model.
 
-// blockSize is the tile edge used by the blocked kernels. 48 keeps three
-// f64 tiles (~55 KB) inside a typical 256 KB L2 while staying friendly to
-// small matrices.
-const blockSize = 48
+// parallelFlopCutoff is the approximate flop count below which goroutine
+// hand-off costs more than it saves and the kernels stay serial: about
+// 0.3 ms of work at the assembly kernel's rate. Timed against serial, two
+// workers gain nothing below half of that and 1.3–1.5× from here up.
+const parallelFlopCutoff = 1 << 23
 
 // Triangle selects the triangular half of a matrix an operation refers to.
 type Triangle int
@@ -32,191 +39,104 @@ const (
 
 // Gemm computes C = beta*C + alpha*op(A)*op(B), with op controlled by
 // transA and transB. It performs 2*m*n*k flops for the inner product part
-// (m, n the shape of C, k the contraction length).
+// (m, n the shape of C, k the contraction length). beta == 0 overwrites C
+// without reading it; alpha == 0 does not read A or B.
 func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
+	GemmParallel(1, transA, transB, alpha, a, b, beta, c)
+}
+
+// GemmParallel is Gemm using up to workers goroutines (0 = GOMAXPROCS):
+// row chunks of C are claimed dynamically from the shared pool. The
+// result is bitwise identical to Gemm for any worker count.
+func GemmParallel(workers int, transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 	checkGemmShapes(transA, transB, a, b, c)
-	ar, ac := a.Rows, a.Cols
-	if transA {
-		ar, ac = ac, ar
-	}
-	bc := b.Cols
-	if transB {
-		bc = b.Rows
-	}
-	if beta != 1 {
-		if beta == 0 {
-			c.Zero()
-		} else {
-			c.Scale(beta)
-		}
-	}
-	if alpha == 0 || ar == 0 || bc == 0 || ac == 0 {
+	p := gemmProduct(transA, transB, alpha, a, b, beta, c)
+	if alpha == 0 || p.k == 0 {
+		c.scaleBy(beta)
 		return
 	}
-	switch {
-	case !transA && !transB:
-		gemmNN(alpha, a, b, c)
-	case !transA && transB:
-		gemmNT(alpha, a, b, c)
-	case transA && !transB:
-		gemmTN(alpha, a, b, c)
-	default:
-		gemmTT(alpha, a, b, c)
-	}
+	p.run(workers, c.Rows, c.Cols, GemmFlops(c.Rows, c.Cols, p.k))
 }
 
-// gemmNN: C += alpha * A * B, blocked over (i, k, j). The contraction is
-// unrolled four-wide so each pass reads four rows of B against one
-// read-modify-write of the C row, quartering the C traffic that
-// dominates this shape.
-func gemmNN(alpha float64, a, b, c *Matrix) {
-	m, k, n := a.Rows, a.Cols, b.Cols
-	for ii := 0; ii < m; ii += blockSize {
-		iMax := min(ii+blockSize, m)
-		for kk := 0; kk < k; kk += blockSize {
-			kMax := min(kk+blockSize, k)
-			for jj := 0; jj < n; jj += blockSize {
-				jMax := min(jj+blockSize, n)
-				for i := ii; i < iMax; i++ {
-					ci := c.Data[i*c.Stride+jj : i*c.Stride+jMax]
-					ai := a.Data[i*a.Stride : i*a.Stride+kMax]
-					l := kk
-					for ; l+3 < kMax; l += 4 {
-						av0 := alpha * ai[l]
-						av1 := alpha * ai[l+1]
-						av2 := alpha * ai[l+2]
-						av3 := alpha * ai[l+3]
-						b0 := b.Data[l*b.Stride+jj : l*b.Stride+jMax]
-						b1 := b.Data[(l+1)*b.Stride+jj : (l+1)*b.Stride+jMax]
-						b2 := b.Data[(l+2)*b.Stride+jj : (l+2)*b.Stride+jMax]
-						b3 := b.Data[(l+3)*b.Stride+jj : (l+3)*b.Stride+jMax]
-						for j := range ci {
-							ci[j] += av0*b0[j] + av1*b1[j] + av2*b2[j] + av3*b3[j]
-						}
-					}
-					for ; l < kMax; l++ {
-						av := alpha * ai[l]
-						if av == 0 {
-							continue
-						}
-						bl := b.Data[l*b.Stride+jj : l*b.Stride+jMax]
-						for j := range ci {
-							ci[j] += av * bl[j]
-						}
-					}
-				}
-			}
-		}
+// gemmProduct states Gemm's operands in the kernel's strides: a
+// transposed A swaps its row and contraction strides, a transposed B is
+// walked down its columns (and so gets packed).
+func gemmProduct(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) product {
+	p := product{
+		k: a.Cols, alpha: alpha, beta: beta,
+		a: a.Data, ars: a.Stride, aks: 1,
+		b: b.Data, bks: b.Stride, bjs: 1,
+		c: c.Data, cis: c.Stride, cjs: 1,
 	}
-}
-
-// gemmNT: C += alpha * A * Bᵀ — dot products of rows of A with rows of B.
-func gemmNT(alpha float64, a, b, c *Matrix) {
-	m, k, n := a.Rows, a.Cols, b.Rows
-	for ii := 0; ii < m; ii += blockSize {
-		iMax := min(ii+blockSize, m)
-		for jj := 0; jj < n; jj += blockSize {
-			jMax := min(jj+blockSize, n)
-			for kk := 0; kk < k; kk += blockSize {
-				kMax := min(kk+blockSize, k)
-				for i := ii; i < iMax; i++ {
-					ai := a.Data[i*a.Stride+kk : i*a.Stride+kMax]
-					for j := jj; j < jMax; j++ {
-						bj := b.Data[j*b.Stride+kk : j*b.Stride+kMax]
-						var sum float64
-						for l := range ai {
-							sum += ai[l] * bj[l]
-						}
-						c.Data[i*c.Stride+j] += alpha * sum
-					}
-				}
-			}
-		}
+	if transA {
+		p.k, p.ars, p.aks = a.Rows, 1, a.Stride
 	}
-}
-
-// gemmTN: C += alpha * Aᵀ * B — rows of B scaled by columns of A, with
-// the same four-wide contraction unroll as gemmNN (one C-row pass per
-// four B rows).
-func gemmTN(alpha float64, a, b, c *Matrix) {
-	m, k, n := a.Cols, a.Rows, b.Cols
-	for kk := 0; kk < k; kk += blockSize {
-		kMax := min(kk+blockSize, k)
-		for ii := 0; ii < m; ii += blockSize {
-			iMax := min(ii+blockSize, m)
-			for jj := 0; jj < n; jj += blockSize {
-				jMax := min(jj+blockSize, n)
-				for i := ii; i < iMax; i++ {
-					ci := c.Data[i*c.Stride+jj : i*c.Stride+jMax]
-					l := kk
-					for ; l+3 < kMax; l += 4 {
-						av0 := alpha * a.Data[l*a.Stride+i]
-						av1 := alpha * a.Data[(l+1)*a.Stride+i]
-						av2 := alpha * a.Data[(l+2)*a.Stride+i]
-						av3 := alpha * a.Data[(l+3)*a.Stride+i]
-						b0 := b.Data[l*b.Stride+jj : l*b.Stride+jMax]
-						b1 := b.Data[(l+1)*b.Stride+jj : (l+1)*b.Stride+jMax]
-						b2 := b.Data[(l+2)*b.Stride+jj : (l+2)*b.Stride+jMax]
-						b3 := b.Data[(l+3)*b.Stride+jj : (l+3)*b.Stride+jMax]
-						for j := range ci {
-							ci[j] += av0*b0[j] + av1*b1[j] + av2*b2[j] + av3*b3[j]
-						}
-					}
-					for ; l < kMax; l++ {
-						av := alpha * a.Data[l*a.Stride+i]
-						if av == 0 {
-							continue
-						}
-						bl := b.Data[l*b.Stride+jj : l*b.Stride+jMax]
-						for j := range ci {
-							ci[j] += av * bl[j]
-						}
-					}
-				}
-			}
-		}
+	if transB {
+		p.bks, p.bjs = 1, b.Stride
 	}
-}
-
-// gemmTT: C += alpha * Aᵀ * Bᵀ.
-func gemmTT(alpha float64, a, b, c *Matrix) {
-	m, k, n := a.Cols, a.Rows, b.Rows
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var sum float64
-			for l := 0; l < k; l++ {
-				sum += a.Data[l*a.Stride+i] * b.Data[j*b.Stride+l]
-			}
-			c.Data[i*c.Stride+j] += alpha * sum
-		}
-	}
+	return p
 }
 
 // MatMul returns A*B as a new matrix (the paper's MM building block;
 // 2*m*n*k flops).
-func MatMul(a, b *Matrix) *Matrix {
+func MatMul(a, b *Matrix) *Matrix { return MatMulParallel(1, a, b) }
+
+// MatMulParallel returns A·B computed with GemmParallel.
+func MatMulParallel(workers int, a, b *Matrix) *Matrix {
 	c := NewMatrix(a.Rows, b.Cols)
-	Gemm(false, false, 1, a, b, 0, c)
+	GemmParallel(workers, false, false, 1, a, b, 0, c)
 	return c
+}
+
+// checkGemmShapes validates conforming shapes and, because the assembly
+// kernel has no bounds checks, that each operand's storage covers its
+// shape.
+func checkGemmShapes(transA, transB bool, a, b, c *Matrix) {
+	ar, ac := a.Rows, a.Cols
+	if transA {
+		ar, ac = ac, ar
+	}
+	br, bc := b.Rows, b.Cols
+	if transB {
+		br, bc = bc, br
+	}
+	if ac != br || c.Rows != ar || c.Cols != bc {
+		panic(ErrShape)
+	}
+	a.checkExtent()
+	b.checkExtent()
+	c.checkExtent()
 }
 
 // Syrk computes C = beta*C + alpha*AᵀA into the full symmetric matrix C
 // (both halves are written, since the distributed algorithms communicate
 // full matrices). A is m×n, C is n×n; the paper charges m*n² flops.
 func Syrk(alpha float64, a *Matrix, beta float64, c *Matrix) {
+	SyrkParallel(1, alpha, a, beta, c)
+}
+
+// SyrkParallel is Syrk using up to workers goroutines, bitwise identical
+// to Syrk: the kernel runs over the tiles that touch the upper triangle,
+// in row chunks small enough for the triangular load to balance, and the
+// strict upper triangle is then mirrored.
+func SyrkParallel(workers int, alpha float64, a *Matrix, beta float64, c *Matrix) {
 	n := a.Cols
 	if c.Rows != n || c.Cols != n {
 		panic(ErrShape)
 	}
-	if beta != 1 {
-		if beta == 0 {
-			c.Zero()
-		} else {
-			c.Scale(beta)
+	a.checkExtent()
+	c.checkExtent()
+	if alpha == 0 || a.Rows == 0 {
+		c.scaleBy(beta)
+	} else {
+		p := product{
+			k: a.Rows, alpha: alpha, beta: beta, mode: symC,
+			a: a.Data, ars: 1, aks: a.Stride,
+			b: a.Data, bks: a.Stride, bjs: 1,
+			c: c.Data, cis: c.Stride, cjs: 1,
 		}
+		p.run(workers, n, n, SyrkFlops(a.Rows, n))
 	}
-	// Accumulate the upper triangle with blocked updates, then mirror.
-	syrkRows(alpha, a, c, 0, n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			c.Data[j*c.Stride+i] = c.Data[i*c.Stride+j]
@@ -224,50 +144,54 @@ func Syrk(alpha float64, a *Matrix, beta float64, c *Matrix) {
 	}
 }
 
-// syrkRows accumulates rows [lo, hi) of the upper triangle of C += α·AᵀA.
-// Shared verbatim by Syrk and SyrkParallel so serial and parallel results
-// are bitwise identical. The contraction over A's rows is unrolled
-// four-wide, matching gemmNN's single pass over each C row per four A
-// rows.
-func syrkRows(alpha float64, a, c *Matrix, lo, hi int) {
-	n := a.Cols
-	for kk := 0; kk < a.Rows; kk += blockSize {
-		kMax := min(kk+blockSize, a.Rows)
-		for i := lo; i < hi; i++ {
-			ci := c.Data[i*c.Stride : i*c.Stride+n]
-			l := kk
-			for ; l+3 < kMax; l += 4 {
-				r0 := a.Data[l*a.Stride : l*a.Stride+n]
-				r1 := a.Data[(l+1)*a.Stride : (l+1)*a.Stride+n]
-				r2 := a.Data[(l+2)*a.Stride : (l+2)*a.Stride+n]
-				r3 := a.Data[(l+3)*a.Stride : (l+3)*a.Stride+n]
-				av0 := alpha * r0[i]
-				av1 := alpha * r1[i]
-				av2 := alpha * r2[i]
-				av3 := alpha * r3[i]
-				for j := i; j < n; j++ {
-					ci[j] += av0*r0[j] + av1*r1[j] + av2*r2[j] + av3*r3[j]
-				}
-			}
-			for ; l < kMax; l++ {
-				row := a.Data[l*a.Stride : l*a.Stride+n]
-				av := alpha * row[i]
-				if av == 0 {
-					continue
-				}
-				for j := i; j < n; j++ {
-					ci[j] += av * row[j]
-				}
-			}
-		}
-	}
+// SyrkNew returns AᵀA.
+func SyrkNew(a *Matrix) *Matrix { return SyrkNewParallel(1, a) }
+
+// SyrkNewParallel returns AᵀA computed with SyrkParallel.
+func SyrkNewParallel(workers int, a *Matrix) *Matrix {
+	c := NewMatrix(a.Cols, a.Cols)
+	SyrkParallel(workers, 1, a, 0, c)
+	return c
 }
 
-// SyrkNew returns AᵀA.
-func SyrkNew(a *Matrix) *Matrix {
-	c := NewMatrix(a.Cols, a.Cols)
-	Syrk(1, a, 0, c)
-	return c
+// Trmm computes B = T*B (side == Left) or B = B*T (side == Right) in
+// place for triangular T; only the half of T named by tri is read.
+// transT multiplies by Tᵀ instead. n²m flops.
+func Trmm(side Side, tri Triangle, transT bool, t, b *Matrix) {
+	TrmmParallel(1, side, tri, transT, t, b)
+}
+
+// TrmmParallel is Trmm using up to workers goroutines (rows of B for
+// side == Right, columns for side == Left), bitwise identical to Trmm.
+func TrmmParallel(workers int, side Side, tri Triangle, transT bool, t, b *Matrix) {
+	checkTrxmShapes(side, t, b)
+	t.checkExtent()
+	b.checkExtent()
+	n := t.Rows
+	upper := (tri == Upper) != transT // op(T) is upper triangular
+	p := product{k: n, alpha: 1, a: b.Data, b: t.Data, bks: t.Stride, bjs: 1, c: b.Data}
+	if transT {
+		p.bks, p.bjs = 1, t.Stride
+	}
+	if side == Right {
+		// B := B·op(T): rows of B are independent.
+		p.ars, p.aks, p.cis, p.cjs = b.Stride, 1, b.Stride, 1
+		p.mode = lowerB
+		if upper {
+			p.mode = upperB
+		}
+		p.run(workers, b.Rows, n, TrsmFlops(b.Rows, n))
+		return
+	}
+	// B := op(T)·B is Bᵀ := Bᵀ·op(T)ᵀ: the same product on the
+	// transposed views, whose rows are the independent columns of B.
+	p.bks, p.bjs = p.bjs, p.bks
+	p.ars, p.aks, p.cis, p.cjs = 1, b.Stride, 1, b.Stride
+	p.mode = upperB
+	if upper {
+		p.mode = lowerB
+	}
+	p.run(workers, b.Cols, n, TrsmFlops(b.Cols, n))
 }
 
 // Trsm solves a triangular system in place against the rows or columns of
@@ -377,141 +301,34 @@ func Trsm(side Side, tri Triangle, transT bool, t, b *Matrix) {
 	}
 }
 
-// Trmm computes B = T*B (side == Left) or B = B*T (side == Right) in
-// place for triangular T. transT multiplies by Tᵀ instead. n²m flops.
-func Trmm(side Side, tri Triangle, transT bool, t, b *Matrix) {
-	checkTrxmShapes(side, t, b)
+// TrsmParallel is Trsm using up to workers goroutines. With side == Right
+// the rows of B are independent solves; with side == Left its columns
+// are. Either way the serial kernel runs on disjoint views, so results
+// are bitwise identical to Trsm.
+func TrsmParallel(workers int, side Side, tri Triangle, transT bool, t, b *Matrix) {
+	workers = resolveWorkers(workers)
 	n := t.Rows
-	switch {
-	case side == Right && tri == Upper && !transT:
-		// B := B U. Process columns right-to-left so inputs stay live.
-		for r := 0; r < b.Rows; r++ {
-			row := b.Data[r*b.Stride : r*b.Stride+n]
-			for j := n - 1; j >= 0; j-- {
-				v := row[j] * t.Data[j*t.Stride+j]
-				for k := 0; k < j; k++ {
-					v += row[k] * t.Data[k*t.Stride+j]
-				}
-				row[j] = v
-			}
-		}
-	case side == Left && tri == Lower && !transT:
-		// B := L B. Process rows bottom-up.
-		for i := n - 1; i >= 0; i-- {
-			bi := b.Data[i*b.Stride : i*b.Stride+b.Cols]
-			d := t.Data[i*t.Stride+i]
-			for j := range bi {
-				bi[j] *= d
-			}
-			for k := 0; k < i; k++ {
-				lv := t.Data[i*t.Stride+k]
-				if lv == 0 {
-					continue
-				}
-				bk := b.Data[k*b.Stride : k*b.Stride+b.Cols]
-				for j := range bi {
-					bi[j] += lv * bk[j]
-				}
-			}
-		}
-	case side == Left && tri == Upper && !transT:
-		// B := U B. Top-down.
-		for i := 0; i < n; i++ {
-			bi := b.Data[i*b.Stride : i*b.Stride+b.Cols]
-			d := t.Data[i*t.Stride+i]
-			for j := range bi {
-				bi[j] *= d
-			}
-			for k := i + 1; k < n; k++ {
-				uv := t.Data[i*t.Stride+k]
-				if uv == 0 {
-					continue
-				}
-				bk := b.Data[k*b.Stride : k*b.Stride+b.Cols]
-				for j := range bi {
-					bi[j] += uv * bk[j]
-				}
-			}
-		}
-	case side == Right && tri == Lower && !transT:
-		// B := B L. Left-to-right columns.
-		for r := 0; r < b.Rows; r++ {
-			row := b.Data[r*b.Stride : r*b.Stride+n]
-			for j := 0; j < n; j++ {
-				v := row[j] * t.Data[j*t.Stride+j]
-				for k := j + 1; k < n; k++ {
-					v += row[k] * t.Data[k*t.Stride+j]
-				}
-				row[j] = v
-			}
-		}
-	case side == Right && tri == Lower && transT:
-		// B := B Lᵀ — Lᵀ is upper with (Lᵀ)[k][j] = L[j][k];
-		// right-to-left columns.
-		for r := 0; r < b.Rows; r++ {
-			row := b.Data[r*b.Stride : r*b.Stride+n]
-			for j := n - 1; j >= 0; j-- {
-				v := row[j] * t.Data[j*t.Stride+j]
-				for k := 0; k < j; k++ {
-					v += row[k] * t.Data[j*t.Stride+k]
-				}
-				row[j] = v
-			}
-		}
-	case side == Right && tri == Upper && transT:
-		// B := B Uᵀ — Uᵀ is lower with (Uᵀ)[k][j] = U[j][k];
-		// left-to-right columns.
-		for r := 0; r < b.Rows; r++ {
-			row := b.Data[r*b.Stride : r*b.Stride+n]
-			for j := 0; j < n; j++ {
-				v := row[j] * t.Data[j*t.Stride+j]
-				for k := j + 1; k < n; k++ {
-					v += row[k] * t.Data[j*t.Stride+k]
-				}
-				row[j] = v
-			}
-		}
-	case side == Left && tri == Lower && transT:
-		// B := Lᵀ B — Lᵀ upper: top-down rows.
-		for i := 0; i < n; i++ {
-			bi := b.Data[i*b.Stride : i*b.Stride+b.Cols]
-			d := t.Data[i*t.Stride+i]
-			for j := range bi {
-				bi[j] *= d
-			}
-			for k := i + 1; k < n; k++ {
-				lv := t.Data[k*t.Stride+i] // (Lᵀ)[i][k]
-				if lv == 0 {
-					continue
-				}
-				bk := b.Data[k*b.Stride : k*b.Stride+b.Cols]
-				for j := range bi {
-					bi[j] += lv * bk[j]
-				}
-			}
-		}
-	case side == Left && tri == Upper && transT:
-		// B := Uᵀ B — Uᵀ lower: bottom-up rows.
-		for i := n - 1; i >= 0; i-- {
-			bi := b.Data[i*b.Stride : i*b.Stride+b.Cols]
-			d := t.Data[i*t.Stride+i]
-			for j := range bi {
-				bi[j] *= d
-			}
-			for k := 0; k < i; k++ {
-				uv := t.Data[k*t.Stride+i] // (Uᵀ)[i][k]
-				if uv == 0 {
-					continue
-				}
-				bk := b.Data[k*b.Stride : k*b.Stride+b.Cols]
-				for j := range bi {
-					bi[j] += uv * bk[j]
-				}
-			}
-		}
-	default:
-		panic("lin: Trmm variant not implemented")
+	rhs := b.Rows
+	if side == Left {
+		rhs = b.Cols
 	}
+	if workers == 1 || TrsmFlops(rhs, n) < parallelFlopCutoff {
+		Trsm(side, tri, transT, t, b)
+		return
+	}
+	// The serial kernel's own validation, run before entering the pool
+	// (a panic on a pool worker is unrecoverable); the per-chunk calls
+	// then cannot fail.
+	checkTrsm(side, tri, transT, t, b)
+	if side == Right {
+		parallelFor(workers, b.Rows, 16, func(lo, hi int) {
+			Trsm(side, tri, transT, t, b.View(lo, 0, hi-lo, b.Cols))
+		})
+		return
+	}
+	parallelFor(workers, b.Cols, 16, func(lo, hi int) {
+		Trsm(side, tri, transT, t, b.View(0, lo, b.Rows, hi-lo))
+	})
 }
 
 // checkTrxmShapes validates the operand shapes shared by Trsm and Trmm:
@@ -540,11 +357,4 @@ func checkTrsm(side Side, tri Triangle, transT bool, t, b *Matrix) {
 	if tri == Upper && transT {
 		panic("lin: Trsm variant not implemented")
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -33,8 +33,8 @@ func naiveMul(transA, transB bool, a, b *Matrix) *Matrix {
 func TestGemmAllVariantsMatchNaive(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {2, 3, 4}, {5, 5, 5}, {7, 3, 9},
-		{blockSize, blockSize, blockSize},
-		{blockSize + 3, blockSize - 1, 2*blockSize + 5},
+		{blockK, blockK, blockK},
+		{blockK + 3, blockK - 1, 2*blockK + 5},
 		{1, 60, 1}, {60, 1, 60},
 	}
 	for _, sh := range shapes {

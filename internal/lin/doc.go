@@ -4,15 +4,18 @@
 // TRSM, TRMM, Cholesky, triangular inverse, Householder QR, norms, and
 // random matrix generators).
 //
-// Everything is written from scratch on the standard library. The level-3
-// kernels are cache-blocked (48×48 tiles, four-wide unrolled
-// contractions) and have goroutine-parallel variants (GemmParallel,
-// SyrkParallel, TrsmParallel, TrmmParallel) that schedule disjoint output
-// ranges onto a shared worker pool; parallel results are bitwise
-// identical to serial, so worker counts never change numerics. The
-// reproduction's cost model separates flop counts (which these kernels
-// match exactly, serial or parallel) from flop rates (which belong to
-// the machine model). Each kernel family has a matching *Flops counter
-// (flops.go) that the distributed algorithms charge to their rank's
-// virtual clock.
+// Everything is written from scratch on the standard library. The paper's
+// case for CholeskyQR2 is that its flops are all level-3, so GEMM, SYRK
+// and TRMM share one register-tiled 4×8 micro-kernel (kernel.go): AVX2/FMA
+// assembly on amd64 CPUs that have it, the same loop nest in plain Go
+// everywhere else (other GOARCH, -tags purego). The serial, goroutine-
+// parallel (GemmParallel, SyrkParallel, TrmmParallel) and strided-batch
+// (BatchGEMM, BatchSYRK) entry points are drivers over the same tile
+// loops and agree bitwise, so worker counts never change numerics. TRSM,
+// Cholesky, the triangular inverse and Householder QR are scalar: none
+// has a hot caller. The reproduction's cost model separates flop counts
+// (which these kernels match exactly, whatever the vector width or worker
+// count) from flop rates (which belong to the machine model). Each kernel
+// family has a matching *Flops counter (flops.go) that the distributed
+// algorithms charge to their rank's virtual clock.
 package lin

@@ -112,6 +112,27 @@ func (m *Matrix) Zero() {
 	}
 }
 
+// scaleBy applies the BLAS beta convention to m: 0 overwrites whatever m
+// held (NaN included), 1 leaves it alone.
+func (m *Matrix) scaleBy(beta float64) {
+	switch beta {
+	case 0:
+		m.Zero()
+	case 1:
+	default:
+		m.Scale(beta)
+	}
+}
+
+// checkExtent panics unless Data covers every element the shape
+// addresses. The Go code would fault on the first bad index anyway; the
+// assembly kernel would not.
+func (m *Matrix) checkExtent() {
+	if m.Rows > 0 && m.Cols > 0 && (m.Stride < m.Cols || len(m.Data) < (m.Rows-1)*m.Stride+m.Cols) {
+		panic(ErrShape)
+	}
+}
+
 // T returns a newly allocated transpose of m.
 func (m *Matrix) T() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)

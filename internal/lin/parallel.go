@@ -12,10 +12,9 @@ import (
 // algorithms charge flops to the simulated machine model and do not need
 // wall-clock speed, but a production library should still use the host's
 // cores for large local multiplies. All parallel kernels partition the
-// OUTPUT into disjoint row (or column) ranges and run the serial blocked
-// kernel on views, so every output element is computed by exactly the
-// same sequence of floating-point operations as the serial code — results
-// are bitwise identical to the serial kernels for any worker count.
+// OUTPUT into disjoint row (or column) ranges, so every output element is
+// computed by exactly the same sequence of floating-point operations as
+// in a serial run — results are bitwise identical for any worker count.
 //
 // Work is scheduled on a process-wide pool of GOMAXPROCS goroutines
 // shared by every kernel invocation (including concurrent invocations

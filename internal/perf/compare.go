@@ -16,7 +16,7 @@ func (r Regression) String() string {
 
 // MinGatedNs is the baseline ns/op below which a case is reported but
 // never gated: sub-100µs latency probes (the cached plan lookup sits at
-// ~250 ns) live at the scale of timer overhead and scheduler noise on a
+// 1.1–1.5 µs) live at the scale of timer overhead and scheduler noise on a
 // shared runner, where a 25% relative gate would flake without any real
 // regression. Every compute case in the suite is well above this floor.
 const MinGatedNs = 100_000

@@ -428,7 +428,7 @@ func (s *Server) prepare(req SubmitRequest) (plan.Request, float64, error) {
 	cond := req.CondEst
 	//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
 	if cond == 0 {
-		cond = lin.EstimateCond(req.A.toLin(), condEstIters)
+		cond = lin.EstimateCond(req.A.view(), condEstIters)
 	}
 	opts := s.opts.Options
 	opts.CondEst = cond
@@ -552,15 +552,6 @@ func (s *Server) SubmitBatchCtx(ctx context.Context, reqs []SubmitRequest) []Bat
 	return items
 }
 
-// denseView wraps a contiguous lin.Matrix in a Dense without copying;
-// non-contiguous (strided-view) inputs fall back to a copy.
-func denseView(m *lin.Matrix) *Dense {
-	if m.Stride == m.Cols {
-		return &Dense{Rows: m.Rows, Cols: m.Cols, Data: m.Data}
-	}
-	return fromLin(m)
-}
-
 // execGroup runs one same-key group of jobs under an already-acquired
 // rank-gate slot. The CholeskyQR2 family routes through the fused
 // batched drivers (parallelism comes from the batch dimension, and the
@@ -578,8 +569,7 @@ func (s *Server) execGroup(ctx context.Context, p plan.Plan, jobs []*submitJob) 
 			// mutate their inputs, and a 256-item batch window must not
 			// pay a full extra pass over the data just to cross the
 			// Dense/lin boundary.
-			a := job.req.A
-			as[i] = &lin.Matrix{Rows: a.Rows, Cols: a.Cols, Stride: a.Cols, Data: a.Data}
+			as[i] = job.req.A.view()
 		}
 		var qs, rs []*lin.Matrix
 		var errs []error
@@ -601,7 +591,7 @@ func (s *Server) execGroup(ctx context.Context, p plan.Plan, jobs []*submitJob) 
 				job.err = errs[i]
 				continue
 			}
-			job.out.Q, job.out.R = denseView(qs[i]), denseView(rs[i])
+			job.out.Q, job.out.R = fromLin(qs[i]), fromLin(rs[i])
 			job.out.Fused = true
 			job.out.Stats = CostStats{Flops: flops}
 			if job.req.B != nil {

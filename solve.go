@@ -94,7 +94,7 @@ func factorizeFixedCondAware(a *Dense, spec GridSpec, opts Options) (*Result, er
 	cond := opts.CondEst
 	//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
 	if cond == 0 {
-		cond = lin.EstimateCond(a.toLin(), condEstIters)
+		cond = lin.EstimateCond(a.view(), condEstIters)
 	}
 	if plan.PredictOrthogonality(plan.CACQR2, m, n, 0, cond) <= plan.DefaultOrthTol {
 		// Inside the CQR2 regime: the requested grid as before.

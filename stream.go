@@ -94,7 +94,7 @@ func (s *MatrixSink) Dense() (*Dense, error) {
 	if s.dense == nil {
 		return nil, fmt.Errorf("cacqr: sink holds no in-memory Q (use SinkToDense and run FactorizeStreaming first)")
 	}
-	return denseView(s.dense.Matrix()), nil
+	return fromLin(s.dense.Matrix()), nil
 }
 
 // open binds the sink to the run's shape and returns the internal sink.
@@ -265,5 +265,5 @@ func materializeSource(src *MatrixSource) (*Dense, error) {
 	if err := stream.Drain(src.src, snk, resolvePanelRows(0, m, n)); err != nil {
 		return nil, err
 	}
-	return denseView(snk.Matrix()), nil
+	return fromLin(snk.Matrix()), nil
 }
