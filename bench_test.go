@@ -162,6 +162,7 @@ func BenchmarkRunCACQR2Grid4x4(b *testing.B) { benchGridRun(b, 4, 4, 256, 16, 0)
 func BenchmarkRunOneDCQR2(b *testing.B) {
 	const p, m, n = 8, 256, 16
 	a := lin.RandomMatrix(m, n, 43)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, err := simmpi.Run(p, func(pr *simmpi.Proc) error {
 			local := a.View(pr.Rank()*(m/p), 0, m/p, n).Clone()

@@ -209,13 +209,19 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			if err != nil {
 				return err
 			}
-			qG, err := dist.Gather(g.Slice, qL, m, n, job.D, job.C)
-			if err != nil {
-				return err
-			}
-			rG, err := dist.Gather(g.Cube.Slice, rL, n, n, job.C, job.C)
-			if err != nil {
-				return err
+			// Only rank 0 emits, so only the slice that holds it gathers
+			// Q, and only its subcube's slice gathers R; rank 0 is member
+			// 0 of both, where dist.Gather assembles the global factor.
+			var qG, rG *lin.Matrix
+			if g.Z == 0 {
+				if qG, err = dist.Gather(g.Slice, qL, m, n, job.D, job.C); err != nil {
+					return err
+				}
+				if g.Group == 0 {
+					if rG, err = dist.Gather(g.Cube.Slice, rL, n, n, job.C, job.C); err != nil {
+						return err
+					}
+				}
 			}
 			emit(qG, rG)
 			return nil
@@ -231,7 +237,7 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			if err != nil {
 				return err
 			}
-			qG, err := allgatherQ(p, qL, m, n)
+			qG, err := gatherQ(p, qL, m, n)
 			if err != nil {
 				return err
 			}
@@ -249,7 +255,7 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			if err != nil {
 				return err
 			}
-			qG, err := allgatherQ(p, qL, m, n)
+			qG, err := gatherQ(p, qL, m, n)
 			if err != nil {
 				return err
 			}
@@ -289,7 +295,12 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			}
 			// Assemble the global Q: process column 0 contributes its rows,
 			// everyone else zeros, and a world Allreduce replicates the sum
-			// (the same output-path pattern as GatherR).
+			// (the same output-path pattern as GatherR). Unlike the other
+			// variants' rooted gathers this still builds an m×n zero-padded
+			// contribution and result on every rank. It stays: PGEQRF is
+			// the comparison baseline, its explicit-Q output path is
+			// unmodeled (see FactorizePGEQRF), and rooting it would need a
+			// row-cyclic assembly that nothing else uses.
 			contrib := lin.NewMatrix(m, n)
 			if g.Col == 0 {
 				for li := 0; li < mloc; li++ {
@@ -317,12 +328,14 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 	}
 }
 
-// allgatherQ assembles the global m×n Q from each rank's row block over
-// the 1D world communicator — the shared gather tail of the 1D
-// execution paths (Factorize1D, FactorizeTSQR).
-func allgatherQ(p transport.Proc, qL *lin.Matrix, m, n int) (*lin.Matrix, error) {
-	flat, err := p.World().Allgather(dist.Flatten(qL))
-	if err != nil {
+// gatherQ assembles the global m×n Q on rank 0 (nil elsewhere) from each
+// rank's row block over the 1D world communicator — the shared gather
+// tail of the 1D execution paths (Factorize1D, FactorizeTSQR). Row
+// blocks in rank order are the global matrix in row-major order, so the
+// gathered buffer is wrapped as it is.
+func gatherQ(p transport.Proc, qL *lin.Matrix, m, n int) (*lin.Matrix, error) {
+	flat, err := p.World().Gather(0, dist.Flatten(qL))
+	if err != nil || p.Rank() != 0 {
 		return nil, err
 	}
 	return dist.Unflatten(m, n, flat)

@@ -29,10 +29,10 @@ type Analyzer struct {
 
 // Pass carries one analyzer's view of one type-checked package.
 type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
+	Analyzer  *Analyzer
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Pkg       *types.Package
 	TypesInfo *types.Info
 
 	report func(Diagnostic)

@@ -28,12 +28,12 @@ type Package struct {
 
 // listEntry is the slice of `go list -json` output the loader needs.
 type listEntry struct {
-	ImportPath    string
-	Dir           string
-	GoFiles       []string
-	CgoFiles      []string
-	TestGoFiles   []string
-	XTestGoFiles  []string
+	ImportPath   string
+	Dir          string
+	GoFiles      []string
+	CgoFiles     []string
+	TestGoFiles  []string
+	XTestGoFiles []string
 }
 
 // goList enumerates the packages matching patterns via the go command,

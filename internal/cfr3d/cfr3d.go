@@ -232,14 +232,11 @@ func baseCase(cb *grid.Cube, aLocal *lin.Matrix, n int) (lLocal, yLocal *lin.Mat
 		if err != nil {
 			return nil, nil, err
 		}
-		blk := aLocal.Rows * aLocal.Cols
+		// The gathered buffer is ours: wrap its e² blocks where they lie.
+		lr, lc := aLocal.Rows, aLocal.Cols
 		pieces := make([]*lin.Matrix, e*e)
 		for i := range pieces {
-			m, err := dist.Unflatten(aLocal.Rows, aLocal.Cols, flat[i*blk:(i+1)*blk])
-			if err != nil {
-				return nil, nil, err
-			}
-			pieces[i] = m
+			pieces[i] = &lin.Matrix{Rows: lr, Cols: lc, Stride: lc, Data: flat[i*lr*lc : (i+1)*lr*lc]}
 		}
 		// Slice ordering is y-major (index y·E + x), matching
 		// AssembleGlobal's row-major piece layout with row=y, col=x.

@@ -29,7 +29,9 @@ func runGrid(t *testing.T, c, d int, body func(p *simmpi.Proc, g *grid.Grid) err
 }
 
 // verifyQR gathers the distributed Q and R and checks the factorization
-// of a against the sequential reference.
+// of a against the sequential reference. The gathers are rooted: member 0
+// of every subcube slice holds R and checks it; those of them that are
+// also member 0 of their depth slice hold Q too and check the rest.
 func verifyQR(g *grid.Grid, a *lin.Matrix, qLocal, rLocal *lin.Matrix, m, n int, tol float64) error {
 	q, err := dist.Gather(g.Slice, qLocal, m, n, g.D, g.C)
 	if err != nil {
@@ -39,8 +41,14 @@ func verifyQR(g *grid.Grid, a *lin.Matrix, qLocal, rLocal *lin.Matrix, m, n int,
 	if err != nil {
 		return err
 	}
+	if r == nil {
+		return nil
+	}
 	if !r.IsUpperTriangular(tol * float64(n)) {
 		return fmt.Errorf("R not upper triangular")
+	}
+	if q == nil {
+		return nil
 	}
 	if e := lin.ResidualNorm(a, q, r); e > tol {
 		return fmt.Errorf("residual %g > %g", e, tol)
@@ -119,7 +127,7 @@ func TestCACQR2MatchesSequentialR(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if !r.EqualWithin(rSeq, 1e-9*float64(n)) {
+		if r != nil && !r.EqualWithin(rSeq, 1e-9*float64(n)) {
 			return fmt.Errorf("distributed R differs from sequential R")
 		}
 		return nil

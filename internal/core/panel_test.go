@@ -23,6 +23,9 @@ func verifyPanelQR(g *grid.Grid, a *lin.Matrix, qLocal, rLocal *lin.Matrix, m, n
 	if err != nil {
 		return err
 	}
+	if q == nil {
+		return nil // rooted gathers: member 0 of each depth slice holds both factors
+	}
 	if !r.IsUpperTriangular(1e-9 * float64(n)) {
 		return errors.New("R not upper triangular")
 	}

@@ -114,6 +114,9 @@ func TestCACQR2ModerateConditioning(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		if q == nil {
+			return nil // Q is gathered onto member 0 of each depth slice
+		}
 		if e := lin.OrthogonalityError(q); e > 1e-12 {
 			return fmt.Errorf("orthogonality %g at κ=1e6", e)
 		}
@@ -157,7 +160,7 @@ func TestOneDCQR2AgreesWithCACQR2C1(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if !r.EqualWithin(r1d, 1e-10) {
+		if !r.EqualWithin(r1d, 1e-10) { // 1×1 cube slices: every rank is its root
 			return errors.New("c=1 CA-CQR2 R differs from 1D-CQR2 R")
 		}
 		return nil

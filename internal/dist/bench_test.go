@@ -28,6 +28,7 @@ func BenchmarkFlatten(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d", s.m/s.pr, s.n/s.pc), func(b *testing.B) {
 			local := lin.RandomMatrix(s.m/s.pr, s.n/s.pc, 1)
 			b.SetBytes(int64(local.Rows*local.Cols) * 8)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				Flatten(local)
@@ -43,6 +44,7 @@ func BenchmarkFlattenStrided(b *testing.B) {
 			backing := lin.RandomMatrix(s.m/s.pr, s.n/s.pc+8, 1)
 			local := backing.View(0, 0, s.m/s.pr, s.n/s.pc)
 			b.SetBytes(int64(local.Rows*local.Cols) * 8)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				Flatten(local)
@@ -56,6 +58,7 @@ func BenchmarkUnflatten(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d", s.m/s.pr, s.n/s.pc), func(b *testing.B) {
 			flat := Flatten(lin.RandomMatrix(s.m/s.pr, s.n/s.pc, 1))
 			b.SetBytes(int64(len(flat)) * 8)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := Unflatten(s.m/s.pr, s.n/s.pc, flat); err != nil {
@@ -71,6 +74,7 @@ func BenchmarkFromGlobal(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d_on_%dx%d", s.m, s.n, s.pr, s.pc), func(b *testing.B) {
 			global := lin.RandomMatrix(s.m, s.n, 1)
 			b.SetBytes(int64(s.m/s.pr*s.n/s.pc) * 8)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := FromGlobal(global, s.pr, s.pc, 1%s.pr, 1%s.pc); err != nil {
@@ -94,6 +98,7 @@ func BenchmarkAssembleGlobal(b *testing.B) {
 				pieces[r] = d.Local
 			}
 			b.SetBytes(int64(s.m*s.n) * 8)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := AssembleGlobal(s.m, s.n, s.pr, s.pc, pieces); err != nil {
@@ -105,9 +110,9 @@ func BenchmarkAssembleGlobal(b *testing.B) {
 }
 
 func BenchmarkGather(b *testing.B) {
-	// End-to-end collective: every rank allgathers and reassembles the
-	// full matrix. Smaller than paper scale — the simulated runtime holds
-	// P copies of the global matrix in flight — but the same code path.
+	// End-to-end collective: every rank contributes its block and member
+	// 0 reassembles the full matrix. Smaller than paper scale, but the
+	// same code path.
 	for _, s := range []struct{ m, n, pr, pc int }{
 		{8192, 64, 4, 2},
 		{2048, 128, 2, 2},
@@ -115,6 +120,7 @@ func BenchmarkGather(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d_on_%dx%d", s.m, s.n, s.pr, s.pc), func(b *testing.B) {
 			global := lin.RandomMatrix(s.m, s.n, 1)
 			b.SetBytes(int64(s.m*s.n) * 8)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_, err := simmpi.RunWithOptions(s.pr*s.pc, simmpi.Options{Timeout: 120 * time.Second}, func(p *simmpi.Proc) error {

@@ -46,9 +46,7 @@ func Scatter(comm transport.Comm, root int, global *lin.Matrix, m, n, pr, pc int
 				own = blk
 				continue
 			}
-			// FromGlobal's block is compact (Stride == Cols) and Send
-			// copies the payload, so its Data is already wire format.
-			if err := comm.Send(r, tagScatter, blk.Local.Data); err != nil {
+			if err := comm.Send(r, tagScatter, Flatten(blk.Local)); err != nil {
 				return nil, err
 			}
 		}
@@ -66,11 +64,11 @@ func Scatter(comm transport.Comm, root int, global *lin.Matrix, m, n, pr, pc int
 }
 
 // Gather reassembles the m × n global matrix from the cyclic blocks held
-// by comm's members (member r ↔ grid coordinates (r/pc, r%pc)) and
-// returns it on every member — an allgather, which is how the grid
-// algorithms' callers verify factors on every rank without a second
-// broadcast. local must be this rank's (m/pr) × (n/pc) block. The cost is
-// the transport's Allgather of the full matrix: log₂P·α + m·n·δ(P)·β.
+// by comm's members (member r ↔ grid coordinates (r/pc, r%pc)) on member
+// 0 and returns nil on the others: the factors are assembled once, on
+// the rank that emits them. local must be this rank's (m/pr) × (n/pc)
+// block. The cost is the transport's Gather of the full matrix, charged
+// to every member: log₂P·α + m·n·δ(P)·β.
 func Gather(comm transport.Comm, local *lin.Matrix, m, n, pr, pc int) (*lin.Matrix, error) {
 	if err := checkGrid(m, n, pr, pc); err != nil {
 		return nil, err
@@ -79,28 +77,23 @@ func Gather(comm transport.Comm, local *lin.Matrix, m, n, pr, pc int) (*lin.Matr
 		return nil, fmt.Errorf("dist: gather over %d ranks from a %dx%d process grid (want %d)", comm.Size(), pr, pc, pr*pc)
 	}
 	lr, lc := m/pr, n/pc
-	if local == nil || local.Rows != lr || local.Cols != lc {
-		got := "nil"
-		if local != nil {
-			got = fmt.Sprintf("%dx%d", local.Rows, local.Cols)
-		}
-		return nil, fmt.Errorf("dist: gather of a %s local block, want %dx%d", got, lr, lc)
+	if local == nil {
+		return nil, fmt.Errorf("dist: gather of a nil local block, want %dx%d", lr, lc)
 	}
-	flat, err := comm.Allgather(Flatten(local))
-	if err != nil {
+	if local.Rows != lr || local.Cols != lc {
+		return nil, fmt.Errorf("dist: gather of a %dx%d local block, want %dx%d", local.Rows, local.Cols, lr, lc)
+	}
+	flat, err := comm.Gather(0, Flatten(local))
+	if err != nil || comm.Index() != 0 {
 		return nil, err
 	}
 	blk := lr * lc
 	if len(flat) != blk*comm.Size() {
 		return nil, fmt.Errorf("dist: gathered %d values, want %d", len(flat), blk*comm.Size())
 	}
-	pieces := make([]*lin.Matrix, comm.Size())
-	for r := range pieces {
-		p, err := Unflatten(lr, lc, flat[r*blk:(r+1)*blk])
-		if err != nil {
-			return nil, err
-		}
-		pieces[r] = p
+	global := lin.NewMatrix(m, n)
+	for r := 0; r < comm.Size(); r++ {
+		interleave(global, pr, pc, r/pc, r%pc, flat[r*blk:(r+1)*blk], lc)
 	}
-	return AssembleGlobal(m, n, pr, pc, pieces)
+	return global, nil
 }

@@ -27,11 +27,12 @@
 //     AssembleGlobal inverts it, and the pair is an exact identity.
 //   - Wire format: Flatten/Unflatten convert between *lin.Matrix (which
 //     may be a strided view) and the contiguous row-major []float64 that
-//     simmpi collectives move.
+//     transports move, copying only strided views: transports borrow a
+//     payload and hand over a result (see internal/transport).
 //   - Collectives: Scatter distributes a global matrix from a root rank
-//     and Gather reassembles it on every rank, both built on
-//     internal/simmpi primitives so their α-β cost is accounted like any
-//     other communication.
+//     and Gather reassembles it on member 0, both built on transport
+//     primitives so their α-β cost is accounted like any other
+//     communication.
 //
 // All functions reject shapes the layout cannot represent exactly: the
 // grid extents must divide the matrix dimensions (the paper's m mod d = 0,
@@ -120,17 +121,21 @@ func AssembleGlobal(m, n, pr, pc int, pieces []*lin.Matrix) (*lin.Matrix, error)
 		}
 	}
 	global := lin.NewMatrix(m, n)
-	for row := 0; row < pr; row++ {
-		for col := 0; col < pc; col++ {
-			p := pieces[row*pc+col]
-			for i := 0; i < lr; i++ {
-				src := p.Data[i*p.Stride : i*p.Stride+lc]
-				dst := global.Data[(i*pr+row)*global.Stride+col:]
-				for j, v := range src {
-					dst[j*pc] = v
-				}
-			}
-		}
+	for r, p := range pieces {
+		interleave(global, pr, pc, r/pc, r%pc, p.Data, p.Stride)
 	}
 	return global, nil
+}
+
+// interleave writes the cyclic block of the rank at (row, col) — rows of
+// global.Cols/pc values, stride apart in data — into its places in global.
+func interleave(global *lin.Matrix, pr, pc, row, col int, data []float64, stride int) {
+	lr, lc := global.Rows/pr, global.Cols/pc
+	for i := 0; i < lr; i++ {
+		src := data[i*stride : i*stride+lc]
+		dst := global.Data[(i*pr+row)*global.Stride+col:]
+		for j, v := range src {
+			dst[j*pc] = v
+		}
+	}
 }

@@ -138,24 +138,48 @@ func TestFlattenStridedView(t *testing.T) {
 	}
 }
 
-func TestUnflattenCopiesWire(t *testing.T) {
-	// Collective results can alias a sender's buffer (Bcast on the root
-	// returns the input slice); Unflatten must not alias the wire data.
+func TestUnflattenAliasesWire(t *testing.T) {
+	// A transport's result is owned by the caller, so Unflatten wraps it
+	// in place: one storage, two views.
 	flat := []float64{1, 2, 3, 4}
 	m, err := Unflatten(2, 2, flat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	flat[0] = -1
-	if m.At(0, 0) == -1 {
-		t.Fatal("Unflatten aliases the wire slice")
+	m.Set(1, 1, -4)
+	if m.At(0, 0) != -1 || flat[3] != -4 {
+		t.Fatal("Unflatten copied the wire slice instead of wrapping it")
+	}
+}
+
+func TestFlattenBorrowsCompactStorage(t *testing.T) {
+	// A payload is only borrowed by the transport, so a compact matrix is
+	// handed over as it is; a strided view has to be packed, and the
+	// packed copy is private. Neither may expose spare capacity.
+	a := indexedMatrix(4, 4)
+	flat := Flatten(a)
+	flat[5] = -1
+	if a.At(1, 1) != -1 {
+		t.Fatal("Flatten copied a compact matrix")
+	}
+	v := a.View(1, 1, 2, 2)
+	packed := Flatten(v)
+	packed[0] = -2
+	if v.At(0, 0) == -2 {
+		t.Fatal("Flatten of a strided view aliases it")
+	}
+	top := a.View(0, 0, 2, 4) // compact, but Data runs on past the view
+	if f := Flatten(top); len(f) != 8 || cap(f) != 8 {
+		t.Fatalf("Flatten of a leading row block has len %d cap %d, want 8 and 8", len(f), cap(f))
 	}
 }
 
 func TestScatterGatherIdentity(t *testing.T) {
 	// Property: Scatter from a root then Gather is the identity, every
-	// rank's scattered block matches FromGlobal, and the gathered matrix
-	// arrives on every rank — across tall, square, and uneven shapes.
+	// rank's scattered block matches FromGlobal, the gathered matrix
+	// arrives on member 0 and nowhere else, and it shares no storage with
+	// the blocks it was built from — across tall, square, uneven shapes.
 	for _, tc := range []struct{ m, n, pr, pc int }{
 		{4, 4, 1, 1},   // degenerate 1×1 grid
 		{64, 8, 4, 2},  // tall
@@ -187,8 +211,22 @@ func TestScatterGatherIdentity(t *testing.T) {
 				if err != nil {
 					return err
 				}
+				if comm.Index() != 0 {
+					if back != nil {
+						return fmt.Errorf("rank %d: rooted gather returned a matrix off the root", comm.Index())
+					}
+					return nil
+				}
 				if back == nil || !back.Equal(a) {
-					return fmt.Errorf("rank %d: gathered matrix differs from the original", comm.Index())
+					return fmt.Errorf("gathered matrix differs from the original")
+				}
+				back.Set(0, 0, -7)
+				if d.Local.At(0, 0) == -7 {
+					return fmt.Errorf("gathered matrix aliases the root's local block")
+				}
+				d.Local.Set(0, 0, -9)
+				if back.At(0, 0) != -7 {
+					return fmt.Errorf("the root's local block aliases the gathered matrix")
 				}
 				return nil
 			})

@@ -6,25 +6,26 @@ import (
 	"cacqr/internal/lin"
 )
 
-// Flatten copies a matrix (possibly a strided view) into the contiguous
-// row-major []float64 wire format that simmpi collectives transport. The
-// result has length Rows·Cols and shares no storage with m.
+// Flatten returns m's elements as the contiguous row-major []float64 the
+// transport moves, for use as a payload, which transports only borrow:
+// m's own storage when m is compact (Stride == Cols), a packed copy when
+// it is a strided view. Callers that need a private slice clone m first.
 func Flatten(m *lin.Matrix) []float64 {
-	out := make([]float64, m.Rows*m.Cols)
 	if m.Stride == m.Cols {
-		copy(out, m.Data[:m.Rows*m.Cols])
-		return out
+		n := m.Rows * m.Cols
+		return m.Data[:n:n]
 	}
+	out := make([]float64, 0, m.Rows*m.Cols)
 	for i := 0; i < m.Rows; i++ {
-		copy(out[i*m.Cols:(i+1)*m.Cols], m.Data[i*m.Stride:i*m.Stride+m.Cols])
+		out = append(out, m.Data[i*m.Stride:i*m.Stride+m.Cols]...)
 	}
 	return out
 }
 
-// Unflatten interprets a wire-format slice as a rows × cols row-major
-// matrix. The data is copied so the matrix owns its storage: collective
-// results can alias a caller's send buffer (simmpi's Bcast returns the
-// root's own slice on the root). The length must match exactly.
+// Unflatten wraps a wire-format slice as a rows × cols row-major matrix
+// without copying: the matrix aliases flat. What a transport returns is
+// the caller's to wrap — though Bcast's result on its root is the root's
+// own payload. The length must match exactly.
 func Unflatten(rows, cols int, flat []float64) (*lin.Matrix, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("dist: Unflatten to negative shape %dx%d", rows, cols)
@@ -32,5 +33,5 @@ func Unflatten(rows, cols int, flat []float64) (*lin.Matrix, error) {
 	if len(flat) != rows*cols {
 		return nil, fmt.Errorf("dist: Unflatten got %d values for a %dx%d matrix (want %d)", len(flat), rows, cols, rows*cols)
 	}
-	return lin.FromSlice(rows, cols, flat), nil
+	return &lin.Matrix{Rows: rows, Cols: cols, Stride: cols, Data: flat}, nil
 }

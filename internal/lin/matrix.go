@@ -44,9 +44,9 @@ func FromSlice(r, c int, data []float64) *Matrix {
 	if len(data) != r*c {
 		panic(fmt.Sprintf("lin: FromSlice got %d elements for %dx%d", len(data), r, c))
 	}
-	m := NewMatrix(r, c)
-	copy(m.Data, data)
-	return m
+	d := make([]float64, len(data)) // make+copy: allocated without a clearing pass
+	copy(d, data)
+	return &Matrix{Rows: r, Cols: c, Stride: c, Data: d}
 }
 
 // Identity returns the n×n identity matrix.
@@ -76,6 +76,9 @@ func (m *Matrix) Set(i, j int, v float64) {
 
 // Clone returns a deep copy with a compact stride.
 func (m *Matrix) Clone() *Matrix {
+	if m.Stride == m.Cols {
+		return FromSlice(m.Rows, m.Cols, m.Data[:m.Rows*m.Cols])
+	}
 	out := NewMatrix(m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		copy(out.Data[i*out.Stride:i*out.Stride+m.Cols], m.Data[i*m.Stride:i*m.Stride+m.Cols])

@@ -49,6 +49,8 @@ func multiply(cb *grid.Cube, aLocal, bLocal *lin.Matrix, triangular bool, worker
 	}
 	p := cb.Comm.Proc()
 
+	// On a broadcast root w (y) may be aLocal (bLocal) itself: Bcast hands
+	// the root its payload back. Both are only read below.
 	var aRoot []float64
 	if cb.X == cb.Z {
 		aRoot = dist.Flatten(aLocal)

@@ -1,6 +1,9 @@
 package simmpi
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Collectives with the butterfly-schedule costs of the paper's §II-B:
 //
@@ -9,6 +12,7 @@ import "fmt"
 //	Reduce(n, P):     2·log₂P·α + 2n·δ(P)·β   (reduce-scatter + gather)
 //	Allreduce(n, P):  2·log₂P·α + 2n·δ(P)·β   (reduce-scatter + allgather)
 //	Allgather(n, P):  log₂P·α + n·δ(P)·β      (recursive doubling, n = total)
+//	Gather(n, P):     log₂P·α + n·δ(P)·β      (charged as Allgather, n = total)
 //	Barrier(P):       log₂P·α                 (dissemination)
 //
 // Data movement itself uses the zero-cost raw transport (clock causality is
@@ -79,9 +83,7 @@ func (c *Comm) Reduce(root int, data []float64) ([]float64, error) {
 	}
 	n := int64(len(data))
 	if c.Size() == 1 {
-		out := make([]float64, len(data))
-		copy(out, data)
-		return out, nil
+		return slices.Clone(data), nil
 	}
 	var result []float64
 	_, err := c.fanInOut(root, data, func(msgs [][]float64) []float64 {
@@ -103,9 +105,7 @@ func (c *Comm) Reduce(root int, data []float64) ([]float64, error) {
 func (c *Comm) Allreduce(data []float64) ([]float64, error) {
 	n := int64(len(data))
 	if c.Size() == 1 {
-		out := make([]float64, len(data))
-		copy(out, data)
-		return out, nil
+		return slices.Clone(data), nil
 	}
 	out, err := c.fanInOut(0, data, func(msgs [][]float64) []float64 {
 		return sumVectors(msgs, len(data))
@@ -117,27 +117,39 @@ func (c *Comm) Allreduce(data []float64) ([]float64, error) {
 	return out, nil
 }
 
+// Gather concatenates the members' (possibly unequal) blocks in rank
+// order onto root: the concatenation on root, nil elsewhere. Every member
+// is charged Allgather's log₂P·α + N·δ(P)·β with N the total gathered
+// length, so rooting an output gather changes who holds the copy and not
+// a single counter.
+func (c *Comm) Gather(root int, data []float64) ([]float64, error) {
+	if root < 0 || root >= c.Size() {
+		return nil, fmt.Errorf("simmpi: gather root %d out of range %d", root, c.Size())
+	}
+	if c.Size() == 1 {
+		return slices.Clone(data), nil
+	}
+	var cat []float64 // stays nil off root, where combine never runs
+	total, err := c.fanInOut(root, data, func(msgs [][]float64) []float64 {
+		cat = concat(msgs)
+		return []float64{float64(len(cat))} // the N every member is charged for
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.proc.ChargeComm(log2Ceil(c.Size()), int64(total[0])*delta(c.Size()))
+	return cat, nil
+}
+
 // Allgather concatenates the members' (possibly unequal) blocks in rank
 // order and returns the concatenation on every member. Charges
 // log₂P·α + N·δ(P)·β where N is the total concatenated length, matching
 // the paper's T_Allgather(n, P) with n the full gathered size.
 func (c *Comm) Allgather(data []float64) ([]float64, error) {
 	if c.Size() == 1 {
-		out := make([]float64, len(data))
-		copy(out, data)
-		return out, nil
+		return slices.Clone(data), nil
 	}
-	out, err := c.fanInOut(0, data, func(msgs [][]float64) []float64 {
-		var total int
-		for _, m := range msgs {
-			total += len(m)
-		}
-		cat := make([]float64, 0, total)
-		for _, m := range msgs {
-			cat = append(cat, m...)
-		}
-		return cat
-	})
+	out, err := c.fanInOut(0, data, concat)
 	if err != nil {
 		return nil, err
 	}
@@ -150,9 +162,7 @@ func (c *Comm) Allgather(data []float64) ([]float64, error) {
 // SendRecv. When partner == self it is free and returns the input.
 func (c *Comm) Transpose(partner int, data []float64) ([]float64, error) {
 	if partner == c.Index() {
-		out := make([]float64, len(data))
-		copy(out, data)
-		return out, nil
+		return slices.Clone(data), nil
 	}
 	return c.SendRecv(partner, tagSpread, data)
 }
@@ -196,6 +206,19 @@ func (c *Comm) fanInOut(root int, contrib []float64, combine func([][]float64) [
 		return nil, err
 	}
 	return c.recvRaw(root, tagSpread)
+}
+
+// concat joins the members' blocks in member order.
+func concat(msgs [][]float64) []float64 {
+	var total int
+	for _, m := range msgs {
+		total += len(m)
+	}
+	cat := make([]float64, 0, total)
+	for _, m := range msgs {
+		cat = append(cat, m...)
+	}
+	return cat
 }
 
 func sumVectors(msgs [][]float64, n int) []float64 {

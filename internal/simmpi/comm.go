@@ -2,8 +2,8 @@ package simmpi
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"cacqr/internal/transport"
 )
@@ -11,41 +11,17 @@ import (
 // Comm is an ordered group of ranks, analogous to an MPI communicator.
 // Point-to-point operations address peers by their index within the
 // communicator; collectives run over all members. Comm values are
-// per-rank handles onto the same logical communicator, identified by a
-// run-unique id used for message matching.
+// per-rank handles onto the same logical communicator, identified by an
+// id used for message matching: the world is 0 and every member derives
+// the same child id (transport.CommID) for the same Split/Subgroup call,
+// so they agree on it without communication or shared state.
 type Comm struct {
 	proc  *Proc
-	id    int
+	id    uint64
 	ranks []int // global ranks of members, in communicator order
 	index int   // this rank's position within ranks
 
 	nsplits int // per-member count of child communicators created
-}
-
-// commRegistry assigns run-unique ids to communicators. All members of a
-// parent communicator derive the same key for the same collective split,
-// so they agree on the child's id without extra communication.
-type commRegistry struct {
-	mu   sync.Mutex
-	ids  map[string]int
-	next int
-}
-
-func (r *rt) commID(key string) int {
-	reg := &r.reg
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if reg.ids == nil {
-		reg.ids = make(map[string]int)
-		reg.next = 1
-	}
-	if id, ok := reg.ids[key]; ok {
-		return id
-	}
-	id := reg.next
-	reg.next++
-	reg.ids[key] = id
-	return id
 }
 
 // Size returns the number of members.
@@ -100,8 +76,7 @@ func (c *Comm) Split(color, key int) (transport.Comm, error) {
 	}
 	seq := c.nsplits
 	c.nsplits++
-	id := c.proc.rt.commID(fmt.Sprintf("%d/%d/%d", c.id, seq, color))
-	return &Comm{proc: c.proc, id: id, ranks: ranks, index: idx}, nil
+	return &Comm{proc: c.proc, id: transport.CommID(c.id, seq, color), ranks: ranks, index: idx}, nil
 }
 
 // Subgroup creates a communicator from an explicit ordered list of parent
@@ -113,15 +88,11 @@ func (c *Comm) Split(color, key int) (transport.Comm, error) {
 func (c *Comm) Subgroup(indices []int) transport.Comm {
 	seq := c.nsplits
 	c.nsplits++
-	key := fmt.Sprintf("%d/%d/g%v", c.id, seq, indices)
-	id := c.proc.rt.commID(key)
 	idx := -1
-	ranks := make([]int, len(indices))
 	for i, pi := range indices {
 		if pi < 0 || pi >= len(c.ranks) {
 			panic(fmt.Sprintf("simmpi: Subgroup index %d out of range", pi))
 		}
-		ranks[i] = c.ranks[pi]
 		if pi == c.index {
 			idx = i
 		}
@@ -129,7 +100,11 @@ func (c *Comm) Subgroup(indices []int) transport.Comm {
 	if idx == -1 {
 		return nil
 	}
-	return &Comm{proc: c.proc, id: id, ranks: ranks, index: idx}
+	ranks := make([]int, len(indices))
+	for i, pi := range indices {
+		ranks[i] = c.ranks[pi]
+	}
+	return &Comm{proc: c.proc, id: transport.CommID(c.id, seq, indices...), ranks: ranks, index: idx}
 }
 
 // Send transfers data to communicator member dst with the given tag. The
@@ -189,8 +164,7 @@ func (c *Comm) sendRaw(dst, tag int, data []float64) error {
 		return fmt.Errorf("simmpi: send to invalid rank %d of %d", dst, len(c.ranks))
 	}
 	p := c.proc
-	payload := make([]float64, len(data))
-	copy(payload, data)
+	payload := slices.Clone(data) // the caller's slice is only borrowed
 	box := p.rt.boxes[c.ranks[dst]]
 	box.mu.Lock()
 	if box.aborted {

@@ -14,5 +14,7 @@
 // Entry points: Run/RunWithOptions spawn a world of ranks and return the
 // aggregated Stats; Comm carries point-to-point operations (Send, Recv,
 // SendRecv), communicator construction (Split, Subgroup), and the
-// collectives (Barrier, Bcast, Reduce, Allreduce, Allgather, Transpose).
+// collectives (Barrier, Bcast, Reduce, Allreduce, Gather, Allgather,
+// Transpose). Payloads are borrowed and results owned by the caller, the
+// buffer rule of internal/transport.
 package simmpi

@@ -5,8 +5,12 @@ package simmpi
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
+
+	"cacqr/internal/grid"
+	"cacqr/internal/transport"
 )
 
 func TestReduceLengthMismatchSurfaces(t *testing.T) {
@@ -112,6 +116,48 @@ func TestNestedSplitDeterminism(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestCommIDsAgreeAndStayDistinctOnGrid(t *testing.T) {
+	// Communicator ids are hashed from (parent id, call sequence,
+	// members), not handed out by a registry: on a 64-rank 4×4×4 grid —
+	// 12 kinds of communicator, 186 of them — every member of a
+	// communicator must have derived the same id, and no two
+	// communicators may share one, or their messages would cross.
+	const c, d = 4, 4
+	var mu sync.Mutex
+	members := map[uint64]string{} // id → "kind[global ranks]"
+	ids := map[string]uint64{}
+	_, err := RunWithOptions(c*d*c, Options{Timeout: 60 * time.Second}, func(p *Proc) error {
+		g, err := grid.New(p.World(), c, d)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for kind, tc := range map[string]transport.Comm{
+			"world": g.World, "x": g.XComm, "y": g.YComm, "z": g.ZComm, "slice": g.Slice,
+			"ygroup": g.YGroup, "ystride": g.YStride, "cube": g.Cube.Comm,
+			"cube-x": g.Cube.XComm, "cube-y": g.Cube.YComm, "cube-z": g.Cube.ZComm, "cube-slice": g.Cube.Slice,
+		} {
+			cm := tc.(*Comm)
+			who := fmt.Sprintf("%s%v", kind, cm.ranks)
+			if prev, ok := members[cm.id]; ok && prev != who {
+				return fmt.Errorf("id %#x names both %s and %s", cm.id, prev, who)
+			}
+			if prev, ok := ids[who]; ok && prev != cm.id {
+				return fmt.Errorf("%s has ids %#x and %#x on different members", who, prev, cm.id)
+			}
+			members[cm.id], ids[who] = who, cm.id
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 186 {
+		t.Fatalf("only %d communicators seen on the grid, want 186", len(ids))
 	}
 }
 

@@ -68,7 +68,7 @@ type Counters = transport.Counters
 
 // message is an in-flight point-to-point payload.
 type message struct {
-	commID    int
+	commID    uint64
 	src       int // global rank
 	tag       int
 	data      []float64
@@ -89,7 +89,6 @@ type rt struct {
 	p     int
 	cost  CostParams
 	boxes []*mailbox
-	reg   commRegistry
 
 	abortOnce sync.Once
 	abortErr  error

@@ -1,9 +1,9 @@
 // Package conformancetest is the shared contract test for transport
 // backends: one suite of communicator semantics — point-to-point
 // ordering, tag matching, every collective, Split/Subgroup derivation,
-// deadline behavior — run verbatim against the simulated runtime and
-// the TCP mesh. A backend that passes here is interchangeable under
-// every distributed algorithm in the repository.
+// buffer ownership, deadline behavior — run verbatim against the
+// simulated runtime and the TCP mesh. A backend that passes here is
+// interchangeable under every distributed algorithm in the repository.
 package conformancetest
 
 //lint:allow floatcompare conformance asserts payloads arrive bit-identical across transports
@@ -187,17 +187,222 @@ func Run(t *testing.T, run Runner) {
 		// member order on every rank.
 		ok(t, 3, func(p transport.Proc) error {
 			w := p.World()
-			in := make([]float64, w.Index()+1)
-			for j := range in {
-				in[j] = float64(10*w.Index() + j)
-			}
-			got, err := w.Allgather(in)
+			got, err := w.Allgather(ramp(w.Index()))
 			if err != nil {
 				return err
 			}
 			want := []float64{0, 10, 11, 20, 21, 22}
 			return expectVec("allgather", got, want)
 		})
+	})
+
+	t.Run("GatherUnequal", func(t *testing.T) {
+		// Rank i contributes i+1 elements; the concatenation is in member
+		// order on the root and nobody else gets anything.
+		for _, root := range []int{0, 2} {
+			root := root
+			t.Run(fmt.Sprintf("root%d", root), func(t *testing.T) {
+				ok(t, 3, func(p transport.Proc) error {
+					w := p.World()
+					got, err := w.Gather(root, ramp(w.Index()))
+					if err != nil {
+						return err
+					}
+					if w.Index() != root {
+						if got != nil {
+							return fmt.Errorf("non-root gather returned %v", got)
+						}
+						return nil
+					}
+					return expectVec("gather", got, []float64{0, 10, 11, 20, 21, 22})
+				})
+			})
+		}
+	})
+
+	t.Run("GatherInvalidRoot", func(t *testing.T) {
+		// A root outside the communicator is an error on every member,
+		// found locally: nobody is left waiting for a peer.
+		ok(t, 3, func(p transport.Proc) error {
+			w := p.World()
+			for _, root := range []int{-1, w.Size()} {
+				if got, err := w.Gather(root, []float64{1}); err == nil {
+					return fmt.Errorf("rank %d: gather to root %d returned %v, want an error", w.Index(), root, got)
+				}
+			}
+			return nil
+		})
+	})
+
+	t.Run("GatherOnDerivedComms", func(t *testing.T) {
+		// Gather routes within a Subgroup, a Split product and a
+		// one-member leaf, each with its own member numbering.
+		ok(t, 4, func(p transport.Proc) error {
+			w := p.World()
+			me := float64(w.Index())
+			if sub := w.Subgroup([]int{3, 1}); sub != nil {
+				got, err := sub.Gather(1, []float64{me})
+				if err != nil {
+					return err
+				}
+				if sub.Index() == 1 {
+					if err := expectVec("subgroup gather", got, []float64{3, 1}); err != nil {
+						return err
+					}
+				} else if got != nil {
+					return fmt.Errorf("subgroup non-root gather returned %v", got)
+				}
+			}
+			half, err := w.Split(w.Index()%2, -w.Index())
+			if err != nil {
+				return err
+			}
+			got, err := half.Gather(0, []float64{me})
+			if err != nil {
+				return err
+			}
+			if half.Index() == 0 {
+				// The negated key puts the highest parent index first.
+				want := []float64{2, 0}
+				if w.Index()%2 == 1 {
+					want = []float64{3, 1}
+				}
+				if err := expectVec("split gather", got, want); err != nil {
+					return err
+				}
+			}
+			leaf, err := half.Split(half.Index(), 0)
+			if err != nil {
+				return err
+			}
+			in := []float64{me, 7}
+			got, err = leaf.Gather(0, in)
+			if err != nil {
+				return err
+			}
+			if err := expectVec("leaf gather", got, in); err != nil {
+				return err
+			}
+			got[1] = -1
+			return expectVec("leaf gather payload", in, []float64{me, 7})
+		})
+	})
+
+	t.Run("GatherInterleaved", func(t *testing.T) {
+		// Gathers to changing roots between other collectives, with
+		// user-tagged messages in flight across all of them, must each
+		// see their own data only.
+		ok(t, 3, func(p transport.Proc) error {
+			w := p.World()
+			me, next, prev := w.Index(), (w.Index()+1)%3, (w.Index()+2)%3
+			if err := w.Send(next, 11, []float64{float64(100 + me)}); err != nil {
+				return err
+			}
+			for round := 0; round < 3; round++ {
+				root := round % 3
+				got, err := w.Gather(root, []float64{float64(10*round + me)})
+				if err != nil {
+					return err
+				}
+				if me == root {
+					base := float64(10 * round)
+					if err := expectVec("gather round", got, []float64{base, base + 1, base + 2}); err != nil {
+						return err
+					}
+				}
+				all, err := w.Allgather([]float64{float64(me - round)})
+				if err != nil {
+					return err
+				}
+				r := float64(round)
+				if err := expectVec("allgather round", all, []float64{-r, 1 - r, 2 - r}); err != nil {
+					return err
+				}
+				sum, err := w.Allreduce([]float64{float64(round)})
+				if err != nil {
+					return err
+				}
+				if err := expectVec("allreduce round", sum, []float64{3 * r}); err != nil {
+					return err
+				}
+			}
+			got, err := w.Recv(prev, 11)
+			if err != nil {
+				return err
+			}
+			return expectVec("tagged message", got, []float64{float64(100 + prev)})
+		})
+	})
+
+	t.Run("Ownership", func(t *testing.T) {
+		// The buffer rule of the transport package: a payload is borrowed
+		// for the call, a result belongs to the caller. So scribbling on a
+		// result changes no payload and no other rank's result, and
+		// scribbling on a payload after the call changes no result. The
+		// documented exception is Bcast on its root, whose result is the
+		// payload.
+		const root = 1
+		for _, c := range []struct {
+			name string
+			call func(w transport.Comm, in []float64) ([]float64, error)
+		}{
+			{"Bcast", func(w transport.Comm, in []float64) ([]float64, error) { return w.Bcast(root, in) }},
+			{"Reduce", func(w transport.Comm, in []float64) ([]float64, error) { return w.Reduce(root, in) }},
+			{"Allreduce", func(w transport.Comm, in []float64) ([]float64, error) { return w.Allreduce(in) }},
+			{"Gather", func(w transport.Comm, in []float64) ([]float64, error) { return w.Gather(root, in) }},
+			{"Allgather", func(w transport.Comm, in []float64) ([]float64, error) { return w.Allgather(in) }},
+			{"Transpose", func(w transport.Comm, in []float64) ([]float64, error) { return w.Transpose(w.Index()^1, in) }},
+			{"TransposeSelf", func(w transport.Comm, in []float64) ([]float64, error) { return w.Transpose(w.Index(), in) }},
+			{"SendRecv", func(w transport.Comm, in []float64) ([]float64, error) { return w.SendRecv(w.Index()^1, 5, in) }},
+			{"SendThenRecv", func(w transport.Comm, in []float64) ([]float64, error) {
+				if err := w.Send(w.Index()^1, 6, in); err != nil {
+					return nil, err
+				}
+				return w.Recv(w.Index()^1, 6)
+			}},
+		} {
+			c := c
+			t.Run(c.name, func(t *testing.T) {
+				ok(t, 4, func(p transport.Proc) error {
+					w := p.World()
+					me := float64(w.Index() + 1)
+					in := []float64{me, 2 * me, 3 * me}
+					sent := append([]float64(nil), in...)
+					out, err := c.call(w, in)
+					if err != nil {
+						return err
+					}
+					aliased := c.name == "Bcast" && w.Index() == root
+					got := append([]float64(nil), out...)
+					for i := range out {
+						out[i] = -me
+					}
+					if err := w.Barrier(); err != nil {
+						return err
+					}
+					if !aliased {
+						if err := expectVec("payload after results were overwritten", in, sent); err != nil {
+							return err
+						}
+					}
+					for i := range out {
+						if out[i] != -me {
+							return fmt.Errorf("rank %d: result overwritten by another rank: %v", w.Index(), out)
+						}
+					}
+					copy(out, got)
+					if !aliased {
+						for i := range in {
+							in[i] = -100
+						}
+					}
+					if err := w.Barrier(); err != nil {
+						return err
+					}
+					return expectVec("result after payloads were overwritten", out, got)
+				})
+			})
+		}
 	})
 
 	t.Run("Transpose", func(t *testing.T) {
@@ -396,6 +601,16 @@ func Run(t *testing.T, run Runner) {
 			t.Fatalf("deadline took %v to fire", elapsed)
 		}
 	})
+}
+
+// ramp is member i's block in the unequal-length gathers: i+1 values
+// 10i, 10i+1, ….
+func ramp(i int) []float64 {
+	in := make([]float64, i+1)
+	for j := range in {
+		in[j] = float64(10*i + j)
+	}
+	return in
 }
 
 func expectVec(what string, got, want []float64) error {

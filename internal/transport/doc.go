@@ -18,9 +18,28 @@
 //
 // The interface is deliberately small — Send/Recv/SendRecv, the
 // collectives of the paper's §II-B (Barrier, Bcast, Reduce, Allreduce,
-// Allgather, Transpose), communicator construction (Split, Subgroup),
+// Gather, Allgather, Transpose), communicator construction (Split, Subgroup),
 // and cost accounting (Compute, ChargeComm, Counters) — exactly what
 // CQR2/ShiftedCQR3, TSQR, PGEQRF, MM3D and CFR3D consume. The
 // conformance suite in internal/transport/conformancetest pins the
 // semantics both backends must share.
+//
+// # Buffer ownership
+//
+// One rule covers every []float64 that crosses the interface:
+//
+//   - A payload (the data argument of Send, SendRecv and every
+//     collective) is borrowed for the duration of the call. The backend
+//     copies or encodes it before returning and keeps no reference, so
+//     the caller may hand in a matrix's own storage and reuse or mutate
+//     it as soon as the call returns.
+//   - A result (what Recv, SendRecv and the collectives return) is owned
+//     by the caller: no other rank and no later call sees it, so it can
+//     be wrapped as a matrix and mutated in place without a copy.
+//
+// The single place the two meet is Bcast on its root, which returns the
+// root's own payload rather than a copy of it: the root owned that slice
+// before the call and still does, but there the result aliases whatever
+// the payload aliased. Reduce, Allreduce, Gather, Allgather and
+// Transpose always return fresh storage, on every member.
 package transport

@@ -2,7 +2,6 @@ package tcpnet
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"cacqr/internal/transport"
@@ -21,14 +20,8 @@ const (
 )
 
 // worldCommID identifies the all-ranks communicator; child ids are
-// derived from it deterministically on every member.
-var worldCommID = hashCommID("world")
-
-func hashCommID(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()
-}
+// derived from it deterministically on every member (transport.CommID).
+const worldCommID uint64 = 0
 
 // comm implements transport.Comm over a node's mesh. Like the simulated
 // backend, a value is one rank's handle onto the logical communicator;
@@ -82,8 +75,7 @@ func (c *comm) Split(color, key int) (transport.Comm, error) {
 	}
 	seq := c.nsplits
 	c.nsplits++
-	id := hashCommID(fmt.Sprintf("%d/%d/%d", c.id, seq, color))
-	return &comm{p: c.p, id: id, ranks: ranks, index: idx}, nil
+	return &comm{p: c.p, id: transport.CommID(c.id, seq, color), ranks: ranks, index: idx}, nil
 }
 
 // Subgroup creates a communicator from an explicit ordered list of
@@ -91,14 +83,11 @@ func (c *comm) Split(color, key int) (transport.Comm, error) {
 func (c *comm) Subgroup(indices []int) transport.Comm {
 	seq := c.nsplits
 	c.nsplits++
-	id := hashCommID(fmt.Sprintf("%d/%d/g%v", c.id, seq, indices))
 	idx := -1
-	ranks := make([]int, len(indices))
 	for i, pi := range indices {
 		if pi < 0 || pi >= len(c.ranks) {
 			panic(fmt.Sprintf("tcpnet: Subgroup index %d out of range", pi))
 		}
-		ranks[i] = c.ranks[pi]
 		if pi == c.index {
 			idx = i
 		}
@@ -106,7 +95,11 @@ func (c *comm) Subgroup(indices []int) transport.Comm {
 	if idx == -1 {
 		return nil
 	}
-	return &comm{p: c.p, id: id, ranks: ranks, index: idx}
+	ranks := make([]int, len(indices))
+	for i, pi := range indices {
+		ranks[i] = c.ranks[pi]
+	}
+	return &comm{p: c.p, id: transport.CommID(c.id, seq, indices...), ranks: ranks, index: idx}
 }
 
 // Send enqueues data for member dst (buffered). The sender is charged
@@ -246,24 +239,22 @@ func (c *comm) Allreduce(data []float64) ([]float64, error) {
 	return c.Bcast(0, sum)
 }
 
-// Allgather concatenates the members' (possibly unequal) blocks in
-// member order on member 0 and broadcasts the concatenation.
-func (c *comm) Allgather(data []float64) ([]float64, error) {
-	if c.Size() == 1 {
-		out := make([]float64, len(data))
-		copy(out, data)
-		return out, c.p.n.errNow()
+// Gather concatenates the members' (possibly unequal) blocks in member
+// order on root; the other members send their block and return nil.
+func (c *comm) Gather(root int, data []float64) ([]float64, error) {
+	if root < 0 || root >= len(c.ranks) {
+		return nil, fmt.Errorf("tcpnet: gather to invalid root %d of %d", root, len(c.ranks))
 	}
-	if c.index != 0 {
-		if err := c.Send(0, tagGather, data); err != nil {
-			return nil, err
-		}
-		return c.Recv(0, tagBcast)
+	if c.index != root {
+		return nil, c.Send(root, tagGather, data)
 	}
 	blocks := make([][]float64, c.Size())
-	blocks[0] = data
+	blocks[root] = data
 	total := len(data)
-	for i := 1; i < c.Size(); i++ {
+	for i := range blocks {
+		if i == root {
+			continue
+		}
 		got, err := c.Recv(i, tagGather)
 		if err != nil {
 			return nil, err
@@ -274,6 +265,15 @@ func (c *comm) Allgather(data []float64) ([]float64, error) {
 	out := make([]float64, 0, total)
 	for _, b := range blocks {
 		out = append(out, b...)
+	}
+	return out, c.p.n.errNow()
+}
+
+// Allgather gathers on member 0 and broadcasts the concatenation.
+func (c *comm) Allgather(data []float64) ([]float64, error) {
+	out, err := c.Gather(0, data)
+	if err != nil {
+		return nil, err
 	}
 	return c.Bcast(0, out)
 }

@@ -76,6 +76,12 @@ func (c *tracedComm) Allreduce(data []float64) ([]float64, error) {
 	return c.Comm.Allreduce(data)
 }
 
+func (c *tracedComm) Gather(root int, data []float64) ([]float64, error) {
+	done := c.collective("gather", len(data))
+	defer done()
+	return c.Comm.Gather(root, data)
+}
+
 func (c *tracedComm) Allgather(data []float64) ([]float64, error) {
 	done := c.collective("allgather", len(data))
 	defer done()

@@ -3,6 +3,7 @@ package transport_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"cacqr/internal/obs"
@@ -42,6 +43,9 @@ func TestTracedCollectiveSpans(t *testing.T) {
 		if _, err := w.Allreduce(make([]float64, 64)); err != nil {
 			return err
 		}
+		if _, err := w.Gather(1, make([]float64, 32)); err != nil {
+			return err
+		}
 		// A derived communicator must stay traced.
 		sub, err := w.Split(p.Rank()%2, p.Rank())
 		if err != nil {
@@ -76,6 +80,7 @@ func TestTracedCollectiveSpans(t *testing.T) {
 	}{
 		{"bcast", 128 * 8, np},
 		{"allreduce", 64 * 8, np},
+		{"gather", 32 * 8, np},
 		{"allreduce", 16 * 8, np / 2},
 	}
 	for _, rank := range td.Root.Children {
@@ -96,6 +101,18 @@ func TestTracedCollectiveSpans(t *testing.T) {
 			if got := c.Attrs["peers"]; got != w.peers {
 				t.Fatalf("%s %s: peers = %v, want %d", rank.Name, w.op, got, w.peers)
 			}
+		}
+	}
+
+	// The finished tree folds into the per-op collective counters.
+	var b strings.Builder
+	tr.Metrics().WritePrometheus(&b)
+	for _, want := range []string{
+		fmt.Sprintf(`cacqr_collectives_total{op="gather"} %d`, np),
+		fmt.Sprintf(`cacqr_collective_payload_bytes_total{op="gather"} %d`, np*32*8),
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, b.String())
 		}
 	}
 }

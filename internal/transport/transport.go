@@ -47,6 +47,9 @@ type Comm interface {
 	// Allreduce sums the members' equal-length vectors and returns the
 	// result on every member.
 	Allreduce(data []float64) ([]float64, error)
+	// Gather concatenates the members' (possibly unequal) blocks in
+	// member order onto root: the concatenation on root, nil elsewhere.
+	Gather(root int, data []float64) ([]float64, error)
 	// Allgather concatenates the members' (possibly unequal) blocks in
 	// member order and returns the concatenation on every member.
 	Allgather(data []float64) ([]float64, error)
@@ -54,6 +57,28 @@ type Comm interface {
 	// pairwise Transpose collective). partner == self returns the
 	// input.
 	Transpose(partner int, data []float64) ([]float64, error)
+}
+
+// CommID derives the id of a child communicator from its parent's id,
+// the parent's count of earlier Split/Subgroup calls, and what names the
+// child within that call (Split: the color; Subgroup: the index list).
+// It is FNV-1a over those integers, so every member computes the same
+// id with no communication, and siblings of one call get distinct ids.
+func CommID(parent uint64, seq int, key ...int) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h = (h ^ (v & 0xff)) * prime
+			v >>= 8
+		}
+	}
+	mix(parent)
+	mix(uint64(seq))
+	for _, k := range key {
+		mix(uint64(k))
+	}
+	return h
 }
 
 // Proc is the handle a rank's body uses for identity and cost

@@ -384,7 +384,7 @@ func (s *Server) countRequest(req SubmitRequest, res *SubmitResult, err error) {
 		}
 		hit = res.PlanCacheHit
 		bucket = strconv.Itoa(plan.KappaBucket(res.CondEst))
-	//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
+		//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
 	} else if req.CondEst != 0 {
 		bucket = strconv.Itoa(plan.KappaBucket(req.CondEst))
 	}
