@@ -26,7 +26,7 @@ const (
 	VariantTSQR        = plan.TSQR
 	VariantShiftedCQR3 = plan.ShiftedCQR3
 	VariantPGEQRF      = plan.PGEQRF
-	VariantStreamTSQR  = plan.StreamTSQR
+	VariantStreamCQR2  = plan.StreamCQR2
 )
 
 // condEstIters bounds the power-iteration condition estimator
@@ -147,11 +147,11 @@ func dispatch(a *Dense, p Plan, opts Options) (*Result, error) {
 		return FactorizeTSQR(a, p.Procs, p.PanelWidth, opts)
 	case plan.PGEQRF:
 		return FactorizePGEQRF(a, p.D, p.C, p.PanelWidth, opts)
-	case plan.StreamTSQR:
+	case plan.StreamCQR2:
 		// Out-of-core dispatch for an already-in-memory matrix: stream it
-		// panel by panel anyway, so peak *additional* memory stays at one
-		// panel plus the R-chain and the budget the planner honored is
-		// respected by the execution too.
+		// panel by panel anyway, so peak *additional* memory stays at the
+		// read-ahead buffers plus O(n²) and the budget the planner honored
+		// is respected by the execution too.
 		opts.PanelRows = p.PanelWidth
 		sink := SinkToDense()
 		res, err := FactorizeStreaming(SourceFromDense(a), sink, opts)

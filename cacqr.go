@@ -181,10 +181,10 @@ type Options struct {
 	// AutoFactorize, and the auto mode of SolveLeastSquares; the
 	// fixed-grid entry points ignore it. When the budget rejects every
 	// in-core variant, the planner falls back to the out-of-core
-	// streaming TSQR rather than failing.
+	// streamed CholeskyQR2 rather than failing.
 	MemBudget int64
 	// PanelRows is the row height of the out-of-core streaming panels
-	// (FactorizeStreaming and the planner's stream-tsqr dispatch).
+	// (FactorizeStreaming and the planner's stream-cqr2 dispatch).
 	// 0 = DefaultPanelRows for direct streaming calls, the planner's
 	// chosen height for dispatched stream plans. Negative values are
 	// rejected; the in-core entry points ignore it.
@@ -257,7 +257,7 @@ type Result struct {
 	CondEst float64
 	// Stream reports the out-of-core run's panel schedule and resource
 	// accounting when the factorization streamed (FactorizeStreaming or
-	// a dispatched stream-tsqr plan); nil for in-core runs.
+	// a dispatched stream-cqr2 plan); nil for in-core runs.
 	Stream *StreamInfo
 }
 

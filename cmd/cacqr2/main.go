@@ -14,10 +14,11 @@
 //
 //	cacqr2 -grid auto -m 4096 -n 256 -p 64 [-mem 4000000] [-condest 1e10]
 //
-// With -stream the matrix is factored out-of-core by the streaming
-// TSQR — row panels through CholeskyQR2, R factors merged through a
-// chain of small QRs, Q written in a second pass — and the run reports
-// its peak resident footprint next to what materializing would cost:
+// With -stream the matrix is factored out-of-core by the streamed
+// CholeskyQR2 — the Gram matrix accumulated over row panels in two
+// passes, Q written in a third — and the run reports its pass count,
+// measured pass-1 orthogonality and peak resident footprint next to
+// what materializing would cost:
 //
 //	cacqr2 -stream -m 262144 -n 64 [-panel-rows 4096]
 package main
@@ -37,7 +38,7 @@ func main() {
 	c := flag.Int("c", 2, "grid parameter c (grid is c x d x c)")
 	d := flag.Int("d", 4, "grid parameter d")
 	gridMode := flag.String("grid", "", `"auto" lets the planner choose variant and grid (ignores -c/-d)`)
-	streamMode := flag.Bool("stream", false, "factor out-of-core with the streaming TSQR instead of a grid (two panel passes; reports peak resident memory)")
+	streamMode := flag.Bool("stream", false, "factor out-of-core with the streamed CholeskyQR2 instead of a grid (three panel passes; reports peak resident memory)")
 	panelRows := flag.Int("panel-rows", 0, "rows per streamed panel with -stream (0 = default)")
 	procs := flag.Int("p", 16, "processor budget for -grid auto")
 	mem := flag.Int64("mem", 0, "per-rank memory budget in bytes for -grid auto (0 = unlimited)")
@@ -109,27 +110,29 @@ func main() {
 	}
 }
 
-// runStream factors the matrix through the out-of-core streaming TSQR:
-// panel CQR2 factorizations chained through n×n merge QRs, Q written in
-// a second pass. The matrix here is already resident (the CLI built
-// it), so the point of the report is the footprint the same run would
-// have had against a file- or generator-backed source: one panel plus
-// the R-chain instead of m·n words.
+// runStream factors the matrix through the out-of-core streamed
+// CholeskyQR2: two Gram-accumulation passes over row panels, Q written
+// in a third. The matrix here is already resident (the CLI built it),
+// so the point of the report is the footprint the same run would have
+// had against a file- or generator-backed source: three panels' worth
+// plus O(n²) instead of m·n words.
 func runStream(a *cacqr.Dense, panelRows int, opts cacqr.Options) (*cacqr.Result, error) {
 	opts.PanelRows = panelRows
 	m, n := a.Rows, a.Cols
-	fmt.Printf("streaming TSQR: %d x %d matrix, out-of-core in row panels\n", m, n)
+	fmt.Printf("streamed CholeskyQR2: %d x %d matrix, out-of-core in row panels\n", m, n)
 	sink := cacqr.SinkToDense()
 	res, err := cacqr.FactorizeStreaming(cacqr.SourceFromDense(a), sink, opts)
 	if err != nil {
 		return nil, err
 	}
 	st := res.Stream
-	fmt.Printf("  panels:         %d × %d rows (%d shifted)\n", st.Panels, st.PanelRows, st.ShiftedPanels)
+	fmt.Printf("  panels:         %d × %d rows, %d read passes (shifted ladder: %v)\n", st.Panels, st.PanelRows, st.ReadPasses, st.Shifted)
+	fmt.Printf("  pass-1 ‖QᵀQ−I‖: %.3g (measured from the last Gram matrix; < 0.5 required)\n", st.Pass1Orth)
 	fmt.Printf("  peak resident:  %d bytes (materialized matrix: %d)\n", st.MaxResidentBytes, int64(8*m*n))
 	fmt.Printf("  panel IO:       %d B read, %d B written\n", st.ReadBytes, st.WrittenBytes)
-	if model, err := cacqr.ModelStreamTSQR(m, n, st.PanelRows, true); err == nil {
-		fmt.Printf("  model:          γ=%d flops, %d B of IO\n", model.TotalFlops(), model.IOBytes)
+	if model, err := cacqr.ModelStreamCQR2(m, n, st.PanelRows, true, st.Shifted); err == nil {
+		fmt.Printf("  measured:       γ=%d flops, %d B of IO\n", res.Stats.Flops, res.Stats.Bytes)
+		fmt.Printf("  model:          γ=%d flops, %d B of IO (stream-cqr2)\n", model.TotalFlops(), model.IOBytes)
 	}
 	return res, nil
 }

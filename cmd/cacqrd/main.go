@@ -17,7 +17,7 @@
 // daemon sheds load with HTTP 503 instead of queueing without bound.
 // -max-elems bounds what one request may hold resident, not what it may
 // ask for: a generator-backed factorization past the bound is served
-// out-of-core through the streaming TSQR under a memory budget of
+// out-of-core through the streamed CholeskyQR2 under a memory budget of
 // maxElems elements (the response carries "streamed": true with panel
 // accounting, returns R on want_factors, and never returns Q), while an
 // inline-"data" request past it is refused — 413 when the body cap
@@ -324,9 +324,9 @@ type response struct {
 	Q            []float64 `json:"q,omitempty"`
 	R            []float64 `json:"r,omitempty"`
 	// Out-of-core runs only: the request exceeded -max-elems and was
-	// served by the streaming TSQR instead of being rejected. Q is never
-	// returned for a streamed run (it is as big as the input); R is n×n
-	// and small.
+	// served by the streamed CholeskyQR2 instead of being rejected. Q is
+	// never returned for a streamed run (it is as big as the input); R is
+	// n×n and small.
 	Streamed      bool  `json:"streamed,omitempty"`
 	Panels        int   `json:"panels,omitempty"`
 	PanelRows     int   `json:"panel_rows,omitempty"`

@@ -408,8 +408,8 @@ func TestOverLimitGenStreams(t *testing.T) {
 	if out["streamed"] != true {
 		t.Fatalf("response not marked streamed: %v", out)
 	}
-	if v, _ := out["variant"].(string); v != string(cacqr.VariantStreamTSQR) {
-		t.Fatalf("variant = %q, want stream-tsqr", v)
+	if v, _ := out["variant"].(string); v != string(cacqr.VariantStreamCQR2) {
+		t.Fatalf("variant = %q, want stream-cqr2", v)
 	}
 	if p, _ := out["panels"].(float64); p < 2 {
 		t.Fatalf("panels = %v, want a real panel schedule", out["panels"])

@@ -6,10 +6,10 @@ import (
 )
 
 // deterministicgen: the generator packages must be bitwise-replayable.
-// The streaming tier's two-pass TSQR (PR 9) regenerates its input from
-// the seed on the second pass, and panel-local replay only works if
-// generation is a pure function of (seed, position). Two things break
-// that silently:
+// The streaming tier's CholeskyQR2 regenerates its input from the seed
+// on every one of its two to five passes, and the Q it writes is the Q
+// whose Gram matrix it factored only if generation is a pure function
+// of (seed, position). Two things break that silently:
 //
 //   - the global math/rand generator (rand.Float64, rand.Intn, ...):
 //     shared process-wide state any other goroutine can advance;

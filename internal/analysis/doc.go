@@ -13,8 +13,8 @@
 //   - deterministicgen: the generator packages (internal/testmat,
 //     internal/stream) must stay bitwise-replayable — no global
 //     math/rand state and no map-iteration-ordered output, because the
-//     streaming tier's two-pass TSQR regenerates its input and the two
-//     passes must see identical bits.
+//     streaming tier's CholeskyQR2 regenerates its input on every pass
+//     and all passes must see identical bits.
 //   - obssafety: the obs span API is nil-safe by contract. Outside
 //     internal/obs, code must not branch on span/tracer nilness (the
 //     whole point is that instrumented code never checks "is tracing

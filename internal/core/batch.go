@@ -104,7 +104,7 @@ func batchedPass(a *lin.Slab, workers int, shifted bool, errs []error) (q *lin.S
 		}
 		wi := w.Item(i)
 		if shifted {
-			shiftGram(wi, m)
+			ShiftGram(wi, m)
 		}
 		l, y, err := lin.CholInv(wi)
 		if err != nil {

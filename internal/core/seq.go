@@ -60,7 +60,7 @@ func pass(a, q *lin.Matrix, workers int, shifted bool) (r *lin.Matrix, err error
 	m, n := a.Rows, a.Cols
 	w := lin.SyrkNewParallel(workers, a)
 	if shifted {
-		shiftGram(w, m)
+		ShiftGram(w, m)
 	}
 	l, y, err := lin.CholInv(w)
 	if err != nil {
@@ -84,11 +84,11 @@ func pass(a, q *lin.Matrix, workers int, shifted bool) (r *lin.Matrix, err error
 	return l.T(), nil
 }
 
-// shiftGram adds the shift of Fukaya et al. (the paper's reference [3]) to
+// ShiftGram adds the shift of Fukaya et al. (the paper's reference [3]) to
 // the diagonal of the Gram matrix w = AᵀA of an m-row A:
 // s = 11·(m·n + n·(n+1))·ε·‖A‖₂², with the trace bounding ‖A‖₂² ≤ ‖A‖_F²
 // (the bound only needs an upper estimate).
-func shiftGram(w *lin.Matrix, m int) {
+func ShiftGram(w *lin.Matrix, m int) {
 	n := w.Rows
 	norm2sq := 0.0
 	for i := 0; i < n; i++ {
@@ -133,7 +133,7 @@ func cqr2(a, q *lin.Matrix, workers int) (r *lin.Matrix, err error) {
 
 // ShiftedCholeskyQR performs one CholeskyQR pass on the shifted Gram
 // matrix AᵀA + sI, which is positive definite for any A when the shift
-// follows Fukaya et al. (see shiftGram). The resulting Q is far from
+// follows Fukaya et al. (see ShiftGram). The resulting Q is far from
 // orthogonal but has condition number small enough for CholeskyQR2 to
 // finish the job.
 func ShiftedCholeskyQR(a *lin.Matrix, workers int) (q, r *lin.Matrix, err error) {

@@ -2,121 +2,78 @@ package costmodel
 
 import "fmt"
 
-// Out-of-core sequential TSQR (Demmel–Grigori–Hoemmen–Langou, arXiv
-// 0809.2407 §4 / 0808.2664): the tall matrix is streamed as row panels
-// of panelRows×n, each factored in core, with the n×n R factors merged
-// through a left-deep chain of small stacked QRs. Only one panel plus
-// the R-reduction chain is resident, so the footprint is Θ(b·n + k·n²)
-// words instead of Θ(m·n) — the algorithm the planner routes to when no
-// in-core variant fits the memory budget. The charges here mirror
-// internal/stream's driver arithmetically, panel by panel, the same
-// contract the in-core rows keep with simmpi's measured counters.
+// Out-of-core CholeskyQR2: the paper's 1D-CQR2 on one rank that streams
+// row panels, with the Gram allreduce replaced by a running sum
+// G += AᵢᵀAᵢ. Every pass over the matrix is one sequential scan; the
+// resident state is three panel buffers plus a handful of n×n factors, so
+// the footprint has no term in m or in the panel count — the algorithm
+// the planner routes to when no in-core variant fits the memory budget.
+// The charges here equal internal/stream's driver counters exactly, the
+// same contract the in-core rows keep with simmpi's measured counters.
 
-// streamSchedule is the panel decomposition shared by the cost and
-// memory models and (by construction) the stream driver: ⌊m/b⌋ full
-// panels plus one remainder panel. A remainder shorter than n cannot be
-// panel-factored to an n×n R; the driver merges it raw via one
-// (n+rem)×n stacked Householder QR.
-func streamSchedule(m, n, b int) (full, rem int, err error) {
+// streamPanels validates a streaming shape and returns how many panels
+// of (clamped) panelRows rows cover the m rows. The tail panel is just
+// a shorter panel: nothing in the algorithm needs a panel to have n
+// rows.
+func streamPanels(m, n, panelRows int) (panels, b int64, err error) {
 	if m < 1 || n < 1 || m < n {
 		return 0, 0, fmt.Errorf("costmodel: stream shape %dx%d (need m ≥ n ≥ 1)", m, n)
 	}
-	if b < n {
-		return 0, 0, fmt.Errorf("costmodel: stream panel rows %d < n=%d", b, n)
+	if panelRows < n {
+		return 0, 0, fmt.Errorf("costmodel: stream panel rows %d < n=%d", panelRows, n)
 	}
-	if b > m {
-		b = m
-	}
-	return m / b, m % b, nil
+	b = int64(min(panelRows, m))
+	return (int64(m) + b - 1) / b, b, nil
 }
 
-// StreamTSQR prices the out-of-core streaming TSQR of an m×n matrix in
-// panels of panelRows rows on one process: per-panel CholeskyQR2 flops,
-// the R-merge chain's small Householder QRs, and — when writeQ — the
-// coefficient down-sweep plus the second streaming pass that re-reads
-// the panels and writes the explicit Q. I/O is charged on the disk
-// tier: one IOOp per panel touch and 8·m·n IOBytes per full pass over
-// the matrix (one read pass for R only; two reads and one write when Q
-// is written back). No communication: α = β = 0.
-func StreamTSQR(m, n, panelRows int, writeQ bool) (Cost, error) {
-	full, rem, err := streamSchedule(m, n, panelRows)
+// StreamCQR2 prices the streamed CholeskyQR2 of an m×n matrix in panels
+// of panelRows rows on one process. Gram pass i re-reads the matrix,
+// applies the i−1 triangular inverses found so far (mn² each) and
+// accumulates the Gram matrix (mn²), then factors and inverts it
+// (n³ — CholInv); consecutive R factors fold with one n³ triangular
+// product. The plain ladder has two Gram passes, the shifted ladder
+// (streamed ShiftedCQR3) three; writeQ adds one more pass that re-reads,
+// applies every inverse and writes the panel. Plain: 3mn² + 3n³ for R
+// only, 5mn² + 3n³ with Q. I/O is charged on the disk tier: one IOOp
+// per panel touch and 8·m·n IOBytes per pass (two reads R-only, three
+// reads and one write with Q; one more read each when shifted). No
+// communication: α = β = 0.
+func StreamCQR2(m, n, panelRows int, writeQ, shifted bool) (Cost, error) {
+	panels, _, err := streamPanels(m, n, panelRows)
 	if err != nil {
 		return Cost{}, err
 	}
-	nn := int64(n)
-	b := int64(panelRows)
-	if b > int64(m) {
-		b = int64(m)
+	mm, nn := int64(m), int64(n)
+	grams := int64(2)
+	if shifted {
+		grams = 3
 	}
-	cqr2 := func(r int64) int64 { return 4*r*nn*nn + 5*nn*nn*nn/3 }
-	hqr := func(r int64) int64 { return 2*r*nn*nn - 2*nn*nn*nn/3 }
-	gemm := func(r int64) int64 { return 2 * r * nn * nn }
-
-	panels := int64(full)
-	qrPanels := int64(full) // panels that get their own CholeskyQR2
-	var c Cost
-	c.Flops += qrPanels * cqr2(b)
-	if rem > 0 {
-		panels++
-		if rem >= n {
-			qrPanels++
-			c.Flops += cqr2(int64(rem))
-		} else {
-			c.Flops += hqr(nn + int64(rem)) // raw merge of the short tail
-		}
-	}
-	if qrPanels > 1 {
-		c.Flops += (qrPanels - 1) * hqr(2*nn) // R-merge chain
-	}
-	bytesPerPass := 8 * int64(m) * nn
-	c.IOOps += panels
-	c.IOBytes += bytesPerPass
+	products := grams * (grams + 1) / 2 // pass i: i−1 TRMMs + 1 SYRK
+	passes := grams                     // scans of the matrix, reads and writes
 	if writeQ {
-		// Coefficient down-sweep: two n×n GEMMs per chain node (the raw
-		// node's bottom block is rem×n).
-		if qrPanels > 1 {
-			c.Flops += (qrPanels - 1) * 2 * gemm(nn)
-		}
-		if rem > 0 && rem < n {
-			c.Flops += gemm(int64(rem)) + gemm(nn)
-		}
-		// Second pass: re-read each panel, recompute its Q, apply the
-		// n×n coefficient, write the Q panel out (the raw tail's rows
-		// were already produced by the down-sweep).
-		c.Flops += int64(full) * (cqr2(b) + gemm(b))
-		if rem >= n {
-			c.Flops += cqr2(int64(rem)) + gemm(int64(rem))
-		}
-		c.IOOps += 2 * panels
-		c.IOBytes += 2 * bytesPerPass
+		products += grams
+		passes += 2
 	}
-	return c, nil
+	cholInv := 2*nn*nn*nn/3 + nn*nn*nn/3
+	return Cost{
+		Flops:   products*mm*nn*nn + grams*cholInv + (grams-1)*nn*nn*nn,
+		IOOps:   passes * panels,
+		IOBytes: passes * 8 * mm * nn,
+	}, nil
 }
 
-// StreamTSQRMemory returns the modeled peak resident words of the
-// streaming driver: the live panel with its factorization workspace
-// (~4·b·n: panel, its Q, the CholeskyQR clone, the applied output),
-// the R-merge chain's stacked tree factors (≤ 2n² each), the per-panel
-// coefficient blocks of the Q down-sweep (n² each), and the small s/R/
-// stacked workspaces. This is the bound the driver's own accounting is
-// tested against — and the number the planner compares to MemBudget.
-func StreamTSQRMemory(m, n, panelRows int) (int64, error) {
-	full, rem, err := streamSchedule(m, n, panelRows)
+// StreamCQR2Memory returns the modeled peak resident words of the
+// streaming driver: the source's live panel and the driver's two
+// read-ahead buffers (b·n each), plus at most eight n×n matrices — the
+// pass-1 Gram kept for escalation, the running Gram, up to three
+// inverses, the running R and the Cholesky factor being folded into it.
+// This is the bound the driver's own accounting is tested against — and
+// the number the planner compares to MemBudget.
+func StreamCQR2Memory(m, n, panelRows int) (int64, error) {
+	_, b, err := streamPanels(m, n, panelRows)
 	if err != nil {
 		return 0, err
 	}
-	b := int64(panelRows)
-	if b > int64(m) {
-		b = int64(m)
-	}
 	nn := int64(n)
-	panels := int64(full)
-	if rem > 0 {
-		panels++
-	}
-	tree := int64(0)
-	if panels > 1 {
-		tree = (panels - 1) * 2 * nn * nn
-	}
-	return 4*b*nn + tree + panels*nn*nn + 4*nn*nn, nil
+	return 3*b*nn + 8*nn*nn, nil
 }

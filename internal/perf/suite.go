@@ -61,11 +61,11 @@ func Suite(quick bool, workers int) []Case {
 	seqA := cacqr.RandomMatrix(seqM, seqN, 206)
 	// The streaming pair for seq-cqr2: same matrix, factored out-of-core
 	// in m/8 row panels with Q written to a dense sink. Its Flops column
-	// is the stream model's total (panel CQR2s both passes, merge QRs,
-	// down-sweep, Q applies), so the ns/flop of the two rows is directly
+	// is the stream model's total (two Gram passes and the Q pass:
+	// 5mn² + 3n³), so the ns/flop of the two rows is directly
 	// comparable.
 	stB := seqM / 8
-	streamCost, err := cacqr.ModelStreamTSQR(seqM, seqN, stB, true)
+	streamCost, err := cacqr.ModelStreamCQR2(seqM, seqN, stB, true, false)
 	if err != nil {
 		panic("perf: stream model rejected the suite shape: " + err.Error())
 	}
@@ -195,11 +195,11 @@ func Suite(quick bool, workers int) []Case {
 		},
 		{
 			// In-core vs out-of-core at the same shape: this row versus
-			// seq-cqr2 is the streaming tax — two passes over the source,
-			// the R-chain merges, and the panel-Q recomputation — paid for
-			// a peak resident footprint of one panel plus the R-tree
-			// instead of the whole matrix.
-			Name:  nameSz("stream-tsqr", seqM, seqN) + "-b" + itoa(stB),
+			// seq-cqr2 is the streaming tax — three passes over the source
+			// and one replayed triangular product — paid for a peak
+			// resident footprint of three panels' worth plus O(n²) instead of
+			// the whole matrix.
+			Name:  nameSz("stream-cqr2", seqM, seqN) + "-b" + itoa(stB),
 			Flops: streamCost.TotalFlops(),
 			Run: func() (Stats, error) {
 				_, err := cacqr.FactorizeStreaming(

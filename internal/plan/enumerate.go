@@ -80,9 +80,9 @@ func Enumerate(req Request) ([]Plan, error) {
 		}
 	}
 	// Out-of-core fallback: when a finite memory budget rejected every
-	// in-core variant, the streaming TSQR rows — whose footprint is one
-	// panel plus the R-reduction chain, not the whole matrix — are
-	// enumerated. They never compete with in-core rows (2–3 extra passes
+	// in-core variant, the streamed CholeskyQR2 rows — whose footprint is
+	// three panels' worth plus O(n²), not the whole matrix — are
+	// enumerated. They never compete with in-core rows (the extra passes
 	// over the data on the disk tier always lose), so the routing is
 	// driven purely by MemBudget.
 	if len(plans) == 0 && req.MemBudget > 0 {
@@ -315,29 +315,32 @@ func blockedTSQRCandidates(req Request) []Plan {
 	return out
 }
 
-// streamCandidates enumerates the out-of-core streaming TSQR on one
-// rank over doubling panel heights b = n, 2n, 4n, … ≤ m. Taller panels
-// amortize the per-panel n³-ish overheads and shorten the R-merge
-// chain, so among the rows that fit the budget the tallest feasible
-// panel ranks cheapest; the memory gate picks the workable ones.
+// streamCandidates enumerates the out-of-core streamed CholeskyQR2 on
+// one rank over doubling panel heights b = n, 2n, 4n, … ≤ m, priced
+// with the Q pass and — when the condition estimate is beyond plain
+// CholeskyQR2 — on the shifted ladder the driver will take. Flops and
+// bytes do not depend on b; taller panels mean fewer I/O operations on
+// the δ-tier, so among the rows that fit the budget the tallest ranks
+// cheapest and the memory gate picks the workable ones.
 func streamCandidates(req Request) []Plan {
 	var out []Plan
-	for b := req.N; ; b *= 2 {
-		if b > req.M {
-			break
-		}
-		cost, err := costmodel.StreamTSQR(req.M, req.N, b, true)
+	shifted, reads := cqr2Breaks(req.CondEst), 3
+	if shifted {
+		reads = 4
+	}
+	for b := req.N; b <= req.M; b *= 2 {
+		cost, err := costmodel.StreamCQR2(req.M, req.N, b, true, shifted)
 		if err != nil {
 			continue
 		}
-		mem, err := costmodel.StreamTSQRMemory(req.M, req.N, b)
+		mem, err := costmodel.StreamCQR2Memory(req.M, req.N, b)
 		if err != nil {
 			continue
 		}
 		out = append(out, Plan{
-			Variant: StreamTSQR, C: 1, D: 1, PanelWidth: b, Procs: 1,
+			Variant: StreamCQR2, C: 1, D: 1, PanelWidth: b, Procs: 1,
 			Cost: cost, MemWords: mem,
-			Rationale:  fmt.Sprintf("out-of-core: no in-core variant fits the budget; stream %d-row panels, resident ≈ panel + R-chain", b),
+			Rationale:  fmt.Sprintf("out-of-core: no in-core variant fits the budget; accumulate the Gram matrix over %d-row panels (%d reads + 1 write), resident ≈ 3 panels + O(n²)", b, reads),
 			Executable: true,
 		})
 	}

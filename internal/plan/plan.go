@@ -54,14 +54,15 @@ const (
 	// prefers for execution — Best skips baselines — but which
 	// FactorizePlan can now dispatch like any other row.
 	PGEQRF Variant = "pgeqrf"
-	// StreamTSQR is the out-of-core sequential TSQR (internal/stream):
-	// one rank streams row panels of PanelWidth... rows through in-core
-	// CholeskyQR2, merging R factors through a chain of small stacked
-	// QRs, so the resident footprint is one panel plus the chain instead
-	// of the whole matrix. It pays 2–3 full passes over the data on the
-	// disk tier, so the planner enumerates it strictly as a fallback:
-	// only when no in-core variant fits the memory budget.
-	StreamTSQR Variant = "stream-tsqr"
+	// StreamCQR2 is the out-of-core CholeskyQR2 (internal/stream): one
+	// rank streams row panels of PanelWidth rows and accumulates the
+	// Gram matrix over them — 1D-CQR2 with the allreduce turned into a
+	// running sum — so the resident footprint is three panels' worth plus
+	// O(n²) instead of the whole matrix. It pays three reads and one
+	// write of the data on the disk tier (one more read on the shifted
+	// ladder), so the planner enumerates it strictly as a fallback: only
+	// when no in-core variant fits the memory budget.
+	StreamCQR2 Variant = "stream-cqr2"
 )
 
 // Request describes one planning problem.
@@ -121,9 +122,10 @@ const eps = lin.Eps
 //     CholeskyQR2's regime — O(ε) while that holds (κ ≲ 1e12 at test
 //     shapes, shrinking slowly with mn), 1 beyond.
 //   - Plain TSQR and PGEQRF (Householder): unconditionally O(ε).
-//   - StreamTSQR: each panel escalates to ShiftedCQR3 on demand and the
-//     R-merge chain is Householder, so the loss tracks ShiftedCQR3's
-//     bound.
+//   - StreamCQR2: beyond the CholeskyQR2 regime the driver runs the
+//     streamed ShiftedCQR3 — forced by the condition estimate, or
+//     escalated to when a Gram matrix will not factor or the measured
+//     ‖Q₁ᵀQ₁−I‖_F is ≥ ½ — so the loss is ShiftedCQR3's bound.
 //   - Blocked TSQR (panelWidth > 0): each panel's tree QR is stable,
 //     but the cross-panel BGS2 updates lose orthogonality with the
 //     conditioning — O(ε·κ), the classical reorthogonalized
@@ -141,10 +143,10 @@ func PredictOrthogonality(v Variant, m, n, panelWidth int, cond float64) float64
 	// 8ε would understate what healthy runs actually measure.
 	floor := 8 * math.Sqrt(float64(n)) * eps
 	cqr2Loss := func(kappa float64) float64 {
-		d := kappa * kappa * eps // one-pass loss κ²ε
-		if d >= 1.0/64 {
+		if cqr2Breaks(kappa) {
 			return 1
 		}
+		d := kappa * kappa * eps // one-pass loss κ²ε
 		return floor * (1 + d) * (1 + d)
 	}
 	switch v {
@@ -155,13 +157,17 @@ func PredictOrthogonality(v Variant, m, n, panelWidth int, cond float64) float64
 		return floor
 	case PGEQRF:
 		return floor
-	case ShiftedCQR3, StreamTSQR:
+	case ShiftedCQR3, StreamCQR2:
 		shrink := math.Sqrt(11 * float64(m*n+n*(n+1)) * eps)
 		return cqr2Loss(shrink * cond)
 	default: // the plain CholeskyQR2 family
 		return cqr2Loss(cond)
 	}
 }
+
+// cqr2Breaks is the §I criterion from the failing side: at κ²·ε ≥ 1/64
+// plain CholeskyQR2 no longer delivers O(ε) orthogonality.
+func cqr2Breaks(cond float64) bool { return cond*cond*eps >= 1.0/64 }
 
 // Plan is one priced candidate.
 type Plan struct {
@@ -172,7 +178,7 @@ type Plan struct {
 	// PanelWidth is the panel width b: the §V subpanel width for
 	// PanelCACQR2, the BGS2 panel width for blocked TSQR rows, the
 	// ScaLAPACK nb for PGEQRF rows (0 = unblocked), and the panel row
-	// count for StreamTSQR rows (where the "panel" is b×n of rows, not
+	// count for StreamCQR2 rows (where the "panel" is b×n of rows, not
 	// columns).
 	PanelWidth int
 	// Procs is the number of ranks the plan actually uses: c·d·c for

@@ -9,27 +9,23 @@ import (
 
 // The out-of-core routing contract: with an unlimited (or adequate)
 // budget the planner never proposes streaming; once the budget rejects
-// every in-core variant it must fall back to stream-tsqr rows; and a
-// budget too small even for one panel plus the R-chain is still an
-// error. The choice is driven purely by MemBudget.
+// every in-core variant it must fall back to stream-cqr2 rows; and a
+// budget too small even for three n-row panels plus the n×n factors is
+// still an error. The choice is driven purely by MemBudget.
 func TestStreamFallbackRouting(t *testing.T) {
 	const m, n = 1 << 15, 64
 	seqMem, err := costmodel.OneDCQR2Memory(m, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The stream footprint 4bn + (m/b)·3n² + … is minimized at an
-	// intermediate panel height (tiny panels pay a long R-chain), so the
-	// floor is the min over the enumerated doubling heights.
-	minStream := int64(0)
-	for b := n; b <= m; b *= 2 {
-		w, err := costmodel.StreamTSQRMemory(m, n, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if minStream == 0 || w < minStream {
-			minStream = w
-		}
+	// The stream footprint 3bn + 8n² has no term in m or the panel
+	// count, so its floor is the shortest panel, b = n.
+	minStream, err := costmodel.StreamCQR2Memory(m, n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w4, _ := costmodel.StreamCQR2Memory(4*m, n, n); w4 != minStream {
+		t.Errorf("stream footprint depends on m: %d at m, %d at 4m", minStream, w4)
 	}
 	if 8*minStream >= 8*seqMem {
 		t.Fatalf("test shape broken: smallest stream footprint %d ≥ in-core %d", minStream, seqMem)
@@ -41,7 +37,7 @@ func TestStreamFallbackRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range plans {
-		if p.Variant == StreamTSQR {
+		if p.Variant == StreamCQR2 {
 			t.Errorf("stream row enumerated with no memory pressure: %v", p)
 		}
 	}
@@ -51,9 +47,7 @@ func TestStreamFallbackRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plans[0].Variant != StreamTSQR {
-		// expected: in-core best
-	} else {
+	if plans[0].Variant == StreamCQR2 {
 		t.Errorf("stream row preferred despite in-core fitting: %v", plans[0])
 	}
 
@@ -67,8 +61,8 @@ func TestStreamFallbackRouting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no fallback plan under budget %d: %v", budget, err)
 	}
-	if best.Variant != StreamTSQR {
-		t.Fatalf("best under pressure = %v, want stream-tsqr", best)
+	if best.Variant != StreamCQR2 {
+		t.Fatalf("best under pressure = %v, want stream-cqr2", best)
 	}
 	if best.MemBytes() > budget {
 		t.Errorf("stream plan footprint %d exceeds budget %d", best.MemBytes(), budget)
@@ -82,18 +76,31 @@ func TestStreamFallbackRouting(t *testing.T) {
 	if best.Cost.IOBytes == 0 || best.Cost.IOOps == 0 {
 		t.Errorf("stream plan carries no I/O cost: %+v", best.Cost)
 	}
+	// Rows are priced with the Q pass on the plain ladder: exactly the
+	// model a well-conditioned run's counters equal.
+	if want, _ := costmodel.StreamCQR2(m, n, best.PanelWidth, true, false); best.Cost != want {
+		t.Errorf("stream plan cost %+v, want the StreamCQR2 row %+v", best.Cost, want)
+	}
 
-	// Under pressure every surviving row is a budget-honoring stream row.
+	// Under pressure every surviving row is a budget-honoring stream row,
+	// ranked by the δ-tier alone: flops and bytes are the same for every
+	// panel height, so fewer, taller panels (fewer I/O operations) win.
 	plans, err = Enumerate(Request{M: m, N: n, Procs: 1, MemBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range plans {
-		if p.Variant != StreamTSQR {
+	for i, p := range plans {
+		if p.Variant != StreamCQR2 {
 			t.Fatalf("non-stream row %v survived an over-budget in-core enumeration", p)
 		}
 		if p.MemBytes() > budget {
 			t.Errorf("stream row %v exceeds budget %d", p, budget)
+		}
+		if p.Cost.Flops != best.Cost.Flops || p.Cost.IOBytes != best.Cost.IOBytes {
+			t.Errorf("stream row %v: flops/bytes vary with the panel height", p)
+		}
+		if i > 0 && p.PanelWidth >= plans[i-1].PanelWidth {
+			t.Errorf("stream rows not ranked tallest-first: %d after %d", p.PanelWidth, plans[i-1].PanelWidth)
 		}
 	}
 
@@ -103,10 +110,11 @@ func TestStreamFallbackRouting(t *testing.T) {
 	}
 }
 
-// Streaming panels escalate to ShiftedCQR3 on demand, so the stream
-// rows must survive condition estimates that kill the plain CholeskyQR2
-// family — the daemon's route for huge ill-conditioned gen requests is
-// planned, not rejected.
+// The streamed driver runs the shifted ladder beyond the CholeskyQR2
+// regime, so the stream rows must survive condition estimates that kill
+// the plain CholeskyQR2 family — the daemon's route for huge
+// ill-conditioned gen requests is planned, not rejected — and must be
+// priced as what will run: one more read pass and the shifted flops.
 func TestStreamSurvivesCondGate(t *testing.T) {
 	const m, n = 1 << 15, 64
 	seqMem, err := costmodel.OneDCQR2Memory(m, n, 1)
@@ -117,18 +125,21 @@ func TestStreamSurvivesCondGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("κ=1e9 under memory pressure: %v", err)
 	}
-	if best.Variant != StreamTSQR {
-		t.Fatalf("best = %v, want stream-tsqr", best)
+	if best.Variant != StreamCQR2 {
+		t.Fatalf("best = %v, want stream-cqr2", best)
 	}
 	if best.PredOrth > DefaultOrthTol {
 		t.Errorf("predicted orthogonality %g exceeds tolerance", best.PredOrth)
+	}
+	if want, _ := costmodel.StreamCQR2(m, n, best.PanelWidth, true, true); best.Cost != want {
+		t.Errorf("κ=1e9 stream plan cost %+v, want the shifted StreamCQR2 row %+v", best.Cost, want)
 	}
 }
 
 // The stream cost rows price their I/O on the disk tier: a machine with
 // a slower disk must predict a longer streaming time for the same cost.
 func TestStreamCostUsesDiskTier(t *testing.T) {
-	cost, err := costmodel.StreamTSQR(1<<15, 64, 1024, true)
+	cost, err := costmodel.StreamCQR2(1<<15, 64, 1024, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,47 +1,60 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"cacqr/internal/core"
 	"cacqr/internal/lin"
+	"cacqr/internal/obs"
 )
 
 // Options configures a streaming factorization.
 type Options struct {
 	// PanelRows is the number of rows per in-core panel (must be ≥ n;
 	// clamped to m). This is the knob that trades resident memory for
-	// per-panel efficiency.
+	// fewer, larger reads.
 	PanelRows int
 	// Workers bounds the goroutines of the in-core kernels (0 =
-	// GOMAXPROCS, 1 = serial).
+	// GOMAXPROCS, 1 = serial); results are bitwise identical for any
+	// value.
 	Workers int
-	// Shifted forces every panel through ShiftedCQR3. When false, each
-	// panel tries CholeskyQR2 first and escalates to ShiftedCQR3 only if
-	// the panel's Gram matrix is not numerically positive definite.
+	// Shifted starts on the shifted ladder (streamed ShiftedCQR3: three
+	// Gram passes, the first one shifted). When false the driver runs
+	// plain CholeskyQR2 and escalates by itself if a Gram matrix is not
+	// numerically positive definite or pass 1 left Q too far from
+	// orthonormal for pass 2 to repair.
 	Shifted bool
 }
 
 // Result carries the streamed factorization outputs and the driver's
-// own resource accounting. Flops and MaxResidentWords follow the same
-// charging conventions as costmodel.StreamTSQR / StreamTSQRMemory, so
-// the model can be validated against a real run.
+// own resource accounting. Flops, IOOps and the byte counts equal
+// costmodel.StreamCQR2 exactly (when no escalation re-ran a pass);
+// MaxResidentWords is bounded by costmodel.StreamCQR2Memory.
 type Result struct {
-	// R is the n×n upper-triangular factor with non-negative diagonal.
+	// R is the n×n upper-triangular factor with positive diagonal.
 	R *lin.Matrix
-	// Panels is how many row panels the source yielded.
+	// Panels is how many row panels the source yields per pass.
 	Panels int
 	// PanelRows is the (clamped) panel height actually used.
 	PanelRows int
-	// ShiftedPanels counts panels factored via ShiftedCQR3 (forced or
-	// escalated).
-	ShiftedPanels int
-	// Flops is the charged flop count (model conventions: CQR2Flops per
-	// panel, HouseholderQRFlops per merge, GemmFlops for the Q sweep).
+	// Shifted reports that the shifted ladder ran, forced or escalated.
+	Shifted bool
+	// ReadPasses counts scans of the source: 2 for R only, 3 with Q,
+	// one more on the shifted ladder and one more again when the plain
+	// ladder's second pass was spent discovering the need to escalate.
+	ReadPasses int
+	// Pass1Orth is the measured ‖QᵀQ−I‖_F of the Q entering the final
+	// CholeskyQR pass — read off the last Gram matrix, which that pass
+	// forms anyway. The driver never returns a result with it ≥ ½.
+	Pass1Orth float64
+	// Flops is the charged flop count (lin's Syrk/Trsm/Chol/TriInv
+	// conventions, as in the cost model).
 	Flops int64
 	// MaxResidentWords is the peak number of float64 words the driver
-	// held at once — the quantity bounded by costmodel.StreamTSQRMemory.
+	// held at once — the quantity bounded by costmodel.StreamCQR2Memory.
 	MaxResidentWords int64
 	// ReadBytes / WrittenBytes / IOOps count source reads and sink
 	// writes in the cost model's units (8 bytes per word, one op per
@@ -50,6 +63,11 @@ type Result struct {
 	WrittenBytes int64
 	IOOps        int64
 }
+
+// maxPass1Orth is the acceptance threshold on ‖Q₁ᵀQ₁−I‖_F: below ½
+// every eigenvalue of the Gram matrix lies in (½, 3⁄2), so κ(Q₁) < √3
+// and one more CholeskyQR pass lands at O(ε) (Yamamoto et al.).
+const maxPass1Orth = 0.5
 
 // accountant tracks the driver's resident float64 words so the peak can
 // be compared against the memory model.
@@ -64,28 +82,33 @@ func (a *accountant) alloc(words int64) {
 
 func (a *accountant) free(words int64) { a.cur -= words }
 
-// chainNode is one merge of the left-deep R-reduction chain: the
-// orthonormal factor of one stacked QR, split into the n×n block that
-// multiplies everything above and the block that multiplies the new
-// panel (n×n normally; rows×n for a raw short panel merged without its
-// own panel QR).
-type chainNode struct {
-	top    *lin.Matrix
-	bottom *lin.Matrix
-	raw    bool
+// driver is the state one Factorize call threads through its passes.
+type driver struct {
+	src     Source
+	n, b    int
+	workers int
+	bufs    [2]*lin.Matrix // b×n each: one being read into, one being computed on
+	span    *obs.Span      // parent of the per-pass spans; nil = untraced
+	res     *Result
+	acct    accountant
 }
 
-func (nd chainNode) words() int64 {
-	return int64(nd.top.Rows+nd.bottom.Rows) * int64(nd.top.Cols)
-}
-
-// Factorize runs the out-of-core sequential TSQR over src: pass 1
-// streams row panels, factoring each with CholeskyQR2 (escalating to
-// ShiftedCQR3 on ill-conditioning) and merging the n×n R factors
-// through a chain of small stacked Householder QRs. When sink is
-// non-nil, a coefficient down-sweep and a second streaming pass over
-// src reconstruct the explicit Q panel by panel into sink. At no point
-// is more than one panel (plus the O(k·n²) reduction chain) resident.
+// Factorize runs the out-of-core CholeskyQR2 over src — the paper's
+// 1D-CQR2 with the Gram allreduce replaced by accumulation over row
+// panels. Pass 1 accumulates G₁ = Σ AᵢᵀAᵢ and takes (L₁, Y₁) =
+// CholInv(G₁); pass 2 re-reads each panel, applies Y₁ᵀ in place and
+// accumulates G₂ (whose distance from I is the measured orthogonality
+// of Q₁); R = R₂·R₁. When sink is non-nil a last pass re-reads each
+// panel, replays the same triangular products one after the other — so
+// the Q that is written is bit for bit the Q whose Gram matrix was
+// factored — and appends it. Options.Shifted, a failed Cholesky, or a
+// Q₁ too far from orthonormal switch to the shifted ladder: the Fukaya
+// shift is added to the G₁ already in hand and one more Gram pass is
+// inserted (streamed ShiftedCQR3). The error wraps
+// core.ErrIllConditioned when even that ladder cannot certify the
+// result. Every pass reads one panel ahead of its kernels (readAhead);
+// at no point is more than the source's panel, two panel buffers and
+// O(n²) state resident.
 func Factorize(src Source, sink Sink, opts Options) (*Result, error) {
 	m, n := src.Dims()
 	if m < 1 || n < 1 || m < n {
@@ -95,218 +118,189 @@ func Factorize(src Source, sink Sink, opts Options) (*Result, error) {
 	if b < n {
 		return nil, fmt.Errorf("stream: panel rows %d < n=%d", b, n)
 	}
-	if b > m {
-		b = m
+	b = min(b, m)
+
+	d := &driver{src: src, n: n, b: b, workers: opts.Workers, res: &Result{PanelRows: b}}
+	if c, ok := src.(obs.SpanCarrier); ok {
+		d.span = c.TraceSpan()
 	}
+	res := d.res
+	nn := int64(n) * int64(n)
+	d.bufs = [2]*lin.Matrix{lin.NewMatrix(b, n), lin.NewMatrix(b, n)}
+	d.acct.alloc(3 * int64(b) * int64(n)) // the source's live panel + bufs
 
-	res := &Result{PanelRows: b}
-	var acct accountant
-	nn := int64(n)
+	g1, err := d.gramPass(nil)
+	if err != nil {
+		return nil, err
+	}
+	res.Panels = int(res.IOOps)
 
-	// Pass 1: panel QRs and the left-deep R-merge chain.
-	var s *lin.Matrix // running n×n R of everything consumed so far
-	var nodes []chainNode
-	var shifted []bool // per panel; meaningless for raw panels
+	base := d.acct.cur
+	var ys []*lin.Matrix
+	res.Shifted = opts.Shifted
+	if !res.Shifted {
+		ys, err = d.ladder(g1, 2)
+		res.Shifted = errors.Is(err, core.ErrIllConditioned)
+	}
+	if res.Shifted {
+		// Forced, or escalating from the Gram matrix already in hand:
+		// pass 1 is never re-read.
+		d.acct.cur = base
+		core.ShiftGram(g1, m)
+		ys, err = d.ladder(g1, 3)
+	}
+	if err != nil {
+		return nil, err
+	}
+	d.acct.free(nn) // g1
+
+	if sink != nil {
+		if err := d.qPass(ys, sink); err != nil {
+			return nil, err
+		}
+	}
+	res.MaxResidentWords = d.acct.peak
+	return res, nil
+}
+
+// ladder is CholeskyQR with grams Gram matrices, the first of which is
+// already accumulated in g1: factor, fold R, and run the next Gram pass
+// through every inverse found so far. It returns the inverses Yᵢ = Lᵢ⁻¹
+// in application order and leaves R and Pass1Orth in the result. Any
+// numerical failure wraps core.ErrIllConditioned.
+func (d *driver) ladder(g1 *lin.Matrix, grams int) ([]*lin.Matrix, error) {
+	res, n := d.res, d.n
+	nn := int64(n) * int64(n)
+	res.R = nil
+	var ys []*lin.Matrix
+	g := g1
+	for i := 1; ; i++ {
+		l, y, err := lin.CholInv(g)
+		if err != nil {
+			return nil, fmt.Errorf("%w: Gram matrix of pass %d: %w", core.ErrIllConditioned, i, err)
+		}
+		res.Flops += lin.CholFlops(n) + lin.TriInvFlops(n)
+		ys = append(ys, y)
+		r := l.T()
+		d.acct.alloc(3 * nn) // l, y, r
+		if res.R != nil {
+			lin.Trmm(lin.Right, lin.Upper, false, res.R, r) // R = Rᵢ·(Rᵢ₋₁⋯R₁)
+			res.Flops += lin.TrsmFlops(n, n)
+			d.acct.free(nn) // the previous R
+		}
+		res.R = r
+		d.acct.free(nn) // l
+		if i > 1 {
+			d.acct.free(nn) // g, this step's Gram matrix
+		}
+		if i == grams {
+			return ys, nil
+		}
+		if g, err = d.gramPass(ys); err != nil {
+			return nil, err
+		}
+		if i == grams-1 {
+			res.Pass1Orth = offIdentity(g)
+			if !(res.Pass1Orth < maxPass1Orth) { // NaN fails too
+				return nil, fmt.Errorf("%w: ‖QᵀQ−I‖_F = %.3g entering the final pass (need < %g)",
+					core.ErrIllConditioned, res.Pass1Orth, maxPass1Orth)
+			}
+		}
+	}
+}
+
+// scan is one sequential pass over the source: rewind, read one panel
+// ahead of the kernels, multiply each panel in place by every Yᵀ in ys,
+// hand it to use, and insist on exactly m rows. It charges the reads
+// and the triangular products.
+func (d *driver) scan(ys []*lin.Matrix, use func(i int, p *lin.Matrix) error) error {
+	res := d.res
+	if err := d.src.Reset(); err != nil {
+		return fmt.Errorf("stream: rewinding for pass %d: %w", res.ReadPasses+1, err)
+	}
+	res.ReadPasses++
+	ra := startReadAhead(d.src, d.bufs, d.b)
+	defer ra.close()
 	rows := 0
-	for {
-		p, err := src.Next(b)
+	for i := 0; ; i++ {
+		p, err := ra.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("stream: pass %d, panel %d: %w", res.ReadPasses, i, err)
 		}
-		res.Panels++
-		res.IOOps++
-		res.ReadBytes += 8 * int64(p.Rows) * nn
 		rows += p.Rows
-		if p.Rows >= n {
-			acct.alloc(4 * int64(p.Rows) * nn)
-			_, r, sh, err := panelQR(p, opts)
-			acct.free(4 * int64(p.Rows) * nn)
-			if err != nil {
-				return nil, fmt.Errorf("stream: panel %d: %w", res.Panels-1, err)
-			}
-			shifted = append(shifted, sh)
-			if sh {
-				res.ShiftedPanels++
-			}
-			res.Flops += chargePanel(p.Rows, n, sh)
-			acct.alloc(nn * nn) // r
-			if s == nil {
-				s = r
-				continue
-			}
-			nd, s2, err := mergeR(s, r, &acct)
-			if err != nil {
-				return nil, err
-			}
-			acct.free(2 * nn * nn) // old s and r absorbed
-			s = s2
-			nd.raw = false
-			nodes = append(nodes, nd)
-			res.Flops += lin.HouseholderQRFlops(2*n, n)
-		} else {
-			// Short panel: no in-core QR is possible, so its raw rows are
-			// merged directly via one (n+rows)×n stacked Householder QR.
-			if s == nil {
-				return nil, fmt.Errorf("stream: first panel has %d < n=%d rows", p.Rows, n)
-			}
-			shifted = append(shifted, false)
-			acct.alloc(int64(p.Rows) * nn)
-			nd, s2, err := mergeR(s, p, &acct)
-			if err != nil {
-				return nil, err
-			}
-			acct.free(nn*nn + int64(p.Rows)*nn) // old s; raw rows absorbed
-			s = s2
-			nd.raw = true
-			nodes = append(nodes, nd)
-			res.Flops += lin.HouseholderQRFlops(n+p.Rows, n)
-		}
-	}
-	if s == nil {
-		return nil, fmt.Errorf("stream: source yielded no rows")
-	}
-	if rows != m {
-		return nil, fmt.Errorf("stream: source yielded %d of %d rows", rows, m)
-	}
-	res.R = s
-
-	if sink == nil {
-		res.MaxResidentWords = acct.peak
-		return res, nil
-	}
-
-	// Down-sweep: propagate the identity from the top of the chain back
-	// down, producing each panel's n×n coefficient block C_i such that
-	// Q = diag(Q_0 … Q_{k-1}) · [C_0; …; C_{k-1}] (a raw panel's block is
-	// rows×n and already IS its slice of Q).
-	coeffs := make([]*lin.Matrix, res.Panels)
-	bmat := lin.Identity(n)
-	acct.alloc(nn * nn)
-	for j := len(nodes) - 1; j >= 0; j-- {
-		nd := nodes[j]
-		c := lin.MatMulParallel(opts.Workers, nd.bottom, bmat)
-		acct.alloc(int64(c.Rows) * nn)
-		coeffs[j+1] = c
-		b2 := lin.MatMulParallel(opts.Workers, nd.top, bmat)
-		acct.alloc(nn * nn)
-		acct.free(nn * nn) // previous bmat
-		bmat = b2
-		if nd.raw {
-			res.Flops += lin.GemmFlops(nd.bottom.Rows, n, n) + lin.GemmFlops(n, n, n)
-		} else {
-			res.Flops += 2 * lin.GemmFlops(n, n, n)
-		}
-	}
-	coeffs[0] = bmat
-	// The chain factors are no longer needed; only the coefficients are.
-	for _, nd := range nodes {
-		acct.free(nd.words())
-	}
-	nodes = nil
-
-	// Pass 2: re-read each panel, deterministically recompute its Q with
-	// the same kernel choice as pass 1, and emit Q_i·C_i. Raw panels'
-	// rows of Q were already produced by the down-sweep.
-	if err := src.Reset(); err != nil {
-		return nil, fmt.Errorf("stream: reset for Q pass: %w", err)
-	}
-	for i := 0; i < res.Panels; i++ {
-		p, err := src.Next(b)
-		if err != nil {
-			return nil, fmt.Errorf("stream: re-reading panel %d: %w", i, err)
-		}
 		res.IOOps++
-		res.ReadBytes += 8 * int64(p.Rows) * nn
-		ci := coeffs[i]
-		var out *lin.Matrix
-		if ci.Rows == p.Rows && p.Rows < n {
-			out = ci // raw panel: coefficient block is its Q slice
-		} else {
-			acct.alloc(3 * int64(p.Rows) * nn)
-			q, _, _, err := panelQRWith(p, shifted[i], opts)
-			acct.free(3 * int64(p.Rows) * nn)
-			if err != nil {
-				return nil, fmt.Errorf("stream: panel %d Q pass: %w", i, err)
-			}
-			acct.alloc(int64(p.Rows) * nn)
-			out = lin.MatMulParallel(opts.Workers, q, ci)
-			res.Flops += chargePanel(p.Rows, n, shifted[i]) + lin.GemmFlops(p.Rows, n, n)
+		res.ReadBytes += 8 * int64(p.Rows) * int64(d.n)
+		for _, y := range ys {
+			lin.TrmmParallel(d.workers, lin.Right, lin.Lower, true, y, p)
 		}
-		if err := sink.Append(out); err != nil {
-			return nil, fmt.Errorf("stream: writing Q panel %d: %w", i, err)
+		res.Flops += int64(len(ys)) * lin.TrsmFlops(p.Rows, d.n)
+		if err := use(i, p); err != nil {
+			return err
 		}
-		res.IOOps++
-		res.WrittenBytes += 8 * int64(p.Rows) * nn
-		if out != ci {
-			acct.free(int64(p.Rows) * nn)
-		}
-		acct.free(int64(ci.Rows) * nn)
-		coeffs[i] = nil
 	}
-	res.MaxResidentWords = acct.peak
-	return res, nil
+	if m, _ := d.src.Dims(); rows != m {
+		return fmt.Errorf("stream: pass %d: source yielded %d of %d rows", res.ReadPasses, rows, m)
+	}
+	return nil
 }
 
-// panelQR factors one panel, trying CholeskyQR2 first (unless Shifted
-// forces escalation) and falling back to ShiftedCQR3 when the panel's
-// Gram matrix is not numerically positive definite.
-func panelQR(p *lin.Matrix, opts Options) (q, r *lin.Matrix, usedShifted bool, err error) {
-	if opts.Shifted {
-		return panelQRWith(p, true, opts)
-	}
-	q, r, err = core.CholeskyQR2(p, opts.Workers)
-	if err == nil {
-		return q, r, false, nil
-	}
-	return panelQRWith(p, true, opts)
-}
-
-// panelQRWith runs the named kernel, with no fallback — pass 2 replays
-// exactly the choice pass 1 recorded so both passes see the same Q.
-func panelQRWith(p *lin.Matrix, useShifted bool, opts Options) (q, r *lin.Matrix, usedShifted bool, err error) {
-	if useShifted {
-		q, r, err = core.ShiftedCQR3(p, opts.Workers)
-		return q, r, true, err
-	}
-	q, r, err = core.CholeskyQR2(p, opts.Workers)
-	return q, r, false, err
-}
-
-// mergeR stacks top (the running n×n R) above bottom (a new n×n R, or
-// a raw short panel) and QR-factors the stack, returning the chain node
-// and the new running R. lin.QR sign-normalizes, so the final R always
-// carries a non-negative diagonal.
-func mergeR(top, bottom *lin.Matrix, acct *accountant) (chainNode, *lin.Matrix, error) {
-	n := top.Cols
-	st := lin.NewMatrix(top.Rows+bottom.Rows, n)
-	acct.alloc(int64(st.Rows) * int64(n))
-	st.View(0, 0, top.Rows, n).CopyFrom(top)
-	st.View(top.Rows, 0, bottom.Rows, n).CopyFrom(bottom)
-	q, r, err := lin.QR(st)
+// gramPass scans the source and returns Σ (AᵢY₁ᵀ⋯Yₖᵀ)ᵀ(AᵢY₁ᵀ⋯Yₖᵀ).
+func (d *driver) gramPass(ys []*lin.Matrix) (*lin.Matrix, error) {
+	defer d.tracePass("gram-pass")()
+	g := lin.NewMatrix(d.n, d.n)
+	d.acct.alloc(int64(d.n) * int64(d.n))
+	err := d.scan(ys, func(_ int, p *lin.Matrix) error {
+		lin.SyrkParallel(d.workers, 1, p, 1, g)
+		d.res.Flops += lin.SyrkFlops(p.Rows, d.n)
+		return nil
+	})
 	if err != nil {
-		return chainNode{}, nil, fmt.Errorf("stream: R-merge: %w", err)
+		return nil, err
 	}
-	acct.alloc(int64(q.Rows)*int64(n) + int64(n)*int64(n))
-	acct.free(int64(st.Rows) * int64(n))
-	nd := chainNode{
-		top:    q.View(0, 0, top.Rows, n),
-		bottom: q.View(top.Rows, 0, bottom.Rows, n),
-	}
-	return nd, r, nil
+	return g, nil
 }
 
-// chargePanel is the modeled flop charge for one panel factorization:
-// CQR2Flops for the plain path; the shifted path adds one extra
-// CholeskyQR-shaped pass (Syrk + CholInv + Trmm) and the final
-// triangular R-merge.
-func chargePanel(rows, n int, usedShifted bool) int64 {
-	f := lin.CQR2Flops(rows, n)
-	if usedShifted {
-		f += lin.SyrkFlops(rows, n) + lin.CholFlops(n) + lin.TriInvFlops(n) +
-			lin.TrsmFlops(rows, n) + lin.GemmFlops(n, n, n)
+// qPass scans the source once more and appends Q = A·Y₁ᵀ⋯Yₖᵀ to sink
+// panel by panel.
+func (d *driver) qPass(ys []*lin.Matrix, sink Sink) error {
+	defer d.tracePass("q-pass")()
+	return d.scan(ys, func(i int, q *lin.Matrix) error {
+		if err := sink.Append(q); err != nil {
+			return fmt.Errorf("stream: writing Q panel %d: %w", i, err)
+		}
+		d.res.IOOps++
+		d.res.WrittenBytes += 8 * int64(q.Rows) * int64(d.n)
+		return nil
+	})
+}
+
+// tracePass opens the trace span of one pass; the returned func stamps
+// it with what the pass added to the run's counters and ends it.
+func (d *driver) tracePass(name string) (end func()) {
+	sp := d.span.Stage(name)
+	sp.SetInt("pass", int64(d.res.ReadPasses+1))
+	before := *d.res
+	return func() {
+		sp.SetInt("read_bytes", d.res.ReadBytes-before.ReadBytes)
+		sp.SetInt("written_bytes", d.res.WrittenBytes-before.WrittenBytes)
+		sp.SetInt("flops", d.res.Flops-before.Flops)
+		sp.End()
 	}
-	return f
+}
+
+// offIdentity returns ‖G − I‖_F.
+func offIdentity(g *lin.Matrix) float64 {
+	var s float64
+	for i := 0; i < g.Rows; i++ {
+		for j, v := range g.Data[i*g.Stride : i*g.Stride+g.Cols] {
+			if i == j {
+				v--
+			}
+			s += v * v
+		}
+	}
+	return math.Sqrt(s)
 }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -15,7 +14,7 @@ import (
 // bigger than memory can live on disk between passes. Layout is the
 // 8-byte magic, two little-endian int64 dims, then m·n little-endian
 // float64 values row-major — sequential-scan friendly, which is the
-// access pattern both streaming passes make.
+// access pattern every streaming pass makes.
 
 const fileMagic = "CACQRSTM"
 
@@ -68,15 +67,16 @@ func checkFileSize(size int64, m, n int) error {
 }
 
 // FileSource streams panels from a matrix file written by FileSink (or
-// WriteFile). Panels are read sequentially through one buffered reader;
-// Reset seeks back to the first data byte, so the driver's two passes
-// cost two sequential scans.
+// WriteFile). Each Next reads one panel-sized slab straight from the
+// file and decodes it into a panel buffer that the next call reuses;
+// Reset seeks back to the first data byte, so every pass of the driver
+// costs one sequential scan.
 type FileSource struct {
-	f    *os.File
-	br   *bufio.Reader
-	m, n int
-	row  int
-	buf  []byte
+	f     *os.File
+	m, n  int
+	row   int
+	raw   []byte
+	panel *lin.Matrix
 }
 
 // OpenFile opens path as a panel source.
@@ -85,8 +85,7 @@ func OpenFile(path string) (*FileSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	m, n, err := readFileHeader(br)
+	m, n, err := readFileHeader(f)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -100,13 +99,14 @@ func OpenFile(path string) (*FileSource, error) {
 		f.Close()
 		return nil, err
 	}
-	return &FileSource{f: f, br: br, m: m, n: n}, nil
+	return &FileSource{f: f, m: m, n: n}, nil
 }
 
 // Dims implements Source.
 func (s *FileSource) Dims() (int, int) { return s.m, s.n }
 
-// Next implements Source.
+// Next implements Source. A file that has shrunk since OpenFile
+// validated its size fails here with the rows that could not be read.
 func (s *FileSource) Next(max int) (*lin.Matrix, error) {
 	if max < 1 {
 		return nil, fmt.Errorf("stream: panel size %d", max)
@@ -114,21 +114,17 @@ func (s *FileSource) Next(max int) (*lin.Matrix, error) {
 	if s.row >= s.m {
 		return nil, io.EOF
 	}
-	r := s.m - s.row
-	if r > max {
-		r = max
+	r := min(s.m-s.row, max)
+	if s.panel == nil || s.panel.Rows < r {
+		s.raw = make([]byte, 8*r*s.n)
+		s.panel = lin.NewMatrix(r, s.n)
 	}
-	need := r * s.n * 8
-	if cap(s.buf) < need {
-		s.buf = make([]byte, need)
-	}
-	buf := s.buf[:need]
-	if _, err := io.ReadFull(s.br, buf); err != nil {
+	raw, p := s.raw[:8*r*s.n], s.panel.View(0, 0, r, s.n)
+	if _, err := io.ReadFull(s.f, raw); err != nil {
 		return nil, fmt.Errorf("stream: reading rows %d..%d: %w", s.row, s.row+r, err)
 	}
-	p := lin.NewMatrix(r, s.n)
-	for i := range p.Data {
-		p.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+	for i := range p.Data[:r*s.n] {
+		p.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	s.row += r
 	return p, nil
@@ -139,7 +135,6 @@ func (s *FileSource) Reset() error {
 	if _, err := s.f.Seek(headerSize, io.SeekStart); err != nil {
 		return err
 	}
-	s.br.Reset(s.f)
 	s.row = 0
 	return nil
 }
@@ -148,13 +143,13 @@ func (s *FileSource) Reset() error {
 func (s *FileSource) Close() error { return s.f.Close() }
 
 // FileSink writes appended panels to a matrix file readable by
-// OpenFile. Close validates that exactly m rows arrived.
+// OpenFile, one panel-sized write each. Close validates that exactly m
+// rows arrived.
 type FileSink struct {
 	f    *os.File
-	bw   *bufio.Writer
 	m, n int
 	row  int
-	buf  []byte
+	raw  []byte
 }
 
 // CreateFile creates path as a panel sink for an m×n matrix.
@@ -166,12 +161,11 @@ func CreateFile(path string, m, n int) (*FileSink, error) {
 	if err != nil {
 		return nil, err
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := writeFileHeader(bw, m, n); err != nil {
+	if err := writeFileHeader(f, m, n); err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &FileSink{f: f, bw: bw, m: m, n: n}, nil
+	return &FileSink{f: f, m: m, n: n}, nil
 }
 
 // Append implements Sink.
@@ -182,29 +176,24 @@ func (s *FileSink) Append(panel *lin.Matrix) error {
 	if s.row+panel.Rows > s.m {
 		return fmt.Errorf("stream: sink overflow at row %d + %d > %d", s.row, panel.Rows, s.m)
 	}
-	need := panel.Rows * s.n * 8
-	if cap(s.buf) < need {
-		s.buf = make([]byte, need)
+	if need := 8 * panel.Rows * s.n; cap(s.raw) < need {
+		s.raw = make([]byte, need)
 	}
-	buf := s.buf[:need]
+	raw := s.raw[:0]
 	for i := 0; i < panel.Rows; i++ {
-		for j := 0; j < panel.Cols; j++ {
-			binary.LittleEndian.PutUint64(buf[8*(i*s.n+j):], math.Float64bits(panel.At(i, j)))
+		for _, v := range panel.Data[i*panel.Stride : i*panel.Stride+s.n] {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
 		}
 	}
-	if _, err := s.bw.Write(buf); err != nil {
-		return err
+	if _, err := s.f.Write(raw); err != nil {
+		return fmt.Errorf("stream: writing rows %d..%d: %w", s.row, s.row+panel.Rows, err)
 	}
 	s.row += panel.Rows
 	return nil
 }
 
-// Close flushes and closes the file, failing if the row count is short.
+// Close closes the file, failing if the row count is short.
 func (s *FileSink) Close() error {
-	if err := s.bw.Flush(); err != nil {
-		s.f.Close()
-		return err
-	}
 	if err := s.f.Close(); err != nil {
 		return err
 	}
@@ -212,6 +201,13 @@ func (s *FileSink) Close() error {
 		return fmt.Errorf("stream: sink closed after %d of %d rows", s.row, s.m)
 	}
 	return nil
+}
+
+// Abort closes the file and removes it: the exit for a run that failed
+// part-way, so no half-written matrix is left behind.
+func (s *FileSink) Abort() {
+	s.f.Close()
+	os.Remove(s.f.Name())
 }
 
 // WriteFile spills an entire source to path — the helper tests and the
@@ -223,7 +219,7 @@ func WriteFile(path string, src Source, panelRows int) error {
 		return err
 	}
 	if err := Drain(src, snk, panelRows); err != nil {
-		snk.f.Close()
+		snk.Abort()
 		return err
 	}
 	return snk.Close()

@@ -19,6 +19,7 @@ type GenSource struct {
 	seed int64
 	rng  *rand.Rand
 	row  int
+	buf  *lin.Matrix // panel storage, reused by the next call
 }
 
 // NewGenSource builds the generator source for an m×n matrix.
@@ -42,12 +43,12 @@ func (s *GenSource) Next(max int) (*lin.Matrix, error) {
 	if s.row >= s.m {
 		return nil, io.EOF
 	}
-	r := s.m - s.row
-	if r > max {
-		r = max
+	r := min(s.m-s.row, max)
+	if s.buf == nil || s.buf.Rows < r {
+		s.buf = lin.NewMatrix(r, s.n)
 	}
-	p := lin.NewMatrix(r, s.n)
-	for i := range p.Data {
+	p := s.buf.View(0, 0, r, s.n)
+	for i := range p.Data[:r*s.n] {
 		p.Data[i] = 2*s.rng.Float64() - 1
 	}
 	s.row += r

@@ -1,12 +1,14 @@
-// Package stream factors matrices bigger than memory: the out-of-core
-// sequential TSQR of the CAQR papers (Demmel–Grigori–Hoemmen–Langou,
-// arXiv 0809.2407 / 0808.2664). The tall m×n matrix arrives as row
-// panels from a Source, each panel is factored in core with the
-// existing CholeskyQR2/ShiftedCQR3 kernels, and the n×n R factors are
-// merged through a left-deep chain of small stacked Householder QRs —
-// so only one panel plus the R-reduction chain is ever resident. A
-// second streaming pass over the same Source reconstructs the explicit
-// Q panel by panel into an optional Sink.
+// Package stream factors matrices bigger than memory with the paper's
+// own algorithm: 1D-CholeskyQR2 on one rank, where the only step that
+// touches the other ranks' rows — the allreduce of the n×n Gram matrix —
+// becomes a running sum over row panels, G += AᵢᵀAᵢ (the chunked-Gram
+// loop). The tall m×n matrix arrives as row panels from a Source; each
+// pass is one sequential scan, read one panel ahead of the kernels, that
+// keeps three panels' worth and a few n×n factors resident, and every
+// flop runs in lin's SYRK/TRMM kernels. Two scans give R, a third
+// writes the explicit Q panel by panel into an optional Sink;
+// ill-conditioned inputs take one more scan on the shifted ladder
+// (streamed ShiftedCQR3). See Factorize.
 //
 // Sources and sinks are deliberately io.Reader-shaped: Dense-backed
 // (views over an in-memory matrix), file-backed (a little-endian binary
@@ -24,15 +26,16 @@ import (
 
 // Source yields consecutive row panels of an m×n matrix, top to
 // bottom. Next returns at most max rows; io.EOF signals exhaustion.
-// Reset rewinds to the first row — required only when the driver must
-// make a second pass (Q write-back).
+// Every source must be rewindable and must replay the same values after
+// Reset: Factorize rewinds at entry and scans the matrix two to five
+// times.
 type Source interface {
 	// Dims returns the full matrix shape (m, n).
 	Dims() (m, n int)
 	// Next returns the next panel of at most max rows (max ≥ 1). The
-	// returned matrix is only valid until the following Next call; the
-	// driver copies what it must keep. Returns io.EOF when no rows
-	// remain.
+	// returned matrix is only valid until the following Next or Reset
+	// call (sources reuse its storage); callers copy what they must
+	// keep. Returns io.EOF when no rows remain.
 	Next(max int) (*lin.Matrix, error)
 	// Reset rewinds the source to the first row.
 	Reset() error

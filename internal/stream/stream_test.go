@@ -3,10 +3,15 @@ package stream
 //lint:allow floatcompare tests assert bitwise reproducibility, which is this library's documented contract
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"cacqr/internal/core"
 	"cacqr/internal/costmodel"
@@ -45,12 +50,58 @@ func orthErr(q *lin.Matrix) float64 {
 	return d
 }
 
-// The tentpole property: streaming TSQR must reproduce the in-core
-// CholeskyQR2 factorization (R to 1e-13 after sign normalization —
-// which both sides already guarantee — and a Q that is orthonormal and
-// reproduces A) across uneven panel schedules: panels that don't divide
-// m, a short tail shorter than n, panel = n exactly, and the degenerate
-// single-panel case.
+// factorize runs the driver into a dense sink (or R-only when !writeQ).
+func factorize(t *testing.T, a *lin.Matrix, writeQ bool, opts Options) (*Result, *lin.Matrix) {
+	t.Helper()
+	var snk *DenseSink
+	var sink Sink
+	if writeQ {
+		snk = NewDenseSink(a.Rows, a.Cols)
+		sink = snk
+	}
+	res, err := Factorize(NewDenseSource(a), sink, opts)
+	if err != nil {
+		t.Fatalf("Factorize(%dx%d, %+v): %v", a.Rows, a.Cols, opts, err)
+	}
+	if !(res.Pass1Orth < maxPass1Orth) {
+		t.Fatalf("result returned with Pass1Orth = %g", res.Pass1Orth)
+	}
+	if !writeQ {
+		return res, nil
+	}
+	if snk.Rows() != a.Rows {
+		t.Fatalf("sink holds %d of %d rows", snk.Rows(), a.Rows)
+	}
+	return res, snk.Matrix()
+}
+
+// checkModel asserts measured == modeled: flops, I/O ops and I/O bytes
+// equal costmodel.StreamCQR2 exactly.
+func checkModel(t *testing.T, res *Result, m, n, rows int, writeQ, shifted bool) {
+	t.Helper()
+	want, err := costmodel.StreamCQR2(m, n, rows, writeQ, shifted)
+	if err != nil {
+		t.Fatalf("model: %v", err)
+	}
+	if res.Flops != want.Flops {
+		t.Errorf("driver flops %d != model %d", res.Flops, want.Flops)
+	}
+	if res.IOOps != want.IOOps {
+		t.Errorf("driver IO ops %d != model %d", res.IOOps, want.IOOps)
+	}
+	if got := res.ReadBytes + res.WrittenBytes; got != want.IOBytes {
+		t.Errorf("driver IO bytes %d != model %d", got, want.IOBytes)
+	}
+}
+
+// The tentpole property: the streamed CholeskyQR2 must reproduce the
+// in-core CholeskyQR2 factorization (R to 1e-13 scale, a Q that is
+// orthonormal, reproduces A and matches the reference) across panel
+// schedules: panels that don't divide m, a tail shorter than n, panel =
+// n exactly, and the degenerate single-panel case. No schedule is a
+// special case of the driver — a short tail is just fewer rows into the
+// same SYRK/TRMM — which the exact model equality on every schedule
+// asserts: the model has no branch on the tail.
 func TestStreamingMatchesInCore(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -58,8 +109,9 @@ func TestStreamingMatchesInCore(t *testing.T) {
 	}{
 		{"even-split", 512, 16, 128},
 		{"uneven-split", 500, 16, 128},     // tail of 116 ≥ n
-		{"short-tail", 517, 16, 128},       // tail of 5 < n: raw merge path
-		{"panel-equals-n", 100, 16, 16},    // maximal chain depth
+		{"short-tail", 517, 16, 128},       // tail of 5 < n
+		{"one-row-tail", 513, 16, 128},     // tail of 1
+		{"panel-equals-n", 100, 16, 16},    // most panels
 		{"single-panel", 300, 16, 1 << 20}, // degenerate: whole matrix in one panel
 		{"wide-ish", 256, 48, 96},
 	}
@@ -70,15 +122,13 @@ func TestStreamingMatchesInCore(t *testing.T) {
 			if err != nil {
 				t.Fatalf("in-core reference: %v", err)
 			}
-			snk := NewDenseSink(tc.m, tc.n)
-			res, err := Factorize(NewDenseSource(a), snk, Options{PanelRows: tc.rows})
-			if err != nil {
-				t.Fatalf("Factorize: %v", err)
-			}
+			res, q := factorize(t, a, true, Options{PanelRows: tc.rows})
 			if d := maxDiff(res.R, rRef); d > 1e-13*float64(tc.m) {
 				t.Errorf("R mismatch: max |ΔR| = %g", d)
 			}
-			q := snk.Matrix()
+			if !res.R.IsUpperTriangular(0) {
+				t.Error("R is not upper triangular")
+			}
 			if d := orthErr(q); d > 1e-13 {
 				t.Errorf("streamed Q not orthonormal: %g", d)
 			}
@@ -87,39 +137,42 @@ func TestStreamingMatchesInCore(t *testing.T) {
 			if d := maxDiff(qr, a); d > 1e-12*float64(tc.n) {
 				t.Errorf("‖A − QR‖ = %g", d)
 			}
-			// And match the reference Q (same sign convention both sides).
 			if d := maxDiff(q, qRef); d > 1e-12 {
 				t.Errorf("Q mismatch vs in-core: %g", d)
 			}
-			wantPanels := tc.m / min(tc.rows, tc.m)
-			if tc.m%min(tc.rows, tc.m) != 0 {
-				wantPanels++
+			b := min(tc.rows, tc.m)
+			if want := (tc.m + b - 1) / b; res.Panels != want {
+				t.Errorf("Panels = %d, want %d", res.Panels, want)
 			}
-			if res.Panels != wantPanels {
-				t.Errorf("Panels = %d, want %d", res.Panels, wantPanels)
+			if res.Shifted || res.ReadPasses != 3 {
+				t.Errorf("well-conditioned run: Shifted=%v ReadPasses=%d, want false/3", res.Shifted, res.ReadPasses)
 			}
+			checkModel(t, res, tc.m, tc.n, tc.rows, true, false)
+
+			// R-only: two passes, the same R bit for bit.
+			resR, _ := factorize(t, a, false, Options{PanelRows: tc.rows})
+			if resR.ReadPasses != 2 || !resR.R.Equal(res.R) {
+				t.Errorf("R-only run: ReadPasses=%d, R equal=%v", resR.ReadPasses, resR.R.Equal(res.R))
+			}
+			checkModel(t, resR, tc.m, tc.n, tc.rows, false, false)
 		})
 	}
 }
 
-// κ-sweep: moderately conditioned panels stream through plain CQR2;
-// once κ(A) is beyond what CholeskyQR2 handles, the per-panel kernels
-// must escalate to ShiftedCQR3 and still deliver an orthonormal Q with
-// a small residual.
+// κ-sweep with the hint the public API derives from CondEst: moderately
+// conditioned inputs stream through plain CholeskyQR2; beyond its regime
+// the forced shifted ladder must deliver an orthonormal Q with a small
+// residual, at exactly the shifted model's cost.
 func TestStreamingCondSweep(t *testing.T) {
 	m, n, rows := 600, 12, 150
 	for _, cond := range []float64{1e2, 1e6, 1e9, 1e12} {
 		a := lin.RandomWithCond(m, n, cond, 3)
 		forceShift := !core.CanCQR2Handle(cond)
-		snk := NewDenseSink(m, n)
-		res, err := Factorize(NewDenseSource(a), snk, Options{PanelRows: rows, Shifted: forceShift})
-		if err != nil {
-			t.Fatalf("cond=%g: %v", cond, err)
+		res, q := factorize(t, a, true, Options{PanelRows: rows, Shifted: forceShift})
+		if res.Shifted != forceShift {
+			t.Errorf("cond=%g: Shifted = %v, want %v", cond, res.Shifted, forceShift)
 		}
-		if forceShift && res.ShiftedPanels != res.Panels {
-			t.Errorf("cond=%g: %d/%d panels shifted, want all", cond, res.ShiftedPanels, res.Panels)
-		}
-		q := snk.Matrix()
+		checkModel(t, res, m, n, rows, true, forceShift)
 		if d := orthErr(q); d > 1e-12 {
 			t.Errorf("cond=%g: streamed Q orthogonality error %g", cond, d)
 		}
@@ -127,72 +180,279 @@ func TestStreamingCondSweep(t *testing.T) {
 		if d := maxDiff(qr, a); d > 1e-11 {
 			t.Errorf("cond=%g: ‖A − QR‖ = %g", cond, d)
 		}
+		resR, _ := factorize(t, a, false, Options{PanelRows: rows, Shifted: forceShift})
+		checkModel(t, resR, m, n, rows, false, forceShift)
 	}
 }
 
-// The driver's flop accounting must agree exactly with the cost model's
-// StreamTSQR charge on the plain (unshifted) path — same contract the
-// distributed kernels keep with simmpi's measured counters.
-func TestStreamingFlopsMatchModel(t *testing.T) {
-	for _, tc := range []struct {
-		m, n, rows int
-		writeQ     bool
-	}{
-		{512, 16, 128, false},
-		{512, 16, 128, true},
-		{500, 16, 128, true},  // long tail
-		{517, 16, 128, true},  // raw short tail
-		{517, 16, 128, false}, // raw short tail, R only
-		{300, 16, 1 << 20, true},
-	} {
-		a := lin.RandomMatrix(tc.m, tc.n, 11)
-		var snk Sink
-		if tc.writeQ {
-			snk = NewDenseSink(tc.m, tc.n)
+// Without any hint the driver must notice ill-conditioning by itself —
+// a Gram matrix that will not factor, or a measured ‖Q₁ᵀQ₁−I‖_F ≥ ½ —
+// and escalate to the shifted ladder instead of returning a bad Q. The
+// sweep crosses the CholeskyQR2 boundary so that both triggers occur.
+func TestStreamingEscalatesUnhinted(t *testing.T) {
+	m, n, rows := 600, 12, 150
+	escalated, measured := 0, 0
+	for _, cond := range []float64{1e6, 1e7, 1e8, 2.2e8, 2.5e8, 2.8e8, 1e9, 1e10} {
+		a := lin.RandomWithCond(m, n, cond, 3)
+		res, q := factorize(t, a, true, Options{PanelRows: rows})
+		if d := orthErr(q); d > 1e-12 {
+			t.Errorf("cond=%g: Q orthogonality error %g (Shifted=%v, Pass1Orth=%g)", cond, d, res.Shifted, res.Pass1Orth)
 		}
-		res, err := Factorize(NewDenseSource(a), snk, Options{PanelRows: tc.rows})
-		if err != nil {
-			t.Fatalf("%+v: %v", tc, err)
+		if d := maxDiff(lin.MatMul(q, res.R), a); d > 1e-11 {
+			t.Errorf("cond=%g: ‖A − QR‖ = %g", cond, d)
 		}
-		want, err := costmodel.StreamTSQR(tc.m, tc.n, tc.rows, tc.writeQ)
-		if err != nil {
-			t.Fatalf("model: %v", err)
+		want := 3
+		if res.Shifted {
+			escalated++
+			want = 4 // Cholesky of G₁ failed: no pass was wasted
+			if res.ReadPasses == 5 {
+				measured++
+				want = 5 // pass 2 ran, measured a bad Q₁, and was redone
+			}
 		}
-		if res.ShiftedPanels != 0 {
-			t.Fatalf("%+v: unexpected shifted escalation", tc)
+		if res.ReadPasses != want {
+			t.Errorf("cond=%g: ReadPasses = %d (Shifted=%v)", cond, res.ReadPasses, res.Shifted)
 		}
-		if res.Flops != want.Flops {
-			t.Errorf("%+v: driver flops %d != model %d", tc, res.Flops, want.Flops)
-		}
-		if res.IOOps != want.IOOps {
-			t.Errorf("%+v: driver IO ops %d != model %d", tc, res.IOOps, want.IOOps)
-		}
-		if got := res.ReadBytes + res.WrittenBytes; got != want.IOBytes {
-			t.Errorf("%+v: driver IO bytes %d != model %d", tc, got, want.IOBytes)
-		}
+		t.Logf("cond=%g: shifted=%v passes=%d pass1orth=%.3g", cond, res.Shifted, res.ReadPasses, res.Pass1Orth)
+	}
+	a := lin.RandomWithCond(m, n, 1e9, 3)
+	if res, _ := factorize(t, a, false, Options{PanelRows: rows}); !res.Shifted {
+		t.Error("κ=1e9 without a hint did not report its escalation")
+	}
+	if escalated == 0 || measured == 0 {
+		t.Errorf("%d inputs escalated, %d of them on the measured ‖Q₁ᵀQ₁−I‖: want both triggers exercised", escalated, measured)
 	}
 }
 
 // The whole point of streaming: resident memory stays within the
-// modeled footprint — one panel plus the R-reduction chain — which for
-// a tall matrix is far below the m·n words the in-core path needs.
+// modeled footprint — three panels' worth plus O(n²) — with no term in m:
+// the accountant's peak is identical at m and 4m.
 func TestStreamingResidentMemoryBounded(t *testing.T) {
-	m, n, rows := 4096, 32, 256
-	a := lin.RandomMatrix(m, n, 5)
-	snk := NewDenseSink(m, n)
-	res, err := Factorize(NewDenseSource(a), snk, Options{PanelRows: rows})
+	n, rows := 32, 256
+	var peaks []int64
+	for _, m := range []int{4096, 4 * 4096} {
+		a := lin.RandomMatrix(m, n, 5)
+		for _, shifted := range []bool{false, true} {
+			res, _ := factorize(t, a, true, Options{PanelRows: rows, Shifted: shifted})
+			budget, err := costmodel.StreamCQR2Memory(m, n, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.MaxResidentWords > budget {
+				t.Errorf("m=%d shifted=%v: resident %d words exceeds modeled %d", m, shifted, res.MaxResidentWords, budget)
+			}
+			if full := int64(m) * int64(n); res.MaxResidentWords >= full {
+				t.Errorf("resident %d words not below in-core %d — streaming bought nothing", res.MaxResidentWords, full)
+			}
+			peaks = append(peaks, res.MaxResidentWords)
+		}
+	}
+	if peaks[0] != peaks[2] || peaks[1] != peaks[3] {
+		t.Errorf("resident words depend on m: %v", peaks)
+	}
+}
+
+// Workers only changes how lin's kernels split their rows, so R and Q
+// are bitwise identical for any value.
+func TestStreamingWorkersBitwise(t *testing.T) {
+	a := lin.RandomMatrix(1500, 24, 17)
+	res1, q1 := factorize(t, a, true, Options{PanelRows: 400, Workers: 1})
+	res4, q4 := factorize(t, a, true, Options{PanelRows: 400, Workers: 4})
+	if !res1.R.Equal(res4.R) || !q1.Equal(q4) {
+		t.Error("Workers=1 and Workers=4 differ bitwise")
+	}
+}
+
+// serialCQR2 is the reference the read-ahead driver must match bit for
+// bit: the same kernel calls on the same panels, on one goroutine, with
+// no prefetching.
+func serialCQR2(a *lin.Matrix, rows int) (r, q *lin.Matrix) {
+	m, n := a.Rows, a.Cols
+	panels := func(ys []*lin.Matrix, use func(lo int, p *lin.Matrix)) {
+		for lo := 0; lo < m; lo += rows {
+			p := a.View(lo, 0, min(rows, m-lo), n).Clone()
+			for _, y := range ys {
+				lin.Trmm(lin.Right, lin.Lower, true, y, p)
+			}
+			use(lo, p)
+		}
+	}
+	var ys []*lin.Matrix
+	for pass := 0; pass < 2; pass++ {
+		g := lin.NewMatrix(n, n)
+		panels(ys, func(_ int, p *lin.Matrix) { lin.Syrk(1, p, 1, g) })
+		l, y, err := lin.CholInv(g)
+		if err != nil {
+			panic(err)
+		}
+		ys = append(ys, y)
+		ri := l.T()
+		if r != nil {
+			lin.Trmm(lin.Right, lin.Upper, false, r, ri)
+		}
+		r = ri
+	}
+	q = lin.NewMatrix(m, n)
+	panels(ys, func(lo int, p *lin.Matrix) { q.View(lo, 0, p.Rows, n).CopyFrom(p) })
+	return r, q
+}
+
+// Reading ahead changes when a panel is read, never what is computed
+// from it: dense, file and generator sources all reproduce the serial
+// scan bitwise.
+func TestReadAheadMatchesSerialScan(t *testing.T) {
+	const m, n, rows = 1100, 12, 256 // five panels, a short tail
+	a := lin.RandomMatrix(m, n, 42)
+	rRef, qRef := serialCQR2(a, rows)
+	path := filepath.Join(t.TempDir(), "a.mat")
+	if err := WriteFile(path, NewDenseSource(a), 300); err != nil {
+		t.Fatal(err)
+	}
+	file, err := OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget, err := costmodel.StreamTSQRMemory(m, n, rows)
+	defer file.Close()
+	gen, err := NewGenSource(m, n, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MaxResidentWords > budget {
-		t.Errorf("resident %d words exceeds modeled %d", res.MaxResidentWords, budget)
+	for _, src := range []Source{NewDenseSource(a), file, gen} {
+		snk := NewDenseSink(m, n)
+		res, err := Factorize(src, snk, Options{PanelRows: rows})
+		if err != nil {
+			t.Fatalf("%T: %v", src, err)
+		}
+		if !res.R.Equal(rRef) || !snk.Matrix().Equal(qRef) {
+			t.Errorf("%T: read-ahead run differs bitwise from the serial scan", src)
+		}
 	}
-	if full := int64(m) * int64(n); res.MaxResidentWords >= full {
-		t.Errorf("resident %d words not below in-core %d — streaming bought nothing", res.MaxResidentWords, full)
+}
+
+// slowSource makes Next slow enough that a consumer abandoning the scan
+// finds the reader mid-call.
+type slowSource struct{ Source }
+
+func (s slowSource) Next(max int) (*lin.Matrix, error) {
+	time.Sleep(time.Millisecond)
+	return s.Source.Next(max)
+}
+
+// The reader goroutine never outlives its scan: close returns only
+// after it has exited, whether the consumer drained the source, walked
+// away in the middle, or the source failed — and the source is then
+// free for the next pass (under -race, a reader still inside Next would
+// collide with the Reset that follows).
+func TestReadAheadStopsOnEveryPath(t *testing.T) {
+	const m, n, rows = 640, 4, 64
+	a := lin.RandomMatrix(m, n, 1)
+	bufs := [2]*lin.Matrix{lin.NewMatrix(rows, n), lin.NewMatrix(rows, n)}
+
+	src := slowSource{NewDenseSource(a)}
+	for _, take := range []int{0, 1, 3, m / rows, m/rows + 2} {
+		if err := src.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		ra := startReadAhead(src, bufs, rows)
+		row := 0
+		for i := 0; i < take; i++ {
+			p, err := ra.next()
+			if row == m {
+				if err != io.EOF {
+					t.Fatalf("take %d: past the end: err = %v, want io.EOF", take, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("take %d: panel %d: %v", take, i, err)
+			}
+			if !p.Equal(a.View(row, 0, p.Rows, n)) {
+				t.Fatalf("take %d: panel %d is not rows %d..%d", take, i, row, row+p.Rows)
+			}
+			p.Zero() // the panel is the consumer's to overwrite
+			row += p.Rows
+		}
+		ra.close()
+	}
+
+	// A failing source: the panels before the failure arrive, then the
+	// error, then EOF.
+	trunc := filepath.Join(t.TempDir(), "a.mat")
+	if err := WriteFile(trunc, NewDenseSource(a), rows); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := OpenFile(trunc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if err := os.Truncate(trunc, headerSize+8*n*100); err != nil {
+		t.Fatal(err)
+	}
+	ra := startReadAhead(fs, bufs, rows)
+	defer ra.close()
+	if _, err := ra.next(); err != nil {
+		t.Fatalf("first panel: %v", err)
+	}
+	if _, err := ra.next(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("second panel: err = %v, want unexpected EOF", err)
+	}
+	if _, err := ra.next(); err != io.EOF {
+		t.Fatalf("after the failure: err = %v, want io.EOF", err)
+	}
+}
+
+// truncatingSource shrinks its file just before the chosen pass starts
+// (Reset k is the start of pass k).
+type truncatingSource struct {
+	*FileSource
+	path   string
+	size   int64
+	atPass int
+	resets int
+}
+
+func (s *truncatingSource) Reset() error {
+	s.resets++
+	if s.resets == s.atPass {
+		if err := os.Truncate(s.path, s.size); err != nil {
+			return err
+		}
+	}
+	return s.FileSource.Reset()
+}
+
+// A file that loses its tail mid-run — in pass 1, 2 or 3 — must fail
+// with an error naming the rows that could not be read, and the sink
+// must never be left looking complete.
+func TestTruncatedFileFailsEveryPass(t *testing.T) {
+	m, n, rows := 700, 8, 160
+	a := lin.RandomMatrix(m, n, 9)
+	for pass := 1; pass <= 3; pass++ {
+		dir := t.TempDir()
+		aPath := filepath.Join(dir, "a.mat")
+		if err := WriteFile(aPath, NewDenseSource(a), rows); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := OpenFile(aPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cut inside the third panel (rows 320..480).
+		src := &truncatingSource{FileSource: fs, path: aPath, size: headerSize + 8*int64(n)*400, atPass: pass}
+		snk, err := CreateFile(filepath.Join(dir, "q.mat"), m, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Factorize(src, snk, Options{PanelRows: rows})
+		fs.Close()
+		if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "rows 320..480") ||
+			!strings.Contains(err.Error(), fmt.Sprintf("pass %d", pass)) {
+			t.Errorf("truncated in pass %d: err = %v, want unexpected EOF naming pass %d and rows 320..480", pass, err, pass)
+		}
+		if err := snk.Close(); err == nil {
+			t.Errorf("truncated in pass %d: sink closed cleanly with a short Q", pass)
+		}
 	}
 }
 
@@ -309,10 +569,10 @@ func TestStreamingErrors(t *testing.T) {
 	if _, err := Factorize(NewDenseSource(wide), nil, Options{PanelRows: 8}); err == nil {
 		t.Error("m < n accepted")
 	}
-	if _, err := costmodel.StreamTSQR(64, 8, 4, false); err == nil {
+	if _, err := costmodel.StreamCQR2(64, 8, 4, false, false); err == nil {
 		t.Error("model accepted panel rows < n")
 	}
-	if _, err := costmodel.StreamTSQRMemory(4, 8, 8); err == nil {
+	if _, err := costmodel.StreamCQR2Memory(4, 8, 8); err == nil {
 		t.Error("memory model accepted m < n")
 	}
 }

@@ -126,7 +126,7 @@ type SubmitResult struct {
 	// ring. Empty when tracing is off or the request was not sampled.
 	TraceID string
 	// Stream reports the panel schedule and resource accounting when the
-	// request executed out-of-core (SubmitStream routed to a stream-tsqr
+	// request executed out-of-core (SubmitStream routed to a stream-cqr2
 	// plan); nil for in-core executions.
 	Stream *StreamInfo
 }
@@ -146,8 +146,8 @@ type StreamRequest struct {
 	// MemBudget caps the modeled resident footprint in bytes for this
 	// request (0 = the server's shared Options.MemBudget). When the
 	// effective budget rejects every in-core variant the planner routes
-	// to the streaming TSQR; with no budget at all the source is simply
-	// materialized and factored in core.
+	// to the streamed CholeskyQR2; with no budget at all the source is
+	// simply materialized and factored in core.
 	MemBudget int64
 }
 
@@ -268,11 +268,11 @@ func (s *Server) submit(ctx context.Context, req SubmitRequest) (*SubmitResult, 
 
 // SubmitStream plans and executes one out-of-core request: the planner
 // sees the request's memory budget, and when that budget rejects every
-// in-core variant it selects the streaming TSQR — which factors the
-// source panel by panel without ever materializing it. The plan cache,
-// batching window, rank gate, and tracing all apply exactly as for
-// Submit (stream plans occupy one rank token). Blocks until complete;
-// safe for arbitrary concurrent use.
+// in-core variant it selects the streamed CholeskyQR2 — which factors
+// the source panel by panel without ever materializing it. The plan
+// cache, batching window, rank gate, and tracing all apply exactly as
+// for Submit (stream plans occupy one rank token). Blocks until
+// complete; safe for arbitrary concurrent use.
 func (s *Server) SubmitStream(req StreamRequest) (*SubmitResult, error) {
 	return s.SubmitStreamCtx(context.Background(), req)
 }
@@ -327,7 +327,7 @@ func (s *Server) submitStream(ctx context.Context, req StreamRequest) (*SubmitRe
 		defer es.End()
 		eopts := s.execOptions(obs.ContextWith(ctx, es))
 		eopts.CondEst = req.CondEst
-		if p.Variant == plan.StreamTSQR {
+		if p.Variant == plan.StreamCQR2 {
 			eopts.PanelRows = p.PanelWidth
 			res, err := FactorizeStreaming(req.Source, req.Sink, eopts)
 			if err != nil {
@@ -353,6 +353,7 @@ func (s *Server) submitStream(ctx context.Context, req StreamRequest) (*SubmitRe
 				return err
 			}
 			if err := stream.Drain(stream.NewDenseSource(res.Q.toLin()), snk, 0); err != nil {
+				req.Sink.abort()
 				return err
 			}
 			return req.Sink.finish()

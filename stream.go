@@ -11,8 +11,10 @@ import (
 
 // MatrixSource feeds a factorization row panels of an m×n matrix that
 // need never be resident all at once — the input side of the
-// out-of-core streaming TSQR. Build one with SourceFromDense,
-// SourceFromFile, or SourceFromGenerator.
+// out-of-core streamed CholeskyQR2. Build one with SourceFromDense,
+// SourceFromFile, or SourceFromGenerator. A source is rewound at the
+// start of every run, so one source can feed any number of
+// factorizations.
 type MatrixSource struct {
 	src    stream.Source
 	closer func() error
@@ -37,8 +39,8 @@ func SourceFromDense(a *Dense) *MatrixSource {
 }
 
 // SourceFromFile opens a matrix file written by SinkToFile (or
-// WriteMatrixFile) as a panel source. The file's two streaming passes
-// are sequential scans.
+// WriteMatrixFile) as a panel source. Each streaming pass over the file
+// is one sequential scan.
 func SourceFromFile(path string) (*MatrixSource, error) {
 	fs, err := stream.OpenFile(path)
 	if err != nil {
@@ -71,8 +73,9 @@ func WriteMatrixFile(path string, src *MatrixSource, panelRows int) error {
 // MatrixSink receives the explicit Q of a streaming factorization panel
 // by panel. Build one with SinkToDense (assemble Q in memory) or
 // SinkToFile (write Q to disk, never resident). A nil sink skips the Q
-// pass entirely — the factorization then makes a single pass and
-// returns only R.
+// pass entirely — the factorization then reads the source twice instead
+// of three times and returns only R. A sink is bound afresh by every
+// run, so it can be reused (a file sink overwrites its path).
 type MatrixSink struct {
 	path  string // file sink destination; "" = dense
 	dense *stream.DenseSink
@@ -85,7 +88,8 @@ func SinkToDense() *MatrixSink { return &MatrixSink{} }
 
 // SinkToFile streams Q to a matrix file at path, so even the output
 // never needs m·n resident words. The file is finalized when the
-// factorization returns.
+// factorization returns; a run that fails closes and removes it, so a
+// half-written Q is never left behind.
 func SinkToFile(path string) *MatrixSink { return &MatrixSink{path: path} }
 
 // Dense returns the assembled Q of a SinkToDense after a successful
@@ -111,14 +115,27 @@ func (s *MatrixSink) open(m, n int) (stream.Sink, error) {
 	return s.dense, nil
 }
 
-// finish finalizes a file-backed sink (flush + row-count check).
+// finish finalizes a file-backed sink (close + row-count check),
+// removing the file when the check fails.
 func (s *MatrixSink) finish() error {
 	if s.file == nil {
 		return nil
 	}
-	err := s.file.Close()
+	if err := s.file.Close(); err != nil {
+		s.abort()
+		return err
+	}
 	s.file = nil
-	return err
+	return nil
+}
+
+// abort is finish for a failed run: the file sink's descriptor is
+// closed and its partial file removed.
+func (s *MatrixSink) abort() {
+	if s.file != nil {
+		s.file.Abort()
+		s.file = nil
+	}
 }
 
 // StreamInfo reports a streaming run's shape and resource accounting.
@@ -126,13 +143,24 @@ type StreamInfo struct {
 	// Panels is how many row panels the source yielded; PanelRows is the
 	// panel height used.
 	Panels, PanelRows int
-	// ShiftedPanels counts panels that escalated to ShiftedCQR3.
-	ShiftedPanels int
+	// Shifted reports that the run took the shifted ladder (streamed
+	// ShiftedCQR3) — forced by Options.CondEst or escalated to because a
+	// Gram matrix would not factor or Pass1Orth came out ≥ ½.
+	Shifted bool
+	// ReadPasses counts scans of the source: 2 for R only, 3 with Q, one
+	// more when Shifted, and one more again when the escalation was
+	// discovered by measuring pass 1's Q.
+	ReadPasses int
+	// Pass1Orth is the measured ‖QᵀQ−I‖_F of the Q that entered the
+	// final CholeskyQR pass, read off the Gram matrix that pass forms
+	// anyway; below ½ the final pass is guaranteed to land at O(ε), and
+	// no result is returned otherwise.
+	Pass1Orth float64
 	// MaxResidentBytes is the peak matrix memory the driver held at
-	// once — bounded by one panel plus the R-reduction chain, not m·n.
+	// once — three panels' worth plus O(n²), independent of m.
 	MaxResidentBytes int64
-	// ReadBytes and WrittenBytes are the streaming I/O volumes (2 reads
-	// + 1 write of the matrix when Q is produced; 1 read for R only).
+	// ReadBytes and WrittenBytes are the streaming I/O volumes
+	// (ReadPasses reads of the matrix; one write when Q is produced).
 	ReadBytes, WrittenBytes int64
 }
 
@@ -155,16 +183,30 @@ func resolvePanelRows(panelRows, m, n int) int {
 	return b
 }
 
-// FactorizeStreaming factors the matrix behind src with the out-of-core
-// sequential TSQR (arXiv 0809.2407 §4): row panels of Options.PanelRows
-// rows are factored in core with CholeskyQR2 — escalating per panel to
-// ShiftedCQR3 when ill-conditioning demands it (Options.CondEst beyond
-// the CQR2 regime forces the escalation up front) — and the R factors
-// merge through a chain of small stacked Householder QRs. When sink is
-// non-nil a second pass over src writes the explicit Q into it; Result.Q
-// is populated only for a SinkToDense. Peak resident matrix memory is
-// one panel plus the O(panels·n²) reduction state — never m·n — and is
-// reported in Result.Stream.MaxResidentBytes.
+// tracedSource hangs the run's stage span on the source, where
+// stream.Factorize looks for it (obs.SpanCarrier).
+type tracedSource struct {
+	stream.Source
+	span *obs.Span
+}
+
+func (t tracedSource) TraceSpan() *obs.Span { return t.span }
+
+// FactorizeStreaming factors the matrix behind src out of core with the
+// paper's own algorithm — 1D-CholeskyQR2 whose Gram allreduce becomes a
+// running sum over row panels of Options.PanelRows rows. Two sequential
+// scans of src give R (accumulate AᵀA and factor it; accumulate the Gram
+// matrix of Q₁ = A·R₁⁻¹ and factor that); when sink is non-nil a third
+// scan writes the explicit Q into it, and Result.Q is populated only for
+// a SinkToDense. The second Gram matrix measures pass 1's orthogonality
+// for free (StreamInfo.Pass1Orth): an Options.CondEst beyond the CQR2
+// regime, a Gram matrix that will not factor, or a measured deviation
+// ≥ ½ send the run up one ladder to the streamed ShiftedCQR3 (one more
+// scan) instead of returning a bad Q; ErrIllConditioned is returned when
+// even that cannot certify the result. Peak resident matrix memory is
+// three panels' worth plus O(n²) — never m·n — and is reported in
+// Result.Stream.MaxResidentBytes. A run that fails leaves no partial
+// file behind a SinkToFile.
 func FactorizeStreaming(src *MatrixSource, sink *MatrixSink, opts Options) (*Result, error) {
 	if err := checkOptions(opts); err != nil {
 		return nil, err
@@ -193,12 +235,15 @@ func FactorizeStreaming(src *MatrixSource, sink *MatrixSink, opts Options) (*Res
 			return nil, err
 		}
 	}
-	sres, err := stream.Factorize(src.src, snk, stream.Options{
+	sres, err := stream.Factorize(tracedSource{src.src, ss}, snk, stream.Options{
 		PanelRows: b,
 		Workers:   opts.Workers,
 		Shifted:   opts.CondEst > 1 && !core.CanCQR2Handle(opts.CondEst),
 	})
 	if err != nil {
+		if sink != nil {
+			sink.abort()
+		}
 		return nil, err
 	}
 	if sink != nil {
@@ -207,7 +252,9 @@ func FactorizeStreaming(src *MatrixSource, sink *MatrixSink, opts Options) (*Res
 		}
 	}
 	ss.SetInt("panels", int64(sres.Panels))
-	ss.SetInt("shifted_panels", int64(sres.ShiftedPanels))
+	ss.SetBool("shifted", sres.Shifted)
+	ss.SetInt("read_passes", int64(sres.ReadPasses))
+	ss.SetFloat("pass1_orth", sres.Pass1Orth)
 	ss.SetInt("resident_bytes", 8*sres.MaxResidentWords)
 	ss.SetInt("io_read_bytes", sres.ReadBytes)
 	ss.SetInt("io_written_bytes", sres.WrittenBytes)
@@ -221,7 +268,9 @@ func FactorizeStreaming(src *MatrixSource, sink *MatrixSink, opts Options) (*Res
 		Stream: &StreamInfo{
 			Panels:           sres.Panels,
 			PanelRows:        sres.PanelRows,
-			ShiftedPanels:    sres.ShiftedPanels,
+			Shifted:          sres.Shifted,
+			ReadPasses:       sres.ReadPasses,
+			Pass1Orth:        sres.Pass1Orth,
 			MaxResidentBytes: 8 * sres.MaxResidentWords,
 			ReadBytes:        sres.ReadBytes,
 			WrittenBytes:     sres.WrittenBytes,
@@ -236,17 +285,18 @@ func FactorizeStreaming(src *MatrixSource, sink *MatrixSink, opts Options) (*Res
 	return res, nil
 }
 
-// ModelStreamTSQR predicts the streaming TSQR's cost (flops plus
+// ModelStreamCQR2 predicts the streamed CholeskyQR2's cost (flops plus
 // disk-tier I/O) for an m×n matrix in panels of panelRows rows; writeQ
-// includes the Q write-back passes.
-func ModelStreamTSQR(m, n, panelRows int, writeQ bool) (ModelCost, error) {
-	return costmodel.StreamTSQR(m, n, panelRows, writeQ)
+// includes the Q pass, shifted prices the shifted ladder. A run's
+// counters equal it exactly.
+func ModelStreamCQR2(m, n, panelRows int, writeQ, shifted bool) (ModelCost, error) {
+	return costmodel.StreamCQR2(m, n, panelRows, writeQ, shifted)
 }
 
-// ModelStreamTSQRMemory predicts the streaming driver's peak resident
+// ModelStreamCQR2Memory predicts the streaming driver's peak resident
 // footprint in bytes.
-func ModelStreamTSQRMemory(m, n, panelRows int) (int64, error) {
-	w, err := costmodel.StreamTSQRMemory(m, n, panelRows)
+func ModelStreamCQR2Memory(m, n, panelRows int) (int64, error) {
+	w, err := costmodel.StreamCQR2Memory(m, n, panelRows)
 	if err != nil {
 		return 0, err
 	}

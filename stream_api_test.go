@@ -1,9 +1,16 @@
 package cacqr
 
 import (
+	"errors"
+	"io"
 	"math"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"cacqr/internal/lin"
+	"cacqr/internal/stream"
 )
 
 func maxDenseDiff(a, b *Dense) float64 {
@@ -40,12 +47,19 @@ func TestFactorizeStreamingMatchesInCore(t *testing.T) {
 	if res.Stream.Panels != m/512 {
 		t.Errorf("Panels = %d, want %d", res.Stream.Panels, m/512)
 	}
+	if st := res.Stream; st.Shifted || st.ReadPasses != 3 || !(st.Pass1Orth < 1e-10) {
+		t.Errorf("well-conditioned run reports Shifted=%v ReadPasses=%d Pass1Orth=%g", st.Shifted, st.ReadPasses, st.Pass1Orth)
+	}
+	if want, err := ModelStreamCQR2(m, n, 512, true, false); err != nil || res.Stats.Flops != want.Flops ||
+		res.Stats.Bytes != want.IOBytes {
+		t.Errorf("measured flops %d / bytes %d, model %+v (err %v)", res.Stats.Flops, res.Stats.Bytes, want, err)
+	}
 	full := int64(8 * m * n)
 	if res.Stream.MaxResidentBytes >= full {
 		t.Errorf("resident %d B ≥ full matrix %d B — streaming bought nothing",
 			res.Stream.MaxResidentBytes, full)
 	}
-	if want, err := ModelStreamTSQRMemory(m, n, 512); err != nil || res.Stream.MaxResidentBytes > want {
+	if want, err := ModelStreamCQR2Memory(m, n, 512); err != nil || res.Stream.MaxResidentBytes > want {
 		t.Errorf("resident %d B exceeds modeled %d B (err %v)", res.Stream.MaxResidentBytes, want, err)
 	}
 }
@@ -102,6 +116,167 @@ func TestStreamingFileRoundTrip(t *testing.T) {
 	}
 }
 
+// Every source kind can feed more than one factorization: the driver
+// rewinds at entry, so a second run on the same MatrixSource sees the
+// same matrix and returns the same R bit for bit.
+func TestStreamingSourceReusable(t *testing.T) {
+	const m, n = 900, 12
+	a := RandomMatrix(m, n, 31)
+	aPath := filepath.Join(t.TempDir(), "a.mat")
+	if err := WriteMatrixFile(aPath, SourceFromDense(a), 0); err != nil {
+		t.Fatal(err)
+	}
+	file, err := SourceFromFile(aPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	gen, err := SourceFromGenerator(m, n, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *Dense
+	for i, src := range []*MatrixSource{SourceFromDense(a), file, gen} {
+		for run := 0; run < 2; run++ {
+			res, err := FactorizeStreaming(src, SinkToDense(), Options{PanelRows: 250})
+			if err != nil {
+				t.Fatalf("source %d, run %d: %v", i, run, err)
+			}
+			if first == nil {
+				first = res.R
+			}
+			// All three sources hold the same matrix (the generator replays
+			// RandomMatrix), so every run of every kind agrees bitwise.
+			if !slices.Equal(res.R.Data, first.Data) {
+				t.Errorf("source %d, run %d: R differs from the first run", i, run)
+			}
+		}
+	}
+}
+
+// failingSource yields a dense matrix but fails the read that starts at
+// row failRow of pass failPass (Reset k starts pass k).
+type failingSource struct {
+	stream.Source
+	failPass, failRow int
+	pass, row         int
+}
+
+var errInjected = errors.New("injected read failure")
+
+func (s *failingSource) Reset() error {
+	s.pass++
+	s.row = 0
+	return s.Source.Reset()
+}
+
+func (s *failingSource) Next(max int) (*lin.Matrix, error) {
+	if s.pass == s.failPass && s.row >= s.failRow {
+		return nil, errInjected
+	}
+	p, err := s.Source.Next(max)
+	if err == nil {
+		s.row += p.Rows
+	}
+	return p, err
+}
+
+// A run that fails after the file sink was opened — here in the middle
+// of the Q pass, with half of Q already written — must close the file
+// and remove it, and leave the MatrixSink usable for the next run.
+func TestStreamingFileSinkRemovedOnError(t *testing.T) {
+	const m, n = 800, 8
+	a := RandomMatrix(m, n, 3)
+	qPath := filepath.Join(t.TempDir(), "q.mat")
+	sink := SinkToFile(qPath)
+	for pass := 1; pass <= 3; pass++ {
+		bad := &MatrixSource{src: &failingSource{Source: stream.NewDenseSource(a.toLin()), failPass: pass, failRow: 400}}
+		if _, err := FactorizeStreaming(bad, sink, Options{PanelRows: 200}); !errors.Is(err, errInjected) {
+			t.Fatalf("pass %d: err = %v, want the injected failure", pass, err)
+		}
+		if _, err := os.Stat(qPath); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("pass %d: partial Q file left behind (stat err %v)", pass, err)
+		}
+		if sink.file != nil {
+			t.Fatalf("pass %d: file sink still open after a failed run", pass)
+		}
+	}
+	res, err := FactorizeStreaming(SourceFromDense(a), sink, Options{PanelRows: 200})
+	if err != nil {
+		t.Fatalf("second run on the same sink: %v", err)
+	}
+	qsrc, err := SourceFromFile(qPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qsrc.Close()
+	q, err := materializeSource(qsrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := OrthogonalityError(q); e > 1e-13 {
+		t.Errorf("orthogonality of the rewritten Q file %g", e)
+	}
+	if e := ResidualNorm(a, q, res.R); e > 1e-14 {
+		t.Errorf("residual of the rewritten Q file %g", e)
+	}
+}
+
+// A source file truncated under the run surfaces io.ErrUnexpectedEOF
+// with the rows named — and never a short Q file.
+func TestStreamingTruncatedFile(t *testing.T) {
+	const m, n = 600, 8
+	dir := t.TempDir()
+	aPath, qPath := filepath.Join(dir, "a.mat"), filepath.Join(dir, "q.mat")
+	if err := WriteMatrixFile(aPath, SourceFromDense(RandomMatrix(m, n, 4)), 0); err != nil {
+		t.Fatal(err)
+	}
+	src, err := SourceFromFile(aPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if err := os.Truncate(aPath, 24+8*n*250); err != nil {
+		t.Fatal(err)
+	}
+	_, err = FactorizeStreaming(src, SinkToFile(qPath), Options{PanelRows: 100})
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want unexpected EOF", err)
+	}
+	if _, err := os.Stat(qPath); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("Q file exists after a truncated read (stat err %v)", err)
+	}
+}
+
+// An ill-conditioned input without a CondEst hint must not come back
+// with a bad Q: the driver escalates and says so.
+func TestStreamingEscalationReported(t *testing.T) {
+	const m, n = 1200, 16
+	a := RandomWithCond(m, n, 1e9, 8)
+	res, err := FactorizeStreaming(SourceFromDense(a), SinkToDense(), Options{PanelRows: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stream; !st.Shifted || st.ReadPasses < 4 || !(st.Pass1Orth < 0.5) {
+		t.Errorf("κ=1e9 un-hinted: Shifted=%v ReadPasses=%d Pass1Orth=%g", st.Shifted, st.ReadPasses, st.Pass1Orth)
+	}
+	if e := OrthogonalityError(res.Q); e > 1e-12 {
+		t.Errorf("orthogonality %g", e)
+	}
+	if e := ResidualNorm(a, res.Q, res.R); e > 1e-11 {
+		t.Errorf("residual %g", e)
+	}
+	// With the hint the shifted ladder runs from the start: same passes
+	// as an escalation on a failed Cholesky, none wasted.
+	hinted, err := FactorizeStreaming(SourceFromDense(a), nil, Options{PanelRows: 300, CondEst: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := hinted.Stream; !st.Shifted || st.ReadPasses != 3 {
+		t.Errorf("κ=1e9 hinted, R only: Shifted=%v ReadPasses=%d, want true/3", st.Shifted, st.ReadPasses)
+	}
+}
+
 // The routing acceptance: AutoFactorize must go out-of-core exactly
 // when the memory budget rejects every in-core variant — the choice is
 // a pure function of MemBudget.
@@ -114,7 +289,7 @@ func TestAutoFactorizeStreamRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan.Variant == VariantStreamTSQR || res.Stream != nil {
+	if res.Plan.Variant == VariantStreamCQR2 || res.Stream != nil {
 		t.Fatalf("streamed with no memory pressure: %v", res.Plan)
 	}
 
@@ -135,8 +310,8 @@ func TestAutoFactorizeStreamRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan.Variant != VariantStreamTSQR {
-		t.Fatalf("plan under budget %d = %v, want stream-tsqr", budget, res.Plan)
+	if res.Plan.Variant != VariantStreamCQR2 {
+		t.Fatalf("plan under budget %d = %v, want stream-cqr2", budget, res.Plan)
 	}
 	if res.Stream == nil {
 		t.Fatal("streamed run carries no stream accounting")
@@ -193,8 +368,8 @@ func TestServerSubmitStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan.Variant != VariantStreamTSQR {
-		t.Fatalf("plan = %v, want stream-tsqr", res.Plan)
+	if res.Plan.Variant != VariantStreamCQR2 {
+		t.Fatalf("plan = %v, want stream-cqr2", res.Plan)
 	}
 	if res.Stream == nil || res.Stream.MaxResidentBytes > budget {
 		t.Fatalf("stream accounting missing or over budget: %+v", res.Stream)
@@ -229,7 +404,7 @@ func TestServerSubmitStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res3.Plan.Variant == VariantStreamTSQR || res3.Stream != nil {
+	if res3.Plan.Variant == VariantStreamCQR2 || res3.Stream != nil {
 		t.Fatalf("no-budget SubmitStream streamed anyway: %v", res3.Plan)
 	}
 	_, rRef, err := CholeskyQR2(aRef)
@@ -238,5 +413,63 @@ func TestServerSubmitStream(t *testing.T) {
 	}
 	if d := maxDenseDiff(res3.R, rRef); d > 1e-13*float64(m) {
 		t.Errorf("materialized R mismatch: %g", d)
+	}
+}
+
+// A traced streamed request shows where its time and bytes went: the
+// stream stage carries the run's verdict, and one child span per pass
+// carries that pass's bytes and flops, which add up to the totals.
+func TestTracedStreamHasPassSpans(t *testing.T) {
+	const m, n = 4096, 16
+	tracer := NewTracer(TracerOptions{})
+	srv, err := NewServer(ServerOptions{Options: Options{Tracer: tracer}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	src, err := SourceFromGenerator(m, n, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := srv.SubmitStream(StreamRequest{Source: src, Sink: SinkToDense(), MemBudget: 8 * m * n / 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stream == nil {
+		t.Fatalf("request did not stream: %v", res.Plan)
+	}
+	td, ok := tracer.Get(res.TraceID)
+	if !ok {
+		t.Fatal("trace not retained")
+	}
+	exec, ok := findChild(td.Root, "execute")
+	if !ok {
+		t.Fatalf("no execute stage: %v", names(td.Root.Children))
+	}
+	st, ok := findChild(exec, "stream")
+	if !ok {
+		t.Fatalf("no stream stage under execute: %v", names(exec.Children))
+	}
+	if attrInt(t, st, "read_passes") != 3 || st.Attrs["shifted"] != false {
+		t.Errorf("stream stage attrs = %v", st.Attrs)
+	}
+	if got := names(st.Children); len(got) != 3 || got[0] != "gram-pass" || got[1] != "gram-pass" || got[2] != "q-pass" {
+		t.Fatalf("pass spans = %v, want gram-pass, gram-pass, q-pass", got)
+	}
+	var read, written, flops int64
+	for i, c := range st.Children {
+		if attrInt(t, c, "pass") != int64(i+1) || attrInt(t, c, "read_bytes") != 8*m*n {
+			t.Errorf("pass span %d attrs = %v", i, c.Attrs)
+		}
+		read += attrInt(t, c, "read_bytes")
+		written += attrInt(t, c, "written_bytes")
+		flops += attrInt(t, c, "flops")
+	}
+	// Only the two n×n CholInv/fold steps between the passes are outside
+	// the pass spans.
+	if read != res.Stream.ReadBytes || written != res.Stream.WrittenBytes || flops > res.Stats.Flops ||
+		res.Stats.Flops-flops > 3*n*n*n {
+		t.Errorf("pass spans sum to %d B read, %d B written, %d flops; run reports %d, %d, %d",
+			read, written, flops, res.Stream.ReadBytes, res.Stream.WrittenBytes, res.Stats.Flops)
 	}
 }
