@@ -64,3 +64,23 @@ func TestAllocationBudget(t *testing.T) {
 		})
 	}
 }
+
+// A resident matrix routed to the out-of-core driver is streamed in
+// place: the plan was chosen to bound memory, so the run may allocate
+// its two panel buffers and O(n²) state but never a second copy of the
+// input — SourceFromDense hands out views. (It used to copy, doubling
+// the footprint the budget was there to cap.)
+func TestStreamingDenseSourceDoesNotCopy(t *testing.T) {
+	const m, n, panelRows = 8192, 32, 512
+	a := RandomMatrix(m, n, 7)
+	bytes, _ := allocsPerRun(3, func() {
+		if _, err := FactorizeStreaming(SourceFromDense(a), nil, Options{PanelRows: panelRows}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	input := uint64(8 * m * n)
+	t.Logf("%d bytes per run (%.2f× the %d-byte input)", bytes, float64(bytes)/float64(input), input)
+	if bytes > input/2 {
+		t.Errorf("streaming a resident matrix allocates %d bytes per run — more than half the %d-byte input it must not copy", bytes, input)
+	}
+}

@@ -1,9 +1,6 @@
 package cacqr
 
 import (
-	"fmt"
-	"math"
-
 	"cacqr/internal/lin"
 	"cacqr/internal/plan"
 )
@@ -29,14 +26,30 @@ const (
 	VariantStreamCQR2  = plan.StreamCQR2
 )
 
-// condEstIters bounds the power-iteration condition estimator
-// AutoFactorize runs when Options.CondEst is unset: one n×n Gram SYRK
-// plus O(iters·n²) matvec work — cheap next to the 4mn² factorization
-// that follows.
+// condEstIters bounds the power-iteration condition estimator run when
+// no κ hint was given: one n×n Gram SYRK plus O(iters·n²) matvec work —
+// cheap next to the 4mn² factorization that follows.
 const condEstIters = 50
 
-// planRequest translates the public knobs into a planner request.
-func planRequest(m, n, procs int, opts Options) plan.Request {
+// condOrEstimate resolves the routing hint: the caller's κ₂(A), or —
+// when that is unset — the power-iteration estimate measured from a.
+func condOrEstimate(a *Dense, hint float64) float64 {
+	//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
+	if hint == 0 {
+		return lin.EstimateCond(a.view(), condEstIters)
+	}
+	return hint
+}
+
+// planRequest checks the public knobs and the shape and translates them
+// into a planner request.
+func planRequest(m, n, procs int, opts Options) (plan.Request, error) {
+	if err := checkOptions(opts); err != nil {
+		return plan.Request{}, err
+	}
+	if err := checkShape(m, n); err != nil {
+		return plan.Request{}, err
+	}
 	req := plan.Request{
 		M: m, N: n, Procs: procs,
 		MemBudget:        opts.MemBudget,
@@ -48,7 +61,7 @@ func planRequest(m, n, procs int, opts Options) plan.Request {
 	if opts.PlanMachine != nil {
 		req.Machine = *opts.PlanMachine
 	}
-	return req
+	return req, nil
 }
 
 // PlanGrid enumerates every feasible algorithm variant and grid for an
@@ -70,16 +83,17 @@ func planRequest(m, n, procs int, opts Options) plan.Request {
 // but is not priced, so the exact measured == predicted + gather
 // contract holds for the CQR-family and TSQR rows, not PGEQRF.
 func PlanGrid(m, n, procs int, opts Options) ([]Plan, error) {
-	if err := checkOptions(opts); err != nil {
+	req, err := planRequest(m, n, procs, opts)
+	if err != nil {
 		return nil, err
 	}
-	return plan.Enumerate(planRequest(m, n, procs, opts))
+	return plan.Enumerate(req)
 }
 
 // AutoFactorize factors A = Q·R on up to procs simulated ranks, letting
 // the planner choose the algorithm variant and grid: it ranks every
-// feasible candidate with the validated cost model and dispatches to
-// the winner (CA-CQR2 on its c×d×c grid, the panel variant, 1D-CQR2,
+// feasible candidate with the validated cost model and executes the
+// winner (CA-CQR2 on its c×d×c grid, the panel variant, 1D-CQR2,
 // sequential, ShiftedCQR3, or the TSQR fallback for extreme shapes).
 // The choice is condition-aware: Options.CondEst — or, when unset, a
 // cheap power-iteration estimate of κ₂(A) measured from the matrix —
@@ -90,94 +104,46 @@ func PlanGrid(m, n, procs int, opts Options) ([]Plan, error) {
 // choice; InverseDepth and BaseSize are forwarded to both the model and
 // the run.
 func AutoFactorize(a *Dense, procs int, opts Options) (*Result, error) {
-	if err := checkOptions(opts); err != nil {
+	return autoFactorize(a, procs, opts)
+}
+
+// autoFactorize is the body of AutoFactorize, shared with the solve
+// path's reroute: validate, measure κ if no hint came, plan, execute the
+// winner.
+func autoFactorize(a *Dense, procs int, opts Options) (*Result, error) {
+	if err := a.validate(); err != nil {
 		return nil, err
 	}
-	//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
-	if opts.CondEst == 0 {
-		opts.CondEst = lin.EstimateCond(a.view(), condEstIters)
-	}
-	best, err := plan.Best(planRequest(a.Rows, a.Cols, procs, opts))
+	req, err := planRequest(a.Rows, a.Cols, procs, opts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := FactorizePlan(a, best, opts)
+	req.CondEst = condOrEstimate(a, opts.CondEst)
+	best, err := plan.Best(req)
 	if err != nil {
 		return nil, err
 	}
-	res.CondEst = opts.CondEst
+	opts.CondEst = req.CondEst
+	res, err := factorize(a, best, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Plan, res.CondEst = &best, req.CondEst
 	return res, nil
 }
 
-// FactorizePlan executes one planner-produced plan (from PlanGrid)
-// without re-running the enumeration — the path for callers that want
-// to inspect or re-rank the candidate list before committing, or to
-// reuse a cached plan across same-shaped matrices. Every variant the
-// planner prices is dispatchable here, including the PGEQRF baseline
-// and the blocked (panelWidth > 0) TSQR rows. The executed plan is
+// FactorizePlan executes one plan — a row of PlanGrid, a cached plan
+// reused across same-shaped matrices, or one built by hand (Variant and
+// its extents suffice) — without running the enumeration. Every variant
+// the planner prices is executable, including the PGEQRF baseline and
+// the blocked (PanelWidth > 0) TSQR rows; the plan's extents are checked
+// against the matrix before anything runs. The executed plan is
 // recorded in Result.Plan.
 func FactorizePlan(a *Dense, p Plan, opts Options) (*Result, error) {
-	if err := checkOptions(opts); err != nil {
-		return nil, err
-	}
-	res, err := dispatch(a, p, opts)
+	res, err := factorize(a, p, opts)
 	if err != nil {
 		return nil, err
 	}
 	res.Plan = &p
 	return res, nil
-}
-
-// dispatch executes a planner-selected variant.
-func dispatch(a *Dense, p Plan, opts Options) (*Result, error) {
-	opts.PanelWidth = 0
-	switch p.Variant {
-	case plan.Sequential:
-		return Factorize1D(a, 1, opts)
-	case plan.OneD:
-		return Factorize1D(a, p.Procs, opts)
-	case plan.ShiftedCQR3:
-		return FactorizeShifted1D(a, p.Procs, opts)
-	case plan.CACQR2:
-		return FactorizeOnGrid(a, GridSpec{C: p.C, D: p.D}, opts)
-	case plan.PanelCACQR2:
-		opts.PanelWidth = p.PanelWidth
-		return FactorizeOnGrid(a, GridSpec{C: p.C, D: p.D}, opts)
-	case plan.TSQR:
-		return FactorizeTSQR(a, p.Procs, p.PanelWidth, opts)
-	case plan.PGEQRF:
-		return FactorizePGEQRF(a, p.D, p.C, p.PanelWidth, opts)
-	case plan.StreamCQR2:
-		// Out-of-core dispatch for an already-in-memory matrix: stream it
-		// panel by panel anyway, so peak *additional* memory stays at the
-		// read-ahead buffers plus O(n²) and the budget the planner honored
-		// is respected by the execution too.
-		opts.PanelRows = p.PanelWidth
-		sink := SinkToDense()
-		res, err := FactorizeStreaming(SourceFromDense(a), sink, opts)
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
-	default:
-		return nil, fmt.Errorf("cacqr: plan variant %q is not executable", p.Variant)
-	}
-}
-
-// checkOptions rejects malformed knobs up front — a negative Workers
-// count or a negative/NaN condition estimate. Every simulated entry
-// point shares this validation, so misuse is an error, never a panic.
-// An unset CondEst (0) is valid: AutoFactorize responds by measuring a
-// cheap power-iteration estimate from the matrix itself.
-func checkOptions(opts Options) error {
-	if opts.Workers < 0 {
-		return fmt.Errorf("cacqr: negative Workers %d (0 = per-rank serial)", opts.Workers)
-	}
-	if math.IsNaN(opts.CondEst) || opts.CondEst < 0 {
-		return fmt.Errorf("cacqr: invalid CondEst %g (want ≥ 0; 0 = let AutoFactorize estimate it)", opts.CondEst)
-	}
-	if opts.PanelRows < 0 {
-		return fmt.Errorf("cacqr: negative PanelRows %d (0 = default)", opts.PanelRows)
-	}
-	return nil
 }

@@ -196,9 +196,6 @@ func TestIncludeBaselinesSurfacesPGEQRFRow(t *testing.T) {
 	for _, p := range plans {
 		if p.Variant == VariantPGEQRF {
 			found = true
-			if !p.Executable {
-				t.Fatal("PGEQRF reference row not executable (every priced row must dispatch)")
-			}
 		}
 	}
 	if !found {

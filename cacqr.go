@@ -8,10 +8,13 @@
 //
 //   - Sequential factorizations (CholeskyQR2, ShiftedCQR3, HouseholderQR)
 //     for direct use on dense matrices.
-//   - FactorizeOnGrid, which executes the paper's CA-CQR2 algorithm over
-//     a simulated c × d × c processor grid (goroutine ranks with exact
-//     α-β-γ cost accounting) and reports both the factors and the
-//     measured per-processor communication/computation costs.
+//   - Distributed factorizations over a processor grid — FactorizeOnGrid
+//     (the paper's CA-CQR2 on c × d × c ranks), its 1D, TSQR and PGEQRF
+//     comparison rows, the planner-driven AutoFactorize / FactorizePlan,
+//     and the out-of-core FactorizeStreaming. Each is a few lines that
+//     name a plan and hand it to the one executor (see distributed.go),
+//     which reports the factors and the measured per-processor
+//     communication/computation costs.
 //   - The validated cost model (Model* functions and Machine values) for
 //     predicting performance at supercomputer scale.
 package cacqr
@@ -19,11 +22,14 @@ package cacqr
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"cacqr/internal/core"
 	"cacqr/internal/costmodel"
 	"cacqr/internal/lin"
+	"cacqr/internal/plan"
+	"cacqr/internal/stream"
 )
 
 // Dense is a row-major dense matrix, the package's public exchange type.
@@ -53,8 +59,18 @@ func (d *Dense) At(i, j int) float64 { return d.Data[i*d.Cols+j] }
 // Set assigns element (i, j).
 func (d *Dense) Set(i, j int, v float64) { d.Data[i*d.Cols+j] = v }
 
-// toLin copies d into a lin.Matrix the callee may keep or modify.
-func (d *Dense) toLin() *lin.Matrix { return lin.FromSlice(d.Rows, d.Cols, d.Data) }
+// validate rejects a nil matrix and one whose Data does not hold
+// Rows×Cols values, so a hand-assembled Dense is an error at the entry
+// point instead of an index panic inside a kernel.
+func (d *Dense) validate() error {
+	if d == nil {
+		return fmt.Errorf("cacqr: nil matrix")
+	}
+	if d.Rows < 0 || d.Cols < 0 || len(d.Data) != d.Rows*d.Cols {
+		return fmt.Errorf("cacqr: %d values for a %dx%d matrix", len(d.Data), d.Rows, d.Cols)
+	}
+	return nil
+}
 
 // view wraps d's storage in a lin.Matrix without copying, for callees
 // that only read it and do not retain it.
@@ -75,7 +91,16 @@ func fromLin(m *lin.Matrix) *Dense {
 // CholeskyQR passes. Q has orthonormal columns to machine precision when
 // κ(A) ≲ 10⁷; beyond that it returns an error (use ShiftedCQR3).
 func CholeskyQR2(a *Dense) (q, r *Dense, err error) {
-	ql, rl, err := core.CholeskyQR2(a.view(), 0)
+	return sequential(a, func(m *lin.Matrix) (*lin.Matrix, *lin.Matrix, error) { return core.CholeskyQR2(m, 0) })
+}
+
+// sequential is the body of the three single-call factorizations: check
+// the matrix, run the kernel on a view of it, adopt the factors.
+func sequential(a *Dense, factor func(*lin.Matrix) (q, r *lin.Matrix, err error)) (*Dense, *Dense, error) {
+	if err := a.validate(); err != nil {
+		return nil, nil, err
+	}
+	ql, rl, err := factor(a.view())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -85,20 +110,12 @@ func CholeskyQR2(a *Dense) (q, r *Dense, err error) {
 // ShiftedCQR3 is the unconditionally stable three-pass variant: a shifted
 // CholeskyQR pass followed by CholeskyQR2.
 func ShiftedCQR3(a *Dense) (q, r *Dense, err error) {
-	ql, rl, err := core.ShiftedCQR3(a.view(), 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fromLin(ql), fromLin(rl), nil
+	return sequential(a, func(m *lin.Matrix) (*lin.Matrix, *lin.Matrix, error) { return core.ShiftedCQR3(m, 0) })
 }
 
 // HouseholderQR is the classical reference factorization.
 func HouseholderQR(a *Dense) (q, r *Dense, err error) {
-	ql, rl, err := lin.QR(a.view())
-	if err != nil {
-		return nil, nil, err
-	}
-	return fromLin(ql), fromLin(rl), nil
+	return sequential(a, lin.QR)
 }
 
 // OrthogonalityError returns ‖QᵀQ − I‖_F.
@@ -141,16 +158,12 @@ type GridSpec struct {
 // Procs returns the rank count of the grid.
 func (g GridSpec) Procs() int { return g.C * g.D * g.C }
 
-// validate rejects infeasible grids — the shared check behind every
-// entry point that takes an explicit spec.
-func (g GridSpec) validate() error {
-	if g.C < 1 || g.D < g.C || g.D%g.C != 0 {
-		return fmt.Errorf("cacqr: invalid grid %dx%dx%d (need 1 ≤ c ≤ d, c | d)", g.C, g.D, g.C)
-	}
-	return nil
-}
-
-// Options tune the factorization like the paper's experiment legends.
+// Options tune a run like the paper's experiment legends. Three groups:
+// knobs of the run itself (InverseDepth, BaseSize, PanelWidth, Workers,
+// PanelRows), where it runs (Transport, Timeout, Tracer), and what the
+// planner may choose from (MemBudget, PlanMachine, IncludeBaselines,
+// CondEst). A field an entry point has no use for is ignored: a run
+// executes exactly the plan it was given.
 type Options struct {
 	// InverseDepth is the number of top CFR3D recursion levels that skip
 	// the explicit triangular-inverse block (0 = full inverse).
@@ -158,40 +171,35 @@ type Options struct {
 	// BaseSize is CFR3D's base-case dimension n_o (0 = the
 	// bandwidth-optimal default n/c²).
 	BaseSize int
-	// PanelWidth, when > 0, selects the panel-wise variant (the paper's
-	// §V subpanel proposal): columns are processed in panels of this
-	// width, cutting the flop overhead for near-square matrices.
-	// Requires c | PanelWidth and PanelWidth | n.
+	// PanelWidth, when > 0, makes FactorizeOnGrid run the panel-wise
+	// variant (the paper's §V subpanel proposal): columns are processed
+	// in panels of this width, cutting the flop overhead for near-square
+	// matrices. Requires c | PanelWidth and PanelWidth | n. A plan carries
+	// its own width, so the planner-driven entry points do not read it.
 	PanelWidth int
-	// Timeout bounds the simulated run's wall-clock time (0 = 10min).
+	// Timeout bounds a distributed run's wall-clock time (0 = 10min).
 	Timeout time.Duration
-	// Workers bounds the goroutines each simulated rank's local level-3
-	// kernels may use on top of the rank's own goroutine. The default of
-	// 0 means 1 (serial per rank): a simulated grid already runs P
-	// goroutines, so extra fan-out only helps when the grid is small and
-	// the per-rank blocks are large. Factors and measured costs are
-	// identical for any value — Workers trades wall-clock only.
-	//
-	// The sequential entry points (CholeskyQR2, ShiftedCQR3, Solve) do
-	// not consult Options; they always use all of GOMAXPROCS.
-	// Negative values are rejected with an error.
+	// Workers bounds the goroutines each rank's local level-3 kernels
+	// may use on top of the rank's own goroutine. The default of 0 means
+	// 1 (serial per rank): a simulated grid already runs P goroutines, so
+	// extra fan-out only helps when the grid is small and the per-rank
+	// blocks are large. Factors and measured costs are identical for any
+	// value — Workers trades wall-clock only. Negative values are
+	// rejected with an error. (CholeskyQR2, ShiftedCQR3 and
+	// SolveLeastSquaresSeq take no Options and use all of GOMAXPROCS.)
 	Workers int
 	// MemBudget bounds the planner's modeled per-rank memory footprint
-	// in bytes (0 = unlimited). Consulted only by PlanGrid,
-	// AutoFactorize, and the auto mode of SolveLeastSquares; the
-	// fixed-grid entry points ignore it. When the budget rejects every
-	// in-core variant, the planner falls back to the out-of-core
-	// streamed CholeskyQR2 rather than failing.
+	// in bytes (0 = unlimited). When the budget rejects every in-core
+	// variant, the planner falls back to the out-of-core streamed
+	// CholeskyQR2 rather than failing.
 	MemBudget int64
-	// PanelRows is the row height of the out-of-core streaming panels
-	// (FactorizeStreaming and the planner's stream-cqr2 dispatch).
-	// 0 = DefaultPanelRows for direct streaming calls, the planner's
-	// chosen height for dispatched stream plans. Negative values are
-	// rejected; the in-core entry points ignore it.
+	// PanelRows is the row height of FactorizeStreaming's panels
+	// (0 = DefaultPanelRows; negative values are rejected). A stream-cqr2
+	// plan carries the height the planner chose instead.
 	PanelRows int
 	// PlanMachine selects the machine model whose α-β-γ constants rank
 	// the planner's candidates (nil = Stampede2, the paper's primary
-	// platform). Planner-only, like MemBudget.
+	// platform).
 	PlanMachine *Machine
 	// IncludeBaselines adds the ScaLAPACK-style PGEQRF baseline to
 	// PlanGrid's ranking as a reference row (the grid the paper compares
@@ -201,35 +209,28 @@ type Options struct {
 	// CondEst is a 2-norm condition-number hint κ₂(A) for the
 	// condition-aware routing: variants whose predicted ‖QᵀQ−I‖ at that
 	// κ exceeds 1e-8 are rejected, which moves κ ≳ 10⁷ inputs off the
-	// plain CholeskyQR2 family and onto ShiftedCQR3 or TSQR. Leave it
-	// unset (0) and AutoFactorize runs a cheap power-iteration estimator
-	// on the matrix itself (PlanGrid, which never sees the matrix,
-	// treats 0 as "assume well-conditioned"). Negative or NaN values are
-	// rejected with an error. Consulted by the planner entry points and
-	// by SolveLeastSquares — which estimates like AutoFactorize even on
-	// a fixed grid, and reroutes ill-conditioned inputs off the spec —
-	// but not by the raw Factorize* entry points, which run exactly what
-	// they were asked to.
+	// plain CholeskyQR2 family and onto ShiftedCQR3 or TSQR, and starts
+	// a streamed run on the shifted ladder. Leave it unset (0) and
+	// AutoFactorize and SolveLeastSquares run a cheap power-iteration
+	// estimator on the matrix itself (PlanGrid, which never sees the
+	// matrix, treats 0 as "assume well-conditioned"). Negative or NaN
+	// values are rejected with an error. It never overrides an explicit
+	// choice: the fixed-grid entry points and FactorizePlan run the
+	// variant they were asked to.
 	CondEst float64
-	// Transport selects how the distributed entry points execute: nil
-	// (or SimTransport()) runs the simulated goroutine runtime with its
+	// Transport selects where the ranks of a distributed run execute:
+	// nil (or SimTransport()) is the simulated goroutine runtime with its
 	// exact α-β-γ accounting; TCPTransport(workers...) runs the job
 	// across real OS worker processes, with measured traffic and
-	// wall-clock costs. The sequential entry points ignore it.
+	// wall-clock costs.
 	Transport *Transport
-	// Tracer, when non-nil, samples requests into per-request span
-	// trees — serve admission, plan lookup, κ estimation, execution,
-	// per-pass kernel stages, per-collective transfers with payload
-	// bytes — and aggregates them into its Metrics registry. Consulted
-	// by Server (each Submit becomes one trace); the direct Factorize*
-	// entry points ignore it, having no request boundary to trace. nil
-	// (the default) disables tracing at ~zero cost.
+	// Tracer, when non-nil, makes a Server sample its requests into
+	// per-request span trees — serve admission, plan lookup, κ
+	// estimation, execution, per-pass kernel stages, per-collective
+	// transfers with payload bytes — and aggregate them into its Metrics
+	// registry. A trace belongs to a request, so only the Server starts
+	// one. nil (the default) disables tracing at ~zero cost.
 	Tracer *Tracer
-
-	// ctx carries request-scoped cancellation into a run; set via the
-	// context-aware entry points (Server.SubmitCtx and friends). nil
-	// means no cancellation beyond Timeout.
-	ctx context.Context
 }
 
 // CostStats reports a run's measured per-processor cost in the paper's
@@ -247,8 +248,8 @@ type CostStats struct {
 type Result struct {
 	Q, R  *Dense
 	Stats CostStats
-	// Plan is the planner's choice when the run came from AutoFactorize
-	// (nil for the fixed-grid entry points).
+	// Plan is the plan that ran when the run came from AutoFactorize or
+	// FactorizePlan (nil for the fixed-grid entry points).
 	Plan *Plan
 	// CondEst is the condition-number hint the planner routed on: the
 	// caller's Options.CondEst, or — when that was unset — the value
@@ -261,6 +262,49 @@ type Result struct {
 	Stream *StreamInfo
 }
 
+// factorize is the body of every entry point that holds its matrix in
+// memory: check the matrix, describe the run as a job, execute it on a
+// zero-copy source over the matrix. The dense sink asks a streamed plan
+// for its Q pass; an in-core run has Q resident anyway.
+func factorize(a *Dense, p plan.Plan, opts Options) (*Result, error) {
+	if err := a.validate(); err != nil {
+		return nil, err
+	}
+	j, err := newJob(a.Rows, a.Cols, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return execute(context.Background(), j, stream.NewDenseSource(a.view()), SinkToDense())
+}
+
+// checkShape is the one shape rule of the library: every variant
+// factors a tall (or square) matrix.
+func checkShape(m, n int) error {
+	if n < 1 || m < n {
+		return fmt.Errorf("cacqr: %dx%d matrix: QR of a tall matrix needs m ≥ n ≥ 1", m, n)
+	}
+	return nil
+}
+
+// checkOptions rejects malformed knobs — a negative Workers,
+// InverseDepth or PanelRows, a negative or NaN condition estimate — so
+// misuse is an error, never a panic. An unset CondEst (0) is valid.
+func checkOptions(opts Options) error {
+	if opts.Workers < 0 {
+		return fmt.Errorf("cacqr: negative Workers %d (0 = per-rank serial)", opts.Workers)
+	}
+	if opts.InverseDepth < 0 {
+		return fmt.Errorf("cacqr: negative InverseDepth %d", opts.InverseDepth)
+	}
+	if math.IsNaN(opts.CondEst) || opts.CondEst < 0 {
+		return fmt.Errorf("cacqr: invalid CondEst %g (want ≥ 0; 0 = let AutoFactorize estimate it)", opts.CondEst)
+	}
+	if opts.PanelRows < 0 {
+		return fmt.Errorf("cacqr: negative PanelRows %d (0 = default)", opts.PanelRows)
+	}
+	return nil
+}
+
 // FactorizeOnGrid runs CA-CQR2 on a c × d × c grid: the m×n matrix is
 // scattered from rank 0 in the paper's cyclic layout over P = c·d·c
 // ranks (replicated across depth slices by the grid's z broadcast, as a
@@ -268,17 +312,17 @@ type Result struct {
 // Requires d | m and c | n. Ranks are simulated goroutines by default;
 // Options.Transport can move them onto real OS worker processes.
 func FactorizeOnGrid(a *Dense, spec GridSpec, opts Options) (*Result, error) {
-	if err := checkOptions(opts); err != nil {
-		return nil, err
+	return factorize(a, spec.asPlan(opts.PanelWidth), opts)
+}
+
+// asPlan describes CA-CQR2 on the grid, or its panel variant when
+// panelWidth > 0.
+func (g GridSpec) asPlan(panelWidth int) plan.Plan {
+	p := plan.Plan{Variant: plan.CACQR2, C: g.C, D: g.D}
+	if panelWidth > 0 {
+		p.Variant, p.PanelWidth = plan.PanelCACQR2, panelWidth
 	}
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	return runDistributed(wireJob{
-		Variant: variantGrid, M: a.Rows, N: a.Cols, C: spec.C, D: spec.D,
-		PanelWidth: opts.PanelWidth, InverseDepth: opts.InverseDepth,
-		BaseSize: opts.BaseSize, Workers: opts.Workers,
-	}, a.toLin(), opts)
+	return p
 }
 
 // Factorize1D factors a tall matrix with 1D-CQR2 (Algorithm 7) on a
@@ -288,18 +332,7 @@ func FactorizeOnGrid(a *Dense, spec GridSpec, opts Options) (*Result, error) {
 // c = 1 execution path: the paper's tall-skinny regime, where
 // replication buys nothing and the whole Gram matrix fits one rank.
 func Factorize1D(a *Dense, procs int, opts Options) (*Result, error) {
-	if err := checkOptions(opts); err != nil {
-		return nil, err
-	}
-	if procs < 1 {
-		return nil, fmt.Errorf("cacqr: invalid processor count %d", procs)
-	}
-	if a.Rows%procs != 0 {
-		return nil, fmt.Errorf("cacqr: m=%d not divisible by P=%d", a.Rows, procs)
-	}
-	return runDistributed(wireJob{
-		Variant: variant1D, M: a.Rows, N: a.Cols, Procs: procs, Workers: opts.Workers,
-	}, a.toLin(), opts)
+	return factorize(a, plan.Plan{Variant: plan.OneD, C: 1, D: procs, Procs: procs}, opts)
 }
 
 // FactorizeShifted1D factors a tall matrix with the distributed shifted
@@ -310,18 +343,7 @@ func Factorize1D(a *Dense, procs int, opts Options) (*Result, error) {
 // CholeskyQR2's ~ε^{-1/2} regime — at ~1.5× the flops, and is what the
 // condition-aware planner dispatches for ill-conditioned tall inputs.
 func FactorizeShifted1D(a *Dense, procs int, opts Options) (*Result, error) {
-	if err := checkOptions(opts); err != nil {
-		return nil, err
-	}
-	if procs < 1 {
-		return nil, fmt.Errorf("cacqr: invalid processor count %d", procs)
-	}
-	if a.Rows%procs != 0 {
-		return nil, fmt.Errorf("cacqr: m=%d not divisible by P=%d", a.Rows, procs)
-	}
-	return runDistributed(wireJob{
-		Variant: variantShifted1D, M: a.Rows, N: a.Cols, Procs: procs, Workers: opts.Workers,
-	}, a.toLin(), opts)
+	return factorize(a, plan.Plan{Variant: plan.ShiftedCQR3, C: 1, D: procs, Procs: procs}, opts)
 }
 
 // FactorizeTSQR factors a tall-skinny matrix with the binary-tree TSQR
@@ -331,22 +353,7 @@ func FactorizeShifted1D(a *Dense, procs int, opts Options) (*Result, error) {
 // small factorizations. panelWidth > 0 selects the blocked variant,
 // which only needs m/procs ≥ panelWidth instead of m/procs ≥ n.
 func FactorizeTSQR(a *Dense, procs, panelWidth int, opts Options) (*Result, error) {
-	if err := checkOptions(opts); err != nil {
-		return nil, err
-	}
-	if procs < 1 {
-		return nil, fmt.Errorf("cacqr: invalid processor count %d", procs)
-	}
-	// Checked here, before any ranks spin up, like every sibling entry
-	// point: an invalid shape must fail fast, not after launching all P
-	// ranks.
-	if a.Rows%procs != 0 {
-		return nil, fmt.Errorf("cacqr: m=%d not divisible by P=%d", a.Rows, procs)
-	}
-	return runDistributed(wireJob{
-		Variant: variantTSQR, M: a.Rows, N: a.Cols, Procs: procs,
-		PanelWidth: panelWidth, Workers: opts.Workers,
-	}, a.toLin(), opts)
+	return factorize(a, plan.Plan{Variant: plan.TSQR, C: 1, D: procs, Procs: procs, PanelWidth: panelWidth}, opts)
 }
 
 // FactorizePGEQRF factors an m×n matrix with the ScaLAPACK-style 2D
@@ -364,19 +371,7 @@ func FactorizeTSQR(a *Dense, procs, panelWidth int, opts Options) (*Result, erro
 // measured cost here exceeds the plan's prediction by that output
 // work.
 func FactorizePGEQRF(a *Dense, pr, pc, nb int, opts Options) (*Result, error) {
-	if err := checkOptions(opts); err != nil {
-		return nil, err
-	}
-	if pr < 1 || pc < 1 {
-		return nil, fmt.Errorf("cacqr: invalid process grid %dx%d", pr, pc)
-	}
-	if a.Rows < a.Cols {
-		return nil, fmt.Errorf("cacqr: PGEQRF requires m ≥ n, got %dx%d", a.Rows, a.Cols)
-	}
-	return runDistributed(wireJob{
-		Variant: variantPGEQRF, M: a.Rows, N: a.Cols, PR: pr, PC: pc, NB: nb,
-		Workers: opts.Workers,
-	}, a.toLin(), opts)
+	return factorize(a, plan.Plan{Variant: plan.PGEQRF, C: pc, D: pr, PanelWidth: nb}, opts)
 }
 
 // Machine re-exports the cost model's machine description.

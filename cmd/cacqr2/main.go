@@ -185,7 +185,7 @@ func runAuto(a *cacqr.Dense, procs int, opts cacqr.Options) (*cacqr.Result, erro
 	// silently executes it. Say so when a baseline out-ranks the winner.
 	winner := -1
 	for i, p := range plans {
-		if p.Executable && p.Variant != cacqr.VariantPGEQRF {
+		if p.Variant != cacqr.VariantPGEQRF {
 			winner = i
 			break
 		}

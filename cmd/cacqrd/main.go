@@ -372,7 +372,9 @@ func handle(srv *cacqr.Server, solve bool, maxElems int64, quiet bool) http.Hand
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := requestID(w, r)
 		start := time.Now()
-		logLine := func(req request, res *cacqr.SubmitResult, err error) {
+		var req request
+		var res *cacqr.SubmitResult
+		logLine := func(err error) {
 			if quiet {
 				return
 			}
@@ -393,6 +395,11 @@ func handle(srv *cacqr.Server, solve bool, maxElems int64, quiet bool) http.Hand
 				id, req.M, req.N, variant, kappaBucket, hit, fused, traceID,
 				time.Since(start).Round(time.Microsecond), outcome)
 		}
+		// fail answers a request that never reached the server.
+		fail := func(code int, err error) {
+			writeError(w, code, err)
+			logLine(err)
+		}
 		if r.Method != http.MethodPost {
 			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
 			return
@@ -405,8 +412,7 @@ func handle(srv *cacqr.Server, solve bool, maxElems int64, quiet bool) http.Hand
 			if errors.As(err, &tooBig) {
 				code = http.StatusRequestEntityTooLarge
 			}
-			writeError(w, code, fmt.Errorf("bad request body: %w", err))
-			logLine(req, nil, err)
+			fail(code, fmt.Errorf("bad request body: %w", err))
 			return
 		}
 		if maxElems > 0 && req.Gen != nil && req.Data == nil &&
@@ -416,86 +422,33 @@ func handle(srv *cacqr.Server, solve bool, maxElems int64, quiet bool) http.Hand
 			// the flag's OOM guard is honored by running out-of-core
 			// under a budget of maxElems elements rather than by
 			// refusing the work.
-			if solve {
-				err := fmt.Errorf("shape %dx%d exceeds -max-elems %d and solve cannot stream: x = R⁻¹·Qᵀb needs a pass over Q the streaming path does not keep", req.M, req.N, maxElems)
-				writeError(w, http.StatusBadRequest, err)
-				logLine(req, nil, err)
+			src, serr := streamSource(req, solve, maxElems)
+			if serr != nil {
+				fail(http.StatusBadRequest, serr)
 				return
 			}
-			if err := checkGenCond(req.Gen.Cond); err != nil {
-				writeError(w, http.StatusBadRequest, err)
-				logLine(req, nil, err)
-				return
-			}
-			if req.Gen.Cond > 1 {
-				err := fmt.Errorf("gen.cond %g needs the exact-κ generator, which materializes the whole %dx%d matrix — beyond -max-elems %d; omit cond (or set ≤ 1) for streamable generation", req.Gen.Cond, req.M, req.N, maxElems)
-				writeError(w, http.StatusBadRequest, err)
-				logLine(req, nil, err)
-				return
-			}
-			src, err := cacqr.SourceFromGenerator(req.M, req.N, req.Gen.Seed)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, err)
-				logLine(req, nil, err)
-				return
-			}
-			res, err := srv.SubmitStreamCtx(r.Context(), cacqr.StreamRequest{
+			res, err = srv.SubmitStreamCtx(r.Context(), cacqr.StreamRequest{
 				Source:    src,
 				CondEst:   req.CondEst,
 				MemBudget: 8 * maxElems,
 			})
-			logLine(req, res, err)
-			if err != nil {
-				code := http.StatusUnprocessableEntity
-				if errors.Is(err, cacqr.ErrOverloaded) {
-					code = http.StatusServiceUnavailable
+		} else {
+			a, berr := buildMatrix(req, maxElems)
+			if berr != nil {
+				fail(http.StatusBadRequest, berr)
+				return
+			}
+			sub := cacqr.SubmitRequest{A: a, Procs: req.Procs, CondEst: req.CondEst}
+			if solve {
+				if req.B == nil {
+					fail(http.StatusBadRequest, fmt.Errorf("solve needs \"b\" (length m)"))
+					return
 				}
-				writeError(w, code, err)
-				return
+				sub.B = req.B
 			}
-			out := response{
-				Variant:      string(res.Plan.Variant),
-				Grid:         res.Plan.GridString(),
-				Procs:        res.Plan.Procs,
-				PlanCacheHit: res.PlanCacheHit,
-				CondEst:      res.CondEst,
-				Flops:        res.Stats.Flops,
-				Bytes:        res.Stats.Bytes,
-				SimSeconds:   res.Stats.Time,
-				WallSeconds:  time.Since(start).Seconds(),
-				TraceID:      res.TraceID,
-				Streamed:     true,
-			}
-			if res.Stream != nil {
-				out.Panels = res.Stream.Panels
-				out.PanelRows = res.Stream.PanelRows
-				out.ResidentBytes = res.Stream.MaxResidentBytes
-			}
-			if req.WantFactors {
-				// R is n×n and small; Q is as big as the input and is
-				// deliberately never returned for a streamed run.
-				out.R = res.R.Data
-			}
-			writeJSON(w, http.StatusOK, out)
-			return
+			res, err = srv.SubmitCtx(r.Context(), sub)
 		}
-		a, err := buildMatrix(req, maxElems)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			logLine(req, nil, err)
-			return
-		}
-		sub := cacqr.SubmitRequest{A: a, Procs: req.Procs, CondEst: req.CondEst}
-		if solve {
-			if req.B == nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("solve needs \"b\" (length m)"))
-				logLine(req, nil, fmt.Errorf("missing b"))
-				return
-			}
-			sub.B = req.B
-		}
-		res, err := srv.SubmitCtx(r.Context(), sub)
-		logLine(req, res, err)
+		logLine(err)
 		if err != nil {
 			code := http.StatusUnprocessableEntity
 			if errors.Is(err, cacqr.ErrOverloaded) {
@@ -505,26 +458,55 @@ func handle(srv *cacqr.Server, solve bool, maxElems int64, quiet bool) http.Hand
 			writeError(w, code, err)
 			return
 		}
-		out := response{
-			Variant:      string(res.Plan.Variant),
-			Grid:         res.Plan.GridString(),
-			Procs:        res.Plan.Procs,
-			PlanCacheHit: res.PlanCacheHit,
-			CondEst:      res.CondEst,
-			Msgs:         res.Stats.Msgs,
-			Words:        res.Stats.Words,
-			Flops:        res.Stats.Flops,
-			Bytes:        res.Stats.Bytes,
-			SimSeconds:   res.Stats.Time,
-			WallSeconds:  time.Since(start).Seconds(),
-			TraceID:      res.TraceID,
-			X:            res.X,
-		}
-		if req.WantFactors {
-			out.Q, out.R = res.Q.Data, res.R.Data
-		}
-		writeJSON(w, http.StatusOK, out)
+		writeJSON(w, http.StatusOK, buildResponse(res, req.WantFactors, time.Since(start)))
 	}
+}
+
+// streamSource builds the never-resident generator source behind an
+// over--max-elems request, refusing what cannot stream.
+func streamSource(req request, solve bool, maxElems int64) (*cacqr.MatrixSource, error) {
+	if solve {
+		return nil, fmt.Errorf("shape %dx%d exceeds -max-elems %d and solve cannot stream: x = R⁻¹·Qᵀb needs a pass over Q the streaming path does not keep", req.M, req.N, maxElems)
+	}
+	if err := checkGenCond(req.Gen.Cond); err != nil {
+		return nil, err
+	}
+	if req.Gen.Cond > 1 {
+		return nil, fmt.Errorf("gen.cond %g needs the exact-κ generator, which materializes the whole %dx%d matrix — beyond -max-elems %d; omit cond (or set ≤ 1) for streamable generation", req.Gen.Cond, req.M, req.N, maxElems)
+	}
+	return cacqr.SourceFromGenerator(req.M, req.N, req.Gen.Seed)
+}
+
+// buildResponse is the wire form of one outcome, streamed or resident.
+func buildResponse(res *cacqr.SubmitResult, wantFactors bool, wall time.Duration) response {
+	out := response{
+		Variant:      string(res.Plan.Variant),
+		Grid:         res.Plan.GridString(),
+		Procs:        res.Plan.Procs,
+		PlanCacheHit: res.PlanCacheHit,
+		CondEst:      res.CondEst,
+		Msgs:         res.Stats.Msgs,
+		Words:        res.Stats.Words,
+		Flops:        res.Stats.Flops,
+		Bytes:        res.Stats.Bytes,
+		SimSeconds:   res.Stats.Time,
+		WallSeconds:  wall.Seconds(),
+		TraceID:      res.TraceID,
+		X:            res.X,
+	}
+	if st := res.Stream; st != nil {
+		out.Streamed = true
+		out.Panels, out.PanelRows, out.ResidentBytes = st.Panels, st.PanelRows, st.MaxResidentBytes
+	}
+	if wantFactors {
+		out.R = res.R.Data
+		// A streamed run holds no Q — it is as big as the input — so it
+		// is never returned; R is n×n and small.
+		if res.Q != nil {
+			out.Q = res.Q.Data
+		}
+	}
+	return out
 }
 
 // decodeRequest parses one factorize/solve wire body. The caller caps

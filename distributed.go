@@ -1,11 +1,16 @@
 package cacqr
 
-// The shared execution path of every distributed entry point. Each
-// Factorize* driver validates its shape, builds a wireJob describing the
-// run, and hands it to runDistributed, which executes the same rank body
-// on the transport the Options select: the simulated goroutine runtime
-// (default — exact α-β-γ accounting) or real OS worker processes over
-// TCP (internal/transport/tcpnet — measured traffic and wall-clock).
+// The one execution path. Every entry point — the fixed-grid Factorize*
+// calls, FactorizePlan, AutoFactorize, FactorizeStreaming and the
+// Server's Submit family — describes its run as a job (newJob: a
+// plan.Plan plus the shape and the run knobs, fully checked before a
+// rank starts or a worker is dialled) and hands it to execute with a
+// panel source and an optional Q sink. execute streams a stream-cqr2 job
+// through internal/stream and runs every other variant's rank body
+// (jobBody, the only place a variant selects an algorithm) on the
+// transport the Options chose: the simulated goroutine runtime (default
+// — exact α-β-γ accounting) or real OS worker processes over TCP
+// (internal/transport/tcpnet — measured traffic and wall-clock).
 
 import (
 	"bytes"
@@ -14,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"time"
 
 	"cacqr/internal/core"
@@ -22,7 +28,9 @@ import (
 	"cacqr/internal/lin"
 	"cacqr/internal/obs"
 	"cacqr/internal/pgeqrf"
+	"cacqr/internal/plan"
 	"cacqr/internal/simmpi"
+	"cacqr/internal/stream"
 	"cacqr/internal/transport"
 	"cacqr/internal/transport/tcpnet"
 	"cacqr/internal/tsqr"
@@ -51,70 +59,193 @@ func TCPTransport(workers ...string) *Transport {
 
 func (t *Transport) isTCP() bool { return t != nil && t.tcp }
 
-// variant names the five distributed algorithms a wireJob can carry.
-const (
-	variantGrid      = "grid"
-	variant1D        = "1d"
-	variantShifted1D = "shifted1d"
-	variantTSQR      = "tsqr"
-	variantPGEQRF    = "pgeqrf"
-)
-
-// wireJob is the transport-independent description of one distributed
-// factorization: enough for any rank — local goroutine or remote
-// process — to run its share. Fields are exported for gob.
-type wireJob struct {
-	Variant string
-	M, N    int
-
-	Procs int // 1D family: rank count
-	C, D  int // grid variant: the c×d×c spec
-
-	PR, PC, NB int // pgeqrf: process grid and panel width
-
-	PanelWidth   int // grid panel variant / blocked TSQR width
+// job is the one description of a run, built by every entry point and
+// executed by every rank — local goroutine or remote process: the plan
+// (the paper's (c, d) pair or one of its comparison rows: Variant, C, D,
+// Procs, PanelWidth) plus the matrix shape and the run knobs. The
+// exported fields are what gob ships to a TCP worker; the unexported
+// ones configure the launching process only and never cross the wire.
+type job struct {
+	plan.Plan
+	M, N         int
 	InverseDepth int
 	BaseSize     int
 	Workers      int
+
+	transport *Transport
+	timeout   time.Duration
+	condEst   float64 // routing hint: beyond CQR2's regime a streamed run starts on the shifted ladder
 }
 
-// procs returns the job's rank count.
-func (job wireJob) procs() int {
-	switch job.Variant {
-	case variantGrid:
-		return job.C * job.D * job.C
-	case variantPGEQRF:
-		return job.PR * job.PC
-	default:
-		return job.Procs
+// newJob checks a run completely — options, shape, and the plan's
+// extents against the shape — and describes it as a job. Everything
+// that can be rejected without the matrix values is rejected here,
+// before a rank goroutine starts or a worker is dialled. Procs is
+// derived from the grid where the plan has one, so a hand-built plan
+// need only name its variant and extents.
+func newJob(m, n int, p plan.Plan, opts Options) (job, error) {
+	if err := checkOptions(opts); err != nil {
+		return job{}, err
 	}
+	if err := checkShape(m, n); err != nil {
+		return job{}, err
+	}
+	// need records the first requirement the plan and shape violate, and
+	// reports whether all so far hold — so a requirement that only makes
+	// sense once another holds nests under it.
+	var err error
+	need := func(ok bool, format string, args ...any) bool {
+		if err == nil && !ok {
+			err = fmt.Errorf("cacqr: "+format, args...)
+		}
+		return err == nil
+	}
+	switch p.Variant {
+	case plan.Sequential:
+		p.Procs = 1
+	case plan.StreamCQR2:
+		p.Procs, p.PanelWidth = 1, resolvePanelRows(p.PanelWidth, m, n)
+		need(p.PanelWidth >= n, "PanelRows %d < n=%d", p.PanelWidth, n)
+	case plan.OneD, plan.ShiftedCQR3, plan.TSQR:
+		ok := need(p.Procs >= 1, "invalid processor count %d", p.Procs) &&
+			need(m%p.Procs == 0, "m=%d not divisible by P=%d", m, p.Procs)
+		if ok && p.Variant == plan.TSQR {
+			// Plain TSQR factors each m/P × n block, so blocks must be
+			// tall; the blocked variant only needs them as tall as a panel.
+			rows, b := m/p.Procs, p.PanelWidth
+			need(p.Procs&(p.Procs-1) == 0, "TSQR needs a power-of-two rank count, got %d", p.Procs)
+			need(b >= 0 && (b == 0 || n%b == 0), "TSQR panel width %d must divide n=%d", b, n)
+			need(b > 0 || rows >= n, "TSQR row blocks of %d rows on P=%d are not tall (need m/P ≥ n=%d, or a panel width)", rows, p.Procs, n)
+			need(rows >= b, "TSQR row blocks of %d rows on P=%d are shorter than the panel width %d", rows, p.Procs, b)
+		}
+	case plan.CACQR2, plan.PanelCACQR2:
+		c, d, b := p.C, p.D, p.PanelWidth
+		if need(c >= 1 && d >= c && d%c == 0, "invalid grid %dx%dx%d (need 1 ≤ c ≤ d, c | d)", c, d, c) {
+			need(m%d == 0 && n%c == 0, "%dx%d matrix not divisible by the %dx%dx%d grid (need d | m, c | n)", m, n, c, d, c)
+			need(p.Variant == plan.CACQR2 || (b >= 1 && b%c == 0 && n%b == 0), "panel width %d must satisfy c | b and b | n (c=%d, n=%d)", b, c, n)
+		}
+		p.Procs = c * d * c
+	case plan.PGEQRF:
+		pr, pc, nb := p.D, p.C, p.PanelWidth
+		if need(pr >= 1 && pc >= 1, "invalid process grid %dx%d", pr, pc) {
+			need(m%pr == 0, "m=%d not divisible by pr=%d process rows", m, pr)
+			need(nb >= 1 && n%nb == 0, "PGEQRF block size %d must divide n=%d", nb, n)
+		}
+		p.Procs = pr * pc
+	default:
+		need(false, "plan variant %q is not executable", p.Variant)
+	}
+	if tr := opts.Transport; tr.isTCP() {
+		need(len(tr.workers) >= p.Procs-1, "job needs %d ranks but the TCP transport has a coordinator plus only %d workers", p.Procs, len(tr.workers))
+	}
+	if err != nil {
+		return job{}, err
+	}
+	timeout := opts.Timeout
+	if timeout == 0 {
+		timeout = 10 * time.Minute
+	}
+	return job{
+		Plan: p, M: m, N: n,
+		InverseDepth: opts.InverseDepth, BaseSize: opts.BaseSize, Workers: opts.Workers,
+		transport: opts.Transport, timeout: timeout, condEst: opts.CondEst,
+	}, nil
 }
 
-// localInput stages rank's input block for job. The grid variant
-// returns nil: it scatters from rank 0 through the transport itself,
-// exactly as a cluster would load it.
-func localInput(job wireJob, global *lin.Matrix, rank int) (*lin.Matrix, error) {
-	switch job.Variant {
-	case variantGrid:
+// execute is the executor under every entry point: it runs j on the
+// matrix behind src and returns the factors with the measured cost. A
+// stream-cqr2 job hands src to the out-of-core driver panel by panel;
+// every other variant needs the matrix resident, runs its rank body on
+// the job's transport, and holds Q in memory, so Result.Q is always set.
+// sink, when non-nil, receives Q as well (and for a streamed run is the
+// only way to get one: nil skips the Q pass). ctx cancels a run in
+// flight and carries the request's trace span, if any.
+func execute(ctx context.Context, j job, src stream.Source, sink *MatrixSink) (*Result, error) {
+	if j.Variant == plan.StreamCQR2 {
+		return executeStream(ctx, j, src, sink)
+	}
+	global, err := resident(src)
+	if err != nil {
+		return nil, err
+	}
+	var q, r *lin.Matrix
+	emit := func(qG, rG *lin.Matrix) { q, r = qG, rG }
+	run := runSim
+	if j.transport.isTCP() {
+		run = runTCP
+	}
+	st, err := run(ctx, j, global, emit)
+	// Reachable until the run ends, not just until the scatter: see
+	// resident.
+	runtime.KeepAlive(global)
+	if err != nil {
+		return nil, err
+	}
+	if sink != nil {
+		if err := sink.put(q); err != nil {
+			return nil, err
+		}
+	}
+	return &Result{
+		Q: fromLin(q),
+		R: fromLin(r),
+		Stats: CostStats{
+			Msgs: st.MaxMsgs, Words: st.MaxWords, Flops: st.MaxFlops,
+			Bytes: st.MaxBytes, Time: st.Time,
+		},
+	}, nil
+}
+
+// resident returns the whole matrix behind src as storage the run owns.
+func resident(src stream.Source) (*lin.Matrix, error) {
+	if ds, ok := src.(*stream.DenseSource); ok {
+		// The one full-matrix input copy on the distributed path. It is
+		// a copy on purpose, and execute keeps it reachable for the whole
+		// run: the rank bodies still produce ~70 MB of garbage per run,
+		// and the live heap is what paces the collector over it. Handing
+		// the ranks a view of the caller's matrix instead measured 10 %
+		// slower on grid-sim (PR 14); letting the copy be collected right
+		// after the scatter measures the same (24.4 → 27.4 ms/op, 1157 →
+		// 1405 GC cycles per 150 ops). Both go when the rank body stops
+		// allocating per call (ROADMAP).
+		return ds.Matrix().Clone(), nil
+	}
+	m, n := src.Dims()
+	if err := src.Reset(); err != nil {
+		return nil, err
+	}
+	snk := stream.NewDenseSink(m, n)
+	if err := stream.Drain(src, snk, 0); err != nil {
+		return nil, err
+	}
+	return snk.Matrix(), nil
+}
+
+// localInput stages rank's input block of global. The grid variants
+// return nil: they scatter from rank 0 through the transport itself,
+// exactly as a cluster would load the matrix.
+func (j job) localInput(global *lin.Matrix, rank int) (*lin.Matrix, error) {
+	switch j.Variant {
+	case plan.CACQR2, plan.PanelCACQR2:
 		return nil, nil
-	case variantPGEQRF:
-		return pgeqrf.LocalBlock(global, rank, job.PR, job.PC, job.NB)
+	case plan.PGEQRF:
+		return pgeqrf.LocalBlock(global, rank, j.D, j.C, j.PanelWidth)
 	default:
-		rows := job.M / job.Procs
-		return global.View(rank*rows, 0, rows, job.N).Clone(), nil
+		rows := j.M / j.Procs
+		return global.View(rank*rows, 0, rows, j.N).Clone(), nil
 	}
 }
 
-// jobPayload is the gob blob shipped to a TCP worker: the job spec plus
-// the rank's staged input block (absent for the grid variant).
+// jobPayload is the gob blob shipped to a TCP worker: the job plus the
+// rank's staged input block (absent for the grid variants).
 type jobPayload struct {
-	Job        wireJob
+	Job        job
 	Rows, Cols int
 	Data       []float64
 }
 
-func encodeJobPayload(job wireJob, local *lin.Matrix) ([]byte, error) {
-	pl := jobPayload{Job: job}
+func encodeJobPayload(j job, local *lin.Matrix) ([]byte, error) {
+	pl := jobPayload{Job: j}
 	if local != nil {
 		pl.Rows, pl.Cols = local.Rows, local.Cols
 		pl.Data = dist.Flatten(local)
@@ -126,50 +257,50 @@ func encodeJobPayload(job wireJob, local *lin.Matrix) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func decodeJobPayload(payload []byte) (wireJob, *lin.Matrix, error) {
+func decodeJobPayload(payload []byte) (job, *lin.Matrix, error) {
 	var pl jobPayload
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&pl); err != nil {
-		return wireJob{}, nil, fmt.Errorf("cacqr: bad worker payload: %w", err)
+		return job{}, nil, fmt.Errorf("cacqr: bad worker payload: %w", err)
 	}
 	var local *lin.Matrix
 	if pl.Rows != 0 || pl.Cols != 0 {
 		var err error
 		local, err = dist.Unflatten(pl.Rows, pl.Cols, pl.Data)
 		if err != nil {
-			return wireJob{}, nil, fmt.Errorf("cacqr: bad worker payload: %w", err)
+			return job{}, nil, fmt.Errorf("cacqr: bad worker payload: %w", err)
 		}
 	}
 	return pl.Job, local, nil
 }
 
-// jobBody returns one rank's share of job — the single algorithm
-// dispatch behind every execution context: each simulated rank, the TCP
-// coordinator (rank 0), and each TCP worker.
+// jobBody returns one rank's share of j — the single place a variant
+// selects an algorithm, behind every execution context: each simulated
+// rank, the TCP coordinator (rank 0), and each TCP worker.
 //
 // local is the rank's staged input block (nil to derive it from
-// globalAtRoot, or for the grid variant, which scatters through the
+// globalAtRoot, or for the grid variants, which scatter through the
 // transport). globalAtRoot is the full matrix where present — every
 // simulated rank shares the closure view, the TCP coordinator holds its
-// own; TCP workers have neither. sink, when non-nil, receives the
+// own; TCP workers have neither. out, when non-nil, receives the
 // gathered global factors on rank 0.
-func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func(q, r *lin.Matrix)) func(p transport.Proc) error {
+func jobBody(j job, local *lin.Matrix, globalAtRoot *lin.Matrix, out func(q, r *lin.Matrix)) func(p transport.Proc) error {
 	return func(p transport.Proc) error {
-		if local == nil && job.Variant != variantGrid {
+		if local == nil && globalAtRoot != nil {
 			var err error
-			local, err = localInput(job, globalAtRoot, p.Rank())
+			local, err = j.localInput(globalAtRoot, p.Rank())
 			if err != nil {
 				return err
 			}
 		}
 		emit := func(q, r *lin.Matrix) {
-			if sink != nil && p.Rank() == 0 {
-				sink(q, r)
+			if out != nil && p.Rank() == 0 {
+				out(q, r)
 			}
 		}
-		m, n := job.M, job.N
-		switch job.Variant {
-		case variantGrid:
-			g, err := grid.New(p.World(), job.C, job.D)
+		m, n := j.M, j.N
+		switch j.Variant {
+		case plan.CACQR2, plan.PanelCACQR2:
+			g, err := grid.New(p.World(), j.C, j.D)
 			if err != nil {
 				return err
 			}
@@ -181,7 +312,7 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			}
 			var ad *dist.Matrix
 			if g.Z == 0 {
-				ad, err = dist.Scatter(g.Slice, 0, rootGlobal, m, n, job.D, job.C)
+				ad, err = dist.Scatter(g.Slice, 0, rootGlobal, m, n, j.D, j.C)
 				if err != nil {
 					return err
 				}
@@ -194,15 +325,15 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			if err != nil {
 				return err
 			}
-			blk, err := dist.Unflatten(m/job.D, n/job.C, flat)
+			blk, err := dist.Unflatten(m/j.D, n/j.C, flat)
 			if err != nil {
 				return err
 			}
-			ad = &dist.Matrix{M: m, N: n, PR: job.D, PC: job.C, Row: g.Y, Col: g.X, Local: blk}
-			prm := core.Params{InverseDepth: job.InverseDepth, BaseSize: job.BaseSize, Workers: job.Workers}
+			ad = &dist.Matrix{M: m, N: n, PR: j.D, PC: j.C, Row: g.Y, Col: g.X, Local: blk}
+			prm := core.Params{InverseDepth: j.InverseDepth, BaseSize: j.BaseSize, Workers: j.Workers}
 			var qL, rL *lin.Matrix
-			if job.PanelWidth > 0 {
-				qL, rL, err = core.PanelCACQR2(g, ad.Local, m, n, job.PanelWidth, prm)
+			if j.Variant == plan.PanelCACQR2 {
+				qL, rL, err = core.PanelCACQR2(g, ad.Local, m, n, j.PanelWidth, prm)
 			} else {
 				qL, rL, err = core.CACQR2(g, ad.Local, m, n, prm)
 			}
@@ -214,11 +345,11 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			// 0 of both, where dist.Gather assembles the global factor.
 			var qG, rG *lin.Matrix
 			if g.Z == 0 {
-				if qG, err = dist.Gather(g.Slice, qL, m, n, job.D, job.C); err != nil {
+				if qG, err = dist.Gather(g.Slice, qL, m, n, j.D, j.C); err != nil {
 					return err
 				}
 				if g.Group == 0 {
-					if rG, err = dist.Gather(g.Cube.Slice, rL, n, n, job.C, job.C); err != nil {
+					if rG, err = dist.Gather(g.Cube.Slice, rL, n, n, j.C, j.C); err != nil {
 						return err
 					}
 				}
@@ -226,13 +357,29 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			emit(qG, rG)
 			return nil
 
-		case variant1D, variantShifted1D:
+		case plan.Sequential, plan.OneD, plan.ShiftedCQR3:
+			factor := core.OneDCQR2
+			if j.Variant == plan.ShiftedCQR3 {
+				factor = core.OneDShiftedCQR3
+			}
+			qL, rL, err := factor(p.World(), local, m, n, j.Workers)
+			if err != nil {
+				return err
+			}
+			qG, err := gatherQ(p, qL, m, n)
+			if err != nil {
+				return err
+			}
+			emit(qG, rL)
+			return nil
+
+		case plan.TSQR:
 			var qL, rL *lin.Matrix
 			var err error
-			if job.Variant == variant1D {
-				qL, rL, err = core.OneDCQR2(p.World(), local, m, n, job.Workers)
+			if j.PanelWidth > 0 {
+				qL, rL, err = tsqr.BlockedFactor(p.World(), local, m, n, j.PanelWidth, j.Workers)
 			} else {
-				qL, rL, err = core.OneDShiftedCQR3(p.World(), local, m, n, job.Workers)
+				qL, rL, err = tsqr.Factor(p.World(), local, m, n, j.Workers)
 			}
 			if err != nil {
 				return err
@@ -244,30 +391,12 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			emit(qG, rL)
 			return nil
 
-		case variantTSQR:
-			var qL, rL *lin.Matrix
-			var err error
-			if job.PanelWidth > 0 {
-				qL, rL, err = tsqr.BlockedFactor(p.World(), local, m, n, job.PanelWidth, job.Workers)
-			} else {
-				qL, rL, err = tsqr.Factor(p.World(), local, m, n, job.Workers)
-			}
+		case plan.PGEQRF:
+			g, err := pgeqrf.NewGrid(p.World(), j.D, j.C)
 			if err != nil {
 				return err
 			}
-			qG, err := gatherQ(p, qL, m, n)
-			if err != nil {
-				return err
-			}
-			emit(qG, rL)
-			return nil
-
-		case variantPGEQRF:
-			g, err := pgeqrf.NewGrid(p.World(), job.PR, job.PC)
-			if err != nil {
-				return err
-			}
-			am, err := pgeqrf.NewMatrixLocal(g, local, m, n, job.NB)
+			am, err := pgeqrf.NewMatrixLocal(g, local, m, n, j.PanelWidth)
 			if err != nil {
 				return err
 			}
@@ -285,7 +414,7 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			mloc := am.Local.Rows
 			e := lin.NewMatrix(mloc, n)
 			for li := 0; li < mloc; li++ {
-				if gi := li*job.PR + g.Row; gi < n {
+				if gi := li*j.D + g.Row; gi < n {
 					e.Set(li, gi, 1)
 				}
 			}
@@ -304,7 +433,7 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			contrib := lin.NewMatrix(m, n)
 			if g.Col == 0 {
 				for li := 0; li < mloc; li++ {
-					gi := li*job.PR + g.Row
+					gi := li*j.D + g.Row
 					for j := 0; j < n; j++ {
 						contrib.Set(gi, j, qL.At(li, j))
 					}
@@ -324,7 +453,7 @@ func jobBody(job wireJob, local *lin.Matrix, globalAtRoot *lin.Matrix, sink func
 			emit(qG, rG)
 			return nil
 		}
-		return fmt.Errorf("cacqr: unknown job variant %q", job.Variant)
+		return fmt.Errorf("cacqr: unknown job variant %q", j.Variant)
 	}
 }
 
@@ -341,52 +470,17 @@ func gatherQ(p transport.Proc, qL *lin.Matrix, m, n int) (*lin.Matrix, error) {
 	return dist.Unflatten(m, n, flat)
 }
 
-// runTimeout resolves the Options.Timeout default shared by both
-// transports.
-func runTimeout(opts Options) time.Duration {
-	if opts.Timeout == 0 {
-		return 10 * time.Minute
-	}
-	return opts.Timeout
-}
-
-// runDistributed executes job on the transport Options select and
-// assembles the Result. The callers have already validated shapes.
-func runDistributed(job wireJob, global *lin.Matrix, opts Options) (*Result, error) {
-	var q, r *lin.Matrix
-	sink := func(qG, rG *lin.Matrix) { q, r = qG, rG }
-
-	var st *transport.Stats
-	var err error
-	if opts.Transport.isTCP() {
-		st, err = runTCP(job, global, opts, sink)
-	} else {
-		st, err = runSim(job, global, opts, sink)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Q: fromLin(q),
-		R: fromLin(r),
-		Stats: CostStats{
-			Msgs: st.MaxMsgs, Words: st.MaxWords, Flops: st.MaxFlops,
-			Bytes: st.MaxBytes, Time: st.Time,
-		},
-	}, nil
-}
-
 // startRunSpans opens the trace structure of one distributed run under
-// the span carried by opts.ctx: a "run" child plus one kind-"rank" span
-// per live local rank (liveRanks of them; TCP workers are remote and
-// get theirs synthesized from counters post-run). When the request is
+// the span carried by ctx: a "run" child plus one kind-"rank" span per
+// live local rank (liveRanks of them; TCP workers are remote and get
+// theirs synthesized from counters post-run). When the request is
 // untraced everything here is nil and the run pays nil checks only.
-func startRunSpans(opts Options, job wireJob, transportName string, liveRanks int) (*obs.Span, []*obs.Span) {
-	spans := make([]*obs.Span, job.procs())
-	run := obs.FromContext(opts.ctx).Child("run")
+func startRunSpans(ctx context.Context, j job, transportName string, liveRanks int) (*obs.Span, []*obs.Span) {
+	spans := make([]*obs.Span, j.Procs)
+	run := obs.FromContext(ctx).Child("run")
 	run.SetStr("transport", transportName)
-	run.SetStr("variant", job.Variant)
-	run.SetInt("procs", int64(job.procs()))
+	run.SetStr("variant", string(j.Variant))
+	run.SetInt("procs", int64(j.Procs))
 	for i := 0; i < liveRanks && i < len(spans); i++ {
 		spans[i] = run.Rank(fmt.Sprintf("rank-%d", i))
 	}
@@ -428,66 +522,50 @@ func finishRunSpans(run *obs.Span, spans []*obs.Span, st *transport.Stats) {
 	run.End()
 }
 
-// runSim executes job on the simulated runtime. A context on the
-// Options adds cancellation alongside the watchdog timeout; a span on
-// it records the run, with every rank wrapped by transport.Traced so
-// collectives and kernel stages land under per-rank spans.
-func runSim(job wireJob, global *lin.Matrix, opts Options, sink func(q, r *lin.Matrix)) (*transport.Stats, error) {
-	sopts := simmpi.Options{Timeout: runTimeout(opts)}
-	if opts.ctx != nil {
-		sopts.Cancel = opts.ctx.Done()
-	}
-	run, rankSpans := startRunSpans(opts, job, "sim", job.procs())
-	st, err := simmpi.RunWithOptions(job.procs(), sopts, func(p *simmpi.Proc) error {
-		return jobBody(job, nil, global, sink)(transport.Traced(p, rankSpans[p.Rank()]))
+// runSim executes j on the simulated runtime. ctx adds cancellation
+// alongside the watchdog timeout; a span on it records the run, with
+// every rank wrapped by transport.Traced so collectives and kernel
+// stages land under per-rank spans.
+func runSim(ctx context.Context, j job, global *lin.Matrix, out func(q, r *lin.Matrix)) (*transport.Stats, error) {
+	run, rankSpans := startRunSpans(ctx, j, "sim", j.Procs)
+	st, err := simmpi.RunWithOptions(j.Procs, simmpi.Options{Timeout: j.timeout, Cancel: ctx.Done()}, func(p *simmpi.Proc) error {
+		return jobBody(j, nil, global, out)(transport.Traced(p, rankSpans[p.Rank()]))
 	})
 	finishRunSpans(run, rankSpans, st)
-	if err != nil && errors.Is(err, simmpi.ErrCanceled) && opts.ctx != nil && opts.ctx.Err() != nil {
-		err = opts.ctx.Err()
+	if errors.Is(err, simmpi.ErrCanceled) && ctx.Err() != nil {
+		err = ctx.Err()
 	}
 	return st, err
 }
 
-// runTCP executes job across real worker processes: this process is
-// rank 0, the first np−1 configured workers host ranks 1..np−1. Input
-// blocks ship inside each worker's job payload, out of band of the
-// charged transport operations.
-func runTCP(job wireJob, global *lin.Matrix, opts Options, sink func(q, r *lin.Matrix)) (*transport.Stats, error) {
-	np := job.procs()
-	workers := opts.Transport.workers
-	if len(workers) < np-1 {
-		return nil, fmt.Errorf("cacqr: job needs %d ranks but the TCP transport has a coordinator plus only %d workers", np, len(workers))
-	}
+// runTCP executes j across real worker processes: this process is rank
+// 0, the first np−1 configured workers host ranks 1..np−1. Input blocks
+// ship inside each worker's job payload, out of band of the charged
+// transport operations.
+func runTCP(ctx context.Context, j job, global *lin.Matrix, out func(q, r *lin.Matrix)) (*transport.Stats, error) {
+	np := j.Procs
 	payloads := make([][]byte, np)
 	for rank := 1; rank < np; rank++ {
-		local, err := localInput(job, global, rank)
+		local, err := j.localInput(global, rank)
 		if err != nil {
 			return nil, err
 		}
-		payloads[rank], err = encodeJobPayload(job, local)
+		payloads[rank], err = encodeJobPayload(j, local)
 		if err != nil {
 			return nil, err
 		}
 	}
-	local0, err := localInput(job, global, 0)
-	if err != nil {
-		return nil, err
-	}
-	parent := opts.ctx
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithTimeout(parent, runTimeout(opts))
+	ctx, cancel := context.WithTimeout(ctx, j.timeout)
 	defer cancel()
 	// Only rank 0 runs in this process, so only it gets a live span;
 	// worker ranks get theirs synthesized from the counters the
 	// coordinator collects over the control connections.
-	run, rankSpans := startRunSpans(opts, job, "tcp", 1)
-	coord := &tcpnet.Coordinator{Workers: workers[:np-1]}
+	run, rankSpans := startRunSpans(ctx, j, "tcp", 1)
+	coord := &tcpnet.Coordinator{Workers: j.transport.workers[:np-1]}
 	st, err := coord.Run(ctx,
 		func(rank int) []byte { return payloads[rank] },
 		func(p transport.Proc) error {
-			return jobBody(job, local0, global, sink)(transport.Traced(p, rankSpans[0]))
+			return jobBody(j, nil, global, out)(transport.Traced(p, rankSpans[0]))
 		})
 	finishRunSpans(run, rankSpans, st)
 	return st, err
@@ -499,10 +577,10 @@ func runTCP(job wireJob, global *lin.Matrix, opts Options, sink func(q, r *lin.M
 // listener of their own. It returns nil when ln is closed.
 func ServeWorker(ln net.Listener) error {
 	return tcpnet.Serve(ln, func(p transport.Proc, payload []byte) error {
-		job, local, err := decodeJobPayload(payload)
+		j, local, err := decodeJobPayload(payload)
 		if err != nil {
 			return err
 		}
-		return jobBody(job, local, nil, nil)(p)
+		return jobBody(j, local, nil, nil)(p)
 	})
 }

@@ -139,8 +139,7 @@ func sequentialCandidates(req Request) []Plan {
 	}
 	return []Plan{{
 		Variant: Sequential, C: 1, D: 1, Procs: 1, Cost: cost, MemWords: mem,
-		Rationale:  "single rank: no communication, CholeskyQR2's ~4mn² flops",
-		Executable: true,
+		Rationale: "single rank: no communication, CholeskyQR2's ~4mn² flops",
 	}}
 }
 
@@ -164,8 +163,7 @@ func oneDCandidates(req Request) []Plan {
 		}
 		out = append(out, Plan{
 			Variant: OneD, C: 1, D: p, Procs: p, Cost: cost, MemWords: mem,
-			Rationale:  fmt.Sprintf("c=1 tall-skinny regime: n²-word Gram Allreduce over %d ranks, no replication", p),
-			Executable: true,
+			Rationale: fmt.Sprintf("c=1 tall-skinny regime: n²-word Gram Allreduce over %d ranks, no replication", p),
 		})
 	}
 	return out
@@ -193,8 +191,7 @@ func shiftedCandidates(req Request) []Plan {
 		}
 		out = append(out, Plan{
 			Variant: ShiftedCQR3, C: 1, D: p, Procs: p, Cost: cost, MemWords: mem,
-			Rationale:  fmt.Sprintf("shifted CholeskyQR3 over %d ranks: stable far beyond CQR2's κ≈1e7 ceiling at ~1.5× the flops", p),
-			Executable: true,
+			Rationale: fmt.Sprintf("shifted CholeskyQR3 over %d ranks: stable far beyond CQR2's κ≈1e7 ceiling at ~1.5× the flops", p),
 		})
 	}
 	return out
@@ -225,8 +222,7 @@ func gridCandidates(req Request) []Plan {
 			}
 			out = append(out, Plan{
 				Variant: CACQR2, C: c, D: d, Procs: c * d * c, Cost: cost, MemWords: mem,
-				Rationale:  fmt.Sprintf("c=%d replicates the Gram work to cut words/rank ~√c at %d× memory, d=%d row blocks", c, c, d),
-				Executable: true,
+				Rationale: fmt.Sprintf("c=%d replicates the Gram work to cut words/rank ~√c at %d× memory, d=%d row blocks", c, c, d),
 			})
 			out = append(out, panelCandidates(req, c, d)...)
 		}
@@ -251,8 +247,7 @@ func panelCandidates(req Request, c, d int) []Plan {
 		}
 		out = append(out, Plan{
 			Variant: PanelCACQR2, C: c, D: d, PanelWidth: b, Procs: c * d * c, Cost: cost, MemWords: mem,
-			Rationale:  fmt.Sprintf("width-%d panels cut the flop overhead toward Householder's 2mn² at %d extra synchronizations", b, req.N/b-1),
-			Executable: true,
+			Rationale: fmt.Sprintf("width-%d panels cut the flop overhead toward Householder's 2mn² at %d extra synchronizations", b, req.N/b-1),
 		})
 	}
 	return out
@@ -276,8 +271,7 @@ func tsqrCandidates(req Request) []Plan {
 		}
 		out = append(out, Plan{
 			Variant: TSQR, C: 1, D: p, Procs: p, Cost: cost, MemWords: mem,
-			Rationale:  fmt.Sprintf("binary-tree Householder over %d ranks: unconditionally stable, log p small QRs on the critical path", p),
-			Executable: true,
+			Rationale: fmt.Sprintf("binary-tree Householder over %d ranks: unconditionally stable, log p small QRs on the critical path", p),
 		})
 	}
 	return out
@@ -307,8 +301,7 @@ func blockedTSQRCandidates(req Request) []Plan {
 			}
 			out = append(out, Plan{
 				Variant: TSQR, C: 1, D: p, PanelWidth: b, Procs: p, Cost: cost, MemWords: mem,
-				Rationale:  fmt.Sprintf("blocked TSQR over %d ranks: width-%d panels lift the m/p ≥ n restriction (BGS2 cross-panel loss O(ε·κ))", p, b),
-				Executable: true,
+				Rationale: fmt.Sprintf("blocked TSQR over %d ranks: width-%d panels lift the m/p ≥ n restriction (BGS2 cross-panel loss O(ε·κ))", p, b),
 			})
 		}
 	}
@@ -340,8 +333,7 @@ func streamCandidates(req Request) []Plan {
 		out = append(out, Plan{
 			Variant: StreamCQR2, C: 1, D: 1, PanelWidth: b, Procs: 1,
 			Cost: cost, MemWords: mem,
-			Rationale:  fmt.Sprintf("out-of-core: no in-core variant fits the budget; accumulate the Gram matrix over %d-row panels (%d reads + 1 write), resident ≈ 3 panels + O(n²)", b, reads),
-			Executable: true,
+			Rationale: fmt.Sprintf("out-of-core: no in-core variant fits the budget; accumulate the Gram matrix over %d-row panels (%d reads + 1 write), resident ≈ 3 panels + O(n²)", b, reads),
 		})
 	}
 	return out
@@ -375,8 +367,7 @@ func pgeqrfReference(req Request, mach costmodel.Machine) (Plan, bool) {
 				p := Plan{
 					Variant: PGEQRF, C: pc, D: pr, PanelWidth: nb, Procs: pr * pc,
 					Cost: cost, MemWords: mem,
-					Rationale:  fmt.Sprintf("ScaLAPACK-style reference on a %d×%d grid, nb=%d", pr, pc, nb),
-					Executable: true,
+					Rationale: fmt.Sprintf("ScaLAPACK-style reference on a %d×%d grid, nb=%d", pr, pc, nb),
 				}
 				p.Seconds = mach.Time(p.Cost)
 				if !found || p.Seconds < best.Seconds {

@@ -197,11 +197,6 @@ type Plan struct {
 	// variant at the request's CondEst (the ~8√n·ε stable-regime floor
 	// when no hint was given).
 	PredOrth float64
-	// Executable reports whether FactorizePlan can dispatch this plan.
-	// Every row the planner currently produces is executable — PGEQRF
-	// and the blocked-TSQR rows included; the field is retained so
-	// callers can keep gating on it.
-	Executable bool
 }
 
 // MemBytes is the modeled peak per-rank footprint in bytes.

@@ -58,6 +58,10 @@ type DenseSource struct {
 // NewDenseSource wraps a (not copied) as a Source.
 func NewDenseSource(a *lin.Matrix) *DenseSource { return &DenseSource{a: a} }
 
+// Matrix returns the wrapped matrix itself, for a consumer that wants
+// all of it at once instead of panel by panel.
+func (s *DenseSource) Matrix() *lin.Matrix { return s.a }
+
 // Dims implements Source.
 func (s *DenseSource) Dims() (int, int) { return s.a.Rows, s.a.Cols }
 

@@ -3,9 +3,11 @@ package cacqr
 //lint:allow floatcompare tests assert bitwise reproducibility, which is this library's documented contract
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"cacqr/internal/costmodel"
 	"cacqr/internal/lin"
@@ -136,9 +138,6 @@ func TestFactorizePlanExecutesPGEQRFRow(t *testing.T) {
 	if row == nil {
 		t.Fatal("no PGEQRF row surfaced")
 	}
-	if !row.Executable {
-		t.Fatalf("PGEQRF row not executable: %v", row)
-	}
 	res, err := FactorizePlan(a, *row, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -204,9 +203,6 @@ func TestEveryPlanRowIsExecutable(t *testing.T) {
 	}
 	seen := map[Variant]bool{}
 	for _, p := range plans {
-		if !p.Executable {
-			t.Fatalf("non-executable row: %v", p)
-		}
 		if seen[p.Variant] {
 			continue // one execution per variant keeps the test fast
 		}
@@ -349,5 +345,152 @@ func assertMatchesHouseholder(t *testing.T, a *Dense, res *Result, tol float64) 
 	}
 	if e := OrthogonalityError(res.Q); e > tol {
 		t.Fatalf("orthogonality %g", e)
+	}
+}
+
+// One mistake, one error: a wide (m < n) input used to come back as six
+// different messages depending on the entry point — through Factorize1D
+// and FactorizeShifted1D as the typed ErrIllConditioned, the very error
+// an escalation ladder acts on. Every entry point now reports the same
+// cacqr: shape error, and it is not a conditioning verdict.
+func TestWideMatrixIsOneShapeError(t *testing.T) {
+	wide := RandomMatrix(16, 32, 1)
+	srv, err := NewServer(ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var want string
+	for name, call := range map[string]func() error{
+		"Factorize1D":        func() error { _, err := Factorize1D(wide, 4, Options{}); return err },
+		"FactorizeShifted1D": func() error { _, err := FactorizeShifted1D(wide, 4, Options{}); return err },
+		"FactorizeOnGrid":    func() error { _, err := FactorizeOnGrid(wide, GridSpec{C: 2, D: 2}, Options{}); return err },
+		"FactorizeTSQR":      func() error { _, err := FactorizeTSQR(wide, 4, 0, Options{}); return err },
+		"FactorizePGEQRF":    func() error { _, err := FactorizePGEQRF(wide, 2, 2, 8, Options{}); return err },
+		"FactorizePlan":      func() error { _, err := FactorizePlan(wide, Plan{Variant: VariantSequential}, Options{}); return err },
+		"AutoFactorize":      func() error { _, err := AutoFactorize(wide, 4, Options{}); return err },
+		"FactorizeStreaming": func() error {
+			_, err := FactorizeStreaming(SourceFromDense(wide), nil, Options{PanelRows: 16})
+			return err
+		},
+		"SolveLeastSquares": func() error {
+			_, err := SolveLeastSquares(wide, make([]float64, 16), GridSpec{C: 2, D: 2}, Options{})
+			return err
+		},
+		"Server.Submit": func() error { _, err := srv.Submit(SubmitRequest{A: wide}); return err },
+		"Server.SubmitStream": func() error {
+			_, err := srv.SubmitStream(StreamRequest{Source: SourceFromDense(wide)})
+			return err
+		},
+	} {
+		err := call()
+		if err == nil {
+			t.Errorf("%s accepted a 16x32 matrix", name)
+			continue
+		}
+		if errors.Is(err, ErrIllConditioned) {
+			t.Errorf("%s reports a shape mistake as ErrIllConditioned: %v", name, err)
+		}
+		if !strings.HasPrefix(err.Error(), "cacqr: 16x32 matrix") {
+			t.Errorf("%s: %v, want the cacqr: shape error", name, err)
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Errorf("%s: %q, other entry points say %q", name, err, want)
+		}
+	}
+}
+
+// A run is checked completely before it is launched. Each bad shape or
+// extent here is submitted over a TCP transport whose only worker
+// address refuses connections: the shape error must come back, never a
+// dial error — which would mean the mesh was being built for a job that
+// could not run.
+func TestBadShapesFailBeforeLaunch(t *testing.T) {
+	a := RandomMatrix(96, 8, 1)
+	dead := Options{Transport: TCPTransport("127.0.0.1:1"), Timeout: 5 * time.Second}
+	for name, call := range map[string]func() (*Result, error){
+		"grid d∤m": func() (*Result, error) { return FactorizeOnGrid(a, GridSpec{C: 1, D: 5}, dead) },
+		"grid c∤n": func() (*Result, error) { return FactorizeOnGrid(RandomMatrix(96, 9, 1), GridSpec{C: 2, D: 2}, dead) },
+		"grid c∤d": func() (*Result, error) { return FactorizeOnGrid(a, GridSpec{C: 2, D: 3}, dead) },
+		"grid panel∤n": func() (*Result, error) {
+			o := dead
+			o.PanelWidth = 3
+			return FactorizeOnGrid(a, GridSpec{C: 1, D: 2}, o)
+		},
+		"1d P∤m":            func() (*Result, error) { return Factorize1D(a, 7, dead) },
+		"shifted P∤m":       func() (*Result, error) { return FactorizeShifted1D(a, 7, dead) },
+		"tsqr P not 2^k":    func() (*Result, error) { return FactorizeTSQR(a, 3, 0, dead) },
+		"tsqr blocks short": func() (*Result, error) { return FactorizeTSQR(a, 16, 0, dead) },
+		"tsqr panel∤n":      func() (*Result, error) { return FactorizeTSQR(a, 2, 3, dead) },
+		"pgeqrf pr∤m":       func() (*Result, error) { return FactorizePGEQRF(a, 5, 1, 4, dead) },
+		"pgeqrf nb∤n":       func() (*Result, error) { return FactorizePGEQRF(a, 2, 1, 3, dead) },
+		"plan row d∤m":      func() (*Result, error) { return FactorizePlan(a, Plan{Variant: VariantCACQR2, C: 1, D: 5}, dead) },
+		"plan row P=0":      func() (*Result, error) { return FactorizePlan(a, Plan{Variant: Variant1DCQR2}, dead) },
+		"plan row unknown":  func() (*Result, error) { return FactorizePlan(a, Plan{Variant: "bogus", Procs: 2}, dead) },
+		"wide":              func() (*Result, error) { return Factorize1D(RandomMatrix(8, 96, 1), 2, dead) },
+		"negative workers":  func() (*Result, error) { o := dead; o.Workers = -1; return Factorize1D(a, 2, o) },
+		"negative inv depth": func() (*Result, error) {
+			o := dead
+			o.InverseDepth = -1
+			return FactorizeOnGrid(a, GridSpec{C: 1, D: 2}, o)
+		},
+	} {
+		_, err := call()
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), "cacqr: ") || strings.Contains(err.Error(), "dial") || strings.Contains(err.Error(), "127.0.0.1") {
+			t.Errorf("%s: %v — want a cacqr: error raised before any worker is dialled", name, err)
+		}
+	}
+	// The same transport with a runnable job does reach the dialler:
+	// the checks above are not passing because TCP is never attempted.
+	if _, err := Factorize1D(a, 2, dead); err == nil || strings.HasPrefix(err.Error(), "cacqr: ") {
+		t.Errorf("a valid job on a dead worker returned %v, want a transport error", err)
+	}
+}
+
+// Misuse is an error, never a panic: a nil matrix, or a hand-assembled
+// Dense whose Data does not hold Rows×Cols values, used to index out of
+// range inside lin.
+func TestMalformedDenseIsAnError(t *testing.T) {
+	srv, err := NewServer(ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for name, a := range map[string]*Dense{
+		"nil":       nil,
+		"short":     {Rows: 64, Cols: 8, Data: make([]float64, 100)},
+		"long":      {Rows: 64, Cols: 8, Data: make([]float64, 1000)},
+		"negative":  {Rows: -4, Cols: -2, Data: make([]float64, 8)},
+		"no values": {Rows: 64, Cols: 8},
+	} {
+		for entry, call := range map[string]func() error{
+			"CholeskyQR2":          func() error { _, _, err := CholeskyQR2(a); return err },
+			"ShiftedCQR3":          func() error { _, _, err := ShiftedCQR3(a); return err },
+			"HouseholderQR":        func() error { _, _, err := HouseholderQR(a); return err },
+			"Factorize1D":          func() error { _, err := Factorize1D(a, 2, Options{}); return err },
+			"FactorizeOnGrid":      func() error { _, err := FactorizeOnGrid(a, GridSpec{C: 1, D: 2}, Options{}); return err },
+			"FactorizePlan":        func() error { _, err := FactorizePlan(a, Plan{Variant: VariantSequential}, Options{}); return err },
+			"AutoFactorize":        func() error { _, err := AutoFactorize(a, 4, Options{}); return err },
+			"SolveLeastSquares":    func() error { _, err := SolveLeastSquares(a, make([]float64, 64), AutoGrid(4), Options{}); return err },
+			"SolveLeastSquaresSeq": func() error { _, err := SolveLeastSquaresSeq(a, make([]float64, 64)); return err },
+			"Server.Submit":        func() error { _, err := srv.Submit(SubmitRequest{A: a}); return err },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s(%s matrix) panicked: %v", entry, name, r)
+					}
+				}()
+				if err := call(); err == nil || !strings.HasPrefix(err.Error(), "cacqr: ") {
+					t.Errorf("%s(%s matrix) returned %v, want a cacqr: error", entry, name, err)
+				}
+			}()
+		}
 	}
 }

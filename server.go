@@ -171,8 +171,7 @@ func NewServer(o ServerOptions) (*Server, error) {
 	if err := checkOptions(o.Options); err != nil {
 		return nil, err
 	}
-	//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
-	if o.Options.CondEst != 0 {
+	if o.Options.CondEst > 0 {
 		return nil, fmt.Errorf("cacqr: ServerOptions.Options.CondEst must be unset (conditioning is per-request)")
 	}
 	if o.Procs < 0 {
@@ -209,17 +208,24 @@ func (s *Server) Submit(req SubmitRequest) (*SubmitResult, error) {
 // tree (condest → plan → gate → execute → per-rank kernel stages and
 // collectives) retrievable by the result's TraceID.
 func (s *Server) SubmitCtx(ctx context.Context, req SubmitRequest) (*SubmitResult, error) {
-	tr, ctx := s.opts.Options.Tracer.Start(ctx, "factorize")
-	res, err := s.submit(ctx, req)
+	return s.traced(ctx, "factorize", req.CondEst, func(ctx context.Context) (*SubmitResult, error) {
+		return s.submit(ctx, req)
+	})
+}
+
+// traced runs one request body under a trace (when the Tracer samples
+// it), stamps the outcome on the root span and the result, and counts
+// the request.
+func (s *Server) traced(ctx context.Context, name string, hint float64, body func(context.Context) (*SubmitResult, error)) (*SubmitResult, error) {
+	tr, ctx := s.opts.Options.Tracer.Start(ctx, name)
+	res, err := body(ctx)
 	if res != nil {
 		res.TraceID = tr.ID()
-		if res.Plan != nil {
-			root := tr.Root()
-			root.SetStr("variant", string(res.Plan.Variant))
-			root.SetBool("cache_hit", res.PlanCacheHit)
-		}
+		root := tr.Root()
+		root.SetStr("variant", string(res.Plan.Variant))
+		root.SetBool("cache_hit", res.PlanCacheHit)
 	}
-	s.countRequest(req, res, err)
+	s.countRequest(hint, res, err)
 	tr.Finish()
 	return res, err
 }
@@ -227,71 +233,86 @@ func (s *Server) SubmitCtx(ctx context.Context, req SubmitRequest) (*SubmitResul
 // submit is the body of SubmitCtx, running under an already-started (or
 // absent) trace carried on ctx.
 func (s *Server) submit(ctx context.Context, req SubmitRequest) (*SubmitResult, error) {
-	sp := obs.FromContext(ctx)
-	cs := sp.Stage("condest")
-	preq, cond, err := s.prepare(req)
-	cs.SetFloat("kappa", cond)
+	root := obs.FromContext(ctx)
+	cs := root.Stage("condest")
+	preq, err := s.prepare(req)
+	cs.SetFloat("kappa", preq.CondEst)
 	cs.End()
 	if err != nil {
 		return nil, err
 	}
-	root := obs.FromContext(ctx)
 	root.SetInt("m", int64(req.A.Rows))
 	root.SetInt("n", int64(req.A.Cols))
-	root.SetInt("kappa_bucket", int64(plan.KappaBucket(cond)))
+	root.SetInt("kappa_bucket", int64(plan.KappaBucket(preq.CondEst)))
 	if s.opts.FuseWindow > 0 {
-		return s.submitFused(ctx, preq, req, cond)
+		return s.submitFused(ctx, preq, req)
 	}
-	out := &SubmitResult{CondEst: cond}
+	return s.do(ctx, preq, stream.NewDenseSource(req.A.view()), SinkToDense(), req.B)
+}
+
+// do resolves preq's plan through the serve layer — cache, batch window,
+// rank gate — and executes it on src as one traced "execute" stage.
+func (s *Server) do(ctx context.Context, preq plan.Request, src stream.Source, sink *MatrixSink, b []float64) (*SubmitResult, error) {
+	out := &SubmitResult{CondEst: preq.CondEst}
 	pl, hit, err := s.inner.Do(ctx, preq, func(p plan.Plan) error {
-		es := sp.Stage("execute")
+		es := obs.FromContext(ctx).Stage("execute")
 		defer es.End()
-		res, err := FactorizePlan(req.A, p, s.execOptions(obs.ContextWith(ctx, es)))
-		if err != nil {
-			return err
-		}
-		out.Q, out.R, out.Plan, out.Stats = res.Q, res.R, res.Plan, res.Stats
-		if req.B != nil {
-			out.X, err = solveWithQR(res.Q, res.R, req.B)
-		}
-		return err
+		return s.run(obs.ContextWith(ctx, es), p, src, sink, b, out)
 	})
 	if err != nil {
 		return nil, err
 	}
-	out.PlanCacheHit = hit
-	if out.Plan == nil { // defensive: the executor always sets it
-		out.Plan = &pl
-	}
+	out.Plan, out.PlanCacheHit = &pl, hit
 	return out, nil
+}
+
+// run executes plan p on src under the server's shared Options and the
+// request's context and condition estimate, and records the outcome —
+// factors, cost, stream accounting and, for a solve, x — in out. Every
+// request that is not a fused batch ends here.
+func (s *Server) run(ctx context.Context, p plan.Plan, src stream.Source, sink *MatrixSink, b []float64, out *SubmitResult) error {
+	opts := s.opts.Options
+	opts.CondEst = out.CondEst
+	m, n := src.Dims()
+	j, err := newJob(m, n, p, opts)
+	if err != nil {
+		return err
+	}
+	res, err := execute(ctx, j, src, sink)
+	if err != nil {
+		return err
+	}
+	return out.fill(res, b)
+}
+
+// fill records a run's factors, cost and stream accounting and, for a
+// solve (b non-nil), back-substitutes x.
+func (out *SubmitResult) fill(res *Result, b []float64) (err error) {
+	out.Q, out.R, out.Stats, out.Stream = res.Q, res.R, res.Stats, res.Stream
+	if b != nil {
+		out.X, err = solveWithQR(res.Q, res.R, b)
+	}
+	return err
 }
 
 // SubmitStream plans and executes one out-of-core request: the planner
 // sees the request's memory budget, and when that budget rejects every
 // in-core variant it selects the streamed CholeskyQR2 — which factors
-// the source panel by panel without ever materializing it. The plan
-// cache, batching window, rank gate, and tracing all apply exactly as
-// for Submit (stream plans occupy one rank token). Blocks until
-// complete; safe for arbitrary concurrent use.
+// the source panel by panel without ever materializing it; a budget
+// that admits an in-core plan has the source read into memory once and
+// factored like any Submit. The plan cache, batching window, rank gate,
+// and tracing all apply exactly as for Submit (stream plans occupy one
+// rank token). Blocks until complete; safe for arbitrary concurrent
+// use.
 func (s *Server) SubmitStream(req StreamRequest) (*SubmitResult, error) {
 	return s.SubmitStreamCtx(context.Background(), req)
 }
 
 // SubmitStreamCtx is SubmitStream with request-scoped cancellation.
 func (s *Server) SubmitStreamCtx(ctx context.Context, req StreamRequest) (*SubmitResult, error) {
-	tr, ctx := s.opts.Options.Tracer.Start(ctx, "factorize-stream")
-	res, err := s.submitStream(ctx, req)
-	if res != nil {
-		res.TraceID = tr.ID()
-		if res.Plan != nil {
-			root := tr.Root()
-			root.SetStr("variant", string(res.Plan.Variant))
-			root.SetBool("cache_hit", res.PlanCacheHit)
-		}
-	}
-	s.countRequest(SubmitRequest{CondEst: req.CondEst}, res, err)
-	tr.Finish()
-	return res, err
+	return s.traced(ctx, "factorize-stream", req.CondEst, func(ctx context.Context) (*SubmitResult, error) {
+		return s.submitStream(ctx, req)
+	})
 }
 
 // submitStream is the body of SubmitStreamCtx.
@@ -299,95 +320,43 @@ func (s *Server) submitStream(ctx context.Context, req StreamRequest) (*SubmitRe
 	if req.Source == nil {
 		return nil, fmt.Errorf("cacqr: SubmitStream needs a source")
 	}
-	//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
-	if req.CondEst != 0 {
-		if err := checkOptions(Options{CondEst: req.CondEst}); err != nil {
-			return nil, err
-		}
-	}
 	m, n := req.Source.Dims()
-	budget := req.MemBudget
-	if budget == 0 {
-		budget = s.opts.Options.MemBudget
-	}
 	opts := s.opts.Options
 	opts.CondEst = req.CondEst
-	opts.MemBudget = budget
+	if req.MemBudget != 0 {
+		opts.MemBudget = req.MemBudget
+	}
 	// Streaming is single-rank; Procs = 1 keeps the plan cache key and
 	// the rank-gate claim honest.
-	preq := planRequest(m, n, 1, opts)
-	root := obs.FromContext(ctx)
-	root.SetInt("m", int64(m))
-	root.SetInt("n", int64(n))
-	root.SetInt("mem_budget", budget)
-	sp := obs.FromContext(ctx)
-	out := &SubmitResult{CondEst: req.CondEst}
-	pl, hit, err := s.inner.Do(ctx, preq, func(p plan.Plan) error {
-		es := sp.Stage("execute")
-		defer es.End()
-		eopts := s.execOptions(obs.ContextWith(ctx, es))
-		eopts.CondEst = req.CondEst
-		if p.Variant == plan.StreamCQR2 {
-			eopts.PanelRows = p.PanelWidth
-			res, err := FactorizeStreaming(req.Source, req.Sink, eopts)
-			if err != nil {
-				return err
-			}
-			out.Q, out.R, out.Stats, out.Stream = res.Q, res.R, res.Stats, res.Stream
-			return nil
-		}
-		// The budget admitted an in-core plan: materialize the source and
-		// run it like any Submit.
-		a, err := materializeSource(req.Source)
-		if err != nil {
-			return err
-		}
-		res, err := FactorizePlan(a, p, eopts)
-		if err != nil {
-			return err
-		}
-		out.Q, out.R, out.Stats = res.Q, res.R, res.Stats
-		if req.Sink != nil && res.Q != nil {
-			snk, err := req.Sink.open(a.Rows, a.Cols)
-			if err != nil {
-				return err
-			}
-			if err := stream.Drain(stream.NewDenseSource(res.Q.toLin()), snk, 0); err != nil {
-				req.Sink.abort()
-				return err
-			}
-			return req.Sink.finish()
-		}
-		return nil
-	})
+	preq, err := planRequest(m, n, 1, opts)
 	if err != nil {
 		return nil, err
 	}
-	out.PlanCacheHit = hit
-	out.Plan = &pl
-	return out, nil
+	root := obs.FromContext(ctx)
+	root.SetInt("m", int64(m))
+	root.SetInt("n", int64(n))
+	root.SetInt("mem_budget", opts.MemBudget)
+	return s.do(ctx, preq, req.Source.src, req.Sink, nil)
 }
 
 // countRequest folds one finished request into the Tracer registry's
 // cacqr_requests_total series — every request, sampled into a trace or
 // not, so the counters stay exact however aggressive the sampling. A
 // server without a tracer (or a tracer without metrics) pays a nil
-// check.
-func (s *Server) countRequest(req SubmitRequest, res *SubmitResult, err error) {
+// check. hint is the caller's κ, which buckets a request that failed
+// before the routing estimate existed.
+func (s *Server) countRequest(hint float64, res *SubmitResult, err error) {
 	m := s.opts.Options.Tracer.Metrics()
 	if m == nil {
 		return
 	}
 	variant, hit, bucket := "unknown", false, "unknown"
 	if res != nil {
-		if res.Plan != nil {
-			variant = string(res.Plan.Variant)
-		}
+		variant = string(res.Plan.Variant)
 		hit = res.PlanCacheHit
 		bucket = strconv.Itoa(plan.KappaBucket(res.CondEst))
-		//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
-	} else if req.CondEst != 0 {
-		bucket = strconv.Itoa(plan.KappaBucket(req.CondEst))
+	} else if hint > 0 {
+		bucket = strconv.Itoa(plan.KappaBucket(hint))
 	}
 	outcome := "ok"
 	switch {
@@ -404,36 +373,26 @@ func (s *Server) countRequest(req SubmitRequest, res *SubmitResult, err error) {
 }
 
 // prepare validates one request and resolves its planner request: the
-// effective processor budget and the condition estimate (the caller's
-// hint, or the measured power-iteration value).
-func (s *Server) prepare(req SubmitRequest) (plan.Request, float64, error) {
-	if req.A == nil {
-		return plan.Request{}, 0, fmt.Errorf("cacqr: Submit needs a matrix")
+// effective processor budget and, as its CondEst, the condition
+// estimate (the caller's hint, or the measured power-iteration value).
+func (s *Server) prepare(req SubmitRequest) (plan.Request, error) {
+	if err := req.A.validate(); err != nil {
+		return plan.Request{}, err
 	}
 	if req.B != nil && len(req.B) != req.A.Rows {
-		return plan.Request{}, 0, fmt.Errorf("cacqr: rhs length %d for %d rows", len(req.B), req.A.Rows)
-	}
-	//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
-	if req.CondEst != 0 {
-		if err := checkOptions(Options{CondEst: req.CondEst}); err != nil {
-			return plan.Request{}, 0, err
-		}
+		return plan.Request{}, fmt.Errorf("cacqr: rhs length %d for %d rows", len(req.B), req.A.Rows)
 	}
 	procs := req.Procs
 	if procs == 0 {
 		procs = s.opts.Procs
 	}
-	if procs < 1 {
-		return plan.Request{}, 0, fmt.Errorf("cacqr: invalid processor budget %d", procs)
-	}
-	cond := req.CondEst
-	//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
-	if cond == 0 {
-		cond = lin.EstimateCond(req.A.view(), condEstIters)
-	}
 	opts := s.opts.Options
-	opts.CondEst = cond
-	return planRequest(req.A.Rows, req.A.Cols, procs, opts), cond, nil
+	opts.CondEst = req.CondEst
+	preq, err := planRequest(req.A.Rows, req.A.Cols, procs, opts)
+	if err == nil {
+		preq.CondEst = condOrEstimate(req.A, req.CondEst)
+	}
+	return preq, err
 }
 
 // submitJob is one request riding a fused execution.
@@ -443,19 +402,11 @@ type submitJob struct {
 	err error
 }
 
-// execOptions resolves the shared execution Options for one request,
-// attaching its context so cancellation reaches the distributed run.
-func (s *Server) execOptions(ctx context.Context) Options {
-	opts := s.opts.Options
-	opts.ctx = ctx
-	return opts
-}
-
 // submitFused is Submit through the serve layer's fuse window:
 // concurrent same-key submissions coalesce into one fused batched
 // execution without the caller assembling a batch.
-func (s *Server) submitFused(ctx context.Context, preq plan.Request, req SubmitRequest, cond float64) (*SubmitResult, error) {
-	job := &submitJob{req: req, out: &SubmitResult{CondEst: cond}}
+func (s *Server) submitFused(ctx context.Context, preq plan.Request, req SubmitRequest) (*SubmitResult, error) {
+	job := &submitJob{req: req, out: &SubmitResult{CondEst: preq.CondEst}}
 	pl, hit, err := s.inner.DoFused(ctx, preq, job, func(p plan.Plan, payloads []any) []error {
 		es := obs.FromContext(ctx).Stage("execute")
 		defer es.End()
@@ -474,10 +425,7 @@ func (s *Server) submitFused(ctx context.Context, preq plan.Request, req SubmitR
 	if err != nil {
 		return nil, err
 	}
-	job.out.PlanCacheHit = hit
-	if job.out.Plan == nil {
-		job.out.Plan = &pl
-	}
+	job.out.Plan, job.out.PlanCacheHit = &pl, hit
 	return job.out, nil
 }
 
@@ -506,10 +454,10 @@ func (s *Server) SubmitBatchCtx(ctx context.Context, reqs []SubmitRequest) []Bat
 	groups := make(map[plan.CacheKey]*group)
 	var order []*group // deterministic dispatch order
 	for i := range reqs {
-		preq, cond, err := s.prepare(reqs[i])
+		preq, err := s.prepare(reqs[i])
 		if err != nil {
 			items[i].Err = err
-			s.countRequest(reqs[i], nil, err)
+			s.countRequest(reqs[i].CondEst, nil, err)
 			continue
 		}
 		key := plan.KeyFor(preq)
@@ -519,7 +467,7 @@ func (s *Server) SubmitBatchCtx(ctx context.Context, reqs []SubmitRequest) []Bat
 			groups[key] = g
 			order = append(order, g)
 		}
-		g.jobs = append(g.jobs, &submitJob{req: reqs[i], out: &SubmitResult{CondEst: cond}})
+		g.jobs = append(g.jobs, &submitJob{req: reqs[i], out: &SubmitResult{CondEst: preq.CondEst}})
 		g.idxs = append(g.idxs, i)
 	}
 	var wg sync.WaitGroup
@@ -539,13 +487,10 @@ func (s *Server) SubmitBatchCtx(ctx context.Context, reqs []SubmitRequest) []Bat
 				case job.err != nil:
 					items[i].Err = job.err
 				default:
-					job.out.PlanCacheHit = hit
-					if job.out.Plan == nil {
-						job.out.Plan = &pl
-					}
+					job.out.Plan, job.out.PlanCacheHit = &pl, hit
 					items[i].Result = job.out
 				}
-				s.countRequest(job.req, items[i].Result, items[i].Err)
+				s.countRequest(job.req.CondEst, items[i].Result, items[i].Err)
 			}
 		}(g)
 	}
@@ -566,7 +511,7 @@ func (s *Server) execGroup(ctx context.Context, p plan.Plan, jobs []*submitJob) 
 		shifted := p.Variant == plan.ShiftedCQR3
 		as := make([]*lin.Matrix, len(jobs))
 		for i, job := range jobs {
-			// Read-only views, not toLin copies: the batched drivers never
+			// Read-only views, not copies: the batched drivers never
 			// mutate their inputs, and a 256-item batch window must not
 			// pay a full extra pass over the data just to cross the
 			// Dense/lin boundary.
@@ -592,26 +537,14 @@ func (s *Server) execGroup(ctx context.Context, p plan.Plan, jobs []*submitJob) 
 				job.err = errs[i]
 				continue
 			}
-			job.out.Q, job.out.R = fromLin(qs[i]), fromLin(rs[i])
 			job.out.Fused = true
-			job.out.Stats = CostStats{Flops: flops}
-			if job.req.B != nil {
-				job.out.X, job.err = solveWithQR(job.out.Q, job.out.R, job.req.B)
-			}
+			job.err = job.out.fill(&Result{Q: fromLin(qs[i]), R: fromLin(rs[i]), Stats: CostStats{Flops: flops}}, job.req.B)
 		}
 	default:
 		// No fused kernel for this variant: per-item distributed runs,
 		// sequentially under the group's single gate admission.
 		for _, job := range jobs {
-			res, err := FactorizePlan(job.req.A, p, s.execOptions(ctx))
-			if err != nil {
-				job.err = err
-				continue
-			}
-			job.out.Q, job.out.R, job.out.Plan, job.out.Stats = res.Q, res.R, res.Plan, res.Stats
-			if job.req.B != nil {
-				job.out.X, job.err = solveWithQR(res.Q, res.R, job.req.B)
-			}
+			job.err = s.run(ctx, p, stream.NewDenseSource(job.req.A.view()), SinkToDense(), job.req.B, job.out)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package cacqr
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -8,11 +9,12 @@ import (
 	"cacqr/internal/core"
 	"cacqr/internal/lin"
 	"cacqr/internal/plan"
+	"cacqr/internal/stream"
 )
 
 // AutoGrid is the GridSpec auto mode: it asks the planner to choose the
 // algorithm variant and grid over up to procs simulated ranks.
-// SolveLeastSquares dispatches through AutoFactorize when handed one.
+// SolveLeastSquares lets the planner choose when handed one.
 func AutoGrid(procs int) GridSpec { return GridSpec{C: 0, D: procs} }
 
 // SolveLeastSquares solves the overdetermined least-squares problem
@@ -30,83 +32,60 @@ func AutoGrid(procs int) GridSpec { return GridSpec{C: 0, D: procs} }
 // gates the CholeskyQR2 path: an input beyond its κ ≈ 10⁷ regime is
 // rerouted to the shifted three-pass variant (or, past its regime too,
 // to TSQR) on a 1D grid within the spec's rank budget, instead of
-// silently returning a low-accuracy x. The estimate and the executed
-// route are recorded in the underlying Result (surfaced by
-// Server.Submit).
+// silently returning a low-accuracy x.
 func SolveLeastSquares(a *Dense, b []float64, spec GridSpec, opts Options) ([]float64, error) {
-	x, _, err := solveLeastSquares(a, b, spec, opts)
-	return x, err
-}
-
-// solveLeastSquares is the shared body of SolveLeastSquares and the
-// serving layer's solve path: it additionally returns the factorization
-// Result so callers can see the plan, the measured costs, and the
-// condition estimate the routing used.
-func solveLeastSquares(a *Dense, b []float64, spec GridSpec, opts Options) ([]float64, *Result, error) {
+	if err := a.validate(); err != nil {
+		return nil, err
+	}
 	if len(b) != a.Rows {
-		return nil, nil, fmt.Errorf("cacqr: rhs length %d for %d rows", len(b), a.Rows)
+		return nil, fmt.Errorf("cacqr: rhs length %d for %d rows", len(b), a.Rows)
 	}
 	var res *Result
 	var err error
-	if spec.C == 0 {
-		if spec.D < 1 {
-			return nil, nil, fmt.Errorf("cacqr: auto grid needs a processor budget (use AutoGrid(procs))")
-		}
-		res, err = AutoFactorize(a, spec.D, opts)
-	} else {
-		res, err = factorizeFixedCondAware(a, spec, opts)
+	switch {
+	case spec.C != 0:
+		res, err = factorizeCondAware(a, spec, opts)
+	case spec.D < 1:
+		err = fmt.Errorf("cacqr: auto grid needs a processor budget (use AutoGrid(procs))")
+	default:
+		res, err = autoFactorize(a, spec.D, opts)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	x, err := solveWithQR(res.Q, res.R, b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return x, res, nil
+	return solveWithQR(res.Q, res.R, b)
 }
 
-// factorizeFixedCondAware is the fixed-grid factorization behind
+// factorizeCondAware is the fixed-grid factorization behind
 // SolveLeastSquares: the caller chose the grid, but the CholeskyQR2
 // family silently loses the solution's accuracy beyond κ ≈ 10⁷, so the
 // solve path must not follow the spec blindly. It estimates κ₂(A) when
 // Options.CondEst is unset and keeps the requested grid while the
 // predicted orthogonality holds; otherwise the reroute is handed to the
-// condition-aware planner (AutoFactorize) over the spec's rank budget,
+// condition-aware planner (autoFactorize) over the spec's rank budget,
 // which picks the cheapest variant that survives at that κ —
 // ShiftedCQR3 in its regime, TSQR beyond it. The estimate is recorded
 // in Result.CondEst either way.
-func factorizeFixedCondAware(a *Dense, spec GridSpec, opts Options) (*Result, error) {
-	if err := checkOptions(opts); err != nil {
+func factorizeCondAware(a *Dense, spec GridSpec, opts Options) (*Result, error) {
+	// Describe the requested run — spec, divisibility and options all
+	// checked — before measuring anything: whether an infeasible grid is
+	// rejected must not depend on the matrix values steering the
+	// conditioning reroute.
+	j, err := newJob(a.Rows, a.Cols, spec.asPlan(opts.PanelWidth), opts)
+	if err != nil {
 		return nil, err
 	}
-	// Validate the spec — shape divisibility included — before measuring
-	// anything: whether an infeasible grid is rejected must not depend
-	// on the matrix values steering the conditioning reroute.
-	if err := spec.validate(); err != nil {
+	opts.CondEst = condOrEstimate(a, opts.CondEst)
+	if plan.PredictOrthogonality(plan.CACQR2, a.Rows, a.Cols, 0, opts.CondEst) > plan.DefaultOrthTol {
+		return autoFactorize(a, spec.Procs(), opts)
+	}
+	// Inside the CQR2 regime: the requested grid.
+	res, err := execute(context.Background(), j, stream.NewDenseSource(a.view()), SinkToDense())
+	if err != nil {
 		return nil, err
 	}
-	m, n := a.Rows, a.Cols
-	if m%spec.D != 0 || n%spec.C != 0 {
-		return nil, fmt.Errorf("cacqr: %dx%d matrix not divisible by the %dx%dx%d grid (need d | m, c | n)",
-			m, n, spec.C, spec.D, spec.C)
-	}
-	cond := opts.CondEst
-	//lint:ignore floatcompare 0 is the unset sentinel for CondEst, never a computed estimate
-	if cond == 0 {
-		cond = lin.EstimateCond(a.view(), condEstIters)
-	}
-	if plan.PredictOrthogonality(plan.CACQR2, m, n, 0, cond) <= plan.DefaultOrthTol {
-		// Inside the CQR2 regime: the requested grid as before.
-		res, err := FactorizeOnGrid(a, spec, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.CondEst = cond
-		return res, nil
-	}
-	opts.CondEst = cond
-	return AutoFactorize(a, spec.Procs(), opts)
+	res.CondEst = opts.CondEst
+	return res, nil
 }
 
 // ErrIllConditioned reports a CholeskyQR Gram/Cholesky breakdown:
@@ -122,6 +101,9 @@ var ErrIllConditioned = core.ErrIllConditioned
 // failure (a shape error, say) propagates verbatim; retrying it through
 // ShiftedCQR3 could only mask the original message.
 func SolveLeastSquaresSeq(a *Dense, b []float64) ([]float64, error) {
+	if err := a.validate(); err != nil {
+		return nil, err
+	}
 	if len(b) != a.Rows {
 		return nil, fmt.Errorf("cacqr: rhs length %d for %d rows", len(b), a.Rows)
 	}

@@ -260,7 +260,7 @@ func TestSolveLeastSquaresFixedGridIllConditioned(t *testing.T) {
 func TestFixedGridRoutingRecorded(t *testing.T) {
 	m, n := 256, 8
 	well := RandomMatrix(m, n, 12)
-	res, err := factorizeFixedCondAware(well, GridSpec{C: 2, D: 4}, Options{})
+	res, err := factorizeCondAware(well, GridSpec{C: 2, D: 4}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestFixedGridRoutingRecorded(t *testing.T) {
 		t.Fatalf("well-conditioned estimate not recorded: %g", res.CondEst)
 	}
 	ill := RandomWithCond(m, n, 1e10, 13)
-	res, err = factorizeFixedCondAware(ill, GridSpec{C: 2, D: 4}, Options{})
+	res, err = factorizeCondAware(ill, GridSpec{C: 2, D: 4}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestFixedGridRoutingRecorded(t *testing.T) {
 	}
 	// Beyond even the shifted regime the route is plain TSQR; at κ=1e15
 	// with an explicit hint the factors must still be orthogonal.
-	res, err = factorizeFixedCondAware(ill, GridSpec{C: 2, D: 4}, Options{CondEst: 1e15})
+	res, err = factorizeCondAware(ill, GridSpec{C: 2, D: 4}, Options{CondEst: 1e15})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,14 @@
 package cacqr
 
 import (
+	"context"
 	"fmt"
 
 	"cacqr/internal/core"
 	"cacqr/internal/costmodel"
+	"cacqr/internal/lin"
 	"cacqr/internal/obs"
+	"cacqr/internal/plan"
 	"cacqr/internal/stream"
 )
 
@@ -32,10 +35,11 @@ func (s *MatrixSource) Close() error {
 	return s.closer()
 }
 
-// SourceFromDense streams an in-memory matrix (not copied) — mostly
-// useful for testing the streaming path against in-core results.
+// SourceFromDense streams an in-memory matrix (not copied: panels are
+// views of a, which a run only reads) — mostly useful for testing the
+// streaming path against in-core results.
 func SourceFromDense(a *Dense) *MatrixSource {
-	return &MatrixSource{src: stream.NewDenseSource(a.toLin())}
+	return &MatrixSource{src: stream.NewDenseSource(a.view())}
 }
 
 // SourceFromFile opens a matrix file written by SinkToFile (or
@@ -77,9 +81,9 @@ func WriteMatrixFile(path string, src *MatrixSource, panelRows int) error {
 // of three times and returns only R. A sink is bound afresh by every
 // run, so it can be reused (a file sink overwrites its path).
 type MatrixSink struct {
-	path  string // file sink destination; "" = dense
-	dense *stream.DenseSink
-	file  *stream.FileSink
+	path string           // file sink destination; "" = dense
+	q    *lin.Matrix      // dense sink: the Q of the last run
+	file *stream.FileSink // file sink: open only while a run writes it
 }
 
 // SinkToDense assembles Q in memory; read it back with Dense after the
@@ -95,10 +99,10 @@ func SinkToFile(path string) *MatrixSink { return &MatrixSink{path: path} }
 // Dense returns the assembled Q of a SinkToDense after a successful
 // factorization.
 func (s *MatrixSink) Dense() (*Dense, error) {
-	if s.dense == nil {
+	if s.q == nil {
 		return nil, fmt.Errorf("cacqr: sink holds no in-memory Q (use SinkToDense and run FactorizeStreaming first)")
 	}
-	return fromLin(s.dense.Matrix()), nil
+	return fromLin(s.q), nil
 }
 
 // open binds the sink to the run's shape and returns the internal sink.
@@ -111,8 +115,28 @@ func (s *MatrixSink) open(m, n int) (stream.Sink, error) {
 		s.file = f
 		return f, nil
 	}
-	s.dense = stream.NewDenseSink(m, n)
-	return s.dense, nil
+	ds := stream.NewDenseSink(m, n)
+	s.q = ds.Matrix()
+	return ds, nil
+}
+
+// put delivers the resident Q of an in-core run: a dense sink adopts
+// it, a file sink is written from row-panel views of it — no copy of Q
+// either way.
+func (s *MatrixSink) put(q *lin.Matrix) error {
+	if s.path == "" {
+		s.q = q
+		return nil
+	}
+	snk, err := s.open(q.Rows, q.Cols)
+	if err != nil {
+		return err
+	}
+	if err := stream.Drain(stream.NewDenseSource(q), snk, 0); err != nil {
+		s.abort()
+		return err
+	}
+	return s.finish()
 }
 
 // finish finalizes a file-backed sink (close + row-count check),
@@ -129,9 +153,11 @@ func (s *MatrixSink) finish() error {
 	return nil
 }
 
-// abort is finish for a failed run: the file sink's descriptor is
-// closed and its partial file removed.
+// abort is finish for a failed run: a half-assembled dense Q is
+// dropped, the file sink's descriptor is closed and its partial file
+// removed.
 func (s *MatrixSink) abort() {
+	s.q = nil
 	if s.file != nil {
 		s.file.Abort()
 		s.file = nil
@@ -208,37 +234,38 @@ func (t tracedSource) TraceSpan() *obs.Span { return t.span }
 // Result.Stream.MaxResidentBytes. A run that fails leaves no partial
 // file behind a SinkToFile.
 func FactorizeStreaming(src *MatrixSource, sink *MatrixSink, opts Options) (*Result, error) {
-	if err := checkOptions(opts); err != nil {
-		return nil, err
-	}
 	if src == nil {
 		return nil, fmt.Errorf("cacqr: FactorizeStreaming needs a source")
 	}
 	m, n := src.Dims()
-	b := resolvePanelRows(opts.PanelRows, m, n)
-	if b < n {
-		return nil, fmt.Errorf("cacqr: PanelRows %d < n=%d", b, n)
+	j, err := newJob(m, n, plan.Plan{Variant: plan.StreamCQR2, PanelWidth: opts.PanelRows}, opts)
+	if err != nil {
+		return nil, err
 	}
+	return execute(context.Background(), j, src.src, sink)
+}
 
-	sp := obs.FromContext(opts.ctx)
-	ss := sp.Stage("stream")
+// executeStream is execute for a stream-cqr2 job: src goes to the
+// out-of-core driver panel by panel and is never resident.
+func executeStream(ctx context.Context, j job, src stream.Source, sink *MatrixSink) (*Result, error) {
+	ss := obs.FromContext(ctx).Stage("stream")
 	defer ss.End()
-	ss.SetInt("m", int64(m))
-	ss.SetInt("n", int64(n))
-	ss.SetInt("panel_rows", int64(b))
+	ss.SetInt("m", int64(j.M))
+	ss.SetInt("n", int64(j.N))
+	ss.SetInt("panel_rows", int64(j.PanelWidth))
 
 	var snk stream.Sink
 	if sink != nil {
 		var err error
-		snk, err = sink.open(m, n)
+		snk, err = sink.open(j.M, j.N)
 		if err != nil {
 			return nil, err
 		}
 	}
-	sres, err := stream.Factorize(tracedSource{src.src, ss}, snk, stream.Options{
-		PanelRows: b,
-		Workers:   opts.Workers,
-		Shifted:   opts.CondEst > 1 && !core.CanCQR2Handle(opts.CondEst),
+	sres, err := stream.Factorize(tracedSource{src, ss}, snk, stream.Options{
+		PanelRows: j.PanelWidth,
+		Workers:   j.Workers,
+		Shifted:   j.condEst > 1 && !core.CanCQR2Handle(j.condEst),
 	})
 	if err != nil {
 		if sink != nil {
@@ -251,36 +278,31 @@ func FactorizeStreaming(src *MatrixSource, sink *MatrixSink, opts Options) (*Res
 			return nil, err
 		}
 	}
-	ss.SetInt("panels", int64(sres.Panels))
-	ss.SetBool("shifted", sres.Shifted)
-	ss.SetInt("read_passes", int64(sres.ReadPasses))
-	ss.SetFloat("pass1_orth", sres.Pass1Orth)
-	ss.SetInt("resident_bytes", 8*sres.MaxResidentWords)
-	ss.SetInt("io_read_bytes", sres.ReadBytes)
-	ss.SetInt("io_written_bytes", sres.WrittenBytes)
+	info := &StreamInfo{
+		Panels:           sres.Panels,
+		PanelRows:        sres.PanelRows,
+		Shifted:          sres.Shifted,
+		ReadPasses:       sres.ReadPasses,
+		Pass1Orth:        sres.Pass1Orth,
+		MaxResidentBytes: 8 * sres.MaxResidentWords,
+		ReadBytes:        sres.ReadBytes,
+		WrittenBytes:     sres.WrittenBytes,
+	}
+	ss.SetInt("panels", int64(info.Panels))
+	ss.SetBool("shifted", info.Shifted)
+	ss.SetInt("read_passes", int64(info.ReadPasses))
+	ss.SetFloat("pass1_orth", info.Pass1Orth)
+	ss.SetInt("resident_bytes", info.MaxResidentBytes)
+	ss.SetInt("io_read_bytes", info.ReadBytes)
+	ss.SetInt("io_written_bytes", info.WrittenBytes)
 
 	res := &Result{
-		R: fromLin(sres.R),
-		Stats: CostStats{
-			Flops: sres.Flops,
-			Bytes: sres.ReadBytes + sres.WrittenBytes,
-		},
-		Stream: &StreamInfo{
-			Panels:           sres.Panels,
-			PanelRows:        sres.PanelRows,
-			Shifted:          sres.Shifted,
-			ReadPasses:       sres.ReadPasses,
-			Pass1Orth:        sres.Pass1Orth,
-			MaxResidentBytes: 8 * sres.MaxResidentWords,
-			ReadBytes:        sres.ReadBytes,
-			WrittenBytes:     sres.WrittenBytes,
-		},
+		R:      fromLin(sres.R),
+		Stats:  CostStats{Flops: sres.Flops, Bytes: sres.ReadBytes + sres.WrittenBytes},
+		Stream: info,
 	}
-	if sink != nil && sink.dense != nil {
-		res.Q, err = sink.Dense()
-		if err != nil {
-			return nil, err
-		}
+	if sink != nil && sink.q != nil {
+		res.Q = fromLin(sink.q)
 	}
 	return res, nil
 }
@@ -301,19 +323,4 @@ func ModelStreamCQR2Memory(m, n, panelRows int) (int64, error) {
 		return 0, err
 	}
 	return 8 * w, nil
-}
-
-// materializeSource reads an entire source into a Dense — the path a
-// generous memory budget takes when the planner decides the matrix
-// fits in core after all.
-func materializeSource(src *MatrixSource) (*Dense, error) {
-	m, n := src.Dims()
-	if err := src.src.Reset(); err != nil {
-		return nil, err
-	}
-	snk := stream.NewDenseSink(m, n)
-	if err := stream.Drain(src.src, snk, resolvePanelRows(0, m, n)); err != nil {
-		return nil, err
-	}
-	return fromLin(snk.Matrix()), nil
 }

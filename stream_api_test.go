@@ -31,9 +31,15 @@ func TestFactorizeStreamingMatchesInCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := SinkToDense()
+	before := append([]float64(nil), a.Data...)
 	res, err := FactorizeStreaming(SourceFromDense(a), sink, Options{PanelRows: 512})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// SourceFromDense hands out views of a, not a copy: the run must
+	// leave every bit of it alone.
+	if maxAbsDiff(a.Data, before) > 0 {
+		t.Error("FactorizeStreaming wrote into the matrix behind SourceFromDense")
 	}
 	if d := maxDenseDiff(res.R, rRef); d > 1e-13*float64(m) {
 		t.Errorf("R mismatch: %g", d)
@@ -190,7 +196,7 @@ func TestStreamingFileSinkRemovedOnError(t *testing.T) {
 	qPath := filepath.Join(t.TempDir(), "q.mat")
 	sink := SinkToFile(qPath)
 	for pass := 1; pass <= 3; pass++ {
-		bad := &MatrixSource{src: &failingSource{Source: stream.NewDenseSource(a.toLin()), failPass: pass, failRow: 400}}
+		bad := &MatrixSource{src: &failingSource{Source: stream.NewDenseSource(a.view()), failPass: pass, failRow: 400}}
 		if _, err := FactorizeStreaming(bad, sink, Options{PanelRows: 200}); !errors.Is(err, errInjected) {
 			t.Fatalf("pass %d: err = %v, want the injected failure", pass, err)
 		}
@@ -210,10 +216,11 @@ func TestStreamingFileSinkRemovedOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer qsrc.Close()
-	q, err := materializeSource(qsrc)
+	ql, err := resident(qsrc.src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := fromLin(ql)
 	if e := OrthogonalityError(q); e > 1e-13 {
 		t.Errorf("orthogonality of the rewritten Q file %g", e)
 	}
@@ -413,6 +420,37 @@ func TestServerSubmitStream(t *testing.T) {
 	}
 	if d := maxDenseDiff(res3.R, rRef); d > 1e-13*float64(m) {
 		t.Errorf("materialized R mismatch: %g", d)
+	}
+	// One executor: a source whose plan is in-core runs exactly what
+	// Submit runs on the same matrix held in memory — same plan, same
+	// bits, same counted cost — and a file sink receives that same Q.
+	qPath := filepath.Join(t.TempDir(), "q.mat")
+	res4, err := srv.SubmitStream(StreamRequest{Source: mkSrc(), Sink: SinkToFile(qPath)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inCore, err := srv.Submit(SubmitRequest{A: aRef, Procs: 1, CondEst: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qsrc, err := SourceFromFile(qPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qsrc.Close()
+	qFile, err := resident(qsrc.src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []*SubmitResult{res3, res4} {
+		if got.Plan.Variant != inCore.Plan.Variant || got.Stats != inCore.Stats ||
+			maxDenseDiff(got.Q, inCore.Q) > 0 || maxDenseDiff(got.R, inCore.R) > 0 {
+			t.Errorf("source-backed in-core run (%v, %+v) differs from Submit on the same matrix (%v, %+v)",
+				got.Plan, got.Stats, inCore.Plan, inCore.Stats)
+		}
+	}
+	if maxDenseDiff(fromLin(qFile), inCore.Q) > 0 {
+		t.Error("Q written to the file sink differs from the resident Q")
 	}
 }
 

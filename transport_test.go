@@ -11,6 +11,7 @@ package cacqr
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"os"
@@ -53,24 +54,67 @@ func denseMaxDiff(a, b *Dense) float64 {
 	return d
 }
 
+// fixedGridCall returns the fixed-grid entry point that names the same
+// run as plan row p — the mapping the deleted dispatch switch used to
+// hold, kept here as the reference the "sugar" equivalence is checked
+// against.
+func fixedGridCall(a *Dense, p Plan) func(Options) (*Result, error) {
+	return func(opts Options) (*Result, error) {
+		switch p.Variant {
+		case VariantSequential:
+			return Factorize1D(a, 1, opts)
+		case Variant1DCQR2:
+			return Factorize1D(a, p.Procs, opts)
+		case VariantShiftedCQR3:
+			return FactorizeShifted1D(a, p.Procs, opts)
+		case VariantCACQR2:
+			return FactorizeOnGrid(a, GridSpec{C: p.C, D: p.D}, opts)
+		case VariantPanelCACQR2:
+			opts.PanelWidth = p.PanelWidth
+			return FactorizeOnGrid(a, GridSpec{C: p.C, D: p.D}, opts)
+		case VariantTSQR:
+			return FactorizeTSQR(a, p.Procs, p.PanelWidth, opts)
+		case VariantPGEQRF:
+			return FactorizePGEQRF(a, p.D, p.C, p.PanelWidth, opts)
+		}
+		return nil, fmt.Errorf("no fixed-grid entry point for %v", p)
+	}
+}
+
 // TestTCPTransportMatchesSim factors the same matrix on the simulated
-// runtime and over TCP workers for every distributed variant, and
-// demands identical factors to 1e-13 plus populated byte counters on
-// the TCP side.
+// runtime and over TCP workers for every distributed variant — the five
+// fixed-grid calls and every row the planner enumerates for a test
+// shape — and demands identical factors to 1e-13 plus populated byte
+// counters on the TCP side. On each transport it also holds every entry
+// point to being sugar: the fixed-grid call and the equivalent plan
+// through FactorizePlan must give bitwise-equal Q and R and equal
+// counted costs.
 func TestTCPTransportMatchesSim(t *testing.T) {
 	a := RandomMatrix(1024, 64, 7)
-	workers := startLocalWorkers(t, 3)
+	workers := startLocalWorkers(t, 7)
 	tcp := Options{Transport: TCPTransport(workers...), Timeout: time.Minute}
 
-	cases := []struct {
+	type testCase struct {
 		name string
+		a    *Dense
+		plan Plan // hand-built: the variant and its extents, nothing priced
 		run  func(opts Options) (*Result, error)
-	}{
-		{"1d", func(opts Options) (*Result, error) { return Factorize1D(a, 4, opts) }},
-		{"shifted1d", func(opts Options) (*Result, error) { return FactorizeShifted1D(a, 4, opts) }},
-		{"tsqr", func(opts Options) (*Result, error) { return FactorizeTSQR(a, 4, 0, opts) }},
-		{"grid", func(opts Options) (*Result, error) { return FactorizeOnGrid(a, GridSpec{C: 1, D: 4}, opts) }},
-		{"pgeqrf", func(opts Options) (*Result, error) { return FactorizePGEQRF(a, 2, 2, 16, opts) }},
+	}
+	cases := []testCase{
+		{"1d", a, Plan{Variant: Variant1DCQR2, Procs: 4}, func(opts Options) (*Result, error) { return Factorize1D(a, 4, opts) }},
+		{"shifted1d", a, Plan{Variant: VariantShiftedCQR3, Procs: 4}, func(opts Options) (*Result, error) { return FactorizeShifted1D(a, 4, opts) }},
+		{"tsqr", a, Plan{Variant: VariantTSQR, Procs: 4}, func(opts Options) (*Result, error) { return FactorizeTSQR(a, 4, 0, opts) }},
+		{"grid", a, Plan{Variant: VariantCACQR2, C: 1, D: 4}, func(opts Options) (*Result, error) { return FactorizeOnGrid(a, GridSpec{C: 1, D: 4}, opts) }},
+		{"pgeqrf", a, Plan{Variant: VariantPGEQRF, D: 2, C: 2, PanelWidth: 16}, func(opts Options) (*Result, error) { return FactorizePGEQRF(a, 2, 2, 16, opts) }},
+	}
+	small := RandomMatrix(128, 16, 3)
+	rows, err := PlanGrid(small.Rows, small.Cols, 8, Options{IncludeBaselines: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rows {
+		name := fmt.Sprintf("row/%s/%s/b%d", p.Variant, p.GridString(), p.PanelWidth)
+		cases = append(cases, testCase{name, small, p, fixedGridCall(small, p)})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,13 +135,102 @@ func TestTCPTransportMatchesSim(t *testing.T) {
 			if sim.Stats.Bytes != 0 {
 				t.Errorf("sim run reported %d wire bytes", sim.Stats.Bytes)
 			}
-			if over.Stats.Bytes <= 0 {
-				t.Errorf("tcp run reported no wire bytes")
+			if tc.plan.Procs > 1 || tc.plan.C*tc.plan.D > 1 {
+				if over.Stats.Bytes <= 0 {
+					t.Errorf("tcp run reported no wire bytes")
+				}
+				if over.Stats.Msgs <= 0 || over.Stats.Words <= 0 {
+					t.Errorf("tcp counters not populated: %+v", over.Stats)
+				}
 			}
-			if over.Stats.Msgs <= 0 || over.Stats.Words <= 0 {
-				t.Errorf("tcp counters not populated: %+v", over.Stats)
+			for _, side := range []struct {
+				name  string
+				opts  Options
+				entry *Result
+			}{{"sim", Options{}, sim}, {"tcp", tcp, over}} {
+				viaPlan, err := FactorizePlan(tc.a, tc.plan, side.opts)
+				if err != nil {
+					t.Fatalf("%s: FactorizePlan(%v): %v", side.name, tc.plan, err)
+				}
+				if denseMaxDiff(side.entry.Q, viaPlan.Q) > 0 || denseMaxDiff(side.entry.R, viaPlan.R) > 0 {
+					t.Errorf("%s: entry point and FactorizePlan(%v) differ bitwise", side.name, tc.plan)
+				}
+				got, want := viaPlan.Stats, side.entry.Stats
+				if side.name == "tcp" {
+					got.Time, want.Time = 0, 0 // wall-clock over TCP
+				}
+				if got != want {
+					t.Errorf("%s: FactorizePlan(%v) stats %+v, entry point %+v", side.name, tc.plan, got, want)
+				}
 			}
 		})
+	}
+}
+
+// TestJobGobRoundTrip ships the job of every plan row the planner
+// enumerates — in-core rows, the baseline, and the out-of-core rows a
+// tight budget brings out — through the worker payload codec: what gob
+// carries is the whole exported description, and nothing of the
+// launching process's transport, timeout or hint.
+func TestJobGobRoundTrip(t *testing.T) {
+	const m, n = 1024, 16
+	var rows []Plan
+	for _, req := range []struct {
+		procs int
+		opts  Options
+	}{{8, Options{IncludeBaselines: true}}, {1, Options{MemBudget: 45000}}} {
+		ps, err := PlanGrid(m, n, req.procs, req.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, ps...)
+	}
+	seen := map[Variant]bool{}
+	for _, p := range rows {
+		seen[p.Variant] = true
+		j, err := newJob(m, n, p, Options{InverseDepth: 1, BaseSize: 4, Workers: 2, CondEst: 1e3, Timeout: time.Second, Transport: SimTransport()})
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		payload, err := encodeJobPayload(j, nil)
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		got, local, err := decodeJobPayload(payload)
+		if err != nil || local != nil {
+			t.Fatalf("%v: decode gave block %v, err %v", p, local, err)
+		}
+		want := j
+		want.transport, want.timeout, want.condEst = nil, 0, 0
+		if got != want {
+			t.Errorf("%v: round trip gave %+v, want %+v", p, got, want)
+		}
+	}
+	for _, v := range []Variant{VariantSequential, Variant1DCQR2, VariantShiftedCQR3, VariantCACQR2, VariantPanelCACQR2, VariantTSQR, VariantPGEQRF, VariantStreamCQR2} {
+		if !seen[v] {
+			t.Errorf("no %s row was enumerated", v)
+		}
+	}
+}
+
+// TestUnknownVariantFailsOnEveryRank hands real workers a job whose
+// variant none of them knows (a newer coordinator, a corrupted payload):
+// every rank must refuse it before its first collective, so the run
+// returns the error instead of hanging on a half-entered collective
+// until the timeout.
+func TestUnknownVariantFailsOnEveryRank(t *testing.T) {
+	workers := startLocalWorkers(t, 3)
+	j := job{
+		Plan: Plan{Variant: "cqr-from-the-future", Procs: 4}, M: 64, N: 8,
+		transport: TCPTransport(workers...), timeout: 30 * time.Second,
+	}
+	start := time.Now()
+	_, err := execute(context.Background(), j, SourceFromDense(RandomMatrix(64, 8, 1)).src, nil)
+	if err == nil || !strings.Contains(err.Error(), "unknown job variant") {
+		t.Fatalf("unknown variant returned %v, want the variant error", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("unknown variant took %v to fail: ranks waited on each other", d)
 	}
 }
 
