@@ -222,6 +222,34 @@ func TestPublicMatchesSequentialReference(t *testing.T) {
 	_ = q1
 }
 
+// The sequential entry points and the 1D ones on a single rank run the
+// same ladder over the same kernels: their factors are the same bits,
+// for the two-pass and the shifted three-pass variant alike.
+func TestOneRank1DIsSequentialBitwise(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a    *Dense
+		seq  func(*Dense) (*Dense, *Dense, error)
+		oneD func(*Dense, int, Options) (*Result, error)
+	}{
+		{"cqr2", RandomMatrix(1024, 64, 7), CholeskyQR2, Factorize1D},
+		{"shifted-cqr3", RandomWithCond(1024, 32, 1e10, 5), ShiftedCQR3, FactorizeShifted1D},
+	} {
+		q, r, err := tc.seq(tc.a)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		res, err := tc.oneD(tc.a, 1, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if denseMaxDiff(q, res.Q) != 0 || denseMaxDiff(r, res.R) != 0 {
+			t.Errorf("%s: one-rank 1D run differs from the sequential driver (Q by %g, R by %g)",
+				tc.name, denseMaxDiff(q, res.Q), denseMaxDiff(r, res.R))
+		}
+	}
+}
+
 // TestWorkersKnobIsDeterministic: the Options.Workers knob may only
 // change wall-clock, never results or measured costs — the parallel
 // kernels are bitwise identical to the serial ones.

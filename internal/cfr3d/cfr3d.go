@@ -112,7 +112,7 @@ func factor(cb *grid.Cube, aLocal *lin.Matrix, n, base, depth, invDepth, workers
 	// levels of Y11 unformed (the sub-call skipped its Y21 blocks for
 	// invDepth − depth − 1 levels), apply the inverse by blocked
 	// substitution down to the levels where Y11 is complete.
-	l21, err := applyLinvT(cb, a21.Clone(), l11, y11, invDepth-depth-1, workers)
+	l21, err := ApplyInvT(cb, a21.Clone(), l11, y11, invDepth-depth-1, false, workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -165,35 +165,42 @@ func factor(cb *grid.Cube, aLocal *lin.Matrix, n, base, depth, invDepth, workers
 	return lOut, yOut, nil
 }
 
-// applyLinvT computes X = A·Lᵀ⁻¹ for lower-triangular L whose inverse Y
-// is complete except for the off-diagonal blocks of its top k recursion
-// levels. At k ≤ 0 this is the direct multiply by Y11ᵀ (Algorithm 3
-// lines 6–7); otherwise it is the blocked substitution
+// ApplyInvT computes X = A·L⁻ᵀ for lower-triangular L whose inverse Y is
+// complete except for the off-diagonal blocks of its top k recursion
+// levels (Result.Y under InverseDepth k). At k ≤ 0 this is the direct
+// multiply by Yᵀ; otherwise it is the §III-A blocked substitution
 //
-//	X₁ = A₁·Laᵀ⁻¹,  X₂ = (A₂ − X₁·L₂₁ᵀ)·Lbᵀ⁻¹
+//	X₁ = A₁·L₁₁⁻ᵀ,  X₂ = (A₂ − X₁·L₂₁ᵀ)·L₂₂⁻ᵀ
 //
 // which costs one extra (smaller) MM3D and transpose per level — the
-// flops-for-synchronization trade of the paper's InverseDepth knob.
-func applyLinvT(cb *grid.Cube, a, l, y *lin.Matrix, k, workers int) (*lin.Matrix, error) {
+// flops-for-synchronization trade of the paper's InverseDepth knob. It
+// serves both places the paper applies a CFR3D inverse: Algorithm 3
+// lines 6–7 (L21 = A21·L11⁻ᵀ, a plain MM3D) and Algorithm 8 line 8
+// (Q = A·R⁻¹ with R = Lᵀ), which sets tri to charge the leaf product by
+// the triangular Yᵀ at the TRMM rate.
+func ApplyInvT(cb *grid.Cube, a, l, y *lin.Matrix, k int, tri bool, workers int) (*lin.Matrix, error) {
 	if k <= 0 || l.Rows < 2 || l.Rows%2 != 0 {
 		w, err := mm3d.Transpose(cb, y)
 		if err != nil {
 			return nil, err
 		}
+		if tri {
+			return mm3d.MultiplyTri(cb, a, w, workers)
+		}
 		return mm3d.Multiply(cb, a, w, workers)
 	}
 	p := cb.Comm.Proc()
 	half := l.Rows / 2
-	la := l.View(0, 0, half, half).Clone()
+	l11 := l.View(0, 0, half, half).Clone()
 	l21 := l.View(half, 0, half, half).Clone()
-	lb := l.View(half, half, half, half).Clone()
-	ya := y.View(0, 0, half, half).Clone()
-	yb := y.View(half, half, half, half).Clone()
+	l22 := l.View(half, half, half, half).Clone()
+	y11 := y.View(0, 0, half, half).Clone()
+	y22 := y.View(half, half, half, half).Clone()
 
 	a1 := a.View(0, 0, a.Rows, half).Clone()
 	a2 := a.View(0, half, a.Rows, half).Clone()
 
-	x1, err := applyLinvT(cb, a1, la, ya, k-1, workers)
+	x1, err := ApplyInvT(cb, a1, l11, y11, k-1, tri, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +216,7 @@ func applyLinvT(cb *grid.Cube, a, l, y *lin.Matrix, k, workers int) (*lin.Matrix
 	if err := p.Compute(lin.AxpyFlops(a2.Rows, a2.Cols)); err != nil {
 		return nil, err
 	}
-	x2, err := applyLinvT(cb, a2, lb, yb, k-1, workers)
+	x2, err := ApplyInvT(cb, a2, l22, y22, k-1, tri, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -62,22 +62,20 @@ func batchedQR(as []*lin.Matrix, workers int, shifted bool) (qs, rs []*lin.Matri
 		passRs = append(passRs, rp)
 	}
 
-	// Per-item combination, one pool dispatch: R = R_last···R_1, exactly
-	// the Trmm sequence of the sequential drivers (innermost pass last).
-	// Q factors are handed out as views into the slab (one allocation for
-	// the whole batch, disjoint lanes per item) — cloning them would add
-	// a full batch-sized copy to the throughput path for nothing, since
-	// the slab has no other owner after this returns.
+	// Per-item combination, one pool dispatch: the ladder's fold over the
+	// passes in order. Q factors are handed out as views into the slab
+	// (one allocation for the whole batch, disjoint lanes per item) —
+	// cloning them would add a full batch-sized copy to the throughput
+	// path for nothing, since the slab has no other owner after this
+	// returns.
 	lin.BatchApply(workers, b, func(i int) {
 		if errs[i] != nil {
 			return
 		}
-		r := passRs[passes-1][i]
-		for p := passes - 2; p >= 0; p-- {
-			lin.Trmm(lin.Right, lin.Upper, false, passRs[p][i], r)
+		for _, rp := range passRs {
+			rs[i] = fold(rs[i], rp[i])
 		}
 		qs[i] = q.Item(i)
-		rs[i] = r
 	})
 	return qs, rs, errs
 }
@@ -85,14 +83,14 @@ func batchedQR(as []*lin.Matrix, workers int, shifted bool) (qs, rs []*lin.Matri
 // batchedPass runs one fused CholeskyQR pass over the slab: BatchSYRK
 // for every Gram matrix (beta=0, the kernel's store form: w is written
 // without being read, exactly as the sequential pass does), then one pooled
-// per-item sweep doing CholInv (with the Fukaya shift first when
-// shifted) and the in-place triangular Q update A_i := A_i·(L⁻¹)ᵀ —
-// the same Trmm the sequential drivers apply, so lanes stay bitwise
-// identical to CholeskyQR(as[i], 1). Updating lanes in place keeps the
-// throughput path to one m×n slab for the whole pipeline: no per-pass Q
-// slab allocation, and A_i is still cache-hot from its Gram computation
-// when its Q update runs. Items whose Cholesky breaks down get errs[i]
-// set and keep their (finite) lane contents; later passes skip them.
+// per-item sweep doing the ladder's Factor and the in-place triangular Q
+// update A_i := A_i·(L⁻¹)ᵀ — the same Trmm the sequential drivers
+// apply, so lanes stay bitwise identical to CholeskyQR(as[i], 1).
+// Updating lanes in place keeps the throughput path to one m×n slab for
+// the whole pipeline: no per-pass Q slab allocation, and A_i is still
+// cache-hot from its Gram computation when its Q update runs. Items
+// whose Cholesky breaks down get errs[i] set and keep their (finite)
+// lane contents; later passes skip them.
 func batchedPass(a *lin.Slab, workers int, shifted bool, errs []error) (q *lin.Slab, rts []*lin.Matrix) {
 	b, m, n := a.Batch, a.Rows, a.Cols
 	w := lin.NewSlab(b, n, n)
@@ -102,17 +100,13 @@ func batchedPass(a *lin.Slab, workers int, shifted bool, errs []error) (q *lin.S
 		if errs[i] != nil {
 			return
 		}
-		wi := w.Item(i)
-		if shifted {
-			ShiftGram(wi, m)
-		}
-		l, y, err := lin.CholInv(wi)
+		r, y, err := Factor(w.Item(i), m, shifted)
 		if err != nil {
-			errs[i] = illConditioned(err, shifted)
+			errs[i] = err
 			return
 		}
 		lin.Trmm(lin.Right, lin.Lower, true, y, a.Item(i))
-		rts[i] = l.T()
+		rts[i] = r
 	})
 	return a, rts
 }

@@ -53,39 +53,84 @@ func CACQR(g *grid.Grid, aLocal *lin.Matrix, m, n int, prm Params) (qLocal, rLoc
 		return nil, nil, err
 	}
 	p := g.World.Proc()
-	c, d := g.C, g.D
 
-	// Line 1: Bcast A along Π[:, y, z] from root x = z; W is the block
-	// of the processor column x = z. Each step runs under a simmpi
-	// phase labeled with its Table V line, so measured per-line costs
-	// can be checked against the model's decomposition — and, when this
-	// rank carries a trace span, under a stage span with the same label.
+	// Lines 1–5: Z = AᵀA over the grid. Line 2 is charged at the SYRK
+	// rate (m/d)·(n/c)²: the paper's 4mn² + (5/3)n³ critical path counts
+	// the Gram-matrix work symmetrically, as its implementation's BLAS
+	// calls do.
+	zBlock, err := gramProduct(g, aLocal, aLocal, lin.SyrkFlops(m/g.D, n/g.C), prm.localWorkers())
+	if err != nil {
+		return nil, nil, err
+	}
+
+	// Lines 6–7: CFR3D on the subcube: Z = Rᵀ·R with L = Rᵀ, Y = L⁻¹.
 	stg := obs.StagesOf(p)
 	defer stg.Done()
-	stg.Enter("1:Bcast(A)")
-	defer p.SetPhase(p.SetPhase("1:Bcast(A)"))
-	var aRoot []float64
-	if g.X == g.Z {
-		aRoot = dist.Flatten(aLocal)
-	}
-	wFlat, err := g.XComm.Bcast(g.Z, aRoot)
-	if err != nil {
-		return nil, nil, err
-	}
-	w, err := dist.Unflatten(m/d, n/c, wFlat)
+	stg.Enter("7:CFR3D")
+	defer p.SetPhase(p.SetPhase("7:CFR3D"))
+	res, err := cfr3d.Factor(g.Cube, zBlock, n, cfr3d.Options{
+		BaseSize: prm.BaseSize, InverseDepth: prm.InverseDepth, Workers: prm.localWorkers(),
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// Line 2: X = Wᵀ·A. Charged at the SYRK rate (m/d)·(n/c)²: the
-	// paper's 4mn² + (5/3)n³ critical path counts the Gram-matrix work
-	// symmetrically, as its implementation's BLAS calls do.
+	// Line 8: Q = A·R⁻¹ over the subcube (blocked substitution when the
+	// top inverse levels were skipped), plus the transpose that yields
+	// the caller's R = Lᵀ block.
+	stg.Enter("8:MM3D(Q)+Transp")
+	p.SetPhase("8:MM3D(Q)+Transp")
+	qLocal, err = cfr3d.ApplyInvT(g.Cube, aLocal, res.L, res.Y, prm.InverseDepth, true, prm.localWorkers())
+	if err != nil {
+		return nil, nil, err
+	}
+	rLocal, err = mm3d.Transpose(g.Cube, res.L)
+	if err != nil {
+		return nil, nil, err
+	}
+	return qLocal, rLocal, nil
+}
+
+// gramProduct is Algorithm 8 lines 1–5 with any left operand: C = Qᵀ·B
+// for row-distributed Q and B whose local blocks qLoc and bLoc (m/d rows
+// each) are replicated over depth — Q = B = A gives the Gram matrix of
+// CA-CQR, Q = Qₖ and B = A_rest the trailing product of the panel
+// variant. The result is distributed cyclically over each subcube slice
+// (rows over cube-y, columns over x) and replicated across depth and
+// subcubes. flops is the charge for the local product of line 2. Each
+// line runs under a phase labeled as in Table V, so measured per-line
+// costs can be checked against the model's decomposition — and, when
+// this rank carries a trace span, under a stage span with the same
+// label.
+func gramProduct(g *grid.Grid, qLoc, bLoc *lin.Matrix, flops int64, workers int) (*lin.Matrix, error) {
+	p := g.World.Proc()
+	stg := obs.StagesOf(p)
+	defer stg.Done()
+
+	// Line 1: Bcast Q along Π[:, y, z] from root x = z; W is the block
+	// of the processor column x = z.
+	stg.Enter("1:Bcast(A)")
+	defer p.SetPhase(p.SetPhase("1:Bcast(A)"))
+	var qRoot []float64
+	if g.X == g.Z {
+		qRoot = dist.Flatten(qLoc)
+	}
+	wFlat, err := g.XComm.Bcast(g.Z, qRoot)
+	if err != nil {
+		return nil, err
+	}
+	w, err := dist.Unflatten(qLoc.Rows, qLoc.Cols, wFlat)
+	if err != nil {
+		return nil, err
+	}
+
+	// Line 2: X = Wᵀ·B.
 	stg.Enter("2:MM(WtA)")
 	p.SetPhase("2:MM(WtA)")
-	x := lin.NewMatrix(n/c, n/c)
-	lin.GemmParallel(prm.localWorkers(), true, false, 1, w, aLocal, 0, x)
-	if err := p.Compute(lin.SyrkFlops(m/d, n/c)); err != nil {
-		return nil, nil, err
+	x := lin.NewMatrix(qLoc.Cols, bLoc.Cols)
+	lin.GemmParallel(workers, true, false, 1, w, bLoc, 0, x)
+	if err := p.Compute(flops); err != nil {
+		return nil, err
 	}
 
 	// Line 3: Reduce within the contiguous y-group onto root offset z.
@@ -94,7 +139,7 @@ func CACQR(g *grid.Grid, aLocal *lin.Matrix, m, n int, prm Params) (qLocal, rLoc
 	xFlat := dist.Flatten(x)
 	yFlat, err := g.YGroup.Reduce(g.Z, xFlat)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Line 4: Allreduce across the strided y-groups. Only the groups
@@ -108,50 +153,22 @@ func CACQR(g *grid.Grid, aLocal *lin.Matrix, m, n int, prm Params) (qLocal, rLoc
 	}
 	zFlat, err := g.YStride.Allreduce(contrib)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Line 5: Bcast along depth from root z = y mod c, giving every
-	// slice of every subcube the cyclic block of Z = AᵀA.
+	// slice of every subcube the cyclic block of the product.
 	stg.Enter("5:Bcast(Z,depth)")
 	p.SetPhase("5:Bcast(Z,depth)")
 	var zRoot []float64
-	if g.Z == g.Y%c {
+	if g.Z == g.Y%g.C {
 		zRoot = zFlat
 	}
-	zOut, err := g.ZComm.Bcast(g.Y%c, zRoot)
+	out, err := g.ZComm.Bcast(g.Y%g.C, zRoot)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	zBlock, err := dist.Unflatten(n/c, n/c, zOut)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Lines 6–7: CFR3D on the subcube: Z = Rᵀ·R with L = Rᵀ, Y = L⁻¹.
-	stg.Enter("7:CFR3D")
-	p.SetPhase("7:CFR3D")
-	res, err := cfr3d.Factor(g.Cube, zBlock, n, cfr3d.Options{
-		BaseSize: prm.BaseSize, InverseDepth: prm.InverseDepth, Workers: prm.localWorkers(),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Line 8: Q = A·R⁻¹ over the subcube (blocked substitution when the
-	// top inverse levels were skipped), plus the transpose that yields
-	// the caller's R = Lᵀ block.
-	stg.Enter("8:MM3D(Q)+Transp")
-	p.SetPhase("8:MM3D(Q)+Transp")
-	qLocal, err = applyRInv(g.Cube, aLocal, res.L, res.Y, prm.InverseDepth, prm.localWorkers())
-	if err != nil {
-		return nil, nil, err
-	}
-	rLocal, err = mm3d.Transpose(g.Cube, res.L)
-	if err != nil {
-		return nil, nil, err
-	}
-	return qLocal, rLocal, nil
+	return dist.Unflatten(x.Rows, x.Cols, out)
 }
 
 // CACQR2 runs Algorithm 9: two CA-CQR passes and R = R₂·R₁ by MM3D over
@@ -170,61 +187,6 @@ func CACQR2(g *grid.Grid, aLocal *lin.Matrix, m, n int, prm Params) (qLocal, rLo
 		return nil, nil, err
 	}
 	return q, r, nil
-}
-
-// applyRInv computes Q = A·R⁻¹ where R = Lᵀ and y holds L⁻¹ complete
-// below invDepth recursion levels. At invDepth = 0 this is a single MM3D
-// with R⁻¹ = Yᵀ (Algorithm 8 line 8). For invDepth > 0 it performs the
-// §III-A blocked substitution: split R = [R11 R12; 0 R22], solve
-// Q1 = A1·R11⁻¹, update A2' = A2 − Q1·R12, solve Q2 = A2'·R22⁻¹.
-func applyRInv(cb *grid.Cube, aLocal, l, y *lin.Matrix, invDepth, workers int) (*lin.Matrix, error) {
-	if invDepth <= 0 || l.Rows < 2 || l.Rows%2 != 0 {
-		rinv, err := mm3d.Transpose(cb, y)
-		if err != nil {
-			return nil, err
-		}
-		return mm3d.MultiplyTri(cb, aLocal, rinv, workers) // R⁻¹ is triangular
-	}
-	p := cb.Comm.Proc()
-	half := l.Rows / 2
-	l11 := l.View(0, 0, half, half).Clone()
-	l21 := l.View(half, 0, half, half).Clone()
-	l22 := l.View(half, half, half, half).Clone()
-	y11 := y.View(0, 0, half, half).Clone()
-	y22 := y.View(half, half, half, half).Clone()
-
-	ha := aLocal.Cols / 2
-	a1 := aLocal.View(0, 0, aLocal.Rows, ha).Clone()
-	a2 := aLocal.View(0, ha, aLocal.Rows, ha).Clone()
-
-	q1, err := applyRInv(cb, a1, l11, y11, invDepth-1, workers)
-	if err != nil {
-		return nil, err
-	}
-
-	// R12 = L21ᵀ; A2' = A2 − Q1·R12.
-	r12, err := mm3d.Transpose(cb, l21)
-	if err != nil {
-		return nil, err
-	}
-	t, err := mm3d.Multiply(cb, q1, r12, workers)
-	if err != nil {
-		return nil, err
-	}
-	a2.Sub(t)
-	if err := p.Compute(lin.AxpyFlops(a2.Rows, a2.Cols)); err != nil {
-		return nil, err
-	}
-
-	q2, err := applyRInv(cb, a2, l22, y22, invDepth-1, workers)
-	if err != nil {
-		return nil, err
-	}
-
-	out := lin.NewMatrix(aLocal.Rows, aLocal.Cols)
-	out.View(0, 0, out.Rows, ha).CopyFrom(q1)
-	out.View(0, ha, out.Rows, ha).CopyFrom(q2)
-	return out, nil
 }
 
 func checkShapes(g *grid.Grid, aLocal *lin.Matrix, m, n int) error {

@@ -9,37 +9,59 @@ import (
 	"cacqr/internal/transport"
 )
 
-// OneDCQR is the existing parallel 1D CholeskyQR (Algorithm 6) over a 1D
-// grid of P processors: each rank owns an m/P × n row block of A.
+// rowBlock is the Tall of a matrix spread over a 1D grid of P
+// processors, each owning an m/P × n row block: the resident block plus
+// the Gram Allreduce and the per-line charges of Algorithm 6,
 //
 //	line 1: X = Syrk(Π⟨A⟩)           (local, (m/P)·n² flops)
 //	line 2: Z = Allreduce(X, Π)      (n² words)
-//	line 3: Rᵀ, R⁻ᵀ = CholInv(Z)     (redundant, n³ flops)
-//	line 4: Π⟨Q⟩ = MM(Π⟨A⟩, R⁻¹)     (local, 2(m/P)·n² flops)
+//	line 3: Rᵀ, R⁻ᵀ = CholInv(Z)     (redundant, n³ flops — the ladder's)
+//	line 4: Π⟨Q⟩ = MM(Π⟨A⟩, R⁻¹)     (local, charged at the TRMM rate
+//	                                  (m/P)·n², matching the paper's
+//	                                  4mn² + (5/3)n³ critical-path count)
 //
-// Returns this rank's Q block and the replicated n × n R.
+// with a stage span per line on a rank that carries a trace span (a
+// rank without one gets a nil *Stages and every call no-ops). Shifted
+// and plain passes charge alike, so the "measured γ == predicted γ"
+// contract cannot diverge between the variants.
+type rowBlock struct {
+	resident
+	comm transport.Comm
+	stg  *obs.Stages
+}
+
+func (t *rowBlock) Gram() (*lin.Matrix, error) {
+	n := t.a.Cols
+	t.stg.Enter("gram-syrk")
+	x, _ := t.resident.Gram()
+	if err := t.Charge(lin.SyrkFlops(t.a.Rows, n)); err != nil {
+		return nil, err
+	}
+	t.stg.Enter("gram-allreduce")
+	z, err := t.comm.Allreduce(dist.Flatten(x))
+	if err != nil {
+		return nil, err
+	}
+	t.stg.Enter("cholesky")
+	return dist.Unflatten(n, n, z)
+}
+
+func (t *rowBlock) Charge(flops int64) error { return t.comm.Proc().Compute(flops) }
+
+func (t *rowBlock) ApplyInv(y *lin.Matrix) error {
+	t.stg.Enter("q-update")
+	defer t.stg.Done()
+	t.resident.ApplyInv(y)
+	return t.Charge(lin.TrsmFlops(t.q.Rows, t.q.Cols))
+}
+
+// oneD runs the ladder on this rank's row block and returns its Q block
+// and the replicated n × n R. aLocal is not modified.
 //
 // workers bounds the goroutines the rank's local level-3 kernels may
 // use (≤ 1 = serial, the right default for simulated grids). Results
 // are identical for any value.
-func OneDCQR(comm transport.Comm, aLocal *lin.Matrix, m, n, workers int) (qLocal, r *lin.Matrix, err error) {
-	return oneDCholeskyQR(comm, aLocal, m, n, workers, false)
-}
-
-// oneDCholeskyQR is the shared body of the plain and shifted 1D
-// CholeskyQR passes. The only difference is the shifted variant's
-// diagonal shift s·I applied to the replicated Gram matrix before the
-// Cholesky factorization (Fukaya et al., the paper's reference [3]):
-// s = 11·(m·n + n·(n+1))·ε·‖A‖₂², bounded above via the Frobenius norm,
-// which is the trace of the already-Allreduced Gram matrix — no extra
-// communication and only O(n) uncharged local work. Keeping one body
-// keeps the cost charging in one place, so the "measured γ == predicted
-// γ" contract can never diverge between the two variants.
-func oneDCholeskyQR(comm transport.Comm, aLocal *lin.Matrix, m, n, workers int, shifted bool) (qLocal, r *lin.Matrix, err error) {
-	if workers < 1 {
-		workers = 1
-	}
-	p := comm.Proc()
+func oneD(comm transport.Comm, aLocal *lin.Matrix, m, n, workers, passes int, shifted bool) (qLocal, r *lin.Matrix, err error) {
 	np := comm.Size()
 	if m%np != 0 {
 		return nil, nil, fmt.Errorf("core: m=%d not divisible by P=%d", m, np)
@@ -47,93 +69,36 @@ func oneDCholeskyQR(comm transport.Comm, aLocal *lin.Matrix, m, n, workers int, 
 	if aLocal.Rows != m/np || aLocal.Cols != n {
 		return nil, nil, fmt.Errorf("core: local block %dx%d, want %dx%d", aLocal.Rows, aLocal.Cols, m/np, n)
 	}
-
-	// Stage spans mirror the paper's per-line cost decomposition; a rank
-	// without a trace span gets a nil *Stages and every call no-ops.
-	stg := obs.StagesOf(p)
-	defer stg.Done()
-
-	stg.Enter("gram-syrk")
-	x := lin.SyrkNewParallel(workers, aLocal)
-	if err := p.Compute(lin.SyrkFlops(aLocal.Rows, n)); err != nil {
+	t := &rowBlock{
+		resident: resident{a: aLocal, q: lin.NewMatrix(aLocal.Rows, n), workers: max(workers, 1)},
+		comm:     comm,
+		stg:      obs.StagesOf(comm.Proc()),
+	}
+	defer t.stg.Done()
+	if r, _, err = Ladder(t, m, passes, shifted); err != nil {
 		return nil, nil, err
 	}
+	return t.q, r, nil
+}
 
-	stg.Enter("gram-allreduce")
-	zFlat, err := comm.Allreduce(dist.Flatten(x))
-	if err != nil {
-		return nil, nil, err
-	}
-	z, err := dist.Unflatten(n, n, zFlat)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	if shifted {
-		// ‖A‖₂² ≤ ‖A‖_F² = trace(AᵀA); the shift only needs an upper
-		// bound, and the global trace is free once the Gram matrix is
-		// replicated.
-		norm2sq := 0.0
-		for i := 0; i < n; i++ {
-			if d := z.At(i, i); d > 0 {
-				norm2sq += d
-			}
-		}
-		s := 11 * float64(m*n+n*(n+1)) * lin.Eps * norm2sq
-		for i := 0; i < n; i++ {
-			z.Set(i, i, z.At(i, i)+s)
-		}
-	}
-
-	stg.Enter("cholesky")
-	l, y, err := lin.CholInv(z)
-	if err != nil {
-		if shifted {
-			return nil, nil, fmt.Errorf("%w: shifted Gram still indefinite: %w", ErrIllConditioned, err)
-		}
-		return nil, nil, fmt.Errorf("%w: %w", ErrIllConditioned, err)
-	}
-	if err := p.Compute(lin.CholFlops(n) + lin.TriInvFlops(n)); err != nil {
-		return nil, nil, err
-	}
-
-	// Q = A·(L⁻¹)ᵀ = A·R⁻¹, charged at the TRMM rate (R⁻¹ triangular),
-	// matching the paper's 4mn² + (5/3)n³ critical-path count.
-	stg.Enter("q-update")
-	qLocal = lin.NewMatrix(aLocal.Rows, n)
-	lin.GemmParallel(workers, false, true, 1, aLocal, y, 0, qLocal)
-	if err := p.Compute(lin.TrsmFlops(aLocal.Rows, n)); err != nil {
-		return nil, nil, err
-	}
-	return qLocal, l.T(), nil
+// OneDCQR is the existing parallel 1D CholeskyQR (Algorithm 6): one pass
+// over a 1D grid of comm.Size() processors (see rowBlock for the lines
+// and oneD for the arguments).
+func OneDCQR(comm transport.Comm, aLocal *lin.Matrix, m, n, workers int) (qLocal, r *lin.Matrix, err error) {
+	return oneD(comm, aLocal, m, n, workers, 1, false)
 }
 
 // OneDCQR2 is Algorithm 7: two OneDCQR passes and a local triangular
 // product R = R₂·R₁ ((1/3)n³ flops).
 func OneDCQR2(comm transport.Comm, aLocal *lin.Matrix, m, n, workers int) (qLocal, r *lin.Matrix, err error) {
-	q1, r1, err := OneDCQR(comm, aLocal, m, n, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	q, r2, err := OneDCQR(comm, q1, m, n, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err = foldR(comm, r2, r1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return q, r, nil
+	return oneD(comm, aLocal, m, n, workers, 2, false)
 }
 
-// foldR computes the replicated triangular product R = R₂·R₁ that
-// closes every multi-pass CholeskyQR variant, charging the (1/3)n³
-// flops the paper counts for it.
-func foldR(comm transport.Comm, r2, r1 *lin.Matrix) (*lin.Matrix, error) {
-	r := r2.Clone()
-	lin.Trmm(lin.Right, lin.Upper, false, r1, r)
-	if err := comm.Proc().Compute(lin.TriInvFlops(r1.Rows)); err != nil { // (1/3)n³
-		return nil, err
-	}
-	return r, nil
+// OneDShiftedCQR3 is the distributed shifted CholeskyQR3: one shifted
+// pass to tame the conditioning, then two plain ones. It succeeds for
+// κ(A) far beyond plain (1D-)CQR2's ~ε^{-1/2} breakdown, at ~1.5× the
+// flops — the planner's condition-aware fallback for ill-conditioned
+// tall matrices.
+func OneDShiftedCQR3(comm transport.Comm, aLocal *lin.Matrix, m, n, workers int) (qLocal, r *lin.Matrix, err error) {
+	return oneD(comm, aLocal, m, n, workers, 3, true)
 }

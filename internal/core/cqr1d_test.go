@@ -20,8 +20,8 @@ func run1D(t *testing.T, np int, body func(p *simmpi.Proc) error) *simmpi.Stats 
 	return st
 }
 
-// rowBlock returns rank r's m/np × n contiguous row block.
-func rowBlock(a *lin.Matrix, np, r int) *lin.Matrix {
+// rowBlockOf returns rank r's m/np × n contiguous row block.
+func rowBlockOf(a *lin.Matrix, np, r int) *lin.Matrix {
 	rows := a.Rows / np
 	return a.View(r*rows, 0, rows, a.Cols).Clone()
 }
@@ -30,7 +30,7 @@ func TestOneDCQRFactors(t *testing.T) {
 	const np, m, n = 4, 32, 6
 	a := lin.RandomMatrix(m, n, 1)
 	run1D(t, np, func(p *simmpi.Proc) error {
-		q, r, err := OneDCQR(p.World(), rowBlock(a, np, p.Rank()), m, n, 0)
+		q, r, err := OneDCQR(p.World(), rowBlockOf(a, np, p.Rank()), m, n, 0)
 		if err != nil {
 			return err
 		}
@@ -39,7 +39,7 @@ func TestOneDCQRFactors(t *testing.T) {
 		}
 		// Locally check the block equation A_i = Q_i R.
 		qr := lin.MatMul(q, r)
-		if !qr.EqualWithin(rowBlock(a, np, p.Rank()), 1e-10) {
+		if !qr.EqualWithin(rowBlockOf(a, np, p.Rank()), 1e-10) {
 			return errors.New("local block residual too large")
 		}
 		return nil
@@ -54,7 +54,7 @@ func TestOneDCQR2MatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	run1D(t, np, func(p *simmpi.Proc) error {
-		q, r, err := OneDCQR2(p.World(), rowBlock(a, np, p.Rank()), m, n, 0)
+		q, r, err := OneDCQR2(p.World(), rowBlockOf(a, np, p.Rank()), m, n, 0)
 		if err != nil {
 			return err
 		}
@@ -85,7 +85,7 @@ func TestOneDCQRCostTableIII(t *testing.T) {
 	const np, m, n = 4, 64, 8
 	a := lin.RandomMatrix(m, n, 3)
 	st := run1D(t, np, func(p *simmpi.Proc) error {
-		_, _, err := OneDCQR(p.World(), rowBlock(a, np, p.Rank()), m, n, 0)
+		_, _, err := OneDCQR(p.World(), rowBlockOf(a, np, p.Rank()), m, n, 0)
 		return err
 	})
 	wantFlops := lin.SyrkFlops(m/np, n) + lin.CholFlops(n) + lin.TriInvFlops(n) + lin.TrsmFlops(m/np, n)
@@ -111,7 +111,7 @@ func TestOneDCQRRejectsIndivisible(t *testing.T) {
 }
 
 func TestOneDCQR2SingleRank(t *testing.T) {
-	// P=1 degenerates to sequential CQR2.
+	// P=1 is sequential CQR2: same ladder, same kernels, same bits.
 	const m, n = 20, 5
 	a := lin.RandomMatrix(m, n, 4)
 	qSeq, rSeq, err := CholeskyQR2(a, 1)
@@ -123,8 +123,8 @@ func TestOneDCQR2SingleRank(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if !q.EqualWithin(qSeq, 1e-12) || !r.EqualWithin(rSeq, 1e-12) {
-			return errors.New("P=1 does not match sequential")
+		if !q.Equal(qSeq) || !r.Equal(rSeq) {
+			return errors.New("P=1 is not bitwise the sequential result")
 		}
 		return nil
 	})

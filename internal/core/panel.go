@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"cacqr/internal/dist"
 	"cacqr/internal/grid"
 	"cacqr/internal/lin"
 	"cacqr/internal/mm3d"
@@ -60,7 +59,7 @@ func PanelCACQR2(g *grid.Grid, aLocal *lin.Matrix, m, n, b int, prm Params) (qLo
 		rest := work.View(0, (k+1)*bloc, work.Rows, restLoc)
 
 		// R_k,rest = Q_kᵀ·A_rest via the Algorithm 8 Gram pattern.
-		rkRest, err := gramProduct(g, qk, rest.Clone(), b, restLoc*c, prm.localWorkers())
+		rkRest, err := gramProduct(g, qk, rest.Clone(), lin.GemmFlops(bloc, restLoc, qk.Rows), prm.localWorkers())
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: panel %d trailing product: %w", k, err)
 		}
@@ -77,57 +76,4 @@ func PanelCACQR2(g *grid.Grid, aLocal *lin.Matrix, m, n, b int, prm Params) (qLo
 		}
 	}
 	return q, r, nil
-}
-
-// gramProduct computes C = Qᵀ·B for row-distributed Q (m×bq) and B
-// (m×nb) whose local blocks are qLoc (m/d × bq/c) and bLoc (m/d × nb/c),
-// both replicated over depth. The result is the bq×nb matrix distributed
-// cyclically over each subcube slice (rows over cube-y, columns over x)
-// and replicated across depth and subcubes — the Algorithm 8 lines 1–5
-// communication pattern with Q in place of A's left operand.
-func gramProduct(g *grid.Grid, qLoc, bLoc *lin.Matrix, bq, nb, workers int) (*lin.Matrix, error) {
-	p := g.World.Proc()
-	c := g.C
-
-	var qRoot []float64
-	if g.X == g.Z {
-		qRoot = dist.Flatten(qLoc)
-	}
-	wFlat, err := g.XComm.Bcast(g.Z, qRoot)
-	if err != nil {
-		return nil, err
-	}
-	w, err := dist.Unflatten(qLoc.Rows, qLoc.Cols, wFlat)
-	if err != nil {
-		return nil, err
-	}
-
-	x := lin.NewMatrix(bq/c, nb/c)
-	lin.GemmParallel(workers, true, false, 1, w, bLoc, 0, x)
-	if err := p.Compute(lin.GemmFlops(bq/c, nb/c, qLoc.Rows)); err != nil {
-		return nil, err
-	}
-
-	xFlat := dist.Flatten(x)
-	yFlat, err := g.YGroup.Reduce(g.Z, xFlat)
-	if err != nil {
-		return nil, err
-	}
-	contrib := yFlat
-	if contrib == nil {
-		contrib = make([]float64, len(xFlat))
-	}
-	zFlat, err := g.YStride.Allreduce(contrib)
-	if err != nil {
-		return nil, err
-	}
-	var zRoot []float64
-	if g.Z == g.Y%c {
-		zRoot = zFlat
-	}
-	out, err := g.ZComm.Bcast(g.Y%c, zRoot)
-	if err != nil {
-		return nil, err
-	}
-	return dist.Unflatten(bq/c, nb/c, out)
 }

@@ -145,30 +145,3 @@ func TestPanelCACQR2IllConditionedPanelFails(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestThreeDCQR2(t *testing.T) {
-	const e, m, n = 2, 16, 8
-	a := lin.RandomMatrix(m, n, 9)
-	_, err := simmpi.RunWithOptions(e*e*e, simmpi.Options{Timeout: 120 * time.Second}, func(p *simmpi.Proc) error {
-		ad, err := dist.FromGlobal(a, e, e, (p.Rank()/e)%e, p.Rank()%e)
-		if err != nil {
-			return err
-		}
-		q, r, err := ThreeDCQR2(p.World(), ad.Local, m, n, e, Params{})
-		if err != nil {
-			return err
-		}
-		if q == nil || r == nil {
-			return errors.New("nil results for grid member")
-		}
-		// Verify the local Q block matches a fresh grid run.
-		g, err := grid.New(p.World(), e, e)
-		if err != nil {
-			return err
-		}
-		return verifyQR(g, a, q, r, m, n, 1e-9)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -172,17 +171,5 @@ func TestCholeskyQR2Property(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCanCQR2Handle(t *testing.T) {
-	if !CanCQR2Handle(1e3) {
-		t.Fatal("κ=1e3 should be fine")
-	}
-	if CanCQR2Handle(1e8) {
-		t.Fatal("κ=1e8 exceeds 1/√ε threshold")
-	}
-	if CanCQR2Handle(math.Inf(1)) {
-		t.Fatal("κ=∞ accepted")
 	}
 }

@@ -83,8 +83,8 @@ func cfr3dRec(n, e, base, depth, invDepth int, lines map[string]Cost) Cost {
 	c := cfr3dRec(n/2, e, base, depth+1, invDepth, lines) // line 5: A11
 	// Lines 6–7: L21 = A21·L11⁻ᵀ, by direct multiply or by blocked
 	// substitution when the top invDepth−depth−1 levels of Y11 were not
-	// formed (mirrors cfr3d.applyLinvT).
-	c = c.Add(applyLinvTCost(half, half, e, invDepth-depth-1, lines))
+	// formed.
+	c = c.Add(applyInvTCost(half, half, e, invDepth-depth-1, false, lines))
 	t8 := Transpose(blk, e*e)
 	addLine(lines, "8:Transpose(L21)", t8)
 	m9 := MM3D(half, half, half, e)
@@ -105,24 +105,30 @@ func cfr3dRec(n, e, base, depth, invDepth int, lines map[string]Cost) Cost {
 	return c
 }
 
-// applyLinvTCost mirrors cfr3d.applyLinvT for square aR×lRows blocks.
-func applyLinvTCost(aR, lRows int64, e, k int, lines map[string]Cost) Cost {
+// applyInvTCost mirrors cfr3d.ApplyInvT on an aR-row block against an
+// lRows-wide local factor: the one recurrence under CFR3D lines 6–7
+// (tri false, decomposed into lines) and CA-CQR line 8 (tri true: the
+// leaf product at the TRMM rate; lines nil).
+func applyInvTCost(aR, lRows int64, e, k int, tri bool, lines map[string]Cost) Cost {
 	if k <= 0 || lRows < 2 || lRows%2 != 0 {
 		t := Transpose(lRows*lRows, e*e)
 		addLine(lines, "6:Transpose(Y11)", t)
 		m := MM3D(aR, lRows, lRows, e)
+		if tri {
+			m = MM3DTri(aR, lRows, lRows, e)
+		}
 		addLine(lines, "7:MM3D(L21)", m)
 		return t.Add(m)
 	}
 	half := lRows / 2
-	c := applyLinvTCost(aR, half, e, k-1, lines)
+	c := applyInvTCost(aR, half, e, k-1, tri, lines)
 	t := Transpose(half*half, e*e)
 	addLine(lines, "6:Transpose(Y11)", t)
 	m := MM3D(aR, half, half, e)
 	ax := Cost{Flops: 2 * aR * half}
 	addLine(lines, "7:MM3D(L21)", m.Add(ax))
 	c = c.Add(t).Add(m).Add(ax)
-	return c.Add(applyLinvTCost(aR, half, e, k-1, lines))
+	return c.Add(applyInvTCost(aR, half, e, k-1, tri, lines))
 }
 
 // CACQRParams mirror core.Params plus the grid shape.
@@ -148,24 +154,9 @@ func CACQR(m, n int, prm CACQRParams) (Cost, error) {
 	out = out.Add(Bcast(nloc*nloc, c))       // line 5 (depth)
 	out = out.Add(CFR3D(n, c, CFR3DOptions{  // line 7
 		BaseSize: prm.BaseSize, InverseDepth: prm.InverseDepth}))
-	out = out.Add(applyRInvCost(mloc, nloc, c, prm.InverseDepth)) // line 8
-	out = out.Add(Transpose(nloc*nloc, c*c))                      // R = Lᵀ
+	out = out.Add(applyInvTCost(mloc, nloc, c, prm.InverseDepth, true, nil)) // line 8
+	out = out.Add(Transpose(nloc*nloc, c*c))                                 // R = Lᵀ
 	return out, nil
-}
-
-// applyRInvCost mirrors core.applyRInv.
-func applyRInvCost(aRows, lRows int64, e int, invDepth int) Cost {
-	if invDepth <= 0 || lRows < 2 || lRows%2 != 0 {
-		c := Transpose(lRows*lRows, e*e)
-		return c.Add(MM3DTri(aRows, lRows, lRows, e))
-	}
-	half := lRows / 2
-	c := applyRInvCost(aRows, half, e, invDepth-1)
-	c = c.Add(Transpose(half*half, e*e))
-	c = c.Add(MM3D(aRows, half, half, e))
-	c.Flops += 2 * aRows * half // axpy
-	c = c.Add(applyRInvCost(aRows, half, e, invDepth-1))
-	return c
 }
 
 // CACQR2 is Algorithm 9: two CA-CQR passes plus R = R₂·R₁ over the

@@ -34,7 +34,10 @@ func CACQR2Memory(m, n int, prm CACQRParams) (int64, error) {
 //	A, Q₁, Q (row blocks)        — 3 · mn/p
 //	X, Z, L, Y, R                — 5 · n²
 //
-// p = 1 is the sequential footprint.
+// p = 1 is the sequential footprint. An upper bound since the ladder
+// updates Q in place after its first pass (A and one Q block live, not
+// three); the third block stays in the model so that the planner's
+// budget decisions do not move with it.
 func OneDCQR2Memory(m, n, p int) (int64, error) {
 	if p < 1 {
 		return 0, fmt.Errorf("costmodel: invalid processor count %d", p)
@@ -55,6 +58,8 @@ func OneDCQR2Memory(m, n, p int) (int64, error) {
 //
 //	A, Q₁, Q₂, Q (row blocks)   — 4 · mn/p
 //	X, Z, L, Y, R₁, R₂₃, R      — 6 · n² (rounded up from CQR2's 5)
+//
+// An upper bound in the same way as OneDCQR2Memory.
 func OneDShiftedCQR3Memory(m, n, p int) (int64, error) {
 	base, err := OneDCQR2Memory(m, n, p)
 	if err != nil {

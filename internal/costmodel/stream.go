@@ -30,11 +30,13 @@ func streamPanels(m, n, panelRows int) (panels, b int64, err error) {
 // of panelRows rows on one process. Gram pass i re-reads the matrix,
 // applies the i−1 triangular inverses found so far (mn² each) and
 // accumulates the Gram matrix (mn²), then factors and inverts it
-// (n³ — CholInv); consecutive R factors fold with one n³ triangular
-// product. The plain ladder has two Gram passes, the shifted ladder
-// (streamed ShiftedCQR3) three; writeQ adds one more pass that re-reads,
-// applies every inverse and writes the panel. Plain: 3mn² + 3n³ for R
-// only, 5mn² + 3n³ with Q. I/O is charged on the disk tier: one IOOp
+// (n³ — CholInv); consecutive R factors fold with one triangular
+// product, (1/3)n³ as in the paper's count for Algorithm 7 — the
+// charges of core.Ladder, which the driver runs. The plain ladder has
+// two Gram passes, the shifted ladder (streamed ShiftedCQR3) three;
+// writeQ adds one more pass that re-reads, applies every inverse and
+// writes the panel. Plain: 3mn² + (7/3)n³ for R only, 5mn² + (7/3)n³
+// with Q. I/O is charged on the disk tier: one IOOp
 // per panel touch and 8·m·n IOBytes per pass (two reads R-only, three
 // reads and one write with Q; one more read each when shifted). No
 // communication: α = β = 0.
@@ -56,7 +58,7 @@ func StreamCQR2(m, n, panelRows int, writeQ, shifted bool) (Cost, error) {
 	}
 	cholInv := 2*nn*nn*nn/3 + nn*nn*nn/3
 	return Cost{
-		Flops:   products*mm*nn*nn + grams*cholInv + (grams-1)*nn*nn*nn,
+		Flops:   products*mm*nn*nn + grams*cholInv + (grams-1)*(nn*nn*nn/3),
 		IOOps:   passes * panels,
 		IOBytes: passes * 8 * mm * nn,
 	}, nil

@@ -62,7 +62,7 @@ func Suite(quick bool, workers int) []Case {
 	// The streaming pair for seq-cqr2: same matrix, factored out-of-core
 	// in m/8 row panels with Q written to a dense sink. Its Flops column
 	// is the stream model's total (two Gram passes and the Q pass:
-	// 5mn² + 3n³), so the ns/flop of the two rows is directly
+	// 5mn² + (7/3)n³), so the ns/flop of the two rows is directly
 	// comparable.
 	stB := seqM / 8
 	streamCost, err := cacqr.ModelStreamCQR2(seqM, seqN, stB, true, false)

@@ -181,6 +181,26 @@ func TestPredictOrthogonalityShape(t *testing.T) {
 	}
 }
 
+func TestCQR2Breaks(t *testing.T) {
+	for _, tc := range []struct {
+		cond   float64
+		breaks bool
+	}{
+		{0, false}, // "unknown"
+		{1, false},
+		{1e3, false},
+		{1<<23 - 1, false},
+		{1 << 23, true}, // κ²ε = 1/64 exactly
+		{1e8, true},     // beyond the 1/√ε threshold
+		{math.Inf(1), true},
+		{math.NaN(), false}, // no estimate is not a reason to shift
+	} {
+		if got := CQR2Breaks(tc.cond); got != tc.breaks {
+			t.Errorf("CQR2Breaks(%g) = %v, want %v", tc.cond, got, tc.breaks)
+		}
+	}
+}
+
 func TestBlockedTSQRGatedByBGS2Bound(t *testing.T) {
 	// The blocked variant's BGS2 updates lose orthogonality as O(ε·κ)
 	// — measured e2e at ~5e-11 for κ=1e12 — so unlike the plain tree it

@@ -317,7 +317,7 @@ func blockedTSQRCandidates(req Request) []Plan {
 // cheapest and the memory gate picks the workable ones.
 func streamCandidates(req Request) []Plan {
 	var out []Plan
-	shifted, reads := cqr2Breaks(req.CondEst), 3
+	shifted, reads := CQR2Breaks(req.CondEst), 3
 	if shifted {
 		reads = 4
 	}

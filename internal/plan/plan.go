@@ -143,7 +143,7 @@ func PredictOrthogonality(v Variant, m, n, panelWidth int, cond float64) float64
 	// 8ε would understate what healthy runs actually measure.
 	floor := 8 * math.Sqrt(float64(n)) * eps
 	cqr2Loss := func(kappa float64) float64 {
-		if cqr2Breaks(kappa) {
+		if CQR2Breaks(kappa) {
 			return 1
 		}
 		d := kappa * kappa * eps // one-pass loss κ²ε
@@ -165,9 +165,13 @@ func PredictOrthogonality(v Variant, m, n, panelWidth int, cond float64) float64
 	}
 }
 
-// cqr2Breaks is the §I criterion from the failing side: at κ²·ε ≥ 1/64
-// plain CholeskyQR2 no longer delivers O(ε) orthogonality.
-func cqr2Breaks(cond float64) bool { return cond*cond*eps >= 1.0/64 }
+// CQR2Breaks is the §I stability criterion from the failing side: plain
+// CholeskyQR2 delivers Householder-level orthogonality while
+// κ(A) = O(1/√ε), and at κ²·ε ≥ 1/64 (κ ≥ 2²³) no longer does. It is
+// the one regime test: the planner prices a stream-cqr2 row on the
+// shifted ladder by it and the streaming executor starts on that ladder
+// by it, so a hinted run's counters equal the row's prediction.
+func CQR2Breaks(cond float64) bool { return cond*cond*eps >= 1.0/64 }
 
 // Plan is one priced candidate.
 type Plan struct {

@@ -297,42 +297,10 @@ func RunWithOptions(np int, opts Options, body func(*Proc) error) (*Stats, error
 	}
 
 	st := &Stats{PerRank: make([]Counters, np)}
-	for _, pr := range procs {
-		for label, c := range pr.phases {
-			if st.Phases == nil {
-				st.Phases = make(map[string]Counters)
-			}
-			agg := st.Phases[label]
-			if c.Msgs > agg.Msgs {
-				agg.Msgs = c.Msgs
-			}
-			if c.Words > agg.Words {
-				agg.Words = c.Words
-			}
-			if c.Flops > agg.Flops {
-				agg.Flops = c.Flops
-			}
-			st.Phases[label] = agg
-		}
-	}
 	for i, pr := range procs {
-		c := pr.Counters()
-		st.PerRank[i] = c
-		if c.Time > st.Time {
-			st.Time = c.Time
-		}
-		if c.Msgs > st.MaxMsgs {
-			st.MaxMsgs = c.Msgs
-		}
-		if c.Words > st.MaxWords {
-			st.MaxWords = c.Words
-		}
-		if c.Flops > st.MaxFlops {
-			st.MaxFlops = c.Flops
-		}
-		st.TotalMsgs += c.Msgs
-		st.TotalWords += c.Words
-		st.TotalFlops += c.Flops
+		st.PerRank[i] = pr.Counters()
+		st.Accumulate(st.PerRank[i])
+		st.MergePhases(pr.phases)
 	}
 	if firstErr != nil {
 		return st, firstErr

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"cacqr/internal/core"
 	"cacqr/internal/lin"
@@ -82,7 +81,10 @@ func (a *accountant) alloc(words int64) {
 
 func (a *accountant) free(words int64) { a.cur -= words }
 
-// driver is the state one Factorize call threads through its passes.
+// driver is the state one Factorize call threads through its passes. It
+// is also the matrix the CholeskyQR ladder runs on (core.Tall): its Gram
+// matrix is a scan of the source, and applying an inverse means keeping
+// it for every later scan.
 type driver struct {
 	src     Source
 	n, b    int
@@ -91,6 +93,8 @@ type driver struct {
 	span    *obs.Span      // parent of the per-pass spans; nil = untraced
 	res     *Result
 	acct    accountant
+	g1      *lin.Matrix   // Σ AᵢᵀAᵢ, accumulated once and kept for escalation
+	ys      []*lin.Matrix // the inverses Yᵢ = Lᵢ⁻¹ found so far, in application order
 }
 
 // Factorize runs the out-of-core CholeskyQR2 over src — the paper's
@@ -125,37 +129,27 @@ func Factorize(src Source, sink Sink, opts Options) (*Result, error) {
 		d.span = c.TraceSpan()
 	}
 	res := d.res
-	nn := int64(n) * int64(n)
 	d.bufs = [2]*lin.Matrix{lin.NewMatrix(b, n), lin.NewMatrix(b, n)}
 	d.acct.alloc(3 * int64(b) * int64(n)) // the source's live panel + bufs
 
-	g1, err := d.gramPass(nil)
-	if err != nil {
-		return nil, err
-	}
-	res.Panels = int(res.IOOps)
-
-	base := d.acct.cur
-	var ys []*lin.Matrix
 	res.Shifted = opts.Shifted
+	var err error
 	if !res.Shifted {
-		ys, err = d.ladder(g1, 2)
+		err = d.attempt(m, 2, false)
 		res.Shifted = errors.Is(err, core.ErrIllConditioned)
 	}
 	if res.Shifted {
 		// Forced, or escalating from the Gram matrix already in hand:
 		// pass 1 is never re-read.
-		d.acct.cur = base
-		core.ShiftGram(g1, m)
-		ys, err = d.ladder(g1, 3)
+		err = d.attempt(m, 3, true)
 	}
 	if err != nil {
 		return nil, err
 	}
-	d.acct.free(nn) // g1
+	d.acct.free(int64(n) * int64(n)) // g1
 
 	if sink != nil {
-		if err := d.qPass(ys, sink); err != nil {
+		if err := d.qPass(sink); err != nil {
 			return nil, err
 		}
 	}
@@ -163,57 +157,63 @@ func Factorize(src Source, sink Sink, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// ladder is CholeskyQR with grams Gram matrices, the first of which is
-// already accumulated in g1: factor, fold R, and run the next Gram pass
-// through every inverse found so far. It returns the inverses Yᵢ = Lᵢ⁻¹
-// in application order and leaves R and Pass1Orth in the result. Any
-// numerical failure wraps core.ErrIllConditioned.
-func (d *driver) ladder(g1 *lin.Matrix, grams int) ([]*lin.Matrix, error) {
-	res, n := d.res, d.n
-	nn := int64(n) * int64(n)
-	res.R = nil
-	var ys []*lin.Matrix
-	g := g1
-	for i := 1; ; i++ {
-		l, y, err := lin.CholInv(g)
+// attempt runs core.Ladder over the source and leaves R, Pass1Orth and
+// the inverses in the driver. It refuses a final pass that started too
+// far from orthonormal.
+func (d *driver) attempt(m, passes int, shifted bool) (err error) {
+	d.ys = nil
+	if d.g1 != nil { // a failed attempt's factors are gone; the panels and g1 stay
+		d.acct.cur = (3*int64(d.b) + int64(d.n)) * int64(d.n)
+	}
+	d.res.R, d.res.Pass1Orth, err = core.Ladder(d, m, passes, shifted)
+	if err == nil && !(d.res.Pass1Orth < maxPass1Orth) { // NaN fails too
+		err = fmt.Errorf("%w: ‖QᵀQ−I‖_F = %.3g entering the final pass (need < %g)",
+			core.ErrIllConditioned, d.res.Pass1Orth, maxPass1Orth)
+	}
+	return err
+}
+
+// Gram implements core.Tall: one scan of the source through every
+// inverse found so far — except that Σ AᵢᵀAᵢ is accumulated only once.
+func (d *driver) Gram() (*lin.Matrix, error) {
+	if len(d.ys) > 0 {
+		return d.gramPass()
+	}
+	if d.g1 == nil {
+		g, err := d.gramPass()
 		if err != nil {
-			return nil, fmt.Errorf("%w: Gram matrix of pass %d: %w", core.ErrIllConditioned, i, err)
-		}
-		res.Flops += lin.CholFlops(n) + lin.TriInvFlops(n)
-		ys = append(ys, y)
-		r := l.T()
-		d.acct.alloc(3 * nn) // l, y, r
-		if res.R != nil {
-			lin.Trmm(lin.Right, lin.Upper, false, res.R, r) // R = Rᵢ·(Rᵢ₋₁⋯R₁)
-			res.Flops += lin.TrsmFlops(n, n)
-			d.acct.free(nn) // the previous R
-		}
-		res.R = r
-		d.acct.free(nn) // l
-		if i > 1 {
-			d.acct.free(nn) // g, this step's Gram matrix
-		}
-		if i == grams {
-			return ys, nil
-		}
-		if g, err = d.gramPass(ys); err != nil {
 			return nil, err
 		}
-		if i == grams-1 {
-			res.Pass1Orth = offIdentity(g)
-			if !(res.Pass1Orth < maxPass1Orth) { // NaN fails too
-				return nil, fmt.Errorf("%w: ‖QᵀQ−I‖_F = %.3g entering the final pass (need < %g)",
-					core.ErrIllConditioned, res.Pass1Orth, maxPass1Orth)
-			}
-		}
+		d.g1, d.res.Panels = g, int(d.res.IOOps)
 	}
+	return d.g1, nil
+}
+
+// ApplyInv implements core.Tall. The ladder has just factored this
+// pass's Gram matrix: L, Y and Rᵢ were live next to the running R; what
+// stays is Y, kept here, and one R.
+func (d *driver) ApplyInv(y *lin.Matrix) error {
+	nn := int64(d.n) * int64(d.n)
+	d.acct.alloc(3 * nn) // l, y, r
+	d.acct.free(nn)      // l
+	if len(d.ys) > 0 {
+		d.acct.free(2 * nn) // the previous R and this pass's Gram matrix
+	}
+	d.ys = append(d.ys, y)
+	return nil
+}
+
+// Charge implements core.Tall.
+func (d *driver) Charge(flops int64) error {
+	d.res.Flops += flops
+	return nil
 }
 
 // scan is one sequential pass over the source: rewind, read one panel
-// ahead of the kernels, multiply each panel in place by every Yᵀ in ys,
+// ahead of the kernels, multiply each panel in place by every Yᵀ in d.ys,
 // hand it to use, and insist on exactly m rows. It charges the reads
 // and the triangular products.
-func (d *driver) scan(ys []*lin.Matrix, use func(i int, p *lin.Matrix) error) error {
+func (d *driver) scan(use func(i int, p *lin.Matrix) error) error {
 	res := d.res
 	if err := d.src.Reset(); err != nil {
 		return fmt.Errorf("stream: rewinding for pass %d: %w", res.ReadPasses+1, err)
@@ -233,10 +233,10 @@ func (d *driver) scan(ys []*lin.Matrix, use func(i int, p *lin.Matrix) error) er
 		rows += p.Rows
 		res.IOOps++
 		res.ReadBytes += 8 * int64(p.Rows) * int64(d.n)
-		for _, y := range ys {
+		for _, y := range d.ys {
 			lin.TrmmParallel(d.workers, lin.Right, lin.Lower, true, y, p)
 		}
-		res.Flops += int64(len(ys)) * lin.TrsmFlops(p.Rows, d.n)
+		res.Flops += int64(len(d.ys)) * lin.TrsmFlops(p.Rows, d.n)
 		if err := use(i, p); err != nil {
 			return err
 		}
@@ -248,11 +248,11 @@ func (d *driver) scan(ys []*lin.Matrix, use func(i int, p *lin.Matrix) error) er
 }
 
 // gramPass scans the source and returns Σ (AᵢY₁ᵀ⋯Yₖᵀ)ᵀ(AᵢY₁ᵀ⋯Yₖᵀ).
-func (d *driver) gramPass(ys []*lin.Matrix) (*lin.Matrix, error) {
+func (d *driver) gramPass() (*lin.Matrix, error) {
 	defer d.tracePass("gram-pass")()
 	g := lin.NewMatrix(d.n, d.n)
 	d.acct.alloc(int64(d.n) * int64(d.n))
-	err := d.scan(ys, func(_ int, p *lin.Matrix) error {
+	err := d.scan(func(_ int, p *lin.Matrix) error {
 		lin.SyrkParallel(d.workers, 1, p, 1, g)
 		d.res.Flops += lin.SyrkFlops(p.Rows, d.n)
 		return nil
@@ -265,9 +265,9 @@ func (d *driver) gramPass(ys []*lin.Matrix) (*lin.Matrix, error) {
 
 // qPass scans the source once more and appends Q = A·Y₁ᵀ⋯Yₖᵀ to sink
 // panel by panel.
-func (d *driver) qPass(ys []*lin.Matrix, sink Sink) error {
+func (d *driver) qPass(sink Sink) error {
 	defer d.tracePass("q-pass")()
-	return d.scan(ys, func(i int, q *lin.Matrix) error {
+	return d.scan(func(i int, q *lin.Matrix) error {
 		if err := sink.Append(q); err != nil {
 			return fmt.Errorf("stream: writing Q panel %d: %w", i, err)
 		}
@@ -289,18 +289,4 @@ func (d *driver) tracePass(name string) (end func()) {
 		sp.SetInt("flops", d.res.Flops-before.Flops)
 		sp.End()
 	}
-}
-
-// offIdentity returns ‖G − I‖_F.
-func offIdentity(g *lin.Matrix) float64 {
-	var s float64
-	for i := 0; i < g.Rows; i++ {
-		for j, v := range g.Data[i*g.Stride : i*g.Stride+g.Cols] {
-			if i == j {
-				v--
-			}
-			s += v * v
-		}
-	}
-	return math.Sqrt(s)
 }

@@ -8,7 +8,10 @@
 // flop runs in lin's SYRK/TRMM kernels. Two scans give R, a third
 // writes the explicit Q panel by panel into an optional Sink;
 // ill-conditioned inputs take one more scan on the shifted ladder
-// (streamed ShiftedCQR3). See Factorize.
+// (streamed ShiftedCQR3). The passes themselves — factor the Gram
+// matrix, fold R, shift — are core.Ladder, the same code the in-memory
+// and 1D drivers run; this package is the matrix it runs on. See
+// Factorize.
 //
 // Sources and sinks are deliberately io.Reader-shaped: Dense-backed
 // (views over an in-memory matrix), file-backed (a little-endian binary

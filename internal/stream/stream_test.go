@@ -16,6 +16,7 @@ import (
 	"cacqr/internal/core"
 	"cacqr/internal/costmodel"
 	"cacqr/internal/lin"
+	"cacqr/internal/plan"
 )
 
 func maxDiff(a, b *lin.Matrix) float64 {
@@ -159,6 +160,52 @@ func TestStreamingMatchesInCore(t *testing.T) {
 	}
 }
 
+// The driver is the third adapter under core.Ladder (internal/core's
+// TestLadderAcrossAdapters covers the other two): over panels of m/4
+// rows, the two ladders it runs must give the R of the same ladder on
+// the resident matrix, the ‖G−I‖_F that ladder measures, and — R only —
+// exactly the model's flops.
+func TestStreamingLadderMatchesResident(t *testing.T) {
+	const m, n = 256, 16
+	a := lin.RandomMatrix(m, n, 31)
+	for _, shifted := range []bool{false, true} {
+		res, _ := factorize(t, a, false, Options{PanelRows: m / 4, Workers: 1, Shifted: shifted})
+		checkModel(t, res, m, n, m/4, false, shifted)
+
+		// The resident ladder, and the iterate that enters its final
+		// pass: A·R⁻¹ with the R of the passes before it.
+		seq, before := core.CholeskyQR2, core.CholeskyQR
+		if shifted {
+			seq = core.ShiftedCQR3
+			before = func(a *lin.Matrix, w int) (*lin.Matrix, *lin.Matrix, error) {
+				q1, _, err := core.ShiftedCholeskyQR(a, w)
+				if err != nil {
+					return nil, nil, err
+				}
+				return core.CholeskyQR(q1, w)
+			}
+		}
+		_, r, err := seq(a, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tol := 1e-12 * lin.FrobeniusNorm(r); !res.R.EqualWithin(r, tol) {
+			t.Errorf("shifted=%v: streamed R differs from the resident ladder's beyond %g", shifted, tol)
+		}
+		x, _, err := before(a, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := lin.SyrkNew(x)
+		for i := 0; i < n; i++ {
+			g.Set(i, i, g.At(i, i)-1)
+		}
+		if want := lin.FrobeniusNorm(g); math.Abs(res.Pass1Orth-want) > 1e-10 {
+			t.Errorf("shifted=%v: Pass1Orth = %g, resident iterate measures %g", shifted, res.Pass1Orth, want)
+		}
+	}
+}
+
 // κ-sweep with the hint the public API derives from CondEst: moderately
 // conditioned inputs stream through plain CholeskyQR2; beyond its regime
 // the forced shifted ladder must deliver an orthonormal Q with a small
@@ -167,7 +214,7 @@ func TestStreamingCondSweep(t *testing.T) {
 	m, n, rows := 600, 12, 150
 	for _, cond := range []float64{1e2, 1e6, 1e9, 1e12} {
 		a := lin.RandomWithCond(m, n, cond, 3)
-		forceShift := !core.CanCQR2Handle(cond)
+		forceShift := plan.CQR2Breaks(cond)
 		res, q := factorize(t, a, true, Options{PanelRows: rows, Shifted: forceShift})
 		if res.Shifted != forceShift {
 			t.Errorf("cond=%g: Shifted = %v, want %v", cond, res.Shifted, forceShift)

@@ -187,11 +187,11 @@ func (c *Coordinator) Run(ctx context.Context, payload func(rank int) []byte, bo
 	st := &transport.Stats{PerRank: make([]transport.Counters, np)}
 	st.PerRank[0] = p.Counters()
 	st.Accumulate(st.PerRank[0])
-	mergePhases(st, p.phases)
+	st.MergePhases(p.phases)
 	for r := 1; r < np; r++ {
 		st.PerRank[r] = results[r].Counters
 		st.Accumulate(st.PerRank[r])
-		mergePhases(st, results[r].Phases)
+		st.MergePhases(results[r].Phases)
 	}
 
 	if ctxErr := ctx.Err(); ctxErr != nil {
@@ -240,27 +240,6 @@ func closeAll(conns []net.Conn) {
 		if c != nil {
 			c.Close()
 		}
-	}
-}
-
-// mergePhases folds one rank's phase counters into the stats as
-// per-phase maxima, matching the simulated backend's convention.
-func mergePhases(st *transport.Stats, phases map[string]transport.Counters) {
-	for label, c := range phases {
-		if st.Phases == nil {
-			st.Phases = make(map[string]transport.Counters)
-		}
-		agg := st.Phases[label]
-		if c.Msgs > agg.Msgs {
-			agg.Msgs = c.Msgs
-		}
-		if c.Words > agg.Words {
-			agg.Words = c.Words
-		}
-		if c.Flops > agg.Flops {
-			agg.Flops = c.Flops
-		}
-		st.Phases[label] = agg
 	}
 }
 

@@ -169,3 +169,18 @@ func (s *Stats) Accumulate(c Counters) {
 	s.TotalFlops += c.Flops
 	s.TotalBytes += c.Bytes
 }
+
+// MergePhases folds one rank's per-phase counters into Phases, which
+// keeps the maximum over ranks of each count under each label.
+func (s *Stats) MergePhases(phases map[string]Counters) {
+	for label, c := range phases {
+		if s.Phases == nil {
+			s.Phases = make(map[string]Counters)
+		}
+		agg := s.Phases[label]
+		agg.Msgs = max(agg.Msgs, c.Msgs)
+		agg.Words = max(agg.Words, c.Words)
+		agg.Flops = max(agg.Flops, c.Flops)
+		s.Phases[label] = agg
+	}
+}

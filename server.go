@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cacqr/internal/core"
+	"cacqr/internal/costmodel"
 	"cacqr/internal/lin"
 	"cacqr/internal/obs"
 	"cacqr/internal/plan"
@@ -508,7 +509,6 @@ func (s *Server) SubmitBatchCtx(ctx context.Context, reqs []SubmitRequest) []Bat
 func (s *Server) execGroup(ctx context.Context, p plan.Plan, jobs []*submitJob) {
 	switch p.Variant {
 	case plan.Sequential, plan.OneD, plan.CACQR2, plan.PanelCACQR2, plan.ShiftedCQR3:
-		shifted := p.Variant == plan.ShiftedCQR3
 		as := make([]*lin.Matrix, len(jobs))
 		for i, job := range jobs {
 			// Read-only views, not copies: the batched drivers never
@@ -517,28 +517,22 @@ func (s *Server) execGroup(ctx context.Context, p plan.Plan, jobs []*submitJob) 
 			// Dense/lin boundary.
 			as[i] = job.req.A.view()
 		}
-		var qs, rs []*lin.Matrix
-		var errs []error
-		if shifted {
-			qs, rs, errs = core.BatchedShiftedCQR3(as, s.opts.Options.Workers)
-		} else {
-			qs, rs, errs = core.BatchedCQR2(as, s.opts.Options.Workers)
-		}
-		m, n := jobs[0].req.A.Rows, jobs[0].req.A.Cols
 		// Fused runs bypass the simulated runtime, so Stats carries the
-		// §IV analytic critical-path flop count (plus the extra shifted
-		// pass) instead of a measured cost.
-		flops := lin.CQR2Flops(m, n)
-		if shifted {
-			flops += lin.SyrkFlops(m, n) + lin.CholFlops(n) + lin.TriInvFlops(n) + lin.GemmFlops(m, n, n)
+		// cost model's count for the same passes on one rank — what an
+		// unfused Procs: 1 run of the same matrix measures.
+		batched, model := core.BatchedCQR2, costmodel.OneDCQR2
+		if p.Variant == plan.ShiftedCQR3 {
+			batched, model = core.BatchedShiftedCQR3, costmodel.OneDShiftedCQR3
 		}
+		qs, rs, errs := batched(as, s.opts.Options.Workers)
+		cost, _ := model(jobs[0].req.A.Rows, jobs[0].req.A.Cols, 1) // P = 1 divides any m
 		for i, job := range jobs {
 			if errs[i] != nil {
 				job.err = errs[i]
 				continue
 			}
 			job.out.Fused = true
-			job.err = job.out.fill(&Result{Q: fromLin(qs[i]), R: fromLin(rs[i]), Stats: CostStats{Flops: flops}}, job.req.B)
+			job.err = job.out.fill(&Result{Q: fromLin(qs[i]), R: fromLin(rs[i]), Stats: CostStats{Flops: cost.Flops}}, job.req.B)
 		}
 	default:
 		// No fused kernel for this variant: per-item distributed runs,

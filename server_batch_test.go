@@ -63,6 +63,35 @@ func TestSubmitBatchMatchesPerRequestSubmit(t *testing.T) {
 	}
 }
 
+// A fused run reports the flop count the unfused run of the same plan
+// measures: Submit and SubmitBatch of one matrix agree on Stats.Flops,
+// on the plain route and on the shifted one.
+func TestSubmitBatchFlopsMatchSubmit(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  SubmitRequest
+	}{
+		{"plain", SubmitRequest{A: RandomMatrix(512, 32, 21)}},
+		{"cond1e10", SubmitRequest{A: RandomWithCond(512, 32, 1e10, 22), CondEst: 1e10}},
+	} {
+		srv := newTestServer(t, ServerOptions{Procs: 1})
+		one, err := srv.Submit(tc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		it := srv.SubmitBatch([]SubmitRequest{tc.req})[0]
+		if it.Err != nil {
+			t.Fatalf("%s: %v", tc.name, it.Err)
+		}
+		if !it.Result.Fused || one.Fused {
+			t.Fatalf("%s: fused flags: batch %v, submit %v", tc.name, it.Result.Fused, one.Fused)
+		}
+		if it.Result.Stats.Flops != one.Stats.Flops {
+			t.Errorf("%s (%s): SubmitBatch reports %d flops, Submit %d", tc.name, one.Plan.Variant, it.Result.Stats.Flops, one.Stats.Flops)
+		}
+	}
+}
+
 func maxAbsDiff(a, b []float64) float64 {
 	if len(a) != len(b) {
 		return math.Inf(1)

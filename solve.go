@@ -131,13 +131,13 @@ func solveWithQR(q, r *Dense, b []float64) ([]float64, error) {
 		}
 	}
 	tol := float64(n) * lin.Eps * maxDiag
+	// Qᵀb in one sweep over the row-major Q: every qtb[j] still sums its
+	// terms in row order.
 	qtb := make([]float64, n)
-	for j := 0; j < n; j++ {
-		var s float64
-		for i := 0; i < q.Rows; i++ {
-			s += q.At(i, j) * b[i]
+	for i := 0; i < q.Rows; i++ {
+		for j, v := range q.Data[i*q.Cols : i*q.Cols+n] {
+			qtb[j] += v * b[i]
 		}
-		qtb[j] = s
 	}
 	x := make([]float64, n)
 	for j := n - 1; j >= 0; j-- {

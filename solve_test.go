@@ -58,6 +58,37 @@ func TestSolveLeastSquaresSeq(t *testing.T) {
 	}
 }
 
+// solveWithQR forms Qᵀb in one row-major sweep; x must stay bitwise what
+// n strided column walks over Q give, since each sum keeps its row order.
+func TestSolveWithQRMatchesColumnWalk(t *testing.T) {
+	a, b, _ := buildSystem(4096, 64, 3)
+	q, r, err := CholeskyQR2(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := solveWithQR(q, r, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := r.Cols
+	want := make([]float64, n)
+	for j := n - 1; j >= 0; j-- {
+		var s float64
+		for i := 0; i < q.Rows; i++ {
+			s += q.At(i, j) * b[i]
+		}
+		for k := j + 1; k < n; k++ {
+			s -= r.At(j, k) * want[k]
+		}
+		want[j] = s / r.At(j, j)
+	}
+	for j := range x {
+		if x[j] != want[j] {
+			t.Fatalf("x[%d] = %v, column-walk reference %v", j, x[j], want[j])
+		}
+	}
+}
+
 func TestSolveLeastSquaresResidualMinimized(t *testing.T) {
 	// With noise added, the LS solution must have a residual orthogonal
 	// to the column space: ‖Aᵀ(Ax−b)‖ ≈ 0.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"cacqr/internal/core"
 	"cacqr/internal/costmodel"
 	"cacqr/internal/lin"
 	"cacqr/internal/obs"
@@ -265,7 +264,7 @@ func executeStream(ctx context.Context, j job, src stream.Source, sink *MatrixSi
 	sres, err := stream.Factorize(tracedSource{src, ss}, snk, stream.Options{
 		PanelRows: j.PanelWidth,
 		Workers:   j.Workers,
-		Shifted:   j.condEst > 1 && !core.CanCQR2Handle(j.condEst),
+		Shifted:   plan.CQR2Breaks(j.condEst),
 	})
 	if err != nil {
 		if sink != nil {
