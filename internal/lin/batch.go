@@ -55,15 +55,6 @@ func (s *Slab) Item(i int) *Matrix {
 	return &Matrix{Rows: s.Rows, Cols: s.Cols, Stride: s.Cols, Data: s.Data[i*sz : (i+1)*sz]}
 }
 
-// Items unpacks the slab into freshly allocated matrices.
-func (s *Slab) Items() []*Matrix {
-	out := make([]*Matrix, s.Batch)
-	for i := range out {
-		out[i] = s.Item(i).Clone()
-	}
-	return out
-}
-
 // BatchApply runs f(i) for every item index in [0, batch) using up to
 // workers goroutines (0 = GOMAXPROCS) through the shared worker pool —
 // one dispatch for the whole batch. f must not panic (a panic on a pool

@@ -28,8 +28,8 @@ func TestSlabPackUnpackRoundTrip(t *testing.T) {
 	if s.Batch != 3 || s.Rows != 7 || s.Cols != 5 {
 		t.Fatalf("slab shape %dx%dx%d", s.Batch, s.Rows, s.Cols)
 	}
-	for i, m := range s.Items() {
-		if !m.Equal(items[i]) {
+	for i, m := range items {
+		if !s.Item(i).Equal(m) {
 			t.Fatalf("item %d lost in pack/unpack", i)
 		}
 	}

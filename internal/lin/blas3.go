@@ -301,36 +301,6 @@ func Trsm(side Side, tri Triangle, transT bool, t, b *Matrix) {
 	}
 }
 
-// TrsmParallel is Trsm using up to workers goroutines. With side == Right
-// the rows of B are independent solves; with side == Left its columns
-// are. Either way the serial kernel runs on disjoint views, so results
-// are bitwise identical to Trsm.
-func TrsmParallel(workers int, side Side, tri Triangle, transT bool, t, b *Matrix) {
-	workers = resolveWorkers(workers)
-	n := t.Rows
-	rhs := b.Rows
-	if side == Left {
-		rhs = b.Cols
-	}
-	if workers == 1 || TrsmFlops(rhs, n) < parallelFlopCutoff {
-		Trsm(side, tri, transT, t, b)
-		return
-	}
-	// The serial kernel's own validation, run before entering the pool
-	// (a panic on a pool worker is unrecoverable); the per-chunk calls
-	// then cannot fail.
-	checkTrsm(side, tri, transT, t, b)
-	if side == Right {
-		parallelFor(workers, b.Rows, 16, func(lo, hi int) {
-			Trsm(side, tri, transT, t, b.View(lo, 0, hi-lo, b.Cols))
-		})
-		return
-	}
-	parallelFor(workers, b.Cols, 16, func(lo, hi int) {
-		Trsm(side, tri, transT, t, b.View(0, lo, b.Rows, hi-lo))
-	})
-}
-
 // checkTrxmShapes validates the operand shapes shared by Trsm and Trmm:
 // square T and a conforming B on the chosen side.
 func checkTrxmShapes(side Side, t, b *Matrix) {
@@ -344,9 +314,9 @@ func checkTrxmShapes(side Side, t, b *Matrix) {
 
 // checkTrsm is Trsm's full validation: shapes, a nonsingular diagonal,
 // and an implemented variant (the transposed solves exist for Lower
-// only). Shared with TrsmParallel, whose pooled serial calls must be
-// guaranteed panic-free — a panic on a pool worker cannot be recovered
-// by the caller.
+// only). Shared with BatchTRSM, which runs it for every item up front:
+// its pooled per-item solves must be guaranteed panic-free — a panic on a
+// pool worker cannot be recovered by the caller.
 func checkTrsm(side Side, tri Triangle, transT bool, t, b *Matrix) {
 	checkTrxmShapes(side, t, b)
 	for i := 0; i < t.Rows; i++ {

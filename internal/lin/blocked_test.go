@@ -126,13 +126,6 @@ func TestBlockedTrsmSolvesAgainstNaive(t *testing.T) {
 			if d := maxRelDiff(back, b0); d > tol {
 				t.Errorf("Trsm(side=%v,tri=%v,trans=%v) rhs=%d n=%d: residual %.3g", v.side, v.tri, v.trans, sh.rhs, sh.n, d)
 			}
-			for _, w := range workerCounts() {
-				xp := b0.Clone()
-				TrsmParallel(w, v.side, v.tri, v.trans, tm, xp)
-				if !xp.Equal(x) {
-					t.Errorf("TrsmParallel(workers=%d, side=%v,tri=%v,trans=%v) not bitwise equal to serial", w, v.side, v.tri, v.trans)
-				}
-			}
 		}
 	}
 }

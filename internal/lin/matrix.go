@@ -215,20 +215,6 @@ func (m *Matrix) Scale(a float64) {
 	}
 }
 
-// Axpy computes m += a*x (the paper's axpy building block, 2mn flops).
-func (m *Matrix) Axpy(a float64, x *Matrix) {
-	if m.Rows != x.Rows || m.Cols != x.Cols {
-		panic(ErrShape)
-	}
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Data[i*m.Stride : i*m.Stride+m.Cols]
-		xi := x.Data[i*x.Stride : i*x.Stride+x.Cols]
-		for j := range mi {
-			mi[j] += a * xi[j]
-		}
-	}
-}
-
 // IsUpperTriangular reports whether every element strictly below the
 // diagonal is at most tol in magnitude.
 func (m *Matrix) IsUpperTriangular(tol float64) bool {

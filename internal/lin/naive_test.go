@@ -1,9 +1,8 @@
 package lin
 
 // Naive triple-loop reference kernels. These are the ground truth the
-// blocked and parallel kernels are property-tested against, and the
-// baseline the BenchmarkGEMM* suite measures the blocked kernels'
-// speedup over. Test-only: they must never ship in the library proper.
+// blocked and parallel kernels are property-tested against. Test-only:
+// they must never ship in the library proper.
 
 // naiveGemm computes C = beta*C + alpha*op(A)*op(B) with the textbook
 // i-j-l loop nest and no blocking.

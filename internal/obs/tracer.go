@@ -186,20 +186,6 @@ func (t *Tracer) Get(id string) (TraceData, bool) {
 	return TraceData{ID: tr.id, Root: tr.root.Data(), DroppedSpans: tr.limit.droppedCount()}, true
 }
 
-// TraceIDs lists the retained trace IDs, oldest first.
-func (t *Tracer) TraceIDs() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ids := make([]string, len(t.ring))
-	for i, tr := range t.ring {
-		ids[i] = tr.id
-	}
-	return ids
-}
-
 // aggregate folds one finished span tree into the registry's series:
 // stage spans into per-stage latency summaries, collective spans into
 // per-op count/byte counters, rank spans into wire-byte totals, and the

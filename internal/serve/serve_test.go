@@ -66,6 +66,49 @@ func TestCacheHitMissEviction(t *testing.T) {
 	}
 }
 
+// TestServedPlanCheaperThanFresh pins the serving layer's reason to
+// exist: answering a repeated workload shape from the plan cache must
+// beat re-running the planner's enumeration. The two paths differ by
+// orders of magnitude (an LRU lookup vs pricing every variant and
+// grid), so a 2× margin is conservative enough to survive CI noise.
+func TestServedPlanCheaperThanFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures wall-clock")
+	}
+	s := New(Config{CacheEntries: 1, BatchWindow: -1})
+	defer s.Close()
+	// Two shapes alternating through a one-entry cache evict each other,
+	// so every Do misses and plans; one shape repeated hits every time.
+	shapes := [2]plan.Request{req(1<<18, 256, 512, 0), req(1<<18, 128, 512, 0)}
+	perOp := func(n int, wantHit bool) time.Duration {
+		best := time.Duration(1<<63 - 1)
+		for round := 0; round < 5; round++ {
+			start := time.Now()
+			for i := 0; i < n; i++ {
+				r := shapes[0]
+				if !wantHit {
+					r = shapes[i%2]
+				}
+				if _, hit, err := s.Do(context.Background(), r, nil); err != nil || hit != wantHit {
+					t.Fatalf("Do(%dx%d): hit=%v (want %v) err=%v", r.M, r.N, hit, wantHit, err)
+				}
+			}
+			if d := time.Since(start) / time.Duration(n); d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	miss := perOp(4, false)
+	if _, _, err := s.Do(context.Background(), shapes[0], nil); err != nil { // leave shapes[0] resident
+		t.Fatal(err)
+	}
+	hit := perOp(1000, true)
+	if hit*2 > miss {
+		t.Fatalf("cached plan lookup %v/op is not 2x cheaper than fresh planning %v/op", hit, miss)
+	}
+}
+
 func TestGetPromotesRecency(t *testing.T) {
 	s := New(Config{CacheEntries: 2, BatchWindow: -1})
 	defer s.Close()

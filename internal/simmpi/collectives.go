@@ -66,7 +66,7 @@ func (c *Comm) Bcast(root int, data []float64) ([]float64, error) {
 	if c.Size() == 1 {
 		return data, nil
 	}
-	out, err := c.fanInOut(root, nil, func(msgs [][]float64) []float64 { return data })
+	out, err := c.fanInOut(root, nil, func([][]float64) ([]float64, error) { return data, nil })
 	if err != nil {
 		return nil, err
 	}
@@ -86,9 +86,9 @@ func (c *Comm) Reduce(root int, data []float64) ([]float64, error) {
 		return slices.Clone(data), nil
 	}
 	var result []float64
-	_, err := c.fanInOut(root, data, func(msgs [][]float64) []float64 {
-		result = sumVectors(msgs, len(data))
-		return nil // nothing to spread
+	_, err := c.fanInOut(root, data, func(msgs [][]float64) (_ []float64, err error) {
+		result, err = sumVectors(msgs, len(data))
+		return nil, err // nothing to spread
 	})
 	if err != nil {
 		return nil, err
@@ -107,7 +107,7 @@ func (c *Comm) Allreduce(data []float64) ([]float64, error) {
 	if c.Size() == 1 {
 		return slices.Clone(data), nil
 	}
-	out, err := c.fanInOut(0, data, func(msgs [][]float64) []float64 {
+	out, err := c.fanInOut(0, data, func(msgs [][]float64) ([]float64, error) {
 		return sumVectors(msgs, len(data))
 	})
 	if err != nil {
@@ -130,9 +130,9 @@ func (c *Comm) Gather(root int, data []float64) ([]float64, error) {
 		return slices.Clone(data), nil
 	}
 	var cat []float64 // stays nil off root, where combine never runs
-	total, err := c.fanInOut(root, data, func(msgs [][]float64) []float64 {
+	total, err := c.fanInOut(root, data, func(msgs [][]float64) ([]float64, error) {
 		cat = concat(msgs)
-		return []float64{float64(len(cat))} // the N every member is charged for
+		return []float64{float64(len(cat))}, nil // the N every member is charged for
 	})
 	if err != nil {
 		return nil, err
@@ -149,7 +149,7 @@ func (c *Comm) Allgather(data []float64) ([]float64, error) {
 	if c.Size() == 1 {
 		return slices.Clone(data), nil
 	}
-	out, err := c.fanInOut(0, data, concat)
+	out, err := c.fanInOut(0, data, func(msgs [][]float64) ([]float64, error) { return concat(msgs), nil })
 	if err != nil {
 		return nil, err
 	}
@@ -172,8 +172,10 @@ func (c *Comm) Transpose(partner int, data []float64) ([]float64, error) {
 // result back to all members. Clock causality makes this synchronizing
 // (every output clock ≥ every input clock — the root's max-propagation);
 // cost is charged separately by each collective's formula. combine runs
-// only on root; msgs arrive in member order. A nil combine gathers only.
-func (c *Comm) fanInOut(root int, contrib []float64, combine func([][]float64) []float64) ([]float64, error) {
+// only on root; msgs arrive in member order, and its error fails root's
+// call (the run then aborts the members waiting for the spread). A nil
+// combine gathers only.
+func (c *Comm) fanInOut(root int, contrib []float64, combine func([][]float64) ([]float64, error)) ([]float64, error) {
 	p := c.Size()
 	if c.Index() == root {
 		msgs := make([][]float64, p)
@@ -190,7 +192,10 @@ func (c *Comm) fanInOut(root int, contrib []float64, combine func([][]float64) [
 		}
 		var out []float64
 		if combine != nil {
-			out = combine(msgs)
+			var err error
+			if out, err = combine(msgs); err != nil {
+				return nil, err
+			}
 		}
 		for i := 0; i < p; i++ {
 			if i == root {
@@ -221,15 +226,17 @@ func concat(msgs [][]float64) []float64 {
 	return cat
 }
 
-func sumVectors(msgs [][]float64, n int) []float64 {
+// sumVectors adds the members' vectors in member order, starting from
+// zero; a member whose length differs from the root's n is an error.
+func sumVectors(msgs [][]float64, n int) ([]float64, error) {
 	out := make([]float64, n)
 	for _, m := range msgs {
 		if len(m) != n {
-			panic(fmt.Sprintf("simmpi: reduction length mismatch: %d vs %d", len(m), n))
+			return nil, fmt.Errorf("simmpi: reduce length mismatch: %d vs %d", len(m), n)
 		}
 		for i, v := range m {
 			out[i] += v
 		}
 	}
-	return out
+	return out, nil
 }

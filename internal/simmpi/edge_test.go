@@ -14,8 +14,8 @@ import (
 )
 
 func TestReduceLengthMismatchSurfaces(t *testing.T) {
-	// Mismatched reduction lengths are a programming error; the runtime
-	// must turn the panic into a run error, not a crash or deadlock.
+	// Mismatched reduction lengths are a programming error; the run
+	// must end with an error, not a crash or deadlock.
 	_, err := RunWithOptions(2, Options{Timeout: 10 * time.Second}, func(p *Proc) error {
 		buf := make([]float64, 2+p.Rank()) // lengths differ across ranks
 		_, err := p.World().Allreduce(buf)
@@ -47,12 +47,8 @@ func TestClockAccessors(t *testing.T) {
 		if p.Clock() != 10 {
 			return fmt.Errorf("clock %v after 5 flops at γ=2", p.Clock())
 		}
-		p.AdvanceClock(1.5)
-		if p.Clock() != 11.5 {
-			return fmt.Errorf("clock %v after advance", p.Clock())
-		}
 		c := p.Counters()
-		if c.Flops != 5 || c.Time != 11.5 {
+		if c.Flops != 5 || c.Time != 10 {
 			return fmt.Errorf("counters %+v", c)
 		}
 		return nil

@@ -202,9 +202,6 @@ func (p *Proc) Compute(flops int64) error {
 	return nil
 }
 
-// AdvanceClock adds dt seconds of non-flop local work (used by tests).
-func (p *Proc) AdvanceClock(dt float64) { p.clock += dt }
-
 // Run executes body on p ranks with default options and returns run
 // statistics. The first error returned by any body aborts the run and is
 // returned.

@@ -11,6 +11,7 @@ package conformancetest
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -580,6 +581,42 @@ func Run(t *testing.T, run Runner) {
 		})
 		if err == nil {
 			t.Fatalf("run with failing rank returned nil error")
+		}
+	})
+
+	t.Run("ReduceLengthMismatch", func(t *testing.T) {
+		// Members that disagree on the vector length are a caller bug
+		// the backend reports as a plain error naming both lengths —
+		// not a panic, and without sitting out the run deadline while
+		// the other members wait for a result.
+		const timeout = 20 * time.Second
+		for _, c := range []struct {
+			name string
+			call func(w transport.Comm, in []float64) ([]float64, error)
+		}{
+			{"Reduce", func(w transport.Comm, in []float64) ([]float64, error) { return w.Reduce(1, in) }},
+			{"Allreduce", func(w transport.Comm, in []float64) ([]float64, error) { return w.Allreduce(in) }},
+		} {
+			start := time.Now()
+			_, err := run(3, timeout, func(p transport.Proc) error {
+				w := p.World()
+				in := make([]float64, 3)
+				if w.Index() == 2 {
+					in = make([]float64, 4)
+				}
+				_, err := c.call(w, in)
+				return err
+			})
+			if err == nil {
+				t.Fatalf("%s of 3-, 3- and 4-element vectors returned nil error", c.name)
+			}
+			msg := err.Error()
+			if !strings.Contains(msg, "length mismatch: 4 vs 3") || strings.Contains(msg, "panicked") {
+				t.Fatalf("%s: want a plain length-mismatch error naming 4 and 3, got: %v", c.name, err)
+			}
+			if elapsed := time.Since(start); elapsed > timeout/2 {
+				t.Fatalf("%s: mismatch took %v to surface", c.name, elapsed)
+			}
 		}
 	})
 

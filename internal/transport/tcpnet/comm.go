@@ -200,9 +200,10 @@ func (c *comm) Bcast(root int, data []float64) ([]float64, error) {
 	return c.Recv(root, tagBcast)
 }
 
-// Reduce sums the members' equal-length vectors onto root. Partial sums
-// accumulate in member order on the root, so the result is
-// deterministic for a given communicator shape.
+// Reduce sums the members' equal-length vectors onto root. The sum
+// starts from zero and takes the contributions in member order, root's
+// own in its place — the simulator's order, so the two backends agree
+// bitwise whatever the root and group size.
 func (c *comm) Reduce(root int, data []float64) ([]float64, error) {
 	if root < 0 || root >= len(c.ranks) {
 		return nil, fmt.Errorf("tcpnet: reduce to invalid root %d of %d", root, len(c.ranks))
@@ -211,19 +212,18 @@ func (c *comm) Reduce(root int, data []float64) ([]float64, error) {
 		return nil, c.Send(root, tagReduce, data)
 	}
 	sum := make([]float64, len(data))
-	copy(sum, data)
 	for i := 0; i < c.Size(); i++ {
-		if i == root {
-			continue
+		part := data
+		if i != root {
+			var err error
+			if part, err = c.Recv(i, tagReduce); err != nil {
+				return nil, err
+			}
+			if len(part) != len(sum) {
+				return nil, fmt.Errorf("tcpnet: reduce length mismatch: %d vs %d", len(part), len(sum))
+			}
 		}
-		got, err := c.Recv(i, tagReduce)
-		if err != nil {
-			return nil, err
-		}
-		if len(got) != len(sum) {
-			return nil, fmt.Errorf("tcpnet: reduce length mismatch: %d vs %d", len(got), len(sum))
-		}
-		for j, v := range got {
+		for j, v := range part {
 			sum[j] += v
 		}
 	}

@@ -83,15 +83,17 @@ func fixedGridCall(a *Dense, p Plan) func(Options) (*Result, error) {
 
 // TestTCPTransportMatchesSim factors the same matrix on the simulated
 // runtime and over TCP workers for every distributed variant — the five
-// fixed-grid calls and every row the planner enumerates for a test
-// shape — and demands identical factors to 1e-13 plus populated byte
-// counters on the TCP side. On each transport it also holds every entry
-// point to being sugar: the fixed-grid call and the equivalent plan
-// through FactorizePlan must give bitwise-equal Q and R and equal
-// counted costs.
+// fixed-grid calls, a c=3 grid whose three-member reductions land on a
+// root other than member 0, and every row the planner enumerates for a
+// test shape — and demands bitwise-identical factors (both backends sum
+// a reduction in member order) plus populated byte counters on the TCP
+// side. On each transport it also holds every entry point to being
+// sugar: the fixed-grid call and the equivalent plan through
+// FactorizePlan must give bitwise-equal Q and R and equal counted costs.
 func TestTCPTransportMatchesSim(t *testing.T) {
 	a := RandomMatrix(1024, 64, 7)
-	workers := startLocalWorkers(t, 7)
+	wide := RandomMatrix(1152, 48, 9)
+	workers := startLocalWorkers(t, 26) // the 3×3×3 grid's 27 ranks, less the coordinator's
 	tcp := Options{Transport: TCPTransport(workers...), Timeout: time.Minute}
 
 	type testCase struct {
@@ -105,6 +107,7 @@ func TestTCPTransportMatchesSim(t *testing.T) {
 		{"shifted1d", a, Plan{Variant: VariantShiftedCQR3, Procs: 4}, func(opts Options) (*Result, error) { return FactorizeShifted1D(a, 4, opts) }},
 		{"tsqr", a, Plan{Variant: VariantTSQR, Procs: 4}, func(opts Options) (*Result, error) { return FactorizeTSQR(a, 4, 0, opts) }},
 		{"grid", a, Plan{Variant: VariantCACQR2, C: 1, D: 4}, func(opts Options) (*Result, error) { return FactorizeOnGrid(a, GridSpec{C: 1, D: 4}, opts) }},
+		{"grid-c3d3", wide, Plan{Variant: VariantCACQR2, C: 3, D: 3}, func(opts Options) (*Result, error) { return FactorizeOnGrid(wide, GridSpec{C: 3, D: 3}, opts) }},
 		{"pgeqrf", a, Plan{Variant: VariantPGEQRF, D: 2, C: 2, PanelWidth: 16}, func(opts Options) (*Result, error) { return FactorizePGEQRF(a, 2, 2, 16, opts) }},
 	}
 	small := RandomMatrix(128, 16, 3)
@@ -126,10 +129,10 @@ func TestTCPTransportMatchesSim(t *testing.T) {
 			if err != nil {
 				t.Fatalf("tcp run: %v", err)
 			}
-			if d := denseMaxDiff(sim.Q, over.Q); d > 1e-13 {
+			if d := denseMaxDiff(sim.Q, over.Q); d > 0 {
 				t.Errorf("Q differs between transports by %g", d)
 			}
-			if d := denseMaxDiff(sim.R, over.R); d > 1e-13 {
+			if d := denseMaxDiff(sim.R, over.R); d > 0 {
 				t.Errorf("R differs between transports by %g", d)
 			}
 			if sim.Stats.Bytes != 0 {
@@ -339,7 +342,7 @@ func startWorkerProcesses(t *testing.T, n int) []string {
 
 // TestFactorizationAcrossRealProcesses is the acceptance path: a
 // 1024×64 factorization sharded over real OS worker processes through
-// the TCP transport must reproduce the simulated factors to 1e-13, with
+// the TCP transport must reproduce the simulated factors bitwise, with
 // wire-byte counters populated.
 func TestFactorizationAcrossRealProcesses(t *testing.T) {
 	if testing.Short() {
@@ -365,10 +368,10 @@ func TestFactorizationAcrossRealProcesses(t *testing.T) {
 			if err != nil {
 				t.Fatalf("tcp run across processes: %v", err)
 			}
-			if d := denseMaxDiff(sim.Q, over.Q); d > 1e-13 {
+			if d := denseMaxDiff(sim.Q, over.Q); d > 0 {
 				t.Errorf("Q differs between transports by %g", d)
 			}
-			if d := denseMaxDiff(sim.R, over.R); d > 1e-13 {
+			if d := denseMaxDiff(sim.R, over.R); d > 0 {
 				t.Errorf("R differs between transports by %g", d)
 			}
 			if over.Stats.Bytes <= 0 {
