@@ -43,6 +43,20 @@ func TestNilSafety(t *testing.T) {
 	if d := sp.Data(); d.Name != "" || len(d.Children) != 0 {
 		t.Fatal("nil span produced data")
 	}
+	// Nil-safe means free: every transport collective calls these on the
+	// untraced path, so a value boxed on the way to the nil check would
+	// be one heap object per collective per rank.
+	words := int64(1 << 20)
+	if n := testing.AllocsPerRun(100, func() {
+		c := sp.Collective("bcast")
+		c.SetInt("bytes", words)
+		c.SetFloat("time", float64(words))
+		c.SetStr("op", "bcast")
+		c.End()
+		words++
+	}); n != 0 {
+		t.Fatalf("nil span setters allocate %v objects per call", n)
+	}
 
 	var st *Stages
 	st.Enter("a")

@@ -129,11 +129,31 @@ func (s *Span) child(name, kind string) *Span {
 }
 
 // SetInt, SetFloat, SetStr, and SetBool attach one attribute. No-ops on
-// nil spans.
-func (s *Span) SetInt(key string, v int64)     { s.setAttr(key, v) }
-func (s *Span) SetFloat(key string, v float64) { s.setAttr(key, v) }
-func (s *Span) SetStr(key, v string)           { s.setAttr(key, v) }
-func (s *Span) SetBool(key string, v bool)     { s.setAttr(key, v) }
+// nil spans, and free ones: each tests for nil itself so that the
+// untraced path does not box v on its way into setAttr.
+func (s *Span) SetInt(key string, v int64) {
+	if s != nil {
+		s.setAttr(key, v)
+	}
+}
+
+func (s *Span) SetFloat(key string, v float64) {
+	if s != nil {
+		s.setAttr(key, v)
+	}
+}
+
+func (s *Span) SetStr(key, v string) {
+	if s != nil {
+		s.setAttr(key, v)
+	}
+}
+
+func (s *Span) SetBool(key string, v bool) {
+	if s != nil {
+		s.setAttr(key, v)
+	}
+}
 
 func (s *Span) setAttr(key string, v any) {
 	if s == nil {

@@ -270,6 +270,41 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 	}
 }
 
+func TestCollectiveClocksAreCausal(t *testing.T) {
+	// A collective is causal, not lockstep: a member leaves at its own
+	// price after the latest send it had to wait for. With α=γ=1 rank r
+	// enters at 10r; a Bcast from rank 0 costs 2·log₂4 = 4, so the root
+	// leaves at 4 without waiting for the late receivers, and every
+	// receiver at its own entry + 4. A Barrier still lifts everyone to
+	// the slowest entrant (34) before charging its log₂4 = 2.
+	_, err := RunWithOptions(4, Options{Cost: CostParams{Alpha: 1, Gamma: 1}, Timeout: 30 * time.Second}, func(pr *Proc) error {
+		entry := float64(10 * pr.Rank())
+		if err := pr.Compute(int64(entry)); err != nil {
+			return err
+		}
+		var in []float64
+		if pr.Rank() == 0 {
+			in = []float64{1}
+		}
+		if _, err := pr.World().Bcast(0, in); err != nil {
+			return err
+		}
+		if pr.Clock() != entry+4 {
+			return fmt.Errorf("rank %d left the bcast at %v, want its entry %v + price 4", pr.Rank(), pr.Clock(), entry)
+		}
+		if err := pr.World().Barrier(); err != nil {
+			return err
+		}
+		if pr.Clock() != 36 {
+			return fmt.Errorf("rank %d left the barrier at %v, want slowest entrant 34 + price 2", pr.Rank(), pr.Clock())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCollectiveOnSingleRankIsFree(t *testing.T) {
 	st, err := RunWithOptions(1, Options{Cost: CostParams{Alpha: 1, Beta: 1}}, func(pr *Proc) error {
 		w := pr.World()

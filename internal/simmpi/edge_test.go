@@ -137,15 +137,19 @@ func TestCommIDsAgreeAndStayDistinctOnGrid(t *testing.T) {
 			"ygroup": g.YGroup, "ystride": g.YStride, "cube": g.Cube.Comm,
 			"cube-x": g.Cube.XComm, "cube-y": g.Cube.YComm, "cube-z": g.Cube.ZComm, "cube-slice": g.Cube.Slice,
 		} {
-			cm := tc.(*Comm)
-			who := fmt.Sprintf("%s%v", kind, cm.ranks)
-			if prev, ok := members[cm.id]; ok && prev != who {
-				return fmt.Errorf("id %#x names both %s and %s", cm.id, prev, who)
+			ranks := make([]int, tc.Size())
+			for i := range ranks {
+				ranks[i] = tc.GlobalRank(i)
 			}
-			if prev, ok := ids[who]; ok && prev != cm.id {
-				return fmt.Errorf("%s has ids %#x and %#x on different members", who, prev, cm.id)
+			id := tc.(interface{ ID() uint64 }).ID()
+			who := fmt.Sprintf("%s%v", kind, ranks)
+			if prev, ok := members[id]; ok && prev != who {
+				return fmt.Errorf("id %#x names both %s and %s", id, prev, who)
 			}
-			members[cm.id], ids[who] = who, cm.id
+			if prev, ok := ids[who]; ok && prev != id {
+				return fmt.Errorf("%s has ids %#x and %#x on different members", who, prev, id)
+			}
+			members[id], ids[who] = who, id
 		}
 		return nil
 	})

@@ -66,29 +66,11 @@ type Stats = transport.Stats
 // backend-independent transport.Counters).
 type Counters = transport.Counters
 
-// message is an in-flight point-to-point payload.
-type message struct {
-	commID    uint64
-	src       int // global rank
-	tag       int
-	data      []float64
-	sendStart float64 // sender's clock when the send began
-}
-
-// mailbox is one rank's incoming message queue with condition-variable
-// matching.
-type mailbox struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []message
-	aborted bool
-}
-
-// runtime is the shared state of one Run invocation.
+// rt is the shared state of one Run invocation.
 type rt struct {
 	p     int
 	cost  CostParams
-	boxes []*mailbox
+	boxes []*transport.Mailbox // indexed by global rank
 
 	abortOnce sync.Once
 	abortErr  error
@@ -98,57 +80,25 @@ func (r *rt) abort(err error) {
 	r.abortOnce.Do(func() {
 		r.abortErr = err
 		for _, b := range r.boxes {
-			b.mu.Lock()
-			b.aborted = true
-			b.cond.Broadcast()
-			b.mu.Unlock()
+			b.Fail(ErrAborted)
 		}
 	})
 }
 
 // Proc is the handle a rank's body uses for all communication and cost
 // accounting. It is not safe for concurrent use by multiple goroutines.
+// The embedded Ledger holds the msgs/words/flops counters and the
+// SetPhase breakdown; Proc adds the virtual clock on top.
 type Proc struct {
+	transport.Ledger
 	rank int
 	rt   *rt
 
 	clock    float64
-	msgs     int64
-	words    int64
-	flops    int64
 	failArm  bool
-	world    *Comm
+	world    transport.Comm
 	failErr  error
 	finished bool
-
-	phase  string
-	phases map[string]Counters
-}
-
-// SetPhase labels subsequent cost charges with a phase name (e.g. an
-// algorithm line number) and returns the previous label so callers can
-// restore it. Per-phase counters appear in Stats.Phases, letting tests
-// compare measured per-line costs against the model's per-line tables.
-// An empty label disables phase accounting for the following charges.
-func (p *Proc) SetPhase(label string) (prev string) {
-	prev = p.phase
-	p.phase = label
-	return prev
-}
-
-// chargePhase accumulates a charge into the current phase, if any.
-func (p *Proc) chargePhase(msgs, words, flops int64) {
-	if p.phase == "" {
-		return
-	}
-	if p.phases == nil {
-		p.phases = make(map[string]Counters)
-	}
-	c := p.phases[p.phase]
-	c.Msgs += msgs
-	c.Words += words
-	c.Flops += flops
-	p.phases[p.phase] = c
 }
 
 // Rank returns this process's global rank in [0, P).
@@ -165,22 +115,20 @@ func (p *Proc) Clock() float64 { return p.clock }
 
 // Counters returns a snapshot of the rank's cost counters.
 func (p *Proc) Counters() Counters {
-	return Counters{Msgs: p.msgs, Words: p.words, Flops: p.flops, Time: p.clock}
+	c := p.Ledger.Counters()
+	c.Time = p.clock
+	return c
 }
 
 // ChargeComm charges communication cost to the virtual clock and the
 // per-rank counters: alphaUnits message latencies and words words moved.
-// Collectives use it to charge exactly the butterfly-schedule formulas of
-// the paper's §II-B, so the Msgs and Words counters are per-processor α
-// and β cost units in the paper's sense.
+// Collectives are charged exactly the butterfly-schedule formulas of
+// the paper's §II-B through it (link.ChargeCollective), so the Msgs and
+// Words counters are per-processor α and β cost units in the paper's
+// sense.
 func (p *Proc) ChargeComm(alphaUnits, words int64) {
-	if alphaUnits < 0 || words < 0 {
-		panic("simmpi: negative communication charge")
-	}
-	p.msgs += alphaUnits
-	p.words += words
+	p.Ledger.ChargeComm(alphaUnits, words)
 	p.clock += float64(alphaUnits)*p.rt.cost.Alpha + float64(words)*p.rt.cost.Beta
-	p.chargePhase(alphaUnits, words, 0)
 }
 
 // Compute charges flops floating point operations to the virtual clock.
@@ -193,12 +141,8 @@ func (p *Proc) Compute(flops int64) error {
 		p.failErr = fmt.Errorf("%w (rank %d)", ErrInjectedFailure, p.rank)
 		return p.failErr
 	}
-	if flops < 0 {
-		panic("simmpi: negative flop count")
-	}
-	p.flops += flops
+	p.ChargeFlops(flops)
 	p.clock += float64(flops) * p.rt.cost.Gamma
-	p.chargePhase(0, 0, flops)
 	return nil
 }
 
@@ -218,11 +162,9 @@ func RunWithOptions(np int, opts Options, body func(*Proc) error) (*Stats, error
 	if cost == (CostParams{}) {
 		cost = DefaultCost
 	}
-	r := &rt{p: np, cost: cost, boxes: make([]*mailbox, np)}
+	r := &rt{p: np, cost: cost, boxes: make([]*transport.Mailbox, np)}
 	for i := range r.boxes {
-		b := &mailbox{}
-		b.cond = sync.NewCond(&b.mu)
-		r.boxes[i] = b
+		r.boxes[i] = transport.NewMailbox()
 	}
 
 	procs := make([]*Proc, np)
@@ -230,14 +172,9 @@ func RunWithOptions(np int, opts Options, body func(*Proc) error) (*Stats, error
 	var wg sync.WaitGroup
 	wg.Add(np)
 
-	worldRanks := make([]int, np)
-	for i := range worldRanks {
-		worldRanks[i] = i
-	}
-
 	for i := 0; i < np; i++ {
 		pr := &Proc{rank: i, rt: r}
-		pr.world = &Comm{proc: pr, id: 0, ranks: worldRanks, index: i}
+		pr.world = transport.NewWorld(pr, link{pr})
 		if opts.FailEnabled && opts.FailRank == i {
 			pr.failArm = true
 		}
@@ -297,7 +234,7 @@ func RunWithOptions(np int, opts Options, body func(*Proc) error) (*Stats, error
 	for i, pr := range procs {
 		st.PerRank[i] = pr.Counters()
 		st.Accumulate(st.PerRank[i])
-		st.MergePhases(pr.phases)
+		st.MergePhases(pr.Phases())
 	}
 	if firstErr != nil {
 		return st, firstErr

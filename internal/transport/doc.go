@@ -3,33 +3,47 @@
 // interface of MPI-flavored point-to-point and collective operations
 // plus a Proc handle for rank identity and cost accounting.
 //
-// Two backends implement it:
+// There is one implementation of Comm, in this package (comm.go):
+// communicator identity and derivation (Split, Subgroup, CommID),
+// bounds-checked point-to-point, and the collectives, which move data
+// on linear fans through one member. A backend supplies a Link under it
+// — raw Send/Recv between global ranks plus ChargeCollective, what a
+// finished collective costs — and builds its world with NewWorld. A
+// Link owes the communicator three things: sends are buffered (Send
+// returns without waiting for the matching Recv), the payload is copied
+// or encoded before Send returns, and messages with the same (comm,
+// src, tag) are received in the order they were sent. The Mailbox and
+// the Ledger in this package are the queue and the msgs/words/flops
+// account both links are built from. The two links:
 //
 //   - internal/simmpi: the in-process simulated runtime. P ranks are
-//     goroutines in one process; communication charges the paper's
-//     exact α-β-γ butterfly-schedule formulas on a virtual clock, so a
-//     run doubles as a cost measurement. This is the default backend
-//     and the one the validated cost model is tested against.
+//     goroutines in one process; messages carry the sender's virtual
+//     clock, and a collective is charged the paper's exact α-β-γ
+//     butterfly-schedule formula whatever moved, so a run doubles as a
+//     cost measurement. This is the default backend and the one the
+//     validated cost model is tested against.
 //   - internal/transport/tcpnet: the real inter-process backend.
 //     P ranks are OS processes connected by a full mesh of TCP
 //     connections (a coordinator that assigns ranks plus cacqrd
-//     worker processes); counters report actual messages and bytes
-//     moved, and every blocking operation honors a job deadline.
+//     worker processes); a collective is charged the messages and
+//     words it moved, counters also report wire bytes, and every
+//     blocking operation honors a job deadline.
 //
 // The interface is deliberately small — Send/Recv/SendRecv, the
 // collectives of the paper's §II-B (Barrier, Bcast, Reduce, Allreduce,
 // Gather, Allgather, Transpose), communicator construction (Split, Subgroup),
 // and cost accounting (Compute, ChargeComm, Counters) — exactly what
 // CQR2/ShiftedCQR3, TSQR, PGEQRF, MM3D and CFR3D consume. The
-// conformance suite in internal/transport/conformancetest pins the
-// semantics both backends must share.
+// conformance suite in internal/transport/conformancetest runs the
+// communicator over both links; comm_test.go runs it over an in-memory
+// fake and pins what every member of every collective moves.
 //
 // # Buffer ownership
 //
 // One rule covers every []float64 that crosses the interface:
 //
 //   - A payload (the data argument of Send, SendRecv and every
-//     collective) is borrowed for the duration of the call. The backend
+//     collective) is borrowed for the duration of the call. The link
 //     copies or encodes it before returning and keeps no reference, so
 //     the caller may hand in a matrix's own storage and reuse or mutate
 //     it as soon as the call returns.

@@ -187,7 +187,7 @@ func (c *Coordinator) Run(ctx context.Context, payload func(rank int) []byte, bo
 	st := &transport.Stats{PerRank: make([]transport.Counters, np)}
 	st.PerRank[0] = p.Counters()
 	st.Accumulate(st.PerRank[0])
-	st.MergePhases(p.phases)
+	st.MergePhases(p.Phases())
 	for r := 1; r < np; r++ {
 		st.PerRank[r] = results[r].Counters
 		st.Accumulate(st.PerRank[r])

@@ -1,8 +1,10 @@
 // Package tcpnet is the real inter-process transport backend: P ranks
-// are OS processes connected by a full mesh of TCP connections, all
-// implementing the same transport.Comm/Proc interface the simulated
-// runtime (internal/simmpi) implements — which is what lets one body of
-// distributed algorithm code run unchanged on either.
+// are OS processes connected by a full mesh of TCP connections, under
+// the same transport.Comm the simulated runtime (internal/simmpi) runs
+// under — which is what lets one body of distributed algorithm code run
+// unchanged on either. The communicator is internal/transport's; this
+// package is frames, connections, bootstrap, and the transport.Link
+// that puts one frame on a peer's connection per message.
 //
 // # Topology and bootstrap
 //
@@ -31,20 +33,24 @@
 //
 // Every message is length-delimited. Mesh data frames carry
 // (communicator id, source rank, tag, element count) followed by the
-// float64 payload, so receivers demultiplex into a mailbox exactly the
-// way simmpi's simulated mailboxes match messages — same tag-matching,
-// same FIFO-per-(comm,src,tag) ordering. Communicator ids for Split and
+// float64 payload, so receivers demultiplex into the same
+// transport.Mailbox the simulator's ranks use — same tag-matching, same
+// FIFO-per-(comm,src,tag) ordering. Communicator ids for Split and
 // Subgroup are derived deterministically from the parent id and call
 // sequence on every member with no extra communication.
 //
 // # Deadlines and accounting
 //
 // The job deadline bounds every blocking operation: dials, control
-// reads, mesh sends (should a peer stop draining) and mailbox waits.
+// reads, mesh sends (should a peer stop draining) and — through one
+// timer per job that fails the node with ErrDeadline — mailbox waits.
 // A dead peer or an expired deadline fails the node, and every pending
 // and subsequent operation on it returns the failure. Counters report
-// actual traffic: messages and 8-byte words through each rank's Comm,
-// plus raw bytes on the wire (framing included) — the same
-// cost-accounting fields the simulated backend reports, measured
+// actual traffic: a point-to-point call is charged as the communicator
+// charges it on every backend (one message; SendRecv the larger
+// payload), a collective the messages and 8-byte words this rank's
+// link sends and receives carried for it (ChargeCollective charges
+// what moved), plus raw bytes on the wire (framing included) — the
+// same cost-accounting fields the simulated backend reports, measured
 // instead of modeled.
 package tcpnet

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,30 +17,21 @@ import (
 // has passed.
 var ErrDeadline = errors.New("tcpnet: job deadline exceeded")
 
-// meshMsg is one received data-plane message awaiting a matching Recv.
-type meshMsg struct {
-	commID uint64
-	src    int // global rank of sender
-	tag    int
-	data   []float64
-}
-
 // node is one rank's end of the full mesh: the per-peer connections,
 // the mailbox incoming frames demultiplex into, and the wire-byte
 // counter. It is shared by the rank goroutine, the per-peer reader and
 // writer goroutines, and whoever triggers failure (control-connection
-// monitor, context watcher).
+// monitor, context watcher, the deadline timer).
 type node struct {
 	rank     int
 	np       int
 	deadline time.Time // zero = none
 
-	peers []*peerConn // indexed by rank; nil at self
+	box   *transport.Mailbox
+	timer *time.Timer // fails the node at the deadline; nil without one
 
 	mu    sync.Mutex
-	cond  *sync.Cond
-	queue []meshMsg
-	err   error // first failure; once set every operation returns it
+	peers []*peerConn // indexed by rank; nil at self
 
 	bytes    atomic.Int64 // raw bytes sent + received on mesh conns
 	failOnce sync.Once
@@ -60,23 +52,28 @@ type peerConn struct {
 // and the writer's deadline guarantees the block is bounded.
 const outboundDepth = 256
 
+// newNode starts the job's one deadline timer: past the deadline every
+// pending and later operation fails with ErrDeadline. shutdown stops it.
 func newNode(rank, np int, deadline time.Time) *node {
-	n := &node{rank: rank, np: np, deadline: deadline, peers: make([]*peerConn, np)}
-	n.cond = sync.NewCond(&n.mu)
+	n := &node{rank: rank, np: np, deadline: deadline, box: transport.NewMailbox(), peers: make([]*peerConn, np)}
+	if !deadline.IsZero() {
+		n.timer = time.AfterFunc(time.Until(deadline), func() { n.fail(ErrDeadline) })
+	}
 	return n
 }
 
 // attach records a mesh connection to peer rank r. The reader and
 // writer goroutines start in start(), once the whole mesh is wired —
 // fail() may run concurrently with bootstrap (a peer dies while we are
-// still dialing the rest), so peers mutate only under the mailbox lock.
+// still dialing the rest), so peers mutate only under the lock; a
+// connection attached after fail took its snapshot sees the failed
+// mailbox and closes itself.
 func (n *node) attach(r int, conn net.Conn) {
 	pc := &peerConn{conn: conn, out: make(chan []byte, outboundDepth)}
 	n.mu.Lock()
-	failed := n.err != nil
 	n.peers[r] = pc
 	n.mu.Unlock()
-	if failed {
+	if n.box.Err() != nil {
 		pc.failed.Store(true)
 		conn.Close()
 	}
@@ -130,16 +127,8 @@ func (n *node) readLoop(pc *peerConn) {
 			return
 		}
 		n.bytes.Add(wire)
-		n.post(msg)
+		_ = n.box.Post(msg) // a failed node drops what still arrives
 	}
-}
-
-// post delivers a message to the mailbox.
-func (n *node) post(msg meshMsg) {
-	n.mu.Lock()
-	n.queue = append(n.queue, msg)
-	n.cond.Broadcast()
-	n.mu.Unlock()
 }
 
 // fail marks the node failed with err: all pending and future
@@ -147,9 +136,8 @@ func (n *node) post(msg meshMsg) {
 // in-flight reads and writes.
 func (n *node) fail(err error) {
 	n.failOnce.Do(func() {
+		n.box.Fail(err)
 		n.mu.Lock()
-		n.err = err
-		n.cond.Broadcast()
 		peers := append([]*peerConn(nil), n.peers...)
 		n.mu.Unlock()
 		for _, pc := range peers {
@@ -161,17 +149,13 @@ func (n *node) fail(err error) {
 	})
 }
 
-// errNow reports the node failure, if any.
-func (n *node) errNow() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.err
-}
-
 // shutdown flushes every queued outbound frame, then closes the mesh
 // connections. Called after the rank body returns: its final sends may
 // still be queued, and peers mid-collective are waiting on them.
 func (n *node) shutdown() {
+	if n.timer != nil {
+		n.timer.Stop()
+	}
 	for _, pc := range n.peers {
 		if pc != nil {
 			close(pc.out)
@@ -185,77 +169,21 @@ func (n *node) shutdown() {
 	}
 }
 
-// send enqueues one message for global rank dst (buffered semantics; a
-// send to self posts straight to the mailbox).
-func (n *node) send(commID uint64, dst, tag int, data []float64) error {
-	if err := n.errNow(); err != nil {
-		return err
-	}
-	if dst == n.rank {
-		payload := make([]float64, len(data))
-		copy(payload, data)
-		n.post(meshMsg{commID: commID, src: n.rank, tag: tag, data: payload})
-		return nil
-	}
-	n.peers[dst].out <- encodeMeshFrame(commID, n.rank, tag, data)
-	return nil
-}
-
-// recvMatch blocks until a message with the given communicator, global
-// source rank and tag is available, honoring the job deadline.
-func (n *node) recvMatch(commID uint64, src, tag int) ([]float64, error) {
-	var timedOut atomic.Bool
-	if !n.deadline.IsZero() {
-		d := time.Until(n.deadline)
-		if d <= 0 {
-			return nil, ErrDeadline
-		}
-		t := time.AfterFunc(d, func() {
-			timedOut.Store(true)
-			n.cond.Broadcast()
-		})
-		defer t.Stop()
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for {
-		if n.err != nil {
-			return nil, n.err
-		}
-		for i, m := range n.queue {
-			if m.commID == commID && m.src == src && m.tag == tag {
-				n.queue = append(n.queue[:i], n.queue[i+1:]...)
-				return m.data, nil
-			}
-		}
-		if timedOut.Load() {
-			return nil, ErrDeadline
-		}
-		n.cond.Wait()
-	}
-}
-
-// proc is the rank's transport.Proc. Msgs/Words/Flops are what the
-// algorithm charged through the Comm (actual traffic for point-to-point
-// and collective data movement), Bytes is measured wire traffic, Time
-// is wall-clock seconds since the node came up.
+// proc is the rank's transport.Proc and, under the shared communicator,
+// its transport.Link. Msgs/Words are the traffic that went through the
+// Comm — point-to-point as charged, collectives as moved — Flops what
+// the algorithm charged, Bytes measured wire traffic, Time wall-clock
+// seconds since the node came up.
 type proc struct {
+	transport.Ledger
 	n     *node
-	world *comm
+	world transport.Comm
 	start time.Time
-
-	msgs, words, flops int64
-	phase              string
-	phases             map[string]transport.Counters
 }
 
 func newProc(n *node) *proc {
 	p := &proc{n: n, start: time.Now()}
-	ranks := make([]int, n.np)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	p.world = &comm{p: p, id: worldCommID, ranks: ranks, index: n.rank}
+	p.world = transport.NewWorld(p, p)
 	return p
 }
 
@@ -266,52 +194,41 @@ func (p *proc) World() transport.Comm { return p.world }
 // Compute counts local flops. It also surfaces node failure, so
 // compute-bound loops notice a dead peer or a cancellation promptly.
 func (p *proc) Compute(flops int64) error {
-	if flops < 0 {
-		panic("tcpnet: negative flop count")
-	}
-	if err := p.n.errNow(); err != nil {
+	if err := p.n.box.Err(); err != nil {
 		return err
 	}
-	p.flops += flops
-	p.chargePhase(0, 0, flops)
+	p.ChargeFlops(flops)
 	return nil
 }
 
-func (p *proc) ChargeComm(alphaUnits, words int64) {
-	if alphaUnits < 0 || words < 0 {
-		panic("tcpnet: negative communication charge")
-	}
-	p.msgs += alphaUnits
-	p.words += words
-	p.chargePhase(alphaUnits, words, 0)
-}
-
-func (p *proc) SetPhase(label string) (prev string) {
-	prev = p.phase
-	p.phase = label
-	return prev
-}
-
-func (p *proc) chargePhase(msgs, words, flops int64) {
-	if p.phase == "" {
-		return
-	}
-	if p.phases == nil {
-		p.phases = make(map[string]transport.Counters)
-	}
-	c := p.phases[p.phase]
-	c.Msgs += msgs
-	c.Words += words
-	c.Flops += flops
-	p.phases[p.phase] = c
-}
-
 func (p *proc) Counters() transport.Counters {
-	return transport.Counters{
-		Msgs:  p.msgs,
-		Words: p.words,
-		Flops: p.flops,
-		Bytes: p.n.bytes.Load(),
-		Time:  time.Since(p.start).Seconds(),
+	c := p.Ledger.Counters()
+	c.Bytes = p.n.bytes.Load()
+	c.Time = time.Since(p.start).Seconds()
+	return c
+}
+
+// Send enqueues one frame for global rank dst on that peer's writer
+// (buffered semantics; a send to self posts straight to the mailbox).
+func (p *proc) Send(comm uint64, dst, tag int, data []float64) error {
+	n := p.n
+	if err := n.box.Err(); err != nil {
+		return err
 	}
+	if dst == n.rank {
+		return n.box.Post(transport.Message{Comm: comm, Src: n.rank, Tag: tag, Data: slices.Clone(data)})
+	}
+	n.peers[dst].out <- encodeMeshFrame(comm, n.rank, tag, data)
+	return nil
+}
+
+// Recv waits in the mailbox, which the deadline timer fails.
+func (p *proc) Recv(comm uint64, src, tag int) ([]float64, error) {
+	m, err := p.n.box.Take(comm, src, tag)
+	return m.Data, err
+}
+
+// ChargeCollective charges what moved: measured traffic, not a model.
+func (p *proc) ChargeCollective(_ transport.Op, _ int, _ int64, moved transport.Counters) {
+	p.ChargeComm(moved.Msgs, moved.Words)
 }

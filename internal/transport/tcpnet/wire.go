@@ -113,14 +113,14 @@ func encodeMeshFrame(commID uint64, src, tag int, data []float64) []byte {
 
 // readMeshFrame reads one data-plane message, returning the decoded
 // fields and the total bytes consumed from the wire.
-func readMeshFrame(r io.Reader) (msg meshMsg, wireBytes int64, err error) {
+func readMeshFrame(r io.Reader) (msg transport.Message, wireBytes int64, err error) {
 	var hdr [meshFrameHeader]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return msg, 0, err
 	}
-	msg.commID = binary.BigEndian.Uint64(hdr[0:])
-	msg.src = int(int32(binary.BigEndian.Uint32(hdr[8:])))
-	msg.tag = int(int32(binary.BigEndian.Uint32(hdr[12:])))
+	msg.Comm = binary.BigEndian.Uint64(hdr[0:])
+	msg.Src = int(int32(binary.BigEndian.Uint32(hdr[8:])))
+	msg.Tag = int(int32(binary.BigEndian.Uint32(hdr[12:])))
 	count := binary.BigEndian.Uint32(hdr[16:])
 	if count > maxMeshElems {
 		return msg, 0, fmt.Errorf("tcpnet: data frame of %d elements exceeds limit", count)
@@ -129,9 +129,9 @@ func readMeshFrame(r io.Reader) (msg meshMsg, wireBytes int64, err error) {
 	if _, err = io.ReadFull(r, body); err != nil {
 		return msg, 0, fmt.Errorf("tcpnet: truncated data frame: %w", err)
 	}
-	msg.data = make([]float64, count)
-	for i := range msg.data {
-		msg.data[i] = math.Float64frombits(binary.BigEndian.Uint64(body[8*i:]))
+	msg.Data = make([]float64, count)
+	for i := range msg.Data {
+		msg.Data[i] = math.Float64frombits(binary.BigEndian.Uint64(body[8*i:]))
 	}
 	return msg, int64(meshFrameHeader + 8*int(count)), nil
 }

@@ -216,7 +216,7 @@ func runWorkerJob(ctrl net.Conn, reg *meshRegistry, h Handler, hdr jobHeader) {
 	n.shutdown()
 	close(monitorDone)
 
-	res := jobResult{Counters: p.Counters(), Phases: p.phases}
+	res := jobResult{Counters: p.Counters(), Phases: p.Phases()}
 	if err != nil {
 		res.Err = err.Error()
 	}

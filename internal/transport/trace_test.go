@@ -37,7 +37,14 @@ func TestTracedCollectiveSpans(t *testing.T) {
 			return fmt.Errorf("rank %d: world comm does not return the traced proc", sp.Rank())
 		}
 
-		if _, err := w.Bcast(0, make([]float64, 128)); err != nil {
+		// Only the root hands the payload in, as in the algorithms
+		// (mm3d's aRoot/bRoot, CACQR lines 1 and 5); every member's
+		// span must still carry the broadcast length.
+		var payload []float64
+		if w.Index() == 0 {
+			payload = make([]float64, 128)
+		}
+		if _, err := w.Bcast(0, payload); err != nil {
 			return err
 		}
 		if _, err := w.Allreduce(make([]float64, 64)); err != nil {
@@ -72,7 +79,8 @@ func TestTracedCollectiveSpans(t *testing.T) {
 		t.Fatalf("root has %d rank spans, want %d", len(td.Root.Children), np)
 	}
 	// Every rank sees the same collective sequence; bytes are the
-	// payload each rank handed in, 8 bytes per float64 word.
+	// payload each rank handed in (for bcast: received), 8 bytes per
+	// float64 word.
 	want := []struct {
 		op    string
 		bytes int64

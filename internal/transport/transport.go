@@ -5,7 +5,8 @@ package transport
 // communicator; collectives run over all members and must be called by
 // every member. A Comm value is one rank's handle onto the logical
 // communicator; it is not safe for concurrent use by multiple
-// goroutines of the same rank.
+// goroutines of the same rank. The implementation is comm.go's, on
+// every backend; NewWorld makes a backend's first one.
 type Comm interface {
 	// Size returns the number of members.
 	Size() int
@@ -95,8 +96,10 @@ type Proc interface {
 	// to abort the rank (injected failures, cancellation).
 	Compute(flops int64) error
 	// ChargeComm charges communication cost: alphaUnits message
-	// latencies and words 8-byte words moved. Collectives use it so
-	// the Msgs/Words counters report per-processor α and β cost units.
+	// latencies and words 8-byte words moved. The communicator charges
+	// point-to-point traffic through it, and a backend's
+	// Link.ChargeCollective every collective, so the Msgs/Words
+	// counters report per-processor α and β cost units.
 	ChargeComm(alphaUnits, words int64)
 	// SetPhase labels subsequent cost charges with a phase name and
 	// returns the previous label. Backends that do not track phases
