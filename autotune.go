@@ -101,8 +101,8 @@ func PlanGrid(m, n, procs int, opts Options) ([]Plan, error) {
 // (κ ≳ 10⁷ leaves the plain CholeskyQR2 family for ShiftedCQR3/TSQR).
 // The executed plan is recorded in Result.Plan and the routing hint in
 // Result.CondEst. Options.PanelWidth is ignored — the planner owns that
-// choice; InverseDepth and BaseSize are forwarded to both the model and
-// the run.
+// choice; InverseDepth and BaseSize are what every grid row is priced
+// with, and the winner runs the ones it carries.
 func AutoFactorize(a *Dense, procs int, opts Options) (*Result, error) {
 	return autoFactorize(a, procs, opts)
 }
@@ -137,8 +137,10 @@ func autoFactorize(a *Dense, procs int, opts Options) (*Result, error) {
 // its extents suffice) — without running the enumeration. Every variant
 // the planner prices is executable, including the PGEQRF baseline and
 // the blocked (PanelWidth > 0) TSQR rows; the plan's extents are checked
-// against the matrix before anything runs. The executed plan is
-// recorded in Result.Plan.
+// against the matrix before anything runs. The run executes the knobs
+// the row was priced with — its own PanelWidth, InverseDepth and
+// BaseSize, not those of opts — so measured cost equals the row's Cost
+// (plus the final gather). The executed plan is recorded in Result.Plan.
 func FactorizePlan(a *Dense, p Plan, opts Options) (*Result, error) {
 	res, err := factorize(a, p, opts)
 	if err != nil {

@@ -3,6 +3,7 @@ package cacqr
 //lint:allow floatcompare tests assert bitwise reproducibility, which is this library's documented contract
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -254,5 +255,55 @@ func TestNegativeWorkersRejectedEverywhere(t *testing.T) {
 	}
 	if _, err := PlanGrid(32, 4, 4, bad); err == nil {
 		t.Fatal("PlanGrid accepted negative Workers")
+	}
+}
+
+// A row records the knobs it was priced with and FactorizePlan runs
+// them: every grid row priced at InverseDepth 1 measures its own flop
+// count whatever the caller's Options say, and that count is not the
+// InverseDepth 0 one (the 2×2×2 row: 149 944 against 150 072).
+func TestFactorizePlanRunsTheRowsOwnKnobs(t *testing.T) {
+	const m, n, procs = 256, 32, 8
+	a := RandomMatrix(m, n, 9)
+	priced := func(inv int) map[string]Plan {
+		rows, err := PlanGrid(m, n, procs, Options{InverseDepth: inv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid := map[string]Plan{}
+		for _, p := range rows {
+			if p.Variant == VariantCACQR2 || p.Variant == VariantPanelCACQR2 {
+				if p.InverseDepth != inv {
+					t.Fatalf("%v: row carries InverseDepth %d, priced with %d", p, p.InverseDepth, inv)
+				}
+				grid[fmt.Sprintf("%s %s b=%d", p.Variant, p.GridString(), p.PanelWidth)] = p
+			}
+		}
+		return grid
+	}
+	deep, full := priced(1), priced(0)
+	if len(deep) < 2 || len(deep) != len(full) {
+		t.Fatalf("%d grid rows at InverseDepth 1, %d at 0", len(deep), len(full))
+	}
+	moved := 0
+	for name, row := range deep {
+		if row.Cost.Flops != full[name].Cost.Flops {
+			moved++
+		}
+		for _, opts := range []Options{{}, {InverseDepth: 3, BaseSize: 16}} {
+			res, err := FactorizePlan(a, row, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if res.Stats.Flops != row.Cost.Flops {
+				t.Errorf("%s with Options%+v: measured %d flops, the row was priced at %d", name, opts, res.Stats.Flops, row.Cost.Flops)
+			}
+			if res.Stats.Msgs < row.Cost.Msgs || res.Stats.Words < row.Cost.Words {
+				t.Errorf("%s: measured comm (%d, %d) below the row's (%d, %d)", name, res.Stats.Msgs, res.Stats.Words, row.Cost.Msgs, row.Cost.Words)
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("InverseDepth moved no row's flop count: the test distinguishes nothing")
 	}
 }

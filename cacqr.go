@@ -169,7 +169,9 @@ type Options struct {
 	// the explicit triangular-inverse block (0 = full inverse).
 	InverseDepth int
 	// BaseSize is CFR3D's base-case dimension n_o (0 = the
-	// bandwidth-optimal default n/c²).
+	// bandwidth-optimal default n/c²). The fixed-grid entry points run
+	// these two and the planner prices its rows with them; a plan carries
+	// its own, so FactorizePlan does not read them.
 	BaseSize int
 	// PanelWidth, when > 0, makes FactorizeOnGrid run the panel-wise
 	// variant (the paper's §V subpanel proposal): columns are processed
@@ -312,15 +314,15 @@ func checkOptions(opts Options) error {
 // Requires d | m and c | n. Ranks are simulated goroutines by default;
 // Options.Transport can move them onto real OS worker processes.
 func FactorizeOnGrid(a *Dense, spec GridSpec, opts Options) (*Result, error) {
-	return factorize(a, spec.asPlan(opts.PanelWidth), opts)
+	return factorize(a, spec.asPlan(opts), opts)
 }
 
-// asPlan describes CA-CQR2 on the grid, or its panel variant when
-// panelWidth > 0.
-func (g GridSpec) asPlan(panelWidth int) plan.Plan {
-	p := plan.Plan{Variant: plan.CACQR2, C: g.C, D: g.D}
-	if panelWidth > 0 {
-		p.Variant, p.PanelWidth = plan.PanelCACQR2, panelWidth
+// asPlan describes CA-CQR2 on the grid with the legend knobs of opts, or
+// its panel variant when opts.PanelWidth > 0.
+func (g GridSpec) asPlan(opts Options) plan.Plan {
+	p := plan.Plan{Variant: plan.CACQR2, C: g.C, D: g.D, InverseDepth: opts.InverseDepth, BaseSize: opts.BaseSize}
+	if opts.PanelWidth > 0 {
+		p.Variant, p.PanelWidth = plan.PanelCACQR2, opts.PanelWidth
 	}
 	return p
 }
@@ -398,6 +400,24 @@ func ModelCACQR2(m, n int, spec GridSpec, opts Options) (ModelCost, error) {
 // grid with panel width nb.
 func ModelPGEQRF(m, n, pr, pc, nb int) (ModelCost, error) {
 	return costmodel.PGEQRF(m, n, pr, pc, nb)
+}
+
+// ModelStreamCQR2 predicts the streamed CholeskyQR2's cost (flops plus
+// disk-tier I/O) for an m×n matrix in panels of panelRows rows; writeQ
+// includes the Q pass, shifted prices the shifted ladder. A run's
+// counters equal it exactly.
+func ModelStreamCQR2(m, n, panelRows int, writeQ, shifted bool) (ModelCost, error) {
+	return costmodel.StreamCQR2(m, n, panelRows, writeQ, shifted)
+}
+
+// ModelStreamCQR2Memory predicts the streaming driver's peak resident
+// footprint in bytes.
+func ModelStreamCQR2Memory(m, n, panelRows int) (int64, error) {
+	w, err := costmodel.StreamCQR2Memory(m, n, panelRows)
+	if err != nil {
+		return 0, err
+	}
+	return 8 * w, nil
 }
 
 // PredictGFlopsPerNode converts a modeled cost into the paper's

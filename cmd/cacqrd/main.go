@@ -6,7 +6,7 @@
 // simulated-rank budget.
 //
 //	cacqrd [-addr :8377] [-procs 16] [-cache 128] [-rank-budget 256]
-//	       [-window 2ms] [-max-pending 1024] [-fuse-window 0]
+//	       [-max-pending 1024] [-fuse-window 0]
 //	       [-mem 0] [-machine stampede2] [-workers 0]
 //	       [-transport sim] [-tcp-workers host:port,...]
 //	       [-trace-sample-rate 1] [-trace-retain 64]
@@ -94,7 +94,6 @@ func main() {
 		procs      = flag.Int("procs", 16, "default per-request planning budget (simulated ranks)")
 		cache      = flag.Int("cache", 0, "plan-cache entries (0 = default 128)")
 		rankBudget = flag.Int("rank-budget", 0, "global simulated-rank execution budget (0 = default 256)")
-		window     = flag.Duration("window", 0, "same-key batch window (0 = default 2ms)")
 		maxPending = flag.Int("max-pending", 0, "pending-request bound before shedding load with 503 (0 = default 1024)")
 		fuseWindow = flag.Duration("fuse-window", 0, "same-key fused-execution window (0 = per-request execution)")
 		mem        = flag.Int64("mem", 0, "per-rank memory budget in bytes (0 = unlimited)")
@@ -148,7 +147,6 @@ func main() {
 		Procs:        *procs,
 		CacheEntries: *cache,
 		RankBudget:   *rankBudget,
-		BatchWindow:  *window,
 		MaxPending:   *maxPending,
 		FuseWindow:   *fuseWindow,
 		Options:      opts,

@@ -18,7 +18,7 @@ import (
 
 func newTestDaemon(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv, err := cacqr.NewServer(cacqr.ServerOptions{Procs: 8, BatchWindow: -1})
+	srv, err := cacqr.NewServer(cacqr.ServerOptions{Procs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestOverloadedMapsTo503(t *testing.T) {
 	// fuse window and holds the only pending slot until Close drains it —
 	// a deterministic way to saturate the daemon from a test.
 	srv, err := cacqr.NewServer(cacqr.ServerOptions{
-		Procs: 8, BatchWindow: -1, MaxPending: 1, FuseWindow: time.Minute,
+		Procs: 8, MaxPending: 1, FuseWindow: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func newTracedDaemon(t *testing.T) (*httptest.Server, *cacqr.Tracer) {
 	t.Helper()
 	tracer := cacqr.NewTracer(cacqr.TracerOptions{})
 	srv, err := cacqr.NewServer(cacqr.ServerOptions{
-		Procs: 8, BatchWindow: -1,
+		Procs:   8,
 		Options: cacqr.Options{Tracer: tracer},
 	})
 	if err != nil {
@@ -336,7 +336,7 @@ func TestBodyCapAlwaysInstalled(t *testing.T) {
 // A body past the cap is a clean 413, not a generic 400 or a decoder
 // left to allocate without bound.
 func TestOversizedBodyIs413(t *testing.T) {
-	srv, err := cacqr.NewServer(cacqr.ServerOptions{Procs: 4, BatchWindow: -1})
+	srv, err := cacqr.NewServer(cacqr.ServerOptions{Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestGenCondValidation(t *testing.T) {
 // daemon streams it under a budget of maxElems elements instead of
 // rejecting it, and the answer matches the in-core factorization.
 func TestOverLimitGenStreams(t *testing.T) {
-	srv, err := cacqr.NewServer(cacqr.ServerOptions{Procs: 4, BatchWindow: -1})
+	srv, err := cacqr.NewServer(cacqr.ServerOptions{Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestOverLimitGenStreams(t *testing.T) {
 // the bound (the body IS the matrix), solves (need a pass over Q), and
 // exact-κ generation (materializes the whole matrix).
 func TestOverLimitRejections(t *testing.T) {
-	srv, err := cacqr.NewServer(cacqr.ServerOptions{Procs: 4, BatchWindow: -1})
+	srv, err := cacqr.NewServer(cacqr.ServerOptions{Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

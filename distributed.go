@@ -61,27 +61,26 @@ func (t *Transport) isTCP() bool { return t != nil && t.tcp }
 
 // job is the one description of a run, built by every entry point and
 // executed by every rank — local goroutine or remote process: the plan
-// (the paper's (c, d) pair or one of its comparison rows: Variant, C, D,
-// Procs, PanelWidth) plus the matrix shape and the run knobs. The
-// exported fields are what gob ships to a TCP worker; the unexported
-// ones configure the launching process only and never cross the wire.
+// (the paper's legend tuple or one of its comparison rows: Variant, C, D,
+// Procs, PanelWidth, InverseDepth, BaseSize) plus the matrix shape and
+// the run knobs. The exported fields are what gob ships to a TCP worker;
+// the unexported ones configure the launching process only and never
+// cross the wire.
 type job struct {
 	plan.Plan
-	M, N         int
-	InverseDepth int
-	BaseSize     int
-	Workers      int
+	M, N    int
+	Workers int
 
 	transport *Transport
 	timeout   time.Duration
 	condEst   float64 // routing hint: beyond CQR2's regime a streamed run starts on the shifted ladder
 }
 
-// newJob checks a run completely — options, shape, and the plan's
-// extents against the shape — and describes it as a job. Everything
-// that can be rejected without the matrix values is rejected here,
-// before a rank goroutine starts or a worker is dialled. Procs is
-// derived from the grid where the plan has one, so a hand-built plan
+// newJob checks a run completely — options, shape, and through
+// plan.Check the plan's extents against the shape — and describes it as
+// a job. Everything that can be rejected without the matrix values is
+// rejected here, before a rank goroutine starts or a worker is dialled.
+// Check derives Procs where the plan has a grid, so a hand-built plan
 // need only name its variant and extents.
 func newJob(m, n int, p plan.Plan, opts Options) (job, error) {
 	if err := checkOptions(opts); err != nil {
@@ -90,64 +89,19 @@ func newJob(m, n int, p plan.Plan, opts Options) (job, error) {
 	if err := checkShape(m, n); err != nil {
 		return job{}, err
 	}
-	// need records the first requirement the plan and shape violate, and
-	// reports whether all so far hold — so a requirement that only makes
-	// sense once another holds nests under it.
-	var err error
-	need := func(ok bool, format string, args ...any) bool {
-		if err == nil && !ok {
-			err = fmt.Errorf("cacqr: "+format, args...)
-		}
-		return err == nil
-	}
-	switch p.Variant {
-	case plan.Sequential:
-		p.Procs = 1
-	case plan.StreamCQR2:
-		p.Procs, p.PanelWidth = 1, resolvePanelRows(p.PanelWidth, m, n)
-		need(p.PanelWidth >= n, "PanelRows %d < n=%d", p.PanelWidth, n)
-	case plan.OneD, plan.ShiftedCQR3, plan.TSQR:
-		ok := need(p.Procs >= 1, "invalid processor count %d", p.Procs) &&
-			need(m%p.Procs == 0, "m=%d not divisible by P=%d", m, p.Procs)
-		if ok && p.Variant == plan.TSQR {
-			// Plain TSQR factors each m/P × n block, so blocks must be
-			// tall; the blocked variant only needs them as tall as a panel.
-			rows, b := m/p.Procs, p.PanelWidth
-			need(p.Procs&(p.Procs-1) == 0, "TSQR needs a power-of-two rank count, got %d", p.Procs)
-			need(b >= 0 && (b == 0 || n%b == 0), "TSQR panel width %d must divide n=%d", b, n)
-			need(b > 0 || rows >= n, "TSQR row blocks of %d rows on P=%d are not tall (need m/P ≥ n=%d, or a panel width)", rows, p.Procs, n)
-			need(rows >= b, "TSQR row blocks of %d rows on P=%d are shorter than the panel width %d", rows, p.Procs, b)
-		}
-	case plan.CACQR2, plan.PanelCACQR2:
-		c, d, b := p.C, p.D, p.PanelWidth
-		if need(c >= 1 && d >= c && d%c == 0, "invalid grid %dx%dx%d (need 1 ≤ c ≤ d, c | d)", c, d, c) {
-			need(m%d == 0 && n%c == 0, "%dx%d matrix not divisible by the %dx%dx%d grid (need d | m, c | n)", m, n, c, d, c)
-			need(p.Variant == plan.CACQR2 || (b >= 1 && b%c == 0 && n%b == 0), "panel width %d must satisfy c | b and b | n (c=%d, n=%d)", b, c, n)
-		}
-		p.Procs = c * d * c
-	case plan.PGEQRF:
-		pr, pc, nb := p.D, p.C, p.PanelWidth
-		if need(pr >= 1 && pc >= 1, "invalid process grid %dx%d", pr, pc) {
-			need(m%pr == 0, "m=%d not divisible by pr=%d process rows", m, pr)
-			need(nb >= 1 && n%nb == 0, "PGEQRF block size %d must divide n=%d", nb, n)
-		}
-		p.Procs = pr * pc
-	default:
-		need(false, "plan variant %q is not executable", p.Variant)
-	}
-	if tr := opts.Transport; tr.isTCP() {
-		need(len(tr.workers) >= p.Procs-1, "job needs %d ranks but the TCP transport has a coordinator plus only %d workers", p.Procs, len(tr.workers))
-	}
+	p, err := plan.Check(m, n, p)
 	if err != nil {
-		return job{}, err
+		return job{}, fmt.Errorf("cacqr: %w", err)
+	}
+	if tr := opts.Transport; tr.isTCP() && len(tr.workers) < p.Procs-1 {
+		return job{}, fmt.Errorf("cacqr: job needs %d ranks but the TCP transport has a coordinator plus only %d workers", p.Procs, len(tr.workers))
 	}
 	timeout := opts.Timeout
 	if timeout == 0 {
 		timeout = 10 * time.Minute
 	}
 	return job{
-		Plan: p, M: m, N: n,
-		InverseDepth: opts.InverseDepth, BaseSize: opts.BaseSize, Workers: opts.Workers,
+		Plan: p, M: m, N: n, Workers: opts.Workers,
 		transport: opts.Transport, timeout: timeout, condEst: opts.CondEst,
 	}, nil
 }

@@ -1,7 +1,7 @@
-// Scaling study: use the validated cost model to choose the best
-// processor-grid shape for a QR factorization on a Stampede2-like
-// machine, and compare CA-CQR2 against the ScaLAPACK-style baseline —
-// the deployment question the paper's evaluation answers.
+// Scaling study: ask the planner for the best processor-grid shape for a
+// QR factorization on a Stampede2-like machine, and compare CA-CQR2
+// against the ScaLAPACK-style baseline — the deployment question the
+// paper's evaluation answers.
 //
 //	go run ./examples/scaling [-m rows] [-n cols]
 package main
@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 )
 
 import cacqr "cacqr"
@@ -21,51 +22,41 @@ func main() {
 	mach := cacqr.Stampede2
 	fmt.Printf("predicted QR performance for a %d x %d matrix on %s (%d processes/node)\n\n",
 		*m, *n, mach.Name, mach.PPN)
-	fmt.Printf("%-8s  %-22s  %-12s  %-22s  %-10s\n",
-		"nodes", "best CA-CQR2 grid", "GF/s/node", "best ScaLAPACK grid", "GF/s/node")
+	fmt.Printf("%-8s  %-30s  %-12s  %-22s  %-10s\n",
+		"nodes", "best CA-CQR2 plan", "GF/s/node", "best ScaLAPACK grid", "GF/s/node")
 
 	for _, nodes := range []int{64, 128, 256, 512, 1024} {
-		procs := mach.PPN * nodes
-
-		bestCQ, cqLabel := 0.0, "-"
-		for c := 1; c*c*c <= procs; c *= 2 {
-			d := procs / (c * c)
-			if d < c || d%c != 0 || *m%d != 0 || *n%c != 0 {
-				continue
-			}
-			for inv := 0; inv <= 1; inv++ {
-				cost, err := cacqr.ModelCACQR2(*m, *n, cacqr.GridSpec{C: c, D: d},
-					cacqr.Options{InverseDepth: inv})
-				if err != nil {
-					continue
+		// One planner query per node count: the ranked rows hold the best
+		// plan of the CA-CQR2 family (its c = 1 member is 1D-CQR2) and,
+		// with IncludeBaselines, the cheapest PGEQRF configuration.
+		rows, err := cacqr.PlanGrid(*m, *n, mach.PPN*nodes, cacqr.Options{IncludeBaselines: true, PlanMachine: &mach})
+		if err != nil {
+			log.Fatal(err)
+		}
+		var cq, sc *cacqr.Plan
+		for i := range rows {
+			switch rows[i].Variant {
+			case cacqr.VariantCACQR2, cacqr.VariantPanelCACQR2, cacqr.Variant1DCQR2:
+				if cq == nil {
+					cq = &rows[i]
 				}
-				if gf := cacqr.PredictGFlopsPerNode(mach, cost, *m, *n, nodes); gf > bestCQ {
-					bestCQ = gf
-					cqLabel = fmt.Sprintf("c=%d d=%d inv=%d", c, d, inv)
-				}
+			case cacqr.VariantPGEQRF:
+				sc = &rows[i]
 			}
 		}
-
-		bestSC, scLabel := 0.0, "-"
-		for _, nb := range []int{16, 32, 64} {
-			for pr := 1; pr <= procs; pr *= 2 {
-				pc := procs / pr
-				if pc < 1 || *m%pr != 0 || *n%nb != 0 || pc*nb > *n {
-					continue
-				}
-				cost, err := cacqr.ModelPGEQRF(*m, *n, pr, pc, nb)
-				if err != nil {
-					continue
-				}
-				if gf := cacqr.PredictGFlopsPerNode(mach, cost, *m, *n, nodes); gf > bestSC {
-					bestSC = gf
-					scLabel = fmt.Sprintf("pr=%d pc=%d nb=%d", pr, pc, nb)
-				}
+		label := func(p *cacqr.Plan) (string, float64) {
+			if p == nil {
+				return "-", 0
 			}
+			s := string(p.Variant) + " " + p.GridString()
+			if p.PanelWidth > 0 {
+				s += fmt.Sprintf(" b=%d", p.PanelWidth)
+			}
+			return s, cacqr.PredictGFlopsPerNode(mach, p.Cost, *m, *n, nodes)
 		}
-
-		fmt.Printf("%-8d  %-22s  %-12.1f  %-22s  %-10.1f\n",
-			nodes, cqLabel, bestCQ, scLabel, bestSC)
+		cqLabel, cqGF := label(cq)
+		scLabel, scGF := label(sc)
+		fmt.Printf("%-8d  %-30s  %-12.1f  %-22s  %-10.1f\n", nodes, cqLabel, cqGF, scLabel, scGF)
 	}
 
 	fmt.Println("\nlarger c trades extra synchronization and flops for less communication;")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cacqr/internal/costmodel"
+	"cacqr/internal/plan"
 )
 
 // ExtPanel is an extension figure for the paper's §V subpanel proposal:
@@ -12,7 +13,7 @@ import (
 // whole-matrix CholeskyQR2), along with the latency price.
 func ExtPanel() *Figure {
 	const m, n = 1 << 13, 1 << 13
-	prm := costmodel.CACQRParams{C: 8, D: 8} // P = 512
+	grid := plan.Plan{Variant: plan.PanelCACQR2, C: 8, D: 8} // P = 512
 	f := &Figure{
 		ID:     "ExtPanel",
 		Title:  fmt.Sprintf("Panel-wise CA-CQR2 on a %dx%d matrix, 8x8x8 grid (paper §V proposal)", m, n),
@@ -22,17 +23,17 @@ func ExtPanel() *Figure {
 	over := Series{Label: "flops/HH"}
 	lat := Series{Label: "alpha(k)"}
 	hh := float64(2*int64(m)*int64(n)*int64(n) - 2*int64(n)*int64(n)*int64(n)/3)
-	procs := int64(prm.C * prm.C * prm.D)
 	for b := n / 32; b <= n; b *= 2 {
 		f.Ticks = append(f.Ticks, fmt.Sprintf("%d", b))
-		c, err := costmodel.PanelCACQR2(m, n, b, prm)
+		grid.PanelWidth = b
+		p, err := plan.Price(m, n, grid, costmodel.Machine{})
 		if err != nil {
 			over.AddPoint(0, false)
 			lat.AddPoint(0, false)
 			continue
 		}
-		over.AddPoint(float64(c.TotalFlops())*float64(procs)/hh, true)
-		lat.AddPoint(float64(c.Msgs)/1000, true)
+		over.AddPoint(float64(p.Cost.TotalFlops())*float64(p.Procs)/hh, true)
+		lat.AddPoint(float64(p.Cost.Msgs)/1000, true)
 	}
 	f.Series = append(f.Series, over, lat)
 	first, last := over.Y[0], over.Y[len(over.Y)-1]
@@ -66,9 +67,8 @@ func ExtMemory() *Figure {
 	for _, sh := range shapes {
 		s := Series{Label: sh.label}
 		for c := 1; c <= 16; c *= 2 {
-			d := p / (c * c)
-			mem, err := costmodel.CACQR2Memory(sh.m, sh.n, costmodel.CACQRParams{C: c, D: d})
-			s.AddPoint(float64(mem), err == nil)
+			row, err := plan.Price(sh.m, sh.n, plan.Plan{Variant: plan.CACQR2, C: c, D: p / (c * c)}, costmodel.Machine{})
+			s.AddPoint(float64(row.MemWords), err == nil)
 		}
 		f.Series = append(f.Series, s)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cacqr/internal/costmodel"
+	"cacqr/internal/plan"
 )
 
 // ExtTSQR is an extension figure beyond the paper: 1D-CQR2 against the
@@ -32,29 +33,9 @@ func ExtTSQR() *Figure {
 	for _, nd := range nodes {
 		p := mach.PPN * nd
 		m := mloc * p
-
-		if c, err := costmodel.OneDCQR2(m, n, p); err == nil {
-			cqr2.AddPoint(mach.GFlopsPerNode(c, m, n, nd), true)
-		} else {
-			cqr2.AddPoint(0, false)
-		}
-		if c, err := costmodel.TSQR(m, n, p); err == nil {
-			ts.AddPoint(mach.GFlopsPerNode(c, m, n, nd), true)
-		} else {
-			ts.AddPoint(0, false)
-		}
-		best := 0.0
-		for c := 1; c*c*c <= p; c *= 2 {
-			d := p / (c * c)
-			if d < c || d%c != 0 || m%d != 0 || n%c != 0 {
-				continue
-			}
-			if cost, err := costmodel.CACQR2(m, n, costmodel.CACQRParams{C: c, D: d}); err == nil {
-				if gf := mach.GFlopsPerNode(cost, m, n, nd); gf > best {
-					best = gf
-				}
-			}
-		}
+		cqr2.AddPoint(gflopsPerNode(mach, m, n, nd, plan.Plan{Variant: plan.OneD, Procs: p}))
+		ts.AddPoint(gflopsPerNode(mach, m, n, nd, plan.Plan{Variant: plan.TSQR, Procs: p}))
+		best := bestCACQR2(mach, m, n, p, nd, 0)
 		caBest.AddPoint(best, best > 0)
 	}
 	f.Series = append(f.Series, cqr2, ts, caBest)

@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"cacqr/internal/costmodel"
 )
 
 // These tests pin the reproduction's shape criteria (DESIGN.md §4): who
@@ -122,6 +124,27 @@ func TestFig5WeakScalingShape(t *testing.T) {
 		if r < 1.1 || r > 3.0 {
 			t.Errorf("%s: weak-scaling ratio %.2f at (8,4), want within [1.1, 3.0]", f.ID, r)
 		}
+	}
+	// The grid tracks the matrix (§IV-C): Fig5a's d/c = a/b curve runs
+	// c = 8·b, d = P/c² on N = 8ab² nodes, which fills P exactly on every
+	// step, and performance per node stays within a 2x band along the
+	// progression (the paper's curves are near-flat). The one gap is
+	// (1,2), where that grid has d < c.
+	for _, st := range WeakProgression(7) {
+		procs, c := costmodel.Stampede2.PPN*8*st.A*st.B*st.B, 8*st.B
+		if d := procs / (c * c); c*c*d != procs {
+			t.Errorf("(%d,%d): grid %dx%dx%d does not fill P=%d", st.A, st.B, c, d, c, procs)
+		}
+	}
+	flat := figs[0].Series[0]
+	lo, hi, points := flat.Y[0], flat.Y[0], 0
+	for i, y := range flat.Y {
+		if flat.Valid[i] {
+			lo, hi, points = min(lo, y), max(hi, y), points+1
+		}
+	}
+	if flat.Label != "CA-CQR2-(1a/b,0)" || points != 6 || hi/lo > 2 {
+		t.Errorf("%s %s: %d points in [%.1f, %.1f], want 6 within a 2x band", figs[0].ID, flat.Label, points, lo, hi)
 	}
 }
 

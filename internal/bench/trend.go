@@ -35,8 +35,8 @@ func ExtTrend() *Figure {
 			s    *Series
 		}{{&costmodel.Stampede2, &s2}, {&costmodel.BlueWaters, &bw}} {
 			procs := pair.mach.PPN * nodes
-			cq, _ := bestCACQR2(*pair.mach, sh.m, sh.n, procs, nodes)
-			sc, _ := bestScaLAPACK(*pair.mach, sh.m, sh.n, procs, nodes)
+			cq := bestCACQR2(*pair.mach, sh.m, sh.n, procs, nodes, 1)
+			sc := bestScaLAPACK(*pair.mach, sh.m, sh.n, procs, nodes)
 			if cq > 0 && sc > 0 {
 				pair.s.AddPoint(cq/sc, true)
 			} else {

@@ -1,11 +1,5 @@
 package bench
 
-import (
-	"fmt"
-
-	"cacqr/internal/costmodel"
-)
-
 // Weak-scaling workload generation following the paper's §IV-C protocol:
 // two alternating progressions that keep local matrix dimensions and the
 // leading-order flop cost mn² per processor constant,
@@ -49,45 +43,4 @@ func WeakProgression(count int) []WeakStep {
 		out = append(out, WeakStep{A: a, B: b, Rule: rule})
 	}
 	return out
-}
-
-// WeakWorkload materializes a progression step into a concrete problem:
-// matrix dimensions, node count, process count, and a matching CA-CQR2
-// grid for a machine and a base shape (bm × bn at nodeFactor nodes per
-// unit ab²).
-type WeakWorkload struct {
-	Step   WeakStep
-	M, N   int
-	Nodes  int
-	Procs  int
-	C, D   int // matched grid: d/c held constant along rule 1
-	GFlops float64
-}
-
-// MaterializeWeak builds the workload sequence for a machine, base shape
-// and initial grid c0 (at a=b=1). It mirrors the paper's rule: rule 1
-// doubles d, rule 2 doubles c (halving d), so the grid tracks the matrix.
-func MaterializeWeak(mach costmodel.Machine, bm, bn, nodeFactor, c0 int, steps []WeakStep) ([]WeakWorkload, error) {
-	var out []WeakWorkload
-	for _, st := range steps {
-		w := WeakWorkload{Step: st}
-		w.M, w.N = bm*st.A, bn*st.B
-		w.Nodes = nodeFactor * st.A * st.B * st.B
-		w.Procs = mach.PPN * w.Nodes
-		w.C = c0 * st.B
-		if w.C*w.C > w.Procs {
-			return nil, fmt.Errorf("bench: grid c=%d too large for P=%d", w.C, w.Procs)
-		}
-		w.D = w.Procs / (w.C * w.C)
-		if w.C*w.C*w.D != w.Procs || w.D%w.C != 0 && w.D >= w.C {
-			// Non-factoring grids are skipped by the caller.
-		}
-		cost, err := costmodel.CACQR2(w.M, w.N, costmodel.CACQRParams{C: w.C, D: w.D})
-		if err != nil {
-			return nil, err
-		}
-		w.GFlops = mach.GFlopsPerNode(cost, w.M, w.N, w.Nodes)
-		out = append(out, w)
-	}
-	return out, nil
 }

@@ -2,11 +2,7 @@ package bench
 
 //lint:allow floatcompare tests assert bitwise reproducibility, which is this library's documented contract
 
-import (
-	"testing"
-
-	"cacqr/internal/costmodel"
-)
+import "testing"
 
 func TestWeakProgressionReproducesPaperAxis(t *testing.T) {
 	// §IV-C: progression 1 used 3x as often as progression 2 yields the
@@ -47,42 +43,6 @@ func TestWeakProgressionKeepsWorkPerProcessorConstant(t *testing.T) {
 		if got := m * n * n / p; got != ref {
 			t.Fatalf("(%d,%d): mn²/P = %g, want %g", st.A, st.B, got, ref)
 		}
-	}
-}
-
-func TestMaterializeWeak(t *testing.T) {
-	ws, err := MaterializeWeak(costmodel.Stampede2, 131072, 8192, 8, 8, WeakProgression(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ws) != 7 {
-		t.Fatalf("got %d workloads", len(ws))
-	}
-	for _, w := range ws {
-		if w.C*w.C*w.D != w.Procs {
-			t.Fatalf("grid %dx%dx%d does not fill P=%d", w.C, w.D, w.C, w.Procs)
-		}
-		if w.GFlops <= 0 {
-			t.Fatalf("workload (%d,%d) has no performance estimate", w.Step.A, w.Step.B)
-		}
-		// Grid tracks the matrix: c = c0·b.
-		if w.C != 8*w.Step.B {
-			t.Fatalf("c=%d should equal 8·b=%d", w.C, 8*w.Step.B)
-		}
-	}
-	// Weak scaling: performance per node stays within a 2x band across
-	// the progression (the paper's curves are near-flat).
-	lo, hi := ws[0].GFlops, ws[0].GFlops
-	for _, w := range ws {
-		if w.GFlops < lo {
-			lo = w.GFlops
-		}
-		if w.GFlops > hi {
-			hi = w.GFlops
-		}
-	}
-	if hi/lo > 2 {
-		t.Fatalf("weak scaling not flat: [%.1f, %.1f]", lo, hi)
 	}
 }
 

@@ -14,9 +14,20 @@
 // algorithm); everything in between interpolates. The planner automates
 // the choice the paper's experiments made by hand.
 //
+// One rule, one price, one policy. The paper's method is "name a point
+// (variant, d, c, InverseDepth | pr, nb), ask the model what it costs",
+// and that point is a Plan. Check is the only place that decides whether
+// a plan fits an m×n matrix — the executor admits every job through it.
+// Price is Check plus the only variant → (cost, memory) table. Enumerate
+// is policy: which extents are worth asking about, the budget and κ
+// gates, the ranking; it asks Price about each candidate, as
+// internal/bench does about each legend point of Figures 1 and 4–7.
+//
 // Predictions reuse the exact recurrences that the costmodel tests
 // validate against instrumented runs, so a plan's Cost is the cost the
-// simulated runtime will actually charge (up to the final gather).
+// simulated runtime will actually charge (up to the final gather) when
+// the plan is run — with the knobs it carries, which are the knobs it
+// was priced with.
 package plan
 
 import (
@@ -79,8 +90,8 @@ type Request struct {
 	// from the footprint model). 0 means unlimited. Plans whose modeled
 	// per-rank footprint exceeds the budget are rejected.
 	MemBudget int64
-	// InverseDepth and BaseSize are forwarded to the CA-CQR2 cost
-	// recurrences (the paper's legend knobs).
+	// InverseDepth and BaseSize are the CFR3D knobs every grid candidate
+	// is priced with and carries (the paper's legend knobs; not swept).
 	InverseDepth, BaseSize int
 	// IncludeBaselines adds the PGEQRF reference row to the ranking so
 	// CLI tables can show the baseline the paper beats. The row is
@@ -185,6 +196,11 @@ type Plan struct {
 	// count for StreamCQR2 rows (where the "panel" is b×n of rows, not
 	// columns).
 	PanelWidth int
+	// InverseDepth and BaseSize are CFR3D's knobs on the grid family (the
+	// paper's legends name the first): the top recursion levels that skip
+	// the explicit inverse, and the base-case dimension (0 = n/c²). A row
+	// records what it was priced with, and a run executes it.
+	InverseDepth, BaseSize int
 	// Procs is the number of ranks the plan actually uses: c·d·c for
 	// the grid family, the 1D rank count otherwise.
 	Procs int

@@ -17,7 +17,7 @@ import (
 func TestOverloadRefusesPromptlyWithoutDroppingWork(t *testing.T) {
 	const maxPending = 4
 	release := make(chan struct{})
-	s := New(Config{BatchWindow: -1, MaxPending: maxPending})
+	s := New(Config{MaxPending: maxPending})
 	defer s.Close()
 
 	var started sync.WaitGroup
@@ -74,7 +74,7 @@ func TestOverloadRefusesPromptlyWithoutDroppingWork(t *testing.T) {
 // A batch larger than the whole bound must be refused outright rather
 // than admitted partially.
 func TestDoBatchLargerThanBoundIsRefused(t *testing.T) {
-	s := New(Config{BatchWindow: -1, MaxPending: 8})
+	s := New(Config{MaxPending: 8})
 	defer s.Close()
 	if _, _, err := s.DoBatch(context.Background(), req(256, 8, 4, 0), 9, nil); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("oversized batch: err = %v, want ErrOverloaded", err)
@@ -89,7 +89,6 @@ func TestDoBatchLargerThanBoundIsRefused(t *testing.T) {
 func TestDoBatchSharesOnePlanAndExec(t *testing.T) {
 	var planCalls, execCalls int64
 	s := New(Config{
-		BatchWindow: -1,
 		Plan: func(r plan.Request) (plan.Plan, error) {
 			atomic.AddInt64(&planCalls, 1)
 			return plan.Best(r)
@@ -126,7 +125,7 @@ func TestDoBatchSharesOnePlanAndExec(t *testing.T) {
 }
 
 func TestDoBatchRejectsNonPositiveCount(t *testing.T) {
-	s := New(Config{BatchWindow: -1})
+	s := New(Config{})
 	defer s.Close()
 	if _, _, err := s.DoBatch(context.Background(), req(256, 8, 4, 0), 0, nil); err == nil {
 		t.Fatal("DoBatch(0) must error")
@@ -137,7 +136,7 @@ func TestDoBatchRejectsNonPositiveCount(t *testing.T) {
 // lead execution, each receiving its own per-payload error.
 func TestDoFusedSharesOneExecution(t *testing.T) {
 	var leads int64
-	s := New(Config{BatchWindow: -1, FuseWindow: 50 * time.Millisecond})
+	s := New(Config{FuseWindow: 50 * time.Millisecond})
 	defer s.Close()
 
 	const n = 8
@@ -180,7 +179,7 @@ func TestDoFusedSharesOneExecution(t *testing.T) {
 // Regression: Close must drain a partially-filled fuse window
 // immediately instead of waiting out FuseWindow or deadlocking.
 func TestCloseDrainsPartialFuseWindow(t *testing.T) {
-	s := New(Config{BatchWindow: -1, FuseWindow: time.Hour})
+	s := New(Config{FuseWindow: time.Hour})
 	executed := make(chan int, 1)
 	done := make(chan error, 1)
 	go func() {
@@ -234,9 +233,8 @@ func TestCloseDrainsPartialFuseWindow(t *testing.T) {
 // and a mid-flight Close — exercised for the race detector.
 func TestConcurrentBatchFuseStatsClose(t *testing.T) {
 	s := New(Config{
-		BatchWindow: time.Millisecond,
-		FuseWindow:  time.Millisecond,
-		MaxPending:  64,
+		FuseWindow: time.Millisecond,
+		MaxPending: 64,
 	})
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {

@@ -9,9 +9,8 @@ import (
 	"cacqr/internal/plan"
 )
 
-// Fused execution: where the batch window in resolve shares one PLAN
-// lookup among same-key requests, DoFused goes one step further and
-// shares one EXECUTION. The first request for a key opens a fuse window;
+// Fused execution: where resolve shares one PLAN lookup among same-key
+// requests, DoFused goes one step further and shares one EXECUTION. The first request for a key opens a fuse window;
 // same-key requests arriving inside it join the group; when the window
 // closes the leader runs the whole group as one fused batch (one rank
 // gate acquisition, one strided-kernel sweep) and distributes per-item
@@ -43,84 +42,61 @@ type fuseGroup struct {
 // its payload; the result is discarded); a leader whose ctx cancels
 // before it holds the rank gate fails the whole group.
 func (s *Server) DoFused(ctx context.Context, req plan.Request, payload any, lead func(p plan.Plan, payloads []any) []error) (plan.Plan, bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if !s.adm.admit(1) {
-		return plan.Plan{}, false, ErrOverloaded
-	}
-	defer s.adm.done(1)
-	if err := s.enter(1); err != nil {
-		return plan.Plan{}, false, err
-	}
-	defer s.wg.Done()
-	start := time.Now()
-	sp := obs.FromContext(ctx)
-	key := plan.KeyFor(req)
+	return s.admitted(ctx, 1, func(ctx context.Context) (plan.Plan, bool, error) {
+		start, key := time.Now(), plan.KeyFor(req)
 
-	s.mu.Lock()
-	if g, ok := s.fusing[key]; ok && !g.sealed {
-		// Join the open window; the leader executes for us.
-		idx := len(g.payloads)
-		g.payloads = append(g.payloads, payload)
-		s.mu.Unlock()
-		js := sp.Stage("fuse-join")
-		select {
-		case <-g.done:
-		case <-ctx.Done():
+		s.mu.Lock()
+		if g, ok := s.fusing[key]; ok && !g.sealed {
+			// Join the open window; the leader executes for us.
+			idx := len(g.payloads)
+			g.payloads = append(g.payloads, payload)
+			s.mu.Unlock()
+			js := obs.FromContext(ctx).Stage("fuse-join")
+			select {
+			case <-g.done:
+			case <-ctx.Done():
+				js.End()
+				return plan.Plan{}, false, ctx.Err()
+			}
 			js.End()
-			return plan.Plan{}, false, ctx.Err()
+			s.observe(key, time.Since(start), 1)
+			if g.err != nil {
+				return plan.Plan{}, false, g.err
+			}
+			return g.plan, g.hit, g.errs[idx]
 		}
-		js.End()
+		// Lead a new window.
+		g := &fuseGroup{done: make(chan struct{}), payloads: []any{payload}}
+		s.fusing[key] = g
+		s.mu.Unlock()
+
+		if s.cfg.FuseWindow > 0 {
+			s.pause(ctx, s.cfg.FuseWindow)
+		}
+
+		s.mu.Lock()
+		g.sealed = true
+		delete(s.fusing, key)
+		n := len(g.payloads)
+		s.fusedBatches++
+		s.fusedRequests += int64(n)
+		s.mu.Unlock()
+
+		// One plan resolution and one gate admission for the group, then
+		// one fused execution.
+		g.plan, g.hit, _, g.err = s.planAndRun(ctx, key, req, n, func(p plan.Plan) error {
+			if g.errs = lead(p, g.payloads); g.errs == nil {
+				g.errs = make([]error, n)
+			} else if len(g.errs) != n {
+				return fmt.Errorf("serve: fused lead returned %d results for %d payloads", len(g.errs), n)
+			}
+			return nil
+		})
+		close(g.done)
 		s.observe(key, time.Since(start), 1)
 		if g.err != nil {
 			return plan.Plan{}, false, g.err
 		}
-		return g.plan, g.hit, g.errs[idx]
-	}
-	// Lead a new window.
-	g := &fuseGroup{done: make(chan struct{}), payloads: []any{payload}}
-	s.fusing[key] = g
-	s.mu.Unlock()
-
-	if s.cfg.FuseWindow > 0 {
-		s.pause(ctx, s.cfg.FuseWindow)
-	}
-
-	s.mu.Lock()
-	g.sealed = true
-	delete(s.fusing, key)
-	n := len(g.payloads)
-	s.fusedBatches++
-	s.fusedRequests += int64(n)
-	s.mu.Unlock()
-
-	// One plan resolution for the group (no second window — the fuse
-	// window already played that role), then one fused execution.
-	ps := sp.Stage("plan")
-	g.plan, g.hit, g.err = s.resolve(ctx, key, req, int64(n), false)
-	ps.SetBool("cache_hit", g.hit)
-	ps.End()
-	if g.err == nil {
-		gs := sp.Stage("gate")
-		held, gerr := s.gate.acquire(ctx, g.plan.Procs)
-		gs.End()
-		if gerr != nil {
-			g.err = gerr
-		} else {
-			g.errs = lead(g.plan, g.payloads)
-			s.gate.release(held)
-			if g.errs == nil {
-				g.errs = make([]error, n)
-			} else if len(g.errs) != n {
-				g.err = fmt.Errorf("serve: fused lead returned %d results for %d payloads", len(g.errs), n)
-			}
-		}
-	}
-	close(g.done)
-	s.observe(key, time.Since(start), 1)
-	if g.err != nil {
-		return plan.Plan{}, false, g.err
-	}
-	return g.plan, g.hit, g.errs[0]
+		return g.plan, g.hit, g.errs[0]
+	})
 }

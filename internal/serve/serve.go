@@ -10,9 +10,9 @@
 //     (shape, processor budget, machine, memory budget, legend knobs,
 //     and the κ-bucket of the condition estimate — see plan.KappaBucket),
 //     with cumulative hit/miss/eviction counters;
-//   - request batching: concurrent same-key requests admitted within a
-//     small window share ONE plan lookup (the first arrival leads, the
-//     rest join) and then execute concurrently;
+//   - request batching: concurrent same-key requests share ONE plan
+//     lookup (the first arrival leads, those that arrive while it plans
+//     join) and then execute concurrently;
 //   - a global simulated-rank budget: each executing request holds as
 //     many tokens as its plan has ranks, so a burst of 3D-grid requests
 //     cannot oversubscribe the host with P goroutines each — the budget
@@ -45,11 +45,6 @@ import (
 // DefaultCacheEntries bounds the plan LRU when Config.CacheEntries = 0.
 const DefaultCacheEntries = 128
 
-// DefaultBatchWindow is the same-key admission window when
-// Config.BatchWindow = 0: long enough to catch a traffic burst, short
-// enough to be invisible next to a simulated factorization.
-const DefaultBatchWindow = 2 * time.Millisecond
-
 // DefaultRankBudget bounds total in-flight simulated ranks when
 // Config.RankBudget = 0.
 const DefaultRankBudget = 256
@@ -71,10 +66,6 @@ var ErrClosed = errors.New("serve: server is closed")
 type Config struct {
 	// CacheEntries bounds the plan LRU (0 = DefaultCacheEntries).
 	CacheEntries int
-	// BatchWindow is how long the first request for an uncached key
-	// waits for same-key followers before planning (0 =
-	// DefaultBatchWindow, negative = plan immediately).
-	BatchWindow time.Duration
 	// RankBudget bounds the total simulated ranks in flight across all
 	// executing requests (0 = DefaultRankBudget). A plan needing more
 	// ranks than the whole budget runs alone, holding the full budget.
@@ -160,7 +151,7 @@ type Server struct {
 	mu       sync.Mutex
 	cache    *planCache                   // guarded by mu
 	closed   bool                         // guarded by mu
-	closing  chan struct{}                // closed by Close; wakes batch/fuse windows (immutable after New)
+	closing  chan struct{}                // closed by Close; wakes fuse windows (immutable after New)
 	inflight map[plan.CacheKey]*batch     // guarded by mu
 	fusing   map[plan.CacheKey]*fuseGroup // guarded by mu
 	wg       sync.WaitGroup
@@ -184,9 +175,6 @@ type batch struct {
 func New(cfg Config) *Server {
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = DefaultCacheEntries
-	}
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = DefaultBatchWindow
 	}
 	if cfg.RankBudget <= 0 {
 		cfg.RankBudget = DefaultRankBudget
@@ -218,58 +206,53 @@ func New(cfg Config) *Server {
 // plan, whether it came from the cache or a shared lookup (hit), and
 // exec's error. Requests past the pending bound are refused with
 // ErrOverloaded. ctx cancellation unblocks every wait on the way in —
-// batch-window joins and the rank gate — and is the executor's to honor
-// once exec starts (nil ctx = context.Background()). A span carried on
-// ctx (obs.FromContext) gets "plan" and "gate" stage children; without
-// one, the instrumentation is free. Safe for arbitrary concurrent use.
+// a join of an in-flight lookup and the rank gate — and is the
+// executor's to honor once exec starts (nil ctx = context.Background()).
+// A span carried on ctx (obs.FromContext) gets "plan" and "gate" stage
+// children; without one, the instrumentation is free. Safe for arbitrary
+// concurrent use.
 func (s *Server) Do(ctx context.Context, req plan.Request, exec func(plan.Plan) error) (plan.Plan, bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if !s.adm.admit(1) {
-		return plan.Plan{}, false, ErrOverloaded
-	}
-	defer s.adm.done(1)
-	if err := s.enter(1); err != nil {
-		return plan.Plan{}, false, err
-	}
-	defer s.wg.Done()
-	start := time.Now()
-	sp := obs.FromContext(ctx)
-
-	key := plan.KeyFor(req)
-	ps := sp.Stage("plan")
-	p, hit, err := s.resolve(ctx, key, req, 1, true)
-	ps.SetBool("cache_hit", hit)
-	ps.End()
-	if err != nil {
-		return plan.Plan{}, false, err
-	}
-	if exec != nil {
-		gs := sp.Stage("gate")
-		held, gerr := s.gate.acquire(ctx, p.Procs)
-		gs.End()
-		if gerr != nil {
-			return plan.Plan{}, false, gerr
-		}
-		err = exec(p)
-		s.gate.release(held)
-	}
-	s.observe(key, time.Since(start), 1)
-	return p, hit, err
+	return s.do(ctx, req, 1, false, exec)
 }
 
 // DoBatch is Do for a caller-assembled batch of n same-key requests
-// executed as ONE fused run: n admission units, one plan resolution (no
-// batch-window wait — the batch is already assembled), one rank-gate
-// acquisition, one exec call, n latency observations. exec runs the
-// whole batch; per-item failures are the caller's to track.
+// executed as ONE fused run: n admission units, one plan resolution, one
+// rank-gate acquisition, one exec call, n latency observations. exec
+// runs the whole batch; per-item failures are the caller's to track.
 func (s *Server) DoBatch(ctx context.Context, req plan.Request, n int, exec func(plan.Plan) error) (plan.Plan, bool, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if n <= 0 {
 		return plan.Plan{}, false, fmt.Errorf("serve: DoBatch of %d requests", n)
+	}
+	return s.do(ctx, req, n, true, exec)
+}
+
+// do is Do and DoBatch: n units through admitted and planAndRun, counted
+// as a fused execution when the caller assembled a batch.
+func (s *Server) do(ctx context.Context, req plan.Request, n int, fused bool, exec func(plan.Plan) error) (plan.Plan, bool, error) {
+	return s.admitted(ctx, n, func(ctx context.Context) (plan.Plan, bool, error) {
+		start, key := time.Now(), plan.KeyFor(req)
+		p, hit, reached, err := s.planAndRun(ctx, key, req, n, exec)
+		if !reached {
+			return plan.Plan{}, false, err
+		}
+		if fused {
+			s.mu.Lock()
+			s.fusedBatches++
+			s.fusedRequests += int64(n)
+			s.mu.Unlock()
+		}
+		s.observe(key, time.Since(start), n)
+		return p, hit, err
+	})
+}
+
+// admitted is the door every request comes through: n units are admitted
+// against the pending bound (refused with ErrOverloaded, never queued)
+// and registered with the close accounting (ErrClosed once Close was
+// called), body runs, and both are undone.
+func (s *Server) admitted(ctx context.Context, n int, body func(context.Context) (plan.Plan, bool, error)) (plan.Plan, bool, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	if !s.adm.admit(n) {
 		return plan.Plan{}, false, ErrOverloaded
@@ -279,33 +262,31 @@ func (s *Server) DoBatch(ctx context.Context, req plan.Request, n int, exec func
 		return plan.Plan{}, false, err
 	}
 	defer s.wg.Done()
-	start := time.Now()
-	sp := obs.FromContext(ctx)
+	return body(ctx)
+}
 
-	key := plan.KeyFor(req)
+// planAndRun is the tail of every execution: resolve the plan for units
+// request units (the "plan" stage), hold its ranks (the "gate" stage),
+// run exec, release. reached is false when it failed before exec's turn
+// came — the lookup, or a wait the context abandoned.
+func (s *Server) planAndRun(ctx context.Context, key plan.CacheKey, req plan.Request, units int, exec func(plan.Plan) error) (p plan.Plan, hit, reached bool, err error) {
+	sp := obs.FromContext(ctx)
 	ps := sp.Stage("plan")
-	p, hit, err := s.resolve(ctx, key, req, int64(n), false)
+	p, hit, err = s.resolve(ctx, key, req, int64(units))
 	ps.SetBool("cache_hit", hit)
 	ps.End()
+	if err != nil || exec == nil {
+		return p, hit, err == nil, err
+	}
+	gs := sp.Stage("gate")
+	held, err := s.gate.acquire(ctx, p.Procs)
+	gs.End()
 	if err != nil {
-		return plan.Plan{}, false, err
+		return p, hit, false, err
 	}
-	if exec != nil {
-		gs := sp.Stage("gate")
-		held, gerr := s.gate.acquire(ctx, p.Procs)
-		gs.End()
-		if gerr != nil {
-			return plan.Plan{}, false, gerr
-		}
-		err = exec(p)
-		s.gate.release(held)
-	}
-	s.mu.Lock()
-	s.fusedBatches++
-	s.fusedRequests += int64(n)
-	s.mu.Unlock()
-	s.observe(key, time.Since(start), n)
-	return p, hit, err
+	err = exec(p)
+	s.gate.release(held)
+	return p, hit, true, err
 }
 
 // enter registers units admitted request units with the close
@@ -324,16 +305,17 @@ func (s *Server) enter(units int64) error {
 
 // resolve produces the plan for key — from cache, by riding an in-flight
 // same-key lookup (counted as units batched requests), or by leading a
-// fresh lookup at the κ-bucket's conservative edge. wait gates the
-// leader's batch-window sleep; joins and fused batches skip it. A
-// canceled ctx abandons a join wait (the in-flight lookup itself keeps
-// going for its other riders). The boolean reports whether the plan came
-// from cache or a shared lookup.
+// fresh lookup at the κ-bucket's conservative edge. A same-key request
+// that arrives while the leader plans rides its lookup, one that arrives
+// later finds the cache entry, so neither ever plans. A canceled ctx
+// abandons a join wait (the in-flight lookup itself keeps going for its
+// other riders). The boolean reports whether the plan came from cache or
+// a shared lookup.
 //
 // The cache consult and its outcome counters update in ONE critical
 // section, so Lookups == Hits + Misses and Misses == Batched + Leads
 // hold at every instant a Stats snapshot could be taken.
-func (s *Server) resolve(ctx context.Context, key plan.CacheKey, req plan.Request, units int64, wait bool) (plan.Plan, bool, error) {
+func (s *Server) resolve(ctx context.Context, key plan.CacheKey, req plan.Request, units int64) (plan.Plan, bool, error) {
 	s.mu.Lock()
 	s.lookups += units
 	if p, ok := s.cache.Get(key); ok {
@@ -356,16 +338,12 @@ func (s *Server) resolve(ctx context.Context, key plan.CacheKey, req plan.Reques
 		}
 		return b.plan, true, nil
 	}
-	// Lead a new lookup: wait the batch window for followers, then plan
-	// once at the bucket's conservative edge.
+	// Lead a new lookup: plan once at the bucket's conservative edge.
 	b := &batch{done: make(chan struct{})}
 	s.inflight[key] = b
 	s.leads += units
 	s.planned++
 	s.mu.Unlock()
-	if wait && s.cfg.BatchWindow > 0 {
-		s.pause(ctx, s.cfg.BatchWindow)
-	}
 	b.plan, b.err = s.cfg.Plan(plan.Bucketed(req))
 	s.mu.Lock()
 	if b.err == nil {
@@ -378,8 +356,8 @@ func (s *Server) resolve(ctx context.Context, key plan.CacheKey, req plan.Reques
 }
 
 // pause sleeps for d or until Close or ctx cancellation, whichever comes
-// first — batch and fuse windows must not delay shutdown, hold back a
-// draining window, or outlive their request.
+// first — a fuse window must not delay shutdown, hold back a draining
+// group, or outlive its request.
 func (s *Server) pause(ctx context.Context, d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -455,7 +433,7 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// Close refuses new requests, wakes any open batch/fuse windows so
+// Close refuses new requests, wakes any open fuse windows so
 // partially-filled ones drain immediately, and waits for in-flight
 // requests to finish. Idempotent.
 func (s *Server) Close() {

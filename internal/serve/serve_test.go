@@ -22,7 +22,6 @@ func TestCacheHitMissEviction(t *testing.T) {
 	var planCalls int64
 	s := New(Config{
 		CacheEntries: 2,
-		BatchWindow:  -1,
 		Plan: func(r plan.Request) (plan.Plan, error) {
 			atomic.AddInt64(&planCalls, 1)
 			return plan.Best(r)
@@ -75,7 +74,7 @@ func TestServedPlanCheaperThanFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures wall-clock")
 	}
-	s := New(Config{CacheEntries: 1, BatchWindow: -1})
+	s := New(Config{CacheEntries: 1})
 	defer s.Close()
 	// Two shapes alternating through a one-entry cache evict each other,
 	// so every Do misses and plans; one shape repeated hits every time.
@@ -110,7 +109,7 @@ func TestServedPlanCheaperThanFresh(t *testing.T) {
 }
 
 func TestGetPromotesRecency(t *testing.T) {
-	s := New(Config{CacheEntries: 2, BatchWindow: -1})
+	s := New(Config{CacheEntries: 2})
 	defer s.Close()
 	a, b, c := req(256, 8, 2, 0), req(512, 8, 2, 0), req(1024, 8, 2, 0)
 	for _, r := range []plan.Request{a, b} {
@@ -134,7 +133,7 @@ func TestGetPromotesRecency(t *testing.T) {
 }
 
 func TestKappaBucketsShareAndSplitCacheLines(t *testing.T) {
-	s := New(Config{BatchWindow: -1})
+	s := New(Config{})
 	defer s.Close()
 	// Same decade → one plan line; different decade → another.
 	if _, hit, err := s.Do(context.Background(), req(4096, 64, 8, 2e9), nil); err != nil || hit {
@@ -160,7 +159,6 @@ func TestBatchingSharesOnePlanLookup(t *testing.T) {
 	var planCalls int64
 	release := make(chan struct{})
 	s := New(Config{
-		BatchWindow: 20 * time.Millisecond,
 		Plan: func(r plan.Request) (plan.Plan, error) {
 			atomic.AddInt64(&planCalls, 1)
 			<-release // hold the lookup open so followers must join it
@@ -200,8 +198,7 @@ func TestPlanErrorPropagatesToWholeBatch(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
 	s := New(Config{
-		BatchWindow: -1,
-		Plan:        func(plan.Request) (plan.Plan, error) { calls++; return plan.Plan{}, boom },
+		Plan: func(plan.Request) (plan.Plan, error) { calls++; return plan.Plan{}, boom },
 	})
 	defer s.Close()
 	if _, _, err := s.Do(context.Background(), req(128, 8, 2, 0), nil); !errors.Is(err, boom) {
@@ -218,7 +215,7 @@ func TestPlanErrorPropagatesToWholeBatch(t *testing.T) {
 
 func TestRankBudgetBoundsConcurrentExecution(t *testing.T) {
 	const budget = 8
-	s := New(Config{RankBudget: budget, BatchWindow: -1})
+	s := New(Config{RankBudget: budget})
 	defer s.Close()
 
 	var inFlight, peak int64
@@ -255,7 +252,7 @@ func TestRankBudgetBoundsConcurrentExecution(t *testing.T) {
 }
 
 func TestOversizedPlanStillRuns(t *testing.T) {
-	s := New(Config{RankBudget: 2, BatchWindow: -1})
+	s := New(Config{RankBudget: 2})
 	defer s.Close()
 	ran := false
 	// 1024×8 over ≤16 ranks can choose a plan wider than the budget of 2;
@@ -310,7 +307,7 @@ func TestConcurrentMixedShapeSubmission(t *testing.T) {
 }
 
 func TestExecErrorsDoNotPoisonCache(t *testing.T) {
-	s := New(Config{BatchWindow: -1})
+	s := New(Config{})
 	defer s.Close()
 	boom := errors.New("exec failed")
 	if _, _, err := s.Do(context.Background(), req(256, 8, 2, 0), func(plan.Plan) error { return boom }); !errors.Is(err, boom) {
@@ -323,7 +320,7 @@ func TestExecErrorsDoNotPoisonCache(t *testing.T) {
 }
 
 func TestCloseRefusesAndDrains(t *testing.T) {
-	s := New(Config{BatchWindow: -1})
+	s := New(Config{})
 	started := make(chan struct{})
 	block := make(chan struct{})
 	done := make(chan error, 1)

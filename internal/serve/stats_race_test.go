@@ -14,7 +14,7 @@ import (
 // and asserts the accounting invariants hold in every single snapshot.
 // Run under -race it also guards the lock discipline itself.
 func TestStatsSnapshotInvariants(t *testing.T) {
-	s := New(Config{CacheEntries: 4, BatchWindow: -1})
+	s := New(Config{CacheEntries: 4})
 	defer s.Close()
 
 	const workers, iters = 8, 200

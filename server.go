@@ -45,8 +45,8 @@ type Server struct {
 }
 
 // ServerOptions configure a Server. The zero value is usable: 16-rank
-// planning budget per request, a 128-entry plan cache, a 2ms batch
-// window, and a 256-rank global execution budget.
+// planning budget per request, a 128-entry plan cache, and a 256-rank
+// global execution budget.
 type ServerOptions struct {
 	// Procs is the default per-request planning budget (maximum
 	// simulated ranks a plan may use) when SubmitRequest.Procs is 0.
@@ -54,10 +54,6 @@ type ServerOptions struct {
 	Procs int
 	// CacheEntries bounds the plan LRU (0 = 128).
 	CacheEntries int
-	// BatchWindow is how long the first request for an uncached plan key
-	// waits for same-key followers before planning — the burst-batching
-	// knob (0 = 2ms, negative = plan immediately).
-	BatchWindow time.Duration
 	// RankBudget bounds the total simulated ranks executing at once
 	// across all in-flight requests (0 = 256). A single plan needing
 	// more than the whole budget runs alone.
@@ -185,7 +181,6 @@ func NewServer(o ServerOptions) (*Server, error) {
 		opts: o,
 		inner: serve.New(serve.Config{
 			CacheEntries: o.CacheEntries,
-			BatchWindow:  o.BatchWindow,
 			RankBudget:   o.RankBudget,
 			MaxPending:   o.MaxPending,
 			FuseWindow:   o.FuseWindow,
@@ -202,9 +197,9 @@ func (s *Server) Submit(req SubmitRequest) (*SubmitResult, error) {
 }
 
 // SubmitCtx is Submit with request-scoped cancellation: a canceled ctx
-// unblocks the serve layer's waits (batch windows, the rank gate) and
-// aborts an in-flight distributed run — simulated ranks or TCP workers
-// alike — returning the context's error. When the server's
+// unblocks the serve layer's waits (a shared plan lookup, a fuse window,
+// the rank gate) and aborts an in-flight distributed run — simulated
+// ranks or TCP workers alike — returning the context's error. When the server's
 // Options.Tracer samples the request, the whole path records a span
 // tree (condest → plan → gate → execute → per-rank kernel stages and
 // collectives) retrievable by the result's TraceID.
@@ -251,8 +246,8 @@ func (s *Server) submit(ctx context.Context, req SubmitRequest) (*SubmitResult, 
 	return s.do(ctx, preq, stream.NewDenseSource(req.A.view()), SinkToDense(), req.B)
 }
 
-// do resolves preq's plan through the serve layer — cache, batch window,
-// rank gate — and executes it on src as one traced "execute" stage.
+// do resolves preq's plan through the serve layer — cache, shared
+// lookup, rank gate — and executes it on src as one traced "execute" stage.
 func (s *Server) do(ctx context.Context, preq plan.Request, src stream.Source, sink *MatrixSink, b []float64) (*SubmitResult, error) {
 	out := &SubmitResult{CondEst: preq.CondEst}
 	pl, hit, err := s.inner.Do(ctx, preq, func(p plan.Plan) error {
@@ -301,7 +296,7 @@ func (out *SubmitResult) fill(res *Result, b []float64) (err error) {
 // in-core variant it selects the streamed CholeskyQR2 — which factors
 // the source panel by panel without ever materializing it; a budget
 // that admits an in-core plan has the source read into memory once and
-// factored like any Submit. The plan cache, batching window, rank gate,
+// factored like any Submit. The plan cache, shared lookups, rank gate,
 // and tracing all apply exactly as for Submit (stream plans occupy one
 // rank token). Blocks until complete; safe for arbitrary concurrent
 // use.
@@ -512,7 +507,7 @@ func (s *Server) execGroup(ctx context.Context, p plan.Plan, jobs []*submitJob) 
 		as := make([]*lin.Matrix, len(jobs))
 		for i, job := range jobs {
 			// Read-only views, not copies: the batched drivers never
-			// mutate their inputs, and a 256-item batch window must not
+			// mutate their inputs, and a 256-item batch must not
 			// pay a full extra pass over the data just to cross the
 			// Dense/lin boundary.
 			as[i] = job.req.A.view()
@@ -520,19 +515,19 @@ func (s *Server) execGroup(ctx context.Context, p plan.Plan, jobs []*submitJob) 
 		// Fused runs bypass the simulated runtime, so Stats carries the
 		// cost model's count for the same passes on one rank — what an
 		// unfused Procs: 1 run of the same matrix measures.
-		batched, model := core.BatchedCQR2, costmodel.OneDCQR2
+		batched, onOneRank := core.BatchedCQR2, plan.Plan{Variant: plan.Sequential}
 		if p.Variant == plan.ShiftedCQR3 {
-			batched, model = core.BatchedShiftedCQR3, costmodel.OneDShiftedCQR3
+			batched, onOneRank = core.BatchedShiftedCQR3, plan.Plan{Variant: plan.ShiftedCQR3, Procs: 1}
 		}
 		qs, rs, errs := batched(as, s.opts.Options.Workers)
-		cost, _ := model(jobs[0].req.A.Rows, jobs[0].req.A.Cols, 1) // P = 1 divides any m
+		model, _ := plan.Price(jobs[0].req.A.Rows, jobs[0].req.A.Cols, onOneRank, costmodel.Machine{}) // P = 1 divides any m
 		for i, job := range jobs {
 			if errs[i] != nil {
 				job.err = errs[i]
 				continue
 			}
 			job.out.Fused = true
-			job.err = job.out.fill(&Result{Q: fromLin(qs[i]), R: fromLin(rs[i]), Stats: CostStats{Flops: cost.Flops}}, job.req.B)
+			job.err = job.out.fill(&Result{Q: fromLin(qs[i]), R: fromLin(rs[i]), Stats: CostStats{Flops: model.Cost.Flops}}, job.req.B)
 		}
 	default:
 		// No fused kernel for this variant: per-item distributed runs,

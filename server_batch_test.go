@@ -210,7 +210,7 @@ func TestSubmitFuseWindowCoalesces(t *testing.T) {
 // The full public-API concurrency mix under -race: Submit, SubmitBatch,
 // Stats, and Close racing a mid-flight batch.
 func TestServerConcurrentSubmitBatchStatsClose(t *testing.T) {
-	s, err := NewServer(ServerOptions{Procs: 4, BatchWindow: -1, FuseWindow: time.Millisecond})
+	s, err := NewServer(ServerOptions{Procs: 4, FuseWindow: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

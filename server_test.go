@@ -11,9 +11,6 @@ import (
 
 func newTestServer(t *testing.T, o ServerOptions) *Server {
 	t.Helper()
-	if o.BatchWindow == 0 {
-		o.BatchWindow = -1 // tests don't want admission latency
-	}
 	s, err := NewServer(o)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +244,7 @@ func TestServerValidation(t *testing.T) {
 }
 
 func TestServerCloseDrains(t *testing.T) {
-	s, err := NewServer(ServerOptions{Procs: 4, BatchWindow: -1})
+	s, err := NewServer(ServerOptions{Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

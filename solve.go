@@ -71,7 +71,7 @@ func factorizeCondAware(a *Dense, spec GridSpec, opts Options) (*Result, error) 
 	// checked — before measuring anything: whether an infeasible grid is
 	// rejected must not depend on the matrix values steering the
 	// conditioning reroute.
-	j, err := newJob(a.Rows, a.Cols, spec.asPlan(opts.PanelWidth), opts)
+	j, err := newJob(a.Rows, a.Cols, spec.asPlan(opts), opts)
 	if err != nil {
 		return nil, err
 	}

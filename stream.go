@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"cacqr/internal/costmodel"
 	"cacqr/internal/lin"
 	"cacqr/internal/obs"
 	"cacqr/internal/plan"
@@ -191,22 +190,7 @@ type StreamInfo struct {
 
 // DefaultPanelRows is the panel height FactorizeStreaming uses when
 // Options.PanelRows is unset: max(4096, n), clamped to m.
-const DefaultPanelRows = 4096
-
-// resolvePanelRows applies the default and clamps.
-func resolvePanelRows(panelRows, m, n int) int {
-	b := panelRows
-	if b == 0 {
-		b = DefaultPanelRows
-		if b < n {
-			b = n
-		}
-	}
-	if b > m {
-		b = m
-	}
-	return b
-}
+const DefaultPanelRows = plan.DefaultPanelRows
 
 // tracedSource hangs the run's stage span on the source, where
 // stream.Factorize looks for it (obs.SpanCarrier).
@@ -304,22 +288,4 @@ func executeStream(ctx context.Context, j job, src stream.Source, sink *MatrixSi
 		res.Q = fromLin(sink.q)
 	}
 	return res, nil
-}
-
-// ModelStreamCQR2 predicts the streamed CholeskyQR2's cost (flops plus
-// disk-tier I/O) for an m×n matrix in panels of panelRows rows; writeQ
-// includes the Q pass, shifted prices the shifted ladder. A run's
-// counters equal it exactly.
-func ModelStreamCQR2(m, n, panelRows int, writeQ, shifted bool) (ModelCost, error) {
-	return costmodel.StreamCQR2(m, n, panelRows, writeQ, shifted)
-}
-
-// ModelStreamCQR2Memory predicts the streaming driver's peak resident
-// footprint in bytes.
-func ModelStreamCQR2Memory(m, n, panelRows int) (int64, error) {
-	w, err := costmodel.StreamCQR2Memory(m, n, panelRows)
-	if err != nil {
-		return 0, err
-	}
-	return 8 * w, nil
 }

@@ -67,7 +67,7 @@ func names(cs []SpanData) []string {
 func TestTracedSubmitSim(t *testing.T) {
 	tracer := NewTracer(TracerOptions{})
 	srv, err := NewServer(ServerOptions{
-		Procs: 8, BatchWindow: -1,
+		Procs:   8,
 		Options: Options{Tracer: tracer},
 	})
 	if err != nil {
@@ -171,7 +171,7 @@ func TestTracedSubmitSim(t *testing.T) {
 // Without a tracer every request is untraced: no TraceID, no overhead
 // beyond nil checks.
 func TestUntracedSubmitHasNoTraceID(t *testing.T) {
-	srv, err := NewServer(ServerOptions{Procs: 4, BatchWindow: -1})
+	srv, err := NewServer(ServerOptions{Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestTracedSubmitTCPBytesMatchCounters(t *testing.T) {
 	addrs := startLocalWorkers(t, 3)
 	tracer := NewTracer(TracerOptions{})
 	srv, err := NewServer(ServerOptions{
-		Procs: 4, BatchWindow: -1,
+		Procs:   4,
 		Options: Options{Transport: TCPTransport(addrs...), Tracer: tracer},
 	})
 	if err != nil {
@@ -242,7 +242,7 @@ func TestConcurrentTCPRunsKeepCountersSeparate(t *testing.T) {
 	addrs := startLocalWorkers(t, 3)
 	tracer := NewTracer(TracerOptions{})
 	srv, err := NewServer(ServerOptions{
-		Procs: 4, BatchWindow: -1,
+		Procs:   4,
 		Options: Options{Transport: TCPTransport(addrs...), Tracer: tracer},
 	})
 	if err != nil {
