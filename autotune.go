@@ -79,9 +79,9 @@ func planRequest(m, n, procs int, opts Options) (plan.Request, error) {
 // is executable via FactorizePlan. One caveat on the baseline: the
 // PGEQRF row's Cost models the factorization only (the object the
 // paper compares against); executing it also pays the explicit-Q
-// output path (see FactorizePGEQRF), which shows up in measured Stats
-// but is not priced, so the exact measured == predicted + gather
-// contract holds for the CQR-family and TSQR rows, not PGEQRF.
+// formation before the gather (see FactorizePGEQRF), which shows up in
+// measured Stats but is not priced, so the exact measured == predicted
+// + gather contract holds for the CQR-family and TSQR rows, not PGEQRF.
 func PlanGrid(m, n, procs int, opts Options) ([]Plan, error) {
 	req, err := planRequest(m, n, procs, opts)
 	if err != nil {

@@ -367,11 +367,13 @@ func FactorizeTSQR(a *Dense, procs, panelWidth int, opts Options) (*Result, erro
 // comparable with the CholeskyQR family. Unconditionally stable; this
 // is the execution path behind the planner's PGEQRF rows, making every
 // priced plan dispatchable. Note the measured Stats include the
-// explicit-Q formation and its m×n output Allreduce, which the cost
-// model's PGEQRF row (factorization only, the paper's comparison
-// object) deliberately does not price — unlike the CQR-family paths,
-// measured cost here exceeds the plan's prediction by that output
-// work.
+// explicit-Q formation (a second sweep over the panels), the n×n
+// Allreduce that replicates R, and the gather of Q on rank 0 from
+// process column 0 — a rooted gather like every other variant's — which
+// the cost model's PGEQRF row (factorization only, the paper's
+// comparison object) deliberately does not price: unlike the CQR-family
+// paths, measured cost here exceeds the plan's prediction by that
+// output work.
 func FactorizePGEQRF(a *Dense, pr, pc, nb int, opts Options) (*Result, error) {
 	return factorize(a, plan.Plan{Variant: plan.PGEQRF, C: pc, D: pr, PanelWidth: nb}, opts)
 }

@@ -191,40 +191,32 @@ func (j job) localInput(global *lin.Matrix, rank int) (*lin.Matrix, error) {
 }
 
 // jobPayload is the gob blob shipped to a TCP worker: the job plus the
-// rank's staged input block (absent for the grid variants).
+// rank's staged input block (nil for the grid variants).
 type jobPayload struct {
-	Job        job
-	Rows, Cols int
-	Data       []float64
+	Job   job
+	Local *lin.Matrix
 }
 
 func encodeJobPayload(j job, local *lin.Matrix) ([]byte, error) {
-	pl := jobPayload{Job: j}
-	if local != nil {
-		pl.Rows, pl.Cols = local.Rows, local.Cols
-		pl.Data = dist.Flatten(local)
-	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(pl); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(jobPayload{Job: j, Local: local}); err != nil {
 		return nil, fmt.Errorf("cacqr: encoding worker payload: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
+// decodeJobPayload reads what arrived from outside the process, so the
+// block is checked before a kernel indexes it: a compact matrix whose
+// storage is exactly its shape.
 func decodeJobPayload(payload []byte) (job, *lin.Matrix, error) {
 	var pl jobPayload
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&pl); err != nil {
 		return job{}, nil, fmt.Errorf("cacqr: bad worker payload: %w", err)
 	}
-	var local *lin.Matrix
-	if pl.Rows != 0 || pl.Cols != 0 {
-		var err error
-		local, err = dist.Unflatten(pl.Rows, pl.Cols, pl.Data)
-		if err != nil {
-			return job{}, nil, fmt.Errorf("cacqr: bad worker payload: %w", err)
-		}
+	if a := pl.Local; a != nil && (a.Rows < 0 || a.Cols < 0 || a.Stride != a.Cols || len(a.Data) != a.Rows*a.Cols) {
+		return job{}, nil, fmt.Errorf("cacqr: bad worker payload: %dx%d block with stride %d over %d values", a.Rows, a.Cols, a.Stride, len(a.Data))
 	}
-	return pl.Job, local, nil
+	return pl.Job, pl.Local, nil
 }
 
 // jobBody returns one rank's share of j — the single place a variant
@@ -264,32 +256,23 @@ func jobBody(j job, local *lin.Matrix, globalAtRoot *lin.Matrix, out func(q, r *
 			if g.Slice.Index() == 0 && g.Z == 0 {
 				rootGlobal = globalAtRoot
 			}
-			var ad *dist.Matrix
+			var blk *lin.Matrix
 			if g.Z == 0 {
-				ad, err = dist.Scatter(g.Slice, 0, rootGlobal, m, n, j.D, j.C)
+				ad, err := dist.Scatter(g.Slice, 0, rootGlobal, m, n, j.D, j.C)
 				if err != nil {
 					return err
 				}
+				blk = ad.Local
 			}
-			var flat []float64
-			if g.Z == 0 {
-				flat = dist.Flatten(ad.Local)
-			}
-			flat, err = g.ZComm.Bcast(0, flat)
-			if err != nil {
+			if blk, err = dist.Bcast(g.ZComm, 0, blk, m/j.D, n/j.C); err != nil {
 				return err
 			}
-			blk, err := dist.Unflatten(m/j.D, n/j.C, flat)
-			if err != nil {
-				return err
-			}
-			ad = &dist.Matrix{M: m, N: n, PR: j.D, PC: j.C, Row: g.Y, Col: g.X, Local: blk}
 			prm := core.Params{InverseDepth: j.InverseDepth, BaseSize: j.BaseSize, Workers: j.Workers}
 			var qL, rL *lin.Matrix
 			if j.Variant == plan.PanelCACQR2 {
-				qL, rL, err = core.PanelCACQR2(g, ad.Local, m, n, j.PanelWidth, prm)
+				qL, rL, err = core.PanelCACQR2(g, blk, m, n, j.PanelWidth, prm)
 			} else {
-				qL, rL, err = core.CACQR2(g, ad.Local, m, n, prm)
+				qL, rL, err = core.CACQR2(g, blk, m, n, prm)
 			}
 			if err != nil {
 				return err
@@ -320,7 +303,7 @@ func jobBody(j job, local *lin.Matrix, globalAtRoot *lin.Matrix, out func(q, r *
 			if err != nil {
 				return err
 			}
-			qG, err := gatherQ(p, qL, m, n)
+			qG, err := dist.GatherRows(p.World(), qL, m, n)
 			if err != nil {
 				return err
 			}
@@ -338,7 +321,7 @@ func jobBody(j job, local *lin.Matrix, globalAtRoot *lin.Matrix, out func(q, r *
 			if err != nil {
 				return err
 			}
-			qG, err := gatherQ(p, qL, m, n)
+			qG, err := dist.GatherRows(p.World(), qL, m, n)
 			if err != nil {
 				return err
 			}
@@ -376,30 +359,14 @@ func jobBody(j job, local *lin.Matrix, globalAtRoot *lin.Matrix, out func(q, r *
 			if err != nil {
 				return err
 			}
-			// Assemble the global Q: process column 0 contributes its rows,
-			// everyone else zeros, and a world Allreduce replicates the sum
-			// (the same output-path pattern as GatherR). Unlike the other
-			// variants' rooted gathers this still builds an m×n zero-padded
-			// contribution and result on every rank. It stays: PGEQRF is
-			// the comparison baseline, its explicit-Q output path is
-			// unmodeled (see FactorizePGEQRF), and rooting it would need a
-			// row-cyclic assembly that nothing else uses.
-			contrib := lin.NewMatrix(m, n)
+			// Process columns hold the same rows of Q; column 0, where rank 0
+			// is member 0, gathers them: its ColComm is the pr × 1 cyclic
+			// layout of Q's rows.
+			var qG *lin.Matrix
 			if g.Col == 0 {
-				for li := 0; li < mloc; li++ {
-					gi := li*j.D + g.Row
-					for j := 0; j < n; j++ {
-						contrib.Set(gi, j, qL.At(li, j))
-					}
+				if qG, err = dist.Gather(g.ColComm, qL, m, n, j.D, 1); err != nil {
+					return err
 				}
-			}
-			qFlat, err := g.World.Allreduce(dist.Flatten(contrib))
-			if err != nil {
-				return err
-			}
-			qG, err := dist.Unflatten(m, n, qFlat)
-			if err != nil {
-				return err
 			}
 			if p.Rank() == 0 {
 				lin.NormalizeSigns(qG, rG)
@@ -409,19 +376,6 @@ func jobBody(j job, local *lin.Matrix, globalAtRoot *lin.Matrix, out func(q, r *
 		}
 		return fmt.Errorf("cacqr: unknown job variant %q", j.Variant)
 	}
-}
-
-// gatherQ assembles the global m×n Q on rank 0 (nil elsewhere) from each
-// rank's row block over the 1D world communicator — the shared gather
-// tail of the 1D execution paths (Factorize1D, FactorizeTSQR). Row
-// blocks in rank order are the global matrix in row-major order, so the
-// gathered buffer is wrapped as it is.
-func gatherQ(p transport.Proc, qL *lin.Matrix, m, n int) (*lin.Matrix, error) {
-	flat, err := p.World().Gather(0, dist.Flatten(qL))
-	if err != nil || p.Rank() != 0 {
-		return nil, err
-	}
-	return dist.Unflatten(m, n, flat)
 }
 
 // startRunSpans opens the trace structure of one distributed run under

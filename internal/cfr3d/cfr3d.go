@@ -231,24 +231,11 @@ func ApplyInvT(cb *grid.Cube, a, l, y *lin.Matrix, k int, tri bool, workers int)
 func baseCase(cb *grid.Cube, aLocal *lin.Matrix, n int) (lLocal, yLocal *lin.Matrix, err error) {
 	p := cb.Comm.Proc()
 	e := cb.E
-	var t *lin.Matrix
-	if e == 1 {
-		t = aLocal
-	} else {
-		flat, err := cb.Slice.Allgather(dist.Flatten(aLocal))
-		if err != nil {
-			return nil, nil, err
-		}
-		// The gathered buffer is ours: wrap its e² blocks where they lie.
-		lr, lc := aLocal.Rows, aLocal.Cols
-		pieces := make([]*lin.Matrix, e*e)
-		for i := range pieces {
-			pieces[i] = &lin.Matrix{Rows: lr, Cols: lc, Stride: lc, Data: flat[i*lr*lc : (i+1)*lr*lc]}
-		}
-		// Slice ordering is y-major (index y·E + x), matching
-		// AssembleGlobal's row-major piece layout with row=y, col=x.
-		t, err = dist.AssembleGlobal(n, n, e, e, pieces)
-		if err != nil {
+	t := aLocal
+	if e > 1 {
+		// Slice ordering is y-major (index y·E + x): the cyclic layout's
+		// row-major member order with row = y, col = x.
+		if t, err = dist.Allgather(cb.Slice, aLocal, n, n, e, e); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -108,18 +108,11 @@ func gramProduct(g *grid.Grid, qLoc, bLoc *lin.Matrix, flops int64, workers int)
 	defer stg.Done()
 
 	// Line 1: Bcast Q along Π[:, y, z] from root x = z; W is the block
-	// of the processor column x = z.
+	// of the processor column x = z, only read below (on the root it is
+	// qLoc itself: dist's ownership rule).
 	stg.Enter("1:Bcast(A)")
 	defer p.SetPhase(p.SetPhase("1:Bcast(A)"))
-	var qRoot []float64
-	if g.X == g.Z {
-		qRoot = dist.Flatten(qLoc)
-	}
-	wFlat, err := g.XComm.Bcast(g.Z, qRoot)
-	if err != nil {
-		return nil, err
-	}
-	w, err := dist.Unflatten(qLoc.Rows, qLoc.Cols, wFlat)
+	w, err := dist.Bcast(g.XComm, g.Z, qLoc, qLoc.Rows, qLoc.Cols)
 	if err != nil {
 		return nil, err
 	}
@@ -136,8 +129,7 @@ func gramProduct(g *grid.Grid, qLoc, bLoc *lin.Matrix, flops int64, workers int)
 	// Line 3: Reduce within the contiguous y-group onto root offset z.
 	stg.Enter("3:Reduce")
 	p.SetPhase("3:Reduce")
-	xFlat := dist.Flatten(x)
-	yFlat, err := g.YGroup.Reduce(g.Z, xFlat)
+	y, err := dist.Reduce(g.YGroup, g.Z, x)
 	if err != nil {
 		return nil, err
 	}
@@ -147,11 +139,10 @@ func gramProduct(g *grid.Grid, qLoc, bLoc *lin.Matrix, flops int64, workers int)
 	// zeros and their result is discarded by the depth broadcast.
 	stg.Enter("4:Allreduce")
 	p.SetPhase("4:Allreduce")
-	contrib := yFlat
-	if contrib == nil {
-		contrib = make([]float64, len(xFlat))
+	if y == nil {
+		y = lin.NewMatrix(x.Rows, x.Cols)
 	}
-	zFlat, err := g.YStride.Allreduce(contrib)
+	z, err := dist.Allreduce(g.YStride, y)
 	if err != nil {
 		return nil, err
 	}
@@ -160,15 +151,7 @@ func gramProduct(g *grid.Grid, qLoc, bLoc *lin.Matrix, flops int64, workers int)
 	// slice of every subcube the cyclic block of the product.
 	stg.Enter("5:Bcast(Z,depth)")
 	p.SetPhase("5:Bcast(Z,depth)")
-	var zRoot []float64
-	if g.Z == g.Y%g.C {
-		zRoot = zFlat
-	}
-	out, err := g.ZComm.Bcast(g.Y%g.C, zRoot)
-	if err != nil {
-		return nil, err
-	}
-	return dist.Unflatten(x.Rows, x.Cols, out)
+	return dist.Bcast(g.ZComm, g.Y%g.C, z, x.Rows, x.Cols)
 }
 
 // CACQR2 runs Algorithm 9: two CA-CQR passes and R = R₂·R₁ by MM3D over

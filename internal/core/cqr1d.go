@@ -38,12 +38,12 @@ func (t *rowBlock) Gram() (*lin.Matrix, error) {
 		return nil, err
 	}
 	t.stg.Enter("gram-allreduce")
-	z, err := t.comm.Allreduce(dist.Flatten(x))
+	z, err := dist.Allreduce(t.comm, x)
 	if err != nil {
 		return nil, err
 	}
 	t.stg.Enter("cholesky")
-	return dist.Unflatten(n, n, z)
+	return z, nil
 }
 
 func (t *rowBlock) Charge(flops int64) error { return t.comm.Proc().Compute(flops) }

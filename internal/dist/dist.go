@@ -27,12 +27,21 @@
 //     AssembleGlobal inverts it, and the pair is an exact identity.
 //   - Wire format: Flatten/Unflatten convert between *lin.Matrix (which
 //     may be a strided view) and the contiguous row-major []float64 that
-//     transports move, copying only strided views: transports borrow a
-//     payload and hand over a result (see internal/transport).
-//   - Collectives: Scatter distributes a global matrix from a root rank
-//     and Gather reassembles it on member 0, both built on transport
-//     primitives so their α-β cost is accounted like any other
-//     communication.
+//     transports move, copying only strided views.
+//   - Collectives on matrices (collect.go): Bcast, Reduce, Allreduce,
+//     Exchange, Send/Recv, and the layout-aware Scatter, Gather,
+//     Allgather and GatherRows. Each is one transport primitive on the
+//     flattened operand, so its α-β cost is accounted like any other
+//     communication, and the algorithm packages call these and never
+//     the wire format: this package is the only place a matrix meets a
+//     transport.Comm.
+//
+// One ownership rule covers all of them. An operand is borrowed: it is
+// read during the call, never kept and never written, so a caller may
+// pass a view of storage it goes on using. A result is the caller's: a
+// fresh matrix nothing else aliases. The one exception is Bcast's root,
+// which gets its own operand back (there is nothing to copy it for), so
+// a root that writes the result writes its operand.
 //
 // All functions reject shapes the layout cannot represent exactly: the
 // grid extents must divide the matrix dimensions (the paper's m mod d = 0,

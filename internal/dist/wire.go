@@ -9,7 +9,8 @@ import (
 // Flatten returns m's elements as the contiguous row-major []float64 the
 // transport moves, for use as a payload, which transports only borrow:
 // m's own storage when m is compact (Stride == Cols), a packed copy when
-// it is a strided view. Callers that need a private slice clone m first.
+// it is a strided view. It and Unflatten are the wire format under the
+// collectives of collect.go; algorithm code calls those.
 func Flatten(m *lin.Matrix) []float64 {
 	if m.Stride == m.Cols {
 		n := m.Rows * m.Cols
@@ -24,8 +25,7 @@ func Flatten(m *lin.Matrix) []float64 {
 
 // Unflatten wraps a wire-format slice as a rows × cols row-major matrix
 // without copying: the matrix aliases flat. What a transport returns is
-// the caller's to wrap — though Bcast's result on its root is the root's
-// own payload. The length must match exactly.
+// the caller's to wrap. The length must match exactly.
 func Unflatten(rows, cols int, flat []float64) (*lin.Matrix, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("dist: Unflatten to negative shape %dx%d", rows, cols)

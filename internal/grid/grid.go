@@ -54,9 +54,10 @@ type Cube struct {
 
 // New builds a c × d × c grid over the first c·d·c members of comm.
 // Every member of comm must call New with the same arguments; members
-// beyond c·d·c receive a nil grid (they still participate in communicator
-// construction bookkeeping, which is local). Requires c ≥ 1, d ≥ 1, and
-// c | d so the subcube partition of Algorithm 8 exists.
+// beyond c·d·c receive a nil grid. Requires c ≥ 1, d ≥ 1, and c | d so
+// the subcube partition of Algorithm 8 exists. It communicates nothing
+// and builds only the caller's own communicators (see the package
+// comment).
 func New(comm transport.Comm, c, d int) (*Grid, error) {
 	if c < 1 || d < 1 {
 		return nil, fmt.Errorf("grid: invalid dimensions c=%d d=%d", c, d)
@@ -68,128 +69,27 @@ func New(comm transport.Comm, c, d int) (*Grid, error) {
 	if comm.Size() < p {
 		return nil, fmt.Errorf("grid: need %d ranks for a %dx%dx%d grid, have %d", p, c, d, c, comm.Size())
 	}
-
 	rank := comm.Index()
-	inGrid := rank < p
-
-	// Coordinates of this rank (valid only when inGrid).
-	x := rank % c
-	y := (rank / c) % d
-	z := rank / (c * d)
-
-	g := &Grid{C: c, D: d, X: x, Y: y, Z: z}
-
-	lin := func(x, y, z int) int { return x + c*(y+d*z) }
-
-	// All communicators are built with Subgroup, which is collective in
-	// bookkeeping but communication-free: every rank enumerates every
-	// group in the same order.
-	world := make([]int, p)
-	for i := range world {
-		world[i] = i
-	}
-	if w := comm.Subgroup(world); w != nil {
-		g.World = w
-	}
-
-	// X communicators: one per (y, z).
-	for zz := 0; zz < c; zz++ {
-		for yy := 0; yy < d; yy++ {
-			idx := make([]int, c)
-			for xx := 0; xx < c; xx++ {
-				idx[xx] = lin(xx, yy, zz)
-			}
-			if cm := comm.Subgroup(idx); cm != nil {
-				g.XComm = cm
-			}
-		}
-	}
-	// Y communicators: one per (x, z).
-	for zz := 0; zz < c; zz++ {
-		for xx := 0; xx < c; xx++ {
-			idx := make([]int, d)
-			for yy := 0; yy < d; yy++ {
-				idx[yy] = lin(xx, yy, zz)
-			}
-			if cm := comm.Subgroup(idx); cm != nil {
-				g.YComm = cm
-			}
-		}
-	}
-	// Z (depth) communicators: one per (x, y).
-	for yy := 0; yy < d; yy++ {
-		for xx := 0; xx < c; xx++ {
-			idx := make([]int, c)
-			for zz := 0; zz < c; zz++ {
-				idx[zz] = lin(xx, yy, zz)
-			}
-			if cm := comm.Subgroup(idx); cm != nil {
-				g.ZComm = cm
-			}
-		}
-	}
-	// Slices: one per z, ordered y-major.
-	for zz := 0; zz < c; zz++ {
-		idx := make([]int, 0, c*d)
-		for yy := 0; yy < d; yy++ {
-			for xx := 0; xx < c; xx++ {
-				idx = append(idx, lin(xx, yy, zz))
-			}
-		}
-		if cm := comm.Subgroup(idx); cm != nil {
-			g.Slice = cm
-		}
-	}
-	// Contiguous y-groups of size c: one per (x, z, group).
-	ngroups := d / c
-	for zz := 0; zz < c; zz++ {
-		for gg := 0; gg < ngroups; gg++ {
-			for xx := 0; xx < c; xx++ {
-				idx := make([]int, c)
-				for yy := 0; yy < c; yy++ {
-					idx[yy] = lin(xx, gg*c+yy, zz)
-				}
-				if cm := comm.Subgroup(idx); cm != nil {
-					g.YGroup = cm
-				}
-			}
-		}
-	}
-	// Strided y-groups (step c): one per (x, z, y mod c).
-	for zz := 0; zz < c; zz++ {
-		for rr := 0; rr < c; rr++ {
-			for xx := 0; xx < c; xx++ {
-				idx := make([]int, ngroups)
-				for gg := 0; gg < ngroups; gg++ {
-					idx[gg] = lin(xx, gg*c+rr, zz)
-				}
-				if cm := comm.Subgroup(idx); cm != nil {
-					g.YStride = cm
-				}
-			}
-		}
-	}
-	// Subcubes: one per group, each an E=c cube over y ∈ [g·c, g·c+c).
-	for gg := 0; gg < ngroups; gg++ {
-		idx := make([]int, 0, c*c*c)
-		for zz := 0; zz < c; zz++ {
-			for yy := 0; yy < c; yy++ {
-				for xx := 0; xx < c; xx++ {
-					idx = append(idx, lin(xx, gg*c+yy, zz))
-				}
-			}
-		}
-		cube := buildCube(comm, idx, c)
-		if cube != nil {
-			g.Cube = cube
-		}
-	}
-
-	if !inGrid {
+	if rank >= p {
+		pass(comm, 12)
 		return nil, nil
 	}
-	g.Group = y / c
-	return g, nil
+	x, y, z := rank%c, (rank/c)%d, rank/(c*d)
+	first := y - y%c // the lowest y of this rank's subcube
+	at := func(x, y, z int) int { return x + c*(y+d*z) }
+	// The calls below run in the order written, the same twelve on every
+	// member: members of one group pass one list at one position.
+	return &Grid{
+		C: c, D: d, X: x, Y: y, Z: z, Group: y / c,
+		World:   comm.Subgroup(list(p, func(i int) int { return i })),
+		XComm:   comm.Subgroup(list(c, func(i int) int { return at(i, y, z) })),
+		YComm:   comm.Subgroup(list(d, func(i int) int { return at(x, i, z) })),
+		ZComm:   comm.Subgroup(list(c, func(i int) int { return at(x, y, i) })),
+		Slice:   comm.Subgroup(list(c*d, func(i int) int { return at(i%c, i/c, z) })),
+		YGroup:  comm.Subgroup(list(c, func(i int) int { return at(x, first+i, z) })),
+		YStride: comm.Subgroup(list(d/c, func(i int) int { return at(x, i*c+y%c, z) })),
+		Cube:    buildCube(comm, list(c*c*c, func(i int) int { return at(i%c, first+(i/c)%c, i/(c*c)) }), c),
+	}, nil
 }
 
 // NewCube builds a standalone E × E × E cubic grid over the first E³
@@ -202,79 +102,49 @@ func NewCube(comm transport.Comm, e int) (*Cube, error) {
 	if comm.Size() < e*e*e {
 		return nil, fmt.Errorf("grid: need %d ranks for an edge-%d cube, have %d", e*e*e, e, comm.Size())
 	}
-	idx := make([]int, e*e*e)
-	for i := range idx {
-		idx[i] = i
-	}
-	return buildCube(comm, idx, e), nil
+	return buildCube(comm, list(e*e*e, func(i int) int { return i }), e), nil
 }
 
-// buildCube constructs cube communicators over the given parent indices
-// (length e³, ordered x + e·(y + e·z)). All parent ranks must call it;
-// non-members get nil.
+// buildCube makes the caller's five communicators of the cube over the
+// parent indices idx (length e³, ordered x + e·(y + e·z)). All parent
+// ranks must call it; one that is not on idx gets nil.
 func buildCube(comm transport.Comm, idx []int, e int) *Cube {
-	lin := func(x, y, z int) int { return idx[x+e*(y+e*z)] }
-
-	var cb Cube
-	cb.E = e
-	member := false
-
-	if cm := comm.Subgroup(idx); cm != nil {
-		cb.Comm = cm
-		member = true
-		r := cm.Index()
-		cb.X = r % e
-		cb.Y = (r / e) % e
-		cb.Z = r / (e * e)
-	}
-	for zz := 0; zz < e; zz++ {
-		for yy := 0; yy < e; yy++ {
-			row := make([]int, e)
-			for xx := 0; xx < e; xx++ {
-				row[xx] = lin(xx, yy, zz)
-			}
-			if cm := comm.Subgroup(row); cm != nil {
-				cb.XComm = cm
-			}
-		}
-	}
-	for zz := 0; zz < e; zz++ {
-		for xx := 0; xx < e; xx++ {
-			col := make([]int, e)
-			for yy := 0; yy < e; yy++ {
-				col[yy] = lin(xx, yy, zz)
-			}
-			if cm := comm.Subgroup(col); cm != nil {
-				cb.YComm = cm
-			}
-		}
-	}
-	for yy := 0; yy < e; yy++ {
-		for xx := 0; xx < e; xx++ {
-			depth := make([]int, e)
-			for zz := 0; zz < e; zz++ {
-				depth[zz] = lin(xx, yy, zz)
-			}
-			if cm := comm.Subgroup(depth); cm != nil {
-				cb.ZComm = cm
-			}
-		}
-	}
-	for zz := 0; zz < e; zz++ {
-		sl := make([]int, 0, e*e)
-		for yy := 0; yy < e; yy++ {
-			for xx := 0; xx < e; xx++ {
-				sl = append(sl, lin(xx, yy, zz))
-			}
-		}
-		if cm := comm.Subgroup(sl); cm != nil {
-			cb.Slice = cm
-		}
-	}
-	if !member {
+	cm := comm.Subgroup(idx)
+	if cm == nil {
+		pass(comm, 4)
 		return nil
 	}
-	return &cb
+	r := cm.Index()
+	x, y, z := r%e, (r/e)%e, r/(e*e)
+	at := func(x, y, z int) int { return idx[x+e*(y+e*z)] }
+	return &Cube{
+		E: e, X: x, Y: y, Z: z,
+		Comm:  cm,
+		XComm: comm.Subgroup(list(e, func(i int) int { return at(i, y, z) })),
+		YComm: comm.Subgroup(list(e, func(i int) int { return at(x, i, z) })),
+		ZComm: comm.Subgroup(list(e, func(i int) int { return at(x, y, i) })),
+		Slice: comm.Subgroup(list(e*e, func(i int) int { return at(i%e, i/e, z) })),
+	}
+}
+
+// list is the member list of one group: n parent indices, the i-th
+// given by at.
+func list(n int, at func(i int) int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = at(i)
+	}
+	return idx
+}
+
+// pass makes n Subgroup calls that name no one: how a rank outside the
+// grid keeps its count of derived communicators, which every later
+// Split or Subgroup on comm hashes into the child's id, in step with
+// the members'.
+func pass(comm transport.Comm, n int) {
+	for i := 0; i < n; i++ {
+		comm.Subgroup(nil)
+	}
 }
 
 // TransposePartner returns the index within Slice of the rank at the

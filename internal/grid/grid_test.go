@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cacqr/internal/simmpi"
+	"cacqr/internal/transport"
 )
 
 func runGrid(t *testing.T, c, d int, body func(p *simmpi.Proc, g *Grid) error) {
@@ -265,5 +266,49 @@ func TestExtraRanksGetNilGrid(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countingComm counts the Subgroup calls made on a communicator.
+type countingComm struct {
+	transport.Comm
+	subgroups int
+}
+
+func (c *countingComm) Subgroup(indices []int) transport.Comm {
+	c.subgroups++
+	return c.Comm.Subgroup(indices)
+}
+
+func TestEveryRankMakesTheSameFewSubgroupCalls(t *testing.T) {
+	// A rank builds only the communicators it sits on — twelve for a
+	// grid, five for a cube, whatever c and d are — and a rank outside
+	// the grid makes as many calls, or its next derived communicator
+	// would hash a different sequence number than the members'.
+	for _, sh := range []struct{ c, d int }{{1, 1}, {2, 4}, {4, 4}, {4, 8}} {
+		_, err := simmpi.RunWithOptions(sh.c*sh.d*sh.c+1, simmpi.Options{Timeout: 60 * time.Second}, func(p *simmpi.Proc) error {
+			w := &countingComm{Comm: p.World()}
+			g, err := New(w, sh.c, sh.d)
+			if err != nil {
+				return err
+			}
+			if outside := p.Rank() == p.Size()-1; (g == nil) != outside {
+				return fmt.Errorf("rank %d of %d: grid %v", p.Rank(), p.Size(), g)
+			}
+			if w.subgroups != 12 {
+				return fmt.Errorf("rank %d: New(%d, %d) made %d Subgroup calls, want 12", p.Rank(), sh.c, sh.d, w.subgroups)
+			}
+			w.subgroups = 0
+			if _, err := NewCube(w, sh.c); err != nil {
+				return err
+			}
+			if w.subgroups != 5 {
+				return fmt.Errorf("rank %d: NewCube(%d) made %d Subgroup calls, want 5", p.Rank(), sh.c, w.subgroups)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -102,7 +102,8 @@ func (m *Matrix) View(i, j, r, c int) *Matrix {
 	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > m.Rows || j+c > m.Cols {
 		panic(fmt.Sprintf("lin: View(%d,%d,%d,%d) out of range %dx%d", i, j, r, c, m.Rows, m.Cols))
 	}
-	return &Matrix{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[i*m.Stride+j:]}
+	// An empty view at the bottom edge starts past the last stored row.
+	return &Matrix{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[min(i*m.Stride+j, len(m.Data)):]}
 }
 
 // Zero sets every element to 0.

@@ -97,6 +97,19 @@ func TestViewSharesStorage(t *testing.T) {
 	}
 }
 
+func TestEmptyViewAtTheBottomEdge(t *testing.T) {
+	// Zero rows below the last one, at any column offset, of a matrix and
+	// of a view of it: in range, so a view and not a slice panic.
+	m := NewMatrix(3, 4)
+	for _, from := range []*Matrix{m, m.View(1, 1, 2, 3)} {
+		v := from.View(from.Rows, 2, 0, 1)
+		if v.Rows != 0 || v.Cols != 1 || len(v.Clone().Data) != 0 {
+			t.Fatalf("empty view is %dx%d over %d values", v.Rows, v.Cols, len(v.Data))
+		}
+		Gemm(true, false, 1, v, v, 0, NewMatrix(1, 1))
+	}
+}
+
 func TestViewOutOfRangePanics(t *testing.T) {
 	m := NewMatrix(3, 3)
 	defer func() {

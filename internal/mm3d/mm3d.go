@@ -49,30 +49,13 @@ func multiply(cb *grid.Cube, aLocal, bLocal *lin.Matrix, triangular bool, worker
 	}
 	p := cb.Comm.Proc()
 
-	// On a broadcast root w (y) may be aLocal (bLocal) itself: Bcast hands
-	// the root its payload back. Both are only read below.
-	var aRoot []float64
-	if cb.X == cb.Z {
-		aRoot = dist.Flatten(aLocal)
-	}
-	wFlat, err := cb.XComm.Bcast(cb.Z, aRoot)
+	// w and y are only read: on a broadcast root they are the operands
+	// themselves (dist's ownership rule).
+	w, err := dist.Bcast(cb.XComm, cb.Z, aLocal, aLocal.Rows, aLocal.Cols)
 	if err != nil {
 		return nil, err
 	}
-	w, err := dist.Unflatten(aLocal.Rows, aLocal.Cols, wFlat)
-	if err != nil {
-		return nil, err
-	}
-
-	var bRoot []float64
-	if cb.Y == cb.Z {
-		bRoot = dist.Flatten(bLocal)
-	}
-	yFlat, err := cb.YComm.Bcast(cb.Z, bRoot)
-	if err != nil {
-		return nil, err
-	}
-	y, err := dist.Unflatten(bLocal.Rows, bLocal.Cols, yFlat)
+	y, err := dist.Bcast(cb.YComm, cb.Z, bLocal, bLocal.Rows, bLocal.Cols)
 	if err != nil {
 		return nil, err
 	}
@@ -93,11 +76,7 @@ func multiply(cb *grid.Cube, aLocal, bLocal *lin.Matrix, triangular bool, worker
 		return nil, err
 	}
 
-	cFlat, err := cb.ZComm.Allreduce(dist.Flatten(z))
-	if err != nil {
-		return nil, err
-	}
-	return dist.Unflatten(z.Rows, z.Cols, cFlat)
+	return dist.Allreduce(cb.ZComm, z)
 }
 
 // Transpose returns this rank's cyclic block of the global transpose of a
@@ -108,11 +87,7 @@ func Transpose(cb *grid.Cube, local *lin.Matrix) (*lin.Matrix, error) {
 	if local.Rows != local.Cols {
 		return nil, fmt.Errorf("mm3d: transpose needs square local blocks, got %dx%d", local.Rows, local.Cols)
 	}
-	got, err := cb.Slice.Transpose(cb.TransposePartner(), dist.Flatten(local))
-	if err != nil {
-		return nil, err
-	}
-	m, err := dist.Unflatten(local.Rows, local.Cols, got)
+	m, err := dist.Exchange(cb.Slice, cb.TransposePartner(), local)
 	if err != nil {
 		return nil, err
 	}

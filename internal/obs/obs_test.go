@@ -259,16 +259,3 @@ func TestRegistryCountersAndSnapshot(t *testing.T) {
 		}
 	}
 }
-
-// The gated perf pair serve-submit-traced/untraced guards the request
-// path; this benchmark pins the micro contract it rests on — a nil
-// span is nanoseconds, no allocation.
-func BenchmarkNilSpanOverhead(b *testing.B) {
-	var sp *Span
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := sp.Stage("plan")
-		c.SetBool("cache_hit", true)
-		c.End()
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cacqr/internal/dist"
 	"cacqr/internal/lin"
 	"cacqr/internal/simmpi"
 )
@@ -91,11 +92,10 @@ func TestApplyQFormsExplicitQ(t *testing.T) {
 				q.Set(gi, j, qLoc.At(li, j))
 			}
 		}
-		flat, err := g.World.Allreduce(flatten(q))
+		qAll, err := dist.Allreduce(g.World, q)
 		if err != nil {
 			return err
 		}
-		qAll := lin.FromSlice(m, n, flat)
 		qAll.Scale(1.0 / float64(g.PC)) // PC process columns each contributed
 		if p.Rank() != 0 {
 			return nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"cacqr/internal/dist"
 	"cacqr/internal/lin"
 	"cacqr/internal/transport"
 )
@@ -31,36 +32,30 @@ func NewGrid(comm transport.Comm, pr, pc int) (*Grid, error) {
 		return nil, fmt.Errorf("pgeqrf: need %d ranks, have %d", pr*pc, comm.Size())
 	}
 	rank := comm.Index()
+	if rank >= pr*pc {
+		// Outside the grid: the same three calls, naming no one, keep
+		// this rank's count of derived communicators in step.
+		for i := 0; i < 3; i++ {
+			comm.Subgroup(nil)
+		}
+		return nil, nil
+	}
+	// Every member makes the same three calls, each with the list of
+	// its own group, so a group's members derive one communicator id.
 	g := &Grid{PR: pr, PC: pc, Row: rank % pr, Col: rank / pr, proc: comm.Proc()}
-
 	all := make([]int, pr*pc)
 	for i := range all {
 		all[i] = i
 	}
-	if w := comm.Subgroup(all); w != nil {
-		g.World = w
+	col := make([]int, pr)
+	for prow := range col {
+		col[prow] = prow + pr*g.Col
 	}
-	for pcol := 0; pcol < pc; pcol++ {
-		idx := make([]int, pr)
-		for prow := 0; prow < pr; prow++ {
-			idx[prow] = prow + pr*pcol
-		}
-		if cm := comm.Subgroup(idx); cm != nil {
-			g.ColComm = cm
-		}
+	row := make([]int, pc)
+	for pcol := range row {
+		row[pcol] = g.Row + pr*pcol
 	}
-	for prow := 0; prow < pr; prow++ {
-		idx := make([]int, pc)
-		for pcol := 0; pcol < pc; pcol++ {
-			idx[pcol] = prow + pr*pcol
-		}
-		if cm := comm.Subgroup(idx); cm != nil {
-			g.RowComm = cm
-		}
-	}
-	if rank >= pr*pc {
-		return nil, nil
-	}
+	g.World, g.ColComm, g.RowComm = comm.Subgroup(all), comm.Subgroup(col), comm.Subgroup(row)
 	return g, nil
 }
 
@@ -302,16 +297,14 @@ func Factor(a *Matrix) (*Factors, error) {
 			if err := p.Compute(lin.GemmFlops(nb, nb, vAct.Rows)); err != nil {
 				return nil, err
 			}
-			gFlat, err := g.ColComm.Allreduce(flatten(gram))
+			gramAll, err := dist.Allreduce(g.ColComm, gram)
 			if err != nil {
 				return nil, err
 			}
-			gramAll := lin.FromSlice(nb, nb, gFlat)
 			t = formT(gramAll, panelTaus)
-		} else {
-			// Non-owner columns participate in nothing during the panel
-			// factorization (their column comm is a different group).
 		}
+		// Non-owner columns take no part in the panel factorization:
+		// their column communicator is a different group.
 
 		// Broadcast only the active part of V (rows at or below the
 		// panel's top row — entries above are zero) plus T and the
@@ -320,7 +313,7 @@ func Factor(a *Matrix) (*Factors, error) {
 		li0k := firstLocalRow(j0, g.Row, g.PR)
 		var payload []float64
 		if v != nil {
-			payload = packPanel(v.View(li0k, 0, mloc-li0k, nb), t, panelTaus, nb)
+			payload = packPanel(v.View(li0k, 0, mloc-li0k, nb), t, panelTaus)
 		}
 		got, err := g.RowComm.Bcast(owner, payload)
 		if err != nil {
@@ -331,37 +324,18 @@ func Factor(a *Matrix) (*Factors, error) {
 		copy(taus[j0:j0+nb], panelTaus)
 		panels = append(panels, storedPanel{vAct: vAct, t: t, li0: li0k})
 
-		// Trailing update on locally owned panels to the right, over
-		// the active rows only:
-		// C ← (I − V·T·Vᵀ)·C via W = Tᵀ·(Vᵀ·C), C ← C − V·W.
-		var cols []int
-		for _, kk := range a.Panels {
-			if kk > k {
-				cols = append(cols, kk)
-			}
+		// Trailing update C ← (I − V·Tᵀ·Vᵀ)·C on the locally owned panels
+		// to the right, over the active rows only and in place: owned
+		// panels are stored in ascending order, so those right of k are
+		// the contiguous suffix of local slots after the last one ≤ k.
+		first := 0
+		for first < len(a.Panels) && a.Panels[first] <= k {
+			first++
 		}
-		if len(cols) > 0 {
-			width := len(cols) * nb
-			rows := mloc - li0k
-			c := trailingView(a, cols)
-			cAct := c.View(li0k, 0, rows, width)
-			w := lin.NewMatrix(nb, width)
-			lin.Gemm(true, false, 1, vAct, cAct, 0, w)
-			if err := p.Compute(lin.GemmFlops(nb, width, rows)); err != nil {
+		if width := (len(a.Panels) - first) * nb; width > 0 {
+			if err := g.reflect(vAct, t, a.Local.View(li0k, first*nb, mloc-li0k, width), true); err != nil {
 				return nil, err
 			}
-			wFlat, err := g.ColComm.Allreduce(flatten(w))
-			if err != nil {
-				return nil, err
-			}
-			wAll := lin.FromSlice(nb, width, wFlat)
-			tw := lin.NewMatrix(nb, width)
-			lin.Gemm(true, false, 1, t, wAll, 0, tw)
-			lin.Gemm(false, false, -1, vAct, tw, 1, cAct)
-			if err := p.Compute(lin.GemmFlops(nb, width, nb) + lin.GemmFlops(rows, width, nb)); err != nil {
-				return nil, err
-			}
-			writeTrailing(a, cols, c)
 		}
 	}
 	return &Factors{A: a, Taus: taus, panels: panels}, nil
@@ -372,39 +346,7 @@ func Factor(a *Matrix) (*Factors, error) {
 // receives the same block of Qᵀ·B. This is PDORMQR's pattern: per panel,
 // W = Tᵀ·(VᵀB) with a column-communicator allreduce, then B −= V·W —
 // and it is how least-squares solves use the factored form.
-func (f *Factors) ApplyQT(b *lin.Matrix) (*lin.Matrix, error) {
-	a := f.A
-	g := a.G
-	if b.Rows != a.Local.Rows {
-		return nil, fmt.Errorf("pgeqrf: rhs has %d local rows, want %d", b.Rows, a.Local.Rows)
-	}
-	out := b.Clone()
-	for _, pan := range f.panels {
-		rows := pan.vAct.Rows
-		if rows == 0 {
-			continue
-		}
-		nb := pan.vAct.Cols
-		act := out.View(pan.li0, 0, rows, out.Cols)
-		w := lin.NewMatrix(nb, out.Cols)
-		lin.Gemm(true, false, 1, pan.vAct, act, 0, w)
-		if err := g.proc.Compute(lin.GemmFlops(nb, out.Cols, rows)); err != nil {
-			return nil, err
-		}
-		wFlat, err := g.ColComm.Allreduce(flatten(w))
-		if err != nil {
-			return nil, err
-		}
-		wAll := lin.FromSlice(nb, out.Cols, wFlat)
-		tw := lin.NewMatrix(nb, out.Cols)
-		lin.Gemm(true, false, 1, pan.t, wAll, 0, tw)
-		lin.Gemm(false, false, -1, pan.vAct, tw, 1, act)
-		if err := g.proc.Compute(lin.GemmFlops(nb, out.Cols, nb) + lin.GemmFlops(rows, out.Cols, nb)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
+func (f *Factors) ApplyQT(b *lin.Matrix) (*lin.Matrix, error) { return f.apply(b, true) }
 
 // ApplyQ applies Q to a right-hand side distributed like A's rows —
 // the inverse of ApplyQT: panels run in reverse order and each applies
@@ -413,44 +355,54 @@ func (f *Factors) ApplyQT(b *lin.Matrix) (*lin.Matrix, error) {
 // explicit reduced Q (the PDORGQR pattern), which is how the public
 // FactorizePlan entry point turns the factored form into the package's
 // (Q, R) contract.
-func (f *Factors) ApplyQ(b *lin.Matrix) (*lin.Matrix, error) {
-	a := f.A
-	g := a.G
-	if b.Rows != a.Local.Rows {
-		return nil, fmt.Errorf("pgeqrf: rhs has %d local rows, want %d", b.Rows, a.Local.Rows)
+func (f *Factors) ApplyQ(b *lin.Matrix) (*lin.Matrix, error) { return f.apply(b, false) }
+
+// apply runs every panel's block reflector over a copy of b: first
+// panel first with Tᵀ (trans, Qᵀ·B), or last panel first with T (Q·B).
+func (f *Factors) apply(b *lin.Matrix, trans bool) (*lin.Matrix, error) {
+	if b.Rows != f.A.Local.Rows {
+		return nil, fmt.Errorf("pgeqrf: rhs has %d local rows, want %d", b.Rows, f.A.Local.Rows)
 	}
 	out := b.Clone()
-	for i := len(f.panels) - 1; i >= 0; i-- {
+	for i := range f.panels {
 		pan := f.panels[i]
-		rows := pan.vAct.Rows
-		if rows == 0 {
-			continue
+		if !trans {
+			pan = f.panels[len(f.panels)-1-i]
 		}
-		nb := pan.vAct.Cols
-		act := out.View(pan.li0, 0, rows, out.Cols)
-		w := lin.NewMatrix(nb, out.Cols)
-		lin.Gemm(true, false, 1, pan.vAct, act, 0, w)
-		if err := g.proc.Compute(lin.GemmFlops(nb, out.Cols, rows)); err != nil {
-			return nil, err
-		}
-		wFlat, err := g.ColComm.Allreduce(flatten(w))
-		if err != nil {
-			return nil, err
-		}
-		wAll := lin.FromSlice(nb, out.Cols, wFlat)
-		tw := lin.NewMatrix(nb, out.Cols)
-		lin.Gemm(false, false, 1, pan.t, wAll, 0, tw)
-		lin.Gemm(false, false, -1, pan.vAct, tw, 1, act)
-		if err := g.proc.Compute(lin.GemmFlops(nb, out.Cols, nb) + lin.GemmFlops(rows, out.Cols, nb)); err != nil {
+		act := out.View(pan.li0, 0, pan.vAct.Rows, out.Cols)
+		if err := f.A.G.reflect(pan.vAct, pan.t, act, trans); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
+// reflect applies one panel's block reflector to act, the rows of a
+// row-distributed operand that the panel's reflectors reach, in place:
+// act ← (I − V·op(T)·Vᵀ)·act with op(T) = Tᵀ when trans, computed as
+// W = op(T)·(Vᵀ·act), Vᵀ·act summed over the column communicator, then
+// act −= V·W. Every member of the column takes part, one with no
+// active rows too (it contributes zeros).
+func (g *Grid) reflect(vAct, t, act *lin.Matrix, trans bool) error {
+	nb, rows, width := vAct.Cols, act.Rows, act.Cols
+	w := lin.NewMatrix(nb, width)
+	lin.Gemm(true, false, 1, vAct, act, 0, w)
+	if err := g.proc.Compute(lin.GemmFlops(nb, width, rows)); err != nil {
+		return err
+	}
+	wAll, err := dist.Allreduce(g.ColComm, w)
+	if err != nil {
+		return err
+	}
+	tw := lin.NewMatrix(nb, width)
+	lin.Gemm(trans, false, 1, t, wAll, 0, tw)
+	lin.Gemm(false, false, -1, vAct, tw, 1, act)
+	return g.proc.Compute(lin.GemmFlops(nb, width, nb) + lin.GemmFlops(rows, width, nb))
+}
+
 // GatherR assembles the n×n upper-triangular factor on every rank by a
-// world allreduce of each process's contributions (a test/output path,
-// not part of the timed algorithm).
+// world allreduce of each process's contributions (an output path, not
+// part of the timed algorithm).
 func (f *Factors) GatherR() (*lin.Matrix, error) {
 	a := f.A
 	g := a.G
@@ -467,11 +419,7 @@ func (f *Factors) GatherR() (*lin.Matrix, error) {
 			}
 		}
 	}
-	flat, err := g.World.Allreduce(flatten(r))
-	if err != nil {
-		return nil, err
-	}
-	return lin.FromSlice(n, n, flat), nil
+	return dist.Allreduce(g.World, r)
 }
 
 // firstLocalRow returns the first local row index whose global row ≥ g0.
@@ -501,47 +449,25 @@ func formT(gram *lin.Matrix, taus []float64) *lin.Matrix {
 	return t
 }
 
-func flatten(m *lin.Matrix) []float64 {
-	out := make([]float64, m.Rows*m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		copy(out[i*m.Cols:(i+1)*m.Cols], m.Data[i*m.Stride:i*m.Stride+m.Cols])
+// packPanel lays the active rows of V, then T, then the taus end to end:
+// the one raw payload of a panel's row broadcast.
+func packPanel(vAct, t *lin.Matrix, taus []float64) []float64 {
+	out := make([]float64, 0, (vAct.Rows+t.Rows)*len(taus)+len(taus))
+	for _, m := range []*lin.Matrix{vAct, t} {
+		for i := 0; i < m.Rows; i++ {
+			out = append(out, m.Data[i*m.Stride:i*m.Stride+m.Cols]...)
+		}
 	}
-	return out
-}
-
-func packPanel(vAct, t *lin.Matrix, taus []float64, nb int) []float64 {
-	out := make([]float64, 0, vAct.Rows*nb+nb*nb+nb)
-	out = append(out, flatten(vAct)...)
-	out = append(out, flatten(t)...)
-	out = append(out, taus...)
-	return out
+	return append(out, taus...)
 }
 
 // unpackPanel splits a broadcast payload into the active rows of V, the
-// T factor, and the taus.
+// T factor, and the taus, each a copy: on the broadcast root the payload
+// is the sender's own.
 func unpackPanel(data []float64, rows, nb int) (vAct, t *lin.Matrix, taus []float64) {
-	vAct = lin.FromSlice(rows, nb, data[:rows*nb])
-	t = lin.FromSlice(nb, nb, data[rows*nb:rows*nb+nb*nb])
+	vAct, t = lin.NewMatrix(rows, nb), lin.NewMatrix(nb, nb)
+	copy(vAct.Data, data[:rows*nb])
+	copy(t.Data, data[rows*nb:rows*nb+nb*nb])
 	taus = append([]float64(nil), data[rows*nb+nb*nb:]...)
 	return vAct, t, taus
-}
-
-// trailingView copies the locally owned trailing panels into one dense
-// working matrix (columns ordered by ascending global panel).
-func trailingView(a *Matrix, cols []int) *lin.Matrix {
-	nb := a.NB
-	c := lin.NewMatrix(a.Local.Rows, len(cols)*nb)
-	for i, k := range cols {
-		s := a.localSlot(k)
-		c.View(0, i*nb, c.Rows, nb).CopyFrom(a.Local.View(0, s*nb, c.Rows, nb))
-	}
-	return c
-}
-
-func writeTrailing(a *Matrix, cols []int, c *lin.Matrix) {
-	nb := a.NB
-	for i, k := range cols {
-		s := a.localSlot(k)
-		a.Local.View(0, s*nb, c.Rows, nb).CopyFrom(c.View(0, i*nb, c.Rows, nb))
-	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"cacqr/internal/lin"
 	"cacqr/internal/simmpi"
+	"cacqr/internal/transport"
 )
 
 func runGrid(t *testing.T, pr, pc int, body func(p *simmpi.Proc, g *Grid) error) *simmpi.Stats {
@@ -195,6 +196,69 @@ func TestNewGridValidation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countingComm counts the Subgroup calls made on a communicator.
+type countingComm struct {
+	transport.Comm
+	subgroups int
+}
+
+func (c *countingComm) Subgroup(indices []int) transport.Comm {
+	c.subgroups++
+	return c.Comm.Subgroup(indices)
+}
+
+func TestNewGridBuildsOnlyTheCallersGroups(t *testing.T) {
+	// Three Subgroup calls on every rank whatever the grid — a rank
+	// outside it included — and they connect the right ranks: a column
+	// communicator's members differ in prow only, a row's in pcol only.
+	for _, sh := range []struct{ pr, pc int }{{1, 1}, {4, 4}, {4, 16}, {8, 16}} {
+		_, err := simmpi.RunWithOptions(sh.pr*sh.pc+1, simmpi.Options{Timeout: 60 * time.Second}, func(p *simmpi.Proc) error {
+			w := &countingComm{Comm: p.World()}
+			g, err := NewGrid(w, sh.pr, sh.pc)
+			if err != nil {
+				return err
+			}
+			if w.subgroups != 3 {
+				return fmt.Errorf("rank %d: NewGrid(%d, %d) made %d Subgroup calls, want 3", p.Rank(), sh.pr, sh.pc, w.subgroups)
+			}
+			if p.Rank() == sh.pr*sh.pc {
+				if g != nil {
+					return fmt.Errorf("rank %d is outside the grid and got one", p.Rank())
+				}
+				return nil
+			}
+			if g.World.Size() != sh.pr*sh.pc || g.World.Index() != p.Rank() || g.ColComm.Index() != g.Row || g.RowComm.Index() != g.Col {
+				return fmt.Errorf("rank %d: world %d/%d, col index %d, row index %d", p.Rank(), g.World.Index(), g.World.Size(), g.ColComm.Index(), g.RowComm.Index())
+			}
+			col, err := g.ColComm.Allgather([]float64{float64(p.Rank())})
+			if err != nil {
+				return err
+			}
+			row, err := g.RowComm.Allgather([]float64{float64(p.Rank())})
+			if err != nil {
+				return err
+			}
+			if len(col) != sh.pr || len(row) != sh.pc {
+				return fmt.Errorf("rank %d: column of %d, row of %d", p.Rank(), len(col), len(row))
+			}
+			for prow, r := range col {
+				if int(r) != prow+sh.pr*g.Col {
+					return fmt.Errorf("rank %d: column member %d is rank %v", p.Rank(), prow, r)
+				}
+			}
+			for pcol, r := range row {
+				if int(r) != g.Row+sh.pr*pcol {
+					return fmt.Errorf("rank %d: row member %d is rank %v", p.Rank(), pcol, r)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

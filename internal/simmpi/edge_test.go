@@ -117,47 +117,65 @@ func TestNestedSplitDeterminism(t *testing.T) {
 
 func TestCommIDsAgreeAndStayDistinctOnGrid(t *testing.T) {
 	// Communicator ids are hashed from (parent id, call sequence,
-	// members), not handed out by a registry: on a 64-rank 4×4×4 grid —
-	// 12 kinds of communicator, 186 of them — every member of a
-	// communicator must have derived the same id, and no two
-	// communicators may share one, or their messages would cross.
-	const c, d = 4, 4
-	var mu sync.Mutex
-	members := map[uint64]string{} // id → "kind[global ranks]"
-	ids := map[string]uint64{}
-	_, err := RunWithOptions(c*d*c, Options{Timeout: 60 * time.Second}, func(p *Proc) error {
-		g, err := grid.New(p.World(), c, d)
+	// members), not handed out by a registry, and a rank names only the
+	// groups it sits on: on a 64-rank 4×4×4 grid — 12 kinds of
+	// communicator, 186 of them — and a 128-rank 4×8×4 one (287) every
+	// member of a communicator must have derived the same id, and no two
+	// communicators may share one, or their messages would cross. The
+	// world is three ranks larger than the grid: the outside ranks build
+	// nothing but count the same calls, so a communicator that they and
+	// grid members derive from the world afterwards gets one id too.
+	for _, sh := range []struct{ c, d, want int }{{4, 4, 186}, {4, 8, 287}} {
+		c, d := sh.c, sh.d
+		p0 := c * d * c
+		var mu sync.Mutex
+		members := map[uint64]string{} // id → "kind[global ranks]"
+		ids := map[string]uint64{}
+		_, err := RunWithOptions(p0+3, Options{Timeout: 60 * time.Second}, func(p *Proc) error {
+			g, err := grid.New(p.World(), c, d)
+			if err != nil {
+				return err
+			}
+			// Grid ranks 0 and 1 with the three outside ranks.
+			mixed := p.World().Subgroup([]int{0, p0, 1, p0 + 2, p0 + 1})
+			comms := map[string]transport.Comm{}
+			if g != nil {
+				comms = map[string]transport.Comm{
+					"world": g.World, "x": g.XComm, "y": g.YComm, "z": g.ZComm, "slice": g.Slice,
+					"ygroup": g.YGroup, "ystride": g.YStride, "cube": g.Cube.Comm,
+					"cube-x": g.Cube.XComm, "cube-y": g.Cube.YComm, "cube-z": g.Cube.ZComm, "cube-slice": g.Cube.Slice,
+				}
+			}
+			if mixed != nil {
+				comms["mixed"] = mixed
+			} else if p.Rank() < 2 || p.Rank() >= p0 {
+				return fmt.Errorf("rank %d is on the mixed list and got no communicator", p.Rank())
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for kind, tc := range comms {
+				ranks := make([]int, tc.Size())
+				for i := range ranks {
+					ranks[i] = tc.GlobalRank(i)
+				}
+				id := tc.(interface{ ID() uint64 }).ID()
+				who := fmt.Sprintf("%s%v", kind, ranks)
+				if prev, ok := members[id]; ok && prev != who {
+					return fmt.Errorf("id %#x names both %s and %s", id, prev, who)
+				}
+				if prev, ok := ids[who]; ok && prev != id {
+					return fmt.Errorf("%s has ids %#x and %#x on different members", who, prev, id)
+				}
+				members[id], ids[who] = who, id
+			}
+			return nil
+		})
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		for kind, tc := range map[string]transport.Comm{
-			"world": g.World, "x": g.XComm, "y": g.YComm, "z": g.ZComm, "slice": g.Slice,
-			"ygroup": g.YGroup, "ystride": g.YStride, "cube": g.Cube.Comm,
-			"cube-x": g.Cube.XComm, "cube-y": g.Cube.YComm, "cube-z": g.Cube.ZComm, "cube-slice": g.Cube.Slice,
-		} {
-			ranks := make([]int, tc.Size())
-			for i := range ranks {
-				ranks[i] = tc.GlobalRank(i)
-			}
-			id := tc.(interface{ ID() uint64 }).ID()
-			who := fmt.Sprintf("%s%v", kind, ranks)
-			if prev, ok := members[id]; ok && prev != who {
-				return fmt.Errorf("id %#x names both %s and %s", id, prev, who)
-			}
-			if prev, ok := ids[who]; ok && prev != id {
-				return fmt.Errorf("%s has ids %#x and %#x on different members", who, prev, id)
-			}
-			members[id], ids[who] = who, id
+		if len(ids) != sh.want+1 {
+			t.Fatalf("%d communicators seen on the %dx%dx%d grid and beside it, want %d and the mixed one", len(ids), c, d, c, sh.want)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 186 {
-		t.Fatalf("only %d communicators seen on the grid, want 186", len(ids))
 	}
 }
 

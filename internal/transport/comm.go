@@ -134,9 +134,9 @@ func (c *comm) Split(color, key int) (Comm, error) {
 	return c.child(CommID(c.id, seq, color), ranks, idx), nil
 }
 
-// Subgroup performs no communication: the list is already globally
-// known, which is how the CA-CQR2 grid builds its row/column/depth/
-// subcube communicators from arithmetic on coordinates.
+// Subgroup performs no communication: a member computes its group's
+// list, which is how the CA-CQR2 grid builds a rank's row/column/depth/
+// subcube communicators from arithmetic on its coordinates.
 func (c *comm) Subgroup(indices []int) Comm {
 	seq := c.nsplits
 	c.nsplits++

@@ -23,7 +23,10 @@ type Comm interface {
 	Split(color, key int) (Comm, error)
 	// Subgroup creates a communicator from an explicit ordered list of
 	// parent indices, without communication. Every parent member must
-	// call it with an identical list; non-members receive nil.
+	// make the call. The members of a new communicator pass an
+	// identical list, which gives them one id; disjoint sibling groups
+	// form in one call, each member passing its own group's list; a
+	// caller that is not on the list it passes receives nil.
 	Subgroup(indices []int) Comm
 
 	// Send transfers data to communicator member dst with the given

@@ -70,11 +70,7 @@ func BlockedFactor(comm transport.Comm, aLocal *lin.Matrix, m, n, b, workers int
 			if err := proc.Compute(lin.GemmFlops(b, rest, qk.Rows)); err != nil {
 				return nil, nil, err
 			}
-			flat, err := comm.Allreduce(dist.Flatten(partial))
-			if err != nil {
-				return nil, nil, err
-			}
-			coeff, err := dist.Unflatten(b, rest, flat)
+			coeff, err := dist.Allreduce(comm, partial)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -76,11 +76,7 @@ func Factor(comm transport.Comm, aLocal *lin.Matrix, m, n, workers int) (qLocal,
 		step := 1 << k
 		if rank%(2*step) == 0 {
 			partner := rank + step
-			flat, err := comm.Recv(partner, tagUp+k)
-			if err != nil {
-				return nil, nil, err
-			}
-			rPartner, err := dist.Unflatten(n, n, flat)
+			rPartner, err := dist.Recv(comm, partner, tagUp+k, n, n)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -98,7 +94,7 @@ func Factor(comm transport.Comm, aLocal *lin.Matrix, m, n, workers int) (qLocal,
 			rCur = rNext
 		} else {
 			survivor := rank - step
-			if err := comm.Send(survivor, tagUp+k, dist.Flatten(rCur)); err != nil {
+			if err := dist.Send(comm, survivor, tagUp+k, rCur); err != nil {
 				return nil, nil, err
 			}
 			active = false
@@ -126,17 +122,12 @@ func Factor(comm transport.Comm, aLocal *lin.Matrix, m, n, workers int) (qLocal,
 			if err := proc.Compute(2 * lin.GemmFlops(n, n, n)); err != nil {
 				return nil, nil, err
 			}
-			if err := comm.Send(rank+step, tagDown+k, dist.Flatten(bBot)); err != nil {
+			if err := dist.Send(comm, rank+step, tagDown+k, bBot); err != nil {
 				return nil, nil, err
 			}
 			b = bTop
 		} else if rank%(2*step) == step {
-			flat, err := comm.Recv(rank-step, tagDown+k)
-			if err != nil {
-				return nil, nil, err
-			}
-			b, err = dist.Unflatten(n, n, flat)
-			if err != nil {
+			if b, err = dist.Recv(comm, rank-step, tagDown+k, n, n); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -144,15 +135,7 @@ func Factor(comm transport.Comm, aLocal *lin.Matrix, m, n, workers int) (qLocal,
 
 	// Broadcast the final R from rank 0 so every rank returns it (the
 	// same contract as 1D-CQR2).
-	var rRoot []float64
-	if rank == 0 {
-		rRoot = dist.Flatten(rCur)
-	}
-	rFlat, err := comm.Bcast(0, rRoot)
-	if err != nil {
-		return nil, nil, err
-	}
-	rOut, err := dist.Unflatten(n, n, rFlat)
+	rOut, err := dist.Bcast(comm, 0, rCur, n, n)
 	if err != nil {
 		return nil, nil, err
 	}

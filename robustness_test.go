@@ -156,6 +156,22 @@ func TestFactorizePlanExecutesPGEQRFRow(t *testing.T) {
 	assertMatchesHouseholder(t, a, res, 1e-12)
 }
 
+func TestPGEQRFWhereSomeProcessRowsRunOutOfRows(t *testing.T) {
+	// Square with nb < pr: the last panels' reflectors start below every
+	// row some process rows own. Those rows still belong to the column
+	// allreduce of each panel when Q is applied — they contribute zeros —
+	// or the column's members fall out of step (the run used to end in
+	// the watchdog).
+	for _, sh := range []struct{ m, n, pr, pc, nb int }{{8, 8, 4, 1, 2}, {16, 16, 4, 2, 2}, {16, 16, 8, 1, 2}, {24, 16, 8, 1, 4}} {
+		a := RandomMatrix(sh.m, sh.n, 17)
+		res, err := FactorizePGEQRF(a, sh.pr, sh.pc, sh.nb, Options{Timeout: 20 * time.Second})
+		if err != nil {
+			t.Fatalf("%+v: %v", sh, err)
+		}
+		assertMatchesHouseholder(t, a, res, 1e-12)
+	}
+}
+
 func TestFactorizePlanExecutesBlockedTSQRRow(t *testing.T) {
 	// 256×64 on 8 ranks: m/p = 32 < n, so the plan list contains
 	// blocked TSQR rows (panelWidth > 0). Each must execute, match the

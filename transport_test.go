@@ -20,6 +20,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cacqr/internal/lin"
 )
 
 // startLocalWorkers serves n in-process workers on loopback listeners.
@@ -212,6 +214,31 @@ func TestJobGobRoundTrip(t *testing.T) {
 	for _, v := range []Variant{VariantSequential, Variant1DCQR2, VariantShiftedCQR3, VariantCACQR2, VariantPanelCACQR2, VariantTSQR, VariantPGEQRF, VariantStreamCQR2} {
 		if !seen[v] {
 			t.Errorf("no %s row was enumerated", v)
+		}
+	}
+
+	// A staged block travels as the matrix it is — a strided view's
+	// storage is not what a worker should index — and one whose storage
+	// does not fit its shape is refused before any kernel sees it.
+	block := RandomMatrix(6, 4, 3).view()
+	payload, err := encodeJobPayload(job{}, block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := decodeJobPayload(payload); err != nil || !got.Equal(block) {
+		t.Fatalf("block round trip gave %v, err %v", got, err)
+	}
+	for name, bad := range map[string]*lin.Matrix{
+		"short":    {Rows: 6, Cols: 4, Stride: 4, Data: make([]float64, 23)},
+		"strided":  block.View(0, 0, 6, 2),
+		"negative": {Rows: -1, Cols: -4, Stride: -4, Data: make([]float64, 4)},
+	} {
+		payload, err := encodeJobPayload(job{}, bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := decodeJobPayload(payload); err == nil || !strings.Contains(err.Error(), "bad worker payload") {
+			t.Errorf("%s block: decode returned %v, want a bad-payload error", name, err)
 		}
 	}
 }
