@@ -21,16 +21,27 @@ func allocsPerRun(runs int, f func()) (bytes, objects uint64) {
 	return (after.TotalAlloc - before.TotalAlloc) / n, (after.Mallocs - before.Mallocs) / n
 }
 
-// The distributed path replicates: c-fold by design, plus one private
-// copy per receiver of every collective. What it allocates per
-// factorization is therefore a multiple of the input, and that multiple
-// is a budget: before the output gather was rooted and the wire copies
-// removed, the grid case stood at 253 MB and 21.9 k objects for a 2 MB
-// input (126×) and the 1D case at 15.9 MB for 0.5 MB (30×); they are
-// ≈ 72 MB / 8.9 k (34×) and ≈ 5.7 MB (11×) now, with every rank
-// building only its own communicators. The race detector's
-// shadow allocations make the numbers meaningless, hence the build tag.
+// The distributed path replicates — c-fold by design — so what one
+// factorization allocates is a multiple of the input, and that multiple
+// is a budget. The grid case stood at 253 MB and 21.9 k objects for a
+// 2 MB input (126×) when every rank assembled Q and every collective leg
+// was a fresh copy, and at 72 MB / 8.9 k (34×) once the gather was rooted
+// and the wire copies removed. It is ≈ 24 MB / 1.4 k (11.5×) now that a
+// rank takes its temporaries from the job's workspace and a message its
+// buffer from the run's free list: 12 MB of that is the sixteen
+// workspaces themselves, sized by the memory model, the rest the input
+// and output blocks, the wire buffers in flight at once, and one flat
+// gather buffer. The 1D case (15.9 MB, 30×, before the gather was
+// rooted) allocates per call as it always did: ≈ 4.5 MB (8.6×). The race
+// detector's shadow allocations make the numbers meaningless, hence the
+// build tag.
 func TestAllocationBudget(t *testing.T) {
+	grid := func(spec GridSpec, opts Options) func(a *Dense) error {
+		return func(a *Dense) error {
+			_, err := FactorizeOnGrid(a, spec, opts)
+			return err
+		}
+	}
 	for _, tc := range []struct {
 		name         string
 		m, n         int
@@ -38,10 +49,10 @@ func TestAllocationBudget(t *testing.T) {
 		inputs       uint64 // budget in multiples of the 8·m·n input bytes
 		objectBudget uint64
 	}{
-		{"grid_c2_d4_2048x128", 2048, 128, func(a *Dense) error {
-			_, err := FactorizeOnGrid(a, GridSpec{C: 2, D: 4}, Options{})
-			return err
-		}, 60, 11000},
+		{"grid_c2_d4_2048x128", 2048, 128, grid(GridSpec{C: 2, D: 4}, Options{}), 12, 4000},
+		{"grid_c2_d2_4096x64", 4096, 64, grid(GridSpec{C: 2, D: 2}, Options{}), 11, 2000},
+		{"grid_c2_d4_2048x128_inverse_depth_1", 2048, 128, grid(GridSpec{C: 2, D: 4}, Options{InverseDepth: 1}), 14, 4000},
+		{"panel_c2_d4_2048x128_b32", 2048, 128, grid(GridSpec{C: 2, D: 4}, Options{PanelWidth: 32}), 16, 4000},
 		{"1d_p8_1024x64", 1024, 64, func(a *Dense) error {
 			_, err := Factorize1D(a, 8, Options{})
 			return err
@@ -62,7 +73,42 @@ func TestAllocationBudget(t *testing.T) {
 			if objects > tc.objectBudget {
 				t.Errorf("allocates %d objects per run, budget is %d", objects, tc.objectBudget)
 			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 50; i++ {
+				if err := tc.run(a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			t.Logf("%d GC cycles per 50 runs", after.NumGC-before.NumGC)
 		})
+	}
+}
+
+// TestJobStorageDiesWithTheJob: the workspaces and the message free list
+// belong to one run and nothing keeps them: after hundreds of jobs the
+// heap in use is what it was after a handful.
+func TestJobStorageDiesWithTheJob(t *testing.T) {
+	a := RandomMatrix(1024, 64, 7)
+	inUse := func(jobs int) uint64 {
+		for i := 0; i < jobs; i++ {
+			if _, err := FactorizeOnGrid(a, GridSpec{C: 2, D: 4}, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	base := inUse(10)
+	after := inUse(200)
+	t.Logf("heap in use: %d bytes after 10 jobs, %d after 200 more", base, after)
+	// One job allocates ≈ 6 MB; a leak of one job's storage in a hundred
+	// would be past this.
+	if after > base+(1<<20) {
+		t.Errorf("heap in use grew from %d to %d bytes over 200 jobs", base, after)
 	}
 }
 

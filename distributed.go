@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"time"
 
 	"cacqr/internal/core"
@@ -129,9 +128,6 @@ func execute(ctx context.Context, j job, src stream.Source, sink *MatrixSink) (*
 		run = runTCP
 	}
 	st, err := run(ctx, j, global, emit)
-	// Reachable until the run ends, not just until the scatter: see
-	// resident.
-	runtime.KeepAlive(global)
 	if err != nil {
 		return nil, err
 	}
@@ -150,19 +146,11 @@ func execute(ctx context.Context, j job, src stream.Source, sink *MatrixSink) (*
 	}, nil
 }
 
-// resident returns the whole matrix behind src as storage the run owns.
+// resident returns the whole matrix behind src: a resident source's own
+// matrix, which the run only reads, or a drained copy of a streamed one.
 func resident(src stream.Source) (*lin.Matrix, error) {
 	if ds, ok := src.(*stream.DenseSource); ok {
-		// The one full-matrix input copy on the distributed path. It is
-		// a copy on purpose, and execute keeps it reachable for the whole
-		// run: the rank bodies still produce ~70 MB of garbage per run,
-		// and the live heap is what paces the collector over it. Handing
-		// the ranks a view of the caller's matrix instead measured 10 %
-		// slower on grid-sim (PR 14); letting the copy be collected right
-		// after the scatter measures the same (24.4 → 27.4 ms/op, 1157 →
-		// 1405 GC cycles per 150 ops). Both go when the rank body stops
-		// allocating per call (ROADMAP).
-		return ds.Matrix().Clone(), nil
+		return ds.Matrix(), nil
 	}
 	m, n := src.Dims()
 	if err := src.Reset(); err != nil {
@@ -264,7 +252,7 @@ func jobBody(j job, local *lin.Matrix, globalAtRoot *lin.Matrix, out func(q, r *
 				}
 				blk = ad.Local
 			}
-			if blk, err = dist.Bcast(g.ZComm, 0, blk, m/j.D, n/j.C); err != nil {
+			if blk, err = dist.Bcast(g.ZComm, 0, blk, nil, m/j.D, n/j.C); err != nil {
 				return err
 			}
 			prm := core.Params{InverseDepth: j.InverseDepth, BaseSize: j.BaseSize, Workers: j.Workers}

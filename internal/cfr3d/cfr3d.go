@@ -58,7 +58,8 @@ type Result struct {
 
 // Factor runs CFR3D on the SPD matrix whose cyclic local block is aLocal
 // (n × n globally, distributed over the cube's slice and replicated
-// across slices).
+// across slices). L and Y are taken from the cube's workspace, and every
+// temporary of the recursion is taken there and given back.
 func Factor(cb *grid.Cube, aLocal *lin.Matrix, n int, opts Options) (*Result, error) {
 	if n%cb.E != 0 {
 		return nil, fmt.Errorf("cfr3d: dimension %d not divisible by cube edge %d", n, cb.E)
@@ -82,93 +83,128 @@ func Factor(cb *grid.Cube, aLocal *lin.Matrix, n int, opts Options) (*Result, er
 	if opts.InverseDepth < 0 {
 		return nil, fmt.Errorf("cfr3d: negative InverseDepth %d", opts.InverseDepth)
 	}
-	l, y, err := factor(cb, aLocal, n, base, 0, opts.InverseDepth, opts.Workers)
-	if err != nil {
+	// Asked for first on a bare cube, the workspace gets L, Y, the
+	// recursion's temporaries (under two more blocks: each level's are a
+	// quarter of the one above) and the base case's four whole panels,
+	// at the dimension the halving stops at.
+	h, stop := n/cb.E, n
+	for !isBase(cb, stop, base) {
+		stop /= 2
+	}
+	ws := cb.Workspace(int64(4*h*h + 4*stop*stop))
+	l, y := ws.Matrix(h, h), ws.Matrix(h, h)
+	f := factorization{cb: cb, ws: ws, base: base, invDepth: opts.InverseDepth, workers: opts.Workers}
+	if err := f.factor(aLocal, l, y, n, 0); err != nil {
 		return nil, err
 	}
 	return &Result{L: l, Y: y, N: n, InverseDepth: opts.InverseDepth, BaseSize: base}, nil
 }
 
-// factor is the recursive body; depth counts levels from the top.
-func factor(cb *grid.Cube, aLocal *lin.Matrix, n, base, depth, invDepth, workers int) (lLocal, yLocal *lin.Matrix, err error) {
-	// Base case also triggers when the matrix can no longer be halved
-	// cleanly over the grid (n/2 must stay divisible by E).
-	if n <= base || (n/2)%cb.E != 0 || n%2 != 0 {
-		return baseCase(cb, aLocal, n)
+// factorization is what every level of one Factor call shares.
+type factorization struct {
+	cb       *grid.Cube
+	ws       *grid.Workspace
+	base     int
+	invDepth int
+	workers  int
+}
+
+// factor is the recursive body: it factors the n × n matrix whose local
+// block is a (a view, below the top) and writes the factors' blocks into
+// l and y, views of the top level's L and Y, whatever those held. depth
+// counts levels from the top.
+func (f factorization) factor(a, l, y *lin.Matrix, n, depth int) error {
+	cb, ws := f.cb, f.ws
+	if isBase(cb, n, f.base) {
+		return f.baseCase(a, l, y, n)
 	}
+	defer ws.Release(ws.Mark())
 	p := cb.Comm.Proc()
-	half := aLocal.Rows / 2
-	a11 := aLocal.View(0, 0, half, half)
-	a21 := aLocal.View(half, 0, half, half)
-	a22 := aLocal.View(half, half, half, half)
+	half := a.Rows / 2
+	quadrants := func(m *lin.Matrix) (m11, m21, m22 *lin.Matrix) {
+		return ws.View(m, 0, 0, half, half), ws.View(m, half, 0, half, half), ws.View(m, half, half, half, half)
+	}
+	a11, a21, a22 := quadrants(a)
+	l11, l21, l22 := quadrants(l)
+	y11, y21, y22 := quadrants(y)
+	ws.View(l, 0, half, half, half).Zero()
+	ws.View(y, 0, half, half, half).Zero()
 
 	// Line 5: recurse on A11.
-	l11, y11, err := factor(cb, a11.Clone(), n/2, base, depth+1, invDepth, workers)
-	if err != nil {
-		return nil, nil, err
+	if err := f.factor(a11, l11, y11, n/2, depth+1); err != nil {
+		return err
 	}
 
 	// Lines 6–7: L21 = A21·L11⁻ᵀ. When InverseDepth leaves the top
 	// levels of Y11 unformed (the sub-call skipped its Y21 blocks for
 	// invDepth − depth − 1 levels), apply the inverse by blocked
-	// substitution down to the levels where Y11 is complete.
-	l21, err := ApplyInvT(cb, a21.Clone(), l11, y11, invDepth-depth-1, false, workers)
-	if err != nil {
-		return nil, nil, err
+	// substitution down to the levels where Y11 is complete. The
+	// products below read the compact copy.
+	l21c := ws.Matrix(half, half)
+	if err := ApplyInvT(cb, l21c, a21, l11, y11, f.invDepth-depth-1, false, f.workers); err != nil {
+		return err
 	}
+	l21.CopyFrom(l21c)
 
 	// Lines 8–9: U = L21·L21ᵀ.
-	x, err := mm3d.Transpose(cb, l21)
-	if err != nil {
-		return nil, nil, err
+	schur := ws.Mark()
+	x := ws.Matrix(half, half)
+	if err := mm3d.TransposeInto(cb, x, l21c); err != nil {
+		return err
 	}
-	u, err := mm3d.Multiply(cb, l21, x, workers)
-	if err != nil {
-		return nil, nil, err
+	z := ws.Matrix(half, half)
+	if err := mm3d.MultiplyInto(cb, z, l21c, x, false, f.workers); err != nil {
+		return err
 	}
 
 	// Line 10: Z = A22 − U (local axpy).
-	z := a22.Clone()
-	z.Sub(u)
+	z.SubFrom(a22)
 	if err := p.Compute(lin.AxpyFlops(z.Rows, z.Cols)); err != nil {
-		return nil, nil, err
+		return err
 	}
 
 	// Line 11: recurse on the Schur complement.
-	l22, y22, err := factor(cb, z, n/2, base, depth+1, invDepth, workers)
-	if err != nil {
-		return nil, nil, err
+	if err := f.factor(z, l22, y22, n/2, depth+1); err != nil {
+		return err
 	}
+	ws.Release(schur)
 
 	// Lines 12–14: Y21 = −Y22·(L21·Y11), skipped above InverseDepth.
-	var y21 *lin.Matrix
-	if depth >= invDepth {
-		u2, err := mm3d.Multiply(cb, l21, y11, workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		negY22 := y22.Clone()
-		negY22.Scale(-1)
-		if err := p.Compute(int64(negY22.Rows) * int64(negY22.Cols)); err != nil {
-			return nil, nil, err
-		}
-		y21, err = mm3d.Multiply(cb, negY22, u2, workers)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		y21 = lin.NewMatrix(half, half)
+	if depth < f.invDepth {
+		y21.Zero()
+		return nil
 	}
+	u2 := ws.Matrix(half, half)
+	if err := mm3d.MultiplyInto(cb, u2, l21c, y11, false, f.workers); err != nil {
+		return err
+	}
+	negY22 := ws.Matrix(half, half)
+	negY22.CopyFrom(y22)
+	negY22.Scale(-1)
+	if err := p.Compute(int64(negY22.Rows) * int64(negY22.Cols)); err != nil {
+		return err
+	}
+	// In place: the product replaces its left operand.
+	if err := mm3d.MultiplyInto(cb, negY22, negY22, u2, false, f.workers); err != nil {
+		return err
+	}
+	y21.CopyFrom(negY22)
+	return nil
+}
 
-	lOut := assembleLowerQuadrants(l11, l21, l22)
-	yOut := assembleLowerQuadrants(y11, y21, y22)
-	return lOut, yOut, nil
+// isBase reports whether the recursion stops at dimension n: at the base
+// size, or when the matrix can no longer be halved cleanly over the grid
+// (n/2 must stay divisible by E).
+func isBase(cb *grid.Cube, n, base int) bool {
+	return n <= base || (n/2)%cb.E != 0 || n%2 != 0
 }
 
 // ApplyInvT computes X = A·L⁻ᵀ for lower-triangular L whose inverse Y is
 // complete except for the off-diagonal blocks of its top k recursion
-// levels (Result.Y under InverseDepth k). At k ≤ 0 this is the direct
-// multiply by Yᵀ; otherwise it is the §III-A blocked substitution
+// levels (Result.Y under InverseDepth k), and writes it into dst, a
+// compact matrix of a's shape the caller owns; dst may be a itself. At
+// k ≤ 0 this is the direct multiply by Yᵀ; otherwise it is the §III-A
+// blocked substitution
 //
 //	X₁ = A₁·L₁₁⁻ᵀ,  X₂ = (A₂ − X₁·L₂₁ᵀ)·L₂₂⁻ᵀ
 //
@@ -177,96 +213,88 @@ func factor(cb *grid.Cube, aLocal *lin.Matrix, n, base, depth, invDepth, workers
 // serves both places the paper applies a CFR3D inverse: Algorithm 3
 // lines 6–7 (L21 = A21·L11⁻ᵀ, a plain MM3D) and Algorithm 8 line 8
 // (Q = A·R⁻¹ with R = Lᵀ), which sets tri to charge the leaf product by
-// the triangular Yᵀ at the TRMM rate.
-func ApplyInvT(cb *grid.Cube, a, l, y *lin.Matrix, k int, tri bool, workers int) (*lin.Matrix, error) {
+// the triangular Yᵀ at the TRMM rate. a, l and y may be views.
+func ApplyInvT(cb *grid.Cube, dst, a, l, y *lin.Matrix, k int, tri bool, workers int) error {
+	// Asked for first on a bare cube: Yᵀ and its broadcast copy, and under
+	// two blocks of a's size however deep the substitution goes.
+	ws := cb.Workspace(int64(2*a.Rows*a.Cols + 2*l.Rows*l.Cols))
+	defer ws.Release(ws.Mark())
 	if k <= 0 || l.Rows < 2 || l.Rows%2 != 0 {
-		w, err := mm3d.Transpose(cb, y)
-		if err != nil {
-			return nil, err
+		w := ws.Matrix(y.Cols, y.Rows)
+		if err := mm3d.TransposeInto(cb, w, y); err != nil {
+			return err
 		}
-		if tri {
-			return mm3d.MultiplyTri(cb, a, w, workers)
-		}
-		return mm3d.Multiply(cb, a, w, workers)
+		return mm3d.MultiplyInto(cb, dst, a, w, tri, workers)
 	}
 	p := cb.Comm.Proc()
 	half := l.Rows / 2
-	l11 := l.View(0, 0, half, half).Clone()
-	l21 := l.View(half, 0, half, half).Clone()
-	l22 := l.View(half, half, half, half).Clone()
-	y11 := y.View(0, 0, half, half).Clone()
-	y22 := y.View(half, half, half, half).Clone()
+	l11 := ws.View(l, 0, 0, half, half)
+	l21 := ws.View(l, half, 0, half, half)
+	l22 := ws.View(l, half, half, half, half)
+	y11 := ws.View(y, 0, 0, half, half)
+	y22 := ws.View(y, half, half, half, half)
+	a1 := ws.View(a, 0, 0, a.Rows, half)
+	a2 := ws.View(a, 0, half, a.Rows, half)
 
-	a1 := a.View(0, 0, a.Rows, half).Clone()
-	a2 := a.View(0, half, a.Rows, half).Clone()
+	// t is taken first and x1 above it, so that x1 can be given back as
+	// soon as it has been multiplied into t and copied out. dst's left
+	// half is free by then even when dst is a: a1 was read for x1 only.
+	t := ws.Matrix(a.Rows, half)
+	left := ws.Mark()
+	x1 := ws.Matrix(a.Rows, half)
+	if err := ApplyInvT(cb, x1, a1, l11, y11, k-1, tri, workers); err != nil {
+		return err
+	}
+	lt := ws.Matrix(half, half)
+	if err := mm3d.TransposeInto(cb, lt, l21); err != nil {
+		return err
+	}
+	if err := mm3d.MultiplyInto(cb, t, x1, lt, false, workers); err != nil {
+		return err
+	}
+	ws.View(dst, 0, 0, a.Rows, half).CopyFrom(x1)
+	ws.Release(left)
 
-	x1, err := ApplyInvT(cb, a1, l11, y11, k-1, tri, workers)
-	if err != nil {
-		return nil, err
+	t.SubFrom(a2)
+	if err := p.Compute(lin.AxpyFlops(t.Rows, t.Cols)); err != nil {
+		return err
 	}
-	lt, err := mm3d.Transpose(cb, l21)
-	if err != nil {
-		return nil, err
+	// In place: X₂ replaces A₂ − X₁·L₂₁ᵀ.
+	if err := ApplyInvT(cb, t, t, l22, y22, k-1, tri, workers); err != nil {
+		return err
 	}
-	t, err := mm3d.Multiply(cb, x1, lt, workers)
-	if err != nil {
-		return nil, err
-	}
-	a2.Sub(t)
-	if err := p.Compute(lin.AxpyFlops(a2.Rows, a2.Cols)); err != nil {
-		return nil, err
-	}
-	x2, err := ApplyInvT(cb, a2, l22, y22, k-1, tri, workers)
-	if err != nil {
-		return nil, err
-	}
-	out := lin.NewMatrix(a.Rows, a.Cols)
-	out.View(0, 0, a.Rows, half).CopyFrom(x1)
-	out.View(0, half, a.Rows, half).CopyFrom(x2)
-	return out, nil
+	ws.View(dst, 0, half, a.Rows, half).CopyFrom(t)
+	return nil
 }
 
 // baseCase Allgathers the panel over the slice, factors it redundantly,
 // and keeps this rank's cyclic pieces (Algorithm 3 lines 1–3).
-func baseCase(cb *grid.Cube, aLocal *lin.Matrix, n int) (lLocal, yLocal *lin.Matrix, err error) {
+func (f factorization) baseCase(a, l, y *lin.Matrix, n int) error {
+	cb, ws := f.cb, f.ws
 	p := cb.Comm.Proc()
 	e := cb.E
-	t := aLocal
+	defer ws.Release(ws.Mark())
+	lFull, yFull := l, y
 	if e > 1 {
 		// Slice ordering is y-major (index y·E + x): the cyclic layout's
 		// row-major member order with row = y, col = x.
-		if t, err = dist.Allgather(cb.Slice, aLocal, n, n, e, e); err != nil {
-			return nil, nil, err
+		var err error
+		if a, err = dist.Allgather(cb.Slice, a, ws.Matrix(n, n), ws.Matrix(n, n), n, n, e, e); err != nil {
+			return err
 		}
+		lFull, yFull = ws.Matrix(n, n), ws.Matrix(n, n)
 	}
-
-	lFull, yFull, err := lin.CholInv(t)
-	if err != nil {
-		return nil, nil, err
+	if err := lin.CholInvInto(a, lFull, yFull); err != nil {
+		return err
 	}
 	if err := p.Compute(lin.CholFlops(n) + lin.TriInvFlops(n)); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if e == 1 {
-		return lFull, yFull, nil
+		return nil
 	}
-	lDist, err := dist.FromGlobal(lFull, e, e, cb.Y, cb.X)
-	if err != nil {
-		return nil, nil, err
+	if err := dist.Extract(lFull, e, e, cb.Y, cb.X, l); err != nil {
+		return err
 	}
-	yDist, err := dist.FromGlobal(yFull, e, e, cb.Y, cb.X)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lDist.Local, yDist.Local, nil
-}
-
-// assembleLowerQuadrants packs [b11 0; b21 b22] into one local block.
-func assembleLowerQuadrants(b11, b21, b22 *lin.Matrix) *lin.Matrix {
-	h := b11.Rows
-	out := lin.NewMatrix(2*h, 2*h)
-	out.View(0, 0, h, h).CopyFrom(b11)
-	out.View(h, 0, h, h).CopyFrom(b21)
-	out.View(h, h, h, h).CopyFrom(b22)
-	return out
+	return dist.Extract(yFull, e, e, cb.Y, cb.X, y)
 }

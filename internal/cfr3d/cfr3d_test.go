@@ -10,6 +10,7 @@ import (
 	"cacqr/internal/dist"
 	"cacqr/internal/grid"
 	"cacqr/internal/lin"
+	"cacqr/internal/mm3d"
 	"cacqr/internal/simmpi"
 )
 
@@ -278,5 +279,85 @@ func TestInverseDepthSavesWork(t *testing.T) {
 	}
 	if lazy.MaxWords >= full.MaxWords {
 		t.Fatalf("InverseDepth did not reduce words: %d vs %d", lazy.MaxWords, full.MaxWords)
+	}
+}
+
+// TestApplyInvTInPlace: X = A·L⁻ᵀ written over A is X written beside it,
+// bit for bit, at every depth of the blocked substitution — which is how
+// CA-CQR2's second pass turns Q₁ into Q where it lies — and A·L⁻ᵀ·Lᵀ
+// gives A back.
+func TestApplyInvTInPlace(t *testing.T) {
+	const e, n, rows, base = 2, 32, 24, 4
+	spd := lin.RandomSPD(n, 9)
+	a := lin.RandomMatrix(rows, n, 10)
+	for k := 0; k <= 2; k++ {
+		k := k
+		runCube(t, e, func(p *simmpi.Proc, cb *grid.Cube) error {
+			sd, err := dist.FromGlobal(spd, e, e, cb.Y, cb.X)
+			if err != nil {
+				return err
+			}
+			ad, err := dist.FromGlobal(a, e, e, cb.Y, cb.X)
+			if err != nil {
+				return err
+			}
+			res, err := Factor(cb, sd.Local, n, Options{BaseSize: base, InverseDepth: k})
+			if err != nil {
+				return err
+			}
+			ws := cb.Workspace(0)
+			beside := ws.Matrix(ad.Local.Rows, ad.Local.Cols)
+			if err := ApplyInvT(cb, beside, ad.Local, res.L, res.Y, k, true, 1); err != nil {
+				return err
+			}
+			over := ws.Matrix(ad.Local.Rows, ad.Local.Cols)
+			over.CopyFrom(ad.Local)
+			mark := ws.Mark()
+			if err := ApplyInvT(cb, over, over, res.L, res.Y, k, true, 1); err != nil {
+				return err
+			}
+			if ws.Mark() != mark {
+				return fmt.Errorf("k=%d: ApplyInvT kept some of the workspace", k)
+			}
+			if !over.Equal(beside) {
+				return fmt.Errorf("k=%d rank %d: in place differs from beside", k, p.Rank())
+			}
+			lt, err := mm3d.Transpose(cb, res.L)
+			if err != nil {
+				return err
+			}
+			back, err := mm3d.Multiply(cb, over, lt, 1)
+			if err != nil {
+				return err
+			}
+			if !back.EqualWithin(ad.Local, 1e-9) {
+				return fmt.Errorf("k=%d rank %d: (A·L⁻ᵀ)·Lᵀ is not A", k, p.Rank())
+			}
+			return nil
+		})
+	}
+}
+
+// TestFactorFitsItsWorkspace: alone on a bare cube, Factor asks for a
+// workspace that holds everything it takes, whatever the knobs.
+func TestFactorFitsItsWorkspace(t *testing.T) {
+	for _, tc := range []struct{ e, n, base, inv int }{
+		{1, 16, 0, 0}, {1, 16, 4, 1}, {2, 32, 0, 0}, {2, 32, 4, 0}, {2, 32, 4, 2}, {2, 32, 32, 0}, {3, 36, 0, 1},
+	} {
+		tc := tc
+		spd := lin.RandomSPD(tc.n, 11)
+		runCube(t, tc.e, func(p *simmpi.Proc, cb *grid.Cube) error {
+			sd, err := dist.FromGlobal(spd, tc.e, tc.e, cb.Y, cb.X)
+			if err != nil {
+				return err
+			}
+			if _, err := Factor(cb, sd.Local, tc.n, Options{BaseSize: tc.base, InverseDepth: tc.inv}); err != nil {
+				return err
+			}
+			if ws := cb.Workspace(0); ws.Overflows() != 0 {
+				return fmt.Errorf("%+v: %d requests overflowed the workspace (high water %d words)", tc, ws.Overflows(), ws.HighWater())
+			}
+			return nil
+		})
 	}
 }

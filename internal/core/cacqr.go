@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cacqr/internal/cfr3d"
+	"cacqr/internal/costmodel"
 	"cacqr/internal/dist"
 	"cacqr/internal/grid"
 	"cacqr/internal/lin"
@@ -47,20 +48,45 @@ func (p Params) localWorkers() int {
 // has the same distribution as A; the returned R block is the n × n
 // upper factor distributed cyclically over the rank's subcube slice
 // (rows over cube-y, columns over x) and replicated across depth and
-// across subcubes.
+// across subcubes. Both live in the grid's workspace.
 func CACQR(g *grid.Grid, aLocal *lin.Matrix, m, n int, prm Params) (qLocal, rLocal *lin.Matrix, err error) {
 	if err := checkShapes(g, aLocal, m, n); err != nil {
 		return nil, nil, err
 	}
+	ws, err := workspace(g, m, n, prm)
+	if err != nil {
+		return nil, nil, err
+	}
+	qLocal, rLocal = ws.Matrix(m/g.D, n/g.C), ws.Matrix(n/g.C, n/g.C)
+	return qLocal, rLocal, cacqr(g, ws, qLocal, rLocal, aLocal, m, n, prm)
+}
+
+// workspace is the rank's workspace, sized — if CA-CQR2 on an m × n
+// matrix is the first to ask for it — by the model of what CA-CQR2
+// holds, less the input block, which the model counts and the caller
+// owns: everything else is taken from here. A test holds the model and
+// the high-water mark to each other.
+func workspace(g *grid.Grid, m, n int, prm Params) (*grid.Workspace, error) {
+	words, err := costmodel.CACQR2Memory(m, n, costmodel.CACQRParams{C: g.C, D: g.D, InverseDepth: prm.InverseDepth})
+	if err != nil {
+		return nil, err
+	}
+	return g.Workspace(words - int64(m/g.D)*int64(n/g.C)), nil
+}
+
+// cacqr is CACQR writing Q and R into caller-owned blocks. qLocal may be
+// aLocal itself: the pass then replaces its input with its Q.
+func cacqr(g *grid.Grid, ws *grid.Workspace, qLocal, rLocal, aLocal *lin.Matrix, m, n int, prm Params) error {
+	defer ws.Release(ws.Mark())
 	p := g.World.Proc()
 
 	// Lines 1–5: Z = AᵀA over the grid. Line 2 is charged at the SYRK
 	// rate (m/d)·(n/c)²: the paper's 4mn² + (5/3)n³ critical path counts
 	// the Gram-matrix work symmetrically, as its implementation's BLAS
 	// calls do.
-	zBlock, err := gramProduct(g, aLocal, aLocal, lin.SyrkFlops(m/g.D, n/g.C), prm.localWorkers())
-	if err != nil {
-		return nil, nil, err
+	zBlock := ws.Matrix(n/g.C, n/g.C)
+	if err := gramProduct(g, ws, zBlock, aLocal, aLocal, lin.SyrkFlops(m/g.D, n/g.C), prm.localWorkers()); err != nil {
+		return err
 	}
 
 	// Lines 6–7: CFR3D on the subcube: Z = Rᵀ·R with L = Rᵀ, Y = L⁻¹.
@@ -72,7 +98,7 @@ func CACQR(g *grid.Grid, aLocal *lin.Matrix, m, n int, prm Params) (qLocal, rLoc
 		BaseSize: prm.BaseSize, InverseDepth: prm.InverseDepth, Workers: prm.localWorkers(),
 	})
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 
 	// Line 8: Q = A·R⁻¹ over the subcube (blocked substitution when the
@@ -80,29 +106,25 @@ func CACQR(g *grid.Grid, aLocal *lin.Matrix, m, n int, prm Params) (qLocal, rLoc
 	// the caller's R = Lᵀ block.
 	stg.Enter("8:MM3D(Q)+Transp")
 	p.SetPhase("8:MM3D(Q)+Transp")
-	qLocal, err = cfr3d.ApplyInvT(g.Cube, aLocal, res.L, res.Y, prm.InverseDepth, true, prm.localWorkers())
-	if err != nil {
-		return nil, nil, err
+	if err := cfr3d.ApplyInvT(g.Cube, qLocal, aLocal, res.L, res.Y, prm.InverseDepth, true, prm.localWorkers()); err != nil {
+		return err
 	}
-	rLocal, err = mm3d.Transpose(g.Cube, res.L)
-	if err != nil {
-		return nil, nil, err
-	}
-	return qLocal, rLocal, nil
+	return mm3d.TransposeInto(g.Cube, rLocal, res.L)
 }
 
 // gramProduct is Algorithm 8 lines 1–5 with any left operand: C = Qᵀ·B
 // for row-distributed Q and B whose local blocks qLoc and bLoc (m/d rows
 // each) are replicated over depth — Q = B = A gives the Gram matrix of
 // CA-CQR, Q = Qₖ and B = A_rest the trailing product of the panel
-// variant. The result is distributed cyclically over each subcube slice
-// (rows over cube-y, columns over x) and replicated across depth and
-// subcubes. flops is the charge for the local product of line 2. Each
-// line runs under a phase labeled as in Table V, so measured per-line
-// costs can be checked against the model's decomposition — and, when
-// this rank carries a trace span, under a stage span with the same
-// label.
-func gramProduct(g *grid.Grid, qLoc, bLoc *lin.Matrix, flops int64, workers int) (*lin.Matrix, error) {
+// variant. The result, written into the caller's dst, is distributed
+// cyclically over each subcube slice (rows over cube-y, columns over x)
+// and replicated across depth and subcubes. flops is the charge for the
+// local product of line 2. Each line runs under a phase labeled as in
+// Table V, so measured per-line costs can be checked against the model's
+// decomposition — and, when this rank carries a trace span, under a
+// stage span with the same label.
+func gramProduct(g *grid.Grid, ws *grid.Workspace, dst, qLoc, bLoc *lin.Matrix, flops int64, workers int) error {
+	defer ws.Release(ws.Mark())
 	p := g.World.Proc()
 	stg := obs.StagesOf(p)
 	defer stg.Done()
@@ -112,61 +134,79 @@ func gramProduct(g *grid.Grid, qLoc, bLoc *lin.Matrix, flops int64, workers int)
 	// qLoc itself: dist's ownership rule).
 	stg.Enter("1:Bcast(A)")
 	defer p.SetPhase(p.SetPhase("1:Bcast(A)"))
-	w, err := dist.Bcast(g.XComm, g.Z, qLoc, qLoc.Rows, qLoc.Cols)
+	w, err := dist.Bcast(g.XComm, g.Z, qLoc, ws.Matrix(qLoc.Rows, qLoc.Cols), qLoc.Rows, qLoc.Cols)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Line 2: X = Wᵀ·B.
 	stg.Enter("2:MM(WtA)")
 	p.SetPhase("2:MM(WtA)")
-	x := lin.NewMatrix(qLoc.Cols, bLoc.Cols)
+	x := ws.Matrix(qLoc.Cols, bLoc.Cols)
 	lin.GemmParallel(workers, true, false, 1, w, bLoc, 0, x)
 	if err := p.Compute(flops); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Line 3: Reduce within the contiguous y-group onto root offset z.
+	// Off the root the block stays zero: line 4's contribution of the
+	// groups that hold no partial sum.
 	stg.Enter("3:Reduce")
 	p.SetPhase("3:Reduce")
-	y, err := dist.Reduce(g.YGroup, g.Z, x)
-	if err != nil {
-		return nil, err
+	y := ws.Matrix(x.Rows, x.Cols)
+	if g.YGroup.Index() != g.Z {
+		y.Zero()
+	}
+	if _, err := dist.Reduce(g.YGroup, g.Z, x, y); err != nil {
+		return err
 	}
 
 	// Line 4: Allreduce across the strided y-groups. Only the groups
 	// whose offset equals z hold partial sums; the rest contribute
-	// zeros and their result is discarded by the depth broadcast.
+	// zeros and their result is discarded by the depth broadcast. The
+	// root of that broadcast sums straight into dst.
 	stg.Enter("4:Allreduce")
 	p.SetPhase("4:Allreduce")
-	if y == nil {
-		y = lin.NewMatrix(x.Rows, x.Cols)
+	depthRoot := g.Y % g.C
+	z := dst
+	if g.Z != depthRoot {
+		z = ws.Matrix(x.Rows, x.Cols)
 	}
-	z, err := dist.Allreduce(g.YStride, y)
-	if err != nil {
-		return nil, err
+	if _, err := dist.Allreduce(g.YStride, y, z); err != nil {
+		return err
 	}
 
 	// Line 5: Bcast along depth from root z = y mod c, giving every
 	// slice of every subcube the cyclic block of the product.
 	stg.Enter("5:Bcast(Z,depth)")
 	p.SetPhase("5:Bcast(Z,depth)")
-	return dist.Bcast(g.ZComm, g.Y%g.C, z, x.Rows, x.Cols)
+	_, err = dist.Bcast(g.ZComm, depthRoot, z, dst, x.Rows, x.Cols)
+	return err
 }
 
 // CACQR2 runs Algorithm 9: two CA-CQR passes and R = R₂·R₁ by MM3D over
-// the subcube.
+// the subcube. The second pass runs in place — Q₁ becomes Q where it
+// lies, R₂ becomes R — so the rank holds one tall block besides its
+// input and whatever a step needs for the length of that step.
 func CACQR2(g *grid.Grid, aLocal *lin.Matrix, m, n int, prm Params) (qLocal, rLocal *lin.Matrix, err error) {
-	q1, r1, err := CACQR(g, aLocal, m, n, prm)
+	if err := checkShapes(g, aLocal, m, n); err != nil {
+		return nil, nil, err
+	}
+	ws, err := workspace(g, m, n, prm)
 	if err != nil {
 		return nil, nil, err
 	}
-	q, r2, err := CACQR(g, q1, m, n, prm)
-	if err != nil {
+	q, r := ws.Matrix(m/g.D, n/g.C), ws.Matrix(n/g.C, n/g.C)
+	defer ws.Release(ws.Mark())
+	r1 := ws.Matrix(n/g.C, n/g.C)
+	if err := cacqr(g, ws, q, r1, aLocal, m, n, prm); err != nil {
 		return nil, nil, err
 	}
-	r, err := mm3d.MultiplyTri(g.Cube, r2, r1, prm.localWorkers()) // triangular × triangular
-	if err != nil {
+	if err := cacqr(g, ws, q, r, q, m, n, prm); err != nil {
+		return nil, nil, err
+	}
+	// Triangular × triangular, the product replacing R₂.
+	if err := mm3d.MultiplyInto(g.Cube, r, r, r1, true, prm.localWorkers()); err != nil {
 		return nil, nil, err
 	}
 	return q, r, nil

@@ -38,7 +38,7 @@ func (t *rowBlock) Gram() (*lin.Matrix, error) {
 		return nil, err
 	}
 	t.stg.Enter("gram-allreduce")
-	z, err := dist.Allreduce(t.comm, x)
+	z, err := dist.Allreduce(t.comm, x, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -9,11 +9,28 @@ import "fmt"
 // communication improvement (√c)".
 
 // CACQR2Memory returns the peak per-process words held by the CA-CQR2
-// implementation on a c×d×c grid, counted from the buffers the
-// implementation actually keeps live:
+// implementation on a c×d×c grid, counted from the blocks the
+// implementation holds at once — and held to it: a rank's workspace is
+// sized by this row less the input block, and the root package's
+// TestWorkspaceStaysInsideMemoryModel asserts that nothing overflows it.
 //
-//	A, W (broadcast copy), Q          — 3 · mn/(dc)
-//	X, Z (Gram blocks), L, Y, R, MM3D temporaries — 7 · n²/c²
+//	A, Q, and one more tall block            — 3 · mn/(dc)
+//	R, R₁, Z, L, Y, Yᵀ and its broadcast copy — 7 · n²/c²
+//
+// A is the caller's input block. Q is first the broadcast copy of A's
+// block (Algorithm 1 line 1), then Q₁, then — the second pass runs in
+// place — Q. The third tall block is the broadcast copy W of the Gram
+// step, later the local product awaiting its depth Allreduce. R₂ becomes
+// R in place; the Gram step's X and partial sums and CFR3D's
+// temporaries come and go under the same seven blocks, as do the four
+// whole n₀ × n₀ panels of CFR3D's base case at the default n₀ = n/c² — a
+// larger BaseSize, or an n whose halving stops early, takes the excess
+// from the heap, where the workspace counts it.
+//
+// InverseDepth k > 0 adds (1 − 2⁻ᵏ) · mn/(dc): each level of the blocked
+// substitution Q = A·R⁻¹ holds half-width blocks of the level above —
+// X₁ and the update X₁·L₂₁ᵀ it feeds — while the level below runs, so
+// the flops the knob saves are paid for in memory as well as latency.
 func CACQR2Memory(m, n int, prm CACQRParams) (int64, error) {
 	c, d := prm.C, prm.D
 	if c < 1 || d < c {
@@ -24,7 +41,8 @@ func CACQR2Memory(m, n int, prm CACQRParams) (int64, error) {
 	}
 	mloc := int64(m / d)
 	nloc := int64(n / c)
-	return 3*mloc*nloc + 7*nloc*nloc, nil
+	tall := mloc * nloc
+	return 3*tall + (tall - tall>>min(max(prm.InverseDepth, 0), 62)) + 7*nloc*nloc, nil
 }
 
 // OneDCQR2Memory returns the peak per-process words held by the 1D
@@ -105,10 +123,21 @@ func BlockedTSQRMemory(m, n, b, p int) (int64, error) {
 }
 
 // PanelCACQR2Memory returns the peak per-process words of the panel-wise
-// variant: the full local block, its in-place trailing copy, and the
-// accumulated Q (3 · mn/(dc)), the n²/c² local R block, plus the widest
-// panel factorization's own footprint (CACQR2Memory of the m×b panel)
-// and the trailing-product strip (2 · (b/c)·(n/c)).
+// variant: the input block, its in-place trailing copy and the
+// accumulated Q (3 · mn/(dc)), the n²/c² local R block, and the larger
+// of what the two halves of a panel step hold on top of those:
+//
+//   - the widest panel's own factorization, CACQR2Memory of the m×b
+//     panel (which counts the panel's input block a second time: it is a
+//     view of the trailing copy);
+//   - the first panel's trailing update A_rest −= Q_k·R_k,rest: Q_k and
+//     its broadcast copy (2 · (m/d)(b/c)), R_kk ((b/c)²), R_k,rest and
+//     its broadcast copy, and the update with the local product it is
+//     reduced from (2 · (m/d + b/c) · (n−b)/c).
+//
+// The update's two m/d × (n−b)/c blocks are what this row left out until
+// the rank body's storage was measured against it; with narrow panels
+// they are most of it.
 func PanelCACQR2Memory(m, n, b int, prm CACQRParams) (int64, error) {
 	c, d := prm.C, prm.D
 	if b < 1 || b%c != 0 || n%b != 0 {
@@ -121,7 +150,8 @@ func PanelCACQR2Memory(m, n, b int, prm CACQRParams) (int64, error) {
 	mloc := int64(m / d)
 	nloc := int64(n / c)
 	bloc := int64(b / c)
-	return 3*mloc*nloc + nloc*nloc + panel + 2*bloc*nloc, nil
+	update := 2*mloc*bloc + bloc*bloc + 2*(mloc+bloc)*(nloc-bloc)
+	return 3*mloc*nloc + nloc*nloc + max(panel, update), nil
 }
 
 // PGEQRFMemory returns the baseline's per-process words: the local

@@ -1,10 +1,11 @@
-package costmodel
+package costmodel_test
 
 import (
 	"testing"
 	"time"
 
 	"cacqr/internal/core"
+	"cacqr/internal/costmodel"
 	"cacqr/internal/dist"
 	"cacqr/internal/grid"
 	"cacqr/internal/lin"
@@ -36,7 +37,7 @@ func TestPanelCACQR2ModelMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := PanelCACQR2(tc.m, tc.n, tc.b, CACQRParams{C: tc.c, D: tc.d})
+		want, err := costmodel.PanelCACQR2(tc.m, tc.n, tc.b, costmodel.CACQRParams{C: tc.c, D: tc.d})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,12 +65,12 @@ func TestPanelVariantReducesFlopOverhead(t *testing.T) {
 	// the CholeskyQR2 flop overhead from ~4mn² toward Householder's
 	// ~2mn².
 	const m, n = 1 << 13, 1 << 13
-	prm := CACQRParams{C: 8, D: 8} // P = 512
-	plain, err := CACQR2(m, n, prm)
+	prm := costmodel.CACQRParams{C: 8, D: 8} // P = 512
+	plain, err := costmodel.CACQR2(m, n, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	panel, err := PanelCACQR2(m, n, n/16, prm)
+	panel, err := costmodel.PanelCACQR2(m, n, n/16, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +88,10 @@ func TestPanelVariantReducesFlopOverhead(t *testing.T) {
 }
 
 func TestPanelModelValidation(t *testing.T) {
-	if _, err := PanelCACQR2(16, 8, 3, CACQRParams{C: 2, D: 2}); err == nil {
+	if _, err := costmodel.PanelCACQR2(16, 8, 3, costmodel.CACQRParams{C: 2, D: 2}); err == nil {
 		t.Fatal("c∤b accepted")
 	}
-	if _, err := PanelCACQR2(16, 8, 5, CACQRParams{C: 1, D: 2}); err == nil {
+	if _, err := costmodel.PanelCACQR2(16, 8, 5, costmodel.CACQRParams{C: 1, D: 2}); err == nil {
 		t.Fatal("b∤n accepted")
 	}
 }
@@ -104,7 +105,7 @@ func TestCACQR2MemoryModel(t *testing.T) {
 		var prev int64
 		for c := 1; c <= 16; c *= 2 {
 			d := p / (c * c)
-			mem, err := CACQR2Memory(m, n, CACQRParams{C: c, D: d})
+			mem, err := costmodel.CACQR2Memory(m, n, costmodel.CACQRParams{C: c, D: d})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +117,7 @@ func TestCACQR2MemoryModel(t *testing.T) {
 	}
 	// And the footprint formula itself: 3·mn/(dc) + 7·n²/c² words.
 	const m, n = 1 << 20, 1 << 12
-	mem, err := CACQR2Memory(m, n, CACQRParams{C: 4, D: 256})
+	mem, err := costmodel.CACQR2Memory(m, n, costmodel.CACQRParams{C: 4, D: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,20 +125,20 @@ func TestCACQR2MemoryModel(t *testing.T) {
 	if mem != base {
 		t.Fatalf("memory %d, want %d", mem, base)
 	}
-	if _, err := CACQR2Memory(10, 10, CACQRParams{C: 3, D: 3}); err == nil {
+	if _, err := costmodel.CACQR2Memory(10, 10, costmodel.CACQRParams{C: 3, D: 3}); err == nil {
 		t.Fatal("indivisible shape accepted")
 	}
 }
 
 func TestPGEQRFMemoryModel(t *testing.T) {
-	mem, err := PGEQRFMemory(1<<20, 1<<12, 1<<10, 4, 32)
+	mem, err := costmodel.PGEQRFMemory(1<<20, 1<<12, 1<<10, 4, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mem <= 0 {
 		t.Fatal("empty footprint")
 	}
-	if _, err := PGEQRFMemory(10, 8, 3, 2, 4); err == nil {
+	if _, err := costmodel.PGEQRFMemory(10, 8, 3, 2, 4); err == nil {
 		t.Fatal("indivisible shape accepted")
 	}
 }

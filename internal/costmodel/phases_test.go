@@ -1,10 +1,11 @@
-package costmodel
+package costmodel_test
 
 import (
 	"testing"
 	"time"
 
 	"cacqr/internal/core"
+	"cacqr/internal/costmodel"
 	"cacqr/internal/dist"
 	"cacqr/internal/grid"
 	"cacqr/internal/lin"
@@ -41,16 +42,16 @@ func TestCACQRPerLineMeasuredMatchesModel(t *testing.T) {
 	}
 
 	mloc, nloc := int64(m/d), int64(n/c)
-	want := map[string]Cost{
-		"1:Bcast(A)":       Bcast(mloc*nloc, c),
+	want := map[string]costmodel.Cost{
+		"1:Bcast(A)":       costmodel.Bcast(mloc*nloc, c),
 		"2:MM(WtA)":        {Flops: mloc * nloc * nloc},
-		"3:Reduce":         Reduce(nloc*nloc, c),
-		"4:Allreduce":      Allreduce(nloc*nloc, d/c),
-		"5:Bcast(Z,depth)": Bcast(nloc*nloc, c),
-		"7:CFR3D":          CFR3D(n, c, CFR3DOptions{}),
-		"8:MM3D(Q)+Transp": Transpose(nloc*nloc, c*c).
-			Add(MM3DTri(mloc, nloc, nloc, c)).
-			Add(Transpose(nloc*nloc, c*c)),
+		"3:Reduce":         costmodel.Reduce(nloc*nloc, c),
+		"4:Allreduce":      costmodel.Allreduce(nloc*nloc, d/c),
+		"5:Bcast(Z,depth)": costmodel.Bcast(nloc*nloc, c),
+		"7:CFR3D":          costmodel.CFR3D(n, c, costmodel.CFR3DOptions{}),
+		"8:MM3D(Q)+Transp": costmodel.Transpose(nloc*nloc, c*c).
+			Add(costmodel.MM3DTri(mloc, nloc, nloc, c)).
+			Add(costmodel.Transpose(nloc*nloc, c*c)),
 	}
 	for label, w := range want {
 		got, ok := st.Phases[label]

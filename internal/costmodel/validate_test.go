@@ -1,4 +1,4 @@
-package costmodel
+package costmodel_test
 
 import (
 	"math"
@@ -7,6 +7,7 @@ import (
 
 	"cacqr/internal/cfr3d"
 	"cacqr/internal/core"
+	"cacqr/internal/costmodel"
 	"cacqr/internal/dist"
 	"cacqr/internal/grid"
 	"cacqr/internal/lin"
@@ -54,7 +55,7 @@ func TestMM3DModelMatchesRun(t *testing.T) {
 			_, err = mm3d.Multiply(cb, ad.Local, bd.Local, 1)
 			return err
 		})
-		want := MM3D(int64(tc.m/tc.e), int64(tc.n/tc.e), int64(tc.k/tc.e), tc.e)
+		want := costmodel.MM3D(int64(tc.m/tc.e), int64(tc.n/tc.e), int64(tc.k/tc.e), tc.e)
 		if st.MaxMsgs != want.Msgs || st.MaxWords != want.Words || st.MaxFlops != want.TotalFlops() {
 			t.Fatalf("e=%d %dx%dx%d: run (α=%d β=%d γ=%d) vs model %v",
 				tc.e, tc.m, tc.n, tc.k, st.MaxMsgs, st.MaxWords, st.MaxFlops, want)
@@ -86,7 +87,7 @@ func TestCFR3DModelMatchesRun(t *testing.T) {
 			_, err = cfr3d.Factor(cb, ad.Local, tc.n, cfr3d.Options{BaseSize: tc.base, InverseDepth: tc.inv})
 			return err
 		})
-		want := CFR3D(tc.n, tc.e, CFR3DOptions{BaseSize: tc.base, InverseDepth: tc.inv})
+		want := costmodel.CFR3D(tc.n, tc.e, costmodel.CFR3DOptions{BaseSize: tc.base, InverseDepth: tc.inv})
 		if st.MaxMsgs != want.Msgs || st.MaxWords != want.Words || st.MaxFlops != want.TotalFlops() {
 			t.Fatalf("e=%d n=%d base=%d inv=%d: run (α=%d β=%d γ=%d) vs model %v",
 				tc.e, tc.n, tc.base, tc.inv, st.MaxMsgs, st.MaxWords, st.MaxFlops, want)
@@ -103,7 +104,7 @@ func TestOneDCQRModelMatchesRun(t *testing.T) {
 		_, _, err := core.OneDCQR(p.World(), local, m, n, 0)
 		return err
 	})
-	want, err := OneDCQR(m, n, np)
+	want, err := costmodel.OneDCQR(m, n, np)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestOneDCQRModelMatchesRun(t *testing.T) {
 		_, _, err := core.OneDCQR2(p.World(), local, m, n, 0)
 		return err
 	})
-	want2, err := OneDCQR2(m, n, np)
+	want2, err := costmodel.OneDCQR2(m, n, np)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestCACQRModelMatchesRun(t *testing.T) {
 			_, _, err = core.CACQR(g, ad.Local, tc.m, tc.n, core.Params{InverseDepth: tc.inv})
 			return err
 		})
-		want, err := CACQR(tc.m, tc.n, CACQRParams{C: tc.c, D: tc.d, InverseDepth: tc.inv})
+		want, err := costmodel.CACQR(tc.m, tc.n, costmodel.CACQRParams{C: tc.c, D: tc.d, InverseDepth: tc.inv})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +177,7 @@ func TestCACQR2ModelMatchesRun(t *testing.T) {
 			_, _, err = core.CACQR2(g, ad.Local, tc.m, tc.n, core.Params{})
 			return err
 		})
-		want, err := CACQR2(tc.m, tc.n, CACQRParams{C: tc.c, D: tc.d})
+		want, err := costmodel.CACQR2(tc.m, tc.n, costmodel.CACQRParams{C: tc.c, D: tc.d})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +209,7 @@ func TestPGEQRFModelMatchesRunTime(t *testing.T) {
 			_, err = pgeqrf.Factor(am)
 			return err
 		})
-		want, err := PGEQRF(tc.m, tc.n, tc.pr, tc.pc, tc.nb)
+		want, err := costmodel.PGEQRF(tc.m, tc.n, tc.pr, tc.pc, tc.nb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,11 +251,11 @@ func TestModelScalesDownCommunicationWithC(t *testing.T) {
 	// Table I shape check at fixed P: raising c (more replication)
 	// lowers the bandwidth cost for square-ish matrices.
 	const m, n = 1 << 14, 1 << 12
-	w1, err := CACQR2(m, n, CACQRParams{C: 2, D: 128}) // P = 512
+	w1, err := costmodel.CACQR2(m, n, costmodel.CACQRParams{C: 2, D: 128}) // P = 512
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := CACQR2(m, n, CACQRParams{C: 8, D: 8}) // P = 512
+	w2, err := costmodel.CACQR2(m, n, costmodel.CACQRParams{C: 8, D: 8}) // P = 512
 	if err != nil {
 		t.Fatal(err)
 	}

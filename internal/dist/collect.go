@@ -11,8 +11,9 @@ import (
 // that moves a matrix over a fibre of the grid is one call here, and
 // this file and wire.go are the only places a matrix meets a
 // transport.Comm. All of them follow the package's ownership rule (see
-// the package comment): an operand is borrowed, a result is the
-// caller's, and a Bcast root gets its operand back.
+// the package comment): an operand is borrowed, a destination is the
+// caller's before the call and holds the result after it, and a Bcast
+// root gets its operand back.
 
 // tagScatter tags Scatter's point-to-point sends. It lives well below the
 // collectives' internal tag block (-101…) so user tags never collide.
@@ -20,56 +21,74 @@ const tagScatter = -1100
 
 // Bcast hands root's rows × cols matrix to every member (the paper's
 // Bcast(A, Π[…])). Only root reads a (the others may pass nil), and root
-// gets a itself back; every other member gets a private copy.
-func Bcast(comm transport.Comm, root int, a *lin.Matrix, rows, cols int) (*lin.Matrix, error) {
-	isRoot := comm.Index() == root
-	var flat []float64
-	if isRoot && a != nil {
-		flat = Flatten(a)
-	}
-	flat, err := comm.Bcast(root, flat)
+// gets a itself back; every other member gets its copy in dst. Root
+// writes dst only to pack a strided a for the wire.
+func Bcast(comm transport.Comm, root int, a, dst *lin.Matrix, rows, cols int) (*lin.Matrix, error) {
+	into, err := storage("bcast", dst, rows, cols)
 	if err != nil {
 		return nil, err
 	}
-	if !isRoot {
-		return Unflatten(rows, cols, flat)
+	if comm.Index() != root {
+		flat, err := comm.BcastInto(root, nil, into)
+		if err != nil {
+			return nil, err
+		}
+		return result(dst, rows, cols, flat)
 	}
 	if a == nil || a.Rows != rows || a.Cols != cols {
 		return nil, fmt.Errorf("dist: bcast root %d holds %s, declared as %dx%d", root, shape(a), rows, cols)
+	}
+	if _, err := comm.BcastInto(root, flattenInto(a, into), nil); err != nil {
+		return nil, err
 	}
 	return a, nil
 }
 
 // Reduce sums the members' equal-shaped matrices onto root: the sum on
-// root, nil elsewhere.
-func Reduce(comm transport.Comm, root int, a *lin.Matrix) (*lin.Matrix, error) {
-	flat, err := comm.Reduce(root, Flatten(a))
+// root (in dst), nil elsewhere, where dst is not looked at.
+func Reduce(comm transport.Comm, root int, a, dst *lin.Matrix) (*lin.Matrix, error) {
+	var into []float64
+	if comm.Index() == root {
+		var err error
+		if into, err = storage("reduce", dst, a.Rows, a.Cols); err != nil {
+			return nil, err
+		}
+	}
+	flat, err := comm.ReduceInto(root, Flatten(a), into)
 	if err != nil || comm.Index() != root {
 		return nil, err
 	}
-	return Unflatten(a.Rows, a.Cols, flat)
+	return result(dst, a.Rows, a.Cols, flat)
 }
 
-// Allreduce sums the members' equal-shaped matrices and returns the sum
-// on every member.
-func Allreduce(comm transport.Comm, a *lin.Matrix) (*lin.Matrix, error) {
-	flat, err := comm.Allreduce(Flatten(a))
+// Allreduce sums the members' equal-shaped matrices and returns the sum,
+// in dst, on every member.
+func Allreduce(comm transport.Comm, a, dst *lin.Matrix) (*lin.Matrix, error) {
+	into, err := storage("allreduce", dst, a.Rows, a.Cols)
 	if err != nil {
 		return nil, err
 	}
-	return Unflatten(a.Rows, a.Cols, flat)
+	flat, err := comm.AllreduceInto(Flatten(a), into)
+	if err != nil {
+		return nil, err
+	}
+	return result(dst, a.Rows, a.Cols, flat)
 }
 
 // Exchange swaps equal-shaped matrices with a partner member and returns
-// the partner's — the data movement of the paper's Transpose collective
-// (the local transposition is the caller's). partner == self returns a
-// copy.
-func Exchange(comm transport.Comm, partner int, a *lin.Matrix) (*lin.Matrix, error) {
-	flat, err := comm.Transpose(partner, Flatten(a))
+// the partner's, in dst — the data movement of the paper's Transpose
+// collective (the local transposition is the caller's). partner == self
+// returns a copy.
+func Exchange(comm transport.Comm, partner int, a, dst *lin.Matrix) (*lin.Matrix, error) {
+	into, err := storage("exchange", dst, a.Rows, a.Cols)
 	if err != nil {
 		return nil, err
 	}
-	return Unflatten(a.Rows, a.Cols, flat)
+	flat, err := comm.TransposeInto(partner, Flatten(a), into)
+	if err != nil {
+		return nil, err
+	}
+	return result(dst, a.Rows, a.Cols, flat)
 }
 
 // Send transfers a to member dst under tag; Recv is its other end and
@@ -114,17 +133,23 @@ func Scatter(comm transport.Comm, root int, global *lin.Matrix, m, n, pr, pc int
 	if global.Rows != m || global.Cols != n {
 		return nil, fmt.Errorf("dist: scatter of a %dx%d matrix declared as %dx%d", global.Rows, global.Cols, m, n)
 	}
-	var own *Matrix
+	own, err := FromGlobal(global, pr, pc, root/pc, root%pc)
+	if err != nil {
+		return nil, err
+	}
+	// Send borrows its operand, so one block serves every other member.
+	var blk *lin.Matrix
 	for r := 0; r < comm.Size(); r++ {
-		blk, err := FromGlobal(global, pr, pc, r/pc, r%pc)
-		if err != nil {
-			return nil, err
-		}
 		if r == root {
-			own = blk
 			continue
 		}
-		if err := Send(comm, r, tagScatter, blk.Local); err != nil {
+		if blk == nil {
+			blk = lin.NewMatrix(m/pr, n/pc)
+		}
+		if err := Extract(global, pr, pc, r/pc, r%pc, blk); err != nil {
+			return nil, err
+		}
+		if err := Send(comm, r, tagScatter, blk); err != nil {
 			return nil, err
 		}
 	}
@@ -148,18 +173,34 @@ func Gather(comm transport.Comm, local *lin.Matrix, m, n, pr, pc int) (*lin.Matr
 	return assemble(flat, m, n, pr, pc)
 }
 
-// Allgather is Gather with the global matrix on every member: the
-// Allgather over a cube slice that gives each rank the whole base-case
-// panel (Algorithm 3 line 1).
-func Allgather(comm transport.Comm, local *lin.Matrix, m, n, pr, pc int) (*lin.Matrix, error) {
+// Allgather is Gather with the global matrix, in dst, on every member:
+// the Allgather over a cube slice that gives each rank the whole
+// base-case panel (Algorithm 3 line 1). The blocks arrive one after the
+// other in wire, any compact matrix of m·n elements, and are interleaved
+// from there into dst; a strided local is packed through dst first,
+// which is free until then. Either may be nil, and is then allocated.
+func Allgather(comm transport.Comm, local, wire, dst *lin.Matrix, m, n, pr, pc int) (*lin.Matrix, error) {
 	if err := checkBlock("allgather", comm, local, m, n, pr, pc); err != nil {
 		return nil, err
 	}
-	flat, err := comm.Allgather(Flatten(local))
+	var blocks []float64
+	if wire != nil {
+		if wire.Stride != wire.Cols || wire.Rows*wire.Cols != m*n {
+			return nil, fmt.Errorf("dist: allgather wire is %dx%d with stride %d, want %d compact elements", wire.Rows, wire.Cols, wire.Stride, m*n)
+		}
+		blocks = wire.Data[: m*n : m*n]
+	}
+	global := dst
+	if global == nil {
+		global = lin.NewMatrix(m, n)
+	} else if _, err := storage("allgather", dst, m, n); err != nil {
+		return nil, err
+	}
+	flat, err := comm.AllgatherInto(flattenInto(local, global.Data), blocks)
 	if err != nil {
 		return nil, err
 	}
-	return assemble(flat, m, n, pr, pc)
+	return global, interleaveAll(global, flat, pr, pc)
 }
 
 // GatherRows is Gather for the blocked row layout of the 1D algorithms:
@@ -209,15 +250,20 @@ func shape(a *lin.Matrix) string {
 }
 
 // assemble interleaves the pr·pc equal cyclic blocks of a gathered
-// buffer, in member order, into the m × n global matrix.
+// buffer, in member order, into a new m × n global matrix.
 func assemble(flat []float64, m, n, pr, pc int) (*lin.Matrix, error) {
-	blk := (m / pr) * (n / pc)
-	if len(flat) != blk*pr*pc {
-		return nil, fmt.Errorf("dist: gathered %d values, want %d", len(flat), blk*pr*pc)
-	}
 	global := lin.NewMatrix(m, n)
-	for r := 0; r < pr*pc; r++ {
-		interleave(global, pr, pc, r/pc, r%pc, flat[r*blk:(r+1)*blk], n/pc)
+	return global, interleaveAll(global, flat, pr, pc)
+}
+
+// interleaveAll writes every element of global from the gathered buffer.
+func interleaveAll(global *lin.Matrix, flat []float64, pr, pc int) error {
+	blk := (global.Rows / pr) * (global.Cols / pc)
+	if len(flat) != blk*pr*pc {
+		return fmt.Errorf("dist: gathered %d values, want %d", len(flat), blk*pr*pc)
 	}
-	return global, nil
+	for r := 0; r < pr*pc; r++ {
+		interleave(global, pr, pc, r/pc, r%pc, flat[r*blk:(r+1)*blk], global.Cols/pc)
+	}
+	return nil
 }

@@ -88,14 +88,14 @@ func TestCollectivesOnStridedViews(t *testing.T) {
 				return nil
 			}
 
-			got, err := Allreduce(w, a)
+			got, err := Allreduce(w, a, nil)
 			if err != nil {
 				return err
 			}
 			if err := expect("Allreduce", got, sum); err != nil {
 				return err
 			}
-			got, err = Reduce(w, 2, a)
+			got, err = Reduce(w, 2, a, nil)
 			if err != nil {
 				return err
 			}
@@ -107,13 +107,13 @@ func TestCollectivesOnStridedViews(t *testing.T) {
 					return err
 				}
 			}
-			if got, err = Bcast(w, 1, a, rows, cols); err != nil {
+			if got, err = Bcast(w, 1, a, nil, rows, cols); err != nil {
 				return err
 			}
 			if err := expect("Bcast", got, block(1)); err != nil {
 				return err
 			}
-			if got, err = Exchange(w, me^1, a); err != nil {
+			if got, err = Exchange(w, me^1, a, nil); err != nil {
 				return err
 			}
 			if err := expect("Exchange", got, block(me^1)); err != nil {
@@ -136,7 +136,7 @@ func TestCollectivesOnStridedViews(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if got, err = Allgather(w, a, 2*rows, 2*cols, 2, 2); err != nil {
+			if got, err = Allgather(w, a, nil, nil, 2*rows, 2*cols, 2, 2); err != nil {
 				return err
 			}
 			if err := expect("Allgather", got, cyclic); err != nil {
@@ -187,7 +187,7 @@ func TestBcastRootKeepsOperandOthersOwnResult(t *testing.T) {
 			if me == root {
 				a, untouched = stridedBlock(me, rows, cols)
 			}
-			got, err := Bcast(w, root, a, rows, cols)
+			got, err := Bcast(w, root, a, nil, rows, cols)
 			if err != nil {
 				return err
 			}
@@ -234,11 +234,11 @@ func TestCollectiveShapeMismatchIsAnError(t *testing.T) {
 		name, mentions string
 		call           func(w transport.Comm) error
 	}{
-		{"Allreduce", "length mismatch", func(w transport.Comm) error { _, err := Allreduce(w, shaped(w.Index())); return err }},
-		{"Reduce", "length mismatch", func(w transport.Comm) error { _, err := Reduce(w, 1, shaped(w.Index())); return err }},
-		{"Bcast", "2x2", func(w transport.Comm) error { _, err := Bcast(w, 2, shaped(w.Index()), 2, 2); return err }},
-		{"BcastNilRoot", "2x2", func(w transport.Comm) error { _, err := Bcast(w, 2, nil, 2, 2); return err }},
-		{"Exchange", "Unflatten got", func(w transport.Comm) error { _, err := Exchange(w, w.Index()^2, shaped(w.Index())); return err }},
+		{"Allreduce", "length mismatch", func(w transport.Comm) error { _, err := Allreduce(w, shaped(w.Index()), nil); return err }},
+		{"Reduce", "length mismatch", func(w transport.Comm) error { _, err := Reduce(w, 1, shaped(w.Index()), nil); return err }},
+		{"Bcast", "2x2", func(w transport.Comm) error { _, err := Bcast(w, 2, shaped(w.Index()), nil, 2, 2); return err }},
+		{"BcastNilRoot", "2x2", func(w transport.Comm) error { _, err := Bcast(w, 2, nil, nil, 2, 2); return err }},
+		{"Exchange", "Unflatten got", func(w transport.Comm) error { _, err := Exchange(w, w.Index()^2, shaped(w.Index()), nil); return err }},
 		{"Recv", "want 6", func(w transport.Comm) error {
 			if err := Send(w, w.Index()^1, 9, lin.NewMatrix(2, 2)); err != nil {
 				return err
@@ -246,7 +246,10 @@ func TestCollectiveShapeMismatchIsAnError(t *testing.T) {
 			_, err := Recv(w, w.Index()^1, 9, 3, 2)
 			return err
 		}},
-		{"Allgather", "want 1x2", func(w transport.Comm) error { _, err := Allgather(w, shaped(w.Index()), 2, 4, 2, 2); return err }},
+		{"Allgather", "want 1x2", func(w transport.Comm) error {
+			_, err := Allgather(w, shaped(w.Index()), nil, nil, 2, 4, 2, 2)
+			return err
+		}},
 		{"GatherRows", "want 2x2", func(w transport.Comm) error { _, err := GatherRows(w, lin.NewMatrix(2, 3), 8, 2); return err }},
 		{"GatherRowsIndivisible", "not divisible", func(w transport.Comm) error { _, err := GatherRows(w, lin.NewMatrix(2, 2), 9, 2); return err }},
 	} {
@@ -275,17 +278,17 @@ func TestCollectivesOnOneMember(t *testing.T) {
 			w := p.World()
 			a, untouched := stridedBlock(0, 4, 2)
 			want := a.Clone()
-			if got, err := Bcast(w, 0, a, 4, 2); err != nil {
+			if got, err := Bcast(w, 0, a, nil, 4, 2); err != nil {
 				return err
 			} else if got != a {
 				return fmt.Errorf("Bcast gave %p, passed %p", got, a)
 			}
 			for name, call := range map[string]func() (*lin.Matrix, error){
-				"Reduce":     func() (*lin.Matrix, error) { return Reduce(w, 0, a) },
-				"Allreduce":  func() (*lin.Matrix, error) { return Allreduce(w, a) },
-				"Exchange":   func() (*lin.Matrix, error) { return Exchange(w, 0, a) },
+				"Reduce":     func() (*lin.Matrix, error) { return Reduce(w, 0, a, nil) },
+				"Allreduce":  func() (*lin.Matrix, error) { return Allreduce(w, a, nil) },
+				"Exchange":   func() (*lin.Matrix, error) { return Exchange(w, 0, a, nil) },
 				"Gather":     func() (*lin.Matrix, error) { return Gather(w, a, 4, 2, 1, 1) },
-				"Allgather":  func() (*lin.Matrix, error) { return Allgather(w, a, 4, 2, 1, 1) },
+				"Allgather":  func() (*lin.Matrix, error) { return Allgather(w, a, nil, nil, 4, 2, 1, 1) },
 				"GatherRows": func() (*lin.Matrix, error) { return GatherRows(w, a, 4, 2) },
 				"SendRecv": func() (*lin.Matrix, error) {
 					if err := Send(w, 0, 1, a); err != nil {
@@ -314,4 +317,136 @@ func TestCollectivesOnOneMember(t *testing.T) {
 			t.Errorf("one-member collectives charged %d messages, want the self send and recv only", st.MaxMsgs)
 		}
 	})
+}
+
+func TestCollectivesIntoDestinations(t *testing.T) {
+	// The destination clause of the ownership rule: a destination is the
+	// caller's before the call and is the result after it — the very
+	// matrix, nothing allocated — whether the operand is compact or a
+	// strided view, and the operand's storage is left as it was. Round
+	// after round into the same destinations with changing data, so that a
+	// buffer recycled while still referenced would show.
+	const np, rows, cols = 4, 3, 2
+	onBothLinks(t, func(t *testing.T, run conformancetest.Runner) {
+		_, err := run(np, 20*time.Second, func(p transport.Proc) error {
+			w := p.World()
+			me := w.Index()
+			dst := func() *lin.Matrix { return lin.NewMatrix(rows, cols) }
+			bc, red, all, ex := dst(), dst(), dst(), dst()
+			wire, global := lin.NewMatrix(2*cols, 2*rows), lin.NewMatrix(2*rows, 2*cols)
+			for round := 0; round < 20; round++ {
+				block := func(r int) *lin.Matrix { v, _ := stridedBlock(r+10*round, rows, cols); return v.Clone() }
+				a, untouched := stridedBlock(me+10*round, rows, cols)
+				if round%2 == 1 {
+					a, untouched = a.Clone(), func() error { return nil }
+				}
+				sum := lin.NewMatrix(rows, cols)
+				for r := 0; r < np; r++ {
+					sum.Add(block(r))
+				}
+				is := func(what string, got, into, want *lin.Matrix) error {
+					if got != into {
+						return fmt.Errorf("member %d round %d: %s returned %p, not its destination %p", me, round, what, got, into)
+					}
+					if !got.Equal(want) {
+						return fmt.Errorf("member %d round %d: %s gave %v, want %v", me, round, what, got, want)
+					}
+					return nil
+				}
+				root := round % np
+				got, err := Bcast(w, root, a, bc, rows, cols)
+				if err != nil {
+					return err
+				}
+				if me == root {
+					if got != a {
+						return fmt.Errorf("round %d: Bcast root got %p back, passed %p", round, got, a)
+					}
+				} else if err := is("Bcast", got, bc, block(root)); err != nil {
+					return err
+				}
+				if got, err = Reduce(w, root, a, red); err != nil {
+					return err
+				}
+				if me != root && got != nil {
+					return fmt.Errorf("member %d: Reduce returned a matrix off the root", me)
+				}
+				if me == root {
+					if err := is("Reduce", got, red, sum); err != nil {
+						return err
+					}
+				}
+				if got, err = Allreduce(w, a, all); err != nil {
+					return err
+				}
+				if err := is("Allreduce", got, all, sum); err != nil {
+					return err
+				}
+				if got, err = Exchange(w, me^1, a, ex); err != nil {
+					return err
+				}
+				if err := is("Exchange", got, ex, block(me^1)); err != nil {
+					return err
+				}
+				cyclic, err := AssembleGlobal(2*rows, 2*cols, 2, 2, []*lin.Matrix{block(0), block(1), block(2), block(3)})
+				if err != nil {
+					return err
+				}
+				if got, err = Allgather(w, a, wire, global, 2*rows, 2*cols, 2, 2); err != nil {
+					return err
+				}
+				if err := is("Allgather", got, global, cyclic); err != nil {
+					return err
+				}
+				// Earlier results survived the later calls.
+				if err := is("Allreduce, after the rest,", all, all, sum); err != nil {
+					return err
+				}
+				if err := untouched(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func TestBadDestinationIsAnError(t *testing.T) {
+	// A destination of the wrong shape, or one that is a strided view —
+	// a result is written as one run of elements — is refused by name on
+	// the member that brought it, before it moves anything.
+	_, err := simmpi.Run(1, func(p *simmpi.Proc) error {
+		w := p.World()
+		a := lin.NewMatrix(2, 3)
+		strided := lin.NewMatrix(4, 5).View(1, 1, 2, 3)
+		for name, call := range map[string]func(dst *lin.Matrix) (*lin.Matrix, error){
+			"Reduce":    func(dst *lin.Matrix) (*lin.Matrix, error) { return Reduce(w, 0, a, dst) },
+			"Allreduce": func(dst *lin.Matrix) (*lin.Matrix, error) { return Allreduce(w, a, dst) },
+			"Exchange":  func(dst *lin.Matrix) (*lin.Matrix, error) { return Exchange(w, 0, a, dst) },
+			"Bcast":     func(dst *lin.Matrix) (*lin.Matrix, error) { return Bcast(w, 0, a, dst, 2, 3) },
+			"Allgather": func(dst *lin.Matrix) (*lin.Matrix, error) { return Allgather(w, a, nil, dst, 2, 3, 1, 1) },
+			"Allgather wire": func(dst *lin.Matrix) (*lin.Matrix, error) {
+				return Allgather(w, a, dst, nil, 2, 3, 1, 1)
+			},
+		} {
+			for what, dst := range map[string]*lin.Matrix{"3x2": lin.NewMatrix(3, 3), "strided": strided} {
+				if _, err := call(dst); err == nil || !strings.Contains(err.Error(), "dist: ") || !strings.Contains(err.Error(), "stride") {
+					return fmt.Errorf("%s into a %s destination: want a dist error naming shape and stride, got %w", name, what, err)
+				}
+			}
+			if name == "Bcast" || name == "Allgather" {
+				continue // a Bcast root never touches its destination, and Allgather's is written from wire
+			}
+			if _, err := call(a); err == nil || !strings.Contains(err.Error(), "overlaps") {
+				return fmt.Errorf("%s into its own operand: want an overlap error, got %w", name, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

@@ -38,10 +38,18 @@
 //
 // One ownership rule covers all of them. An operand is borrowed: it is
 // read during the call, never kept and never written, so a caller may
-// pass a view of storage it goes on using. A result is the caller's: a
-// fresh matrix nothing else aliases. The one exception is Bcast's root,
-// which gets its own operand back (there is nothing to copy it for), so
-// a root that writes the result writes its operand.
+// pass a view of storage it goes on using. A destination — the dst of
+// Bcast, Reduce, Allreduce, Exchange and Allgather — is owned by the
+// caller before the call, never aliases an operand, and is the result
+// after it: a compact matrix of the result's shape that the call fills
+// and returns, allocating nothing, which is how a rank body keeps its
+// results in storage it took once (grid.Workspace). A nil destination
+// asks for a fresh matrix nothing else aliases, and the functions
+// without one (Recv, Scatter, Gather, GatherRows — what enters and
+// leaves a job) always return that. The one exception is Bcast's root,
+// which gets its own operand back (there is nothing to copy it for) and
+// uses its destination only as room to pack a strided operand for the
+// wire, so a root that writes the result writes its operand.
 //
 // All functions reject shapes the layout cannot represent exactly: the
 // grid extents must divide the matrix dimensions (the paper's m mod d = 0,
@@ -88,17 +96,9 @@ func FromGlobal(global *lin.Matrix, pr, pc, row, col int) (*Matrix, error) {
 	if err := checkGrid(global.Rows, global.Cols, pr, pc); err != nil {
 		return nil, err
 	}
-	if row < 0 || row >= pr || col < 0 || col >= pc {
-		return nil, fmt.Errorf("dist: grid coordinates (%d,%d) outside %dx%d grid", row, col, pr, pc)
-	}
-	lr, lc := global.Rows/pr, global.Cols/pc
-	local := lin.NewMatrix(lr, lc)
-	for i := 0; i < lr; i++ {
-		src := global.Data[(i*pr+row)*global.Stride+col:]
-		dst := local.Data[i*local.Stride : i*local.Stride+lc]
-		for j := range dst {
-			dst[j] = src[j*pc]
-		}
+	local := lin.NewMatrix(global.Rows/pr, global.Cols/pc)
+	if err := Extract(global, pr, pc, row, col, local); err != nil {
+		return nil, err
 	}
 	return &Matrix{
 		M: global.Rows, N: global.Cols,
@@ -106,6 +106,30 @@ func FromGlobal(global *lin.Matrix, pr, pc, row, col int) (*Matrix, error) {
 		Row: row, Col: col,
 		Local: local,
 	}, nil
+}
+
+// Extract is FromGlobal writing the block into dst, a caller-owned
+// (Rows/pr) × (Cols/pc) matrix that may be a view and must not overlap
+// global.
+func Extract(global *lin.Matrix, pr, pc, row, col int, dst *lin.Matrix) error {
+	if err := checkGrid(global.Rows, global.Cols, pr, pc); err != nil {
+		return err
+	}
+	if row < 0 || row >= pr || col < 0 || col >= pc {
+		return fmt.Errorf("dist: grid coordinates (%d,%d) outside %dx%d grid", row, col, pr, pc)
+	}
+	lr, lc := global.Rows/pr, global.Cols/pc
+	if dst.Rows != lr || dst.Cols != lc {
+		return fmt.Errorf("dist: extracting a %dx%d block into a %dx%d destination", lr, lc, dst.Rows, dst.Cols)
+	}
+	for i := 0; i < lr; i++ {
+		src := global.Data[(i*pr+row)*global.Stride+col:]
+		out := dst.Data[i*dst.Stride : i*dst.Stride+lc]
+		for j := range out {
+			out[j] = src[j*pc]
+		}
+	}
+	return nil
 }
 
 // AssembleGlobal reassembles the m × n global matrix from the pr·pc

@@ -23,6 +23,22 @@
 // communicator, and its call count — which the next Split or Subgroup on
 // the parent hashes — stays in step with the members'.
 //
+// A rank's Cube also carries the rank's Workspace (workspace.go): the one
+// slab of words every temporary and intermediate result of the
+// algorithms that run on the grid is taken from. It is made by the first
+// call that asks for it and sized by what that caller is about to run —
+// core.CACQR2 and core.PanelCACQR2 ask for their row of the memory model
+// (costmodel.CACQR2Memory, PanelCACQR2Memory) less the input block the
+// row counts and the caller owns; MM3D or CFR3D alone on a bare cube ask
+// for their own few blocks — and it is not resized: a request past it is
+// served from the heap and counted, which is how a test holds a run to
+// its modeled memory (Overflows is 0, HighWater ≤ the row). The
+// discipline is a stack: a result's slot is taken by the caller before
+// the call, the callee's temporaries stack above it between a Mark and a
+// Release, and nothing is freed one by one. It is reachable from the
+// Cube only, so it dies with the job whose rank built the grid; nothing
+// is pooled across jobs.
+//
 // Data on a grid is laid out by the cyclic distribution of package dist:
 // matrix rows cycle over the y dimension, columns over x, and blocks are
 // replicated across the depth dimension z. dist also holds the

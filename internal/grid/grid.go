@@ -50,7 +50,24 @@ type Cube struct {
 	XComm, YComm, ZComm transport.Comm
 	// Slice is the cube's 2D slice Π[:, :, z] (E² ranks, index y·E + x).
 	Slice transport.Comm
+
+	ws *Workspace // made by the first Workspace call
 }
+
+// Workspace returns the rank's workspace, which the first call makes
+// with room for words float64s — the caller's memory model for what it
+// is about to run — and every later call, by whichever algorithm, gets
+// as it is. A Grid's workspace is its Cube's.
+func (cb *Cube) Workspace(words int64) *Workspace {
+	if cb.ws == nil {
+		cb.ws = newWorkspace(int(words))
+	}
+	return cb.ws
+}
+
+// Workspace is the workspace of the rank's subcube: one per rank,
+// whichever of the two the algorithm holds.
+func (g *Grid) Workspace(words int64) *Workspace { return g.Cube.Workspace(words) }
 
 // New builds a c × d × c grid over the first c·d·c members of comm.
 // Every member of comm must call New with the same arguments; members

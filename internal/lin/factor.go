@@ -17,8 +17,20 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	if a.Rows != a.Cols {
 		return nil, ErrShape
 	}
+	l := NewMatrix(a.Rows, a.Cols)
+	if err := choleskyInto(a, l); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// choleskyInto is Cholesky writing the factor into l, whatever l held:
+// the strictly upper part is zeroed row by row.
+func choleskyInto(a, l *Matrix) error {
 	n := a.Rows
-	l := NewMatrix(n, n)
+	if a.Cols != n || l.Rows != n || l.Cols != n {
+		return ErrShape
+	}
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			sum := a.Data[i*a.Stride+j]
@@ -29,15 +41,16 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 			}
 			if i == j {
 				if sum <= 0 || math.IsNaN(sum) {
-					return nil, ErrNotPositiveDefinite
+					return ErrNotPositiveDefinite
 				}
 				l.Data[i*l.Stride+j] = math.Sqrt(sum)
 			} else {
 				l.Data[i*l.Stride+j] = sum / l.Data[j*l.Stride+j]
 			}
 		}
+		clear(l.Data[i*l.Stride+i+1 : i*l.Stride+n])
 	}
-	return l, nil
+	return nil
 }
 
 // TriInverse returns the inverse of a triangular matrix T ((1/3)n³ flops).
@@ -46,16 +59,29 @@ func TriInverse(t *Matrix, tri Triangle) (*Matrix, error) {
 	if t.Rows != t.Cols {
 		return nil, ErrShape
 	}
+	inv := NewMatrix(t.Rows, t.Cols)
+	if err := triInverseInto(t, tri, inv); err != nil {
+		return nil, err
+	}
+	return inv, nil
+}
+
+// triInverseInto is TriInverse writing the inverse into inv, whatever
+// inv held: the half opposite tri is zeroed.
+func triInverseInto(t *Matrix, tri Triangle, inv *Matrix) error {
 	n := t.Rows
+	if t.Cols != n || inv.Rows != n || inv.Cols != n {
+		return ErrShape
+	}
 	for i := 0; i < n; i++ {
 		if t.Data[i*t.Stride+i] == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 	}
-	inv := NewMatrix(n, n)
 	if tri == Lower {
 		// Column-by-column forward substitution: L X = I.
 		for j := 0; j < n; j++ {
+			clear(inv.Data[j*inv.Stride+j+1 : j*inv.Stride+n])
 			inv.Data[j*inv.Stride+j] = 1 / t.Data[j*t.Stride+j]
 			for i := j + 1; i < n; i++ {
 				var sum float64
@@ -68,6 +94,7 @@ func TriInverse(t *Matrix, tri Triangle) (*Matrix, error) {
 	} else {
 		// U X = I via backward substitution.
 		for j := n - 1; j >= 0; j-- {
+			clear(inv.Data[j*inv.Stride : j*inv.Stride+j])
 			inv.Data[j*inv.Stride+j] = 1 / t.Data[j*t.Stride+j]
 			for i := j - 1; i >= 0; i-- {
 				var sum float64
@@ -78,7 +105,7 @@ func TriInverse(t *Matrix, tri Triangle) (*Matrix, error) {
 			}
 		}
 	}
-	return inv, nil
+	return nil
 }
 
 // CholInv is the paper's sequential CholInv building block: it factors the
@@ -87,15 +114,23 @@ func TriInverse(t *Matrix, tri Triangle) (*Matrix, error) {
 // (asymptotically absorbed). This is the redundant base-case computation
 // of Algorithm 3.
 func CholInv(a *Matrix) (l, y *Matrix, err error) {
-	l, err = Cholesky(a)
-	if err != nil {
-		return nil, nil, err
+	if a.Rows != a.Cols {
+		return nil, nil, ErrShape
 	}
-	y, err = TriInverse(l, Lower)
-	if err != nil {
+	l, y = NewMatrix(a.Rows, a.Cols), NewMatrix(a.Rows, a.Cols)
+	if err := CholInvInto(a, l, y); err != nil {
 		return nil, nil, err
 	}
 	return l, y, nil
+}
+
+// CholInvInto is CholInv writing L and Y into caller-owned n×n matrices
+// (views are fine), whatever they held. None of the three may overlap.
+func CholInvInto(a, l, y *Matrix) error {
+	if err := choleskyInto(a, l); err != nil {
+		return err
+	}
+	return triInverseInto(l, Lower, y)
 }
 
 // QRFactors holds the compact output of Householder QR: the upper

@@ -99,11 +99,18 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 // View returns a view of the r×c submatrix whose top-left corner is (i, j).
 // The view shares storage with m.
 func (m *Matrix) View(i, j, r, c int) *Matrix {
+	v := m.Slice(i, j, r, c)
+	return &v
+}
+
+// Slice is View with the header returned by value, for a caller that
+// keeps headers in storage of its own.
+func (m *Matrix) Slice(i, j, r, c int) Matrix {
 	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > m.Rows || j+c > m.Cols {
 		panic(fmt.Sprintf("lin: View(%d,%d,%d,%d) out of range %dx%d", i, j, r, c, m.Rows, m.Cols))
 	}
 	// An empty view at the bottom edge starts past the last stored row.
-	return &Matrix{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[min(i*m.Stride+j, len(m.Data)):]}
+	return Matrix{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[min(i*m.Stride+j, len(m.Data)):]}
 }
 
 // Zero sets every element to 0.
@@ -140,12 +147,21 @@ func (m *Matrix) checkExtent() {
 // T returns a newly allocated transpose of m.
 func (m *Matrix) T() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
+	m.TransposeInto(out)
+	return out
+}
+
+// TransposeInto writes the transpose of m into dst (Cols × Rows, a view
+// is fine), which must not overlap m.
+func (m *Matrix) TransposeInto(dst *Matrix) {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic(ErrShape)
+	}
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
-			out.Data[j*out.Stride+i] = m.Data[i*m.Stride+j]
+			dst.Data[j*dst.Stride+i] = m.Data[i*m.Stride+j]
 		}
 	}
-	return out
 }
 
 // Equal reports whether m and n have the same shape and elements.
@@ -202,6 +218,20 @@ func (m *Matrix) Sub(x *Matrix) {
 		xi := x.Data[i*x.Stride : i*x.Stride+x.Cols]
 		for j := range mi {
 			mi[j] -= xi[j]
+		}
+	}
+}
+
+// SubFrom computes m = x − m.
+func (m *Matrix) SubFrom(x *Matrix) {
+	if m.Rows != x.Rows || m.Cols != x.Cols {
+		panic(ErrShape)
+	}
+	for i := 0; i < m.Rows; i++ {
+		mi := m.Data[i*m.Stride : i*m.Stride+m.Cols]
+		xi := x.Data[i*x.Stride : i*x.Stride+x.Cols]
+		for j := range mi {
+			mi[j] = xi[j] - mi[j]
 		}
 	}
 }

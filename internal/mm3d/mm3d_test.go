@@ -291,3 +291,83 @@ func TestMultiplyIsReplicatedAcrossSlices(t *testing.T) {
 		return nil
 	})
 }
+
+// TestMultiplyIntoInPlaceAndStrided: the destination form gives Multiply's
+// bits whether the left operand is a strided view or the destination
+// itself, and leaves the workspace's stack where it found it.
+func TestMultiplyIntoInPlaceAndStrided(t *testing.T) {
+	const e, m, n = 2, 16, 8
+	a := lin.RandomMatrix(m, n, 1)
+	b := lin.RandomMatrix(n, n, 2)
+	runCube(t, e, func(p *simmpi.Proc, cb *grid.Cube) error {
+		al, err := localOf(a, cb)
+		if err != nil {
+			return err
+		}
+		bl, err := localOf(b, cb)
+		if err != nil {
+			return err
+		}
+		want, err := Multiply(cb, al, bl, 1)
+		if err != nil {
+			return err
+		}
+		ws := cb.Workspace(0)
+		top := ws.Mark()
+
+		inPlace := ws.Matrix(al.Rows, al.Cols)
+		inPlace.CopyFrom(al)
+		if err := MultiplyInto(cb, inPlace, inPlace, bl, false, 1); err != nil {
+			return err
+		}
+		if !inPlace.Equal(want) {
+			return fmt.Errorf("rank %d: product written over its left operand differs", p.Rank())
+		}
+
+		wide := lin.NewMatrix(al.Rows+2, al.Cols+3)
+		view := wide.View(1, 2, al.Rows, al.Cols)
+		view.CopyFrom(al)
+		bWide := lin.NewMatrix(bl.Rows+1, bl.Cols+1)
+		bView := bWide.View(1, 0, bl.Rows, bl.Cols)
+		bView.CopyFrom(bl)
+		dst := ws.Matrix(al.Rows, bl.Cols)
+		before := ws.Mark()
+		if err := MultiplyInto(cb, dst, view, bView, false, 1); err != nil {
+			return err
+		}
+		if !dst.Equal(want) {
+			return fmt.Errorf("rank %d: product of strided views differs", p.Rank())
+		}
+		if ws.Mark() != before {
+			return fmt.Errorf("rank %d: MultiplyInto kept some of the workspace", p.Rank())
+		}
+		ws.Release(top)
+		return nil
+	})
+}
+
+func TestTransposeIntoOfAView(t *testing.T) {
+	const e, n = 2, 8
+	g := lin.RandomMatrix(n, n, 3)
+	runCube(t, e, func(p *simmpi.Proc, cb *grid.Cube) error {
+		l, err := localOf(g, cb)
+		if err != nil {
+			return err
+		}
+		want, err := Transpose(cb, l)
+		if err != nil {
+			return err
+		}
+		wide := lin.NewMatrix(l.Rows+1, l.Cols+2)
+		view := wide.View(1, 1, l.Rows, l.Cols)
+		view.CopyFrom(l)
+		dst := cb.Workspace(0).Matrix(l.Rows, l.Cols)
+		if err := TransposeInto(cb, dst, view); err != nil {
+			return err
+		}
+		if !dst.Equal(want) {
+			return fmt.Errorf("rank %d: transpose of a view differs", p.Rank())
+		}
+		return nil
+	})
+}

@@ -92,7 +92,7 @@ func TestApplyQFormsExplicitQ(t *testing.T) {
 				q.Set(gi, j, qLoc.At(li, j))
 			}
 		}
-		qAll, err := dist.Allreduce(g.World, q)
+		qAll, err := dist.Allreduce(g.World, q, nil)
 		if err != nil {
 			return err
 		}

@@ -297,7 +297,7 @@ func Factor(a *Matrix) (*Factors, error) {
 			if err := p.Compute(lin.GemmFlops(nb, nb, vAct.Rows)); err != nil {
 				return nil, err
 			}
-			gramAll, err := dist.Allreduce(g.ColComm, gram)
+			gramAll, err := dist.Allreduce(g.ColComm, gram, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -390,7 +390,7 @@ func (g *Grid) reflect(vAct, t, act *lin.Matrix, trans bool) error {
 	if err := g.proc.Compute(lin.GemmFlops(nb, width, rows)); err != nil {
 		return err
 	}
-	wAll, err := dist.Allreduce(g.ColComm, w)
+	wAll, err := dist.Allreduce(g.ColComm, w, nil)
 	if err != nil {
 		return err
 	}
@@ -419,7 +419,7 @@ func (f *Factors) GatherR() (*lin.Matrix, error) {
 			}
 		}
 	}
-	return dist.Allreduce(g.World, r)
+	return dist.Allreduce(g.World, r, nil)
 }
 
 // firstLocalRow returns the first local row index whose global row ≥ g0.

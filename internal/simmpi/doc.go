@@ -24,4 +24,13 @@
 // aggregated Stats; each body gets a *Proc, whose World is the
 // transport.Comm of all ranks. Payloads are borrowed and results owned by
 // the caller, the buffer rule of internal/transport.
+//
+// A message is a copy of its payload in a buffer from the run's free
+// list (transport.FreeList, a field of the run's shared state): Send
+// takes one and fills it, Recv into a destination copies it out and
+// puts it back, so a message between two ranks that keep their own
+// storage costs two copies and no allocation. Recv without a
+// destination hands the buffer over instead and the list forgets it.
+// The list, like the mailboxes, is reachable from the run only: when
+// RunWithOptions returns, every buffer it ever made is garbage.
 package simmpi

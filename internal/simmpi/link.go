@@ -1,34 +1,38 @@
 package simmpi
 
-import (
-	"slices"
-
-	"cacqr/internal/transport"
-)
+import "cacqr/internal/transport"
 
 // link is the simulator's transport.Link: messages move between the
 // ranks' mailboxes stamped with the sender's clock, and a collective
 // costs what the paper's §II-B says, whatever moved.
 type link struct{ *Proc }
 
-// Send posts a copy of data to dst's mailbox, stamped with the sender's
-// clock at the start of the send so the receiver cannot run ahead of
-// causality.
+// Send copies data into one of the run's recycled buffers and posts that
+// to dst's mailbox, stamped with the sender's clock at the start of the
+// send so the receiver cannot run ahead of causality.
 func (l link) Send(comm uint64, dst, tag int, data []float64) error {
 	return l.rt.boxes[dst].Post(transport.Message{
-		Comm: comm, Src: l.rank, Tag: tag, Data: slices.Clone(data), Stamp: l.clock,
+		Comm: comm, Src: l.rank, Tag: tag, Data: l.rt.wire.Copy(data), Stamp: l.clock,
 	})
 }
 
 // Recv advances the local clock to the matching send's stamp if that is
-// ahead: synchronization without charge.
-func (l link) Recv(comm uint64, src, tag int) ([]float64, error) {
+// ahead: synchronization without charge. A payload that fits dst is
+// copied there and its buffer goes back to the run's free list — a
+// message then costs two copies and no allocation; otherwise the buffer
+// is the caller's.
+func (l link) Recv(comm uint64, src, tag int, dst []float64) ([]float64, error) {
 	m, err := l.rt.boxes[l.rank].Take(comm, src, tag)
 	if err != nil {
 		return nil, err
 	}
 	l.clock = max(l.clock, m.Stamp)
-	return m.Data, nil
+	if dst == nil || len(m.Data) > len(dst) {
+		return m.Data, nil
+	}
+	n := copy(dst, m.Data)
+	l.rt.wire.Put(m.Data)
+	return dst[:n], nil
 }
 
 // ChargeCollective is the price list — the butterfly-schedule costs of

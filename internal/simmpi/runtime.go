@@ -71,6 +71,9 @@ type rt struct {
 	p     int
 	cost  CostParams
 	boxes []*transport.Mailbox // indexed by global rank
+	// wire recycles message buffers between the run's sends and
+	// receives. It is the run's: nothing outlives RunWithOptions.
+	wire transport.FreeList[float64]
 
 	abortOnce sync.Once
 	abortErr  error

@@ -2,8 +2,8 @@ package transport
 
 import (
 	"fmt"
-	"slices"
 	"sort"
+	"unsafe"
 
 	"cacqr/internal/obs"
 )
@@ -27,14 +27,17 @@ const (
 //
 // Send must be buffered (it returns without waiting for the matching
 // Recv, so a pairwise exchange cannot deadlock) and must copy or encode
-// data before it returns. Recv blocks for the oldest message sent with
-// the same (comm, tag) by global rank src — FIFO per (comm, src, tag) —
-// and hands its payload to the caller for good. Neither charges
-// anything: the communicator charges point-to-point traffic through
+// data before it returns: the sender may overwrite data at once. Recv
+// blocks for the oldest message sent with the same (comm, tag) by global
+// rank src — FIFO per (comm, src, tag). With a non-nil dst long enough
+// for the payload it copies the n words into dst[:n], returns that, and
+// takes its own buffer back to reuse; with a nil dst, or one too short,
+// it hands its buffer to the caller for good. Neither charges anything:
+// the communicator charges point-to-point traffic through
 // Proc.ChargeComm and every collective through ChargeCollective.
 type Link interface {
 	Send(comm uint64, dst, tag int, data []float64) error
-	Recv(comm uint64, src, tag int) ([]float64, error)
+	Recv(comm uint64, src, tag int, dst []float64) ([]float64, error)
 	// ChargeCollective charges the calling rank for one completed
 	// collective over p members. n is the payload in words (Bcast,
 	// Reduce, Allreduce: the vector; Gather, Allgather: the
@@ -74,6 +77,12 @@ type comm struct {
 	index int   // this rank's position within ranks
 
 	nsplits int // per-member count of child communicators created
+
+	// part is where reduce receives each contribution before adding it:
+	// one buffer per rank, shared by every communicator derived from the
+	// rank's world (a rank runs one collective at a time), grown to the
+	// largest vector reduced onto this rank and kept.
+	part *[]float64
 }
 
 // NewWorld returns proc's handle on the communicator of all
@@ -83,7 +92,7 @@ func NewWorld(proc Proc, link Link) Comm {
 	for i := range ranks {
 		ranks[i] = i
 	}
-	return &comm{proc: proc, link: link, ranks: ranks, index: proc.Rank()}
+	return &comm{proc: proc, link: link, ranks: ranks, index: proc.Rank(), part: new([]float64)}
 }
 
 func (c *comm) Size() int            { return len(c.ranks) }
@@ -96,14 +105,14 @@ func (c *comm) ID() uint64 { return c.id }
 
 // child is the handle on a communicator derived from c.
 func (c *comm) child(id uint64, ranks []int, index int) *comm {
-	return &comm{proc: c.proc, link: c.link, span: c.span, id: id, ranks: ranks, index: index}
+	return &comm{proc: c.proc, link: c.link, span: c.span, id: id, ranks: ranks, index: index, part: c.part}
 }
 
 // Split exchanges (color, key) among all members via an allgather so
 // every rank can compute every group deterministically. This mirrors
 // how MPI implementations realize split, and charges the proper cost.
 func (c *comm) Split(color, key int) (Comm, error) {
-	all, err := c.allgather([]float64{float64(color), float64(key), float64(c.index)})
+	all, err := c.allgather([]float64{float64(color), float64(key), float64(c.index)}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -179,48 +188,105 @@ func (c *comm) Send(dst, tag int, data []float64) error {
 	return nil
 }
 
-// Recv charges the receiver one message and the payload words.
-func (c *comm) Recv(src, tag int) ([]float64, error) {
+func (c *comm) Recv(src, tag int) ([]float64, error) { return c.RecvInto(src, tag, nil) }
+
+// RecvInto charges the receiver one message and the payload words.
+func (c *comm) RecvInto(src, tag int, dst []float64) ([]float64, error) {
 	if err := c.checkMember("recv from", src); err != nil {
 		return nil, err
 	}
-	got, err := c.link.Recv(c.id, c.ranks[src], tag)
+	got, err := c.link.Recv(c.id, c.ranks[src], tag, dst)
 	if err != nil {
 		return nil, err
 	}
 	c.proc.ChargeComm(1, int64(len(got)))
-	return got, nil
+	return got, sized("recv", dst, len(got))
 }
 
-// SendRecv models a full-duplex pairwise exchange and charges a single
-// message of max(sent, received) words — the cost of one butterfly round
-// and of the paper's Transpose collective. It cannot deadlock because a
-// Link's sends are buffered.
 func (c *comm) SendRecv(partner, tag int, data []float64) ([]float64, error) {
+	return c.SendRecvInto(partner, tag, data, nil)
+}
+
+// SendRecvInto models a full-duplex pairwise exchange and charges a
+// single message of max(sent, received) words — the cost of one
+// butterfly round and of the paper's Transpose collective. It cannot
+// deadlock because a Link's sends are buffered.
+func (c *comm) SendRecvInto(partner, tag int, data, dst []float64) ([]float64, error) {
 	if err := c.checkMember("exchange with", partner); err != nil {
+		return nil, err
+	}
+	if err := apart("exchange", dst, data); err != nil {
 		return nil, err
 	}
 	if err := c.link.Send(c.id, c.ranks[partner], tag, data); err != nil {
 		return nil, err
 	}
-	got, err := c.link.Recv(c.id, c.ranks[partner], tag)
+	got, err := c.link.Recv(c.id, c.ranks[partner], tag, dst)
 	if err != nil {
 		return nil, err
 	}
 	c.proc.ChargeComm(1, int64(max(len(data), len(got))))
-	return got, nil
+	return got, sized("exchange", dst, len(got))
+}
+
+// A destination is storage the caller owned before the call and the
+// result is written into: every form below that takes one returns it
+// (result[0] is dst[0]), and nil means "allocate", which is what the
+// slice-returning methods pass. It must be exactly as long as the
+// result and must not overlap the operand; either fault is an error
+// that names both lengths.
+
+// fresh is the nil-destination fallback, the one place a collective
+// allocates a result: dst itself when the caller brought one.
+func fresh(dst []float64, n int) []float64 {
+	if dst == nil {
+		return make([]float64, n)
+	}
+	return dst
+}
+
+// sized rejects a destination that cannot hold a result of n words.
+func sized(what string, dst []float64, n int) error {
+	if dst != nil && len(dst) != n {
+		return fmt.Errorf("transport: %s destination holds %d words, the result has %d", what, len(dst), n)
+	}
+	return nil
+}
+
+// apart rejects a destination that shares storage with the operand: the
+// result is written while the operand is still being read.
+func apart(what string, dst, data []float64) error {
+	if len(dst) == 0 || len(data) == 0 {
+		return nil
+	}
+	d0, d1 := uintptr(unsafe.Pointer(&dst[0])), uintptr(unsafe.Pointer(&dst[len(dst)-1]))
+	o0, o1 := uintptr(unsafe.Pointer(&data[0])), uintptr(unsafe.Pointer(&data[len(data)-1]))
+	if d0 <= o1 && o0 <= d1 {
+		return fmt.Errorf("transport: %s destination (%d words) overlaps the %d-word operand", what, len(dst), len(data))
+	}
+	return nil
+}
+
+// vet is both checks, for a result as long as its operand.
+func vet(what string, dst, data []float64) error {
+	if err := sized(what, dst, len(data)); err != nil {
+		return err
+	}
+	return apart(what, dst, data)
 }
 
 // send and recv are the collectives' uncharged data plane; they add
-// what they carry to moved.
+// what they carry to moved. recv hands the link dst to fill (nil: the
+// link hands over its own buffer) and returns what arrived, which is
+// dst's prefix whenever it fit.
 func (c *comm) send(dst, tag int, data []float64, moved *Counters) error {
 	moved.Msgs++
 	moved.Words += int64(len(data))
 	return c.link.Send(c.id, c.ranks[dst], tag, data)
 }
 
-func (c *comm) recv(src, tag int, moved *Counters) ([]float64, error) {
-	got, err := c.link.Recv(c.id, c.ranks[src], tag)
+func (c *comm) recv(src, tag int, dst []float64, moved *Counters) ([]float64, error) {
+	got, err := c.link.Recv(c.id, c.ranks[src], tag, dst)
 	moved.Msgs++
 	moved.Words += int64(len(got))
 	return got, err
@@ -246,10 +312,17 @@ func (c *comm) charge(op Op, n int, moved Counters) {
 }
 
 // bcast, reduce and gather are the three linear fans every collective
-// is made of.
-func (c *comm) bcast(root int, data []float64, moved *Counters) ([]float64, error) {
+// is made of. Each writes its result into dst (see fresh).
+
+// bcast's root sends data and returns it — dst is for the members that
+// receive, and the root never touches it.
+func (c *comm) bcast(root int, data, dst []float64, moved *Counters) ([]float64, error) {
 	if c.index != root {
-		return c.recv(root, tagBcast, moved)
+		got, err := c.recv(root, tagBcast, dst, moved)
+		if err != nil {
+			return nil, err
+		}
+		return got, sized("bcast", dst, len(got))
 	}
 	for i := range c.ranks {
 		if i == root {
@@ -264,22 +337,53 @@ func (c *comm) bcast(root int, data []float64, moved *Counters) ([]float64, erro
 
 // reduce starts the sum from zero and takes the contributions in member
 // order, root's own in its place, so the result does not depend on the
-// root, the group size or the backend.
-func (c *comm) reduce(root int, data []float64, moved *Counters) ([]float64, error) {
+// root, the group size or the backend. The caller has vetted dst. Each
+// contribution is received into the rank's one scratch (c.part) and
+// added from there — except between two members.
+func (c *comm) reduce(root int, data, dst []float64, moved *Counters) ([]float64, error) {
 	if c.index != root {
 		return nil, c.send(root, tagReduce, data, moved)
 	}
-	sum := make([]float64, len(data))
+	sum := fresh(dst, len(data))
+	if len(c.ranks) == 2 {
+		// A sum of two needs no scratch: the other term is received
+		// where the sum will be and the two are added there, still from
+		// zero and in member order.
+		other, err := c.recv(1-root, tagReduce, sum, moved)
+		if err != nil {
+			return nil, err
+		}
+		if len(other) != len(sum) {
+			return nil, fmt.Errorf("transport: reduce length mismatch: %d vs %d", len(other), len(sum))
+		}
+		first, second := data, other
+		if root == 1 {
+			first, second = other, data
+		}
+		for j := range sum {
+			sum[j] = 0 + first[j] + second[j]
+		}
+		return sum, nil
+	}
+	if len(c.ranks) > 1 && cap(*c.part) < len(data) {
+		*c.part = make([]float64, len(data))
+	}
 	for i := range c.ranks {
 		part := data
 		if i != root {
 			var err error
-			if part, err = c.recv(i, tagReduce, moved); err != nil {
+			if part, err = c.recv(i, tagReduce, (*c.part)[:len(data)], moved); err != nil {
 				return nil, err
 			}
 			if len(part) != len(sum) {
 				return nil, fmt.Errorf("transport: reduce length mismatch: %d vs %d", len(part), len(sum))
 			}
+		}
+		if i == 0 {
+			for j, v := range part {
+				sum[j] = 0 + v // from zero, like every later term: −0 comes out +0
+			}
+			continue
 		}
 		for j, v := range part {
 			sum[j] += v
@@ -288,29 +392,40 @@ func (c *comm) reduce(root int, data []float64, moved *Counters) ([]float64, err
 	return sum, nil
 }
 
-func (c *comm) gather(root int, data []float64, moved *Counters) ([]float64, error) {
+// gather receives each block straight into its place in dst. Without a
+// destination the total is unknown until the last block is in, so the
+// result starts at Size blocks of the root's length — exact whenever
+// blocks are equal — and grows if they are not.
+func (c *comm) gather(root int, data, dst []float64, moved *Counters) ([]float64, error) {
 	if c.index != root {
 		return nil, c.send(root, tagGather, data, moved)
 	}
-	blocks := make([][]float64, len(c.ranks))
-	blocks[root] = data
-	total := len(data)
-	for i := range blocks {
-		if i == root {
-			continue
-		}
-		got, err := c.recv(i, tagGather, moved)
-		if err != nil {
-			return nil, err
-		}
-		blocks[i] = got
-		total += len(got)
+	if err := apart("gather", dst, data); err != nil {
+		return nil, err
 	}
-	out := make([]float64, 0, total)
-	for _, b := range blocks {
-		out = append(out, b...)
+	grow := dst == nil
+	out := fresh(dst, len(c.ranks)*len(data))
+	out = out[:0:len(out)]
+	for i := range c.ranks {
+		part, inPlace := data, false
+		if i != root {
+			room := out[len(out):cap(out)]
+			var err error
+			if part, err = c.recv(i, tagGather, room, moved); err != nil {
+				return nil, err
+			}
+			inPlace = len(part) <= len(room) // it fit, so the link put it there
+		}
+		switch {
+		case inPlace:
+			out = out[:len(out)+len(part)]
+		case grow || len(part) <= cap(out)-len(out):
+			out = append(out, part...)
+		default:
+			return nil, fmt.Errorf("transport: gather destination holds %d words, the blocks up to member %d have %d", len(dst), i, len(out)+len(part))
+		}
 	}
-	return out, nil
+	return out, sized("gather", dst, len(out))
 }
 
 // Barrier gathers empty tokens at member 0 and releases everyone.
@@ -318,9 +433,9 @@ func (c *comm) Barrier() error {
 	sp := c.begin(OpBarrier, 0)
 	defer sp.End()
 	var moved Counters
-	_, err := c.gather(0, nil, &moved)
+	_, err := c.gather(0, nil, nil, &moved)
 	if err == nil {
-		_, err = c.bcast(0, nil, &moved)
+		_, err = c.bcast(0, nil, nil, &moved)
 	}
 	if err != nil {
 		return err
@@ -330,13 +445,17 @@ func (c *comm) Barrier() error {
 }
 
 func (c *comm) Bcast(root int, data []float64) ([]float64, error) {
+	return c.BcastInto(root, data, nil)
+}
+
+func (c *comm) BcastInto(root int, data, dst []float64) ([]float64, error) {
 	if err := c.checkMember("bcast from", root); err != nil {
 		return nil, err
 	}
 	sp := c.begin(OpBcast, len(data))
 	defer sp.End()
 	var moved Counters
-	out, err := c.bcast(root, data, &moved)
+	out, err := c.bcast(root, data, dst, &moved)
 	if err != nil {
 		return nil, err
 	}
@@ -347,13 +466,22 @@ func (c *comm) Bcast(root int, data []float64) ([]float64, error) {
 }
 
 func (c *comm) Reduce(root int, data []float64) ([]float64, error) {
+	return c.ReduceInto(root, data, nil)
+}
+
+func (c *comm) ReduceInto(root int, data, dst []float64) ([]float64, error) {
 	if err := c.checkMember("reduce to", root); err != nil {
 		return nil, err
 	}
 	sp := c.begin(OpReduce, len(data))
 	defer sp.End()
+	if c.index == root {
+		if err := vet("reduce", dst, data); err != nil {
+			return nil, err
+		}
+	}
 	var moved Counters
-	sum, err := c.reduce(root, data, &moved)
+	sum, err := c.reduce(root, data, dst, &moved)
 	if err != nil {
 		return nil, err
 	}
@@ -361,14 +489,21 @@ func (c *comm) Reduce(root int, data []float64) ([]float64, error) {
 	return sum, nil
 }
 
-// Allreduce sums on member 0 and broadcasts the result.
-func (c *comm) Allreduce(data []float64) ([]float64, error) {
+func (c *comm) Allreduce(data []float64) ([]float64, error) { return c.AllreduceInto(data, nil) }
+
+// AllreduceInto sums on member 0 and broadcasts the result. Every
+// member's destination is vetted before anything moves, so a bad one
+// fails its own rank and not a peer's receive.
+func (c *comm) AllreduceInto(data, dst []float64) ([]float64, error) {
 	sp := c.begin(OpAllreduce, len(data))
 	defer sp.End()
+	if err := vet("allreduce", dst, data); err != nil {
+		return nil, err
+	}
 	var moved Counters
-	sum, err := c.reduce(0, data, &moved)
+	sum, err := c.reduce(0, data, dst, &moved)
 	if err == nil {
-		sum, err = c.bcast(0, sum, &moved)
+		sum, err = c.bcast(0, sum, dst, &moved)
 	}
 	if err != nil {
 		return nil, err
@@ -377,20 +512,24 @@ func (c *comm) Allreduce(data []float64) ([]float64, error) {
 	return sum, nil
 }
 
-// Gather prices the concatenation. Off the root, which never sees it,
-// that is taken as Size times the member's own block — the total
+func (c *comm) Gather(root int, data []float64) ([]float64, error) {
+	return c.GatherInto(root, data, nil)
+}
+
+// GatherInto prices the concatenation. Off the root, which never sees
+// it, that is taken as Size times the member's own block — the total
 // whenever blocks are equal, which every caller in this repository
 // guarantees (dist.Gather and the 1D Q gather check divisibility before
 // a rank starts) — so rooting an output gather changes who holds the
 // copy and not what a formula-charging backend counts.
-func (c *comm) Gather(root int, data []float64) ([]float64, error) {
+func (c *comm) GatherInto(root int, data, dst []float64) ([]float64, error) {
 	if err := c.checkMember("gather to", root); err != nil {
 		return nil, err
 	}
 	sp := c.begin(OpGather, len(data))
 	defer sp.End()
 	var moved Counters
-	out, err := c.gather(root, data, &moved)
+	out, err := c.gather(root, data, dst, &moved)
 	if err != nil {
 		return nil, err
 	}
@@ -402,20 +541,25 @@ func (c *comm) Gather(root int, data []float64) ([]float64, error) {
 	return out, nil
 }
 
-func (c *comm) Allgather(data []float64) ([]float64, error) {
+func (c *comm) Allgather(data []float64) ([]float64, error) { return c.AllgatherInto(data, nil) }
+
+func (c *comm) AllgatherInto(data, dst []float64) ([]float64, error) {
 	sp := c.begin(OpAllgather, len(data))
 	defer sp.End()
-	return c.allgather(data)
+	return c.allgather(data, dst)
 }
 
 // allgather gathers on member 0 and broadcasts the concatenation. Split
 // calls it directly: its exchange is charged but is not a collective the
 // algorithm asked for, so it records no span.
-func (c *comm) allgather(data []float64) ([]float64, error) {
+func (c *comm) allgather(data, dst []float64) ([]float64, error) {
+	if err := apart("allgather", dst, data); err != nil {
+		return nil, err
+	}
 	var moved Counters
-	out, err := c.gather(0, data, &moved)
+	out, err := c.gather(0, data, dst, &moved)
 	if err == nil {
-		out, err = c.bcast(0, out, &moved)
+		out, err = c.bcast(0, out, dst, &moved)
 	}
 	if err != nil {
 		return nil, err
@@ -424,12 +568,22 @@ func (c *comm) allgather(data []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Transpose is a SendRecv, and charged as one; partner == self is free.
 func (c *comm) Transpose(partner int, data []float64) ([]float64, error) {
+	return c.TransposeInto(partner, data, nil)
+}
+
+// TransposeInto is a SendRecv, and charged as one; partner == self is
+// free, and a copy.
+func (c *comm) TransposeInto(partner int, data, dst []float64) ([]float64, error) {
 	sp := c.begin(OpTranspose, len(data))
 	defer sp.End()
-	if partner == c.index {
-		return slices.Clone(data), nil
+	if partner != c.index {
+		return c.SendRecvInto(partner, tagTranspose, data, dst)
 	}
-	return c.SendRecv(partner, tagTranspose, data)
+	if err := vet("transpose", dst, data); err != nil {
+		return nil, err
+	}
+	out := fresh(dst, len(data))
+	copy(out, data)
+	return out, nil
 }

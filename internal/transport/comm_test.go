@@ -1,7 +1,10 @@
 package transport
 
+//lint:allow floatcompare the tests assert the exact bits a collective returns, signed zeros included
+
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -27,9 +30,12 @@ func (p *fakeProc) Send(comm uint64, dst, tag int, data []float64) error {
 	return p.boxes[dst].Post(Message{Comm: comm, Src: p.rank, Tag: tag, Data: slices.Clone(data)})
 }
 
-func (p *fakeProc) Recv(comm uint64, src, tag int) ([]float64, error) {
+func (p *fakeProc) Recv(comm uint64, src, tag int, dst []float64) ([]float64, error) {
 	m, err := p.boxes[p.rank].Take(comm, src, tag)
-	return m.Data, err
+	if err != nil || dst == nil || len(m.Data) > len(dst) {
+		return m.Data, err
+	}
+	return dst[:copy(dst, m.Data)], nil
 }
 
 func (p *fakeProc) ChargeCollective(_ Op, _ int, _ int64, moved Counters) {
@@ -225,29 +231,107 @@ func TestCollectivesOnLinearSchedule(t *testing.T) {
 }
 
 // TestMailboxTakeReleasesPayload: dequeuing must not leave the
-// delivered payload referenced from the vacated tail slot of the
-// queue's backing array, where it would stay reachable until some
-// later post overwrote it.
+// delivered payload referenced from the vacated slot of its queue's
+// backing array, where it would stay reachable until some later post
+// overwrote it.
 func TestMailboxTakeReleasesPayload(t *testing.T) {
 	b := NewMailbox()
-	for tag := 0; tag < 4; tag++ {
-		if err := b.Post(Message{Comm: 7, Src: 1, Tag: tag, Data: make([]float64, 8)}); err != nil {
+	for i := 0; i < 8; i++ {
+		if err := b.Post(Message{Comm: 7, Src: 1, Tag: i % 4, Data: make([]float64, 8)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, tag := range []int{1, 3, 0, 2} { // middle, tail, head, last
+	pending := 8
+	for _, tag := range []int{1, 3, 0, 2, 2, 0, 3, 1} {
 		m, err := b.Take(7, 1, tag)
 		if err != nil || m.Tag != tag || len(m.Data) != 8 {
 			t.Fatalf("Take(tag %d) = %+v, %v", tag, m, err)
 		}
+		pending--
 		held := 0
-		for _, slot := range b.queue[:cap(b.queue)] {
-			if slot.Data != nil {
-				held++
+		for _, q := range b.queues {
+			for _, slot := range q.msgs[:cap(q.msgs)] {
+				if slot.Data != nil {
+					held++
+				}
 			}
 		}
-		if held != len(b.queue) {
-			t.Fatalf("after taking tag %d: %d payloads referenced by a queue of %d", tag, held, len(b.queue))
+		if held != pending {
+			t.Fatalf("after taking tag %d: %d payloads referenced with %d pending", tag, held, pending)
 		}
+	}
+}
+
+// TestMailboxSteadyStateAllocatesNothing: once a key's queue exists,
+// posting to it and taking from it reuse its slots — whether the taker
+// keeps up or runs a few messages behind.
+func TestMailboxSteadyStateAllocatesNothing(t *testing.T) {
+	b := NewMailbox()
+	payload := make([]float64, 4)
+	round := func(depth int) {
+		for key := 0; key < 3; key++ {
+			for i := 0; i < depth; i++ {
+				if err := b.Post(Message{Comm: 9, Src: key, Tag: -101, Data: payload}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for key := 0; key < 3; key++ {
+			for i := 0; i < depth; i++ {
+				if _, err := b.Take(9, key, -101); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	round(5) // the queues' first growth
+	if n := testing.AllocsPerRun(100, func() { round(1); round(5) }); n != 0 {
+		t.Errorf("steady Post/Take allocates %.1f objects per round, want 0", n)
+	}
+	// A taker that stays behind: the queue never drains, and still must
+	// not grow past what is pending at once.
+	for i := 0; i < 3; i++ {
+		if err := b.Post(Message{Comm: 9, Src: 0, Tag: 5, Data: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lag := func() {
+		if err := b.Post(Message{Comm: 9, Src: 0, Tag: 5, Data: payload}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Take(9, 0, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		lag()
+	}
+	if n := testing.AllocsPerRun(1000, lag); n != 0 {
+		t.Errorf("a lagging taker makes Post allocate %.2f objects per message, want 0", n)
+	}
+}
+
+// TestReduceStartsFromZero: a sum is 0 + p₀ + p₁ + …, so a lone −0 (or a
+// column of them) comes out +0 whatever the group size — the bits every
+// backend and every destination form must agree on.
+func TestReduceStartsFromZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, p := range []int{1, 2, 3} {
+		runFake(t, p, func(w Comm) error {
+			dst := []float64{7, 7}
+			for name, call := range map[string]func() ([]float64, error){
+				"Allreduce":     func() ([]float64, error) { return w.Allreduce([]float64{negZero, 1}) },
+				"AllreduceInto": func() ([]float64, error) { return w.AllreduceInto([]float64{negZero, 1}, dst) },
+			} {
+				got, err := call()
+				if err != nil {
+					return err
+				}
+				if len(got) != 2 || got[0] != 0 || math.Signbit(got[0]) || got[1] != float64(p) {
+					return fmt.Errorf("%s over %d members = %v (sign bit %v), want [+0 %d]", name, p, got, math.Signbit(got[0]), p)
+				}
+			}
+			return nil
+		})
 	}
 }

@@ -406,6 +406,8 @@ func Run(t *testing.T, run Runner) {
 		}
 	})
 
+	t.Run("Destination", func(t *testing.T) { runDestination(t, run) })
+
 	t.Run("Transpose", func(t *testing.T) {
 		ok(t, 4, func(p transport.Proc) error {
 			w := p.World()

@@ -12,9 +12,10 @@
 // Link owes the communicator three things: sends are buffered (Send
 // returns without waiting for the matching Recv), the payload is copied
 // or encoded before Send returns, and messages with the same (comm,
-// src, tag) are received in the order they were sent. The Mailbox and
-// the Ledger in this package are the queue and the msgs/words/flops
-// account both links are built from. The two links:
+// src, tag) are received in the order they were sent. The Mailbox, the
+// FreeList and the Ledger in this package are the queue, the recycled
+// message buffers and the msgs/words/flops account both links are built
+// from. The two links:
 //
 //   - internal/simmpi: the in-process simulated runtime. P ranks are
 //     goroutines in one process; messages carry the sender's virtual
@@ -50,10 +51,31 @@
 //   - A result (what Recv, SendRecv and the collectives return) is owned
 //     by the caller: no other rank and no later call sees it, so it can
 //     be wrapped as a matrix and mutated in place without a copy.
+//   - A destination (the dst of RecvInto, SendRecvInto and the …Into
+//     collectives) is storage the caller owned before the call and the
+//     result is written into: the call returns dst itself, exactly as
+//     long as the result, and allocates nothing. It must not overlap the
+//     payload. A nil dst means "allocate", and the slice-returning
+//     methods are the …Into forms with a nil dst — one body each.
 //
-// The single place the two meet is Bcast on its root, which returns the
-// root's own payload rather than a copy of it: the root owned that slice
-// before the call and still does, but there the result aliases whatever
-// the payload aliased. Reduce, Allreduce, Gather, Allgather and
-// Transpose always return fresh storage, on every member.
+// The single place payload and result meet is Bcast on its root, which
+// returns the root's own payload rather than a copy of it and never
+// touches its dst: the root owned that slice before the call and still
+// does, but there the result aliases whatever the payload aliased.
+// Reduce, Allreduce, Gather, Allgather and Transpose return dst, or
+// fresh storage without one, on every member.
+//
+// Under the communicator the same rule is Link.Recv's contract. A link
+// owns the buffer a message travels in from Send until the matching
+// Recv. Recv with a dst long enough copies the payload into dst[:n] and
+// keeps the buffer, to carry a later message of the run; Recv with a
+// nil dst, or one too short, gives the buffer itself to the caller, for
+// good. Either way the caller never holds storage the link will touch
+// again. A link's buffers are its run's (a FreeList in the simulator's
+// run and in a TCP job's node) and are garbage when the run returns.
+//
+// Two things the communicator itself holds are per rank and per job:
+// the scratch a reduction over more than two members receives each
+// contribution into (two members need none: the other's term is
+// received where the sum will be), and nothing else.
 package transport

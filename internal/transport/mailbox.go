@@ -20,17 +20,32 @@ type Message struct {
 // whoever detects a failure — an aborted run, a dead peer, a deadline —
 // Fails it, which wakes the rank and makes every later operation
 // return that failure. Messages with the same (Comm, Src, Tag) are
-// taken in the order they were posted.
+// taken in the order they were posted: each such key has its own FIFO,
+// so a Take looks at one queue's head and never scans or shifts the
+// others, and a drained queue keeps its slots for the next message — a
+// steady exchange posts and takes without allocating.
 type Mailbox struct {
-	mu    sync.Mutex
-	cond  sync.Cond
-	queue []Message
-	err   error
+	mu     sync.Mutex
+	cond   sync.Cond
+	queues map[msgKey]*fifo
+	err    error
+}
+
+// msgKey is what a Take matches on.
+type msgKey struct {
+	comm     uint64
+	src, tag int
+}
+
+// fifo holds one key's pending messages in msgs[head:].
+type fifo struct {
+	msgs []Message
+	head int
 }
 
 // NewMailbox returns an empty mailbox.
 func NewMailbox() *Mailbox {
-	b := &Mailbox{}
+	b := &Mailbox{queues: make(map[msgKey]*fifo)}
 	b.cond.L = &b.mu
 	return b
 }
@@ -42,7 +57,20 @@ func (b *Mailbox) Post(m Message) error {
 	if b.err != nil {
 		return b.err
 	}
-	b.queue = append(b.queue, m)
+	key := msgKey{m.Comm, m.Src, m.Tag}
+	q := b.queues[key]
+	if q == nil {
+		q = &fifo{}
+		b.queues[key] = q
+	}
+	if q.head > 0 && len(q.msgs) == cap(q.msgs) {
+		// Full with taken slots in front: move the pending ones down
+		// rather than grow past what is ever pending at once.
+		n := copy(q.msgs, q.msgs[q.head:])
+		clear(q.msgs[n:])
+		q.msgs, q.head = q.msgs[:n], 0
+	}
+	q.msgs = append(q.msgs, m)
 	b.cond.Broadcast()
 	return nil
 }
@@ -50,22 +78,23 @@ func (b *Mailbox) Post(m Message) error {
 // Take blocks until a message from global rank src with the given
 // communicator and tag is queued, and dequeues the oldest such message.
 func (b *Mailbox) Take(comm uint64, src, tag int) (Message, error) {
+	key := msgKey{comm, src, tag}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
 		if b.err != nil {
 			return Message{}, b.err
 		}
-		for i, m := range b.queue {
-			if m.Comm == comm && m.Src == src && m.Tag == tag {
-				last := len(b.queue) - 1
-				copy(b.queue[i:], b.queue[i+1:])
-				// The vacated slot would keep the delivered payload
-				// reachable after its receiver has dropped it.
-				b.queue[last] = Message{}
-				b.queue = b.queue[:last]
-				return m, nil
+		if q := b.queues[key]; q != nil && q.head < len(q.msgs) {
+			m := q.msgs[q.head]
+			// The vacated slot would keep the delivered payload
+			// reachable after its receiver has dropped it.
+			q.msgs[q.head] = Message{}
+			q.head++
+			if q.head == len(q.msgs) {
+				q.msgs, q.head = q.msgs[:0], 0
 			}
+			return m, nil
 		}
 		b.cond.Wait()
 	}

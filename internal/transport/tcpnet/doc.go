@@ -39,6 +39,17 @@
 // Subgroup are derived deterministically from the parent id and call
 // sequence on every member with no extra communication.
 //
+// A frame header's element count is a claim by the peer, so a reader
+// commits memory as bytes arrive, not as the header promises: the body
+// is read through one scratch per reader goroutine, at most 64 Ki
+// elements at a time, into a payload that grows with it. A body that
+// ends early is ErrTruncatedFrame — a failed peer, which fails the node
+// — and never the io.EOF of a peer that finished between frames.
+// Payloads and encoded frames are recycled within the job (two
+// transport.FreeLists on the node): a reader takes a payload, the
+// rank's Recv into a destination copies it out and puts it back; Send
+// takes a frame, the peer's writer puts it back once written.
+//
 // # Deadlines and accounting
 //
 // The job deadline bounds every blocking operation: dials, control

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,6 +28,12 @@ type node struct {
 
 	box   *transport.Mailbox
 	timer *time.Timer // fails the node at the deadline; nil without one
+
+	// The job's recycled buffers: decoded payloads travel from a reader
+	// to the rank's Recv and back, encoded frames from Send to a writer
+	// and back. Both lists are the node's and go with it.
+	words  transport.FreeList[float64]
+	frames transport.FreeList[byte]
 
 	mu    sync.Mutex
 	peers []*peerConn // indexed by rank; nil at self
@@ -106,6 +111,7 @@ func (n *node) writeLoop(pc *peerConn) {
 		}
 		wrote, err := pc.conn.Write(frame)
 		n.bytes.Add(int64(wrote))
+		n.frames.Put(frame)
 		if err != nil {
 			pc.failed.Store(true)
 			n.fail(fmt.Errorf("tcpnet: write to peer: %w", err))
@@ -114,8 +120,9 @@ func (n *node) writeLoop(pc *peerConn) {
 }
 
 func (n *node) readLoop(pc *peerConn) {
+	var scratch []byte // this reader's one frame-body buffer
 	for {
-		msg, wire, err := readMeshFrame(pc.conn)
+		msg, wire, err := readMeshFrame(pc.conn, &scratch, &n.words)
 		if err != nil {
 			// EOF (and its local mirror, reading a conn we closed
 			// ourselves) means the peer finished and shut down its
@@ -216,16 +223,25 @@ func (p *proc) Send(comm uint64, dst, tag int, data []float64) error {
 		return err
 	}
 	if dst == n.rank {
-		return n.box.Post(transport.Message{Comm: comm, Src: n.rank, Tag: tag, Data: slices.Clone(data)})
+		return n.box.Post(transport.Message{Comm: comm, Src: n.rank, Tag: tag, Data: n.words.Copy(data)})
 	}
-	n.peers[dst].out <- encodeMeshFrame(comm, n.rank, tag, data)
+	frame := n.frames.Get(meshFrameHeader + 8*len(data))
+	encodeMeshFrame(frame, comm, n.rank, tag, data)
+	n.peers[dst].out <- frame
 	return nil
 }
 
-// Recv waits in the mailbox, which the deadline timer fails.
-func (p *proc) Recv(comm uint64, src, tag int) ([]float64, error) {
+// Recv waits in the mailbox, which the deadline timer fails. A payload
+// that fits dst is copied there and its buffer goes back to the node's
+// free list; otherwise the buffer is the caller's.
+func (p *proc) Recv(comm uint64, src, tag int, dst []float64) ([]float64, error) {
 	m, err := p.n.box.Take(comm, src, tag)
-	return m.Data, err
+	if err != nil || dst == nil || len(m.Data) > len(dst) {
+		return m.Data, err
+	}
+	k := copy(dst, m.Data)
+	p.n.words.Put(m.Data)
+	return dst[:k], nil
 }
 
 // ChargeCollective charges what moved: measured traffic, not a model.

@@ -3,6 +3,7 @@ package tcpnet
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -98,9 +99,19 @@ const meshFrameHeader = 8 + 4 + 4 + 4
 // maxMeshElems bounds a single data frame (2 GiB of float64s).
 const maxMeshElems = 1 << 28
 
-// encodeMeshFrame serializes one data-plane message into a fresh buffer.
-func encodeMeshFrame(commID uint64, src, tag int, data []float64) []byte {
-	buf := make([]byte, meshFrameHeader+8*len(data))
+// chunkElems bounds how much of a frame's body is read, and so how much
+// memory is committed, ahead of the bytes that have actually arrived.
+const chunkElems = 1 << 16
+
+// ErrTruncatedFrame reports a data frame whose body ended before the
+// element count its header announced. It never matches io.EOF: a
+// connection that closes between frames is a peer that finished, one
+// that closes inside a frame is a peer that failed.
+var ErrTruncatedFrame = errors.New("tcpnet: truncated data frame")
+
+// encodeMeshFrame serializes one data-plane message into buf, which
+// must be meshFrameHeader + 8·len(data) bytes long.
+func encodeMeshFrame(buf []byte, commID uint64, src, tag int, data []float64) {
 	binary.BigEndian.PutUint64(buf[0:], commID)
 	binary.BigEndian.PutUint32(buf[8:], uint32(int32(src)))
 	binary.BigEndian.PutUint32(buf[12:], uint32(int32(tag)))
@@ -108,12 +119,15 @@ func encodeMeshFrame(commID uint64, src, tag int, data []float64) []byte {
 	for i, v := range data {
 		binary.BigEndian.PutUint64(buf[meshFrameHeader+8*i:], math.Float64bits(v))
 	}
-	return buf
 }
 
 // readMeshFrame reads one data-plane message, returning the decoded
-// fields and the total bytes consumed from the wire.
-func readMeshFrame(r io.Reader) (msg transport.Message, wireBytes int64, err error) {
+// fields and the total bytes consumed from the wire. The header's
+// element count is a claim, not a fact: the body is read chunkElems at
+// a time through the reader's one scratch and the payload, which comes
+// from words, grows as the chunks arrive, so what is committed follows
+// what was received.
+func readMeshFrame(r io.Reader, scratch *[]byte, words *transport.FreeList[float64]) (msg transport.Message, wireBytes int64, err error) {
 	var hdr [meshFrameHeader]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return msg, 0, err
@@ -121,17 +135,33 @@ func readMeshFrame(r io.Reader) (msg transport.Message, wireBytes int64, err err
 	msg.Comm = binary.BigEndian.Uint64(hdr[0:])
 	msg.Src = int(int32(binary.BigEndian.Uint32(hdr[8:])))
 	msg.Tag = int(int32(binary.BigEndian.Uint32(hdr[12:])))
-	count := binary.BigEndian.Uint32(hdr[16:])
+	count := int(binary.BigEndian.Uint32(hdr[16:]))
 	if count > maxMeshElems {
 		return msg, 0, fmt.Errorf("tcpnet: data frame of %d elements exceeds limit", count)
 	}
-	body := make([]byte, 8*count)
-	if _, err = io.ReadFull(r, body); err != nil {
-		return msg, 0, fmt.Errorf("tcpnet: truncated data frame: %w", err)
+	var data []float64
+	for got := 0; got < count; {
+		k := min(count-got, chunkElems)
+		if len(*scratch) < 8*k {
+			*scratch = make([]byte, 8*k)
+		}
+		body := (*scratch)[:8*k]
+		if _, err = io.ReadFull(r, body); err != nil {
+			words.Put(data)
+			//lint:ignore errwrap the cause is io.EOF when the peer died on a chunk boundary, and a truncated frame must never match a clean EOF
+			return msg, 0, fmt.Errorf("%w: %d of %d elements arrived: %v", ErrTruncatedFrame, got, count, err)
+		}
+		if got+k > len(data) {
+			grown := words.Get(min(count, max(2*len(data), got+k)))
+			copy(grown, data[:got])
+			words.Put(data)
+			data = grown
+		}
+		for i := range data[got : got+k] {
+			data[got+i] = math.Float64frombits(binary.BigEndian.Uint64(body[8*i:]))
+		}
+		got += k
 	}
-	msg.Data = make([]float64, count)
-	for i := range msg.Data {
-		msg.Data[i] = math.Float64frombits(binary.BigEndian.Uint64(body[8*i:]))
-	}
-	return msg, int64(meshFrameHeader + 8*int(count)), nil
+	msg.Data = data
+	return msg, int64(meshFrameHeader + 8*count), nil
 }

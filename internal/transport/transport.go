@@ -58,9 +58,26 @@ type Comm interface {
 	// member order and returns the concatenation on every member.
 	Allgather(data []float64) ([]float64, error)
 	// Transpose swaps payloads with a partner member (the paper's
-	// pairwise Transpose collective). partner == self returns the
-	// input.
+	// pairwise Transpose collective). partner == self returns a copy of
+	// the input.
 	Transpose(partner int, data []float64) ([]float64, error)
+
+	// The destination forms: the same operations writing their result
+	// into dst, storage the caller owned before the call, and returning
+	// it — nothing is allocated, and the methods above are these with a
+	// nil dst, which allocates. dst must be exactly as long as the
+	// result and must not overlap data; either fault is an error naming
+	// both lengths. Where a member has no result (Reduce and Gather off
+	// the root) dst is not looked at, and a Bcast root, which gets data
+	// itself back, never touches its dst.
+	RecvInto(src, tag int, dst []float64) ([]float64, error)
+	SendRecvInto(partner, tag int, data, dst []float64) ([]float64, error)
+	BcastInto(root int, data, dst []float64) ([]float64, error)
+	ReduceInto(root int, data, dst []float64) ([]float64, error)
+	AllreduceInto(data, dst []float64) ([]float64, error)
+	GatherInto(root int, data, dst []float64) ([]float64, error)
+	AllgatherInto(data, dst []float64) ([]float64, error)
+	TransposeInto(partner int, data, dst []float64) ([]float64, error)
 }
 
 // CommID derives the id of a child communicator from its parent's id,

@@ -70,7 +70,7 @@ func BlockedFactor(comm transport.Comm, aLocal *lin.Matrix, m, n, b, workers int
 			if err := proc.Compute(lin.GemmFlops(b, rest, qk.Rows)); err != nil {
 				return nil, nil, err
 			}
-			coeff, err := dist.Allreduce(comm, partial)
+			coeff, err := dist.Allreduce(comm, partial, nil)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -135,7 +135,7 @@ func Factor(comm transport.Comm, aLocal *lin.Matrix, m, n, workers int) (qLocal,
 
 	// Broadcast the final R from rank 0 so every rank returns it (the
 	// same contract as 1D-CQR2).
-	rOut, err := dist.Bcast(comm, 0, rCur, n, n)
+	rOut, err := dist.Bcast(comm, 0, rCur, nil, n, n)
 	if err != nil {
 		return nil, nil, err
 	}
