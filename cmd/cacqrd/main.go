@@ -59,6 +59,28 @@
 // plan, whether it was served from the plan cache, the condition
 // estimate the routing used, measured α-β-γ costs, and — for solves —
 // the solution x. examples/serving is a ready-made traffic driver.
+//
+// The wire contract, for the numbers (wire.go). Every element of "data"
+// and "b" is a JSON number — RFC 8259's grammar, read to the float64
+// strconv.ParseFloat gives; null, a string, +1, .5, 1., hex, Inf and NaN
+// are a 400 naming the element and its byte offset, and a number out of
+// float64's range is a 400 too. Members may come in any order and
+// everything else about the object (unknown, case-folded and repeated
+// keys, escapes, the other fields' types) is encoding/json's rule, but
+// "m" and "n" first is the fast path: the daemon then knows the length
+// of each array where it starts, refuses a shape past -max-elems or an
+// array of any other length before parsing or storing a number of it,
+// and allocates the matrix once, the slice the executor then owns (a
+// body that names "m" or "n" again after an array is judged on the
+// shape the array followed). In any order, "data" must hold m·n numbers
+// and "b", where present, m: 400 otherwise. The body is read once into
+// one buffer sized from Content-Length, under the body cap. On the way
+// out "x", "q" and "r" are the last members of the response, printed
+// from the result's own storage in the shortest decimal form that reads
+// back to the same float64 ('e' notation below 1e-6 and from 1e21: the
+// digits encoding/json prints). A result JSON cannot carry — a NaN or
+// ±Inf in x, q, r or cond_est — is a 500 naming the value, never a 200
+// cut short.
 package main
 
 import (
@@ -67,7 +89,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"net"
@@ -286,13 +307,14 @@ func registerServeMetrics(m *cacqr.Metrics, srv *cacqr.Server) {
 		func(st cacqr.ServerStats) float64 { return float64(st.Entries) })
 }
 
-// request is the wire form of one factorize/solve call.
+// request is one factorize/solve call as decodeRequest leaves it: the
+// tagged fields are encoding/json's, the two arrays the scanner's.
 type request struct {
 	M           int       `json:"m"`
 	N           int       `json:"n"`
-	Data        []float64 `json:"data,omitempty"` // row-major, length m·n
+	Data        []float64 `json:"-"` // "data": row-major, length m·n
 	Gen         *genSpec  `json:"gen,omitempty"`
-	B           []float64 `json:"b,omitempty"` // solve only
+	B           []float64 `json:"-"` // "b": length m
 	Procs       int       `json:"procs,omitempty"`
 	CondEst     float64   `json:"condest,omitempty"`
 	WantFactors bool      `json:"want_factors,omitempty"`
@@ -304,23 +326,21 @@ type genSpec struct {
 	Cond float64 `json:"cond,omitempty"` // >1: prescribed κ₂
 }
 
-// response is the wire form of the outcome.
+// response is the wire form of the outcome, all but its arrays:
+// writeResult appends "x", "q" and "r" after the last field here.
 type response struct {
-	Variant      string    `json:"variant"`
-	Grid         string    `json:"grid"`
-	Procs        int       `json:"procs"`
-	PlanCacheHit bool      `json:"plan_cache_hit"`
-	CondEst      float64   `json:"cond_est"`
-	Msgs         int64     `json:"msgs_per_proc"`
-	Words        int64     `json:"words_per_proc"`
-	Flops        int64     `json:"flops_per_proc"`
-	Bytes        int64     `json:"bytes_per_proc,omitempty"` // wire bytes (tcp transport only)
-	SimSeconds   float64   `json:"sim_seconds"`
-	WallSeconds  float64   `json:"wall_seconds"`
-	TraceID      string    `json:"trace_id,omitempty"` // set when the request was sampled
-	X            []float64 `json:"x,omitempty"`
-	Q            []float64 `json:"q,omitempty"`
-	R            []float64 `json:"r,omitempty"`
+	Variant      string  `json:"variant"`
+	Grid         string  `json:"grid"`
+	Procs        int     `json:"procs"`
+	PlanCacheHit bool    `json:"plan_cache_hit"`
+	CondEst      float64 `json:"cond_est"`
+	Msgs         int64   `json:"msgs_per_proc"`
+	Words        int64   `json:"words_per_proc"`
+	Flops        int64   `json:"flops_per_proc"`
+	Bytes        int64   `json:"bytes_per_proc,omitempty"` // wire bytes (tcp transport only)
+	SimSeconds   float64 `json:"sim_seconds"`
+	WallSeconds  float64 `json:"wall_seconds"`
+	TraceID      string  `json:"trace_id,omitempty"` // set when the request was sampled
 	// Out-of-core runs only: the request exceeded -max-elems and was
 	// served by the streamed CholeskyQR2 instead of being rejected. Q is
 	// never returned for a streamed run (it is as big as the input); R is
@@ -349,16 +369,17 @@ func requestID(w http.ResponseWriter, r *http.Request) string {
 // defaultBodyCap bounds the request body when -max-elems is 0 and no
 // shape-derived limit exists. 1 GiB of JSON is far past any sane
 // request; the point is that *some* cap always stands between a client
-// and the decoder's allocator.
+// and the buffer its body is read into.
 const defaultBodyCap = 1 << 30
 
 // bodyCap is the request-body limit handle installs before decoding:
 // the inline-"data" path is ~25 bytes per JSON float, so
-// 32·maxElems (+ slack for "b" and the envelope) caps what one request
-// can make the decoder allocate. With -max-elems 0 there is no shape
-// bound, but the body is still capped at defaultBodyCap — before this
-// existed an unlimited daemon would buffer a body of any size, which is
-// exactly the OOM the flag was meant to guard.
+// 32·maxElems (+ slack for "b" and the envelope) holds any matrix the
+// shape bound admits, and it is all one request can make the daemon
+// buffer. With -max-elems 0 there is no shape bound, but the body is
+// still capped at defaultBodyCap — before this existed an unlimited
+// daemon would buffer a body of any size, which is exactly the OOM the
+// flag was meant to guard.
 func bodyCap(maxElems int64) int64 {
 	if maxElems > 0 {
 		return 32*maxElems + 1<<20
@@ -403,7 +424,7 @@ func handle(srv *cacqr.Server, solve bool, maxElems int64, quiet bool) http.Hand
 			return
 		}
 		r.Body = http.MaxBytesReader(w, r.Body, bodyCap(maxElems))
-		req, err := decodeRequest(r.Body)
+		req, err := decodeRequest(r.Body, r.ContentLength, maxElems)
 		if err != nil {
 			code := http.StatusBadRequest
 			var tooBig *http.MaxBytesError
@@ -413,8 +434,13 @@ func handle(srv *cacqr.Server, solve bool, maxElems int64, quiet bool) http.Hand
 			fail(code, fmt.Errorf("bad request body: %w", err))
 			return
 		}
-		if maxElems > 0 && req.Gen != nil && req.Data == nil &&
-			req.M >= 1 && req.N >= 1 && int64(req.M) > maxElems/int64(req.N) {
+		if req.B != nil && len(req.B) != req.M {
+			// decodeRequest says the same of a "b" that follows "m".
+			fail(http.StatusBadRequest, fmt.Errorf("bad request body: %q holds %d numbers, the shape needs %d", "b", len(req.B), req.M))
+			return
+		}
+		if req.Gen != nil && req.Data == nil && req.M >= 1 && req.N >= 1 &&
+			checkElems(req.M, req.N, maxElems) != nil {
 			// An over--max-elems generator request streams instead of
 			// being rejected: the matrix never needs to be resident, so
 			// the flag's OOM guard is honored by running out-of-core
@@ -446,17 +472,25 @@ func handle(srv *cacqr.Server, solve bool, maxElems int64, quiet bool) http.Hand
 			}
 			res, err = srv.SubmitCtx(r.Context(), sub)
 		}
-		logLine(err)
 		if err != nil {
 			code := http.StatusUnprocessableEntity
 			if errors.Is(err, cacqr.ErrOverloaded) {
 				// Shed load visibly: clients should back off, not queue.
 				code = http.StatusServiceUnavailable
 			}
-			writeError(w, code, err)
+			fail(code, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, buildResponse(res, req.WantFactors, time.Since(start)))
+		err = writeResult(w, res, req.WantFactors, time.Since(start))
+		if errors.Is(err, errNonFinite) {
+			fail(http.StatusInternalServerError, err)
+			return
+		}
+		logLine(nil)
+		if err != nil {
+			// The status line is out; all that is left is to say so.
+			log.Printf("request id=%s: %v", id, err)
+		}
 	}
 }
 
@@ -476,7 +510,7 @@ func streamSource(req request, solve bool, maxElems int64) (*cacqr.MatrixSource,
 }
 
 // buildResponse is the wire form of one outcome, streamed or resident.
-func buildResponse(res *cacqr.SubmitResult, wantFactors bool, wall time.Duration) response {
+func buildResponse(res *cacqr.SubmitResult, wall time.Duration) response {
 	out := response{
 		Variant:      string(res.Plan.Variant),
 		Grid:         res.Plan.GridString(),
@@ -490,57 +524,52 @@ func buildResponse(res *cacqr.SubmitResult, wantFactors bool, wall time.Duration
 		SimSeconds:   res.Stats.Time,
 		WallSeconds:  wall.Seconds(),
 		TraceID:      res.TraceID,
-		X:            res.X,
 	}
 	if st := res.Stream; st != nil {
 		out.Streamed = true
 		out.Panels, out.PanelRows, out.ResidentBytes = st.Panels, st.PanelRows, st.MaxResidentBytes
 	}
-	if wantFactors {
-		out.R = res.R.Data
-		// A streamed run holds no Q — it is as big as the input — so it
-		// is never returned; R is n×n and small.
-		if res.Q != nil {
-			out.Q = res.Q.Data
-		}
-	}
 	return out
 }
 
-// decodeRequest parses one factorize/solve wire body. The caller caps
-// the reader (http.MaxBytesReader); everything beyond JSON
-// well-formedness — shape bounds, data/gen exclusivity, generator
-// κ targets — is buildMatrix's job, so the two compose into the full
-// request-validation surface (and fuzz as one unit).
-func decodeRequest(body io.Reader) (request, error) {
-	var req request
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		return req, err
+// checkElems refuses an m×n shape (m, n ≥ 1) past the -max-elems bound.
+func checkElems(m, n int, maxElems int64) error {
+	if maxElems > 0 && int64(m) > maxElems/int64(n) {
+		return fmt.Errorf("shape %dx%d exceeds the daemon's -max-elems bound of %d", m, n, maxElems)
 	}
-	return req, nil
+	return nil
 }
 
 // buildMatrix materializes the request's matrix from inline data or the
 // deterministic generator, refusing shapes beyond the -max-elems bound
 // before anything is allocated — one oversized "gen" request must not
-// OOM the daemon out from under every other client.
+// OOM the daemon out from under every other client. Inline data is not
+// copied: the slice decodeRequest filled becomes the matrix.
 func buildMatrix(req request, maxElems int64) (*cacqr.Dense, error) {
 	if req.M < 1 || req.N < 1 {
 		return nil, fmt.Errorf("invalid shape %dx%d", req.M, req.N)
 	}
-	if maxElems > 0 && int64(req.M) > maxElems/int64(req.N) {
-		return nil, fmt.Errorf("shape %dx%d exceeds the daemon's -max-elems bound of %d", req.M, req.N, maxElems)
+	if err := checkElems(req.M, req.N, maxElems); err != nil {
+		return nil, err
 	}
 	switch {
 	case req.Data != nil && req.Gen != nil:
 		return nil, fmt.Errorf(`give "data" or "gen", not both`)
 	case req.Data != nil:
-		return cacqr.FromData(req.M, req.N, req.Data)
+		if len(req.Data)/req.N != req.M || len(req.Data)%req.N != 0 {
+			return nil, fmt.Errorf("%q holds %d numbers, not the m·n of a %dx%d matrix", "data", len(req.Data), req.M, req.N)
+		}
+		return &cacqr.Dense{Rows: req.M, Cols: req.N, Data: req.Data}, nil
 	case req.Gen != nil:
 		if err := checkGenCond(req.Gen.Cond); err != nil {
 			return nil, err
 		}
 		if req.Gen.Cond > 1 {
+			if req.M < req.N {
+				// The exact-κ generator scales an m×n orthonormal basis and
+				// panics on a wide one; Submit would refuse the shape anyway.
+				return nil, fmt.Errorf("gen.cond needs m ≥ n, got %dx%d", req.M, req.N)
+			}
 			return cacqr.RandomWithCond(req.M, req.N, req.Gen.Cond, req.Gen.Seed), nil
 		}
 		return cacqr.RandomMatrix(req.M, req.N, req.Gen.Seed), nil
@@ -598,6 +627,8 @@ func statsJSON(st cacqr.ServerStats, tracer *cacqr.Tracer) map[string]any {
 	return out
 }
 
+// writeJSON answers everything but a completed request (writeResult):
+// stats, health, traces and errors, small enough for reflection.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -375,6 +375,12 @@ func TestGenCondValidation(t *testing.T) {
 		}
 	}
 
+	// A wide shape with a target is an error too: the exact-κ generator
+	// used to panic on it.
+	if _, err := buildMatrix(request{M: 1, N: 2, Gen: &genSpec{Cond: 10}}, 1<<24); err == nil {
+		t.Error("gen.cond on a 1x2 shape accepted")
+	}
+
 	// Over the wire: a negative cond is a 400 (NaN is not JSON).
 	ts := newTestDaemon(t)
 	resp, out := postFactorize(t, ts, map[string]any{

@@ -12,7 +12,7 @@ import "math"
 // A = L·Lᵀ for symmetric positive definite A ((1/3)n³ flops; the paper
 // charges (2/3)n³ counting multiplies and adds). The strictly upper part
 // of the result is zero. Fails with ErrNotPositiveDefinite when a pivot
-// is not strictly positive.
+// is not strictly positive and finite.
 func Cholesky(a *Matrix) (*Matrix, error) {
 	if a.Rows != a.Cols {
 		return nil, ErrShape
@@ -40,7 +40,7 @@ func choleskyInto(a, l *Matrix) error {
 				sum -= li[k] * lj[k]
 			}
 			if i == j {
-				if sum <= 0 || math.IsNaN(sum) {
+				if !(sum > 0) || sum > math.MaxFloat64 { // ≤ 0, NaN, or a Gram matrix that overflowed to +Inf
 					return ErrNotPositiveDefinite
 				}
 				l.Data[i*l.Stride+j] = math.Sqrt(sum)

@@ -45,6 +45,14 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	if _, err := Cholesky(NewMatrix(2, 2)); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("got %v, want ErrNotPositiveDefinite", err)
 	}
+	// A Gram matrix that overflowed: +Inf is not a pivot, wherever it sits.
+	for i := 0; i < 3; i++ {
+		a := Identity(3)
+		a.Set(i, i, math.Inf(1))
+		if _, err := Cholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
+			t.Fatalf("infinite pivot %d: got %v, want ErrNotPositiveDefinite", i, err)
+		}
+	}
 }
 
 func TestCholeskyProperty(t *testing.T) {

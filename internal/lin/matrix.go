@@ -23,9 +23,9 @@ type Matrix struct {
 // ErrShape reports incompatible matrix dimensions.
 var ErrShape = errors.New("lin: incompatible matrix shapes")
 
-// ErrNotPositiveDefinite reports a Cholesky failure: a non-positive pivot
-// was encountered, meaning the input is not (numerically) symmetric
-// positive definite.
+// ErrNotPositiveDefinite reports a Cholesky failure: a non-positive or
+// non-finite pivot was encountered, meaning the input is not
+// (numerically) symmetric positive definite.
 var ErrNotPositiveDefinite = errors.New("lin: matrix is not positive definite")
 
 // ErrSingular reports a singular triangular factor.

@@ -510,3 +510,22 @@ func TestMalformedDenseIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// A matrix whose Gram matrix overflows to +Inf is a typed error from the
+// CholeskyQR ladder, not a NaN Q with a nil error: Cholesky used to take
+// the infinite pivot (it is neither ≤ 0 nor NaN).
+func TestCQR2BreaksOnOverflowingGram(t *testing.T) {
+	for _, big := range []float64{1e200, 1e160} {
+		a, err := FromData(4, 2, []float64{big, 0, 0, big, big, 0, 0, 1e-200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, _, err := CholeskyQR2(a)
+		if !errors.Is(err, ErrIllConditioned) || !errors.Is(err, lin.ErrNotPositiveDefinite) {
+			t.Errorf("%g: CholeskyQR2 returned %v (Q %v), want ErrIllConditioned wrapping ErrNotPositiveDefinite", big, err, q)
+		}
+		if _, _, err := ShiftedCQR3(a); !errors.Is(err, ErrIllConditioned) {
+			t.Errorf("%g: ShiftedCQR3 returned %v, want ErrIllConditioned", big, err)
+		}
+	}
+}
