@@ -3,6 +3,7 @@
 package cacqr
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 )
@@ -32,41 +33,63 @@ func allocsPerRun(runs int, f func()) (bytes, objects uint64) {
 // workspaces themselves, sized by the memory model, the rest the input
 // and output blocks, the wire buffers in flight at once, and one flat
 // gather buffer. The 1D case (15.9 MB, 30×, before the gather was
-// rooted) allocates per call as it always did: ≈ 4.5 MB (8.6×). The race
-// detector's shadow allocations make the numbers meaningless, hence the
-// build tag.
+// rooted) allocates per call as it always did: ≈ 4.5 MB (8.6×). A fused
+// SubmitBatch reads its items in place, so it allocates little more than
+// the Q factors it hands back: ≈ 1.5× the batch. The race detector's
+// shadow allocations make the numbers meaningless, hence the build tag.
 func TestAllocationBudget(t *testing.T) {
-	grid := func(spec GridSpec, opts Options) func(a *Dense) error {
-		return func(a *Dense) error {
-			_, err := FactorizeOnGrid(a, spec, opts)
+	grid := func(spec GridSpec, opts Options) func(as []*Dense) error {
+		return func(as []*Dense) error {
+			_, err := FactorizeOnGrid(as[0], spec, opts)
 			return err
 		}
 	}
+	srv := newTestServer(t, ServerOptions{Procs: 8})
 	for _, tc := range []struct {
 		name         string
-		m, n         int
-		run          func(a *Dense) error
-		inputs       uint64 // budget in multiples of the 8·m·n input bytes
+		m, n, items  int
+		run          func(as []*Dense) error
+		inputs       uint64 // budget in multiples of the items·8·m·n input bytes
 		objectBudget uint64
 	}{
-		{"grid_c2_d4_2048x128", 2048, 128, grid(GridSpec{C: 2, D: 4}, Options{}), 12, 4000},
-		{"grid_c2_d2_4096x64", 4096, 64, grid(GridSpec{C: 2, D: 2}, Options{}), 11, 2000},
-		{"grid_c2_d4_2048x128_inverse_depth_1", 2048, 128, grid(GridSpec{C: 2, D: 4}, Options{InverseDepth: 1}), 14, 4000},
-		{"panel_c2_d4_2048x128_b32", 2048, 128, grid(GridSpec{C: 2, D: 4}, Options{PanelWidth: 32}), 16, 4000},
-		{"1d_p8_1024x64", 1024, 64, func(a *Dense) error {
-			_, err := Factorize1D(a, 8, Options{})
+		{"grid_c2_d4_2048x128", 2048, 128, 1, grid(GridSpec{C: 2, D: 4}, Options{}), 12, 4000},
+		{"grid_c2_d2_4096x64", 4096, 64, 1, grid(GridSpec{C: 2, D: 2}, Options{}), 11, 2000},
+		{"grid_c2_d4_2048x128_inverse_depth_1", 2048, 128, 1, grid(GridSpec{C: 2, D: 4}, Options{InverseDepth: 1}), 14, 4000},
+		{"panel_c2_d4_2048x128_b32", 2048, 128, 1, grid(GridSpec{C: 2, D: 4}, Options{PanelWidth: 32}), 16, 4000},
+		{"1d_p8_1024x64", 1024, 64, 1, func(as []*Dense) error {
+			_, err := Factorize1D(as[0], 8, Options{})
 			return err
 		}, 20, 600},
+		// The throughput path: per item its Q, its n×n ladder temporaries
+		// and its result, ≈ 1.5× the input and ≈ 26 objects.
+		{"submit_batch_fused_64x512x32", 512, 32, 64, func(as []*Dense) error {
+			reqs := make([]SubmitRequest, len(as))
+			for i, a := range as {
+				reqs[i] = SubmitRequest{A: a, CondEst: 10}
+			}
+			for _, it := range srv.SubmitBatch(reqs) {
+				if it.Err != nil {
+					return it.Err
+				}
+				if !it.Result.Fused {
+					return errors.New("item did not take the fused path")
+				}
+			}
+			return nil
+		}, 2, 64 * 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a := RandomMatrix(tc.m, tc.n, 7)
+			as := make([]*Dense, tc.items)
+			for i := range as {
+				as[i] = RandomMatrix(tc.m, tc.n, int64(7+i))
+			}
 			bytes, objects := allocsPerRun(3, func() {
-				if err := tc.run(a); err != nil {
+				if err := tc.run(as); err != nil {
 					t.Fatal(err)
 				}
 			})
-			input := uint64(8 * tc.m * tc.n)
-			t.Logf("%d bytes (%.1f× the input), %d objects per run", bytes, float64(bytes)/float64(input), objects)
+			input := uint64(8 * tc.m * tc.n * tc.items)
+			t.Logf("%d bytes (%.2f× the input), %d objects per run (%d per item)", bytes, float64(bytes)/float64(input), objects, objects/uint64(tc.items))
 			if bytes > tc.inputs*input {
 				t.Errorf("allocates %d bytes per run, budget is %d× the %d-byte input", bytes, tc.inputs, input)
 			}
@@ -76,7 +99,7 @@ func TestAllocationBudget(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < 50; i++ {
-				if err := tc.run(a); err != nil {
+				if err := tc.run(as); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -24,7 +24,9 @@
 // trips, 400 on shape. The body cap always stands, even at
 // -max-elems 0.
 // -fuse-window, when positive, coalesces concurrent same-key requests
-// into one fused batched execution (the streaming form of SubmitBatch).
+// into one fused batched execution (the streaming form of SubmitBatch):
+// one plan lookup and one gate admission for the group, then each
+// request's sequential CholeskyQR2 on its own pool worker.
 //
 // -transport selects where distributed ranks run: "sim" (default) uses
 // the simulated goroutine runtime with exact α-β-γ accounting;

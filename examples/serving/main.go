@@ -10,8 +10,10 @@
 // and prints per-workload routing plus throughput and the cache-hit
 // rate. It then switches to throughput mode: the same flood of
 // same-shape requests submitted one at a time versus one SubmitBatch
-// call, which fuses the whole group into strided batch kernels — and
-// closes with the per-key latency quantiles the server accumulated.
+// call, which fuses the whole group into one plan lookup, one gate
+// admission and one pool dispatch (each item's CholeskyQR2 on one
+// worker) — and closes with the per-key latency quantiles the server
+// accumulated.
 //
 //	go run ./examples/serving            # in-process cacqr.Server
 //	go run ./examples/serving -addr http://127.0.0.1:8377 -rounds 1
@@ -142,8 +144,9 @@ func driveInProcess(rounds, procs int) error {
 
 // driveBatched floods the server with one same-shape workload, first one
 // Submit at a time and then as a single SubmitBatch — the throughput
-// mode that fuses the group into strided batch kernels — and prints the
-// speedup plus the per-key latency quantiles.
+// mode that runs the group as one pool dispatch of sequential
+// CholeskyQR2s — and prints the speedup plus the per-key latency
+// quantiles.
 func driveBatched(srv *cacqr.Server, procs int) error {
 	const nb, m, n = 64, 512, 32
 	reqs := make([]cacqr.SubmitRequest, nb)

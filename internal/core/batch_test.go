@@ -71,7 +71,7 @@ func TestBatchedShiftedCQR3BitwiseMatchesSequential(t *testing.T) {
 }
 
 // Failures are per item: one ill-conditioned member must not disturb its
-// batch-mates or poison the shared slab sweep.
+// batch-mates.
 func TestBatchedCQR2IsolatesIllConditionedItems(t *testing.T) {
 	as := []*lin.Matrix{
 		lin.RandomMatrix(64, 8, 1),
@@ -109,6 +109,34 @@ func TestBatchedCQR2EdgeCases(t *testing.T) {
 	for i, err := range errs {
 		if !errors.Is(err, lin.ErrShape) {
 			t.Fatalf("item %d: err = %v, want ErrShape", i, err)
+		}
+	}
+	// Mixed shapes: each item is its own CholeskyQR2, and a wide one
+	// fails alone.
+	as := []*lin.Matrix{
+		lin.RandomMatrix(64, 8, 3),
+		lin.RandomMatrix(96, 24, 4),
+		lin.RandomMatrix(4, 6, 5),
+		lin.RandomMatrix(64, 8, 6),
+		lin.RandomMatrix(96, 24, 7),
+	}
+	qs, rs, errs = BatchedCQR2(as, 4)
+	for i, a := range as {
+		if a.Rows < a.Cols {
+			if !errors.Is(errs[i], lin.ErrShape) || qs[i] != nil || rs[i] != nil {
+				t.Fatalf("wide item %d: err = %v, want ErrShape and nil factors", i, errs[i])
+			}
+			continue
+		}
+		if errs[i] != nil {
+			t.Fatalf("item %d (%dx%d): %v", i, a.Rows, a.Cols, errs[i])
+		}
+		wantQ, wantR, err := CholeskyQR2(a, 1)
+		if err != nil {
+			t.Fatalf("serial reference failed: %v", err)
+		}
+		if !qs[i].Equal(wantQ) || !rs[i].Equal(wantR) {
+			t.Fatalf("item %d (%dx%d) differs from CholeskyQR2", i, a.Rows, a.Cols)
 		}
 	}
 }

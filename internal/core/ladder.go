@@ -9,10 +9,13 @@
 // (Factor), multiply the iterate by the inverse, repeat, and fold
 // R = Rᵢ·(Rᵢ₋₁⋯R₁). The variants differ only in where the tall matrix
 // lives and so in how its Gram matrix gets summed, which is what the
-// Tall interface abstracts. Three adapters implement it:
+// Tall interface abstracts. Four drivers call Ladder, through three
+// adapters:
 //
 //   - resident (seq.go): the matrix is in memory, the Gram matrix is one
-//     SYRK, nothing is charged.
+//     SYRK, nothing is charged. The sequential drivers run it with the
+//     kernels fanned out over the pool; the batched drivers (batch.go)
+//     run it serially per item, one item per pool worker.
 //   - rowBlock (cqr1d.go): each rank of a transport.Comm holds m/P rows;
 //     the Gram matrix is a local SYRK plus an Allreduce, and every flop is
 //     charged to the rank, so a run on the simulated transport yields
@@ -20,9 +23,6 @@
 //   - internal/stream's driver: the matrix arrives as row panels, the
 //     Gram matrix is a running sum over one scan of the source, and the
 //     inverses are kept to be replayed on the next scan.
-//
-// batch.go keeps its batch-first loop (one fused SYRK sweep per pass
-// over all items) and shares Factor and the fold.
 //
 // The grid family — CA-CQR and CA-CQR2 over a tunable c × d × c grid
 // (Algorithms 8–9, cacqr.go) and the §V panel variant (panel.go) — is

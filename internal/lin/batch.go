@@ -1,27 +1,29 @@
 package lin
 
-// Strided-batch kernels: the throughput layer for floods of same-shape
-// small/medium problems. Millions-of-users traffic is rarely one 2^22-row
-// matrix — it is hundreds of 512×32 regressions or Kalman updates per
-// batch window — and dispatching each through its own kernel invocation
-// pays the goroutine hand-off cost per matrix. A Slab packs a whole batch
-// into one contiguous 3-D allocation [batch][rows][cols], and the Batch*
-// kernels sweep it with ONE worker-pool dispatch: the pool's dynamic
-// chunk claiming spreads items over workers, while each item runs the
-// serial kernel on its own lane. Per item the floating-point
-// operation sequence is exactly the serial kernel's, so batched results
-// are bitwise equal to per-item serial calls for any worker count — the
-// same contract the parallel kernels in parallel.go keep.
+// The batch layer. Of it, only BatchApply serves production: the
+// batched CholeskyQR drivers (internal/core/batch.go) hand it one whole
+// per-item factorization each, so every item stays cache-resident on one
+// pool worker from its first Gram matrix to its last Q update.
+//
+// The rest — Slab, NewSlab, SlabFrom, (*Slab).Item, BatchSYRK, BatchGEMM
+// and BatchTRSM, the pass-major strided-batch kernels that sweep a
+// contiguous [batch][rows][cols] slab once per kernel — have no
+// production caller. They stay only because the frozen benchmark's
+// serve-batch probes (lin.batch_syrk, lin.batch_gemm, lin.batch_trsm)
+// compile against them, and go when the benchmark unfreezes (ROADMAP).
+// Per item each runs the serial kernel, so results are bitwise equal to
+// per-item serial calls for any worker count.
 
 // Slab is a dense stack of Batch same-shape row-major matrices: item i
 // occupies Data[i*Rows*Cols : (i+1)*Rows*Cols]. The zero value is an
-// empty slab.
+// empty slab. A benchmark probe only (see the header).
 type Slab struct {
 	Batch, Rows, Cols int
 	Data              []float64
 }
 
-// NewSlab returns a zeroed batch of b r×c matrices.
+// NewSlab returns a zeroed batch of b r×c matrices. A benchmark probe
+// only.
 func NewSlab(b, r, c int) *Slab {
 	if b < 0 || r < 0 || c < 0 {
 		panic(ErrShape)
@@ -30,7 +32,7 @@ func NewSlab(b, r, c int) *Slab {
 }
 
 // SlabFrom packs same-shape matrices into a new slab (data is copied).
-// An empty input yields an empty slab.
+// An empty input yields an empty slab. A benchmark probe only.
 func SlabFrom(items []*Matrix) *Slab {
 	if len(items) == 0 {
 		return &Slab{}
@@ -46,7 +48,8 @@ func SlabFrom(items []*Matrix) *Slab {
 	return s
 }
 
-// Item returns a view of item i sharing the slab's storage.
+// Item returns a view of item i sharing the slab's storage. A benchmark
+// probe only.
 func (s *Slab) Item(i int) *Matrix {
 	if i < 0 || i >= s.Batch {
 		panic(ErrShape)
@@ -68,9 +71,9 @@ func BatchApply(workers, batch int, f func(i int)) {
 }
 
 // BatchSYRK computes C_i = beta*C_i + alpha*A_iᵀA_i for every item in one
-// pool dispatch: the fused Gram stage of batched CholeskyQR. a is
-// [batch][m][n], c must be [batch][n][n]. Each item runs the serial Syrk,
-// so results are bitwise identical to per-item serial calls.
+// pool dispatch. a is [batch][m][n], c must be [batch][n][n]. Each item
+// runs the serial Syrk, so results are bitwise identical to per-item
+// serial calls. A benchmark probe only.
 func BatchSYRK(workers int, alpha float64, a *Slab, beta float64, c *Slab) {
 	if c.Batch != a.Batch || c.Rows != a.Cols || c.Cols != a.Cols {
 		panic(ErrShape)
@@ -84,7 +87,7 @@ func BatchSYRK(workers int, alpha float64, a *Slab, beta float64, c *Slab) {
 // item in one pool dispatch. Shapes are validated once for the whole
 // slab (items are same-shape by construction); each item then runs the
 // serial Gemm, so results are bitwise identical to per-item serial
-// calls.
+// calls. A benchmark probe only.
 func BatchGEMM(workers int, transA, transB bool, alpha float64, a, b *Slab, beta float64, c *Slab) {
 	if a.Batch != b.Batch || a.Batch != c.Batch {
 		panic(ErrShape)
@@ -99,12 +102,11 @@ func BatchGEMM(workers int, transA, transB bool, alpha float64, a, b *Slab, beta
 }
 
 // BatchTRSM solves the per-item triangular systems in place — B_i :=
-// B_i·T_i⁻¹ (Right) or T_i⁻¹·B_i (Left) — in one pool dispatch: the
-// batched back-substitution stage of fused least-squares solves. t is
+// B_i·T_i⁻¹ (Right) or T_i⁻¹·B_i (Left) — in one pool dispatch. t is
 // [batch][n][n], b conforms on the chosen side. Validation (shape,
 // nonsingular diagonals, implemented variant) runs up front for every
 // item so the pooled per-item solves cannot panic; results are bitwise
-// identical to per-item serial Trsm calls.
+// identical to per-item serial Trsm calls. A benchmark probe only.
 func BatchTRSM(workers int, side Side, tri Triangle, transT bool, t, b *Slab) {
 	if t.Batch != b.Batch {
 		panic(ErrShape)

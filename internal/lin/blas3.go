@@ -7,8 +7,8 @@ package lin
 // its operands by strides, names the structural zeros (SYRK's lower
 // triangle, TRMM's triangular factor) and hands the product to the
 // shared tile loops, serial (workers = 1) or on the worker pool. The
-// serial, parallel and batched entry points are therefore the same
-// computation per element and agree bitwise. TRSM has no hot caller and
+// serial and parallel entry points are therefore the same computation
+// per element and agree bitwise. TRSM has no hot caller and
 // stays a scalar substitution. Each kernel documents its flop count so
 // the distributed algorithms can charge the α-β-γ model exactly —
 // parallelism and vector width change wall-clock, not the model.
@@ -314,9 +314,10 @@ func checkTrxmShapes(side Side, t, b *Matrix) {
 
 // checkTrsm is Trsm's full validation: shapes, a nonsingular diagonal,
 // and an implemented variant (the transposed solves exist for Lower
-// only). Shared with BatchTRSM, which runs it for every item up front:
-// its pooled per-item solves must be guaranteed panic-free — a panic on a
-// pool worker cannot be recovered by the caller.
+// only). Shared with BatchTRSM (a benchmark probe), which runs it for
+// every item up front: its pooled per-item solves must be guaranteed
+// panic-free — a panic on a pool worker cannot be recovered by the
+// caller.
 func checkTrsm(side Side, tri Triangle, transT bool, t, b *Matrix) {
 	checkTrxmShapes(side, t, b)
 	for i := 0; i < t.Rows; i++ {

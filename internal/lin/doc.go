@@ -8,14 +8,17 @@
 // case for CholeskyQR2 is that its flops are all level-3, so GEMM, SYRK
 // and TRMM share one register-tiled 4×8 micro-kernel (kernel.go): AVX2/FMA
 // assembly on amd64 CPUs that have it, the same loop nest in plain Go
-// everywhere else (other GOARCH, -tags purego). The serial, goroutine-
-// parallel (GemmParallel, SyrkParallel, TrmmParallel) and strided-batch
-// (BatchGEMM, BatchSYRK) entry points are drivers over the same tile
-// loops and agree bitwise, so worker counts never change numerics. TRSM,
-// Cholesky, the triangular inverse and Householder QR are scalar: none
-// has a hot caller. The reproduction's cost model separates flop counts
-// (which these kernels match exactly, whatever the vector width or worker
-// count) from flop rates (which belong to the machine model). Each kernel
-// family has a matching *Flops counter (flops.go) that the distributed
-// algorithms charge to their rank's virtual clock.
+// everywhere else (other GOARCH, -tags purego). The serial and goroutine-
+// parallel (GemmParallel, SyrkParallel, TrmmParallel) entry points are
+// drivers over the same tile loops and agree bitwise, so worker counts
+// never change numerics; a batch of small problems runs the serial
+// kernels one item per pool worker (BatchApply). The strided-batch
+// kernels (Slab, BatchGEMM, BatchSYRK, BatchTRSM) survive only as the
+// frozen benchmark's probes (batch.go). TRSM, Cholesky, the triangular
+// inverse and Householder QR are scalar: none has a hot caller. The
+// reproduction's cost model separates flop counts (which these kernels
+// match exactly, whatever the vector width or worker count) from flop
+// rates (which belong to the machine model). Each kernel family has a
+// matching *Flops counter (flops.go) that the distributed algorithms
+// charge to their rank's virtual clock.
 package lin

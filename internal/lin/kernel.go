@@ -16,8 +16,8 @@ package lin
 // Edge tiles are zero-padded into full tiles, so every element of C sees
 // the same k-ordered chain of multiply-adds wherever it lies, and tiles
 // are anchored at multiples of the tile size from C's origin, so any
-// split of the rows into tileM-aligned chunks — serial, parallel,
-// batched — is bitwise the same computation.
+// split of the rows into tileM-aligned chunks — serial or parallel — is
+// bitwise the same computation.
 
 const (
 	tileM  = 4   // micro-kernel tile rows

@@ -5,9 +5,9 @@
 // provides the distributed Transpose used by CFR3D.
 //
 // Nothing here allocates per call: results and temporaries come from the
-// cube's workspace (grid.Workspace). Multiply, MultiplyTri and Transpose
-// take their result's slot there themselves; MultiplyInto and
-// TransposeInto write into one the caller took.
+// cube's workspace (grid.Workspace). Multiply and Transpose take their
+// result's slot there themselves; MultiplyInto and TransposeInto write
+// into one the caller took.
 package mm3d
 
 import (
@@ -38,22 +38,11 @@ import (
 // simulated grids where the ranks already saturate the host). It changes
 // wall-clock only: results and charged flops are identical.
 func Multiply(cb *grid.Cube, aLocal, bLocal *lin.Matrix, workers int) (*lin.Matrix, error) {
-	return multiply(cb, aLocal, bLocal, false, workers)
-}
-
-// MultiplyTri is Multiply for a triangular right operand (R⁻¹, or a
-// triangular × triangular product): identical communication, but the
-// local multiply is charged at the TRMM rate (half the GEMM flops).
-func MultiplyTri(cb *grid.Cube, aLocal, bLocal *lin.Matrix, workers int) (*lin.Matrix, error) {
-	return multiply(cb, aLocal, bLocal, true, workers)
-}
-
-func multiply(cb *grid.Cube, aLocal, bLocal *lin.Matrix, triangular bool, workers int) (*lin.Matrix, error) {
 	if aLocal.Cols != bLocal.Rows {
 		return nil, fmt.Errorf("mm3d: inner dimensions %d and %d differ", aLocal.Cols, bLocal.Rows)
 	}
 	dst := workspace(cb, aLocal, bLocal).Matrix(aLocal.Rows, bLocal.Cols)
-	return dst, MultiplyInto(cb, dst, aLocal, bLocal, triangular, workers)
+	return dst, MultiplyInto(cb, dst, aLocal, bLocal, false, workers)
 }
 
 // workspace is the cube's workspace; if this product is the first to ask
@@ -66,10 +55,13 @@ func workspace(cb *grid.Cube, a, b *lin.Matrix) *grid.Workspace {
 	return cb.Workspace(int64(words))
 }
 
-// MultiplyInto is Multiply (MultiplyTri when triangular) writing the
-// product into dst, a compact aLocal.Rows × bLocal.Cols matrix the
-// caller owns. dst may be aLocal itself — the product then replaces its
-// left operand — but may not otherwise share storage with an operand.
+// MultiplyInto is Multiply writing the product into dst, a compact
+// aLocal.Rows × bLocal.Cols matrix the caller owns. dst may be aLocal
+// itself — the product then replaces its left operand — but may not
+// otherwise share storage with an operand. triangular marks a
+// triangular right operand (R⁻¹, or a triangular × triangular product):
+// identical communication and numbers, but the local multiply is charged
+// at the TRMM rate (half the GEMM flops).
 func MultiplyInto(cb *grid.Cube, dst, aLocal, bLocal *lin.Matrix, triangular bool, workers int) error {
 	if aLocal.Cols != bLocal.Rows {
 		return fmt.Errorf("mm3d: inner dimensions %d and %d differ", aLocal.Cols, bLocal.Rows)

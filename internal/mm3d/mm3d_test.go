@@ -164,8 +164,8 @@ func TestMultiplyCostFormula(t *testing.T) {
 }
 
 func TestMultiplyTriHalvesFlopCharge(t *testing.T) {
-	// MultiplyTri produces the same numbers as Multiply but charges the
-	// TRMM rate (half the GEMM flops); communication is identical.
+	// MultiplyInto's triangular flag leaves the numbers alone but charges
+	// the TRMM rate (half the GEMM flops); communication is identical.
 	const e, n = 2, 8
 	a := lin.RandomMatrix(n, n, 13)
 	b := lin.RandomMatrix(n, n, 14)
@@ -187,13 +187,8 @@ func TestMultiplyTriHalvesFlopCharge(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			var c *lin.Matrix
-			if tri {
-				c, err = MultiplyTri(cb, al, bl, 1)
-			} else {
-				c, err = Multiply(cb, al, bl, 1)
-			}
-			if err != nil {
+			c := lin.NewMatrix(al.Rows, bl.Cols)
+			if err := MultiplyInto(cb, c, al, bl, tri, 1); err != nil {
 				return err
 			}
 			if p.Rank() == 0 {
@@ -209,13 +204,13 @@ func TestMultiplyTriHalvesFlopCharge(t *testing.T) {
 	full, cFull := run(false)
 	tri, cTri := run(true)
 	if !cFull.EqualWithin(cTri, 0) {
-		t.Fatal("MultiplyTri changes the numerical result")
+		t.Fatal("the triangular flag changes the numerical result")
 	}
 	if tri.MaxFlops*2 != full.MaxFlops {
 		t.Fatalf("tri flops %d should be half of %d", tri.MaxFlops, full.MaxFlops)
 	}
 	if tri.MaxWords != full.MaxWords || tri.MaxMsgs != full.MaxMsgs {
-		t.Fatal("MultiplyTri altered communication cost")
+		t.Fatal("the triangular flag altered communication cost")
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // requests, DoFused goes one step further and shares one EXECUTION. The first request for a key opens a fuse window;
 // same-key requests arriving inside it join the group; when the window
 // closes the leader runs the whole group as one fused batch (one rank
-// gate acquisition, one strided-kernel sweep) and distributes per-item
+// gate acquisition, one pool dispatch) and distributes per-item
 // results. This is the streaming counterpart of DoBatch for callers that
 // submit one request at a time.
 

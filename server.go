@@ -108,11 +108,11 @@ type SubmitResult struct {
 	// in-flight same-key lookup instead of a fresh planner run.
 	PlanCacheHit bool
 	// Fused reports that the request executed inside a fused batch (a
-	// SubmitBatch group or a FuseWindow coalescence) through the strided
-	// batch kernels rather than a per-request simulated run. Fused
-	// results match per-request results to working accuracy; Stats then
-	// carries the analytic critical-path flop count instead of a
-	// simulated measurement.
+	// SubmitBatch group or a FuseWindow coalescence) as the sequential
+	// CholeskyQR2 (or ShiftedCQR3) on one pool worker, rather than a
+	// per-request simulated run. Fused results match per-request results
+	// to working accuracy; Stats then carries the analytic critical-path
+	// flop count instead of a simulated measurement.
 	Fused bool
 	// Stats is the run's per-processor cost: measured from the simulated
 	// run for per-request execution, analytic for fused batches.
@@ -426,10 +426,10 @@ func (s *Server) submitFused(ctx context.Context, preq plan.Request, req SubmitR
 }
 
 // SubmitBatch submits many requests as one call, fusing same-plan-key
-// groups into single batched executions through the strided batch
-// kernels: per group, one plan resolution, one rank-gate admission, one
-// BatchSYRK/BatchGEMM sweep per CholeskyQR pass — instead of one
-// goroutine-pool spin-up per request. Outcomes are per item and
+// groups into single batched executions: per group, one plan
+// resolution, one rank-gate admission and one pool dispatch in which
+// each item runs its whole factorization on one worker — instead of a
+// simulated distributed run per request. Outcomes are per item and
 // index-aligned with reqs: a malformed or ill-conditioned member gets
 // its own Err without failing its batch-mates, and a saturated server
 // refuses whole groups with ErrOverloaded. Distinct-key groups execute
@@ -495,12 +495,12 @@ func (s *Server) SubmitBatchCtx(ctx context.Context, reqs []SubmitRequest) []Bat
 }
 
 // execGroup runs one same-key group of jobs under an already-acquired
-// rank-gate slot. The CholeskyQR2 family routes through the fused
-// batched drivers (parallelism comes from the batch dimension, and the
-// per-item kernel sequence is the sequential one, so results match
-// per-request runs to working accuracy); TSQR and PGEQRF have no fused
-// kernels and fall back to per-item simulated runs. Per-item failures
-// land in job.err.
+// rank-gate slot. The CholeskyQR2 family routes through the batched
+// drivers (parallelism comes from the batch dimension; each item is the
+// sequential ladder on one pool worker, so results match per-request
+// runs to working accuracy); TSQR and PGEQRF have no batched driver and
+// fall back to per-item simulated runs. Per-item failures land in
+// job.err.
 func (s *Server) execGroup(ctx context.Context, p plan.Plan, jobs []*submitJob) {
 	switch p.Variant {
 	case plan.Sequential, plan.OneD, plan.CACQR2, plan.PanelCACQR2, plan.ShiftedCQR3:
