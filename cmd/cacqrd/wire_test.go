@@ -241,11 +241,13 @@ func TestOverflowingGramIsNeverAnEmpty200(t *testing.T) {
 	ts := newTestDaemon(t)
 	for _, big := range []string{"1e200", "1e160"} {
 		data := strings.ReplaceAll(`"data":[X,0,0,X,X,0,0,1e-200],"want_factors":true`, "X", big)
-		// Unhinted, the κ estimate is +Inf, the plan is Householder TSQR
-		// and its Q is NaN: the response writer's rung.
+		// Unhinted, the κ estimate is +Inf (its power iteration runs on
+		// the overflowed Gram) and the plan is Householder TSQR, whose Q
+		// and R are finite — its reflector norms are scaled: the response
+		// writer's rung refuses the estimate.
 		code, out := postBody(t, ts, "/v1/factorize", `{"m":4,"n":2,`+data+`}`)
-		if code != http.StatusInternalServerError || !strings.Contains(out, `"error":"result is not finite: q[0] is NaN"`) {
-			t.Errorf("%s: %d %q, want the writer's 500 naming q", big, code, out)
+		if code != http.StatusInternalServerError || !strings.Contains(out, `"error":"result is not finite: cond_est is +Inf"`) {
+			t.Errorf("%s: %d %q, want the writer's 500 naming cond_est", big, code, out)
 		}
 		// With a caller's κ the plan is CholeskyQR2 and the whole ladder
 		// breaks down on the infinite pivot: the library's typed error.

@@ -6,50 +6,30 @@ package lin
 // costs 2mn² flops and m×n storage; applying it to a k-column block costs
 // only ~4mnk, which is what solvers want for k ≪ n.
 
-// ApplyQT overwrites B (m×k) with Qᵀ·B, applying the stored reflectors
-// forward: H_{n-1}···H_0·B.
-func (f *QRFactors) ApplyQT(b *Matrix) error {
+// ApplyQT overwrites B (m×k) with Qᵀ·B, applying the stored panels
+// forward: each is I − V_p·T_pᵀ·V_pᵀ on rows p0 and below.
+func (f *QRFactors) ApplyQT(b *Matrix) error { return f.apply(b, true) }
+
+// ApplyQ overwrites B (m×k) with Q·B, applying the panels in reverse,
+// each as I − V_p·T_p·V_pᵀ.
+func (f *QRFactors) ApplyQ(b *Matrix) error { return f.apply(b, false) }
+
+func (f *QRFactors) apply(b *Matrix, trans bool) error {
 	m, n := f.V.Rows, f.V.Cols
 	if b.Rows != m {
 		return ErrShape
 	}
-	for j := 0; j < n; j++ {
-		f.applyReflector(j, b)
+	work := make([]float64, qrPanel*b.Cols)
+	np := (n + qrPanel - 1) / qrPanel
+	for i := 0; i < np; i++ {
+		p0 := (np - 1 - i) * qrPanel
+		if trans {
+			p0 = i * qrPanel
+		}
+		v, t := f.panel(p0)
+		applyBlock(v, t, trans, b.View(p0, 0, m-p0, b.Cols), work)
 	}
 	return nil
-}
-
-// ApplyQ overwrites B (m×k) with Q·B, applying the reflectors in reverse:
-// H_0···H_{n-1}·B.
-func (f *QRFactors) ApplyQ(b *Matrix) error {
-	m, n := f.V.Rows, f.V.Cols
-	if b.Rows != m {
-		return ErrShape
-	}
-	for j := n - 1; j >= 0; j-- {
-		f.applyReflector(j, b)
-	}
-	return nil
-}
-
-// applyReflector applies H_j = I − τ_j·v_j·v_jᵀ to B in place.
-// (Householder reflectors are symmetric, so H = Hᵀ.)
-func (f *QRFactors) applyReflector(j int, b *Matrix) {
-	tau := f.Tau[j]
-	if tau == 0 {
-		return
-	}
-	m := f.V.Rows
-	for col := 0; col < b.Cols; col++ {
-		var dot float64
-		for i := j; i < m; i++ {
-			dot += f.V.Data[i*f.V.Stride+j] * b.Data[i*b.Stride+col]
-		}
-		t := tau * dot
-		for i := j; i < m; i++ {
-			b.Data[i*b.Stride+col] -= t * f.V.Data[i*f.V.Stride+j]
-		}
-	}
 }
 
 // LeastSquares solves min ‖A·x − b‖₂ from the factored form: it applies

@@ -14,8 +14,12 @@
 // never change numerics; a batch of small problems runs the serial
 // kernels one item per pool worker (BatchApply). The strided-batch
 // kernels (Slab, BatchGEMM, BatchSYRK, BatchTRSM) survive only as the
-// frozen benchmark's probes (batch.go). TRSM, Cholesky, the triangular
-// inverse and Householder QR are scalar: none has a hot caller. The
+// frozen benchmark's probes (batch.go). Householder QR is blocked
+// compact-WY (factor.go): 32-wide panels applied to the trailing columns
+// through GEMM and TRMM; its hot caller is the κ estimator's fallback for
+// ill-conditioned inputs (EstimateCond), which the daemon runs on every
+// unhinted request. TRSM, Cholesky and the triangular inverse are
+// scalar: none has a hot caller. The
 // reproduction's cost model separates flop counts (which these kernels
 // match exactly, whatever the vector width or worker count) from flop
 // rates (which belong to the machine model). Each kernel family has a

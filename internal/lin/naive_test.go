@@ -1,5 +1,9 @@
 package lin
 
+//lint:allow floatcompare a zero norm is the structural tau = 0 case, as in HouseholderQR
+
+import "math"
+
 // Naive triple-loop reference kernels. These are the ground truth the
 // blocked and parallel kernels are property-tested against. Test-only:
 // they must never ship in the library proper.
@@ -99,4 +103,71 @@ func wellCondTriangular(n int, tri Triangle, seed int64) *Matrix {
 		}
 	}
 	return t
+}
+
+// naiveHouseholderQR is unblocked Householder QR: one reflector at a
+// time, each applied to the trailing columns by walking down them. It
+// shares norm2 and the beta/tau sign rule with HouseholderQR, so the two
+// agree to rounding. The returned factors carry no compact-WY T: form
+// their Q with naiveFormQ.
+func naiveHouseholderQR(a *Matrix) *QRFactors {
+	m, n := a.Rows, a.Cols
+	w := a.Clone()
+	v := NewMatrix(m, n)
+	tau := make([]float64, n)
+	for k := 0; k < n; k++ {
+		normx := norm2(w.Data[k*w.Stride+k:], m-k, w.Stride)
+		x0 := w.Data[k*w.Stride+k]
+		v.Data[k*v.Stride+k] = 1
+		if normx == 0 {
+			continue
+		}
+		beta := -math.Copysign(normx, x0)
+		scale := x0 - beta
+		for i := k + 1; i < m; i++ {
+			v.Data[i*v.Stride+k] = w.Data[i*w.Stride+k] / scale
+		}
+		tau[k] = (beta - x0) / beta
+		w.Data[k*w.Stride+k] = beta
+		for j := k + 1; j < n; j++ {
+			dot := w.Data[k*w.Stride+j]
+			for i := k + 1; i < m; i++ {
+				dot += v.Data[i*v.Stride+k] * w.Data[i*w.Stride+j]
+			}
+			t := tau[k] * dot
+			w.Data[k*w.Stride+j] -= t
+			for i := k + 1; i < m; i++ {
+				w.Data[i*w.Stride+j] -= t * v.Data[i*v.Stride+k]
+			}
+		}
+	}
+	r := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			r.Data[i*r.Stride+j] = w.Data[i*w.Stride+j]
+		}
+	}
+	return &QRFactors{V: v, Tau: tau, R: r}
+}
+
+// naiveFormQ forms Q = H_0···H_{n−1}·[I; 0] one reflector at a time.
+func naiveFormQ(f *QRFactors) *Matrix {
+	m, n := f.V.Rows, f.V.Cols
+	q := NewMatrix(m, n)
+	for j := 0; j < n; j++ {
+		q.Data[j*q.Stride+j] = 1
+	}
+	for k := n - 1; k >= 0; k-- {
+		for j := 0; j < n; j++ {
+			var dot float64
+			for i := k; i < m; i++ {
+				dot += f.V.Data[i*f.V.Stride+k] * q.Data[i*q.Stride+j]
+			}
+			t := f.Tau[k] * dot
+			for i := k; i < m; i++ {
+				q.Data[i*q.Stride+j] -= t * f.V.Data[i*f.V.Stride+k]
+			}
+		}
+	}
+	return q
 }
