@@ -6,7 +6,7 @@
 // simulated-rank budget.
 //
 //	cacqrd [-addr :8377] [-procs 16] [-cache 128] [-rank-budget 256]
-//	       [-max-pending 1024] [-fuse-window 0]
+//	       [-max-pending 1024] [-max-elems 16777216]
 //	       [-mem 0] [-machine stampede2] [-workers 0]
 //	       [-transport sim] [-tcp-workers host:port,...]
 //	       [-trace-sample-rate 1] [-trace-retain 64]
@@ -23,18 +23,15 @@
 // inline-"data" request past it is refused — 413 when the body cap
 // trips, 400 on shape. The body cap always stands, even at
 // -max-elems 0.
-// -fuse-window, when positive, coalesces concurrent same-key requests
-// into one fused batched execution (the streaming form of SubmitBatch):
-// one plan lookup and one gate admission for the group, then each
-// request's sequential CholeskyQR2 on its own pool worker.
 //
 // -transport selects where distributed ranks run: "sim" (default) uses
 // the simulated goroutine runtime with exact α-β-γ accounting;
 // "tcp" runs each plan's ranks across the real OS worker processes
 // named by -tcp-workers (comma-separated `cacqrd worker` listen
 // addresses — the daemon itself is rank 0, and a plan on P ranks uses
-// the first P−1 workers). The `worker` subcommand is that other side:
-// a process that serves ranks over TCP until terminated.
+// the first P−1 workers). The workers dial the daemon back on
+// 127.0.0.1, so they run on its host. The `worker` subcommand is that
+// other side: a process that serves ranks over TCP until terminated.
 //
 // Observability: -trace-sample-rate N samples 1 in N requests into a
 // per-request span tree (1 = every request, 0 = tracing off); sampled
@@ -50,7 +47,7 @@
 //	POST /v1/factorize   {"m","n","data"|"gen","procs","condest","want_factors"}
 //	POST /v1/solve       same, plus "b" (length m)
 //	GET  /healthz        liveness probe
-//	GET  /stats          plan-cache, admission, fusing, per-key latency
+//	GET  /stats          plan-cache, admission, per-key latency
 //	                     (p50/p95/p99), and aggregated metric counters
 //	GET  /metrics        Prometheus text exposition
 //	GET  /v1/trace/{id}  span tree of a recent sampled request
@@ -118,7 +115,6 @@ func main() {
 		cache      = flag.Int("cache", 0, "plan-cache entries (0 = default 128)")
 		rankBudget = flag.Int("rank-budget", 0, "global simulated-rank execution budget (0 = default 256)")
 		maxPending = flag.Int("max-pending", 0, "pending-request bound before shedding load with 503 (0 = default 1024)")
-		fuseWindow = flag.Duration("fuse-window", 0, "same-key fused-execution window (0 = per-request execution)")
 		mem        = flag.Int64("mem", 0, "per-rank memory budget in bytes (0 = unlimited)")
 		maxElems   = flag.Int64("max-elems", 1<<24, "largest m·n a request may hold resident: bigger \"gen\" factorizations are served out-of-core (streamed), bigger inline \"data\" requests are refused (0 = no bound, streaming never engages)")
 		machine    = flag.String("machine", "stampede2", `planning machine ("stampede2" or "bluewaters")`)
@@ -171,7 +167,6 @@ func main() {
 		CacheEntries: *cache,
 		RankBudget:   *rankBudget,
 		MaxPending:   *maxPending,
-		FuseWindow:   *fuseWindow,
 		Options:      opts,
 	})
 	if err != nil {
@@ -297,14 +292,10 @@ func registerServeMetrics(m *cacqr.Metrics, srv *cacqr.Server) {
 		func(st cacqr.ServerStats) float64 { return float64(st.Evictions) })
 	counter("cacqr_serve_overloaded_total", "Requests refused at admission.",
 		func(st cacqr.ServerStats) float64 { return float64(st.Overloaded) })
-	counter("cacqr_serve_fused_requests_total", "Request units executed inside fused batches.",
-		func(st cacqr.ServerStats) float64 { return float64(st.FusedRequests) })
 	gauge("cacqr_serve_pending", "Request units admitted and unfinished (queue depth).",
 		func(st cacqr.ServerStats) float64 { return float64(st.Pending) })
 	gauge("cacqr_serve_in_flight_ranks", "Simulated-rank tokens currently held.",
 		func(st cacqr.ServerStats) float64 { return float64(st.InFlightRanks) })
-	gauge("cacqr_serve_fuse_occupancy", "Payloads waiting in open fuse windows.",
-		func(st cacqr.ServerStats) float64 { return float64(st.FuseOccupancy) })
 	gauge("cacqr_plan_cache_entries", "Current plan-cache population.",
 		func(st cacqr.ServerStats) float64 { return float64(st.Entries) })
 }
@@ -399,11 +390,11 @@ func handle(srv *cacqr.Server, solve bool, maxElems int64, quiet bool) http.Hand
 			if quiet {
 				return
 			}
-			variant, kappaBucket, hit, fused, traceID := "-", "-", false, false, "-"
+			variant, kappaBucket, hit, traceID := "-", "-", false, "-"
 			if res != nil {
 				variant = string(res.Plan.Variant)
 				kappaBucket = fmt.Sprintf("%d", cacqr.KappaBucket(res.CondEst))
-				hit, fused = res.PlanCacheHit, res.Fused
+				hit = res.PlanCacheHit
 				if res.TraceID != "" {
 					traceID = res.TraceID
 				}
@@ -412,8 +403,8 @@ func handle(srv *cacqr.Server, solve bool, maxElems int64, quiet bool) http.Hand
 			if err != nil {
 				outcome = fmt.Sprintf("error=%q", err)
 			}
-			log.Printf("request id=%s shape=%dx%d variant=%s kappa_bucket=%s cache_hit=%t fused=%t trace=%s dur=%s %s",
-				id, req.M, req.N, variant, kappaBucket, hit, fused, traceID,
+			log.Printf("request id=%s shape=%dx%d variant=%s kappa_bucket=%s cache_hit=%t trace=%s dur=%s %s",
+				id, req.M, req.N, variant, kappaBucket, hit, traceID,
 				time.Since(start).Round(time.Microsecond), outcome)
 		}
 		// fail answers a request that never reached the server.
@@ -618,9 +609,6 @@ func statsJSON(st cacqr.ServerStats, tracer *cacqr.Tracer) map[string]any {
 		"pending":         st.Pending,
 		"max_pending":     st.MaxPending,
 		"overloaded":      st.Overloaded,
-		"fused_batches":   st.FusedBatches,
-		"fused_requests":  st.FusedRequests,
-		"fuse_occupancy":  st.FuseOccupancy,
 		"latencies":       st.Latencies,
 	}
 	if m := tracer.Metrics().Snapshot(); m != nil {

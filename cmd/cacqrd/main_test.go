@@ -4,7 +4,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -45,7 +47,7 @@ func getJSON(t *testing.T, url string) map[string]any {
 	return out
 }
 
-// /stats must carry the admission, fusing, and latency fields — with
+// /stats must carry the admission and latency fields — with
 // "latencies" an empty JSON object (not null) on a fresh daemon, and a
 // per-key {"count","p50","p95","p99"} summary once traffic has flowed.
 func TestStatsJSONShape(t *testing.T) {
@@ -55,8 +57,7 @@ func TestStatsJSONShape(t *testing.T) {
 	for _, field := range []string{
 		"requests", "hits", "misses", "evictions", "entries", "planned",
 		"batched", "in_flight_ranks", "rank_budget", "hit_rate",
-		"pending", "max_pending", "overloaded", "fused_batches",
-		"fused_requests", "latencies",
+		"pending", "max_pending", "overloaded", "latencies",
 	} {
 		if _, ok := st[field]; !ok {
 			t.Fatalf("/stats missing %q: %v", field, st)
@@ -113,21 +114,27 @@ func TestStatsJSONShape(t *testing.T) {
 
 // An overloaded daemon sheds load with 503, not a hung connection.
 func TestOverloadedMapsTo503(t *testing.T) {
-	// MaxPending 1 plus a long fuse window: one in-process Submit opens a
-	// fuse window and holds the only pending slot until Close drains it —
-	// a deterministic way to saturate the daemon from a test.
-	srv, err := cacqr.NewServer(cacqr.ServerOptions{
-		Procs: 8, MaxPending: 1, FuseWindow: time.Minute,
-	})
+	// MaxPending 1 plus a request that holds it: an in-process streamed
+	// factorization of a 2²⁴×8 generator matrix under an 8 MiB budget
+	// runs for seconds, a deterministic way to saturate the daemon from a
+	// test. Cancelling it frees the slot at its next panel.
+	srv, err := cacqr.NewServer(cacqr.ServerOptions{Procs: 8, MaxPending: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(buildMux(srv, nil, 1<<24, true))
 	t.Cleanup(ts.Close)
 
+	src, err := cacqr.SourceFromGenerator(1<<24, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := srv.Submit(cacqr.SubmitRequest{A: cacqr.RandomMatrix(64, 4, 1)})
+		_, err := srv.SubmitStreamCtx(ctx, cacqr.StreamRequest{Source: src, MemBudget: 8 << 20})
 		done <- err
 	}()
 	deadline := time.After(10 * time.Second)
@@ -152,9 +159,12 @@ func TestOverloadedMapsTo503(t *testing.T) {
 		t.Fatalf("saturated daemon returned %d, want 503", resp.StatusCode)
 	}
 
-	srv.Close() // drains the held fuse window
-	if err := <-done; err != nil {
-		t.Fatalf("held request failed: %v", err)
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("held request: err = %v, want context.Canceled", err)
+	}
+	if st := srv.Stats(); st.Pending != 0 {
+		t.Fatalf("pending = %d after the held request was cancelled", st.Pending)
 	}
 }
 
@@ -298,7 +308,7 @@ func TestStatsCarriesMetricsSnapshot(t *testing.T) {
 	})
 
 	st := getJSON(t, ts.URL+"/stats")
-	for _, field := range []string{"lookups", "leads", "fuse_occupancy", "metrics"} {
+	for _, field := range []string{"lookups", "leads", "metrics"} {
 		if _, ok := st[field]; !ok {
 			t.Fatalf("/stats missing %q: %v", field, st)
 		}

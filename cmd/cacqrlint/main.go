@@ -8,7 +8,8 @@
 //
 // The suite enforces the repo's load-bearing conventions — the
 // layering table (one communicator, one price, one ladder, one wire
-// boundary, workspace-only rank bodies, no pool, the Workers knob),
+// boundary, workspace-only rank bodies, no pool, the Workers knob, no
+// clock in serve),
 // bitwise-deterministic generators, nil-safe obs spans, mutex-guarded
 // serve state, tolerance-based float comparison, and %w error
 // wrapping. `cacqrlint -list` describes each analyzer; a file

@@ -50,8 +50,10 @@ func SimTransport() *Transport { return &Transport{} }
 // process acts as rank 0 and each worker address (a `cacqrd worker`
 // listener, or any process inside ServeWorker) hosts one further rank.
 // A job on np ranks uses the first np−1 workers; fewer available
-// workers than ranks is an error. Costs are measured, not modeled:
-// Msgs/Words count actual traffic, Bytes counts raw wire bytes.
+// workers than ranks is an error. The workers dial rank 0 back on
+// 127.0.0.1, so they must run on the calling process's host. Costs are
+// measured, not modeled: Msgs/Words count actual traffic, Bytes counts
+// raw wire bytes.
 func TCPTransport(workers ...string) *Transport {
 	return &Transport{tcp: true, workers: append([]string(nil), workers...)}
 }
@@ -112,12 +114,14 @@ func newJob(m, n int, p plan.Plan, opts Options) (job, error) {
 // the job's transport, and holds Q in memory, so Result.Q is always set.
 // sink, when non-nil, receives Q as well (and for a streamed run is the
 // only way to get one: nil skips the Q pass). ctx cancels a run in
-// flight and carries the request's trace span, if any.
+// flight — a scan of src stops at its next panel — and carries the
+// request's trace span, if any.
 func execute(ctx context.Context, j job, src stream.Source, sink *MatrixSink) (*Result, error) {
+	rs := &runSource{Source: src, ctx: ctx}
 	if j.Variant == plan.StreamCQR2 {
-		return executeStream(ctx, j, src, sink)
+		return executeStream(ctx, j, rs, sink)
 	}
-	global, err := resident(src)
+	global, err := resident(rs)
 	if err != nil {
 		return nil, err
 	}
@@ -148,8 +152,8 @@ func execute(ctx context.Context, j job, src stream.Source, sink *MatrixSink) (*
 
 // resident returns the whole matrix behind src: a resident source's own
 // matrix, which the run only reads, or a drained copy of a streamed one.
-func resident(src stream.Source) (*lin.Matrix, error) {
-	if ds, ok := src.(*stream.DenseSource); ok {
+func resident(src *runSource) (*lin.Matrix, error) {
+	if ds, ok := src.Source.(*stream.DenseSource); ok {
 		return ds.Matrix(), nil
 	}
 	m, n := src.Dims()

@@ -3,7 +3,6 @@ package cacqr
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 // TestEntryPointsLeaveTheirInputsAlone: no entry point writes to the
@@ -61,13 +60,6 @@ func TestEntryPointsLeaveTheirInputsAlone(t *testing.T) {
 		}},
 		{"Submit", func() error {
 			_, err := newTestServer(t, ServerOptions{Procs: 8}).Submit(SubmitRequest{A: a, B: b, CondEst: 10})
-			return err
-		}},
-		{"Submit/FuseWindow", func() error {
-			res, err := newTestServer(t, ServerOptions{Procs: 8, FuseWindow: time.Millisecond}).Submit(SubmitRequest{A: a, B: b, CondEst: 10})
-			if err == nil && !res.Fused {
-				t.Errorf("Submit/FuseWindow did not take the fused path")
-			}
 			return err
 		}},
 		{"SubmitBatch/fused", func() error {

@@ -31,7 +31,8 @@ func suite(t *testing.T, names ...string) []*analysis.Analyzer {
 // TestLayering runs each row of the layering table on its fixtures: the
 // failing file must draw that row's diagnostic and the passing file must
 // not. analysistest holds every line of the loaded packages to its want
-// comments, whichever row fires there.
+// comments, whichever row fires there. muguard rides along because the
+// serve fixture package is both analyzers'.
 func TestLayering(t *testing.T) {
 	for _, tc := range []struct {
 		row, fail, pass string
@@ -49,13 +50,14 @@ func TestLayering(t *testing.T) {
 		// lin/knob_test.go is exempt as a test file, tsqr opts out with a
 		// file-scope allow, and other is outside the row's scope.
 		{"workers", "lin/knob.go", "lin/parallel.go", []string{"tsqr", "other"}},
+		{"no-clock", "serve/clock.go", "serve/latency.go", nil},
 	} {
 		t.Run(tc.row, func(t *testing.T) {
 			pkgs := []string{path.Dir(tc.fail)}
 			if p := path.Dir(tc.pass); p != pkgs[0] {
 				pkgs = append(pkgs, p)
 			}
-			diags := analysistest.Run(t, "testdata", suite(t, "layering"), append(pkgs, tc.more...)...)
+			diags := analysistest.Run(t, "testdata", suite(t, "layering", "muguard"), append(pkgs, tc.more...)...)
 			failed := false
 			for _, d := range diags {
 				if !strings.HasPrefix(d.Message, tc.row+": ") {
@@ -84,8 +86,10 @@ func TestObsSafety(t *testing.T) {
 	analysistest.Run(t, "testdata", suite(t, "obssafety"), "obs", "obsuser")
 }
 
+// TestMuGuard runs layering alongside, whose no-clock row binds the
+// same serve fixture package.
 func TestMuGuard(t *testing.T) {
-	analysistest.Run(t, "testdata", suite(t, "muguard"), "serve")
+	analysistest.Run(t, "testdata", suite(t, "muguard", "layering"), "serve")
 }
 
 func TestFloatCompare(t *testing.T) {

@@ -18,7 +18,9 @@
 //     daemon's numeric wire kept off encoding/json, the retired perf rig
 //     kept retired, and kernel parallelism only through the Workers knob
 //     (no runtime.NumCPU() or bare go statement in internal/lin,
-//     internal/core or internal/tsqr outside internal/lin/parallel.go).
+//     internal/core or internal/tsqr outside internal/lin/parallel.go),
+//     and no clock in internal/serve (no sleep, timer, ticker or
+//     time.After: admission refuses and never waits).
 //   - deterministicgen: the generator packages (internal/testmat,
 //     internal/stream) must stay bitwise-replayable — no global
 //     math/rand state and no map-iteration-ordered output, because the

@@ -30,7 +30,7 @@ import (
 // their final path segment, as they do for pathIn.
 var Layering = &Analyzer{
 	Name: "layering",
-	Doc:  "the architecture table: one communicator, one price, one ladder, one wire boundary, workspace-only rank bodies, no pool, the Workers knob",
+	Doc:  "the architecture table: one communicator, one price, one ladder, one wire boundary, workspace-only rank bodies, no pool, the Workers knob, no clock in serve",
 	Run:  runLayering,
 }
 
@@ -79,6 +79,9 @@ var rows = []row{
 		bans:  []string{"runtime.NumCPU", "go"},
 		in:    []string{"cacqr/internal/lin", "cacqr/internal/core", "cacqr/internal/tsqr"},
 		allow: []string{"cacqr/internal/lin/parallel.go"}},
+	{name: "no-clock", why: "serve holds no request on a clock: admission refuses and never waits, so a request waits only on its context, the rank gate or a shared plan lookup",
+		bans: []string{"time.Sleep", "time.After", "time.AfterFunc", "time.NewTimer", "time.NewTicker", "time.Tick"},
+		in:   []string{"cacqr/internal/serve"}},
 }
 
 func runLayering(pass *Pass) error {

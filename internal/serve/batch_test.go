@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -132,110 +131,10 @@ func TestDoBatchRejectsNonPositiveCount(t *testing.T) {
 	}
 }
 
-// Concurrent same-key DoFused callers inside one window must share ONE
-// lead execution, each receiving its own per-payload error.
-func TestDoFusedSharesOneExecution(t *testing.T) {
-	var leads int64
-	s := New(Config{FuseWindow: 50 * time.Millisecond})
-	defer s.Close()
-
-	const n = 8
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, errs[i] = s.DoFused(context.Background(), req(512, 32, 8, 10), i, func(_ plan.Plan, payloads []any) []error {
-				atomic.AddInt64(&leads, 1)
-				out := make([]error, len(payloads))
-				for j, pl := range payloads {
-					if pl.(int)%2 == 1 {
-						out[j] = fmt.Errorf("odd payload %d", pl)
-					}
-				}
-				return out
-			})
-		}(i)
-	}
-	wg.Wait()
-	if got := atomic.LoadInt64(&leads); got != 1 {
-		t.Fatalf("lead executed %d times, want 1 fused execution", got)
-	}
-	for i, err := range errs {
-		if i%2 == 1 && err == nil {
-			t.Fatalf("payload %d: want its per-item error", i)
-		}
-		if i%2 == 0 && err != nil {
-			t.Fatalf("payload %d: unexpected %v", i, err)
-		}
-	}
-	st := s.Stats()
-	if st.FusedBatches != 1 || st.FusedRequests != n {
-		t.Fatalf("fuse accounting: %+v", st)
-	}
-}
-
-// Regression: Close must drain a partially-filled fuse window
-// immediately instead of waiting out FuseWindow or deadlocking.
-func TestCloseDrainsPartialFuseWindow(t *testing.T) {
-	s := New(Config{FuseWindow: time.Hour})
-	executed := make(chan int, 1)
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := s.DoFused(context.Background(), req(256, 8, 4, 0), 0, func(_ plan.Plan, payloads []any) []error {
-			executed <- len(payloads)
-			return nil
-		})
-		done <- err
-	}()
-	// Wait until the leader has opened its window.
-	deadline := time.After(5 * time.Second)
-	for {
-		s.mu.Lock()
-		open := len(s.fusing) > 0
-		s.mu.Unlock()
-		if open {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("fuse window never opened")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	closed := make(chan struct{})
-	go func() { s.Close(); close(closed) }()
-	select {
-	case n := <-executed:
-		if n != 1 {
-			t.Fatalf("drained window carried %d payloads, want 1", n)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("partially-filled window did not drain on Close")
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("drained request failed: %v", err)
-	}
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return after drain")
-	}
-	// And post-close submissions are refused.
-	if _, _, err := s.DoFused(context.Background(), req(256, 8, 4, 0), 1, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("post-close DoFused: err = %v, want ErrClosed", err)
-	}
-}
-
-// The full concurrent mix — Submit-style Do, DoBatch, DoFused, Stats,
-// and a mid-flight Close — exercised for the race detector.
+// The full concurrent mix — Submit-style Do, DoBatch, Stats, and a
+// mid-flight Close — exercised for the race detector.
 func TestConcurrentBatchFuseStatsClose(t *testing.T) {
-	s := New(Config{
-		FuseWindow: time.Millisecond,
-		MaxPending: 64,
-	})
+	s := New(Config{MaxPending: 64})
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
@@ -243,15 +142,10 @@ func TestConcurrentBatchFuseStatsClose(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				r := req(256+64*(g%3), 8, 4, 0)
-				switch i % 3 {
-				case 0:
+				if i%2 == 0 {
 					s.Do(context.Background(), r, func(plan.Plan) error { return nil })
-				case 1:
+				} else {
 					s.DoBatch(context.Background(), r, 3, func(plan.Plan) error { return nil })
-				default:
-					s.DoFused(context.Background(), r, i, func(_ plan.Plan, payloads []any) []error {
-						return make([]error, len(payloads))
-					})
 				}
 			}
 		}(g)
@@ -269,7 +163,7 @@ func TestConcurrentBatchFuseStatsClose(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		time.Sleep(5 * time.Millisecond)
-		s.Close() // close while windows are mid-flight
+		s.Close() // close while requests are mid-flight
 	}()
 	wg.Wait()
 	s.Close()

@@ -13,6 +13,9 @@
 //   - request batching: concurrent same-key requests share ONE plan
 //     lookup (the first arrival leads, those that arrive while it plans
 //     join) and then execute concurrently;
+//   - fused execution of a caller-assembled batch (DoBatch): n same-key
+//     requests through one lookup, one rank-gate acquisition and one
+//     exec — the only way two requests share an execution;
 //   - a global simulated-rank budget: each executing request holds as
 //     many tokens as its plan has ranks, so a burst of 3D-grid requests
 //     cannot oversubscribe the host with P goroutines each — the budget
@@ -59,7 +62,7 @@ const DefaultMaxPending = 1024
 // is best-effort observability, not an accounting ledger.
 const maxLatencyKeys = 4096
 
-// ErrClosed is returned by Do after Close.
+// ErrClosed is returned by Do and DoBatch after Close.
 var ErrClosed = errors.New("serve: server is closed")
 
 // Config tunes a Server. The zero value selects the defaults above.
@@ -75,12 +78,6 @@ type Config struct {
 	// queueing: a request that would exceed it gets ErrOverloaded
 	// immediately, while everything already admitted runs to completion.
 	MaxPending int
-	// FuseWindow is how long the first DoFused request for a key waits
-	// for same-key followers before sealing the group and executing it
-	// as one fused batch (0 or negative = execute immediately; fusing
-	// then only catches requests that arrive while a leader is between
-	// admission and seal).
-	FuseWindow time.Duration
 	// Plan produces the decision for one (already κ-bucketed) request
 	// (nil = plan.Best).
 	Plan func(plan.Request) (plan.Plan, error)
@@ -115,12 +112,10 @@ type Stats struct {
 	// MaxPending is the bound they were checked against.
 	Overloaded          int64
 	Pending, MaxPending int
-	// FusedBatches counts fused executions (DoBatch calls plus sealed
-	// DoFused groups); FusedRequests counts the request units they
-	// carried; FuseOccupancy is the payloads currently waiting in open
-	// (unsealed) fuse windows.
+	// FusedBatches counts fused executions, one per DoBatch call that
+	// got past plan resolution and the rank gate; FusedRequests counts
+	// the request units they carried.
 	FusedBatches, FusedRequests int64
-	FuseOccupancy               int
 	// Latencies maps plan.CacheKey strings to per-key latency quantiles
 	// over the most recent hist.DefaultWindow observations.
 	Latencies map[string]hist.Summary
@@ -143,14 +138,12 @@ type Server struct {
 	adm  *admission
 
 	// mu guards the cache, the request-level counters, the latency
-	// histogram map, and the inflight/fusing maps — one lock, so Stats
-	// snapshots are internally consistent.
+	// histogram map, and the inflight map — one lock, so Stats snapshots
+	// are internally consistent.
 	mu       sync.Mutex
-	cache    *planCache                   // guarded by mu
-	closed   bool                         // guarded by mu
-	closing  chan struct{}                // closed by Close; wakes fuse windows (immutable after New)
-	inflight map[plan.CacheKey]*batch     // guarded by mu
-	fusing   map[plan.CacheKey]*fuseGroup // guarded by mu
+	cache    *planCache               // guarded by mu
+	closed   bool                     // guarded by mu
+	inflight map[plan.CacheKey]*batch // guarded by mu
 	wg       sync.WaitGroup
 
 	requests                    int64                   // guarded by mu
@@ -187,9 +180,7 @@ func New(cfg Config) *Server {
 		cache:    newPlanCache(cfg.CacheEntries),
 		gate:     newRankGate(cfg.RankBudget),
 		adm:      newAdmission(cfg.MaxPending),
-		closing:  make(chan struct{}),
 		inflight: make(map[plan.CacheKey]*batch),
-		fusing:   make(map[plan.CacheKey]*fuseGroup),
 		hists:    make(map[string]*hist.Window),
 	}
 }
@@ -220,31 +211,15 @@ func (s *Server) DoBatch(ctx context.Context, req plan.Request, n int, exec func
 	return s.do(ctx, req, n, true, exec)
 }
 
-// do is Do and DoBatch: n units through admitted and planAndRun, counted
-// as a fused execution when the caller assembled a batch.
+// do is Do and DoBatch, the one door every request comes through: n
+// units are admitted against the pending bound (refused with
+// ErrOverloaded, never queued) and registered with the close accounting
+// (ErrClosed once Close was called); then the plan is resolved for them
+// (the "plan" stage) and its ranks are held (the "gate" stage) while
+// exec runs. A run the caller assembled as a batch counts as one fused
+// execution. A failed lookup, or a wait the context abandoned, returns
+// before the run is counted or its latency observed.
 func (s *Server) do(ctx context.Context, req plan.Request, n int, fused bool, exec func(plan.Plan) error) (plan.Plan, bool, error) {
-	return s.admitted(ctx, n, func(ctx context.Context) (plan.Plan, bool, error) {
-		start, key := time.Now(), plan.KeyFor(req)
-		p, hit, reached, err := s.planAndRun(ctx, key, req, n, exec)
-		if !reached {
-			return plan.Plan{}, false, err
-		}
-		if fused {
-			s.mu.Lock()
-			s.fusedBatches++
-			s.fusedRequests += int64(n)
-			s.mu.Unlock()
-		}
-		s.observe(key, time.Since(start), n)
-		return p, hit, err
-	})
-}
-
-// admitted is the door every request comes through: n units are admitted
-// against the pending bound (refused with ErrOverloaded, never queued)
-// and registered with the close accounting (ErrClosed once Close was
-// called), body runs, and both are undone.
-func (s *Server) admitted(ctx context.Context, n int, body func(context.Context) (plan.Plan, bool, error)) (plan.Plan, bool, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -256,31 +231,34 @@ func (s *Server) admitted(ctx context.Context, n int, body func(context.Context)
 		return plan.Plan{}, false, err
 	}
 	defer s.wg.Done()
-	return body(ctx)
-}
 
-// planAndRun is the tail of every execution: resolve the plan for units
-// request units (the "plan" stage), hold its ranks (the "gate" stage),
-// run exec, release. reached is false when it failed before exec's turn
-// came — the lookup, or a wait the context abandoned.
-func (s *Server) planAndRun(ctx context.Context, key plan.CacheKey, req plan.Request, units int, exec func(plan.Plan) error) (p plan.Plan, hit, reached bool, err error) {
+	start, key := time.Now(), plan.KeyFor(req)
 	sp := obs.FromContext(ctx)
 	ps := sp.Stage("plan")
-	p, hit, err = s.resolve(ctx, key, req, int64(units))
+	p, hit, err := s.resolve(ctx, key, req, int64(n))
 	ps.SetBool("cache_hit", hit)
 	ps.End()
-	if err != nil || exec == nil {
-		return p, hit, err == nil, err
-	}
-	gs := sp.Stage("gate")
-	held, err := s.gate.acquire(ctx, p.Procs)
-	gs.End()
 	if err != nil {
-		return p, hit, false, err
+		return plan.Plan{}, false, err
 	}
-	err = exec(p)
-	s.gate.release(held)
-	return p, hit, true, err
+	if exec != nil {
+		gs := sp.Stage("gate")
+		held, gerr := s.gate.acquire(ctx, p.Procs)
+		gs.End()
+		if gerr != nil {
+			return plan.Plan{}, false, gerr
+		}
+		err = exec(p)
+		s.gate.release(held)
+	}
+	if fused {
+		s.mu.Lock()
+		s.fusedBatches++
+		s.fusedRequests += int64(n)
+		s.mu.Unlock()
+	}
+	s.observe(key, time.Since(start), n)
+	return p, hit, err
 }
 
 // enter registers units admitted request units with the close
@@ -349,19 +327,6 @@ func (s *Server) resolve(ctx context.Context, key plan.CacheKey, req plan.Reques
 	return b.plan, false, b.err
 }
 
-// pause sleeps for d or until Close or ctx cancellation, whichever comes
-// first — a fuse window must not delay shutdown, hold back a draining
-// group, or outlive its request.
-func (s *Server) pause(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-s.closing:
-	case <-ctx.Done():
-	}
-}
-
 // observe records n request latencies of duration d under the key's
 // histogram, creating it on first use (bounded by maxLatencyKeys). The
 // map is consulted under s.mu; the ring itself has its own lock, so
@@ -387,7 +352,7 @@ func (s *Server) observe(key plan.CacheKey, d time.Duration, n int) {
 }
 
 // Stats snapshots the counters. Everything request-level — lookup
-// ledger, cache population, fuse occupancy, latency summaries — is read
+// ledger, cache population, fused counts, latency summaries — is read
 // under one s.mu acquisition, so the documented invariants hold in the
 // returned snapshot.
 func (s *Server) Stats() Stats {
@@ -398,12 +363,6 @@ func (s *Server) Stats() Stats {
 	lat := make(map[string]hist.Summary, len(s.hists))
 	for k, w := range s.hists {
 		lat[k] = w.Summary()
-	}
-	occupancy := 0
-	for _, g := range s.fusing {
-		if !g.sealed {
-			occupancy += len(g.payloads)
-		}
 	}
 	return Stats{
 		Requests:      s.requests,
@@ -422,20 +381,15 @@ func (s *Server) Stats() Stats {
 		MaxPending:    maxPending,
 		FusedBatches:  s.fusedBatches,
 		FusedRequests: s.fusedRequests,
-		FuseOccupancy: occupancy,
 		Latencies:     lat,
 	}
 }
 
-// Close refuses new requests, wakes any open fuse windows so
-// partially-filled ones drain immediately, and waits for in-flight
-// requests to finish. Idempotent.
+// Close refuses new requests and waits for in-flight requests to
+// finish. Idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.closing)
-	}
+	s.closed = true
 	s.mu.Unlock()
 	s.wg.Wait()
 }

@@ -14,25 +14,26 @@ import (
 )
 
 // Coordinator runs distributed jobs as rank 0 across a set of worker
-// processes. The zero value plus Workers is ready to use; one
-// Coordinator can run many jobs (serially or concurrently — each job
-// gets its own listener and mesh).
+// processes. One Coordinator can run many jobs (serially or
+// concurrently — each job gets its own listener and mesh).
+//
+// Each job's listener is bound on the loopback interface and its address
+// is what the workers dial back for rank 0, so the workers must run on
+// the coordinator's host.
 type Coordinator struct {
 	// Workers are the listen addresses of the worker processes; worker
 	// i becomes rank i+1. Empty means single-process jobs (np = 1).
 	Workers []string
-	// Bind is the local address the coordinator listens on for mesh
-	// connections back from the workers. Default "127.0.0.1:0"; set it
-	// to an externally reachable address for cross-host workers.
-	Bind string
-	// Advertise overrides the address workers dial for rank 0 (when
-	// the bind address is not reachable as-is, e.g. behind NAT).
-	// Default: the bound listener's address.
-	Advertise string
-	// DialTimeout bounds worker dials and mesh formation when the
-	// job context carries no deadline. Default 10s.
-	DialTimeout time.Duration
 }
+
+const (
+	// meshBind is where a job listens for the workers' mesh connections
+	// back to rank 0: loopback, on a port of the kernel's choosing.
+	meshBind = "127.0.0.1:0"
+	// dialTimeout bounds worker dials and mesh formation when the job
+	// context carries no deadline.
+	dialTimeout = 10 * time.Second
+)
 
 // NP returns the number of ranks a job will run on.
 func (c *Coordinator) NP() int { return 1 + len(c.Workers) }
@@ -46,10 +47,6 @@ func (c *Coordinator) NP() int { return 1 + len(c.Workers) }
 func (c *Coordinator) Run(ctx context.Context, payload func(rank int) []byte, body func(p transport.Proc) error) (*transport.Stats, error) {
 	np := c.NP()
 	deadline, _ := ctx.Deadline()
-	dialTimeout := c.DialTimeout
-	if dialTimeout <= 0 {
-		dialTimeout = 10 * time.Second
-	}
 
 	jobID, err := newJobID()
 	if err != nil {
@@ -59,20 +56,12 @@ func (c *Coordinator) Run(ctx context.Context, payload func(rank int) []byte, bo
 	ctrls := make([]net.Conn, np) // ctrls[0] unused
 
 	if np > 1 {
-		bind := c.Bind
-		if bind == "" {
-			bind = "127.0.0.1:0"
-		}
-		ln, lerr := net.Listen("tcp", bind)
+		ln, lerr := net.Listen("tcp", meshBind)
 		if lerr != nil {
 			return nil, fmt.Errorf("tcpnet: coordinator listen: %w", lerr)
 		}
 		defer ln.Close()
-		advertise := c.Advertise
-		if advertise == "" {
-			advertise = ln.Addr().String()
-		}
-		addrs := append([]string{advertise}, c.Workers...)
+		addrs := append([]string{ln.Addr().String()}, c.Workers...)
 
 		bucket := newMeshBucket()
 		go acceptMesh(ln, jobID, bucket)

@@ -17,6 +17,8 @@
 //     control header: job id, that worker's rank, the full rank→address
 //     table, the job deadline, and an opaque payload (the root package
 //     puts the serialized job spec and the rank's input block there).
+//     Rank 0's entry in the table is its job listener on 127.0.0.1, so
+//     the workers run on the coordinator's host.
 //  2. Every participant then completes the mesh under the rendezvous
 //     rule "rank i dials every rank j < i, and accepts from every
 //     j > i", identifying itself with a hello frame (job id + rank).

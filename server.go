@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"cacqr/internal/core"
 	"cacqr/internal/costmodel"
@@ -45,8 +44,10 @@ type Server struct {
 }
 
 // ServerOptions configure a Server. The zero value is usable: 16-rank
-// planning budget per request, a 128-entry plan cache, and a 256-rank
-// global execution budget.
+// planning budget per request, a 128-entry plan cache, a 256-rank
+// global execution budget and a 1024-request pending bound. No option
+// selects an execution path: Submit and SubmitStream always run their
+// request's plan on its own, and SubmitBatch is the one fused entry.
 type ServerOptions struct {
 	// Procs is the default per-request planning budget (maximum
 	// simulated ranks a plan may use) when SubmitRequest.Procs is 0.
@@ -62,13 +63,6 @@ type ServerOptions struct {
 	// of n counts n). Past the bound, submissions fail fast with
 	// ErrOverloaded instead of queueing without bound (0 = 1024).
 	MaxPending int
-	// FuseWindow, when positive, turns Submit into a streaming batcher:
-	// the first request for a plan key holds a window of this length
-	// open and concurrent same-key requests join it, the whole group
-	// then executing as ONE fused batched run (SubmitBatch semantics
-	// without the caller having to assemble the batch). 0 disables
-	// fusing for Submit; SubmitBatch always fuses.
-	FuseWindow time.Duration
 	// Options carry the planning and execution knobs shared by every
 	// request: MemBudget, PlanMachine, InverseDepth, BaseSize, Workers,
 	// Timeout. Options.CondEst must stay unset — conditioning is
@@ -107,12 +101,12 @@ type SubmitResult struct {
 	// PlanCacheHit reports whether the plan came from the cache or an
 	// in-flight same-key lookup instead of a fresh planner run.
 	PlanCacheHit bool
-	// Fused reports that the request executed inside a fused batch (a
-	// SubmitBatch group or a FuseWindow coalescence) as the sequential
-	// CholeskyQR2 (or ShiftedCQR3) on one pool worker, rather than a
-	// per-request simulated run. Fused results match per-request results
-	// to working accuracy; Stats then carries the analytic critical-path
-	// flop count instead of a simulated measurement.
+	// Fused reports that the request executed inside a SubmitBatch group
+	// as the sequential CholeskyQR2 (or ShiftedCQR3) on one pool worker,
+	// rather than a per-request simulated run. Submit and SubmitStream
+	// never fuse. Fused results match per-request results to working
+	// accuracy; Stats then carries the analytic critical-path flop count
+	// instead of a simulated measurement.
 	Fused bool
 	// Stats is the run's per-processor cost: measured from the simulated
 	// run for per-request execution, analytic for fused batches.
@@ -183,7 +177,6 @@ func NewServer(o ServerOptions) (*Server, error) {
 			CacheEntries: o.CacheEntries,
 			RankBudget:   o.RankBudget,
 			MaxPending:   o.MaxPending,
-			FuseWindow:   o.FuseWindow,
 		}),
 	}, nil
 }
@@ -197,9 +190,9 @@ func (s *Server) Submit(req SubmitRequest) (*SubmitResult, error) {
 }
 
 // SubmitCtx is Submit with request-scoped cancellation: a canceled ctx
-// unblocks the serve layer's waits (a shared plan lookup, a fuse window,
-// the rank gate) and aborts an in-flight distributed run — simulated
-// ranks or TCP workers alike — returning the context's error. When the server's
+// unblocks the serve layer's waits (a shared plan lookup, the rank gate)
+// and aborts an in-flight distributed run — simulated ranks or TCP
+// workers alike — returning the context's error. When the server's
 // Options.Tracer samples the request, the whole path records a span
 // tree (condest → plan → gate → execute → per-rank kernel stages and
 // collectives) retrievable by the result's TraceID.
@@ -240,9 +233,6 @@ func (s *Server) submit(ctx context.Context, req SubmitRequest) (*SubmitResult, 
 	root.SetInt("m", int64(req.A.Rows))
 	root.SetInt("n", int64(req.A.Cols))
 	root.SetInt("kappa_bucket", int64(plan.KappaBucket(preq.CondEst)))
-	if s.opts.FuseWindow > 0 {
-		return s.submitFused(ctx, preq, req)
-	}
 	return s.do(ctx, preq, stream.NewDenseSource(req.A.view()), SinkToDense(), req.B)
 }
 
@@ -304,7 +294,10 @@ func (s *Server) SubmitStream(req StreamRequest) (*SubmitResult, error) {
 	return s.SubmitStreamCtx(context.Background(), req)
 }
 
-// SubmitStreamCtx is SubmitStream with request-scoped cancellation.
+// SubmitStreamCtx is SubmitStream with request-scoped cancellation: a
+// canceled ctx unblocks the serve layer's waits and stops the scan of
+// the source at its next panel, streamed or drained into memory,
+// returning the context's error.
 func (s *Server) SubmitStreamCtx(ctx context.Context, req StreamRequest) (*SubmitResult, error) {
 	return s.traced(ctx, "factorize-stream", req.CondEst, func(ctx context.Context) (*SubmitResult, error) {
 		return s.submitStream(ctx, req)
@@ -391,38 +384,12 @@ func (s *Server) prepare(req SubmitRequest) (plan.Request, error) {
 	return preq, err
 }
 
-// submitJob is one request riding a fused execution.
+// submitJob is one SubmitBatch request riding its group's fused
+// execution.
 type submitJob struct {
 	req SubmitRequest
 	out *SubmitResult
 	err error
-}
-
-// submitFused is Submit through the serve layer's fuse window:
-// concurrent same-key submissions coalesce into one fused batched
-// execution without the caller assembling a batch.
-func (s *Server) submitFused(ctx context.Context, preq plan.Request, req SubmitRequest) (*SubmitResult, error) {
-	job := &submitJob{req: req, out: &SubmitResult{CondEst: preq.CondEst}}
-	pl, hit, err := s.inner.DoFused(ctx, preq, job, func(p plan.Plan, payloads []any) []error {
-		es := obs.FromContext(ctx).Stage("execute")
-		defer es.End()
-		es.SetInt("fused_payloads", int64(len(payloads)))
-		jobs := make([]*submitJob, len(payloads))
-		for i, pay := range payloads {
-			jobs[i] = pay.(*submitJob)
-		}
-		s.execGroup(obs.ContextWith(ctx, es), p, jobs)
-		errs := make([]error, len(jobs))
-		for i, j := range jobs {
-			errs[i] = j.err
-		}
-		return errs
-	})
-	if err != nil {
-		return nil, err
-	}
-	job.out.Plan, job.out.PlanCacheHit = &pl, hit
-	return job.out, nil
 }
 
 // SubmitBatch submits many requests as one call, fusing same-plan-key
@@ -541,6 +508,7 @@ func (s *Server) execGroup(ctx context.Context, p plan.Plan, jobs []*submitJob) 
 // Stats snapshots the server's counters.
 func (s *Server) Stats() ServerStats { return s.inner.Stats() }
 
-// Close refuses new requests and waits for in-flight ones to drain.
-// Idempotent.
+// Close makes every later submission fail and waits for the admitted
+// requests — single requests and SubmitBatch groups alike —
+// to finish; nothing admitted is held back on a timer. Idempotent.
 func (s *Server) Close() { s.inner.Close() }

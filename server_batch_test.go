@@ -170,47 +170,10 @@ func TestServerOverloadPublicAPI(t *testing.T) {
 	}
 }
 
-// FuseWindow Submit: concurrent same-key submissions coalesce into one
-// fused execution and still return correct per-request factors.
-func TestSubmitFuseWindowCoalesces(t *testing.T) {
-	s := newTestServer(t, ServerOptions{Procs: 8, FuseWindow: 20 * time.Millisecond})
-	const n = 6
-	var wg sync.WaitGroup
-	results := make([]*SubmitResult, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = s.Submit(SubmitRequest{A: RandomMatrix(256, 16, int64(500+i)), CondEst: 10})
-		}(i)
-	}
-	wg.Wait()
-	fusedCount := 0
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
-		}
-		if o := OrthogonalityError(results[i].Q); o > 1e-10 {
-			t.Fatalf("request %d orthogonality %g", i, o)
-		}
-		if results[i].Fused {
-			fusedCount++
-		}
-	}
-	if fusedCount != n {
-		t.Fatalf("%d of %d coalesced requests took the fused path", fusedCount, n)
-	}
-	st := s.Stats()
-	if st.FusedRequests != n || st.FusedBatches >= n {
-		t.Fatalf("expected coalescence (batches < requests): %+v", st)
-	}
-}
-
 // The full public-API concurrency mix under -race: Submit, SubmitBatch,
 // Stats, and Close racing a mid-flight batch.
 func TestServerConcurrentSubmitBatchStatsClose(t *testing.T) {
-	s, err := NewServer(ServerOptions{Procs: 4, FuseWindow: time.Millisecond})
+	s, err := NewServer(ServerOptions{Procs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,14 +192,25 @@ type StreamInfo struct {
 // Options.PanelRows is unset: max(4096, n), clamped to m.
 const DefaultPanelRows = plan.DefaultPanelRows
 
-// tracedSource hangs the run's stage span on the source, where
+// runSource is the source one run reads. Next fails with the context's
+// error once the run's ctx is done, so a cancelled request stops
+// scanning at its next panel and gives back its rank token and pending
+// slot; span, set by a streamed run, hangs its stage span where
 // stream.Factorize looks for it (obs.SpanCarrier).
-type tracedSource struct {
+type runSource struct {
 	stream.Source
+	ctx  context.Context
 	span *obs.Span
 }
 
-func (t tracedSource) TraceSpan() *obs.Span { return t.span }
+func (s *runSource) Next(max int) (*lin.Matrix, error) {
+	if err := s.ctx.Err(); err != nil {
+		return nil, err
+	}
+	return s.Source.Next(max)
+}
+
+func (s *runSource) TraceSpan() *obs.Span { return s.span }
 
 // FactorizeStreaming factors the matrix behind src out of core with the
 // paper's own algorithm — 1D-CholeskyQR2 whose Gram allreduce becomes a
@@ -230,8 +241,9 @@ func FactorizeStreaming(src *MatrixSource, sink *MatrixSink, opts Options) (*Res
 
 // executeStream is execute for a stream-cqr2 job: src goes to the
 // out-of-core driver panel by panel and is never resident.
-func executeStream(ctx context.Context, j job, src stream.Source, sink *MatrixSink) (*Result, error) {
+func executeStream(ctx context.Context, j job, src *runSource, sink *MatrixSink) (*Result, error) {
 	ss := obs.FromContext(ctx).Stage("stream")
+	src.span = ss
 	defer ss.End()
 	ss.SetInt("m", int64(j.M))
 	ss.SetInt("n", int64(j.N))
@@ -245,7 +257,7 @@ func executeStream(ctx context.Context, j job, src stream.Source, sink *MatrixSi
 			return nil, err
 		}
 	}
-	sres, err := stream.Factorize(tracedSource{src, ss}, snk, stream.Options{
+	sres, err := stream.Factorize(src, snk, stream.Options{
 		PanelRows: j.PanelWidth,
 		Workers:   j.Workers,
 		Shifted:   plan.CQR2Breaks(j.condEst),

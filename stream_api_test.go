@@ -1,12 +1,14 @@
 package cacqr
 
 import (
+	"context"
 	"errors"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"cacqr/internal/lin"
@@ -216,7 +218,7 @@ func TestStreamingFileSinkRemovedOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer qsrc.Close()
-	ql, err := resident(qsrc.src)
+	ql, err := resident(&runSource{Source: qsrc.src, ctx: context.Background()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +440,7 @@ func TestServerSubmitStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer qsrc.Close()
-	qFile, err := resident(qsrc.src)
+	qFile, err := resident(&runSource{Source: qsrc.src, ctx: context.Background()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,6 +453,65 @@ func TestServerSubmitStream(t *testing.T) {
 	}
 	if maxDenseDiff(fromLin(qFile), inCore.Q) > 0 {
 		t.Error("Q written to the file sink differs from the resident Q")
+	}
+}
+
+// cancelingSource cancels its request's context on its second Next and
+// records whether a scan ever reached the end of the matrix.
+type cancelingSource struct {
+	stream.Source
+	cancel    context.CancelFunc
+	nexts     atomic.Int32
+	exhausted atomic.Bool
+}
+
+func (s *cancelingSource) Next(max int) (*lin.Matrix, error) {
+	if s.nexts.Add(1) == 2 {
+		s.cancel()
+	}
+	p, err := s.Source.Next(max)
+	if err == io.EOF {
+		s.exhausted.Store(true)
+	}
+	return p, err
+}
+
+// A cancelled SubmitStreamCtx stops reading its source at the next panel
+// — streamed out of core or drained into memory for an in-core plan —
+// and gives back its rank token and pending slot.
+func TestSubmitStreamCtxStopsOnCancel(t *testing.T) {
+	const m, n = 8192, 32
+	for _, c := range []struct {
+		name   string
+		budget int64
+	}{
+		{"streamed", 8 * m * n / 4},
+		{"resident", 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv, err := NewServer(ServerOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			gen, err := SourceFromGenerator(m, n, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			src := &cancelingSource{Source: gen.src, cancel: cancel}
+			_, err = srv.SubmitStreamCtx(ctx, StreamRequest{Source: &MatrixSource{src: src}, MemBudget: c.budget})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled request: err = %v, want context.Canceled", err)
+			}
+			if src.exhausted.Load() {
+				t.Errorf("the run read its source to the end after %d Next calls", src.nexts.Load())
+			}
+			if st := srv.Stats(); st.InFlightRanks != 0 || st.Pending != 0 {
+				t.Errorf("after the cancelled request: %d ranks in flight, %d pending", st.InFlightRanks, st.Pending)
+			}
+		})
 	}
 }
 
