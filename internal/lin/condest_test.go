@@ -66,3 +66,18 @@ func TestEstimateCondDegenerateInputs(t *testing.T) {
 		t.Fatalf("zero matrix estimate %g, want +Inf", got)
 	}
 }
+
+func TestEstimateCondAcrossTheGramCeiling(t *testing.T) {
+	// Between ε^{-1/2}/10 and ε^{-1/2} the Gram's Cholesky factor may or
+	// may not break down, and when it does not its smallest eigenvalue
+	// is mostly rounding: the estimate must come from the QR route
+	// either way, never from luck.
+	for _, kappa := range []float64{5e6, 3e7, 1e8, 3e8} {
+		for seed := int64(1); seed <= 6; seed++ {
+			a := RandomWithCond(192, 24, kappa, seed)
+			if got := EstimateCond(a, 50); got < kappa*0.9 || got > kappa*1.1 {
+				t.Errorf("κ=%g seed %d: estimate %g", kappa, seed, got)
+			}
+		}
+	}
+}

@@ -18,8 +18,12 @@
 // compact-WY (factor.go): 32-wide panels applied to the trailing columns
 // through GEMM and TRMM; its hot caller is the κ estimator's fallback for
 // ill-conditioned inputs (EstimateCond), which the daemon runs on every
-// unhinted request. TRSM, Cholesky and the triangular inverse are
-// scalar: none has a hot caller. The
+// unhinted request. CholInv (factor.go), the Cholesky factor and its
+// inverse that every CholeskyQR pass and CFR3D base case needs, is CFR3D's
+// sequential recursion on the same kernel: a TRMM, a GEMM and two TRMMs
+// per level around a scalar base case of order 16 or less (≈ 0.23 ms at
+// n = 128, against ≈ 1 ms for the scalar loops it replaced). TRSM is
+// scalar: it has no hot caller. The
 // reproduction's cost model separates flop counts (which these kernels
 // match exactly, whatever the vector width or worker count) from flop
 // rates (which belong to the machine model). Each kernel family has a

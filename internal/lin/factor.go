@@ -4,108 +4,20 @@ package lin
 
 import "math"
 
-// LAPACK-analog factorizations: Cholesky, triangular inverse, the combined
-// CholInv the paper's Algorithm 2 needs at its base case, and Householder
-// QR (used both as the accuracy reference and by the PGEQRF baseline).
+// LAPACK-analog factorizations: the combined Cholesky and triangular
+// inverse (CholInv) every CholeskyQR pass and the paper's Algorithm 3 base
+// case run, and Householder QR (used both as the accuracy reference and by
+// the PGEQRF baseline).
 
 // Cholesky overwrites nothing; it returns the lower-triangular L with
-// A = L·Lᵀ for symmetric positive definite A ((1/3)n³ flops; the paper
-// charges (2/3)n³ counting multiplies and adds). The strictly upper part
-// of the result is zero. Fails with ErrNotPositiveDefinite when a pivot
-// is not strictly positive and finite.
+// A = L·Lᵀ for symmetric positive definite A (the paper charges (2/3)n³
+// flops). It is CholInv with Y dropped: the recursion forms L⁻¹ on the
+// way. The strictly upper part of the result is zero, and that of A is
+// never read. Fails with ErrNotPositiveDefinite when a pivot is not
+// strictly positive and finite.
 func Cholesky(a *Matrix) (*Matrix, error) {
-	if a.Rows != a.Cols {
-		return nil, ErrShape
-	}
-	l := NewMatrix(a.Rows, a.Cols)
-	if err := choleskyInto(a, l); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// choleskyInto is Cholesky writing the factor into l, whatever l held:
-// the strictly upper part is zeroed row by row.
-func choleskyInto(a, l *Matrix) error {
-	n := a.Rows
-	if a.Cols != n || l.Rows != n || l.Cols != n {
-		return ErrShape
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.Data[i*a.Stride+j]
-			li := l.Data[i*l.Stride : i*l.Stride+j]
-			lj := l.Data[j*l.Stride : j*l.Stride+j]
-			for k := range li {
-				sum -= li[k] * lj[k]
-			}
-			if i == j {
-				if !(sum > 0) || sum > math.MaxFloat64 { // ≤ 0, NaN, or a Gram matrix that overflowed to +Inf
-					return ErrNotPositiveDefinite
-				}
-				l.Data[i*l.Stride+j] = math.Sqrt(sum)
-			} else {
-				l.Data[i*l.Stride+j] = sum / l.Data[j*l.Stride+j]
-			}
-		}
-		clear(l.Data[i*l.Stride+i+1 : i*l.Stride+n])
-	}
-	return nil
-}
-
-// TriInverse returns the inverse of a triangular matrix T ((1/3)n³ flops).
-// tri states which half of T carries the data; the other half is ignored.
-func TriInverse(t *Matrix, tri Triangle) (*Matrix, error) {
-	if t.Rows != t.Cols {
-		return nil, ErrShape
-	}
-	inv := NewMatrix(t.Rows, t.Cols)
-	if err := triInverseInto(t, tri, inv); err != nil {
-		return nil, err
-	}
-	return inv, nil
-}
-
-// triInverseInto is TriInverse writing the inverse into inv, whatever
-// inv held: the half opposite tri is zeroed.
-func triInverseInto(t *Matrix, tri Triangle, inv *Matrix) error {
-	n := t.Rows
-	if t.Cols != n || inv.Rows != n || inv.Cols != n {
-		return ErrShape
-	}
-	for i := 0; i < n; i++ {
-		if t.Data[i*t.Stride+i] == 0 {
-			return ErrSingular
-		}
-	}
-	if tri == Lower {
-		// Column-by-column forward substitution: L X = I.
-		for j := 0; j < n; j++ {
-			clear(inv.Data[j*inv.Stride+j+1 : j*inv.Stride+n])
-			inv.Data[j*inv.Stride+j] = 1 / t.Data[j*t.Stride+j]
-			for i := j + 1; i < n; i++ {
-				var sum float64
-				for k := j; k < i; k++ {
-					sum += t.Data[i*t.Stride+k] * inv.Data[k*inv.Stride+j]
-				}
-				inv.Data[i*inv.Stride+j] = -sum / t.Data[i*t.Stride+i]
-			}
-		}
-	} else {
-		// U X = I via backward substitution.
-		for j := n - 1; j >= 0; j-- {
-			clear(inv.Data[j*inv.Stride : j*inv.Stride+j])
-			inv.Data[j*inv.Stride+j] = 1 / t.Data[j*t.Stride+j]
-			for i := j - 1; i >= 0; i-- {
-				var sum float64
-				for k := i + 1; k <= j; k++ {
-					sum += t.Data[i*t.Stride+k] * inv.Data[k*inv.Stride+j]
-				}
-				inv.Data[i*inv.Stride+j] = -sum / t.Data[i*t.Stride+i]
-			}
-		}
-	}
-	return nil
+	l, _, err := CholInv(a)
+	return l, err
 }
 
 // CholInv is the paper's sequential CholInv building block: it factors the
@@ -124,13 +36,117 @@ func CholInv(a *Matrix) (l, y *Matrix, err error) {
 	return l, y, nil
 }
 
+// cholBase is the order at and below which CholInv stops recursing and
+// runs the scalar base case.
+const cholBase = 16
+
 // CholInvInto is CholInv writing L and Y into caller-owned n×n matrices
-// (views are fine), whatever they held. None of the three may overlap.
+// (views are fine), whatever they held; only the lower triangle of A is
+// read. None of the three may overlap. It is CFR3D's sequential recursion
+// (the paper's Algorithm 3 on one rank) on the shared micro-kernel:
+// with A split at n₁ = ⌈n/2⌉ rounded up to a whole tile,
+//
+//	(L₁₁, Y₁₁) = CholInv(A₁₁)
+//	L₂₁ = A₂₁·Y₁₁ᵀ                        one TRMM
+//	(L₂₂, Y₂₂) = CholInv(A₂₂ − L₂₁·L₂₁ᵀ)   one GEMM
+//	Y₂₁ = −Y₂₂·(L₂₁·Y₁₁)                  two TRMMs
+//
+// down to cholBase. The Schur complement lives in L's strictly upper
+// n₁×n₂ block (n₂ ≤ n₁), which is zeroed once the recursion returns, so
+// CholInvInto allocates nothing.
 func CholInvInto(a, l, y *Matrix) error {
-	if err := choleskyInto(a, l); err != nil {
+	n := a.Rows
+	if a.Cols != n || l.Rows != n || l.Cols != n || y.Rows != n || y.Cols != n {
+		return ErrShape
+	}
+	if n <= cholBase {
+		return cholInvBase(a, l, y)
+	}
+	n1 := ((n+1)/2 + tileN - 1) / tileN * tileN
+	n2 := n - n1
+	a11, a21, a22 := a.Slice(0, 0, n1, n1), a.Slice(n1, 0, n2, n1), a.Slice(n1, n1, n2, n2)
+	l11, l21, l22 := l.Slice(0, 0, n1, n1), l.Slice(n1, 0, n2, n1), l.Slice(n1, n1, n2, n2)
+	y11, y21, y22 := y.Slice(0, 0, n1, n1), y.Slice(n1, 0, n2, n1), y.Slice(n1, n1, n2, n2)
+	l12, y12 := l.Slice(0, n1, n1, n2), y.Slice(0, n1, n1, n2)
+	s := l.Slice(0, n1, n2, n2)
+	if err := CholInvInto(&a11, &l11, &y11); err != nil {
 		return err
 	}
-	return triInverseInto(l, Lower, y)
+	l21.CopyFrom(&a21)
+	Trmm(Right, Lower, true, &y11, &l21)
+	// Only S's lower triangle is read below, so A₂₂'s upper is never
+	// copied; the GEMM's upper half is discarded.
+	for i := 0; i < n2; i++ {
+		copy(s.Data[i*s.Stride:i*s.Stride+i+1], a22.Data[i*a22.Stride:i*a22.Stride+i+1])
+	}
+	Gemm(false, true, -1, &l21, &l21, 1, &s)
+	if err := CholInvInto(&s, &l22, &y22); err != nil {
+		return err
+	}
+	l12.Zero()
+	y21.CopyFrom(&l21)
+	Trmm(Right, Lower, false, &y11, &y21)
+	Trmm(Left, Lower, false, &y22, &y21)
+	y21.Scale(-1)
+	y12.Zero()
+	return nil
+}
+
+// cholInvBase is CholInvInto for n ≤ cholBase, scalar and in axpy form
+// so that every inner loop runs along a contiguous row. U = Lᵀ is built
+// in Y's storage by right-looking Cholesky — row k of U is divided by
+// its pivot, then subtracted from the trailing rows — and transposed
+// into L; then row i of Y is (eᵢ − Σₖ L(i,k)·Y(k,:)) / L(i,i) over the
+// rows k < i already formed. Both loops divide by the pivot rather than
+// multiply by its reciprocal: that keeps an exactly singular Gram matrix
+// from factoring.
+func cholInvBase(a, l, y *Matrix) error {
+	n := a.Rows
+	for k := 0; k < n; k++ {
+		uk := y.Data[k*y.Stride : k*y.Stride+n]
+		for j := k; j < n; j++ {
+			uk[j] = a.Data[j*a.Stride+k]
+		}
+	}
+	for k := 0; k < n; k++ {
+		uk := y.Data[k*y.Stride : k*y.Stride+n]
+		d := uk[k]
+		if !(d > 0) || d > math.MaxFloat64 { // ≤ 0, NaN, or a Gram matrix that overflowed to +Inf
+			return ErrNotPositiveDefinite
+		}
+		r := math.Sqrt(d)
+		uk[k] = r
+		for j := k + 1; j < n; j++ {
+			uk[j] /= r
+		}
+		for i := k + 1; i < n; i++ {
+			ui, u := y.Data[i*y.Stride+i:i*y.Stride+n], uk[i]
+			for j, v := range uk[i:] {
+				ui[j] -= u * v
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		li := l.Data[i*l.Stride : i*l.Stride+n]
+		for j := 0; j <= i; j++ {
+			li[j] = y.Data[j*y.Stride+i]
+		}
+		clear(li[i+1:])
+	}
+	for i := 0; i < n; i++ {
+		yi, li := y.Data[i*y.Stride:i*y.Stride+n], l.Data[i*l.Stride:i*l.Stride+i+1]
+		clear(yi)
+		yi[i] = 1
+		for k, lk := range li[:i] {
+			for j, v := range y.Data[k*y.Stride : k*y.Stride+k+1] {
+				yi[j] -= lk * v
+			}
+		}
+		for j := range yi[:i+1] {
+			yi[j] /= li[i]
+		}
+	}
+	return nil
 }
 
 // qrPanel is Householder QR's panel width: the trailing columns are

@@ -171,3 +171,49 @@ func naiveFormQ(f *QRFactors) *Matrix {
 	}
 	return q
 }
+
+// naiveCholesky is the left-looking dot-product Cholesky: L(i,j) is
+// A(i,j) minus the dot product of rows i and j of L, over L(j,j). It reads
+// only the lower triangle of A and fails on a pivot that is not strictly
+// positive and finite, like CholInv.
+func naiveCholesky(a *Matrix) (*Matrix, error) {
+	n := a.Rows
+	l := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			sum := a.Data[i*a.Stride+j]
+			li := l.Data[i*l.Stride : i*l.Stride+j]
+			lj := l.Data[j*l.Stride : j*l.Stride+j]
+			for k := range li {
+				sum -= li[k] * lj[k]
+			}
+			if i == j {
+				if !(sum > 0) || sum > math.MaxFloat64 {
+					return nil, ErrNotPositiveDefinite
+				}
+				l.Data[i*l.Stride+j] = math.Sqrt(sum)
+			} else {
+				l.Data[i*l.Stride+j] = sum / l.Data[j*l.Stride+j]
+			}
+		}
+	}
+	return l, nil
+}
+
+// naiveTriInverse inverts a nonsingular lower-triangular L column by
+// column: forward substitution on L·X = I.
+func naiveTriInverse(l *Matrix) *Matrix {
+	n := l.Rows
+	inv := NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		inv.Data[j*inv.Stride+j] = 1 / l.Data[j*l.Stride+j]
+		for i := j + 1; i < n; i++ {
+			var sum float64
+			for k := j; k < i; k++ {
+				sum += l.Data[i*l.Stride+k] * inv.Data[k*inv.Stride+j]
+			}
+			inv.Data[i*inv.Stride+j] = -sum / l.Data[i*l.Stride+i]
+		}
+	}
+	return inv
+}

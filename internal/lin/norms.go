@@ -73,11 +73,13 @@ func TwoNormCond(a *Matrix) float64 { return EstimateCond(a, 200) }
 // EstimateCond is the cheap condition-number estimator behind
 // TwoNormCond, with a caller-chosen iteration count (the planner uses
 // ~50 iterations: one n×n Gram SYRK plus O(iters·n²) matvec work, cheap
-// next to any factorization of the same matrix). The Gram route can
-// only resolve κ ≲ ε^{-1/2} — beyond that its Cholesky factor fails —
-// so when it saturates the estimator falls back to a Householder QR of
-// A (backward stable, 2mn² flops, paid only on the ill-conditioned
-// path) and inverse-iterates against R, resolving κ up to ~1/ε. +Inf
+// next to any factorization of the same matrix). The Gram route squares
+// κ, so it can only resolve κ ≲ ε^{-1/2}: near that its smallest
+// eigenvalue is rounding noise, whether or not its Cholesky factor
+// breaks down. When the factor fails or the estimate passes
+// gramCondCeiling, the estimator falls back to a Householder QR of A
+// (backward stable, 2mn² flops, paid only on the ill-conditioned path)
+// and inverse-iterates against R, resolving κ up to ~1/ε. +Inf
 // therefore means genuinely rank-deficient, not merely "worse than
 // 1e8". Power iteration converges from below, so the estimate is a
 // (usually tight) lower bound on κ₂(A).
@@ -109,8 +111,16 @@ func EstimateCond(a *Matrix, iters int) float64 {
 		x.Scale(1 / lam)
 	}
 	smin := math.Sqrt(1 / lam)
+	if smax/smin > gramCondCeiling {
+		return qrEstimateCond(a, iters, smax)
+	}
 	return smax / smin
 }
+
+// gramCondCeiling is the largest κ the Gram route reports: there ε·κ²
+// is 2 %, so λ_min(AᵀA) still carries a few digits. ε^{-1/2} ≈ 6.7e7
+// is where it carries none.
+const gramCondCeiling = 1e7
 
 // qrEstimateCond resolves condition numbers beyond the Gram route's
 // ~ε^{-1/2} ceiling: a Householder QR of A shares A's singular values
