@@ -44,6 +44,12 @@ func TestAllocationBudget(t *testing.T) {
 			return err
 		}
 	}
+	byPlan := func(p Plan) func(as []*Dense) error {
+		return func(as []*Dense) error {
+			_, err := FactorizePlan(as[0], p, Options{})
+			return err
+		}
+	}
 	srv := newTestServer(t, ServerOptions{Procs: 8})
 	for _, tc := range []struct {
 		name         string
@@ -55,11 +61,8 @@ func TestAllocationBudget(t *testing.T) {
 		{"grid_c2_d4_2048x128", 2048, 128, 1, grid(GridSpec{C: 2, D: 4}, Options{}), 12, 4000},
 		{"grid_c2_d2_4096x64", 4096, 64, 1, grid(GridSpec{C: 2, D: 2}, Options{}), 11, 2000},
 		{"grid_c2_d4_2048x128_inverse_depth_1", 2048, 128, 1, grid(GridSpec{C: 2, D: 4}, Options{InverseDepth: 1}), 14, 4000},
-		{"panel_c2_d4_2048x128_b32", 2048, 128, 1, grid(GridSpec{C: 2, D: 4}, Options{PanelWidth: 32}), 16, 4000},
-		{"1d_p8_1024x64", 1024, 64, 1, func(as []*Dense) error {
-			_, err := Factorize1D(as[0], 8, Options{})
-			return err
-		}, 20, 600},
+		{"panel_c2_d4_2048x128_b32", 2048, 128, 1, byPlan(Plan{Variant: VariantPanelCACQR2, C: 2, D: 4, PanelWidth: 32}), 16, 4000},
+		{"1d_p8_1024x64", 1024, 64, 1, byPlan(Plan{Variant: Variant1DCQR2, Procs: 8}), 20, 600},
 		// The throughput path: per item its Q, its n×n ladder temporaries
 		// and its result, ≈ 1.5× the input and ≈ 26 objects.
 		{"submit_batch_fused_64x512x32", 512, 32, 64, func(as []*Dense) error {

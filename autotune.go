@@ -14,16 +14,54 @@ type Plan = plan.Plan
 // Variant names an algorithm the planner can select.
 type Variant = plan.Variant
 
-// The planner's algorithm variants.
+// The planner's algorithm variants. A Plan names one with its extents,
+// and FactorizePlan runs it: FactorizePlan(a, Plan{Variant: VariantTSQR,
+// Procs: 4}, opts).
 const (
-	VariantSequential  = plan.Sequential
-	Variant1DCQR2      = plan.OneD
-	VariantCACQR2      = plan.CACQR2
+	// Variant1DCQR2 is 1D-CQR2 (Algorithm 7) on Procs ranks, each owning a
+	// contiguous m/Procs row block (requires Procs | m). Procs = 1 is the
+	// sequential CholeskyQR2 with measured cost accounting, bitwise equal
+	// to CholeskyQR2. It is the planner's c = 1 path: the paper's
+	// tall-skinny regime, where replication buys nothing and the whole
+	// Gram matrix fits one rank.
+	Variant1DCQR2 = plan.OneD
+	// VariantCACQR2 is the paper's CA-CQR2 on a C × D × C grid
+	// (FactorizeOnGrid's run).
+	VariantCACQR2 = plan.CACQR2
+	// VariantPanelCACQR2 is the §V panel-wise CA-CQR2: columns in panels
+	// of PanelWidth, cutting the flop overhead for near-square matrices.
+	// Requires C | PanelWidth and PanelWidth | n.
 	VariantPanelCACQR2 = plan.PanelCACQR2
-	VariantTSQR        = plan.TSQR
+	// VariantTSQR is the binary-tree TSQR baseline on Procs ranks, which
+	// must be a power of two. It is unconditionally stable — the right
+	// tool when κ(A) exceeds CholeskyQR2's ~1/√ε regime — at the price of
+	// a log P critical path of small factorizations. PanelWidth > 0
+	// selects the blocked variant, which only needs m/Procs ≥ PanelWidth
+	// instead of m/Procs ≥ n.
+	VariantTSQR = plan.TSQR
+	// VariantShiftedCQR3 is the distributed shifted CholeskyQR3 (one
+	// shifted CholeskyQR pass, then 1D-CQR2) on Procs ranks with the 1D
+	// layout (requires Procs | m; Procs = 1 is ShiftedCQR3 with measured
+	// cost accounting). It stays stable to κ(A) ≈ 1/ε — far beyond
+	// CholeskyQR2's ~ε^{-1/2} regime — at ~1.5× the flops, and is what
+	// the condition-aware planner dispatches for ill-conditioned tall
+	// inputs.
 	VariantShiftedCQR3 = plan.ShiftedCQR3
-	VariantPGEQRF      = plan.PGEQRF
-	VariantStreamCQR2  = plan.StreamCQR2
+	// VariantPGEQRF is the ScaLAPACK-style 2D Householder baseline on a
+	// D × C (pr × pc) process grid with block size nb = PanelWidth
+	// (requires pr | m, nb | n). The reflectors are turned into the explicit
+	// reduced Q by applying them to the distributed identity (the PDORGQR
+	// pattern), and signs are normalized so R has a non-negative
+	// diagonal. Its measured Stats include that explicit-Q formation, the
+	// n×n Allreduce that replicates R and the gather of Q on rank 0 from
+	// process column 0, which the cost model's PGEQRF row (factorization
+	// only, the paper's comparison object) deliberately does not price:
+	// unlike the CQR-family rows, measured cost exceeds the row's Cost
+	// by that output work.
+	VariantPGEQRF = plan.PGEQRF
+	// VariantStreamCQR2 is the out-of-core CholeskyQR2 on one rank over
+	// row panels of PanelWidth rows (FactorizeStreaming's run).
+	VariantStreamCQR2 = plan.StreamCQR2
 )
 
 // condEstIters bounds the power-iteration condition estimator run when
@@ -81,7 +119,7 @@ func planRequest(m, n, procs int, opts Options) (plan.Request, error) {
 // is executable via FactorizePlan. One caveat on the baseline: the
 // PGEQRF row's Cost models the factorization only (the object the
 // paper compares against); executing it also pays the explicit-Q
-// formation before the gather (see FactorizePGEQRF), which shows up in
+// formation before the gather (see VariantPGEQRF), which shows up in
 // measured Stats but is not priced, so the exact measured == predicted
 // + gather contract holds for the CQR-family and TSQR rows, not PGEQRF.
 func PlanGrid(m, n, procs int, opts Options) ([]Plan, error) {
@@ -95,16 +133,16 @@ func PlanGrid(m, n, procs int, opts Options) ([]Plan, error) {
 // AutoFactorize factors A = Q·R on up to procs simulated ranks, letting
 // the planner choose the algorithm variant and grid: it ranks every
 // feasible candidate with the validated cost model and executes the
-// winner (CA-CQR2 on its c×d×c grid, the panel variant, 1D-CQR2,
-// sequential, ShiftedCQR3, or the TSQR fallback for extreme shapes).
+// winner (CA-CQR2 on its c×d×c grid, the panel variant, 1D-CQR2 — on
+// one rank, the sequential algorithm — ShiftedCQR3, or the TSQR fallback
+// for extreme shapes).
 // The choice is condition-aware: Options.CondEst — or, when unset, a
 // cheap power-iteration estimate of κ₂(A) measured from the matrix —
 // gates out variants that would lose orthogonality at that conditioning
 // (κ ≳ 10⁷ leaves the plain CholeskyQR2 family for ShiftedCQR3/TSQR).
 // The executed plan is recorded in Result.Plan and the routing hint in
-// Result.CondEst. Options.PanelWidth is ignored — the planner owns that
-// choice; InverseDepth and BaseSize are what every grid row is priced
-// with, and the winner runs the ones it carries.
+// Result.CondEst. InverseDepth and BaseSize are what every grid row is
+// priced with, and the winner runs the ones it carries.
 func AutoFactorize(a *Dense, procs int, opts Options) (*Result, error) {
 	return autoFactorize(a, procs, opts)
 }
@@ -136,10 +174,11 @@ func autoFactorize(a *Dense, procs int, opts Options) (*Result, error) {
 
 // FactorizePlan executes one plan — a row of PlanGrid, a cached plan
 // reused across same-shaped matrices, or one built by hand (Variant and
-// its extents suffice) — without running the enumeration. Every variant
-// the planner prices is executable, including the PGEQRF baseline and
-// the blocked (PanelWidth > 0) TSQR rows; the plan's extents are checked
-// against the matrix before anything runs. The run executes the knobs
+// its extents suffice; each Variant constant lists what it requires) —
+// without running the enumeration. Every variant the planner prices is
+// executable, including the PGEQRF baseline and the blocked
+// (PanelWidth > 0) TSQR rows; the plan's extents are checked against
+// the matrix before anything runs. The run executes the knobs
 // the row was priced with — its own PanelWidth, InverseDepth and
 // BaseSize, not those of opts — so measured cost equals the row's Cost
 // (plus the final gather). The executed plan is recorded in Result.Plan.

@@ -100,7 +100,7 @@ func TestAutoFactorizeSequentialOnOneRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan.Variant != VariantSequential || res.Plan.Procs != 1 {
+	if res.Plan.Variant != Variant1DCQR2 || res.Plan.Procs != 1 {
 		t.Fatalf("p=1 plan: %v", res.Plan)
 	}
 	if e := ResidualNorm(a, res.Q, res.R); e > 1e-12 {
@@ -114,9 +114,10 @@ func TestAutoFactorizeSequentialOnOneRank(t *testing.T) {
 	}
 }
 
+// TestFactorize1D runs the 1d-cqr2 row on eight ranks.
 func TestFactorize1D(t *testing.T) {
 	a := RandomMatrix(256, 16, 11)
-	res, err := Factorize1D(a, 8, Options{})
+	res, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 8}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestFactorize1D(t *testing.T) {
 	}
 	// The Workers knob may change wall-clock only: factors and measured
 	// costs must be bitwise identical.
-	res4, err := Factorize1D(a, 8, Options{Workers: 4})
+	res4, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 8}, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +152,10 @@ func TestFactorize1D(t *testing.T) {
 		t.Fatalf("Workers=4 changed measured costs: %+v vs %+v", res.Stats, res4.Stats)
 	}
 	// Error paths.
-	if _, err := Factorize1D(a, 7, Options{}); err == nil {
+	if _, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 7}, Options{}); err == nil {
 		t.Fatal("indivisible m accepted")
 	}
-	if _, err := Factorize1D(a, 0, Options{}); err == nil {
+	if _, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 0}, Options{}); err == nil {
 		t.Fatal("zero procs accepted")
 	}
 }
@@ -244,11 +245,11 @@ func TestNegativeWorkersRejectedEverywhere(t *testing.T) {
 	if _, err := FactorizeOnGrid(a, GridSpec{C: 1, D: 4}, bad); err == nil {
 		t.Fatal("FactorizeOnGrid accepted negative Workers")
 	}
-	if _, err := FactorizeTSQR(a, 4, 0, bad); err == nil {
-		t.Fatal("FactorizeTSQR accepted negative Workers")
+	if _, err := FactorizePlan(a, Plan{Variant: VariantTSQR, Procs: 4}, bad); err == nil {
+		t.Fatal("FactorizePlan(tsqr) accepted negative Workers")
 	}
-	if _, err := Factorize1D(a, 4, bad); err == nil {
-		t.Fatal("Factorize1D accepted negative Workers")
+	if _, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 4}, bad); err == nil {
+		t.Fatal("FactorizePlan(1d-cqr2) accepted negative Workers")
 	}
 	if _, err := AutoFactorize(a, 4, bad); err == nil {
 		t.Fatal("AutoFactorize accepted negative Workers")

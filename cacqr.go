@@ -9,12 +9,13 @@
 //   - Sequential factorizations (CholeskyQR2, ShiftedCQR3, HouseholderQR)
 //     for direct use on dense matrices.
 //   - Distributed factorizations over a processor grid — FactorizeOnGrid
-//     (the paper's CA-CQR2 on c × d × c ranks), its 1D, TSQR and PGEQRF
-//     comparison rows, the planner-driven AutoFactorize / FactorizePlan,
-//     and the out-of-core FactorizeStreaming. Each is a few lines that
-//     name a plan and hand it to the one executor (see distributed.go),
-//     which reports the factors and the measured per-processor
-//     communication/computation costs.
+//     (the paper's CA-CQR2 on c × d × c ranks), FactorizePlan (any row
+//     of the planner's table: 1D-CQR2, the panel variant, ShiftedCQR3,
+//     the TSQR and PGEQRF comparison rows), the planner-driven
+//     AutoFactorize, and the out-of-core FactorizeStreaming. Each is a
+//     few lines that name a plan and hand it to the one executor (see
+//     distributed.go), which reports the factors and the measured
+//     per-processor communication/computation costs.
 //   - The validated cost model (Model* functions and Machine values) for
 //     predicting performance at supercomputer scale.
 package cacqr
@@ -161,11 +162,11 @@ type GridSpec struct {
 func (g GridSpec) Procs() int { return g.C * g.D * g.C }
 
 // Options tune a run like the paper's experiment legends. Three groups:
-// knobs of the run itself (InverseDepth, BaseSize, PanelWidth, Workers,
-// PanelRows), where it runs (Transport, Timeout, Tracer), and what the
-// planner may choose from (MemBudget, PlanMachine, IncludeBaselines,
-// CondEst). A field an entry point has no use for is ignored: a run
-// executes exactly the plan it was given.
+// knobs of the run itself (InverseDepth, BaseSize, Workers, PanelRows),
+// where it runs (Transport, Timeout, Tracer), and what the planner may
+// choose from (MemBudget, PlanMachine, IncludeBaselines, CondEst). A
+// field an entry point has no use for is ignored: a run executes exactly
+// the plan it was given, and a plan carries its own panel width.
 type Options struct {
 	// InverseDepth is the number of top CFR3D recursion levels that skip
 	// the explicit triangular-inverse block (0 = full inverse).
@@ -175,12 +176,6 @@ type Options struct {
 	// these two and the planner prices its rows with them; a plan carries
 	// its own, so FactorizePlan does not read them.
 	BaseSize int
-	// PanelWidth, when > 0, makes FactorizeOnGrid run the panel-wise
-	// variant (the paper's §V subpanel proposal): columns are processed
-	// in panels of this width, cutting the flop overhead for near-square
-	// matrices. Requires c | PanelWidth and PanelWidth | n. A plan carries
-	// its own width, so the planner-driven entry points do not read it.
-	PanelWidth int
 	// Timeout bounds a distributed run's wall-clock time (0 = 10min).
 	Timeout time.Duration
 	// Workers bounds the goroutines each rank's local level-3 kernels
@@ -318,70 +313,16 @@ func checkOptions(opts Options) error {
 // ranks (replicated across depth slices by the grid's z broadcast, as a
 // cluster would load it), factored, and the factors gathered back.
 // Requires d | m and c | n. Ranks are simulated goroutines by default;
-// Options.Transport can move them onto real OS worker processes.
+// Options.Transport can move them onto real OS worker processes. The §V
+// panel variant is the row Plan{Variant: VariantPanelCACQR2, C, D,
+// PanelWidth} for FactorizePlan.
 func FactorizeOnGrid(a *Dense, spec GridSpec, opts Options) (*Result, error) {
 	return factorize(a, spec.asPlan(opts), opts)
 }
 
-// asPlan describes CA-CQR2 on the grid with the legend knobs of opts, or
-// its panel variant when opts.PanelWidth > 0.
+// asPlan describes CA-CQR2 on the grid with the legend knobs of opts.
 func (g GridSpec) asPlan(opts Options) plan.Plan {
-	p := plan.Plan{Variant: plan.CACQR2, C: g.C, D: g.D, InverseDepth: opts.InverseDepth, BaseSize: opts.BaseSize}
-	if opts.PanelWidth > 0 {
-		p.Variant, p.PanelWidth = plan.PanelCACQR2, opts.PanelWidth
-	}
-	return p
-}
-
-// Factorize1D factors a tall matrix with 1D-CQR2 (Algorithm 7) on a
-// simulated 1D grid of procs ranks, each owning a contiguous m/procs
-// row block (requires procs | m). procs = 1 is the sequential
-// CholeskyQR2 with measured cost accounting. This is the planner's
-// c = 1 execution path: the paper's tall-skinny regime, where
-// replication buys nothing and the whole Gram matrix fits one rank.
-func Factorize1D(a *Dense, procs int, opts Options) (*Result, error) {
-	return factorize(a, plan.Plan{Variant: plan.OneD, C: 1, D: procs, Procs: procs}, opts)
-}
-
-// FactorizeShifted1D factors a tall matrix with the distributed shifted
-// CholeskyQR3 (one shifted CholeskyQR pass, then 1D-CQR2) on a simulated
-// 1D grid of procs ranks, each owning a contiguous m/procs row block
-// (requires procs | m; procs = 1 is the sequential ShiftedCQR3 with
-// measured cost accounting). It stays stable to κ(A) ≈ 1/ε — far beyond
-// CholeskyQR2's ~ε^{-1/2} regime — at ~1.5× the flops, and is what the
-// condition-aware planner dispatches for ill-conditioned tall inputs.
-func FactorizeShifted1D(a *Dense, procs int, opts Options) (*Result, error) {
-	return factorize(a, plan.Plan{Variant: plan.ShiftedCQR3, C: 1, D: procs, Procs: procs}, opts)
-}
-
-// FactorizeTSQR factors a tall-skinny matrix with the binary-tree TSQR
-// baseline on a simulated 1D grid of procs ranks (a power of two). TSQR
-// is unconditionally stable — the right tool when κ(A) exceeds
-// CholeskyQR2's ~1/√ε regime — at the price of a log P critical path of
-// small factorizations. panelWidth > 0 selects the blocked variant,
-// which only needs m/procs ≥ panelWidth instead of m/procs ≥ n.
-func FactorizeTSQR(a *Dense, procs, panelWidth int, opts Options) (*Result, error) {
-	return factorize(a, plan.Plan{Variant: plan.TSQR, C: 1, D: procs, Procs: procs, PanelWidth: panelWidth}, opts)
-}
-
-// FactorizePGEQRF factors an m×n matrix with the ScaLAPACK-style 2D
-// Householder baseline (internal/pgeqrf) on a simulated pr×pc process
-// grid with panel width nb (requires pr | m, nb | n, m ≥ n). The
-// factored form's reflectors are turned into the explicit reduced Q by
-// applying them to the distributed identity (the PDORGQR pattern), and
-// signs are normalized so R has a non-negative diagonal — directly
-// comparable with the CholeskyQR family. Unconditionally stable; this
-// is the execution path behind the planner's PGEQRF rows, making every
-// priced plan dispatchable. Note the measured Stats include the
-// explicit-Q formation (a second sweep over the panels), the n×n
-// Allreduce that replicates R, and the gather of Q on rank 0 from
-// process column 0 — a rooted gather like every other variant's — which
-// the cost model's PGEQRF row (factorization only, the paper's
-// comparison object) deliberately does not price: unlike the CQR-family
-// paths, measured cost here exceeds the plan's prediction by that
-// output work.
-func FactorizePGEQRF(a *Dense, pr, pc, nb int, opts Options) (*Result, error) {
-	return factorize(a, plan.Plan{Variant: plan.PGEQRF, C: pc, D: pr, PanelWidth: nb}, opts)
+	return plan.Plan{Variant: plan.CACQR2, C: g.C, D: g.D, InverseDepth: opts.InverseDepth, BaseSize: opts.BaseSize}
 }
 
 // Machine re-exports the cost model's machine description.

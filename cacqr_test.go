@@ -142,7 +142,8 @@ func TestModelPrediction(t *testing.T) {
 
 func TestFactorizeOnGridPanelVariant(t *testing.T) {
 	a := RandomMatrix(32, 16, 8)
-	res, err := FactorizeOnGrid(a, GridSpec{C: 2, D: 4}, Options{PanelWidth: 4})
+	panel := Plan{Variant: VariantPanelCACQR2, C: 2, D: 4, PanelWidth: 4}
+	res, err := FactorizePlan(a, panel, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,16 +163,19 @@ func TestFactorizeOnGridPanelVariant(t *testing.T) {
 		t.Fatalf("panel flops %d not below plain %d", res.Stats.Flops, plain.Stats.Flops)
 	}
 	// Invalid widths are rejected.
-	if _, err := FactorizeOnGrid(a, GridSpec{C: 2, D: 4}, Options{PanelWidth: 3}); err == nil {
+	panel.PanelWidth = 3
+	if _, err := FactorizePlan(a, panel, Options{}); err == nil {
 		t.Fatal("c∤PanelWidth accepted")
 	}
 }
 
+// TestFactorizeTSQRPublic runs the tsqr rows, plain and blocked, through
+// the public FactorizePlan.
 func TestFactorizeTSQRPublic(t *testing.T) {
 	// Plain TSQR on an ill-conditioned matrix (where CholeskyQR2 would
 	// need the shifted variant).
 	a := RandomWithCond(64, 8, 1e10, 9)
-	res, err := FactorizeTSQR(a, 4, 0, Options{})
+	res, err := FactorizePlan(a, Plan{Variant: VariantTSQR, Procs: 4}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +188,7 @@ func TestFactorizeTSQRPublic(t *testing.T) {
 
 	// Blocked variant when local blocks are shorter than n.
 	b := RandomMatrix(64, 24, 10)
-	res, err = FactorizeTSQR(b, 8, 4, Options{})
+	res, err = FactorizePlan(b, Plan{Variant: VariantTSQR, Procs: 8, PanelWidth: 4}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +197,7 @@ func TestFactorizeTSQRPublic(t *testing.T) {
 	}
 
 	// Validation: indivisible m.
-	if _, err := FactorizeTSQR(RandomMatrix(10, 2, 1), 4, 0, Options{}); err == nil {
+	if _, err := FactorizePlan(RandomMatrix(10, 2, 1), Plan{Variant: VariantTSQR, Procs: 4}, Options{}); err == nil {
 		t.Fatal("indivisible m accepted")
 	}
 }
@@ -230,16 +234,16 @@ func TestOneRank1DIsSequentialBitwise(t *testing.T) {
 		name string
 		a    *Dense
 		seq  func(*Dense) (*Dense, *Dense, error)
-		oneD func(*Dense, int, Options) (*Result, error)
+		oneD Variant
 	}{
-		{"cqr2", RandomMatrix(1024, 64, 7), CholeskyQR2, Factorize1D},
-		{"shifted-cqr3", RandomWithCond(1024, 32, 1e10, 5), ShiftedCQR3, FactorizeShifted1D},
+		{"cqr2", RandomMatrix(1024, 64, 7), CholeskyQR2, Variant1DCQR2},
+		{"shifted-cqr3", RandomWithCond(1024, 32, 1e10, 5), ShiftedCQR3, VariantShiftedCQR3},
 	} {
 		q, r, err := tc.seq(tc.a)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		res, err := tc.oneD(tc.a, 1, Options{})
+		res, err := FactorizePlan(tc.a, Plan{Variant: tc.oneD, Procs: 1}, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -280,11 +284,11 @@ func TestWorkersKnobIsDeterministic(t *testing.T) {
 		}
 	}
 
-	tq, err := FactorizeTSQR(a, 4, 0, Options{})
+	tq, err := FactorizePlan(a, Plan{Variant: VariantTSQR, Procs: 4}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tq4, err := FactorizeTSQR(a, 4, 0, Options{Workers: 4})
+	tq4, err := FactorizePlan(a, Plan{Variant: VariantTSQR, Procs: 4}, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

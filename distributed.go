@@ -1,7 +1,7 @@
 package cacqr
 
-// The one execution path. Every entry point — the fixed-grid Factorize*
-// calls, FactorizePlan, AutoFactorize, FactorizeStreaming and the
+// The one execution path. Every entry point — FactorizeOnGrid,
+// FactorizePlan, AutoFactorize, FactorizeStreaming and the
 // Server's Submit family — describes its run as a job (newJob: a
 // plan.Plan plus the shape and the run knobs, fully checked before a
 // rank starts or a worker is dialled) and hands it to execute with a
@@ -286,7 +286,7 @@ func jobBody(j job, local *lin.Matrix, globalAtRoot *lin.Matrix, out func(q, r *
 			emit(qG, rG)
 			return nil
 
-		case plan.Sequential, plan.OneD, plan.ShiftedCQR3:
+		case plan.OneD, plan.ShiftedCQR3:
 			factor := core.OneDCQR2
 			if j.Variant == plan.ShiftedCQR3 {
 				factor = core.OneDShiftedCQR3

@@ -33,6 +33,7 @@ func TestEntryPointsLeaveTheirInputsAlone(t *testing.T) {
 		}
 	}
 	grid := GridSpec{C: 2, D: 4}
+	runPlan := func(p Plan) error { _, err := FactorizePlan(a, p, Options{}); return err }
 	plans, err := PlanGrid(m, n, 8, Options{CondEst: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -45,11 +46,11 @@ func TestEntryPointsLeaveTheirInputsAlone(t *testing.T) {
 		{"ShiftedCQR3", func() error { _, _, err := ShiftedCQR3(a); return err }},
 		{"HouseholderQR", func() error { _, _, err := HouseholderQR(a); return err }},
 		{"FactorizeOnGrid", func() error { _, err := FactorizeOnGrid(a, grid, Options{}); return err }},
-		{"FactorizeOnGrid/PanelWidth", func() error { _, err := FactorizeOnGrid(a, grid, Options{PanelWidth: 8}); return err }},
-		{"Factorize1D", func() error { _, err := Factorize1D(a, 8, Options{}); return err }},
-		{"FactorizeShifted1D", func() error { _, err := FactorizeShifted1D(a, 8, Options{}); return err }},
-		{"FactorizeTSQR", func() error { _, err := FactorizeTSQR(a, 4, 0, Options{}); return err }},
-		{"FactorizePGEQRF", func() error { _, err := FactorizePGEQRF(a, 2, 2, 8, Options{}); return err }},
+		{"FactorizePlan/panel", func() error { return runPlan(Plan{Variant: VariantPanelCACQR2, C: 2, D: 4, PanelWidth: 8}) }},
+		{"FactorizePlan/1d", func() error { return runPlan(Plan{Variant: Variant1DCQR2, Procs: 8}) }},
+		{"FactorizePlan/shifted", func() error { return runPlan(Plan{Variant: VariantShiftedCQR3, Procs: 8}) }},
+		{"FactorizePlan/tsqr", func() error { return runPlan(Plan{Variant: VariantTSQR, Procs: 4}) }},
+		{"FactorizePlan/pgeqrf", func() error { return runPlan(Plan{Variant: VariantPGEQRF, D: 2, C: 2, PanelWidth: 8}) }},
 		{"AutoFactorize", func() error { _, err := AutoFactorize(a, 8, Options{}); return err }},
 		{"FactorizePlan", func() error { _, err := FactorizePlan(a, plans[0], Options{}); return err }},
 		{"SolveLeastSquares", func() error { _, err := SolveLeastSquares(a, b, grid, Options{}); return err }},

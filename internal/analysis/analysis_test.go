@@ -31,8 +31,8 @@ func suite(t *testing.T, names ...string) []*analysis.Analyzer {
 // TestLayering runs each row of the layering table on its fixtures: the
 // failing file must draw that row's diagnostic and the passing file must
 // not. analysistest holds every line of the loaded packages to its want
-// comments, whichever row fires there. muguard rides along because the
-// serve fixture package is both analyzers'.
+// comments, whichever row fires there. muguard and deterministicgen ride
+// along because the serve and lin fixture packages are theirs too.
 func TestLayering(t *testing.T) {
 	for _, tc := range []struct {
 		row, fail, pass string
@@ -57,7 +57,7 @@ func TestLayering(t *testing.T) {
 			if p := path.Dir(tc.pass); p != pkgs[0] {
 				pkgs = append(pkgs, p)
 			}
-			diags := analysistest.Run(t, "testdata", suite(t, "layering", "muguard"), append(pkgs, tc.more...)...)
+			diags := analysistest.Run(t, "testdata", suite(t, "layering", "muguard", "deterministicgen"), append(pkgs, tc.more...)...)
 			failed := false
 			for _, d := range diags {
 				if !strings.HasPrefix(d.Message, tc.row+": ") {
@@ -76,8 +76,10 @@ func TestLayering(t *testing.T) {
 	}
 }
 
+// TestDeterministicGen runs layering alongside, whose workers row binds
+// the same lin fixture package.
 func TestDeterministicGen(t *testing.T) {
-	analysistest.Run(t, "testdata", suite(t, "deterministicgen"), "testmat")
+	analysistest.Run(t, "testdata", suite(t, "deterministicgen", "layering"), "lin")
 }
 
 func TestObsSafety(t *testing.T) {

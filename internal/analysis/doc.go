@@ -21,8 +21,9 @@
 //     internal/core or internal/tsqr outside internal/lin/parallel.go),
 //     and no clock in internal/serve (no sleep, timer, ticker or
 //     time.After: admission refuses and never waits).
-//   - deterministicgen: the generator packages (internal/testmat,
-//     internal/stream) must stay bitwise-replayable — no global
+//   - deterministicgen: the generator packages (internal/lin, home of
+//     the κ-prescribed test matrices, and internal/stream) must stay
+//     bitwise-replayable — no global
 //     math/rand state and no map-iteration-ordered output, because the
 //     streaming tier's CholeskyQR2 regenerates its input on every pass
 //     and all passes must see identical bits.

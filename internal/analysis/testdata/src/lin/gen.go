@@ -1,7 +1,8 @@
-// Package testmat is a deterministicgen fixture standing in for the
+package lin
+
+// The deterministicgen half of the fixture, standing in for the
 // generator packages: output must be a pure function of (seed,
 // position).
-package testmat
 
 import "math/rand"
 

@@ -10,12 +10,12 @@ import (
 
 	"cacqr/internal/lin"
 	"cacqr/internal/simmpi"
-	"cacqr/internal/testmat"
 )
 
 // The κ-sweep property tests: every stability claim the condition-aware
 // planner routes on is asserted here against matrices with exactly
-// prescribed condition numbers (testmat's scaled SVD composition).
+// prescribed condition numbers (lin.RandomWithCond's scaled SVD
+// composition).
 //
 // The theory under test (§I and Fukaya et al., the paper's ref. [3]):
 //   - CholeskyQR2 reaches O(ε) orthogonality while κ ≲ ε^{-1/2} ≈ 1e7
@@ -26,6 +26,12 @@ import (
 //   - The residual ‖A−QR‖/‖A‖ stays O(ε) whenever the factorization
 //     completes at all (CholeskyQR is backward stable).
 
+// kappas is the standard sweep: from comfortably inside CholeskyQR2's
+// κ ≲ ε^{-1/2} regime (1e2, 1e5), through its breakdown (1e8), into
+// territory only ShiftedCQR3 (1e12) and the Householder-based algorithms
+// (1e15) can handle.
+var kappas = []float64{1e2, 1e5, 1e8, 1e12, 1e15}
+
 const (
 	sweepM, sweepN = 256, 32
 	orthTol        = 1e-12
@@ -33,8 +39,8 @@ const (
 )
 
 func TestKappaSweepCholeskyQR2(t *testing.T) {
-	for _, kappa := range testmat.Kappas {
-		a := testmat.WithCond(sweepM, sweepN, kappa, 42)
+	for _, kappa := range kappas {
+		a := lin.RandomWithCond(sweepM, sweepN, kappa, 42)
 		q, r, err := CholeskyQR2(a, 0)
 		switch {
 		case kappa <= 1e5:
@@ -42,7 +48,7 @@ func TestKappaSweepCholeskyQR2(t *testing.T) {
 			if err != nil {
 				t.Fatalf("κ=%g: CQR2 failed: %v", kappa, err)
 			}
-			orth, resid := testmat.Measure(a, q, r)
+			orth, resid := lin.OrthogonalityError(q), lin.ResidualNorm(a, q, r)
 			if orth > orthTol || resid > residTol {
 				t.Fatalf("κ=%g: CQR2 orth=%g resid=%g", kappa, orth, resid)
 			}
@@ -66,16 +72,16 @@ func TestKappaSweepCholeskyQR2(t *testing.T) {
 }
 
 func TestKappaSweepShiftedCQR3(t *testing.T) {
-	for _, kappa := range testmat.Kappas {
+	for _, kappa := range kappas {
 		if kappa > 1e12 {
 			continue // beyond the one-shift regime at this shape
 		}
-		a := testmat.WithCond(sweepM, sweepN, kappa, 42)
+		a := lin.RandomWithCond(sweepM, sweepN, kappa, 42)
 		q, r, err := ShiftedCQR3(a, 0)
 		if err != nil {
 			t.Fatalf("κ=%g: ShiftedCQR3 failed: %v", kappa, err)
 		}
-		orth, resid := testmat.Measure(a, q, r)
+		orth, resid := lin.OrthogonalityError(q), lin.ResidualNorm(a, q, r)
 		if orth > orthTol || resid > residTol {
 			t.Fatalf("κ=%g: ShiftedCQR3 orth=%g resid=%g", kappa, orth, resid)
 		}
@@ -86,7 +92,7 @@ func TestKappaShiftedCQR3RegimeBoundary(t *testing.T) {
 	// Beyond κ ≈ 1/(8√(11(mn+n²))·ε) one shifted pass cannot tame the
 	// conditioning: the refinement's CholeskyQR2 must report the
 	// ill-conditioning rather than fabricate a Q.
-	a := testmat.WithCond(sweepM, sweepN, 1e15, 42)
+	a := lin.RandomWithCond(sweepM, sweepN, 1e15, 42)
 	q, _, err := ShiftedCQR3(a, 0)
 	if err == nil {
 		if orth := lin.OrthogonalityError(q); orth <= 1e-8 {
@@ -103,7 +109,7 @@ func TestKappaOneDShiftedCQR3Distributed(t *testing.T) {
 	// replicated R must agree with the sequential run's to roundoff.
 	const p, m, n = 4, 256, 32
 	kappa := 1e10
-	a := testmat.WithCond(m, n, kappa, 7)
+	a := lin.RandomWithCond(m, n, kappa, 7)
 	qSeq, rSeq, err := ShiftedCQR3(a, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +130,7 @@ func TestKappaOneDShiftedCQR3Distributed(t *testing.T) {
 		}
 		if pr.Rank() == 0 {
 			q := lin.FromSlice(m, n, flat)
-			orth, resid = testmat.Measure(a, q, r)
+			orth, resid = lin.OrthogonalityError(q), lin.ResidualNorm(a, q, r)
 			rDist = r
 		}
 		return nil
@@ -141,7 +147,7 @@ func TestKappaOneDShiftedCQR3Distributed(t *testing.T) {
 }
 
 func TestKappaOneDShiftedCQR3ErrorPaths(t *testing.T) {
-	a := testmat.WithCond(64, 8, 10, 1)
+	a := lin.RandomWithCond(64, 8, 10, 1)
 	_, err := simmpi.RunWithOptions(3, simmpi.Options{Timeout: 30 * time.Second}, func(pr *simmpi.Proc) error {
 		_, _, err := OneDShiftedCQR3(pr.World(), a.View(0, 0, 21, 8), 64, 8, 0)
 		return err
@@ -162,7 +168,7 @@ func TestKappaSweepWorkersInvariance(t *testing.T) {
 	// The Workers knob must not change a single bit of the shifted
 	// path's factors — ill-conditioned inputs are exactly where parallel
 	// reassociation would first show.
-	a := testmat.WithCond(sweepM, sweepN, 1e9, 13)
+	a := lin.RandomWithCond(sweepM, sweepN, 1e9, 13)
 	q1, r1, err := ShiftedCQR3(a, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -202,8 +208,8 @@ func TestKappaTable(t *testing.T) {
 		}
 		return fmt.Sprintf("%.1e", lin.OrthogonalityError(q))
 	}
-	for _, kappa := range testmat.Kappas {
-		a := testmat.WithCond(sweepM, sweepN, kappa, 42)
+	for _, kappa := range kappas {
+		a := lin.RandomWithCond(sweepM, sweepN, kappa, 42)
 		q2, _, err2 := CholeskyQR2(a, 0)
 		q3, _, err3 := ShiftedCQR3(a, 0)
 		qh, _, errh := lin.QR(a)

@@ -31,30 +31,3 @@ func (f *QRFactors) apply(b *Matrix, trans bool) error {
 	}
 	return nil
 }
-
-// LeastSquares solves min ‖A·x − b‖₂ from the factored form: it applies
-// Qᵀ to a copy of b and back-substitutes against R. b has length m; the
-// solution has length n.
-func (f *QRFactors) LeastSquares(b []float64) ([]float64, error) {
-	m, n := f.V.Rows, f.V.Cols
-	if len(b) != m {
-		return nil, ErrShape
-	}
-	rhs := FromSlice(m, 1, append([]float64(nil), b...))
-	if err := f.ApplyQT(rhs); err != nil {
-		return nil, err
-	}
-	x := make([]float64, n)
-	for j := n - 1; j >= 0; j-- {
-		s := rhs.At(j, 0)
-		for k := j + 1; k < n; k++ {
-			s -= f.R.At(j, k) * x[k]
-		}
-		d := f.R.At(j, j)
-		if d == 0 {
-			return nil, ErrSingular
-		}
-		x[j] = s / d
-	}
-	return x, nil
-}

@@ -84,48 +84,3 @@ func TestApplyQShapeChecks(t *testing.T) {
 		t.Fatalf("got %v", err)
 	}
 }
-
-func TestLeastSquaresFromFactors(t *testing.T) {
-	a := RandomMatrix(30, 4, 66)
-	xTrue := []float64{2, -1, 0.5, 3}
-	b := make([]float64, 30)
-	for i := 0; i < 30; i++ {
-		for j := 0; j < 4; j++ {
-			b[i] += a.At(i, j) * xTrue[j]
-		}
-	}
-	f, err := HouseholderQR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := f.LeastSquares(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range x {
-		if math.Abs(x[j]-xTrue[j]) > 1e-11 {
-			t.Fatalf("x[%d] = %g, want %g", j, x[j], xTrue[j])
-		}
-	}
-	// b must not be modified.
-	if b[0] == 0 && b[1] == 0 {
-		t.Fatal("suspicious rhs")
-	}
-	if _, err := f.LeastSquares(make([]float64, 7)); !errors.Is(err, ErrShape) {
-		t.Fatalf("got %v", err)
-	}
-}
-
-func TestLeastSquaresSingular(t *testing.T) {
-	a := NewMatrix(6, 2)
-	for i := 0; i < 6; i++ {
-		a.Set(i, 0, 1) // second column identically zero
-	}
-	f, err := HouseholderQR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.LeastSquares(make([]float64, 6)); !errors.Is(err, ErrSingular) {
-		t.Fatalf("got %v", err)
-	}
-}

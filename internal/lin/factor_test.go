@@ -354,7 +354,7 @@ func TestOrthogonalityErrorOnExactQ(t *testing.T) {
 func TestRandomWithCondHitsTarget(t *testing.T) {
 	for _, cond := range []float64{1, 1e2, 1e5, 1e8} {
 		a := RandomWithCond(60, 12, cond, 99)
-		got := TwoNormCond(a)
+		got := EstimateCond(a, 200)
 		if cond == 1 {
 			if math.Abs(got-1) > 1e-6 {
 				t.Fatalf("κ=1: measured %g", got)
@@ -387,7 +387,7 @@ func TestRandomMatrixDeterministic(t *testing.T) {
 }
 
 func TestTwoNormCondIdentity(t *testing.T) {
-	if k := TwoNormCond(Identity(6)); math.Abs(k-1) > 1e-9 {
+	if k := EstimateCond(Identity(6), 200); math.Abs(k-1) > 1e-9 {
 		t.Fatalf("κ(I) = %g", k)
 	}
 }

@@ -64,25 +64,22 @@ func ResidualNorm(a, q, r *Matrix) float64 {
 	return FrobeniusNorm(qr) / na
 }
 
-// TwoNormCond estimates the 2-norm condition number κ₂(A) = σ_max/σ_min
-// by power iteration on AᵀA and inverse iteration via the Cholesky
-// factor. Adequate for validating the conditioned-matrix generator; not
-// a general-purpose SVD.
-func TwoNormCond(a *Matrix) float64 { return EstimateCond(a, 200) }
-
-// EstimateCond is the cheap condition-number estimator behind
-// TwoNormCond, with a caller-chosen iteration count (the planner uses
-// ~50 iterations: one n×n Gram SYRK plus O(iters·n²) matvec work, cheap
-// next to any factorization of the same matrix). The Gram route squares
-// κ, so it can only resolve κ ≲ ε^{-1/2}: near that its smallest
-// eigenvalue is rounding noise, whether or not its Cholesky factor
-// breaks down. When the factor fails or the estimate passes
-// gramCondCeiling, the estimator falls back to a Householder QR of A
-// (backward stable, 2mn² flops, paid only on the ill-conditioned path)
-// and inverse-iterates against R, resolving κ up to ~1/ε. +Inf
-// therefore means genuinely rank-deficient, not merely "worse than
-// 1e8". Power iteration converges from below, so the estimate is a
-// (usually tight) lower bound on κ₂(A).
+// EstimateCond estimates the 2-norm condition number κ₂(A) =
+// σ_max/σ_min by power iteration on AᵀA and inverse iteration via the
+// Cholesky factor, with a caller-chosen iteration count (the planner
+// uses ~50 iterations: one n×n Gram SYRK plus O(iters·n²) matvec work,
+// cheap next to any factorization of the same matrix; the generator's
+// tests converge it with 200). It is not a general-purpose SVD. The
+// Gram route squares κ, so it can only resolve κ ≲ ε^{-1/2}: near that
+// its smallest eigenvalue is rounding noise, whether or not its
+// Cholesky factor breaks down. When the factor fails, the estimate
+// passes gramCondCeiling or the inverse iteration stops being finite,
+// the estimator falls back to a Householder QR of A (backward stable,
+// 2mn² flops, paid only on the ill-conditioned path) and
+// inverse-iterates against R, resolving κ up to ~1/ε. +Inf therefore
+// means genuinely rank-deficient, not merely "worse than 1e8". Power
+// iteration converges from below, so the estimate is a (usually tight)
+// lower bound on κ₂(A).
 func EstimateCond(a *Matrix, iters int) float64 {
 	if iters < 1 {
 		iters = 1
@@ -98,20 +95,8 @@ func EstimateCond(a *Matrix, iters int) float64 {
 	if err != nil {
 		return qrEstimateCond(a, iters, smax)
 	}
-	// (AᵀA)⁻¹ x = L⁻ᵀ L⁻¹ x.
-	x := onesVector(n)
-	var lam float64
-	for it := 0; it < iters; it++ {
-		Trsm(Left, Lower, false, l, x)
-		Trsm(Left, Lower, true, l, x)
-		lam = FrobeniusNorm(x)
-		if lam == 0 {
-			return math.Inf(1)
-		}
-		x.Scale(1 / lam)
-	}
-	smin := math.Sqrt(1 / lam)
-	if smax/smin > gramCondCeiling {
+	smin := minSingular(l, iters)
+	if smin == 0 || smax/smin > gramCondCeiling {
 		return qrEstimateCond(a, iters, smax)
 	}
 	return smax / smin
@@ -138,29 +123,36 @@ func qrEstimateCond(a *Matrix, iters int, smax float64) float64 {
 	// implemented Lower-triangular Trsm variants, exactly like the
 	// Cholesky-based path above.
 	l := f.R.T()
-	n := l.Rows
-	for i := 0; i < n; i++ {
+	for i := 0; i < l.Rows; i++ {
 		if l.At(i, i) == 0 {
 			return math.Inf(1)
 		}
 	}
-	x := onesVector(n)
-	var lam float64
-	for it := 0; it < iters; it++ {
-		// (RᵀR)⁻¹ x = (L Lᵀ)⁻¹ x = L⁻ᵀ (L⁻¹ x).
-		Trsm(Left, Lower, false, l, x)
-		Trsm(Left, Lower, true, l, x)
-		lam = FrobeniusNorm(x)
-		if lam == 0 || math.IsInf(lam, 0) || math.IsNaN(lam) {
-			return math.Inf(1)
-		}
-		x.Scale(1 / lam)
-	}
-	smin := math.Sqrt(1 / lam)
+	smin := minSingular(l, iters)
 	if smin == 0 {
 		return math.Inf(1)
 	}
 	return smax / smin
+}
+
+// minSingular is the one inverse iteration of both routes: σ_min(L),
+// the square root of L·Lᵀ's smallest eigenvalue (L·Lᵀ is AᵀA for the
+// Cholesky factor, RᵀR for L = Rᵀ), by power iteration on
+// (L·Lᵀ)⁻¹x = L⁻ᵀ(L⁻¹x). It returns 0 when an iterate vanishes or stops
+// being finite: that route cannot resolve σ_min.
+func minSingular(l *Matrix, iters int) float64 {
+	x := onesVector(l.Rows)
+	var lam float64
+	for it := 0; it < iters; it++ {
+		Trsm(Left, Lower, false, l, x)
+		Trsm(Left, Lower, true, l, x)
+		lam = FrobeniusNorm(x)
+		if lam == 0 || math.IsInf(lam, 0) || math.IsNaN(lam) {
+			return 0
+		}
+		x.Scale(1 / lam)
+	}
+	return math.Sqrt(1 / lam)
 }
 
 func powerIterate(g *Matrix, iters int) float64 {

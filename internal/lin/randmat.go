@@ -7,10 +7,13 @@ import (
 
 // Random matrix generators. The paper's performance experiments use
 // unspecified random matrices; RandomMatrix reproduces that workload
-// deterministically from a seed. The accuracy experiments additionally
-// need matrices with a prescribed 2-norm condition number, which
-// RandomWithCond builds as Q₁·Σ·Q₂ᵀ from Householder-random orthonormal
-// factors and a geometric singular-value ladder.
+// deterministically from a seed. The accuracy experiments and the
+// κ-sweep tests of every layer additionally need matrices with a
+// prescribed 2-norm condition number, which RandomWithCond builds by
+// scaled SVD composition, U·Σ·Vᵀ from Householder-random orthonormal
+// factors and a geometric singular-value ladder, the construction the
+// CholeskyQR2 literature uses for its κ-vs-orthogonality figures
+// (Fukaya et al., the paper's reference [3]).
 
 // RandomMatrix returns an m×n matrix with i.i.d. entries uniform on
 // [-1, 1), from a deterministic seed.
@@ -47,24 +50,39 @@ func RandomOrthonormal(m, n int, seed int64) *Matrix {
 
 // RandomWithCond returns an m×n matrix (m ≥ n) whose 2-norm condition
 // number is cond, with singular values geometrically spaced in
-// [1/cond, 1].
+// [1/cond, 1]; κ₂ is exact by construction up to roundoff.
 func RandomWithCond(m, n int, cond float64, seed int64) *Matrix {
+	return withSpectrum(m, n, geometricSpectrum(n, cond), seed)
+}
+
+// geometricSpectrum returns n singular values geometrically spaced from
+// 1 down to 1/cond, the decay profile whose condition number is cond.
+func geometricSpectrum(n int, cond float64) []float64 {
 	if cond < 1 {
 		panic("lin: condition number must be >= 1")
 	}
+	sigma := make([]float64, n)
+	for j := range sigma {
+		sigma[j] = 1
+		if n > 1 {
+			sigma[j] = math.Pow(cond, -float64(j)/float64(n-1))
+		}
+	}
+	return sigma
+}
+
+// withSpectrum returns U·diag(sigma)·Vᵀ for seeded random orthonormal
+// U (m×n) and V (n×n): an m×n matrix with exactly the singular values
+// sigma, one per column.
+func withSpectrum(m, n int, sigma []float64, seed int64) *Matrix {
+	if len(sigma) != n {
+		panic("lin: need one singular value per column")
+	}
 	u := RandomOrthonormal(m, n, seed)
 	v := RandomOrthonormal(n, n, seed+1)
-	// Scale columns of U by the singular values, then multiply by Vᵀ.
-	for j := 0; j < n; j++ {
-		var sigma float64
-		if n == 1 {
-			sigma = 1
-		} else {
-			t := float64(j) / float64(n-1)
-			sigma = math.Pow(cond, -t)
-		}
+	for j, s := range sigma {
 		for i := 0; i < m; i++ {
-			u.Data[i*u.Stride+j] *= sigma
+			u.Data[i*u.Stride+j] *= s
 		}
 	}
 	out := NewMatrix(m, n)

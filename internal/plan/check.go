@@ -88,8 +88,6 @@ func (v *violation) Error() string {
 func (p *Plan) fit(m, n int) violation {
 	b := p.PanelWidth
 	switch p.Variant {
-	case Sequential:
-		p.Procs = 1
 	case StreamCQR2:
 		if b == 0 {
 			b = max(DefaultPanelRows, n)
@@ -153,7 +151,7 @@ func (p *Plan) price(m, n int, mach costmodel.Machine, cond float64) error {
 	np, b := p.Procs, p.PanelWidth
 	var err, memErr error
 	switch p.Variant {
-	case Sequential, OneD:
+	case OneD:
 		p.Cost, err = costmodel.OneDCQR2(m, n, np)
 		p.MemWords, memErr = costmodel.OneDCQR2Memory(m, n, np)
 	case ShiftedCQR3:

@@ -3,6 +3,7 @@ package plan
 //lint:allow floatcompare tests assert bitwise reproducibility, which is this library's documented contract
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestCheckTable(t *testing.T) {
 		{"panel b=0", 96, 8, Plan{Variant: PanelCACQR2, C: 2, D: 2}, "panel width 0 must satisfy", Plan{}},
 		{"panel on a bad grid", 96, 8, Plan{Variant: PanelCACQR2, C: 2, D: 3, PanelWidth: 2}, "invalid grid", Plan{}},
 		{"panel fits", 96, 8, Plan{Variant: PanelCACQR2, C: 2, D: 2, PanelWidth: 4}, "", Plan{Procs: 8, PanelWidth: 4}},
-		{"sequential", 96, 8, Plan{Variant: Sequential, Procs: 7}, "", Plan{Procs: 1}},
+		{"1d on one rank", 96, 8, Plan{Variant: OneD, Procs: 1}, "", Plan{Procs: 1}},
 		{"1d P∤m", 96, 8, Plan{Variant: OneD, Procs: 7}, "m=96 not divisible by P=7", Plan{}},
 		{"1d P=0", 96, 8, Plan{Variant: OneD}, "invalid processor count 0", Plan{}},
 		{"1d any P | m", 96, 8, Plan{Variant: OneD, Procs: 3}, "", Plan{Procs: 3}},
@@ -78,6 +79,36 @@ func TestCheckTable(t *testing.T) {
 		if got.Variant != tc.p.Variant || got.C != tc.p.C || got.D != tc.p.D {
 			t.Errorf("%s: Check changed the plan's own extents: %+v → %+v", tc.name, tc.p, got)
 		}
+	}
+}
+
+// One rank is 1D-CQR2's sequential case, not a variant of its own: Best
+// on one rank returns the OneD row priced as one rank's 1D-CQR2, and a
+// OneD plan that names no rank count is a typed rejection, never a
+// silent P = 1.
+func TestOneRankIsOneD(t *testing.T) {
+	const m, n = 1024, 64
+	best, err := Best(Request{M: m, N: n, Procs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.Variant != OneD || best.C != 1 || best.D != 1 || best.Procs != 1 {
+		t.Fatalf("Best on one rank = %+v, want 1d-cqr2 with Procs 1", best)
+	}
+	want, err := costmodel.OneDCQR2(m, n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.Cost != want || best.Seconds != costmodel.Stampede2.Time(want) {
+		t.Fatalf("one-rank row priced %+v (%g s), want OneDCQR2(m, n, 1) = %+v", best.Cost, best.Seconds, want)
+	}
+	if !strings.HasPrefix(best.Rationale, "single rank") {
+		t.Fatalf("one-rank rationale %q", best.Rationale)
+	}
+	_, err = Check(m, n, Plan{Variant: OneD})
+	var v *violation
+	if !errors.As(err, &v) || !strings.Contains(err.Error(), "invalid processor count 0") {
+		t.Fatalf("OneD without Procs: %v, want a *violation naming the rank count", err)
 	}
 }
 

@@ -10,11 +10,11 @@ import (
 
 // Enumerate prices every feasible plan for the request and returns them
 // ranked by predicted time (ascending; ties keep the canonical
-// enumeration order: Sequential, 1D-CQR2 by rank count, ShiftedCQR3 by
+// enumeration order: 1D-CQR2 by rank count from 1, ShiftedCQR3 by
 // rank count, CA-CQR2 by (c, d), the panel variant by (c, d, b), TSQR
 // by rank count, blocked TSQR by (p, b)). Plans whose modeled per-rank
 // footprint exceeds the memory budget, or whose predicted orthogonality
-// loss at Request.CondEst exceeds Request.OrthTol, are rejected. An
+// loss at Request.CondEst exceeds DefaultOrthTol, are rejected. An
 // empty request, a NaN/negative CondEst, or a request with no feasible
 // plan is an error.
 func Enumerate(req Request) ([]Plan, error) {
@@ -34,10 +34,6 @@ func Enumerate(req Request) ([]Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	orthTol := req.OrthTol
-	if orthTol <= 0 {
-		orthTol = DefaultOrthTol
-	}
 
 	var plans []Plan
 	rejectedByCond := false
@@ -56,7 +52,7 @@ func Enumerate(req Request) ([]Plan, error) {
 		if req.MemBudget > 0 && p.MemBytes() > req.MemBudget {
 			return
 		}
-		if req.CondEst > 1 && p.PredOrth > orthTol {
+		if req.CondEst > 1 && p.PredOrth > DefaultOrthTol {
 			rejectedByCond = true
 			return
 		}
@@ -89,15 +85,12 @@ func Enumerate(req Request) ([]Plan, error) {
 	if len(plans) == 0 {
 		if rejectedByCond {
 			return nil, fmt.Errorf("plan: no variant meets ‖QᵀQ−I‖ ≤ %g at κ≈%g for %dx%d on ≤%d ranks",
-				orthTol, req.CondEst, req.M, req.N, req.Procs)
+				DefaultOrthTol, req.CondEst, req.M, req.N, req.Procs)
 		}
 		return nil, fmt.Errorf("plan: no feasible plan for %dx%d on ≤%d ranks (budget %d bytes)",
 			req.M, req.N, req.Procs, req.MemBudget)
 	}
 	sort.SliceStable(plans, func(i, j int) bool { return plans[i].Seconds < plans[j].Seconds })
-	if req.MaxPlans > 0 && len(plans) > req.MaxPlans {
-		plans = plans[:req.MaxPlans]
-	}
 	return plans, nil
 }
 
@@ -105,7 +98,6 @@ func Enumerate(req Request) ([]Plan, error) {
 // are never considered.
 func Best(req Request) (Plan, error) {
 	req.IncludeBaselines = false
-	req.MaxPlans = 0
 	plans, err := Enumerate(req)
 	if err != nil {
 		return Plan{}, err
@@ -136,21 +128,21 @@ func resolveMachine(m costmodel.Machine) (costmodel.Machine, error) {
 // every other width on the same variant and grid.
 
 // inCore enumerates the in-core families. 1D-CQR2 runs over every rank
-// count: more ranks cut the dominant 4mn²/p flop term but pay an extra
-// log p latency in the Gram Allreduce, so the optimum can be interior
-// when n² is large relative to mn/p. ShiftedCQR3 (p = 1 is its
-// sequential case) costs ~1.5× as much and never outranks the plain
-// family on well-behaved inputs; its reason to exist is the condition
-// gate — when CondEst puts κ(A) beyond the CQR2 family's ε^{-1/2} regime,
-// these rows (and the Householder baselines) are all that survive. The
+// count from p = 1, its sequential case: more ranks cut the dominant
+// 4mn²/p flop term but pay an extra log p latency in the Gram Allreduce,
+// so the optimum can be interior when n² is large relative to mn/p.
+// ShiftedCQR3 (likewise from p = 1) costs ~1.5× as much and never
+// outranks the plain family on well-behaved inputs; its reason to exist
+// is the condition gate — when CondEst puts κ(A) beyond the CQR2
+// family's ε^{-1/2} regime, these rows (and the Householder baselines)
+// are all that survive. The
 // c × d × c grids run over c ≥ 2, c·d·c ≤ Procs, each followed by its §V
 // panel variant at every width b < n. TSQR runs over power-of-two rank
 // counts, and its blocked (BGS2) variant exactly where the plain tree is
 // infeasible (m/p < n) — its reason to exist is lifting that restriction
 // to m/p ≥ b.
 func inCore(req Request, add func(Plan) violation) {
-	add(Plan{Variant: Sequential, C: 1, D: 1})
-	for p := 2; p <= req.Procs; p++ {
+	for p := 1; p <= req.Procs; p++ {
 		add(Plan{Variant: OneD, C: 1, D: p, Procs: p})
 	}
 	for p := 1; p <= req.Procs; p++ {
@@ -219,9 +211,10 @@ func pgeqrfReference(req Request, try func(Plan) (Plan, violation)) (best Plan, 
 // rationale is the one-line justification a kept row carries.
 func rationale(p Plan, req Request) string {
 	switch p.Variant {
-	case Sequential:
-		return "single rank: no communication, CholeskyQR2's ~4mn² flops"
 	case OneD:
+		if p.Procs == 1 {
+			return "single rank: no communication, CholeskyQR2's ~4mn² flops"
+		}
 		return fmt.Sprintf("c=1 tall-skinny regime: n²-word Gram Allreduce over %d ranks, no replication", p.Procs)
 	case ShiftedCQR3:
 		return fmt.Sprintf("shifted CholeskyQR3 over %d ranks: stable far beyond CQR2's κ≈1e7 ceiling at ~1.5× the flops", p.Procs)

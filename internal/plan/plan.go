@@ -2,10 +2,10 @@
 // model and the execution paths: given a matrix shape, a processor
 // budget, a machine model, and a per-rank memory budget, it enumerates
 // every feasible algorithm variant and grid — the paper's tunable
-// c × d × c CA-CQR2 family (Tables I–VI), the 1D and sequential
-// CholeskyQR2 special cases, the §V panel variant, and the TSQR
-// baseline — prices each candidate with internal/costmodel, and returns
-// a ranked list of plans.
+// c × d × c CA-CQR2 family (Tables I–VI), the 1D CholeskyQR2 special
+// case (on one rank, the sequential algorithm), the §V panel variant,
+// and the TSQR baseline — prices each candidate with internal/costmodel,
+// and returns a ranked list of plans.
 //
 // The point is the paper's central tension: the right (c, d) depends on
 // the matrix aspect ratio, the processor count, and the machine's
@@ -42,9 +42,8 @@ import (
 type Variant string
 
 const (
-	// Sequential is CholeskyQR2 on a single rank (no communication).
-	Sequential Variant = "seq-cqr2"
 	// OneD is 1D-CQR2 (Algorithm 7): row blocks over p ranks, c = 1.
+	// Procs = 1 is the sequential CholeskyQR2 with no communication.
 	OneD Variant = "1d-cqr2"
 	// CACQR2 is the paper's Algorithm 9 on a c × d × c grid with c ≥ 2.
 	CACQR2 Variant = "ca-cqr2"
@@ -97,23 +96,18 @@ type Request struct {
 	// CLI tables can show the baseline the paper beats. The row is
 	// executable via FactorizePlan, but Best never selects it.
 	IncludeBaselines bool
-	// MaxPlans caps the ranked list (0 = no cap). Best ignores it.
-	MaxPlans int
 	// CondEst is the caller's 2-norm condition-number estimate for the
 	// matrix (κ₂(A)). When > 1, variants whose predicted orthogonality
-	// loss ‖QᵀQ−I‖ at that κ exceeds OrthTol are rejected — this is the
-	// paper-§VII routing: κ ≳ 10⁷ inputs leave the plain CholeskyQR2
-	// family for ShiftedCQR3 or TSQR. 0 (or 1) means "no information":
+	// loss ‖QᵀQ−I‖ at that κ exceeds DefaultOrthTol are rejected — this
+	// is the paper-§VII routing: κ ≳ 10⁷ inputs leave the plain
+	// CholeskyQR2 family for ShiftedCQR3 or TSQR. 0 (or 1) means "no information":
 	// every numerically plausible variant competes on predicted time
 	// alone. Negative or NaN values are rejected as errors.
 	CondEst float64
-	// OrthTol is the acceptable predicted ‖QᵀQ−I‖ under CondEst
-	// (0 = the default 1e-8). Only consulted when CondEst > 1.
-	OrthTol float64
 }
 
-// DefaultOrthTol is the predicted-orthogonality acceptance threshold
-// used when Request.OrthTol is unset.
+// DefaultOrthTol is the acceptable predicted ‖QᵀQ−I‖ under a
+// Request.CondEst: the one threshold of the condition-aware routing.
 const DefaultOrthTol = 1e-8
 
 // machine epsilon for float64, the ε of the stability bounds.
@@ -188,7 +182,7 @@ func CQR2Breaks(cond float64) bool { return cond*cond*eps >= 1.0/64 }
 type Plan struct {
 	Variant Variant
 	// C, D are the grid parameters for the CA-CQR2 family (C = 1 for
-	// OneD and Sequential; unused for TSQR).
+	// OneD; unused for TSQR).
 	C, D int
 	// PanelWidth is the panel width b: the §V subpanel width for
 	// PanelCACQR2, the BGS2 panel width for blocked TSQR rows, the

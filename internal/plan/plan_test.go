@@ -35,13 +35,8 @@ func bruteForce(t *testing.T, req Request) (Plan, bool) {
 		}
 	}
 
-	// Sequential.
-	if c, err := costmodel.OneDCQR2(req.M, req.N, 1); err == nil {
-		mem, merr := costmodel.OneDCQR2Memory(req.M, req.N, 1)
-		consider(Plan{Variant: Sequential, C: 1, D: 1, Procs: 1, Cost: c}, mem, merr)
-	}
-	// 1D-CQR2.
-	for p := 2; p <= req.Procs; p++ {
+	// 1D-CQR2, one rank included.
+	for p := 1; p <= req.Procs; p++ {
 		if req.M%p != 0 {
 			continue
 		}
@@ -230,14 +225,6 @@ func TestRankingIsSorted(t *testing.T) {
 		if plans[i].Seconds < plans[i-1].Seconds {
 			t.Fatalf("ranking not sorted at %d: %g after %g", i, plans[i].Seconds, plans[i-1].Seconds)
 		}
-	}
-	// MaxPlans caps the list from the top.
-	capped, err := Enumerate(Request{M: 4096, N: 256, Procs: 64, MaxPlans: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(capped) != 3 || capped[0] != plans[0] {
-		t.Fatalf("MaxPlans cap broken: %d plans, first %v vs %v", len(capped), capped[0], plans[0])
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"cacqr/internal/costmodel"
 	"cacqr/internal/lin"
-	"cacqr/internal/testmat"
 )
 
 // E2e dispatch tests for the condition-aware planner and the newly
@@ -22,20 +21,11 @@ import (
 // inputs reach O(ε) orthogonality through AutoFactorize while plain
 // CQR2 measurably cannot.
 
-func condMatrix(t *testing.T, m, n int, kappa float64, seed int64) *Dense {
-	t.Helper()
-	a, err := FromData(m, n, testmat.Flatten(testmat.WithCond(m, n, kappa, seed)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
 func TestAutoFactorizeRoutesOnCondEst(t *testing.T) {
 	const m, n, procs = 1024, 64, 16
 	// Below the threshold: the hint is benign and the tall shape stays
 	// in the 1D CholeskyQR2 regime.
-	low := condMatrix(t, m, n, 1e3, 4)
+	low := RandomWithCond(m, n, 1e3, 4)
 	res, err := AutoFactorize(low, procs, Options{CondEst: 1e3})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +38,7 @@ func TestAutoFactorizeRoutesOnCondEst(t *testing.T) {
 	}
 	// Above it: the same shape must leave the CQR2 family for the
 	// shifted variant and still deliver machine-precision factors.
-	high := condMatrix(t, m, n, 1e10, 4)
+	high := RandomWithCond(m, n, 1e10, 4)
 	res, err = AutoFactorize(high, procs, Options{CondEst: 1e10})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +70,7 @@ func TestAutoFactorizeEstimatesCondWhenUnset(t *testing.T) {
 	// CQR2 family, and return Q with ‖QᵀQ−I‖ ≤ 1e-8 — while plain CQR2
 	// on the same matrix measurably does not deliver that.
 	const m, n, procs = 1024, 64, 16
-	a := condMatrix(t, m, n, 1e10, 4)
+	a := RandomWithCond(m, n, 1e10, 4)
 	res, err := AutoFactorize(a, procs, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +109,7 @@ func TestFactorizePlanExecutesPGEQRFRow(t *testing.T) {
 	// matches the Householder reference factorization to 1e-12. No
 	// measured-vs-predicted cost assertion here by design: the PGEQRF
 	// row's Cost prices the factorization only, while execution also
-	// pays the unmodeled explicit-Q output path (see the FactorizePGEQRF
+	// pays the unmodeled explicit-Q output path (see the VariantPGEQRF
 	// and PlanGrid docs) — the exact contract is asserted for the
 	// CQR-family and TSQR rows instead.
 	const m, n = 256, 64
@@ -146,7 +136,7 @@ func TestFactorizePlanExecutesPGEQRFRow(t *testing.T) {
 
 	// And a genuinely 2D grid through the direct entry point, same
 	// contract.
-	res, err = FactorizePGEQRF(a, 4, 2, 8, Options{})
+	res, err = FactorizePlan(a, Plan{Variant: VariantPGEQRF, D: 4, C: 2, PanelWidth: 8}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +154,7 @@ func TestPGEQRFWhereSomeProcessRowsRunOutOfRows(t *testing.T) {
 	// the watchdog).
 	for _, sh := range []struct{ m, n, pr, pc, nb int }{{8, 8, 4, 1, 2}, {16, 16, 4, 2, 2}, {16, 16, 8, 1, 2}, {24, 16, 8, 1, 4}} {
 		a := RandomMatrix(sh.m, sh.n, 17)
-		res, err := FactorizePGEQRF(a, sh.pr, sh.pc, sh.nb, Options{Timeout: 20 * time.Second})
+		res, err := FactorizePlan(a, Plan{Variant: VariantPGEQRF, D: sh.pr, C: sh.pc, PanelWidth: sh.nb}, Options{Timeout: 20 * time.Second})
 		if err != nil {
 			t.Fatalf("%+v: %v", sh, err)
 		}
@@ -248,9 +238,9 @@ func TestKappaSweepTSQRUnconditionallyStable(t *testing.T) {
 	// O(ε·κ) — the planner gates it by exactly that bound
 	// (plan.PredictOrthogonality), asserted here against measurements.
 	const m, n, procs = 256, 32, 4
-	for _, kappa := range testmat.Kappas {
-		a := condMatrix(t, m, n, kappa, 17)
-		res, err := FactorizeTSQR(a, procs, 0, Options{})
+	for _, kappa := range []float64{1e2, 1e5, 1e8, 1e12, 1e15} {
+		a := RandomWithCond(m, n, kappa, 17)
+		res, err := FactorizePlan(a, Plan{Variant: VariantTSQR, Procs: procs}, Options{})
 		if err != nil {
 			t.Fatalf("κ=%g: %v", kappa, err)
 		}
@@ -260,7 +250,7 @@ func TestKappaSweepTSQRUnconditionallyStable(t *testing.T) {
 		if e := ResidualNorm(a, res.Q, res.R); e > 1e-12 {
 			t.Fatalf("κ=%g: TSQR residual %g", kappa, e)
 		}
-		res, err = FactorizeTSQR(a, procs, 8, Options{})
+		res, err = FactorizePlan(a, Plan{Variant: VariantTSQR, Procs: procs, PanelWidth: 8}, Options{})
 		if err != nil {
 			t.Fatalf("κ=%g blocked: %v", kappa, err)
 		}
@@ -277,32 +267,34 @@ func TestKappaSweepTSQRUnconditionallyStable(t *testing.T) {
 	}
 }
 
+// TestFactorizeShifted1DErrorPaths: bad shifted-cqr3 rows are errors.
 func TestFactorizeShifted1DErrorPaths(t *testing.T) {
 	a := RandomMatrix(96, 8, 1)
-	if _, err := FactorizeShifted1D(a, 7, Options{}); err == nil {
+	if _, err := FactorizePlan(a, Plan{Variant: VariantShiftedCQR3, Procs: 7}, Options{}); err == nil {
 		t.Fatal("indivisible m accepted")
 	}
-	if _, err := FactorizeShifted1D(a, 0, Options{}); err == nil {
+	if _, err := FactorizePlan(a, Plan{Variant: VariantShiftedCQR3, Procs: 0}, Options{}); err == nil {
 		t.Fatal("zero procs accepted")
 	}
-	if _, err := FactorizeShifted1D(a, 4, Options{Workers: -1}); err == nil {
+	if _, err := FactorizePlan(a, Plan{Variant: VariantShiftedCQR3, Procs: 4}, Options{Workers: -1}); err == nil {
 		t.Fatal("negative Workers accepted")
 	}
 }
 
+// TestFactorizePGEQRFErrorPaths: bad pgeqrf rows are errors.
 func TestFactorizePGEQRFErrorPaths(t *testing.T) {
 	a := RandomMatrix(64, 16, 1)
-	if _, err := FactorizePGEQRF(a, 0, 2, 4, Options{}); err == nil {
+	if _, err := FactorizePlan(a, Plan{Variant: VariantPGEQRF, D: 0, C: 2, PanelWidth: 4}, Options{}); err == nil {
 		t.Fatal("zero pr accepted")
 	}
-	if _, err := FactorizePGEQRF(a, 3, 1, 4, Options{}); err == nil {
+	if _, err := FactorizePlan(a, Plan{Variant: VariantPGEQRF, D: 3, C: 1, PanelWidth: 4}, Options{}); err == nil {
 		t.Fatal("pr ∤ m accepted")
 	}
-	if _, err := FactorizePGEQRF(a, 4, 1, 5, Options{}); err == nil {
+	if _, err := FactorizePlan(a, Plan{Variant: VariantPGEQRF, D: 4, C: 1, PanelWidth: 5}, Options{}); err == nil {
 		t.Fatal("nb ∤ n accepted")
 	}
 	wide := RandomMatrix(16, 64, 1)
-	if _, err := FactorizePGEQRF(wide, 4, 1, 4, Options{}); err == nil {
+	if _, err := FactorizePlan(wide, Plan{Variant: VariantPGEQRF, D: 4, C: 1, PanelWidth: 4}, Options{}); err == nil {
 		t.Fatal("m < n accepted")
 	}
 }
@@ -320,11 +312,10 @@ func TestCondEstValidationEverywhere(t *testing.T) {
 		if _, err := AutoFactorize(a, 4, opts); err == nil {
 			t.Fatalf("%s CondEst accepted by AutoFactorize", name)
 		}
-		if _, err := FactorizePlan(a, Plan{Variant: VariantSequential, Procs: 1}, opts); err == nil {
-			t.Fatalf("%s CondEst accepted by FactorizePlan", name)
-		}
-		if _, err := FactorizeShifted1D(a, 4, opts); err == nil {
-			t.Fatalf("%s CondEst accepted by FactorizeShifted1D", name)
+		for _, p := range []Plan{{Variant: Variant1DCQR2, Procs: 1}, {Variant: VariantShiftedCQR3, Procs: 4}} {
+			if _, err := FactorizePlan(a, p, opts); err == nil {
+				t.Fatalf("%s CondEst accepted by FactorizePlan(%s)", name, p.Variant)
+			}
 		}
 	}
 	// +Inf (the estimator's own "numerically singular" verdict) is a
@@ -365,10 +356,11 @@ func assertMatchesHouseholder(t *testing.T, a *Dense, res *Result, tol float64) 
 }
 
 // One mistake, one error: a wide (m < n) input used to come back as six
-// different messages depending on the entry point — through Factorize1D
-// and FactorizeShifted1D as the typed ErrIllConditioned, the very error
-// an escalation ladder acts on. Every entry point now reports the same
-// cacqr: shape error, and it is not a conditioning verdict.
+// different messages depending on the entry point — through the 1D and
+// shifted runs as the typed ErrIllConditioned, the very error an
+// escalation ladder acts on. Every entry point now reports the same
+// cacqr: shape error, ahead of any verdict on the plan's extents, and it
+// is not a conditioning verdict.
 func TestWideMatrixIsOneShapeError(t *testing.T) {
 	wide := RandomMatrix(16, 32, 1)
 	srv, err := NewServer(ServerOptions{})
@@ -378,13 +370,16 @@ func TestWideMatrixIsOneShapeError(t *testing.T) {
 	defer srv.Close()
 	var want string
 	for name, call := range map[string]func() error{
-		"Factorize1D":        func() error { _, err := Factorize1D(wide, 4, Options{}); return err },
-		"FactorizeShifted1D": func() error { _, err := FactorizeShifted1D(wide, 4, Options{}); return err },
-		"FactorizeOnGrid":    func() error { _, err := FactorizeOnGrid(wide, GridSpec{C: 2, D: 2}, Options{}); return err },
-		"FactorizeTSQR":      func() error { _, err := FactorizeTSQR(wide, 4, 0, Options{}); return err },
-		"FactorizePGEQRF":    func() error { _, err := FactorizePGEQRF(wide, 2, 2, 8, Options{}); return err },
-		"FactorizePlan":      func() error { _, err := FactorizePlan(wide, Plan{Variant: VariantSequential}, Options{}); return err },
-		"AutoFactorize":      func() error { _, err := AutoFactorize(wide, 4, Options{}); return err },
+		"FactorizeOnGrid": func() error { _, err := FactorizeOnGrid(wide, GridSpec{C: 2, D: 2}, Options{}); return err },
+		"FactorizePlan": func() error {
+			_, err := FactorizePlan(wide, Plan{Variant: VariantShiftedCQR3, Procs: 4}, Options{})
+			return err
+		},
+		"FactorizePlan/unsized": func() error {
+			_, err := FactorizePlan(wide, Plan{Variant: Variant1DCQR2}, Options{})
+			return err
+		},
+		"AutoFactorize": func() error { _, err := AutoFactorize(wide, 4, Options{}); return err },
 		"FactorizeStreaming": func() error {
 			_, err := FactorizeStreaming(SourceFromDense(wide), nil, Options{PanelRows: 16})
 			return err
@@ -426,27 +421,32 @@ func TestWideMatrixIsOneShapeError(t *testing.T) {
 func TestBadShapesFailBeforeLaunch(t *testing.T) {
 	a := RandomMatrix(96, 8, 1)
 	dead := Options{Transport: TCPTransport("127.0.0.1:1"), Timeout: 5 * time.Second}
+	row := func(p Plan) func() (*Result, error) {
+		return func() (*Result, error) { return FactorizePlan(a, p, dead) }
+	}
 	for name, call := range map[string]func() (*Result, error){
-		"grid d∤m": func() (*Result, error) { return FactorizeOnGrid(a, GridSpec{C: 1, D: 5}, dead) },
-		"grid c∤n": func() (*Result, error) { return FactorizeOnGrid(RandomMatrix(96, 9, 1), GridSpec{C: 2, D: 2}, dead) },
-		"grid c∤d": func() (*Result, error) { return FactorizeOnGrid(a, GridSpec{C: 2, D: 3}, dead) },
-		"grid panel∤n": func() (*Result, error) {
-			o := dead
-			o.PanelWidth = 3
-			return FactorizeOnGrid(a, GridSpec{C: 1, D: 2}, o)
+		"grid d∤m":          func() (*Result, error) { return FactorizeOnGrid(a, GridSpec{C: 1, D: 5}, dead) },
+		"grid c∤n":          func() (*Result, error) { return FactorizeOnGrid(RandomMatrix(96, 9, 1), GridSpec{C: 2, D: 2}, dead) },
+		"grid c∤d":          func() (*Result, error) { return FactorizeOnGrid(a, GridSpec{C: 2, D: 3}, dead) },
+		"grid panel∤n":      row(Plan{Variant: VariantPanelCACQR2, C: 1, D: 2, PanelWidth: 3}),
+		"1d P∤m":            row(Plan{Variant: Variant1DCQR2, Procs: 7}),
+		"shifted P∤m":       row(Plan{Variant: VariantShiftedCQR3, Procs: 7}),
+		"tsqr P not 2^k":    row(Plan{Variant: VariantTSQR, Procs: 3}),
+		"tsqr blocks short": row(Plan{Variant: VariantTSQR, Procs: 16}),
+		"tsqr panel∤n":      row(Plan{Variant: VariantTSQR, Procs: 2, PanelWidth: 3}),
+		"pgeqrf pr∤m":       row(Plan{Variant: VariantPGEQRF, D: 5, C: 1, PanelWidth: 4}),
+		"pgeqrf nb∤n":       row(Plan{Variant: VariantPGEQRF, D: 2, C: 1, PanelWidth: 3}),
+		"plan row d∤m":      row(Plan{Variant: VariantCACQR2, C: 1, D: 5}),
+		"plan row P=0":      row(Plan{Variant: Variant1DCQR2}),
+		"plan row unknown":  row(Plan{Variant: "bogus", Procs: 2}),
+		"wide": func() (*Result, error) {
+			return FactorizePlan(RandomMatrix(8, 96, 1), Plan{Variant: Variant1DCQR2, Procs: 2}, dead)
 		},
-		"1d P∤m":            func() (*Result, error) { return Factorize1D(a, 7, dead) },
-		"shifted P∤m":       func() (*Result, error) { return FactorizeShifted1D(a, 7, dead) },
-		"tsqr P not 2^k":    func() (*Result, error) { return FactorizeTSQR(a, 3, 0, dead) },
-		"tsqr blocks short": func() (*Result, error) { return FactorizeTSQR(a, 16, 0, dead) },
-		"tsqr panel∤n":      func() (*Result, error) { return FactorizeTSQR(a, 2, 3, dead) },
-		"pgeqrf pr∤m":       func() (*Result, error) { return FactorizePGEQRF(a, 5, 1, 4, dead) },
-		"pgeqrf nb∤n":       func() (*Result, error) { return FactorizePGEQRF(a, 2, 1, 3, dead) },
-		"plan row d∤m":      func() (*Result, error) { return FactorizePlan(a, Plan{Variant: VariantCACQR2, C: 1, D: 5}, dead) },
-		"plan row P=0":      func() (*Result, error) { return FactorizePlan(a, Plan{Variant: Variant1DCQR2}, dead) },
-		"plan row unknown":  func() (*Result, error) { return FactorizePlan(a, Plan{Variant: "bogus", Procs: 2}, dead) },
-		"wide":              func() (*Result, error) { return Factorize1D(RandomMatrix(8, 96, 1), 2, dead) },
-		"negative workers":  func() (*Result, error) { o := dead; o.Workers = -1; return Factorize1D(a, 2, o) },
+		"negative workers": func() (*Result, error) {
+			o := dead
+			o.Workers = -1
+			return FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 2}, o)
+		},
 		"negative inv depth": func() (*Result, error) {
 			o := dead
 			o.InverseDepth = -1
@@ -464,7 +464,7 @@ func TestBadShapesFailBeforeLaunch(t *testing.T) {
 	}
 	// The same transport with a runnable job does reach the dialler:
 	// the checks above are not passing because TCP is never attempted.
-	if _, err := Factorize1D(a, 2, dead); err == nil || strings.HasPrefix(err.Error(), "cacqr: ") {
+	if _, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 2}, dead); err == nil || strings.HasPrefix(err.Error(), "cacqr: ") {
 		t.Errorf("a valid job on a dead worker returned %v, want a transport error", err)
 	}
 }
@@ -486,12 +486,14 @@ func TestMalformedDenseIsAnError(t *testing.T) {
 		"no values": {Rows: 64, Cols: 8},
 	} {
 		for entry, call := range map[string]func() error{
-			"CholeskyQR2":          func() error { _, _, err := CholeskyQR2(a); return err },
-			"ShiftedCQR3":          func() error { _, _, err := ShiftedCQR3(a); return err },
-			"HouseholderQR":        func() error { _, _, err := HouseholderQR(a); return err },
-			"Factorize1D":          func() error { _, err := Factorize1D(a, 2, Options{}); return err },
-			"FactorizeOnGrid":      func() error { _, err := FactorizeOnGrid(a, GridSpec{C: 1, D: 2}, Options{}); return err },
-			"FactorizePlan":        func() error { _, err := FactorizePlan(a, Plan{Variant: VariantSequential}, Options{}); return err },
+			"CholeskyQR2":     func() error { _, _, err := CholeskyQR2(a); return err },
+			"ShiftedCQR3":     func() error { _, _, err := ShiftedCQR3(a); return err },
+			"HouseholderQR":   func() error { _, _, err := HouseholderQR(a); return err },
+			"FactorizeOnGrid": func() error { _, err := FactorizeOnGrid(a, GridSpec{C: 1, D: 2}, Options{}); return err },
+			"FactorizePlan": func() error {
+				_, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 2}, Options{})
+				return err
+			},
 			"AutoFactorize":        func() error { _, err := AutoFactorize(a, 4, Options{}); return err },
 			"SolveLeastSquares":    func() error { _, err := SolveLeastSquares(a, make([]float64, 64), AutoGrid(4), Options{}); return err },
 			"SolveLeastSquaresSeq": func() error { _, err := SolveLeastSquaresSeq(a, make([]float64, 64)); return err },

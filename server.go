@@ -470,7 +470,7 @@ func (s *Server) SubmitBatchCtx(ctx context.Context, reqs []SubmitRequest) []Bat
 // job.err.
 func (s *Server) execGroup(ctx context.Context, p plan.Plan, jobs []*submitJob) {
 	switch p.Variant {
-	case plan.Sequential, plan.OneD, plan.CACQR2, plan.PanelCACQR2, plan.ShiftedCQR3:
+	case plan.OneD, plan.CACQR2, plan.PanelCACQR2, plan.ShiftedCQR3:
 		as := make([]*lin.Matrix, len(jobs))
 		for i, job := range jobs {
 			// Read-only views, not copies: the batched drivers never
@@ -482,9 +482,9 @@ func (s *Server) execGroup(ctx context.Context, p plan.Plan, jobs []*submitJob) 
 		// Fused runs bypass the simulated runtime, so Stats carries the
 		// cost model's count for the same passes on one rank — what an
 		// unfused Procs: 1 run of the same matrix measures.
-		batched, onOneRank := core.BatchedCQR2, plan.Plan{Variant: plan.Sequential}
+		batched, onOneRank := core.BatchedCQR2, plan.Plan{Variant: plan.OneD, Procs: 1}
 		if p.Variant == plan.ShiftedCQR3 {
-			batched, onOneRank = core.BatchedShiftedCQR3, plan.Plan{Variant: plan.ShiftedCQR3, Procs: 1}
+			batched, onOneRank.Variant = core.BatchedShiftedCQR3, plan.ShiftedCQR3
 		}
 		qs, rs, errs := batched(as, s.opts.Options.Workers)
 		model, _ := plan.Price(jobs[0].req.A.Rows, jobs[0].req.A.Cols, onOneRank, costmodel.Machine{}) // P = 1 divides any m

@@ -65,14 +65,16 @@ func TestSubmitBatchMatchesPerRequestSubmit(t *testing.T) {
 
 // A fused run reports the flop count the unfused run of the same plan
 // measures: Submit and SubmitBatch of one matrix agree on Stats.Flops,
-// on the plain route and on the shifted one.
+// on the plain route and on the shifted one. On one rank the plain route
+// is the 1D-CQR2 row at P = 1, which still fuses.
 func TestSubmitBatchFlopsMatchSubmit(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		req  SubmitRequest
+		name    string
+		req     SubmitRequest
+		variant Variant
 	}{
-		{"plain", SubmitRequest{A: RandomMatrix(512, 32, 21)}},
-		{"cond1e10", SubmitRequest{A: RandomWithCond(512, 32, 1e10, 22), CondEst: 1e10}},
+		{"plain", SubmitRequest{A: RandomMatrix(512, 32, 21)}, Variant1DCQR2},
+		{"cond1e10", SubmitRequest{A: RandomWithCond(512, 32, 1e10, 22), CondEst: 1e10}, VariantShiftedCQR3},
 	} {
 		srv := newTestServer(t, ServerOptions{Procs: 1})
 		one, err := srv.Submit(tc.req)
@@ -85,6 +87,9 @@ func TestSubmitBatchFlopsMatchSubmit(t *testing.T) {
 		}
 		if !it.Result.Fused || one.Fused {
 			t.Fatalf("%s: fused flags: batch %v, submit %v", tc.name, it.Result.Fused, one.Fused)
+		}
+		if p := it.Result.Plan; p.Variant != tc.variant || p.Procs != 1 {
+			t.Fatalf("%s: batch ran %v, want %s on one rank", tc.name, p, tc.variant)
 		}
 		if it.Result.Stats.Flops != one.Stats.Flops {
 			t.Errorf("%s (%s): SubmitBatch reports %d flops, Submit %d", tc.name, one.Plan.Variant, it.Result.Stats.Flops, one.Stats.Flops)

@@ -91,7 +91,7 @@ func factorizeCondAware(a *Dense, spec GridSpec, opts Options) (*Result, error) 
 // ErrIllConditioned reports a CholeskyQR Gram/Cholesky breakdown:
 // κ(A)² overflowed the precision, so the Gram matrix was not numerically
 // positive definite. CholeskyQR2 returns it for κ ≳ 10⁷ inputs (route
-// those to ShiftedCQR3 or FactorizeTSQR); SolveLeastSquaresSeq falls
+// those to ShiftedCQR3 or a VariantTSQR plan); SolveLeastSquaresSeq falls
 // back to the shifted variant exactly when it sees this error.
 var ErrIllConditioned = core.ErrIllConditioned
 

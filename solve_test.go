@@ -388,7 +388,7 @@ func TestSolveWithQRNearSingularPivot(t *testing.T) {
 func TestFactorizeTSQRFastFailsBeforeSpinUp(t *testing.T) {
 	a := RandomMatrix(100, 4, 16)
 	before := runtime.NumGoroutine()
-	_, err := FactorizeTSQR(a, 1<<14, 0, Options{Timeout: time.Nanosecond})
+	_, err := FactorizePlan(a, Plan{Variant: VariantTSQR, Procs: 1 << 14}, Options{Timeout: time.Nanosecond})
 	if err == nil {
 		t.Fatal("m=100, P=16384 accepted")
 	}

@@ -56,42 +56,15 @@ func denseMaxDiff(a, b *Dense) float64 {
 	return d
 }
 
-// fixedGridCall returns the fixed-grid entry point that names the same
-// run as plan row p — the mapping the deleted dispatch switch used to
-// hold, kept here as the reference the "sugar" equivalence is checked
-// against.
-func fixedGridCall(a *Dense, p Plan) func(Options) (*Result, error) {
-	return func(opts Options) (*Result, error) {
-		switch p.Variant {
-		case VariantSequential:
-			return Factorize1D(a, 1, opts)
-		case Variant1DCQR2:
-			return Factorize1D(a, p.Procs, opts)
-		case VariantShiftedCQR3:
-			return FactorizeShifted1D(a, p.Procs, opts)
-		case VariantCACQR2:
-			return FactorizeOnGrid(a, GridSpec{C: p.C, D: p.D}, opts)
-		case VariantPanelCACQR2:
-			opts.PanelWidth = p.PanelWidth
-			return FactorizeOnGrid(a, GridSpec{C: p.C, D: p.D}, opts)
-		case VariantTSQR:
-			return FactorizeTSQR(a, p.Procs, p.PanelWidth, opts)
-		case VariantPGEQRF:
-			return FactorizePGEQRF(a, p.D, p.C, p.PanelWidth, opts)
-		}
-		return nil, fmt.Errorf("no fixed-grid entry point for %v", p)
-	}
-}
-
 // TestTCPTransportMatchesSim factors the same matrix on the simulated
-// runtime and over TCP workers for every distributed variant — the five
-// fixed-grid calls, a c=3 grid whose three-member reductions land on a
-// root other than member 0, and every row the planner enumerates for a
-// test shape — and demands bitwise-identical factors (both backends sum
-// a reduction in member order) plus populated byte counters on the TCP
-// side. On each transport it also holds every entry point to being
-// sugar: the fixed-grid call and the equivalent plan through
-// FactorizePlan must give bitwise-equal Q and R and equal counted costs.
+// runtime and over TCP workers for every distributed variant — one plan
+// per variant, a c=3 grid whose three-member reductions land on a root
+// other than member 0, and every row the planner enumerates for a test
+// shape — and demands bitwise-identical factors (both backends sum a
+// reduction in member order) plus populated byte counters on the TCP
+// side. On each transport it also holds FactorizeOnGrid to being sugar:
+// it and the CA-CQR2 plan through FactorizePlan must give bitwise-equal
+// Q and R and equal counted costs.
 func TestTCPTransportMatchesSim(t *testing.T) {
 	a := RandomMatrix(1024, 64, 7)
 	wide := RandomMatrix(1152, 48, 9)
@@ -102,15 +75,14 @@ func TestTCPTransportMatchesSim(t *testing.T) {
 		name string
 		a    *Dense
 		plan Plan // hand-built: the variant and its extents, nothing priced
-		run  func(opts Options) (*Result, error)
 	}
 	cases := []testCase{
-		{"1d", a, Plan{Variant: Variant1DCQR2, Procs: 4}, func(opts Options) (*Result, error) { return Factorize1D(a, 4, opts) }},
-		{"shifted1d", a, Plan{Variant: VariantShiftedCQR3, Procs: 4}, func(opts Options) (*Result, error) { return FactorizeShifted1D(a, 4, opts) }},
-		{"tsqr", a, Plan{Variant: VariantTSQR, Procs: 4}, func(opts Options) (*Result, error) { return FactorizeTSQR(a, 4, 0, opts) }},
-		{"grid", a, Plan{Variant: VariantCACQR2, C: 1, D: 4}, func(opts Options) (*Result, error) { return FactorizeOnGrid(a, GridSpec{C: 1, D: 4}, opts) }},
-		{"grid-c3d3", wide, Plan{Variant: VariantCACQR2, C: 3, D: 3}, func(opts Options) (*Result, error) { return FactorizeOnGrid(wide, GridSpec{C: 3, D: 3}, opts) }},
-		{"pgeqrf", a, Plan{Variant: VariantPGEQRF, D: 2, C: 2, PanelWidth: 16}, func(opts Options) (*Result, error) { return FactorizePGEQRF(a, 2, 2, 16, opts) }},
+		{"1d", a, Plan{Variant: Variant1DCQR2, Procs: 4}},
+		{"shifted1d", a, Plan{Variant: VariantShiftedCQR3, Procs: 4}},
+		{"tsqr", a, Plan{Variant: VariantTSQR, Procs: 4}},
+		{"grid", a, Plan{Variant: VariantCACQR2, C: 1, D: 4}},
+		{"grid-c3d3", wide, Plan{Variant: VariantCACQR2, C: 3, D: 3}},
+		{"pgeqrf", a, Plan{Variant: VariantPGEQRF, D: 2, C: 2, PanelWidth: 16}},
 	}
 	small := RandomMatrix(128, 16, 3)
 	rows, err := PlanGrid(small.Rows, small.Cols, 8, Options{IncludeBaselines: true})
@@ -119,15 +91,15 @@ func TestTCPTransportMatchesSim(t *testing.T) {
 	}
 	for _, p := range rows {
 		name := fmt.Sprintf("row/%s/%s/b%d", p.Variant, p.GridString(), p.PanelWidth)
-		cases = append(cases, testCase{name, small, p, fixedGridCall(small, p)})
+		cases = append(cases, testCase{name, small, p})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sim, err := tc.run(Options{})
+			sim, err := FactorizePlan(tc.a, tc.plan, Options{})
 			if err != nil {
 				t.Fatalf("sim run: %v", err)
 			}
-			over, err := tc.run(tcp)
+			over, err := FactorizePlan(tc.a, tc.plan, tcp)
 			if err != nil {
 				t.Fatalf("tcp run: %v", err)
 			}
@@ -148,24 +120,27 @@ func TestTCPTransportMatchesSim(t *testing.T) {
 					t.Errorf("tcp counters not populated: %+v", over.Stats)
 				}
 			}
+			if tc.plan.Variant != VariantCACQR2 {
+				return
+			}
 			for _, side := range []struct {
-				name  string
-				opts  Options
-				entry *Result
+				name    string
+				opts    Options
+				viaPlan *Result
 			}{{"sim", Options{}, sim}, {"tcp", tcp, over}} {
-				viaPlan, err := FactorizePlan(tc.a, tc.plan, side.opts)
+				entry, err := FactorizeOnGrid(tc.a, GridSpec{C: tc.plan.C, D: tc.plan.D}, side.opts)
 				if err != nil {
-					t.Fatalf("%s: FactorizePlan(%v): %v", side.name, tc.plan, err)
+					t.Fatalf("%s: FactorizeOnGrid: %v", side.name, err)
 				}
-				if denseMaxDiff(side.entry.Q, viaPlan.Q) > 0 || denseMaxDiff(side.entry.R, viaPlan.R) > 0 {
-					t.Errorf("%s: entry point and FactorizePlan(%v) differ bitwise", side.name, tc.plan)
+				if denseMaxDiff(entry.Q, side.viaPlan.Q) > 0 || denseMaxDiff(entry.R, side.viaPlan.R) > 0 {
+					t.Errorf("%s: FactorizeOnGrid and FactorizePlan(%v) differ bitwise", side.name, tc.plan)
 				}
-				got, want := viaPlan.Stats, side.entry.Stats
+				got, want := side.viaPlan.Stats, entry.Stats
 				if side.name == "tcp" {
 					got.Time, want.Time = 0, 0 // wall-clock over TCP
 				}
 				if got != want {
-					t.Errorf("%s: FactorizePlan(%v) stats %+v, entry point %+v", side.name, tc.plan, got, want)
+					t.Errorf("%s: FactorizePlan(%v) stats %+v, FactorizeOnGrid %+v", side.name, tc.plan, got, want)
 				}
 			}
 		})
@@ -211,7 +186,7 @@ func TestJobGobRoundTrip(t *testing.T) {
 			t.Errorf("%v: round trip gave %+v, want %+v", p, got, want)
 		}
 	}
-	for _, v := range []Variant{VariantSequential, Variant1DCQR2, VariantShiftedCQR3, VariantCACQR2, VariantPanelCACQR2, VariantTSQR, VariantPGEQRF, VariantStreamCQR2} {
+	for _, v := range []Variant{Variant1DCQR2, VariantShiftedCQR3, VariantCACQR2, VariantPanelCACQR2, VariantTSQR, VariantPGEQRF, VariantStreamCQR2} {
 		if !seen[v] {
 			t.Errorf("no %s row was enumerated", v)
 		}
@@ -272,7 +247,7 @@ func TestTCPTransportReusesWorkerPool(t *testing.T) {
 	workers := startLocalWorkers(t, 3)
 	opts := Options{Transport: TCPTransport(workers...), Timeout: time.Minute}
 	for _, procs := range []int{1, 2, 4} {
-		if _, err := Factorize1D(a, procs, opts); err != nil {
+		if _, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: procs}, opts); err != nil {
 			t.Fatalf("procs=%d over 3-worker pool: %v", procs, err)
 		}
 	}
@@ -282,7 +257,7 @@ func TestTCPTransportTooFewWorkers(t *testing.T) {
 	a := RandomMatrix(256, 16, 3)
 	workers := startLocalWorkers(t, 1)
 	opts := Options{Transport: TCPTransport(workers...), Timeout: time.Minute}
-	_, err := Factorize1D(a, 4, opts)
+	_, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 4}, opts)
 	if err == nil || !strings.Contains(err.Error(), "workers") {
 		t.Fatalf("4-rank job on 1 worker returned %v, want worker-count error", err)
 	}
@@ -381,17 +356,17 @@ func TestFactorizationAcrossRealProcesses(t *testing.T) {
 
 	for _, tc := range []struct {
 		name string
-		run  func(opts Options) (*Result, error)
+		plan Plan
 	}{
-		{"cqr2-1d", func(opts Options) (*Result, error) { return Factorize1D(a, 4, opts) }},
-		{"tsqr", func(opts Options) (*Result, error) { return FactorizeTSQR(a, 4, 0, opts) }},
+		{"cqr2-1d", Plan{Variant: Variant1DCQR2, Procs: 4}},
+		{"tsqr", Plan{Variant: VariantTSQR, Procs: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sim, err := tc.run(Options{})
+			sim, err := FactorizePlan(a, tc.plan, Options{})
 			if err != nil {
 				t.Fatalf("sim run: %v", err)
 			}
-			over, err := tc.run(tcp)
+			over, err := FactorizePlan(a, tc.plan, tcp)
 			if err != nil {
 				t.Fatalf("tcp run across processes: %v", err)
 			}
