@@ -184,8 +184,8 @@ type Options struct {
 	// already runs P goroutines, so extra fan-out only helps when the
 	// grid is small and the per-rank blocks are large. Two paths have no
 	// ranks and read 0 as GOMAXPROCS: a streamed run's in-core kernels,
-	// and a fused batch (SubmitBatch, fused Submit), which spreads its
-	// items over up to Workers pool workers and runs each item serially.
+	// and a fused batch (SubmitBatch, the only fused entry), which spreads
+	// its items over up to Workers pool workers and runs each item serially.
 	// Factors and measured costs are identical for any value — Workers
 	// trades wall-clock only. Negative values are rejected with an error.
 	// (CholeskyQR2, ShiftedCQR3 and SolveLeastSquaresSeq take no Options

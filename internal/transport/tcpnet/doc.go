@@ -33,24 +33,30 @@
 //
 // # Wire format
 //
-// Every message is length-delimited. Mesh data frames carry
-// (communicator id, source rank, tag, element count) followed by the
-// float64 payload, so receivers demultiplex into the same
-// transport.Mailbox the simulator's ranks use — same tag-matching, same
-// FIFO-per-(comm,src,tag) ordering. Communicator ids for Split and
-// Subgroup are derived deterministically from the parent id and call
-// sequence on every member with no extra communication.
+// Every message is length-delimited. A mesh data frame is a 20-byte
+// big-endian header (communicator id, source rank, tag, element count)
+// and then the payload's own memory, float64s in host byte order, so
+// receivers demultiplex into the same transport.Mailbox the simulator's
+// ranks use — same tag-matching, same FIFO-per-(comm,src,tag) ordering.
+// Communicator ids for Split and Subgroup are derived deterministically
+// from the parent id and call sequence on every member with no extra
+// communication.
 //
-// A frame header's element count is a claim by the peer, so a reader
-// commits memory as bytes arrive, not as the header promises: the body
-// is read through one scratch per reader goroutine, at most 64 Ki
-// elements at a time, into a payload that grows with it. A body that
-// ends early is ErrTruncatedFrame — a failed peer, which fails the node
-// — and never the io.EOF of a peer that finished between frames.
-// Payloads and encoded frames are recycled within the job (two
-// transport.FreeLists on the node): a reader takes a payload, the
-// rank's Recv into a destination copies it out and puts it back; Send
-// takes a frame, the peer's writer puts it back once written.
+// No element is converted. Send copies its operand once into a buffer
+// from the node's one transport.FreeList; the peer's writer puts header
+// and buffer on the wire in one writev and the buffer back on the list.
+// A reader reads the body straight into a payload from the same list —
+// at most 64 Ki elements at a time, growing as bytes arrive, since the
+// header's count is only a claim — and Recv into a destination puts it
+// back. A body that ends early is ErrTruncatedFrame — a failed peer,
+// which fails the node — and never the io.EOF of a peer that finished
+// between frames.
+//
+// A job submission's control preamble names the frame format and the
+// host byte order ('L' or 'B'). A worker answers one it does not serve
+// (the 'C' of releases that sent big-endian bodies, or the other byte
+// order) with a jobResult naming the mismatch, so Run fails with
+// "rank r: …": a coordinator and its workers must run the same release.
 //
 // # Deadlines and accounting
 //

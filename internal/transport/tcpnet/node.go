@@ -29,11 +29,11 @@ type node struct {
 	box   *transport.Mailbox
 	timer *time.Timer // fails the node at the deadline; nil without one
 
-	// The job's recycled buffers: decoded payloads travel from a reader
-	// to the rank's Recv and back, encoded frames from Send to a writer
-	// and back. Both lists are the node's and go with it.
-	words  transport.FreeList[float64]
-	frames transport.FreeList[byte]
+	// The job's recycled payloads, one list for both directions: Send
+	// copies an operand into one and the peer's writer puts it back once
+	// written; a reader fills one and the rank's Recv into a destination
+	// puts it back. The list is the node's and goes with it.
+	words transport.FreeList[float64]
 
 	mu    sync.Mutex
 	peers []*peerConn // indexed by rank; nil at self
@@ -47,12 +47,11 @@ type node struct {
 // Send the buffered (enqueue-and-return) semantics the Comm contract
 // requires even over a synchronous byte stream.
 type peerConn struct {
-	conn   net.Conn
-	out    chan []byte
-	failed atomic.Bool
+	conn net.Conn
+	out  chan transport.Message
 }
 
-// outboundDepth is the per-peer queue of encoded frames awaiting the
+// outboundDepth is the per-peer queue of messages awaiting the
 // writer. Enqueueing blocks when it is full — natural backpressure —
 // and the writer's deadline guarantees the block is bounded.
 const outboundDepth = 256
@@ -74,12 +73,11 @@ func newNode(rank, np int, deadline time.Time) *node {
 // connection attached after fail took its snapshot sees the failed
 // mailbox and closes itself.
 func (n *node) attach(r int, conn net.Conn) {
-	pc := &peerConn{conn: conn, out: make(chan []byte, outboundDepth)}
+	pc := &peerConn{conn: conn, out: make(chan transport.Message, outboundDepth)}
 	n.mu.Lock()
 	n.peers[r] = pc
 	n.mu.Unlock()
 	if n.box.Err() != nil {
-		pc.failed.Store(true)
 		conn.Close()
 	}
 }
@@ -100,29 +98,34 @@ func (n *node) start() {
 	}
 }
 
+// writeLoop puts each frame on the wire in one writev (drained unwritten
+// once the node has failed) and its payload back on the free list.
 func (n *node) writeLoop(pc *peerConn) {
 	defer n.writers.Done()
-	for frame := range pc.out {
-		if pc.failed.Load() {
-			continue // drain so enqueuers never block on a dead peer
+	var hdr [meshFrameHeader]byte
+	var iov [2][]byte
+	var bufs net.Buffers
+	for m := range pc.out {
+		if n.box.Err() == nil {
+			if !n.deadline.IsZero() {
+				pc.conn.SetWriteDeadline(n.deadline)
+			}
+			hdr = meshHeader(m.Comm, m.Src, m.Tag, len(m.Data))
+			iov = [2][]byte{hdr[:], bodyBytes(m.Data)}
+			bufs = iov[:]
+			wrote, err := bufs.WriteTo(pc.conn)
+			n.bytes.Add(wrote)
+			if err != nil {
+				n.fail(fmt.Errorf("tcpnet: write to peer: %w", err))
+			}
 		}
-		if !n.deadline.IsZero() {
-			pc.conn.SetWriteDeadline(n.deadline)
-		}
-		wrote, err := pc.conn.Write(frame)
-		n.bytes.Add(int64(wrote))
-		n.frames.Put(frame)
-		if err != nil {
-			pc.failed.Store(true)
-			n.fail(fmt.Errorf("tcpnet: write to peer: %w", err))
-		}
+		n.words.Put(m.Data)
 	}
 }
 
 func (n *node) readLoop(pc *peerConn) {
-	var scratch []byte // this reader's one frame-body buffer
 	for {
-		msg, wire, err := readMeshFrame(pc.conn, &scratch, &n.words)
+		msg, wire, err := readMeshFrame(pc.conn, &n.words)
 		if err != nil {
 			// EOF (and its local mirror, reading a conn we closed
 			// ourselves) means the peer finished and shut down its
@@ -149,7 +152,6 @@ func (n *node) fail(err error) {
 		n.mu.Unlock()
 		for _, pc := range peers {
 			if pc != nil {
-				pc.failed.Store(true)
 				pc.conn.Close()
 			}
 		}
@@ -215,19 +217,19 @@ func (p *proc) Counters() transport.Counters {
 	return c
 }
 
-// Send enqueues one frame for global rank dst on that peer's writer
-// (buffered semantics; a send to self posts straight to the mailbox).
+// Send copies data once into a buffer from the node's free list and
+// enqueues it on global rank dst's writer (buffered semantics; a send to
+// self posts the copy straight to the mailbox).
 func (p *proc) Send(comm uint64, dst, tag int, data []float64) error {
 	n := p.n
 	if err := n.box.Err(); err != nil {
 		return err
 	}
+	m := transport.Message{Comm: comm, Src: n.rank, Tag: tag, Data: n.words.Copy(data)}
 	if dst == n.rank {
-		return n.box.Post(transport.Message{Comm: comm, Src: n.rank, Tag: tag, Data: n.words.Copy(data)})
+		return n.box.Post(m)
 	}
-	frame := n.frames.Get(meshFrameHeader + 8*len(data))
-	encodeMeshFrame(frame, comm, n.rank, tag, data)
-	n.peers[dst].out <- frame
+	n.peers[dst].out <- m
 	return nil
 }
 

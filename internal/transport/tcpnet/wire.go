@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
+	"unsafe"
 
 	"cacqr/internal/transport"
 )
@@ -14,12 +14,27 @@ import (
 // Connection preamble bytes: the first byte on every connection says
 // what the stream carries.
 const (
-	preambleCtrl byte = 'C' // coordinator → worker job submission
 	preambleMesh byte = 'M' // rank ↔ rank data-plane connection
 	preamblePing byte = 'P' // liveness probe; the peer answers pingAck
 )
 
 const pingAck byte = 'O'
+
+// ctrlFormats are the control preambles that open a job submission. A
+// worker serves only preambleCtrl, this build's on this host (see Wire
+// format in the package doc).
+var ctrlFormats = map[byte]string{
+	'C': "big-endian float64 bodies", // releases before host-order bodies
+	'L': "host-order float64 bodies, little-endian host",
+	'B': "host-order float64 bodies, big-endian host",
+}
+
+var preambleCtrl = func() byte {
+	if binary.NativeEndian.Uint16([]byte{1, 0}) == 1 {
+		return 'L'
+	}
+	return 'B'
+}()
 
 // jobHeader is the control message a coordinator sends to each worker
 // to start a job.
@@ -88,7 +103,8 @@ func readJSONFrame(r io.Reader, v any) error {
 	return json.Unmarshal(body, v)
 }
 
-// Mesh data frames: a fixed header followed by count float64s.
+// Mesh data frames: a fixed big-endian header followed by count
+// float64s in host byte order, which the control preamble checked.
 //
 //	[8B commID][4B src][4B tag][4B count][count × 8B float64]
 //
@@ -109,25 +125,26 @@ const chunkElems = 1 << 16
 // that closes inside a frame is a peer that failed.
 var ErrTruncatedFrame = errors.New("tcpnet: truncated data frame")
 
-// encodeMeshFrame serializes one data-plane message into buf, which
-// must be meshFrameHeader + 8·len(data) bytes long.
-func encodeMeshFrame(buf []byte, commID uint64, src, tag int, data []float64) {
-	binary.BigEndian.PutUint64(buf[0:], commID)
-	binary.BigEndian.PutUint32(buf[8:], uint32(int32(src)))
-	binary.BigEndian.PutUint32(buf[12:], uint32(int32(tag)))
-	binary.BigEndian.PutUint32(buf[16:], uint32(len(data)))
-	for i, v := range data {
-		binary.BigEndian.PutUint64(buf[meshFrameHeader+8*i:], math.Float64bits(v))
-	}
+// meshHeader encodes the header of a data frame of count elements.
+func meshHeader(commID uint64, src, tag, count int) (hdr [meshFrameHeader]byte) {
+	binary.BigEndian.PutUint64(hdr[0:], commID)
+	binary.BigEndian.PutUint32(hdr[8:], uint32(int32(src)))
+	binary.BigEndian.PutUint32(hdr[12:], uint32(int32(tag)))
+	binary.BigEndian.PutUint32(hdr[16:], uint32(count))
+	return hdr
+}
+
+// bodyBytes views a payload's own memory as the body of its frame.
+func bodyBytes(data []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), 8*len(data))
 }
 
 // readMeshFrame reads one data-plane message, returning the decoded
 // fields and the total bytes consumed from the wire. The header's
 // element count is a claim, not a fact: the body is read chunkElems at
-// a time through the reader's one scratch and the payload, which comes
-// from words, grows as the chunks arrive, so what is committed follows
-// what was received.
-func readMeshFrame(r io.Reader, scratch *[]byte, words *transport.FreeList[float64]) (msg transport.Message, wireBytes int64, err error) {
+// a time straight into the payload, which comes from words and grows
+// as the chunks arrive, so what is committed follows what was received.
+func readMeshFrame(r io.Reader, words *transport.FreeList[float64]) (msg transport.Message, wireBytes int64, err error) {
 	var hdr [meshFrameHeader]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return msg, 0, err
@@ -142,23 +159,16 @@ func readMeshFrame(r io.Reader, scratch *[]byte, words *transport.FreeList[float
 	var data []float64
 	for got := 0; got < count; {
 		k := min(count-got, chunkElems)
-		if len(*scratch) < 8*k {
-			*scratch = make([]byte, 8*k)
-		}
-		body := (*scratch)[:8*k]
-		if _, err = io.ReadFull(r, body); err != nil {
-			words.Put(data)
-			//lint:ignore errwrap the cause is io.EOF when the peer died on a chunk boundary, and a truncated frame must never match a clean EOF
-			return msg, 0, fmt.Errorf("%w: %d of %d elements arrived: %v", ErrTruncatedFrame, got, count, err)
-		}
 		if got+k > len(data) {
 			grown := words.Get(min(count, max(2*len(data), got+k)))
 			copy(grown, data[:got])
 			words.Put(data)
 			data = grown
 		}
-		for i := range data[got : got+k] {
-			data[got+i] = math.Float64frombits(binary.BigEndian.Uint64(body[8*i:]))
+		if _, err = io.ReadFull(r, bodyBytes(data[got:got+k])); err != nil {
+			words.Put(data)
+			//lint:ignore errwrap the cause is io.EOF when the peer died on a chunk boundary, and a truncated frame must never match a clean EOF
+			return msg, 0, fmt.Errorf("%w: %d of %d elements arrived: %v", ErrTruncatedFrame, got, count, err)
 		}
 		got += k
 	}

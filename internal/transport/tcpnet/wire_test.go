@@ -7,8 +7,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,11 +46,10 @@ func TestTruncatedFrameCommitsWhatArrived(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			wire := append(frameHeader(tc.count), make([]byte, 8*tc.arrived)...)
-			var scratch []byte
 			var words transport.FreeList[float64]
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, _, err := readMeshFrame(bytes.NewReader(wire), &scratch, &words)
+			_, _, err := readMeshFrame(bytes.NewReader(wire), &words)
 			runtime.ReadMemStats(&after)
 			if !errors.Is(err, ErrTruncatedFrame) {
 				t.Fatalf("got %v, want ErrTruncatedFrame", err)
@@ -62,20 +64,25 @@ func TestTruncatedFrameCommitsWhatArrived(t *testing.T) {
 	}
 }
 
+// encodeFrame is a whole data frame as Send and the writer put it on
+// the wire: the header, then the payload's own bytes.
+func encodeFrame(commID uint64, src, tag int, data []float64) []byte {
+	hdr := meshHeader(commID, src, tag, len(data))
+	return append(hdr[:], bodyBytes(data)...)
+}
+
 // TestFrameRoundTripAcrossChunks: a payload longer than one chunk grows
 // as it arrives and decodes to what was encoded, through a recycled
-// payload and scratch as well as through fresh ones.
+// payload as well as through fresh ones.
 func TestFrameRoundTripAcrossChunks(t *testing.T) {
-	var scratch []byte
 	var words transport.FreeList[float64]
 	for _, n := range []int{0, 1, chunkElems, chunkElems + 1, 3*chunkElems + 17, 5} {
 		data := make([]float64, n)
 		for i := range data {
 			data[i] = float64(i) - 0.5
 		}
-		frame := make([]byte, meshFrameHeader+8*n)
-		encodeMeshFrame(frame, 42, 3, -104, data)
-		msg, wire, err := readMeshFrame(bytes.NewReader(frame), &scratch, &words)
+		frame := encodeFrame(42, 3, -104, data)
+		msg, wire, err := readMeshFrame(bytes.NewReader(frame), &words)
 		if err != nil {
 			t.Fatalf("%d elements: %v", n, err)
 		}
@@ -117,5 +124,192 @@ func TestReadLoopFailsNodeOnTruncatedFrame(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("node still healthy 5 s after its peer died inside a frame")
+	}
+}
+
+// TestFrameBodyIsThePayloadsMemory pins the wire a Send puts on a mesh
+// connection: the big-endian header, then the payload's float64s in
+// host byte order — its own bytes, with no per-element encoding — and
+// every byte of both counted.
+func TestFrameBodyIsThePayloadsMemory(t *testing.T) {
+	ours, theirs := net.Pipe()
+	n := newNode(1, 2, time.Now().Add(30*time.Second))
+	n.attach(0, ours)
+	n.start()
+	data := []float64{1.5, -2, math.Pi, math.Inf(-1), math.SmallestNonzeroFloat64, 0}
+	if err := newProc(n).Send(7, 0, -101, data); err != nil {
+		t.Fatal(err)
+	}
+	want := frameHeader(uint32(len(data)))
+	for _, v := range data {
+		want = binary.NativeEndian.AppendUint64(want, math.Float64bits(v))
+	}
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(theirs, got); err != nil {
+		t.Fatal(err)
+	}
+	n.shutdown()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("wire\n got  %x\n want %x", got, want)
+	}
+	if wrote := n.bytes.Load(); wrote != int64(len(want)) {
+		t.Errorf("counted %d wire bytes, want %d", wrote, len(want))
+	}
+}
+
+// TestPingPongRecyclesOneFreeList: two nodes trading equal-size
+// payloads over a pipe reach a steady state in one round. From then on
+// every Send copies into the buffer a reader filled and Recv handed
+// back, and every reader fills one a writer handed back — one free list
+// per node serves both directions, and no round allocates a payload.
+func TestPingPongRecyclesOneFreeList(t *testing.T) {
+	a, b := net.Pipe()
+	deadline := time.Now().Add(time.Minute)
+	n0, n1 := newNode(0, 2, deadline), newNode(1, 2, deadline)
+	n0.attach(1, a)
+	n1.attach(0, b)
+	n0.start()
+	n1.start()
+	defer n1.shutdown()
+	defer n0.shutdown()
+	p0, p1 := newProc(n0), newProc(n1)
+	const size = 4096
+	ping, dst0, dst1 := make([]float64, size), make([]float64, size), make([]float64, size)
+	for i := range ping {
+		ping[i] = float64(i)
+	}
+	round := func() {
+		if err := p0.Send(7, 1, -101, ping); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p1.Recv(7, 0, -101, dst1); err != nil {
+			t.Fatal(err)
+		}
+		if err := p1.Send(7, 0, -102, dst1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p0.Recv(7, 1, -102, dst0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const rounds = 200
+	allocs := testing.AllocsPerRun(rounds, round)
+	runtime.ReadMemStats(&after)
+	perRound := (after.TotalAlloc - before.TotalAlloc) / (rounds + 1)
+	t.Logf("%.0f allocations, %d bytes per round of two %d-byte payloads", allocs, perRound, 8*size)
+	if perRound >= 8*size/4 {
+		t.Errorf("a round allocates %d bytes: payload buffers are not recycled (one payload is %d)", perRound, 8*size)
+	}
+	if dst0[size-1] != ping[size-1] {
+		t.Errorf("round trip delivered %v, want %v", dst0[size-1], ping[size-1])
+	}
+}
+
+// FuzzReadMeshFrame: whatever a peer sends, the reader never panics. It
+// returns the io error of a short header (a clean io.EOF only when no
+// byte came), refuses a count past the limit, reports a short body as
+// ErrTruncatedFrame, or returns a message whose header and body view
+// re-encode to exactly the bytes it consumed.
+func FuzzReadMeshFrame(f *testing.F) {
+	for _, n := range []int{0, 1, chunkElems, chunkElems + 1} {
+		data := make([]float64, n)
+		for i := range data {
+			data[i] = float64(i) - 0.5
+		}
+		frame := encodeFrame(42, 3, -104, data)
+		f.Add(frame)
+		for _, cut := range []int{0, meshFrameHeader - 1, meshFrameHeader, meshFrameHeader + 5, len(frame) - 1} {
+			if cut < len(frame) {
+				f.Add(frame[:cut])
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		var words transport.FreeList[float64]
+		msg, consumed, err := readMeshFrame(bytes.NewReader(wire), &words)
+		switch {
+		case len(wire) == 0:
+			if err != io.EOF {
+				t.Fatalf("empty stream: %v, want io.EOF", err)
+			}
+		case len(wire) < meshFrameHeader:
+			if err != io.ErrUnexpectedEOF {
+				t.Fatalf("%d-byte header: %v, want io.ErrUnexpectedEOF", len(wire), err)
+			}
+		case binary.BigEndian.Uint32(wire[16:]) > maxMeshElems:
+			if err == nil || errors.Is(err, ErrTruncatedFrame) {
+				t.Fatalf("count past the limit: %v, want the limit error", err)
+			}
+		case len(wire) < meshFrameHeader+8*int(binary.BigEndian.Uint32(wire[16:])):
+			if !errors.Is(err, ErrTruncatedFrame) || errors.Is(err, io.EOF) {
+				t.Fatalf("short body: %v, want ErrTruncatedFrame", err)
+			}
+		case err != nil:
+			t.Fatalf("whole frame: %v", err)
+		default:
+			hdr := meshHeader(msg.Comm, msg.Src, msg.Tag, len(msg.Data))
+			if got := append(hdr[:], bodyBytes(msg.Data)...); int64(len(got)) != consumed || !bytes.Equal(got, wire[:consumed]) {
+				t.Fatalf("consumed %d bytes that re-encode as %d different ones", consumed, len(got))
+			}
+		}
+	})
+}
+
+// TestForeignPreambleRefusedAtSubmission: a coordinator that speaks
+// another frame format — an older release's big-endian bodies, or
+// host-order bodies from a host of the other byte order — gets a
+// jobResult naming the mismatch at once, well inside the job deadline,
+// and the worker closes the connection without running the job.
+func TestForeignPreambleRefusedAtSubmission(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var ran atomic.Bool
+	go Serve(ln, func(transport.Proc, []byte) error { ran.Store(true); return nil })
+	addr := ln.Addr().String()
+	for _, pre := range []byte{'C', 'L', 'B'} {
+		if pre == preambleCtrl {
+			continue
+		}
+		t.Run(string(pre), func(t *testing.T) {
+			start := time.Now()
+			deadline := start.Add(time.Minute)
+			// What a coordinator of that format sends: its preamble, then
+			// the job header, which no release has changed.
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(deadline)
+			conn.Write([]byte{pre}) //nolint:errcheck // the reply is the test
+			hdr := jobHeader{JobID: "foreign-" + string(pre), NP: 2, Rank: 1, Addrs: []string{"127.0.0.1:1", addr}, Deadline: deadline.UnixNano()}
+			if err := writeJSONFrame(conn, hdr); err != nil {
+				t.Fatal(err)
+			}
+			var res jobResult
+			if err := readJSONFrame(conn, &res); err != nil {
+				t.Fatalf("no jobResult: %v", err)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Errorf("refusal took %v", elapsed)
+			}
+			for _, want := range []string{ctrlFormats[pre], ctrlFormats[preambleCtrl]} {
+				if !strings.Contains(res.Err, want) {
+					t.Errorf("refusal %q does not name %q", res.Err, want)
+				}
+			}
+			if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				t.Errorf("after the refusal the connection reads %v, want io.EOF", err)
+			}
+		})
+	}
+	if ran.Load() {
+		t.Error("the handler ran a refused job")
 	}
 }

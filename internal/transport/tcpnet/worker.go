@@ -157,22 +157,21 @@ func serveConn(conn net.Conn, reg *meshRegistry, h Handler) {
 		}
 		conn.SetReadDeadline(time.Time{})
 		reg.bucket(hello.JobID).offer(hello.Rank, conn)
-	case preambleCtrl:
+	default:
 		var hdr jobHeader
-		if err := readJSONFrame(conn, &hdr); err != nil {
+		if _, ctrl := ctrlFormats[pre[0]]; !ctrl || readJSONFrame(conn, &hdr) != nil {
 			conn.Close()
 			return
 		}
 		conn.SetReadDeadline(time.Time{})
-		runWorkerJob(conn, reg, h, hdr)
-	default:
-		conn.Close()
+		runWorkerJob(conn, reg, h, pre[0], hdr)
 	}
 }
 
-// runWorkerJob executes one job on this worker: form the mesh, run the
+// runWorkerJob executes one job on this worker: check that the
+// coordinator speaks this worker's frame format, form the mesh, run the
 // handler, report counters and error on the control connection.
-func runWorkerJob(ctrl net.Conn, reg *meshRegistry, h Handler, hdr jobHeader) {
+func runWorkerJob(ctrl net.Conn, reg *meshRegistry, h Handler, pre byte, hdr jobHeader) {
 	defer ctrl.Close()
 	defer reg.drop(hdr.JobID)
 
@@ -183,6 +182,11 @@ func runWorkerJob(ctrl net.Conn, reg *meshRegistry, h Handler, hdr jobHeader) {
 	report := func(res jobResult) {
 		ctrl.SetWriteDeadline(time.Now().Add(handshakeTimeout))
 		writeJSONFrame(ctrl, res)
+	}
+	if pre != preambleCtrl {
+		report(jobResult{Err: fmt.Sprintf("tcpnet: coordinator speaks %s (control preamble %q), this worker %s (%q): run one release on both",
+			ctrlFormats[pre], pre, ctrlFormats[preambleCtrl], preambleCtrl)})
+		return
 	}
 	if hdr.Rank <= 0 || hdr.Rank >= hdr.NP || len(hdr.Addrs) != hdr.NP {
 		report(jobResult{Err: fmt.Sprintf("tcpnet: malformed job header (rank %d, np %d, %d addrs)", hdr.Rank, hdr.NP, len(hdr.Addrs))})
