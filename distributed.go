@@ -461,7 +461,7 @@ func runTCP(ctx context.Context, j job, global *lin.Matrix, out func(q, r *lin.M
 	// worker ranks get theirs synthesized from the counters the
 	// coordinator collects over the control connections.
 	run, rankSpans := startRunSpans(ctx, j, "tcp", 1)
-	coord := &tcpnet.Coordinator{Workers: j.transport.workers[:np-1]}
+	coord := &tcpnet.Coordinator{Workers: j.transport.workers[:np-1], Sentinels: wireErrors}
 	st, err := coord.Run(ctx,
 		func(rank int) []byte { return payloads[rank] },
 		func(p transport.Proc) error {
@@ -470,6 +470,12 @@ func runTCP(ctx context.Context, j job, global *lin.Matrix, out func(q, r *lin.M
 	finishRunSpans(run, rankSpans, st)
 	return st, err
 }
+
+// wireErrors are the sentinels a worker's error keeps across the TCP
+// control connection — those a caller routes on, so that errors.Is
+// answers alike whichever rank failed first. runTCP and ServeWorker
+// hand tcpnet the same list.
+var wireErrors = []error{ErrIllConditioned, lin.ErrNotPositiveDefinite, lin.ErrSingular}
 
 // ServeWorker turns the calling process into a factorization worker: it
 // accepts jobs on ln and runs each assigned rank until the listener is
@@ -482,5 +488,5 @@ func ServeWorker(ln net.Listener) error {
 			return err
 		}
 		return jobBody(j, local, nil, nil)(p)
-	})
+	}, wireErrors...)
 }

@@ -43,6 +43,7 @@ func TestLayering(t *testing.T) {
 		{"one-price", "core/panel.go", "plan/price.go", nil},
 		{"one-price-memory", "grid/workspace.go", "core/cacqr.go", nil},
 		{"one-ladder", "core/batch.go", "lin/slab.go", nil},
+		{"one-pass-loop", "core/factor.go", "core/ladder.go", []string{"cfr3d"}},
 		{"one-wire", "core/wire.go", "dist/dist.go", nil},
 		{"per-call", "mm3d/mm3d.go", "core/ladder.go", nil},
 		{"no-pool", "cacqrd/pool.go", "benchmark/bench.go", nil},

@@ -30,7 +30,7 @@ import (
 // their final path segment, as they do for pathIn.
 var Layering = &Analyzer{
 	Name: "layering",
-	Doc:  "the architecture table: one communicator, one price, one ladder, one wire boundary, workspace-only rank bodies, no pool, the Workers knob, no clock in serve",
+	Doc:  "the architecture table: one communicator, one price, one ladder, one pass loop, one wire boundary, workspace-only rank bodies, no pool, the Workers knob, no clock in serve",
 	Run:  runLayering,
 }
 
@@ -62,6 +62,9 @@ var rows = []row{
 	{name: "one-ladder", why: "a batched item is CholeskyQR2 on one pool worker; strided slabs and pass-major batch kernels stay in internal/lin for the benchmark",
 		bans:  []string{lin + "Slab", lin + "NewSlab", lin + "SlabFrom", lin + "BatchSYRK", lin + "BatchGEMM", lin + "BatchTRSM"},
 		allow: []string{"cacqr/internal/lin", "cacqr/benchmark"}},
+	{name: "one-pass-loop", why: "the n×n factor step runs inside core.Ladder's adapters only (ladder.go's Replicated, cacqr.go's cube), which type a breakdown as ErrIllConditioned in one place; kernels, their per-line tables and the benchmark call it bare",
+		bans:  []string{lin + "CholInv", lin + "CholInvInto", "cacqr/internal/cfr3d.Factor"},
+		allow: []string{"cacqr/internal/lin", "cacqr/internal/cfr3d", "cacqr/internal/core/ladder.go", "cacqr/internal/core/cacqr.go", "cacqr/internal/bench/tables.go", "cacqr/benchmark"}},
 	{name: "one-wire", why: "a matrix becomes a payload, and a payload a matrix, only in internal/dist",
 		bans:  []string{"cacqr/internal/dist.Flatten", "cacqr/internal/dist.Unflatten", lin + "FromSlice"},
 		allow: []string{"cacqr/internal/dist", "cacqr/internal/lin", "cacqr/benchmark"}},

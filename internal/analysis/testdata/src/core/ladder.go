@@ -10,3 +10,10 @@ func sequential(a *lin.Matrix) *lin.Matrix {
 	_ = r
 	return q
 }
+
+// The replicated step is the ladder's own: the one place core factors a
+// whole Gram matrix.
+func step(g *lin.Matrix) (*lin.Matrix, error) {
+	l, _, err := lin.CholInv(g)
+	return l, err
+}

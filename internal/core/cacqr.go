@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"cacqr/internal/cfr3d"
 	"cacqr/internal/costmodel"
@@ -50,6 +51,21 @@ func (p Params) localWorkers() int {
 // (rows over cube-y, columns over x) and replicated across depth and
 // across subcubes. Both live in the grid's workspace.
 func CACQR(g *grid.Grid, aLocal *lin.Matrix, m, n int, prm Params) (qLocal, rLocal *lin.Matrix, err error) {
+	return onGrid(g, aLocal, m, n, 1, prm)
+}
+
+// CACQR2 runs Algorithm 9: two CA-CQR passes and R = R₂·R₁ by MM3D over
+// the subcube. The second pass runs in place — Q₁ becomes Q where it
+// lies, R₂ becomes R — so the rank holds one tall block besides its
+// input and whatever a step needs for the length of that step.
+func CACQR2(g *grid.Grid, aLocal *lin.Matrix, m, n int, prm Params) (qLocal, rLocal *lin.Matrix, err error) {
+	return onGrid(g, aLocal, m, n, 2, prm)
+}
+
+// onGrid runs the ladder's passes over the grid (see cube). The running
+// R and the block the next Rᵢ lands in take turns; one pass needs only
+// the one block.
+func onGrid(g *grid.Grid, aLocal *lin.Matrix, m, n, passes int, prm Params) (qLocal, rLocal *lin.Matrix, err error) {
 	if err := checkShapes(g, aLocal, m, n); err != nil {
 		return nil, nil, err
 	}
@@ -57,8 +73,17 @@ func CACQR(g *grid.Grid, aLocal *lin.Matrix, m, n int, prm Params) (qLocal, rLoc
 	if err != nil {
 		return nil, nil, err
 	}
-	qLocal, rLocal = ws.Matrix(m/g.D, n/g.C), ws.Matrix(n/g.C, n/g.C)
-	return qLocal, rLocal, cacqr(g, ws, qLocal, rLocal, aLocal, m, n, prm)
+	t := &cube{g: g, ws: ws, prm: prm, n: n, x: aLocal, q: ws.Matrix(m/g.D, n/g.C), r: ws.Matrix(n/g.C, n/g.C),
+		stg: obs.StagesOf(g.World.Proc())}
+	defer ws.Release(ws.Mark())
+	t.ri = t.r
+	if passes > 1 {
+		t.ri = ws.Matrix(n/g.C, n/g.C)
+	}
+	if _, err := Ladder(t, m, passes, false); err != nil {
+		return nil, nil, err
+	}
+	return t.q, t.r, nil
 }
 
 // workspace is the rank's workspace, sized — if CA-CQR2 on an m × n
@@ -74,42 +99,76 @@ func workspace(g *grid.Grid, m, n int, prm Params) (*grid.Workspace, error) {
 	return g.Workspace(words - int64(m/g.D)*int64(n/g.C)), nil
 }
 
-// cacqr is CACQR writing Q and R into caller-owned blocks. qLocal may be
-// aLocal itself: the pass then replaces its input with its Q.
-func cacqr(g *grid.Grid, ws *grid.Workspace, qLocal, rLocal, aLocal *lin.Matrix, m, n int, prm Params) error {
-	defer ws.Release(ws.Mark())
-	p := g.World.Proc()
+// cube is the Tall of a matrix on a c × d × c grid (Algorithms 8–9):
+// the iterate x is this rank's m/d × n/c block, replicated over depth,
+// and the Gram matrix z is its cyclic block over the rank's subcube
+// slice. Each line runs under its Table V phase and, on a traced rank,
+// a stage span of the same label. Measuring ‖G−I‖_F would take an
+// Allreduce the paper's algorithm does not pay, so Orth is NaN; nothing
+// runs the grid shifted, so Factor takes no shift.
+type cube struct {
+	g     *grid.Grid
+	ws    *grid.Workspace
+	prm   Params
+	n     int
+	x, q  *lin.Matrix // the iterate (A, then Q), and the block every pass writes Q into
+	r, ri *lin.Matrix // the running R, and the block the next Rᵢ lands in
+	z     *lin.Matrix // this pass's Gram block, taken from ws at mark
+	mark  grid.Mark
+	stg   *obs.Stages
+}
 
-	// Lines 1–5: Z = AᵀA over the grid. Line 2 is charged at the SYRK
-	// rate (m/d)·(n/c)²: the paper's 4mn² + (5/3)n³ critical path counts
-	// the Gram-matrix work symmetrically, as its implementation's BLAS
-	// calls do.
-	zBlock := ws.Matrix(n/g.C, n/g.C)
-	if err := gramProduct(g, ws, zBlock, aLocal, aLocal, lin.SyrkFlops(m/g.D, n/g.C), prm.localWorkers()); err != nil {
-		return err
-	}
+// Gram is lines 1–5: Z = XᵀX over the grid. Line 2 is charged at the
+// SYRK rate (m/d)·(n/c)²: the paper's 4mn² + (5/3)n³ critical path counts
+// the Gram-matrix work symmetrically, as its implementation's BLAS calls
+// do.
+func (t *cube) Gram() error {
+	t.mark = t.ws.Mark()
+	t.z = t.ws.Matrix(t.n/t.g.C, t.n/t.g.C)
+	return gramProduct(t.g, t.ws, t.z, t.x, t.x, lin.SyrkFlops(t.x.Rows, t.x.Cols), t.prm.localWorkers())
+}
 
-	// Lines 6–7: CFR3D on the subcube: Z = Rᵀ·R with L = Rᵀ, Y = L⁻¹.
-	stg := obs.StagesOf(p)
-	defer stg.Done()
-	stg.Enter("7:CFR3D")
-	defer p.SetPhase(p.SetPhase("7:CFR3D"))
-	res, err := cfr3d.Factor(g.Cube, zBlock, n, cfr3d.Options{
-		BaseSize: prm.BaseSize, InverseDepth: prm.InverseDepth, Workers: prm.localWorkers(),
-	})
+func (t *cube) Orth() float64 { return math.NaN() }
+
+// Factor is lines 6–8, then from the second pass on Algorithm 9's fold
+// R = Rᵢ·R by MM3D over the subcube: triangular × triangular, the
+// product replacing Rᵢ, run once the pass has given back its workspace.
+func (t *cube) Factor(_ int, _, first bool) error {
+	err := t.factor()
+	t.ws.Release(t.mark)
 	if err != nil {
 		return err
 	}
+	if !first {
+		if err := mm3d.MultiplyInto(t.g.Cube, t.ri, t.ri, t.r, true, t.prm.localWorkers()); err != nil {
+			return err
+		}
+	}
+	t.r, t.ri = t.ri, t.r
+	return nil
+}
 
-	// Line 8: Q = A·R⁻¹ over the subcube (blocked substitution when the
-	// top inverse levels were skipped), plus the transpose that yields
-	// the caller's R = Lᵀ block.
-	stg.Enter("8:MM3D(Q)+Transp")
-	p.SetPhase("8:MM3D(Q)+Transp")
-	if err := cfr3d.ApplyInvT(g.Cube, qLocal, aLocal, res.L, res.Y, prm.InverseDepth, true, prm.localWorkers()); err != nil {
+// factor is lines 6–8: CFR3D on the subcube, Z = Rᵢᵀ·Rᵢ with L = Rᵢᵀ and
+// Y = L⁻¹; then Q = X·Rᵢ⁻¹ over the subcube (blocked substitution when
+// the top inverse levels were skipped), and the transpose that yields
+// Rᵢ = Lᵀ.
+func (t *cube) factor() error {
+	p := t.g.World.Proc()
+	defer t.stg.Done()
+	t.stg.Enter("7:CFR3D")
+	defer p.SetPhase(p.SetPhase("7:CFR3D"))
+	w := t.prm.localWorkers()
+	res, err := cfr3d.Factor(t.g.Cube, t.z, t.n, cfr3d.Options{BaseSize: t.prm.BaseSize, InverseDepth: t.prm.InverseDepth, Workers: w})
+	if err != nil {
 		return err
 	}
-	return mm3d.TransposeInto(g.Cube, rLocal, res.L)
+	t.stg.Enter("8:MM3D(Q)+Transp")
+	p.SetPhase("8:MM3D(Q)+Transp")
+	if err := cfr3d.ApplyInvT(t.g.Cube, t.q, t.x, res.L, res.Y, t.prm.InverseDepth, true, w); err != nil {
+		return err
+	}
+	t.x = t.q
+	return mm3d.TransposeInto(t.g.Cube, t.ri, res.L)
 }
 
 // gramProduct is Algorithm 8 lines 1–5 with any left operand: C = Qᵀ·B
@@ -182,34 +241,6 @@ func gramProduct(g *grid.Grid, ws *grid.Workspace, dst, qLoc, bLoc *lin.Matrix, 
 	p.SetPhase("5:Bcast(Z,depth)")
 	_, err = dist.Bcast(g.ZComm, depthRoot, z, dst, x.Rows, x.Cols)
 	return err
-}
-
-// CACQR2 runs Algorithm 9: two CA-CQR passes and R = R₂·R₁ by MM3D over
-// the subcube. The second pass runs in place — Q₁ becomes Q where it
-// lies, R₂ becomes R — so the rank holds one tall block besides its
-// input and whatever a step needs for the length of that step.
-func CACQR2(g *grid.Grid, aLocal *lin.Matrix, m, n int, prm Params) (qLocal, rLocal *lin.Matrix, err error) {
-	if err := checkShapes(g, aLocal, m, n); err != nil {
-		return nil, nil, err
-	}
-	ws, err := workspace(g, m, n, prm)
-	if err != nil {
-		return nil, nil, err
-	}
-	q, r := ws.Matrix(m/g.D, n/g.C), ws.Matrix(n/g.C, n/g.C)
-	defer ws.Release(ws.Mark())
-	r1 := ws.Matrix(n/g.C, n/g.C)
-	if err := cacqr(g, ws, q, r1, aLocal, m, n, prm); err != nil {
-		return nil, nil, err
-	}
-	if err := cacqr(g, ws, q, r, q, m, n, prm); err != nil {
-		return nil, nil, err
-	}
-	// Triangular × triangular, the product replacing R₂.
-	if err := mm3d.MultiplyInto(g.Cube, r, r, r1, true, prm.localWorkers()); err != nil {
-		return nil, nil, err
-	}
-	return q, r, nil
 }
 
 func checkShapes(g *grid.Grid, aLocal *lin.Matrix, m, n int) error {

@@ -201,8 +201,9 @@ func TestCACQRShapeValidation(t *testing.T) {
 }
 
 func TestCACQR2IllConditionedFailsCleanly(t *testing.T) {
-	// An exactly singular input (zero column) must propagate an error
-	// from the distributed Cholesky on every rank without deadlock.
+	// An exactly singular input (zero column) must fail on every rank,
+	// without deadlock, with the ladder's typed breakdown: every rank
+	// runs the failing CFR3D base case itself.
 	const c, d, m, n = 2, 2, 64, 8
 	a := lin.RandomMatrix(m, n, 17)
 	for i := 0; i < m; i++ {
@@ -218,8 +219,8 @@ func TestCACQR2IllConditionedFailsCleanly(t *testing.T) {
 			return err
 		}
 		_, _, err = CACQR2(g, ad.Local, m, n, Params{})
-		if err == nil {
-			return errors.New("ill-conditioned matrix accepted")
+		if !errors.Is(err, ErrIllConditioned) || !errors.Is(err, lin.ErrNotPositiveDefinite) {
+			return fmt.Errorf("rank %d: got %w, want ErrIllConditioned wrapping lin.ErrNotPositiveDefinite", p.Rank(), err)
 		}
 		return nil
 	})

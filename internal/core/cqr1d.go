@@ -15,7 +15,7 @@ import (
 //
 //	line 1: X = Syrk(Π⟨A⟩)           (local, (m/P)·n² flops)
 //	line 2: Z = Allreduce(X, Π)      (n² words)
-//	line 3: Rᵀ, R⁻ᵀ = CholInv(Z)     (redundant, n³ flops — the ladder's)
+//	line 3: Rᵀ, R⁻ᵀ = CholInv(Z)     (redundant, n³ flops — Replicated's)
 //	line 4: Π⟨Q⟩ = MM(Π⟨A⟩, R⁻¹)     (local, charged at the TRMM rate
 //	                                  (m/P)·n², matching the paper's
 //	                                  4mn² + (5/3)n³ critical-path count)
@@ -30,29 +30,28 @@ type rowBlock struct {
 	stg  *obs.Stages
 }
 
-func (t *rowBlock) Gram() (*lin.Matrix, error) {
-	n := t.a.Cols
+func (t *rowBlock) Gram() error {
 	t.stg.Enter("gram-syrk")
-	x, _ := t.resident.Gram()
-	if err := t.Charge(lin.SyrkFlops(t.a.Rows, n)); err != nil {
-		return nil, err
+	t.G = lin.SyrkNewParallel(t.workers, t.a)
+	if err := t.comm.Proc().Compute(lin.SyrkFlops(t.a.Rows, t.a.Cols)); err != nil {
+		return err
 	}
 	t.stg.Enter("gram-allreduce")
-	z, err := dist.Allreduce(t.comm, x, nil)
-	if err != nil {
-		return nil, err
-	}
+	var err error
+	t.G, err = dist.Allreduce(t.comm, t.G, nil)
 	t.stg.Enter("cholesky")
-	return z, nil
+	return err
 }
 
-func (t *rowBlock) Charge(flops int64) error { return t.comm.Proc().Compute(flops) }
-
-func (t *rowBlock) ApplyInv(y *lin.Matrix) error {
+func (t *rowBlock) Factor(m int, shifted, first bool) error {
+	flops, err := t.Step(m, shifted, first)
+	if err != nil {
+		return err
+	}
 	t.stg.Enter("q-update")
 	defer t.stg.Done()
-	t.resident.ApplyInv(y)
-	return t.Charge(lin.TrsmFlops(t.q.Rows, t.q.Cols))
+	t.apply()
+	return t.comm.Proc().Compute(flops + lin.TrsmFlops(t.q.Rows, t.q.Cols))
 }
 
 // oneD runs the ladder on this rank's row block and returns its Q block
@@ -75,10 +74,10 @@ func oneD(comm transport.Comm, aLocal *lin.Matrix, m, n, workers, passes int, sh
 		stg:      obs.StagesOf(comm.Proc()),
 	}
 	defer t.stg.Done()
-	if r, _, err = Ladder(t, m, passes, shifted); err != nil {
+	if _, err = Ladder(t, m, passes, shifted); err != nil {
 		return nil, nil, err
 	}
-	return t.q, r, nil
+	return t.q, t.R, nil
 }
 
 // OneDCQR is the existing parallel 1D CholeskyQR (Algorithm 6): one pass

@@ -1,36 +1,38 @@
 // Package core implements the paper's contribution, the CholeskyQR
-// family of QR factorizations, as two pieces of code.
-//
-// The replicated-Gram family — sequential CholeskyQR/CholeskyQR2
-// (Algorithms 4–5), their 1D parallelization (Algorithms 6–7), the
-// shifted CholeskyQR3 the paper's conclusion points to, the batched
-// throughput drivers and internal/stream's out-of-core driver — is one
-// routine, Ladder: form the n×n Gram matrix, factor and invert it
-// (Factor), multiply the iterate by the inverse, repeat, and fold
-// R = Rᵢ·(Rᵢ₋₁⋯R₁). The variants differ only in where the tall matrix
-// lives and so in how its Gram matrix gets summed, which is what the
-// Tall interface abstracts. Four drivers call Ladder, through three
-// adapters:
+// family of QR factorizations, as one routine, Ladder: form the n×n Gram
+// matrix of the iterate, factor it, multiply the iterate by the inverse
+// factor, fold R = Rᵢ·(Rᵢ₋₁⋯R₁), repeat. The variants differ only in
+// where the tall matrix and its n×n Gram matrix live, and so in how the
+// Gram matrix gets summed and factored, which is what the Tall interface
+// abstracts. Five drivers call Ladder, through four adapters:
 //
 //   - resident (seq.go): the matrix is in memory, the Gram matrix is one
-//     SYRK, nothing is charged. The sequential drivers run it with the
+//     SYRK, nothing is charged — sequential CholeskyQR/CholeskyQR2
+//     (Algorithms 4–5) and the shifted CholeskyQR3 the paper's
+//     conclusion points to. The sequential drivers run it with the
 //     kernels fanned out over the pool; the batched drivers (batch.go)
 //     run it serially per item, one item per pool worker.
 //   - rowBlock (cqr1d.go): each rank of a transport.Comm holds m/P rows;
-//     the Gram matrix is a local SYRK plus an Allreduce, and every flop is
-//     charged to the rank, so a run on the simulated transport yields
-//     exact per-processor α-β-γ costs alongside the factors.
+//     the Gram matrix is a local SYRK plus an Allreduce (Algorithms 6–7),
+//     and every flop is charged to the rank, so a run on the simulated
+//     transport yields exact per-processor α-β-γ costs alongside the
+//     factors.
 //   - internal/stream's driver: the matrix arrives as row panels, the
 //     Gram matrix is a running sum over one scan of the source, and the
 //     inverses are kept to be replayed on the next scan.
+//   - cube (cacqr.go): CA-CQR and CA-CQR2 (Algorithms 8–9) over a tunable
+//     c × d × c grid. The Gram matrix stays distributed over a subcube:
+//     gramProduct (Algorithm 8 lines 1–5) forms it, cfr3d.Factor factors
+//     it, cfr3d.ApplyInvT applies R⁻¹ and an MM3D folds R, each line
+//     charged to its Table V phase. The §V panel variant (panel.go) runs
+//     CA-CQR2 once per panel and forms its trailing products with
+//     gramProduct too.
 //
-// The grid family — CA-CQR and CA-CQR2 over a tunable c × d × c grid
-// (Algorithms 8–9, cacqr.go) and the §V panel variant (panel.go) — is
-// its own code: there the Gram matrix stays distributed, the factor
-// step is cfr3d.Factor and the fold an MM3D. Both of its members form
-// their Gram-pattern products with gramProduct (Algorithm 8 lines 1–5)
-// and apply R⁻¹ with cfr3d.ApplyInvT. It runs on any transport.Comm
-// (simmpi or tcpnet) and charges every line to its Table V phase.
+// The first three hold the Gram matrix whole and share one n×n step,
+// Replicated. Every adapter runs on any transport.Comm it is given
+// (simmpi or tcpnet), and whichever factors the Gram matrix, a breakdown
+// reaches the caller as ErrIllConditioned wrapping
+// lin.ErrNotPositiveDefinite.
 package core
 
 import (
@@ -43,82 +45,97 @@ import (
 
 // ErrIllConditioned is returned when CholeskyQR's Gram matrix is not
 // numerically positive definite, which happens when κ(A)² overflows the
-// precision (the §I condition κ(A) ≲ 1/√ε).
+// precision (the §I condition κ(A) ≲ 1/√ε). Every driver of the family
+// returns it — sequential, 1D, batched, streamed, grid and panel — and it
+// wraps the lin.ErrNotPositiveDefinite of the Cholesky that failed.
 var ErrIllConditioned = errors.New("core: matrix too ill-conditioned for CholeskyQR (try ShiftedCQR3)")
 
 // Tall is a tall m×n matrix wherever it lives — in memory, spread over
-// the ranks of a communicator, or on disk — reduced to what a
-// CholeskyQR pass needs of it. The matrix it stands for is the current
-// iterate: A at first, then A·R₁⁻¹, and so on.
+// the ranks of a communicator or a grid, or on disk — together with its
+// n×n side, reduced to what a CholeskyQR pass needs of them. The matrix
+// it stands for is the current iterate X: A at first, then A·R₁⁻¹, and so
+// on; the adapter also keeps the running R.
 type Tall interface {
-	// Gram returns the complete n×n Gram matrix XᵀX of the iterate X.
-	// The result is the caller's to overwrite.
-	Gram() (*lin.Matrix, error)
-	// ApplyInv replaces the iterate X by X·Yᵀ, Y lower triangular.
-	ApplyInv(y *lin.Matrix) error
-	// Charge accounts flops of replicated n×n work the ladder did
-	// itself (CholInv, the R fold).
-	Charge(flops int64) error
+	// Gram forms G = XᵀX, wherever the adapter keeps it.
+	Gram() error
+	// Orth returns ‖G−I‖_F, or NaN where measuring it would cost
+	// communication the algorithm does not pay.
+	Orth() float64
+	// Factor factors G = RᵢᵀRᵢ — first adding the shift of shiftGram
+	// to G when shifted is set — replaces X by X·Rᵢ⁻¹ and makes the
+	// running R Rᵢ·R, or Rᵢ on the first pass. A G that does not factor
+	// fails with an error wrapping lin.ErrNotPositiveDefinite.
+	Factor(m int, shifted, first bool) error
 }
 
 // Ladder runs passes CholeskyQR passes over t, an m-row matrix, the
 // first on the shifted Gram matrix when shifted is set: one pass is
-// Algorithm 4/6, two are CholeskyQR2 (Algorithm 5/7), three with the
-// shift ShiftedCQR3. On return t's iterate is Q and r the n×n upper
-// factor with A = Q·r. orth is ‖G−I‖_F of the Gram matrix G the final
-// pass factored, that is the measured departure from orthonormality of
-// the iterate that entered it (of A itself when passes is 1); it costs
-// one sweep over n² numbers and no communication. Besides what t keeps,
-// the ladder holds at most five n×n matrices: the Gram matrix, L, Y, Rᵢ
-// and the running R.
-func Ladder(t Tall, m, passes int, shifted bool) (r *lin.Matrix, orth float64, err error) {
+// Algorithm 4/6/8, two are CholeskyQR2 (Algorithm 5/7/9), three with the
+// shift ShiftedCQR3. On return t's iterate is Q and its running R the
+// n×n upper factor with A = Q·R. orth is t's Orth of the Gram matrix the
+// final pass factored, that is the measured departure from
+// orthonormality of the iterate that entered it (of A itself when passes
+// is 1). This is the one place a breakdown becomes ErrIllConditioned.
+func Ladder(t Tall, m, passes int, shifted bool) (orth float64, err error) {
 	for i := 0; i < passes; i++ {
-		g, err := t.Gram()
-		if err != nil {
-			return nil, 0, err
+		if err := t.Gram(); err != nil {
+			return 0, err
 		}
 		if i == passes-1 {
-			orth = offIdentity(g)
+			orth = t.Orth()
 		}
-		ri, y, err := Factor(g, m, shifted && i == 0)
-		if err != nil {
-			return nil, 0, err
+		err := t.Factor(m, shifted && i == 0, i == 0)
+		switch {
+		case err == nil:
+		case !errors.Is(err, lin.ErrNotPositiveDefinite) || errors.Is(err, ErrIllConditioned):
+			// A failure of the transport, or another rank's breakdown
+			// that reached this one already typed.
+			return 0, err
+		case shifted && i == 0:
+			return 0, fmt.Errorf("%w: shifted Gram still indefinite: %w", ErrIllConditioned, err)
+		default:
+			return 0, fmt.Errorf("%w: %w", ErrIllConditioned, err)
 		}
-		if err := t.Charge(lin.CholFlops(g.Rows) + lin.TriInvFlops(g.Rows)); err != nil {
-			return nil, 0, err
-		}
-		if err := t.ApplyInv(y); err != nil {
-			return nil, 0, err
-		}
-		if r != nil {
-			if err := t.Charge(lin.TriInvFlops(g.Rows)); err != nil { // the paper's (1/3)n³
-				return nil, 0, err
-			}
-		}
-		r = fold(r, ri)
 	}
-	return r, orth, nil
+	return orth, nil
 }
 
-// Factor is the replicated step of one CholeskyQR pass on the Gram
-// matrix g of an m-row matrix: (L, Y) = CholInv(g), returned as R = Lᵀ
-// and Y = L⁻¹ = R⁻ᵀ. shifted first adds the shift of Fukaya et al. (the
-// paper's reference [3]) to g's diagonal in place, which makes g
-// positive definite for any input; the Q that results is far from
-// orthogonal but well enough conditioned for CholeskyQR2 to finish. A
-// Gram matrix that will not factor is ErrIllConditioned.
-func Factor(g *lin.Matrix, m int, shifted bool) (r, y *lin.Matrix, err error) {
+// Replicated is the n×n side of a Tall whose Gram matrix G is whole
+// where the step runs — in memory, on every rank of a row-block grid, or
+// beside a streamed source. The adapter sets G; Step factors it and
+// leaves Y = Rᵢ⁻ᵀ for the adapter to apply. Besides the iterate, the
+// step holds at most five n×n matrices: G, L, Y, Rᵢ and the running R.
+type Replicated struct {
+	G, Y, R *lin.Matrix
+}
+
+// Orth implements Tall: one sweep over n² numbers, no communication.
+func (s *Replicated) Orth() float64 { return offIdentity(s.G) }
+
+// Step is the replicated part of Tall.Factor: (L, Y) = CholInv(G), with
+// the shift of Fukaya et al. (the paper's reference [3]) first added to
+// G's diagonal in place when shifted is set — which makes G positive
+// definite for any input; the Q that results is far from orthogonal but
+// well enough conditioned for CholeskyQR2 to finish — then Rᵢ = Lᵀ and
+// R = Rᵢ·R by a TRMM. flops is the n×n work to charge: CholInv, and
+// after the first pass the fold's (1/3)n³.
+func (s *Replicated) Step(m int, shifted, first bool) (flops int64, err error) {
 	if shifted {
-		shiftGram(g, m)
+		shiftGram(s.G, m)
 	}
-	l, y, err := lin.CholInv(g)
+	l, y, err := lin.CholInv(s.G)
 	if err != nil {
-		if shifted {
-			return nil, nil, fmt.Errorf("%w: shifted Gram still indefinite: %w", ErrIllConditioned, err)
-		}
-		return nil, nil, fmt.Errorf("%w: %w", ErrIllConditioned, err)
+		return 0, err
 	}
-	return l.T(), y, nil
+	n := s.G.Rows
+	ri := l.T()
+	flops = lin.CholFlops(n) + lin.TriInvFlops(n)
+	if !first {
+		lin.Trmm(lin.Right, lin.Upper, false, s.R, ri)
+		flops += lin.TriInvFlops(n) // the paper's (1/3)n³
+	}
+	s.Y, s.R = y, ri
+	return flops, nil
 }
 
 // shiftGram adds s = 11·(m·n + n·(n+1))·ε·‖A‖₂² to the diagonal of the
@@ -138,16 +155,6 @@ func shiftGram(g *lin.Matrix, m int) {
 	for i := 0; i < n; i++ {
 		g.Set(i, i, g.At(i, i)+s)
 	}
-}
-
-// fold returns the R of the passes so far, Rᵢ·(Rᵢ₋₁⋯R₁), given the
-// running product r (nil before the first pass) and the new pass's ri,
-// which it overwrites.
-func fold(r, ri *lin.Matrix) *lin.Matrix {
-	if r != nil {
-		lin.Trmm(lin.Right, lin.Upper, false, r, ri)
-	}
-	return ri
 }
 
 // offIdentity returns ‖G − I‖_F.

@@ -15,29 +15,31 @@ import (
 // agree on R and on the measured ‖G−I‖_F, and the row block's charges
 // must be the cost model's where it has a row for the combination. The
 // third adapter lives in internal/stream, which imports this package;
-// its TestStreamingLadderMatchesResident holds it to the same results.
+// its TestStreamingLadderMatchesResident holds it to the same results,
+// as TestCACQR2MatchesSequentialR holds the grid adapter.
 func TestLadderAcrossAdapters(t *testing.T) {
 	const m, n, np = 256, 16, 4
 	a := lin.RandomMatrix(m, n, 31)
 	for _, passes := range []int{1, 2, 3} {
 		for _, shifted := range []bool{false, true} {
 			t.Run(fmt.Sprintf("passes=%d/shifted=%v", passes, shifted), func(t *testing.T) {
-				q := lin.NewMatrix(m, n)
-				r, orth, err := Ladder(&resident{a: a, q: q, workers: 1}, m, passes, shifted)
+				res := &resident{a: a, q: lin.NewMatrix(m, n), workers: 1}
+				orth, err := Ladder(res, m, passes, shifted)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if e := lin.ResidualNorm(a, q, r); e > 1e-13 {
+				r := res.R
+				if e := lin.ResidualNorm(a, res.q, r); e > 1e-13 {
 					t.Errorf("resident residual %g", e)
 				}
 
 				st := run1D(t, np, func(p *simmpi.Proc) error {
-					blk := &rowBlock{resident{a: rowBlockOf(a, np, p.Rank()), q: lin.NewMatrix(m/np, n), workers: 1}, p.World(), nil}
-					r2, orth2, err := Ladder(blk, m, passes, shifted)
+					blk := &rowBlock{resident: resident{a: rowBlockOf(a, np, p.Rank()), q: lin.NewMatrix(m/np, n), workers: 1}, comm: p.World()}
+					orth2, err := Ladder(blk, m, passes, shifted)
 					if err != nil {
 						return err
 					}
-					if tol := 1e-12 * lin.FrobeniusNorm(r); !r2.EqualWithin(r, tol) {
+					if tol := 1e-12 * lin.FrobeniusNorm(r); !blk.R.EqualWithin(r, tol) {
 						return fmt.Errorf("row-block R differs from resident R beyond %g", tol)
 					}
 					if math.Abs(orth2-orth) > 1e-10*math.Max(1, orth) {

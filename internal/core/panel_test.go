@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -119,8 +120,8 @@ func TestPanelCACQR2Validation(t *testing.T) {
 }
 
 func TestPanelCACQR2IllConditionedPanelFails(t *testing.T) {
-	// A zero column inside a later panel must surface an error naming
-	// the panel, on every rank, without deadlock.
+	// A zero column inside a later panel must surface the ladder's typed
+	// breakdown naming the panel, on every rank, without deadlock.
 	const c, d, m, n, b = 2, 2, 32, 8, 4
 	a := lin.RandomMatrix(m, n, 5)
 	for i := 0; i < m; i++ {
@@ -136,8 +137,8 @@ func TestPanelCACQR2IllConditionedPanelFails(t *testing.T) {
 			return err
 		}
 		_, _, err = PanelCACQR2(g, ad.Local, m, n, b, Params{})
-		if err == nil {
-			return errors.New("singular panel accepted")
+		if !errors.Is(err, ErrIllConditioned) || !errors.Is(err, lin.ErrNotPositiveDefinite) || !strings.Contains(err.Error(), "panel 1") {
+			return fmt.Errorf("rank %d: got %w, want panel 1's ErrIllConditioned wrapping lin.ErrNotPositiveDefinite", p.Rank(), err)
 		}
 		return nil
 	})

@@ -7,26 +7,36 @@ import "cacqr/internal/lin"
 // the caller's matrix is still untouched; after the first apply both
 // name the owned Q and the later passes run in place.
 type resident struct {
+	Replicated
 	a, q    *lin.Matrix
 	workers int
 }
 
-func (t *resident) Gram() (*lin.Matrix, error) { return lin.SyrkNewParallel(t.workers, t.a), nil }
+func (t *resident) Gram() error {
+	t.G = lin.SyrkNewParallel(t.workers, t.a)
+	return nil
+}
 
-func (t *resident) Charge(int64) error { return nil }
+func (t *resident) Factor(m int, shifted, first bool) error {
+	if _, err := t.Step(m, shifted, first); err != nil {
+		return err
+	}
+	t.apply()
+	return nil
+}
 
 // qBlockRows is the row block of the out-of-place Q update. It is a
 // multiple of the lin kernels' tile height, so the blocks see the same
 // tiles — and produce the same bits — as one update of the whole matrix.
 const qBlockRows = 256
 
-// ApplyInv computes Q = X·Yᵀ as a triangular multiply: Y is lower
-// triangular, so the dense GEMM formulation would spend half its flops
-// multiplying by exact zeros.
-func (t *resident) ApplyInv(y *lin.Matrix) error {
+// apply computes Q = X·Yᵀ for the step's Y as a triangular multiply: Y
+// is lower triangular, so the dense GEMM formulation would spend half
+// its flops multiplying by exact zeros.
+func (t *resident) apply() {
 	if t.a == t.q {
-		lin.TrmmParallel(t.workers, lin.Right, lin.Lower, true, y, t.q)
-		return nil
+		lin.TrmmParallel(t.workers, lin.Right, lin.Lower, true, t.Y, t.q)
+		return
 	}
 	// Out of place: each block is copied and updated while it is still in
 	// cache, instead of cloning all of A and then sweeping it again.
@@ -35,10 +45,9 @@ func (t *resident) ApplyInv(y *lin.Matrix) error {
 		lo := i * qBlockRows
 		blk := t.q.View(lo, 0, min(qBlockRows, m-lo), n)
 		blk.CopyFrom(t.a.View(lo, 0, blk.Rows, n))
-		lin.Trmm(lin.Right, lin.Lower, true, y, blk)
+		lin.Trmm(lin.Right, lin.Lower, true, t.Y, blk)
 	})
 	t.a = t.q
-	return nil
 }
 
 // sequential runs the ladder on an in-memory matrix, which is never
@@ -47,12 +56,11 @@ func sequential(a *lin.Matrix, workers, passes int, shifted bool) (q, r *lin.Mat
 	if a.Rows < a.Cols {
 		return nil, nil, lin.ErrShape
 	}
-	q = lin.NewMatrix(a.Rows, a.Cols)
-	r, _, err = Ladder(&resident{a: a, q: q, workers: workers}, a.Rows, passes, shifted)
-	if err != nil {
+	t := &resident{a: a, q: lin.NewMatrix(a.Rows, a.Cols), workers: workers}
+	if _, err := Ladder(t, a.Rows, passes, shifted); err != nil {
 		return nil, nil, err
 	}
-	return q, r, nil
+	return t.q, t.R, nil
 }
 
 // CholeskyQR computes the reduced factorization A = Q·R by one CholeskyQR
@@ -74,7 +82,7 @@ func CholeskyQR2(a *lin.Matrix, workers int) (q, r *lin.Matrix, err error) {
 }
 
 // ShiftedCholeskyQR performs one CholeskyQR pass on the shifted Gram
-// matrix AᵀA + sI (see Factor).
+// matrix AᵀA + sI (see Replicated.Step).
 func ShiftedCholeskyQR(a *lin.Matrix, workers int) (q, r *lin.Matrix, err error) {
 	return sequential(a, workers, 1, true)
 }

@@ -32,7 +32,7 @@ func streamPanels(m, n, panelRows int) (panels, b int64, err error) {
 // accumulates the Gram matrix (mn²), then factors and inverts it
 // (n³ — CholInv); consecutive R factors fold with one triangular
 // product, (1/3)n³ as in the paper's count for Algorithm 7 — the
-// charges of core.Ladder, which the driver runs. The plain ladder has
+// charges of core.Replicated's step, which the driver runs. The plain ladder has
 // two Gram passes, the shifted ladder (streamed ShiftedCQR3) three;
 // writeQ adds one more pass that re-reads, applies every inverse and
 // writes the panel. Plain: 3mn² + (7/3)n³ for R only, 5mn² + (7/3)n³

@@ -27,7 +27,8 @@
 // slab of words every temporary and intermediate result of the
 // algorithms that run on the grid is taken from. It is made by the first
 // call that asks for it and sized by what that caller is about to run —
-// core.CACQR2 and core.PanelCACQR2 ask for their row of the memory model
+// core's grid adapter of its one CholeskyQR ladder (core.CACQR and
+// CACQR2) and core.PanelCACQR2 ask for their row of the memory model
 // (costmodel.CACQR2Memory, PanelCACQR2Memory) less the input block the
 // row counts and the caller owns; MM3D or CFR3D alone on a bare cube ask
 // for their own few blocks — and it is not resized: a request past it is

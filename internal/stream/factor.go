@@ -86,6 +86,7 @@ func (a *accountant) free(words int64) { a.cur -= words }
 // matrix is a scan of the source, and applying an inverse means keeping
 // it for every later scan.
 type driver struct {
+	core.Replicated
 	src     Source
 	n, b    int
 	workers int
@@ -165,7 +166,8 @@ func (d *driver) attempt(m, passes int, shifted bool) (err error) {
 	if d.g1 != nil { // a failed attempt's factors are gone; the panels and g1 stay
 		d.acct.cur = (3*int64(d.b) + int64(d.n)) * int64(d.n)
 	}
-	d.res.R, d.res.Pass1Orth, err = core.Ladder(d, m, passes, shifted)
+	d.res.Pass1Orth, err = core.Ladder(d, m, passes, shifted)
+	d.res.R = d.R
 	if err == nil && !(d.res.Pass1Orth < maxPass1Orth) { // NaN fails too
 		err = fmt.Errorf("%w: ‖QᵀQ−I‖_F = %.3g entering the final pass (need < %g)",
 			core.ErrIllConditioned, d.res.Pass1Orth, maxPass1Orth)
@@ -175,37 +177,37 @@ func (d *driver) attempt(m, passes int, shifted bool) (err error) {
 
 // Gram implements core.Tall: one scan of the source through every
 // inverse found so far — except that Σ AᵢᵀAᵢ is accumulated only once.
-func (d *driver) Gram() (*lin.Matrix, error) {
+func (d *driver) Gram() (err error) {
 	if len(d.ys) > 0 {
-		return d.gramPass()
+		d.G, err = d.gramPass()
+		return err
 	}
 	if d.g1 == nil {
-		g, err := d.gramPass()
-		if err != nil {
-			return nil, err
+		if d.g1, err = d.gramPass(); err != nil {
+			return err
 		}
-		d.g1, d.res.Panels = g, int(d.res.IOOps)
+		d.res.Panels = int(d.res.IOOps)
 	}
-	return d.g1, nil
-}
-
-// ApplyInv implements core.Tall. The ladder has just factored this
-// pass's Gram matrix: L, Y and Rᵢ were live next to the running R; what
-// stays is Y, kept here, and one R.
-func (d *driver) ApplyInv(y *lin.Matrix) error {
-	nn := int64(d.n) * int64(d.n)
-	d.acct.alloc(3 * nn) // l, y, r
-	d.acct.free(nn)      // l
-	if len(d.ys) > 0 {
-		d.acct.free(2 * nn) // the previous R and this pass's Gram matrix
-	}
-	d.ys = append(d.ys, y)
+	d.G = d.g1
 	return nil
 }
 
-// Charge implements core.Tall.
-func (d *driver) Charge(flops int64) error {
+// Factor implements core.Tall. The step has just factored this pass's
+// Gram matrix: L, Y and Rᵢ were live next to the running R; what stays
+// is Y, kept here to be replayed on every later scan, and one R.
+func (d *driver) Factor(m int, shifted, first bool) error {
+	flops, err := d.Step(m, shifted, first)
+	if err != nil {
+		return err
+	}
 	d.res.Flops += flops
+	nn := int64(d.n) * int64(d.n)
+	d.acct.alloc(3 * nn) // l, y, r
+	d.acct.free(nn)      // l
+	if !first {
+		d.acct.free(2 * nn) // the previous R and this pass's Gram matrix
+	}
+	d.ys = append(d.ys, d.Y)
 	return nil
 }
 

@@ -24,7 +24,20 @@ type Coordinator struct {
 	// Workers are the listen addresses of the worker processes; worker
 	// i becomes rank i+1. Empty means single-process jobs (np = 1).
 	Workers []string
+	// Sentinels is the list the workers' Serve was given: a worker's
+	// error comes back wrapping those of them it wrapped.
+	Sentinels []error
 }
+
+// remoteError is a worker's error as it arrives: its text, and the
+// sentinels it wrapped.
+type remoteError struct {
+	msg string
+	is  []error
+}
+
+func (e *remoteError) Error() string   { return e.msg }
+func (e *remoteError) Unwrap() []error { return e.is }
 
 const (
 	// meshBind is where a job listens for the workers' mesh connections
@@ -157,7 +170,13 @@ func (c *Coordinator) Run(ctx context.Context, payload func(rank int) []byte, bo
 				return
 			}
 			if res.Err != "" {
-				workerErrs[r] = fmt.Errorf("tcpnet: rank %d: %s", r, res.Err)
+				re := &remoteError{msg: res.Err}
+				for _, i := range res.Is {
+					if i >= 0 && i < len(c.Sentinels) {
+						re.is = append(re.is, c.Sentinels[i])
+					}
+				}
+				workerErrs[r] = fmt.Errorf("tcpnet: rank %d: %w", r, re)
 				abort(workerErrs[r])
 			}
 			results[r] = res

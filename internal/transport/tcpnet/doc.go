@@ -27,9 +27,10 @@
 //     mesh connections that arrive before their job's control header
 //     are parked in a rendezvous registry until the job claims them.
 //  3. Each participant runs the job body against its tcpnet Proc; the
-//     workers report their final cost counters (and any error) back on
-//     the control connection, and the coordinator folds them into the
-//     run's transport.Stats.
+//     workers report their final cost counters (and any error, as its
+//     text and the indexes of the sentinels it wraps) back on the
+//     control connection, and the coordinator folds them into the run's
+//     transport.Stats.
 //
 // # Wire format
 //

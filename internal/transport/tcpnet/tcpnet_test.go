@@ -17,9 +17,9 @@ import (
 )
 
 // startWorkers brings up n in-process workers on loopback listeners,
-// each running body for every rank it is handed. The returned stop
-// function closes the listeners.
-func startWorkers(t *testing.T, n int, h tcpnet.Handler) (addrs []string, stop func()) {
+// each running body for every rank it is handed and reporting its error
+// against sentinels. The returned stop function closes the listeners.
+func startWorkers(t *testing.T, n int, h tcpnet.Handler, sentinels ...error) (addrs []string, stop func()) {
 	t.Helper()
 	var lns []net.Listener
 	for i := 0; i < n; i++ {
@@ -29,7 +29,7 @@ func startWorkers(t *testing.T, n int, h tcpnet.Handler) (addrs []string, stop f
 		}
 		lns = append(lns, ln)
 		addrs = append(addrs, ln.Addr().String())
-		go tcpnet.Serve(ln, h)
+		go tcpnet.Serve(ln, h, sentinels...)
 	}
 	return addrs, func() {
 		for _, ln := range lns {
@@ -103,6 +103,33 @@ func TestPayloadDelivery(t *testing.T) {
 		func(p transport.Proc) error { return nil })
 	if err != nil {
 		t.Fatalf("payload run: %v", err)
+	}
+}
+
+// A worker's error crosses the control connection as text. The
+// sentinels both ends list survive the crossing, so when a worker's
+// report aborts rank 0 before rank 0 fails by itself, errors.Is still
+// answers as it would on the worker; a sentinel neither end lists does
+// not come back.
+func TestWorkerSentinelsSurviveTheWire(t *testing.T) {
+	listed, wrapped, unlisted := errors.New("listed"), errors.New("wrapped"), errors.New("unlisted")
+	sentinels := []error{listed, wrapped}
+	addrs, stop := startWorkers(t, 3, func(p transport.Proc, _ []byte) error {
+		return fmt.Errorf("rank %d gave up: %w: %w", p.Rank(), wrapped, unlisted)
+	}, sentinels...)
+	defer stop()
+	coord := &tcpnet.Coordinator{Workers: addrs, Sentinels: sentinels}
+	_, err := coord.Run(context.Background(), nil, func(p transport.Proc) error {
+		// Nothing is ever sent on this tag: only a worker's report can
+		// free the receive.
+		_, err := p.World().Recv(1, 42)
+		return err
+	})
+	if !errors.Is(err, wrapped) || errors.Is(err, listed) || errors.Is(err, unlisted) {
+		t.Fatalf("run returned %v: want it to wrap %q alone of the three", err, wrapped)
+	}
+	if !strings.Contains(err.Error(), "gave up: wrapped: unlisted") {
+		t.Errorf("run returned %q, want the worker's text", err)
 	}
 }
 

@@ -55,7 +55,9 @@ type jobHeader struct {
 // jobResult is the worker's reply on the control connection once its
 // rank body has finished.
 type jobResult struct {
-	Err      string                        `json:"err,omitempty"`
+	Err string `json:"err,omitempty"`
+	// Is indexes the sentinels Err wraps in the list Serve was given.
+	Is       []int                         `json:"is,omitempty"`
 	Counters transport.Counters            `json:"counters"`
 	Phases   map[string]transport.Counters `json:"phases,omitempty"`
 }

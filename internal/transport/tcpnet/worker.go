@@ -16,7 +16,7 @@ import (
 // Handler runs one rank's share of a job. payload is the opaque blob
 // the coordinator attached for this rank (job spec + input block in the
 // root package's encoding). The handler's error is reported back to the
-// coordinator verbatim.
+// coordinator as its text and as which of Serve's sentinels it wraps.
 type Handler func(p transport.Proc, payload []byte) error
 
 // handshakeTimeout bounds how long a freshly accepted connection may
@@ -122,8 +122,11 @@ func (r *meshRegistry) drop(jobID string) {
 // Serve accepts connections on ln and runs jobs with h until the
 // listener is closed. Each control connection runs one job; jobs run
 // concurrently if a coordinator (or several) submits them. This is the
-// body of a `cacqrd worker` process.
-func Serve(ln net.Listener, h Handler) error {
+// body of a `cacqrd worker` process. A handler's error crosses the
+// control connection as text, so errors.Is on the coordinator's side
+// sees only the sentinels listed here, and only when its Coordinator
+// lists the same ones in the same order.
+func Serve(ln net.Listener, h Handler, sentinels ...error) error {
 	reg := newMeshRegistry()
 	for {
 		conn, err := ln.Accept()
@@ -133,12 +136,12 @@ func Serve(ln net.Listener, h Handler) error {
 			}
 			return err
 		}
-		go serveConn(conn, reg, h)
+		go serveConn(conn, reg, h, sentinels)
 	}
 }
 
 // serveConn dispatches one accepted connection by preamble.
-func serveConn(conn net.Conn, reg *meshRegistry, h Handler) {
+func serveConn(conn net.Conn, reg *meshRegistry, h Handler, sentinels []error) {
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	var pre [1]byte
 	if _, err := io.ReadFull(conn, pre[:]); err != nil {
@@ -164,14 +167,14 @@ func serveConn(conn net.Conn, reg *meshRegistry, h Handler) {
 			return
 		}
 		conn.SetReadDeadline(time.Time{})
-		runWorkerJob(conn, reg, h, pre[0], hdr)
+		runWorkerJob(conn, reg, h, sentinels, pre[0], hdr)
 	}
 }
 
 // runWorkerJob executes one job on this worker: check that the
 // coordinator speaks this worker's frame format, form the mesh, run the
 // handler, report counters and error on the control connection.
-func runWorkerJob(ctrl net.Conn, reg *meshRegistry, h Handler, pre byte, hdr jobHeader) {
+func runWorkerJob(ctrl net.Conn, reg *meshRegistry, h Handler, sentinels []error, pre byte, hdr jobHeader) {
 	defer ctrl.Close()
 	defer reg.drop(hdr.JobID)
 
@@ -223,6 +226,11 @@ func runWorkerJob(ctrl net.Conn, reg *meshRegistry, h Handler, pre byte, hdr job
 	res := jobResult{Counters: p.Counters(), Phases: p.Phases()}
 	if err != nil {
 		res.Err = err.Error()
+		for i, s := range sentinels {
+			if errors.Is(err, s) {
+				res.Is = append(res.Is, i)
+			}
+		}
 	}
 	report(res)
 }

@@ -515,7 +515,9 @@ func TestMalformedDenseIsAnError(t *testing.T) {
 
 // A matrix whose Gram matrix overflows to +Inf is a typed error from the
 // CholeskyQR ladder, not a NaN Q with a nil error: Cholesky used to take
-// the infinite pivot (it is neither ≤ 0 nor NaN).
+// the infinite pivot (it is neither ≤ 0 nor NaN). A Gram matrix that is
+// merely indefinite in floating point is the same typed error on the
+// grid.
 func TestCQR2BreaksOnOverflowingGram(t *testing.T) {
 	for _, big := range []float64{1e200, 1e160} {
 		a, err := FromData(4, 2, []float64{big, 0, 0, big, big, 0, 0, 1e-200})
@@ -529,5 +531,12 @@ func TestCQR2BreaksOnOverflowingGram(t *testing.T) {
 		if _, _, err := ShiftedCQR3(a); !errors.Is(err, ErrIllConditioned) {
 			t.Errorf("%g: ShiftedCQR3 returned %v, want ErrIllConditioned", big, err)
 		}
+	}
+	// The grid runs the same ladder: κ² past 1/ε breaks CFR3D's base
+	// case, and the breakdown is typed alike.
+	ill := RandomWithCond(256, 16, 1e10, 1)
+	res, err := FactorizeOnGrid(ill, GridSpec{C: 2, D: 4}, Options{})
+	if !errors.Is(err, ErrIllConditioned) || !errors.Is(err, lin.ErrNotPositiveDefinite) {
+		t.Errorf("FactorizeOnGrid(κ = 1e10) on 2×4×2 returned %v (result %v), want ErrIllConditioned wrapping ErrNotPositiveDefinite", err, res)
 	}
 }

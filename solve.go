@@ -90,9 +90,11 @@ func factorizeCondAware(a *Dense, spec GridSpec, opts Options) (*Result, error) 
 
 // ErrIllConditioned reports a CholeskyQR Gram/Cholesky breakdown:
 // κ(A)² overflowed the precision, so the Gram matrix was not numerically
-// positive definite. CholeskyQR2 returns it for κ ≳ 10⁷ inputs (route
-// those to ShiftedCQR3 or a VariantTSQR plan); SolveLeastSquaresSeq falls
-// back to the shifted variant exactly when it sees this error.
+// positive definite. Every CholeskyQR driver returns it — sequential,
+// 1D, batched, streamed, and on the grid FactorizeOnGrid and the
+// CA-CQR2 and panel plans, over either transport — for κ ≳ 10⁷ inputs
+// (route those to ShiftedCQR3 or a VariantTSQR plan). SolveLeastSquaresSeq
+// falls back to the shifted variant exactly when it sees this error.
 var ErrIllConditioned = core.ErrIllConditioned
 
 // SolveLeastSquaresSeq is the sequential counterpart using CholeskyQR2,

@@ -265,6 +265,37 @@ func TestTCPTransportTooFewWorkers(t *testing.T) {
 
 // TestSubmitCtxCancellation: a canceled request context must abort the
 // submission with the context's error instead of running it.
+// TestBreakdownTypedOverTCP holds the TCP transport to the simulator's
+// error contract: a Cholesky breakdown is ErrIllConditioned wrapping
+// lin.ErrNotPositiveDefinite whichever rank's report reaches the
+// coordinator first — rank 0's own, or a worker's, which crosses the
+// control connection as text and aborts rank 0 before its own Cholesky
+// runs. Each run is repeated because which rank wins is a race.
+func TestBreakdownTypedOverTCP(t *testing.T) {
+	tcp := Options{Transport: TCPTransport(startLocalWorkers(t, 15)...), Timeout: time.Minute}
+	ill := RandomWithCond(256, 16, 1e10, 1)
+	singularPanel := RandomMatrix(256, 16, 5)
+	for i := 0; i < singularPanel.Rows; i++ {
+		singularPanel.Set(i, 12, 0)
+	}
+	for _, tc := range []struct {
+		name string
+		a    *Dense
+		plan Plan
+	}{
+		{"grid", ill, GridSpec{C: 2, D: 4}.asPlan(tcp)},
+		{"panel", singularPanel, Plan{Variant: VariantPanelCACQR2, C: 2, D: 4, PanelWidth: 8}},
+		{"1d", ill, Plan{Variant: Variant1DCQR2, Procs: 8}},
+	} {
+		for rep := 0; rep < 10; rep++ {
+			_, err := FactorizePlan(tc.a, tc.plan, tcp)
+			if !errors.Is(err, ErrIllConditioned) || !errors.Is(err, lin.ErrNotPositiveDefinite) {
+				t.Fatalf("%s, run %d: got %v, want ErrIllConditioned wrapping lin.ErrNotPositiveDefinite", tc.name, rep, err)
+			}
+		}
+	}
+}
+
 func TestSubmitCtxCancellation(t *testing.T) {
 	srv, err := NewServer(ServerOptions{})
 	if err != nil {
