@@ -25,9 +25,10 @@ func (t *resident) Factor(m int, shifted, first bool) error {
 	return nil
 }
 
-// qBlockRows is the row block of the out-of-place Q update. It is a
-// multiple of the lin kernels' tile height, so the blocks see the same
-// tiles — and produce the same bits — as one update of the whole matrix.
+// qBlockRows is the row block of the out-of-place Q update. It must stay
+// a multiple of the lin kernels' tile height (tileM = 16; 256 is), so the
+// blocks see the same tiles — and produce the same bits — as one update
+// of the whole matrix.
 const qBlockRows = 256
 
 // apply computes Q = X·Yᵀ for the step's Y as a triangular multiply: Y

@@ -12,7 +12,7 @@ func workerCounts() []int {
 	return []int{1, 4, runtime.NumCPU()}
 }
 
-// Shapes deliberately not multiples of the 4×8 kernel tile, the 128-deep
+// Shapes deliberately not multiples of the 16×8 kernel tile, the 128-deep
 // contraction block or the 256-row chunk; the last one is large enough to
 // clear the parallel flop cutoff so the pool path actually runs.
 var gemmShapes = []struct{ m, k, n int }{

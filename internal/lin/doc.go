@@ -6,10 +6,12 @@
 //
 // Everything is written from scratch on the standard library. The paper's
 // case for CholeskyQR2 is that its flops are all level-3, so GEMM, SYRK
-// and TRMM share one register-tiled 4×8 micro-kernel (kernel.go): AVX2/FMA
-// assembly on amd64 CPUs that have it, the same loop nest in plain Go
-// everywhere else (other GOARCH, -tags purego). The serial and goroutine-
-// parallel (GemmParallel, SyrkParallel, TrmmParallel) entry points are
+// and TRMM share one register-tiled 16×8 micro-kernel (kernel.go):
+// AVX-512 assembly on amd64 CPUs that have it, AVX2/FMA assembly on the
+// tile's four 4-row quarters on those that have only that (the two agree
+// bitwise), the same loop nest in plain Go everywhere else (other
+// GOARCH, -tags purego). The serial and goroutine-parallel
+// (GemmParallel, SyrkParallel, TrmmParallel) entry points are
 // drivers over the same tile loops and agree bitwise, so worker counts
 // never change numerics; a batch of small problems runs the serial
 // kernels one item per pool worker (BatchApply). The strided-batch

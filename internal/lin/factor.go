@@ -40,11 +40,16 @@ func CholInv(a *Matrix) (l, y *Matrix, err error) {
 // runs the scalar base case.
 const cholBase = 16
 
+// cholSplit rounds CholInv's split point up to a multiple of itself. It
+// is the kernel's tile width when the recursion was written, pinned here
+// so that tuning the kernel's tile never moves L, Y or R.
+const cholSplit = 8
+
 // CholInvInto is CholInv writing L and Y into caller-owned n×n matrices
 // (views are fine), whatever they held; only the lower triangle of A is
 // read. None of the three may overlap. It is CFR3D's sequential recursion
 // (the paper's Algorithm 3 on one rank) on the shared micro-kernel:
-// with A split at n₁ = ⌈n/2⌉ rounded up to a whole tile,
+// with A split at n₁ = ⌈n/2⌉ rounded up to a multiple of cholSplit,
 //
 //	(L₁₁, Y₁₁) = CholInv(A₁₁)
 //	L₂₁ = A₂₁·Y₁₁ᵀ                        one TRMM
@@ -62,7 +67,7 @@ func CholInvInto(a, l, y *Matrix) error {
 	if n <= cholBase {
 		return cholInvBase(a, l, y)
 	}
-	n1 := ((n+1)/2 + tileN - 1) / tileN * tileN
+	n1 := ((n+1)/2 + cholSplit - 1) / cholSplit * cholSplit
 	n2 := n - n1
 	a11, a21, a22 := a.Slice(0, 0, n1, n1), a.Slice(n1, 0, n2, n1), a.Slice(n1, n1, n2, n2)
 	l11, l21, l22 := l.Slice(0, 0, n1, n1), l.Slice(n1, 0, n2, n1), l.Slice(n1, n1, n2, n2)

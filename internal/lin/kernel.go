@@ -7,21 +7,25 @@ package lin
 //
 //	C[tileM×tileN] = alpha·Σ_k a(·,k) ⊗ b(k,·) + beta·C,
 //
-// written twice with one contract: kernelAVX2 (kernel_amd64.s, chosen at
-// init when the CPU and OS support AVX2+FMA) and kernelGo below (every
-// other GOARCH, -tags purego, older CPUs). Transposition is absorbed by
-// the operand strides (A) or by packing (B); SYRK runs the tiles that
-// touch the upper triangle; TRMM packs the triangular operand with its
+// with one contract and three bodies, picked once at init: kernelAVX512
+// (kernel_amd64.s, a 16×8 tile of ZMM FMAs, when the CPU and OS support
+// AVX-512F), kernelAVX2 on the tile's four 4-row quarters (AVX2+FMA but
+// no AVX-512), and kernelGo below (every other GOARCH, -tags purego,
+// older CPUs). The two assembly bodies run the same fused chain per
+// element, so they agree bitwise. Transposition is absorbed by the
+// operand strides (A) or by packing (B); SYRK runs the tiles that touch
+// the upper triangle; TRMM packs the triangular operand with its
 // structural zeros and gives every column tile its triangular k-range.
 // Edge tiles are zero-padded into full tiles, so every element of C sees
 // the same k-ordered chain of multiply-adds wherever it lies, and tiles
 // are anchored at multiples of the tile size from C's origin, so any
 // split of the rows into tileM-aligned chunks — serial or parallel — is
-// bitwise the same computation.
+// bitwise the same computation. blockK (and, in TRMM, tileN) decides
+// where a chain restarts; tileM and blockM only schedule the work.
 
 const (
-	tileM  = 4   // micro-kernel tile rows
-	tileN  = 8   // micro-kernel tile columns: two YMM registers
+	tileM  = 16  // micro-kernel tile rows: one ZMM register each, or four 4-row AVX2 quarters
+	tileN  = 8   // micro-kernel tile columns: one ZMM or two YMM registers
 	blockK = 128 // contraction block: a blockK×tileN panel of B is 8 KB of L1
 	blockM = 256 // rows per chunk: a blockM×blockK block of A is 256 KB of L2
 )
@@ -159,21 +163,40 @@ func (p *product) panel(i0, i1, jt, w, ka, kc int, beta float64) {
 
 // pack writes the kc×width panel dst[k*width+x] = src[x*sx+k*sk] for
 // x < w and zero for x ≥ w. A triangular operand also gets its structural
-// zeros: sign > 0 keeps x+d ≤ k only, sign < 0 keeps x+d ≥ k only.
+// zeros: sign > 0 keeps x+d ≤ k only, sign < 0 keeps x+d ≥ k only. The
+// operands are row-major views, so sx or sk is 1, and the source is read
+// along it: a panel row at a time when sx is 1, a panel column at a time
+// when sk is.
 func pack(dst []float64, width int, src []float64, sx, sk, w, kc, sign, d int) {
-	for k := 0; k < kc; k++ {
-		lo, hi := 0, w
+	dst = dst[:kc*width]
+	clear(dst)
+	if sx == 1 {
+		for k := 0; k < kc; k++ {
+			lo, hi := 0, w
+			if sign > 0 {
+				hi = min(w, k-d+1)
+			} else if sign < 0 {
+				lo = max(0, k-d)
+			}
+			if lo < hi {
+				copy(dst[k*width+lo:k*width+hi], src[k*sk+lo:k*sk+hi])
+			}
+		}
+		return
+	}
+	for x := 0; x < w; x++ {
+		lo, hi := 0, kc
 		if sign > 0 {
-			hi = min(w, k-d+1)
+			lo = max(0, x+d)
 		} else if sign < 0 {
-			lo = max(0, k-d)
+			hi = min(kc, x+d+1)
 		}
-		row := dst[k*width : (k+1)*width]
-		for x := range row {
-			row[x] = 0
+		if lo >= hi {
+			continue
 		}
-		for x := lo; x < hi; x++ {
-			row[x] = src[x*sx+k*sk]
+		out := dst[lo*width+x:]
+		for k, v := range src[x*sx+lo : x*sx+hi] {
+			out[k*width] = v
 		}
 	}
 }

@@ -2,7 +2,7 @@
 
 package lin
 
-//lint:allow floatcompare the sentinel must survive exactly
+//lint:allow floatcompare the sentinel must survive exactly, and the assembly bodies must agree bit for bit
 
 import (
 	"math"
@@ -10,13 +10,40 @@ import (
 	"testing"
 )
 
-// TestAssemblyAgreesWithGoKernel runs both micro-kernels in one process
-// on the same tiles — every operand layout the drivers produce, depths
-// from 0 past blockK, the alpha/beta grid — and checks that they agree
-// and that the assembly stores nothing outside its tile.
+// withOtherKernels runs f again with every other assembly body this CPU
+// can run selected: on an AVX-512 machine, with useAVX512 off, so that
+// the four-quarter AVX2 dispatch is covered there too.
+func withOtherKernels(f func()) {
+	if !useAVX512 {
+		return
+	}
+	useAVX512 = false
+	defer func() { useAVX512 = true }()
+	f()
+}
+
+// TestAssemblyAgreesWithGoKernel runs every micro-kernel body this CPU
+// has in one process on the same tiles — every operand layout the drivers
+// produce, depths from 0 past blockK, the alpha/beta grid — and checks
+// that the assembly bodies agree with each other bit for bit (the same
+// fused chain per element), with kernelGo (which does not fuse) to
+// rounding, and that they store nothing outside their tile.
 func TestAssemblyAgreesWithGoKernel(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2+FMA on this CPU: the Go kernel is the only one that runs")
+	}
+	type body struct {
+		name string
+		run  func(kc int, a []float64, ars, aks int, b []float64, bks int, alpha, beta float64, c []float64, cs int)
+	}
+	kernels := []body{{"avx2-quarters", func(kc int, a []float64, ars, aks int, b []float64, bks int, alpha, beta float64, c []float64, cs int) {
+		was := useAVX512
+		useAVX512 = false
+		defer func() { useAVX512 = was }()
+		microKernel(kc, a, ars, aks, b, bks, alpha, beta, c, cs)
+	}}}
+	if useAVX512 {
+		kernels = append(kernels, body{"avx512", kernelAVX512})
 	}
 	const tol = 1e-13
 	rng := rand.New(rand.NewSource(1))
@@ -44,15 +71,25 @@ func TestAssemblyAgreesWithGoKernel(t *testing.T) {
 							c0[i] = sentinel
 						}
 					}
-					got, want := append([]float64(nil), c0...), append([]float64(nil), c0...)
-					kernelAVX2(kc, a, l.ars, l.aks, b, l.bks, alpha, beta, got, l.cs)
+					want := append([]float64(nil), c0...)
 					kernelGo(kc, a, l.ars, l.aks, b, l.bks, alpha, beta, want, l.cs)
-					for i := range got {
-						if c0[i] == sentinel && got[i] != sentinel {
-							t.Fatalf("kc=%d layout=%+v: assembly wrote outside the tile at %d", kc, l, i)
+					var first []float64
+					for _, kern := range kernels {
+						got := append([]float64(nil), c0...)
+						kern.run(kc, a, l.ars, l.aks, b, l.bks, alpha, beta, got, l.cs)
+						for i := range got {
+							if c0[i] == sentinel && got[i] != sentinel {
+								t.Fatalf("%s kc=%d layout=%+v: wrote outside the tile at %d", kern.name, kc, l, i)
+							}
+							if d := math.Abs(got[i] - want[i]); !(d <= tol*math.Max(1, math.Abs(want[i]))) {
+								t.Fatalf("%s kc=%d layout=%+v alpha=%g beta=%g: differs from kernelGo by %.3g at %d", kern.name, kc, l, alpha, beta, d, i)
+							}
+							if first != nil && math.Float64bits(got[i]) != math.Float64bits(first[i]) {
+								t.Fatalf("%s kc=%d layout=%+v alpha=%g beta=%g: %v at %d, %s gave %v", kern.name, kc, l, alpha, beta, got[i], i, kernels[0].name, first[i])
+							}
 						}
-						if d := math.Abs(got[i] - want[i]); !(d <= tol*math.Max(1, math.Abs(want[i]))) {
-							t.Fatalf("kc=%d layout=%+v alpha=%g beta=%g: kernels differ by %.3g at %d", kc, l, alpha, beta, d, i)
+						if first == nil {
+							first = got
 						}
 					}
 				}

@@ -42,6 +42,23 @@ func sentinelIntact(parent *Matrix, rows, cols int) bool {
 	return true
 }
 
+// tileEdges are the sizes along a tile's rows worth walking: empty, one
+// row, either side of one and of two whole tiles. Walking every size up to
+// 2·tileM+1 instead would spend most of the sweep between the edges.
+var tileEdges = []int{0, 1, tileM - 1, tileM, tileM + 1, 2*tileM - 1, 2*tileM + 1}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b *Matrix) bool {
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < a.Cols; j++ {
+			if math.Float64bits(a.At(i, j)) != math.Float64bits(b.At(i, j)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // scalars is the alpha/beta grid; cases walk it so that every pair
 // meets many shapes without multiplying the case count by sixteen.
 var scalars = []float64{0, 1, -1, 0.5}
@@ -49,7 +66,7 @@ var scalars = []float64{0, 1, -1, 0.5}
 func TestGemmSmallShapesViewsAndPool(t *testing.T) {
 	const tol = 1e-13
 	combo := 0
-	for m := 0; m <= 2*tileM+1; m++ {
+	for _, m := range tileEdges {
 		for n := 0; n <= 2*tileN+1; n++ {
 			for k := 0; k <= 2*tileN+1; k++ {
 				for v := 0; v < 4; v++ {
@@ -82,6 +99,13 @@ func TestGemmSmallShapesViewsAndPool(t *testing.T) {
 					if !aParent.Equal(aWas) || !bParent.Equal(bWas) {
 						t.Fatalf("Gemm(%v,%v) %dx%dx%d modified an input", ta, tb, m, k, n)
 					}
+					withOtherKernels(func() {
+						again, _ := embed(c0)
+						Gemm(ta, tb, alpha, a, b, beta, again)
+						if !sameBits(again, got) {
+							t.Fatalf("Gemm(%v,%v) %dx%dx%d alpha=%g beta=%g: kernel bodies disagree", ta, tb, m, k, n, alpha, beta)
+						}
+					})
 					if alpha == 0 || k == 0 {
 						continue // no product to schedule
 					}
@@ -102,8 +126,15 @@ func TestGemmSmallShapesViewsAndPool(t *testing.T) {
 func TestSyrkSmallShapesViews(t *testing.T) {
 	const tol = 1e-13
 	combo := 0
+	// C is n×n, so n walks every size around tileN and, past those, the
+	// edges of a second tile row.
+	var orders []int
+	for n := 0; n <= 2*tileN+1; n++ {
+		orders = append(orders, n)
+	}
+	orders = append(orders, 2*tileM-1, 2*tileM+1)
 	for m := 0; m <= 2*tileN+1; m++ {
-		for n := 0; n <= 2*tileN+1; n++ {
+		for _, n := range orders {
 			alpha, beta := scalars[combo%4], scalars[combo/4%4]
 			combo++
 			a, aParent := embed(RandomMatrix(m, n, int64(combo)))
@@ -119,6 +150,13 @@ func TestSyrkSmallShapesViews(t *testing.T) {
 			if !sentinelIntact(gotParent, n, n) || !aParent.Equal(aWas) {
 				t.Fatalf("Syrk %dx%d touched memory outside its C view", m, n)
 			}
+			withOtherKernels(func() {
+				again, _ := embed(c0)
+				Syrk(alpha, a, beta, again)
+				if !sameBits(again, got) {
+					t.Fatalf("Syrk %dx%d alpha=%g beta=%g: kernel bodies disagree", m, n, alpha, beta)
+				}
+			})
 			for i := 0; i < n; i++ {
 				for j := 0; j < i; j++ {
 					if got.At(i, j) != got.At(j, i) {
@@ -134,7 +172,7 @@ func TestSyrkSmallShapesViews(t *testing.T) {
 // name with NaN: Trmm must never read it.
 func TestTrmmSmallShapesViews(t *testing.T) {
 	const tol = 1e-13
-	for rhs := 0; rhs <= 2*tileM+1; rhs++ {
+	for _, rhs := range tileEdges {
 		for n := 0; n <= 2*tileN+1; n++ {
 			for v := 0; v < 8; v++ {
 				side, tri, trans := Side(v&1), Triangle(v>>1&1), v&4 != 0
@@ -168,6 +206,13 @@ func TestTrmmSmallShapesViews(t *testing.T) {
 				if !sentinelIntact(gotParent, br, bc) {
 					t.Fatalf("Trmm(side=%v,tri=%v,trans=%v) rhs=%d n=%d wrote outside its B view", side, tri, trans, rhs, n)
 				}
+				withOtherKernels(func() {
+					again, _ := embed(b0)
+					Trmm(side, tri, trans, tm, again)
+					if !sameBits(again, got) {
+						t.Fatalf("Trmm(side=%v,tri=%v,trans=%v) rhs=%d n=%d: kernel bodies disagree", side, tri, trans, rhs, n)
+					}
+				})
 				for i := range tWas.Data {
 					if math.Float64bits(tWas.Data[i]) != math.Float64bits(tParent.Data[i]) {
 						t.Fatalf("Trmm(side=%v,tri=%v,trans=%v) modified T", side, tri, trans)
