@@ -8,7 +8,7 @@
 // case for CholeskyQR2 is that its flops are all level-3, so GEMM, SYRK
 // and TRMM share one register-tiled 16×8 micro-kernel (kernel.go):
 // AVX-512 assembly on amd64 CPUs that have it, AVX2/FMA assembly on the
-// tile's four 4-row quarters on those that have only that (the two agree
+// tile's 4-row quarters on those that have only that (the two agree
 // bitwise), the same loop nest in plain Go everywhere else (other
 // GOARCH, -tags purego). The serial and goroutine-parallel
 // (GemmParallel, SyrkParallel, TrmmParallel) entry points are

@@ -9,13 +9,14 @@ package lin
 //
 // with one contract and three bodies, picked once at init: kernelAVX512
 // (kernel_amd64.s, a 16×8 tile of ZMM FMAs, when the CPU and OS support
-// AVX-512F), kernelAVX2 on the tile's four 4-row quarters (AVX2+FMA but
-// no AVX-512), and kernelGo below (every other GOARCH, -tags purego,
-// older CPUs). The two assembly bodies run the same fused chain per
-// element, so they agree bitwise. Transposition is absorbed by the
-// operand strides (A) or by packing (B); SYRK runs the tiles that touch
-// the upper triangle; TRMM packs the triangular operand with its
-// structural zeros and gives every column tile its triangular k-range.
+// AVX-512F), kernelAVX2 on the tile's 4-row quarters (AVX2+FMA but no
+// AVX-512; only the quarters that hold a needed row), and kernelGo below
+// (every other GOARCH, -tags purego, older CPUs). The two assembly bodies
+// run the same fused chain per element, so they agree bitwise.
+// Transposition is absorbed by the operand strides (A) or by packing (B);
+// SYRK runs the tiles that touch the upper triangle; TRMM packs the
+// triangular operand with its structural zeros and gives every column
+// tile its triangular k-range.
 // Edge tiles are zero-padded into full tiles, so every element of C sees
 // the same k-ordered chain of multiply-adds wherever it lies, and tiles
 // are anchored at multiples of the tile size from C's origin, so any
@@ -132,6 +133,10 @@ func (p *product) panel(i0, i1, jt, w, ka, kc int, beta float64) {
 			break // this tile and every one below it lie under the diagonal
 		}
 		h := min(tileM, i1-it)
+		rows := h // the rows the kernel must compute
+		if p.mode == symC {
+			rows = min(h, jt+w-it) // rows wholly under the diagonal are mirrored over
+		}
 		a, ars, aks := p.a[it*p.ars+ka*p.aks:], p.ars, p.aks
 		if h < tileM {
 			var buf [blockK * tileM]float64
@@ -140,20 +145,20 @@ func (p *product) panel(i0, i1, jt, w, ka, kc int, beta float64) {
 		}
 		c := p.c[it*p.cis+jt*p.cjs:]
 		if h == tileM && w == tileN && p.cjs == 1 {
-			microKernel(kc, a, ars, aks, b, bks, p.alpha, beta, c, p.cis)
+			microKernel(rows, kc, a, ars, aks, b, bks, p.alpha, beta, c, p.cis)
 			continue
 		}
 		// Edge tile or strided C: the same kernel on a full stack tile.
 		var t [tileM * tileN]float64
 		if beta != 0 {
-			for i := 0; i < h; i++ {
+			for i := 0; i < rows; i++ {
 				for j := 0; j < w; j++ {
 					t[i*tileN+j] = c[i*p.cis+j*p.cjs]
 				}
 			}
 		}
-		microKernel(kc, a, ars, aks, b, bks, p.alpha, beta, t[:], tileN)
-		for i := 0; i < h; i++ {
+		microKernel(rows, kc, a, ars, aks, b, bks, p.alpha, beta, t[:], tileN)
+		for i := 0; i < rows; i++ {
 			for j := 0; j < w; j++ {
 				c[i*p.cis+j*p.cjs] = t[i*tileN+j]
 			}
@@ -201,11 +206,11 @@ func pack(dst []float64, width int, src []float64, sx, sk, w, kc, sign, d int) {
 	}
 }
 
-// kernelGo is the micro-kernel in portable Go: one tile row at a time,
-// eight scalar accumulators, the same k-ordered chain per element as the
-// assembly.
-func kernelGo(kc int, a []float64, ars, aks int, b []float64, bks int, alpha, beta float64, c []float64, cs int) {
-	for i := 0; i < tileM; i++ {
+// kernelGo is the micro-kernel in portable Go on the tile's first rows
+// rows: one row at a time, eight scalar accumulators, the same k-ordered
+// chain per element as the assembly.
+func kernelGo(rows, kc int, a []float64, ars, aks int, b []float64, bks int, alpha, beta float64, c []float64, cs int) {
+	for i := 0; i < rows; i++ {
 		var s0, s1, s2, s3, s4, s5, s6, s7 float64
 		for k := 0; k < kc; k++ {
 			av := a[i*ars+k*aks]

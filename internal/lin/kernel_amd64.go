@@ -4,8 +4,8 @@ package lin
 
 // kernelAVX512 is the 16×8 micro-kernel in AVX-512 assembly
 // (kernel_amd64.s), one ZMM accumulator per tile row; kernelAVX2 is the
-// 4×8 kernel in AVX2/FMA assembly, run on a tile's four 4-row quarters
-// when the CPU has no AVX-512. Both keep kernelGo's contract with the
+// 4×8 kernel in AVX2/FMA assembly, run on a tile's 4-row quarters when
+// the CPU has no AVX-512. Both keep kernelGo's contract with the
 // same fused chain per element, so they agree bitwise. Neither has
 // bounds checks: the drivers validate every operand's extent before the
 // first tile.
@@ -22,7 +22,8 @@ func xgetbv() (eax, edx uint32)
 // useAVX2 and useAVX512 are decided once, before any kernel runs: the
 // CPU has AVX2 and FMA (and AVX512F), and the OS saves the YMM (and the
 // opmask and ZMM) state across context switches. useAVX512 implies
-// useAVX2.
+// useAVX2. It assumes full-width 512-bit FMA: the ZMM body's gain was
+// measured on Sapphire Rapids only (README, Performance).
 var useAVX2, useAVX512 = func() (bool, bool) {
 	const (
 		fma     = 1 << 12 // CPUID.1:ECX
@@ -47,17 +48,21 @@ var useAVX2, useAVX512 = func() (bool, bool) {
 	return true, xcr0&zmmXMM == zmmXMM && b&avx512f != 0
 }()
 
-func microKernel(kc int, a []float64, ars, aks int, b []float64, bks int, alpha, beta float64, c []float64, cs int) {
+// microKernel computes at least the tile's first rows rows (1 ≤ rows ≤
+// tileM); the rest of C's tile may be left as it was or computed too.
+// The ZMM body always runs all sixteen. The AVX2 body runs only the 4-row
+// quarters that hold a needed row, so it spends nothing on an edge tile's
+// padding or on rows under SYRK's diagonal; rows are independent, so the
+// quarters are safe even when C aliases A (in-place TRMM).
+func microKernel(rows, kc int, a []float64, ars, aks int, b []float64, bks int, alpha, beta float64, c []float64, cs int) {
 	switch {
 	case useAVX512:
 		kernelAVX512(kc, a, ars, aks, b, bks, alpha, beta, c, cs)
 	case useAVX2:
-		// Rows are independent, so the quarters are safe even when C
-		// aliases A (in-place TRMM).
-		for q := 0; q < tileM; q += 4 {
+		for q := 0; q < rows; q += 4 {
 			kernelAVX2(kc, a[q*ars:], ars, aks, b, bks, alpha, beta, c[q*cs:], cs)
 		}
 	default:
-		kernelGo(kc, a, ars, aks, b, bks, alpha, beta, c, cs)
+		kernelGo(rows, kc, a, ars, aks, b, bks, alpha, beta, c, cs)
 	}
 }

@@ -40,7 +40,7 @@ func TestAssemblyAgreesWithGoKernel(t *testing.T) {
 		was := useAVX512
 		useAVX512 = false
 		defer func() { useAVX512 = was }()
-		microKernel(kc, a, ars, aks, b, bks, alpha, beta, c, cs)
+		microKernel(tileM, kc, a, ars, aks, b, bks, alpha, beta, c, cs)
 	}}}
 	if useAVX512 {
 		kernels = append(kernels, body{"avx512", kernelAVX512})
@@ -72,7 +72,7 @@ func TestAssemblyAgreesWithGoKernel(t *testing.T) {
 						}
 					}
 					want := append([]float64(nil), c0...)
-					kernelGo(kc, a, l.ars, l.aks, b, l.bks, alpha, beta, want, l.cs)
+					kernelGo(tileM, kc, a, l.ars, l.aks, b, l.bks, alpha, beta, want, l.cs)
 					var first []float64
 					for _, kern := range kernels {
 						got := append([]float64(nil), c0...)

@@ -2,6 +2,6 @@
 
 package lin
 
-func microKernel(kc int, a []float64, ars, aks int, b []float64, bks int, alpha, beta float64, c []float64, cs int) {
-	kernelGo(kc, a, ars, aks, b, bks, alpha, beta, c, cs)
+func microKernel(rows, kc int, a []float64, ars, aks int, b []float64, bks int, alpha, beta float64, c []float64, cs int) {
+	kernelGo(rows, kc, a, ars, aks, b, bks, alpha, beta, c, cs)
 }
