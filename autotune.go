@@ -16,17 +16,15 @@ type Variant = plan.Variant
 
 // The planner's algorithm variants. A Plan names one with its extents,
 // and FactorizePlan runs it: FactorizePlan(a, Plan{Variant: VariantTSQR,
-// Procs: 4}, opts).
+// Procs: 4}, opts). The grid variants name C and D; Check derives Procs.
 const (
-	// Variant1DCQR2 is 1D-CQR2 (Algorithm 7) on Procs ranks, each owning a
-	// contiguous m/Procs row block (requires Procs | m). Procs = 1 is the
-	// sequential CholeskyQR2 with measured cost accounting, bitwise equal
-	// to CholeskyQR2. It is the planner's c = 1 path: the paper's
-	// tall-skinny regime, where replication buys nothing and the whole
-	// Gram matrix fits one rank.
-	Variant1DCQR2 = plan.OneD
 	// VariantCACQR2 is the paper's CA-CQR2 on a C × D × C grid
-	// (FactorizeOnGrid's run).
+	// (FactorizeOnGrid's run; requires D | m and C | n). C = 1 is 1D-CQR2
+	// (Algorithm 7) on D ranks, each owning m/D cyclic rows: the
+	// planner's tall-skinny regime, where replication buys nothing and
+	// the whole Gram matrix fits one rank. C = D = 1 is the sequential
+	// CholeskyQR2 with measured cost accounting, bitwise equal to
+	// CholeskyQR2.
 	VariantCACQR2 = plan.CACQR2
 	// VariantPanelCACQR2 is the §V panel-wise CA-CQR2: columns in panels
 	// of PanelWidth, cutting the flop overhead for near-square matrices.
@@ -40,9 +38,10 @@ const (
 	// instead of m/Procs ≥ n.
 	VariantTSQR = plan.TSQR
 	// VariantShiftedCQR3 is the distributed shifted CholeskyQR3 (one
-	// shifted CholeskyQR pass, then 1D-CQR2) on Procs ranks with the 1D
-	// layout (requires Procs | m; Procs = 1 is ShiftedCQR3 with measured
-	// cost accounting). It stays stable to κ(A) ≈ 1/ε — far beyond
+	// CA-CQR pass on the shifted Gram matrix, then CA-CQR2) on a
+	// C × D × C grid, with CA-CQR2's layout and requirements; C = D = 1
+	// is ShiftedCQR3 with measured cost accounting, bitwise equal to
+	// ShiftedCQR3. It stays stable to κ(A) ≈ 1/ε — far beyond
 	// CholeskyQR2's ~ε^{-1/2} regime — at ~1.5× the flops, and is what
 	// the condition-aware planner dispatches for ill-conditioned tall
 	// inputs.
@@ -133,9 +132,9 @@ func PlanGrid(m, n, procs int, opts Options) ([]Plan, error) {
 // AutoFactorize factors A = Q·R on up to procs simulated ranks, letting
 // the planner choose the algorithm variant and grid: it ranks every
 // feasible candidate with the validated cost model and executes the
-// winner (CA-CQR2 on its c×d×c grid, the panel variant, 1D-CQR2 — on
-// one rank, the sequential algorithm — ShiftedCQR3, or the TSQR fallback
-// for extreme shapes).
+// winner (CA-CQR2 on its c×d×c grid — at c = 1 the 1D algorithm, on
+// one rank the sequential one — the panel variant, ShiftedCQR3, or the
+// TSQR fallback for extreme shapes).
 // The choice is condition-aware: Options.CondEst — or, when unset, a
 // cheap power-iteration estimate of κ₂(A) measured from the matrix —
 // gates out variants that would lose orthogonality at that conditioning

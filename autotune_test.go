@@ -36,25 +36,34 @@ func TestAutoFactorizeEndToEnd(t *testing.T) {
 			t.Fatalf("p=%d: plan uses %d ranks", procs, res.Plan.Procs)
 		}
 		// The tall 1024×64 shape is the paper's 1D regime.
-		if res.Plan.Variant != Variant1DCQR2 {
+		if res.Plan.Variant != VariantCACQR2 || res.Plan.C != 1 {
 			t.Fatalf("p=%d: expected the 1D regime, got %v", procs, res.Plan)
 		}
-		// Measured vs predicted: flops are exactly the model's (the
-		// gather moves data, not flops); communication is the model plus
-		// exactly the final Q Allgather.
+		// Measured vs predicted: flops are exactly the model's (loading
+		// and gathering move data, not flops); communication is the model
+		// plus exactly the scatter of A and the gather of Q.
 		if res.Stats.Flops != res.Plan.Cost.TotalFlops() {
 			t.Fatalf("p=%d: measured flops %d != predicted %d", procs, res.Stats.Flops, res.Plan.Cost.TotalFlops())
 		}
-		gather := costmodel.Allgather(int64(1024*64), res.Plan.Procs)
-		if res.Stats.Msgs != res.Plan.Cost.Msgs+gather.Msgs {
-			t.Fatalf("p=%d: measured msgs %d != predicted %d + gather %d",
-				procs, res.Stats.Msgs, res.Plan.Cost.Msgs, gather.Msgs)
+		io := oneDLoading(1024, 64, res.Plan.Procs)
+		if res.Stats.Msgs != res.Plan.Cost.Msgs+io.Msgs {
+			t.Fatalf("p=%d: measured msgs %d != predicted %d + scatter and gather %d",
+				procs, res.Stats.Msgs, res.Plan.Cost.Msgs, io.Msgs)
 		}
-		if res.Stats.Words != res.Plan.Cost.Words+gather.Words {
-			t.Fatalf("p=%d: measured words %d != predicted %d + gather %d",
-				procs, res.Stats.Words, res.Plan.Cost.Words, gather.Words)
+		if res.Stats.Words != res.Plan.Cost.Words+io.Words {
+			t.Fatalf("p=%d: measured words %d != predicted %d + scatter and gather %d",
+				procs, res.Stats.Words, res.Plan.Cost.Words, io.Words)
 		}
 	}
+}
+
+// oneDLoading is what a run on the 1 × P × 1 grid moves besides the
+// algorithm: rank 0 scatters m/P cyclic rows of A to each other rank,
+// (P−1)·α + (P−1)·(m/P)·n·β, and Q is gathered back, log₂P·α + m·n·β
+// (R is whole on every rank).
+func oneDLoading(m, n, procs int) costmodel.Cost {
+	scatter := costmodel.Cost{Msgs: int64(procs - 1), Words: int64(procs-1) * int64(m/procs) * int64(n)}
+	return scatter.Add(costmodel.Allgather(int64(m)*int64(n), procs))
 }
 
 // TestAutoFactorizeDispatchesGridVariant forces the planner into the
@@ -100,7 +109,7 @@ func TestAutoFactorizeSequentialOnOneRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan.Variant != Variant1DCQR2 || res.Plan.Procs != 1 {
+	if res.Plan.Variant != VariantCACQR2 || res.Plan.Procs != 1 {
 		t.Fatalf("p=1 plan: %v", res.Plan)
 	}
 	if e := ResidualNorm(a, res.Q, res.R); e > 1e-12 {
@@ -114,10 +123,10 @@ func TestAutoFactorizeSequentialOnOneRank(t *testing.T) {
 	}
 }
 
-// TestFactorize1D runs the 1d-cqr2 row on eight ranks.
+// TestFactorize1D runs CA-CQR2 on the 1D grid of eight ranks.
 func TestFactorize1D(t *testing.T) {
 	a := RandomMatrix(256, 16, 11)
-	res, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 8}, Options{})
+	res, err := FactorizePlan(a, Plan{Variant: VariantCACQR2, C: 1, D: 8}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +148,7 @@ func TestFactorize1D(t *testing.T) {
 	}
 	// The Workers knob may change wall-clock only: factors and measured
 	// costs must be bitwise identical.
-	res4, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 8}, Options{Workers: 4})
+	res4, err := FactorizePlan(a, Plan{Variant: VariantCACQR2, C: 1, D: 8}, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +161,11 @@ func TestFactorize1D(t *testing.T) {
 		t.Fatalf("Workers=4 changed measured costs: %+v vs %+v", res.Stats, res4.Stats)
 	}
 	// Error paths.
-	if _, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 7}, Options{}); err == nil {
+	if _, err := FactorizePlan(a, Plan{Variant: VariantCACQR2, C: 1, D: 7}, Options{}); err == nil {
 		t.Fatal("indivisible m accepted")
 	}
-	if _, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 0}, Options{}); err == nil {
-		t.Fatal("zero procs accepted")
+	if _, err := FactorizePlan(a, Plan{Variant: VariantCACQR2, Procs: 8}, Options{}); err == nil {
+		t.Fatal("a plan without a grid accepted")
 	}
 }
 
@@ -248,8 +257,8 @@ func TestNegativeWorkersRejectedEverywhere(t *testing.T) {
 	if _, err := FactorizePlan(a, Plan{Variant: VariantTSQR, Procs: 4}, bad); err == nil {
 		t.Fatal("FactorizePlan(tsqr) accepted negative Workers")
 	}
-	if _, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 4}, bad); err == nil {
-		t.Fatal("FactorizePlan(1d-cqr2) accepted negative Workers")
+	if _, err := FactorizePlan(a, Plan{Variant: VariantShiftedCQR3, C: 1, D: 4}, bad); err == nil {
+		t.Fatal("FactorizePlan(shifted-cqr3) accepted negative Workers")
 	}
 	if _, err := AutoFactorize(a, 4, bad); err == nil {
 		t.Fatal("AutoFactorize accepted negative Workers")

@@ -10,12 +10,13 @@
 //     for direct use on dense matrices.
 //   - Distributed factorizations over a processor grid — FactorizeOnGrid
 //     (the paper's CA-CQR2 on c × d × c ranks), FactorizePlan (any row
-//     of the planner's table: 1D-CQR2, the panel variant, ShiftedCQR3,
-//     the TSQR and PGEQRF comparison rows), the planner-driven
-//     AutoFactorize, and the out-of-core FactorizeStreaming. Each is a
-//     few lines that name a plan and hand it to the one executor (see
-//     distributed.go), which reports the factors and the measured
-//     per-processor communication/computation costs.
+//     of the planner's table: CA-CQR2 on any grid, 1D included, the
+//     panel variant, ShiftedCQR3, the TSQR and PGEQRF comparison rows),
+//     the planner-driven AutoFactorize, and the out-of-core
+//     FactorizeStreaming. Each is a few lines that name a plan and hand
+//     it to the one executor (see distributed.go), which reports the
+//     factors and the measured per-processor communication/computation
+//     costs.
 //   - The validated cost model (Model* functions and Machine values) for
 //     predicting performance at supercomputer scale.
 package cacqr
@@ -152,8 +153,9 @@ func RandomWithCond(m, n int, cond float64, seed int64) *Dense {
 }
 
 // GridSpec selects the paper's tunable c × d × c processor grid
-// (P = c·d·c ranks). C = 1 recovers the 1D algorithm; C = D is the 3D
-// algorithm.
+// (P = c·d·c ranks) for plain CA-CQR2. C = 1 is the 1D algorithm
+// (1D-CQR2 on d ranks), C = D the 3D algorithm; GridSpec{1, 1} is the
+// sequential CholeskyQR2.
 type GridSpec struct {
 	C, D int
 }
@@ -180,7 +182,7 @@ type Options struct {
 	Timeout time.Duration
 	// Workers bounds the goroutines each rank's local level-3 kernels
 	// may use on top of the rank's own goroutine. In a rank body (every
-	// grid, 1D and TSQR run) 0 means 1, serial per rank: a simulated grid
+	// grid and TSQR run) 0 means 1, serial per rank: a simulated grid
 	// already runs P goroutines, so extra fan-out only helps when the
 	// grid is small and the per-rank blocks are large. Two paths have no
 	// ranks and read 0 as GOMAXPROCS: a streamed run's in-core kernels,

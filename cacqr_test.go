@@ -226,8 +226,8 @@ func TestPublicMatchesSequentialReference(t *testing.T) {
 	_ = q1
 }
 
-// The sequential entry points and the 1D ones on a single rank run the
-// same ladder over the same kernels: their factors are the same bits,
+// The sequential entry points and the grid ones on the 1 × 1 × 1 grid run
+// the same ladder over the same kernels: their factors are the same bits,
 // for the two-pass and the shifted three-pass variant alike.
 func TestOneRank1DIsSequentialBitwise(t *testing.T) {
 	for _, tc := range []struct {
@@ -236,19 +236,19 @@ func TestOneRank1DIsSequentialBitwise(t *testing.T) {
 		seq  func(*Dense) (*Dense, *Dense, error)
 		oneD Variant
 	}{
-		{"cqr2", RandomMatrix(1024, 64, 7), CholeskyQR2, Variant1DCQR2},
+		{"cqr2", RandomMatrix(1024, 64, 7), CholeskyQR2, VariantCACQR2},
 		{"shifted-cqr3", RandomWithCond(1024, 32, 1e10, 5), ShiftedCQR3, VariantShiftedCQR3},
 	} {
 		q, r, err := tc.seq(tc.a)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		res, err := FactorizePlan(tc.a, Plan{Variant: tc.oneD, Procs: 1}, Options{})
+		res, err := FactorizePlan(tc.a, Plan{Variant: tc.oneD, C: 1, D: 1}, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if denseMaxDiff(q, res.Q) != 0 || denseMaxDiff(r, res.R) != 0 {
-			t.Errorf("%s: one-rank 1D run differs from the sequential driver (Q by %g, R by %g)",
+			t.Errorf("%s: one-rank grid run differs from the sequential driver (Q by %g, R by %g)",
 				tc.name, denseMaxDiff(q, res.Q), denseMaxDiff(r, res.R))
 		}
 	}

@@ -172,7 +172,7 @@ func resident(src *runSource) (*lin.Matrix, error) {
 // exactly as a cluster would load the matrix.
 func (j job) localInput(global *lin.Matrix, rank int) (*lin.Matrix, error) {
 	switch j.Variant {
-	case plan.CACQR2, plan.PanelCACQR2:
+	case plan.CACQR2, plan.PanelCACQR2, plan.ShiftedCQR3:
 		return nil, nil
 	case plan.PGEQRF:
 		return pgeqrf.LocalBlock(global, rank, j.D, j.C, j.PanelWidth)
@@ -237,7 +237,7 @@ func jobBody(j job, local *lin.Matrix, globalAtRoot *lin.Matrix, out func(q, r *
 		}
 		m, n := j.M, j.N
 		switch j.Variant {
-		case plan.CACQR2, plan.PanelCACQR2:
+		case plan.CACQR2, plan.PanelCACQR2, plan.ShiftedCQR3:
 			g, err := grid.New(p.World(), j.C, j.D)
 			if err != nil {
 				return err
@@ -261,9 +261,12 @@ func jobBody(j job, local *lin.Matrix, globalAtRoot *lin.Matrix, out func(q, r *
 			}
 			prm := core.Params{InverseDepth: j.InverseDepth, BaseSize: j.BaseSize, Workers: j.Workers}
 			var qL, rL *lin.Matrix
-			if j.Variant == plan.PanelCACQR2 {
+			switch j.Variant {
+			case plan.PanelCACQR2:
 				qL, rL, err = core.PanelCACQR2(g, blk, m, n, j.PanelWidth, prm)
-			} else {
+			case plan.ShiftedCQR3:
+				qL, rL, err = core.ShiftedCACQR3(g, blk, m, n, prm)
+			default:
 				qL, rL, err = core.CACQR2(g, blk, m, n, prm)
 			}
 			if err != nil {
@@ -284,22 +287,6 @@ func jobBody(j job, local *lin.Matrix, globalAtRoot *lin.Matrix, out func(q, r *
 				}
 			}
 			emit(qG, rG)
-			return nil
-
-		case plan.OneD, plan.ShiftedCQR3:
-			factor := core.OneDCQR2
-			if j.Variant == plan.ShiftedCQR3 {
-				factor = core.OneDShiftedCQR3
-			}
-			qL, rL, err := factor(p.World(), local, m, n, j.Workers)
-			if err != nil {
-				return err
-			}
-			qG, err := dist.GatherRows(p.World(), qL, m, n)
-			if err != nil {
-				return err
-			}
-			emit(qG, rL)
 			return nil
 
 		case plan.TSQR:

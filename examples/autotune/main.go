@@ -67,7 +67,7 @@ func main() {
 	fmt.Printf("  orthogonality ‖QᵀQ−I‖_F = %.2e\n", cacqr.OrthogonalityError(res.Q))
 	fmt.Printf("  residual ‖A−QR‖/‖A‖     = %.2e\n", cacqr.ResidualNorm(a, res.Q, res.R))
 	fmt.Printf("  predicted γ=%d flops, measured γ=%d\n", res.Plan.Cost.TotalFlops(), res.Stats.Flops)
-	fmt.Printf("  predicted β=%d words, measured β=%d (difference is the final Q gather)\n",
+	fmt.Printf("  predicted β=%d words, measured β=%d (difference is the scatter of A and the gather of Q)\n",
 		res.Plan.Cost.Words, res.Stats.Words)
 
 	// Condition-aware routing: the same shape, but ill-conditioned.

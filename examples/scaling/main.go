@@ -36,7 +36,7 @@ func main() {
 		var cq, sc *cacqr.Plan
 		for i := range rows {
 			switch rows[i].Variant {
-			case cacqr.VariantCACQR2, cacqr.VariantPanelCACQR2, cacqr.Variant1DCQR2:
+			case cacqr.VariantCACQR2, cacqr.VariantPanelCACQR2:
 				if cq == nil {
 					cq = &rows[i]
 				}

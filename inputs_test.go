@@ -47,8 +47,8 @@ func TestEntryPointsLeaveTheirInputsAlone(t *testing.T) {
 		{"HouseholderQR", func() error { _, _, err := HouseholderQR(a); return err }},
 		{"FactorizeOnGrid", func() error { _, err := FactorizeOnGrid(a, grid, Options{}); return err }},
 		{"FactorizePlan/panel", func() error { return runPlan(Plan{Variant: VariantPanelCACQR2, C: 2, D: 4, PanelWidth: 8}) }},
-		{"FactorizePlan/1d", func() error { return runPlan(Plan{Variant: Variant1DCQR2, Procs: 8}) }},
-		{"FactorizePlan/shifted", func() error { return runPlan(Plan{Variant: VariantShiftedCQR3, Procs: 8}) }},
+		{"FactorizePlan/1d", func() error { return runPlan(Plan{Variant: VariantCACQR2, C: 1, D: 8}) }},
+		{"FactorizePlan/shifted", func() error { return runPlan(Plan{Variant: VariantShiftedCQR3, C: 1, D: 8}) }},
 		{"FactorizePlan/tsqr", func() error { return runPlan(Plan{Variant: VariantTSQR, Procs: 4}) }},
 		{"FactorizePlan/pgeqrf", func() error { return runPlan(Plan{Variant: VariantPGEQRF, D: 2, C: 2, PanelWidth: 8}) }},
 		{"AutoFactorize", func() error { _, err := AutoFactorize(a, 8, Options{}); return err }},

@@ -53,7 +53,7 @@ var rows = []row{
 		bans:  []string{"method Bcast", "method Reduce", "method Allreduce", "method Gather", "method Allgather", "method Barrier", "method Transpose", "method Split", "method Subgroup", "method SendRecv"},
 		allow: []string{"cacqr/internal/transport"}},
 	{name: "one-price", why: "a whole algorithm is priced by plan.Price, the per-line tables and the Model* re-exports only",
-		bans: []string{cm + "CACQR2", cm + "PanelCACQR2", cm + "OneDCQR2", cm + "OneDCQR2Memory", cm + "OneDShiftedCQR3", cm + "OneDShiftedCQR3Memory",
+		bans: []string{cm + "CACQR2", cm + "PanelCACQR2", cm + "ShiftedCACQR3",
 			cm + "TSQR", cm + "TSQRMemory", cm + "BlockedTSQR", cm + "BlockedTSQRMemory", cm + "PGEQRF", cm + "PGEQRFMemory", cm + "StreamCQR2", cm + "StreamCQR2Memory"},
 		allow: []string{"cacqr/internal/plan", "cacqr/internal/costmodel", "cacqr/internal/bench/tables.go", "cacqr/cacqr.go", "cacqr/benchmark"}},
 	{name: "one-price-memory", why: "besides the pricing places, only the grid rank body names its memory row, which sizes its workspace",

@@ -8,7 +8,7 @@ func panelWords(m, n, b, c, d int) (int, error) {
 
 // A rank body pricing a whole algorithm is a second price beside the
 // planner's.
-func modelFlops(m, n, p int) float64 {
-	f, _ := costmodel.OneDCQR2(m, n, p) // want "one-price: cacqr/internal/costmodel.OneDCQR2"
+func modelFlops(m, n, c, d int) float64 {
+	f, _ := costmodel.ShiftedCACQR3(m, n, costmodel.Params{C: c, D: d}) // want "one-price: cacqr/internal/costmodel.ShiftedCACQR3"
 	return f
 }

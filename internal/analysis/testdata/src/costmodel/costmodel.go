@@ -11,4 +11,4 @@ func CACQR2Memory(m, n int, p Params) (int, error) { return m * n / (p.C * p.D),
 
 func PanelCACQR2Memory(m, n, b int, p Params) (int, error) { return m * b / (p.C * p.D), nil }
 
-func OneDCQR2(m, n, p int) (float64, error) { return float64(m * n / p), nil }
+func ShiftedCACQR3(m, n int, p Params) (float64, error) { return float64(3 * m * n), nil }

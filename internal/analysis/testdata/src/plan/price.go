@@ -10,7 +10,7 @@ func price(m, n int) (float64, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if _, err := costmodel.OneDCQR2(m, n, 8); err != nil {
+	if _, err := costmodel.ShiftedCACQR3(m, n, p); err != nil {
 		return 0, 0, err
 	}
 	words, err := costmodel.CACQR2Memory(m, n, p)

@@ -33,7 +33,7 @@ func ExtTSQR() *Figure {
 	for _, nd := range nodes {
 		p := mach.PPN * nd
 		m := mloc * p
-		cqr2.AddPoint(gflopsPerNode(mach, m, n, nd, plan.Plan{Variant: plan.OneD, Procs: p}))
+		cqr2.AddPoint(gflopsPerNode(mach, m, n, nd, plan.Plan{Variant: plan.CACQR2, C: 1, D: p}))
 		ts.AddPoint(gflopsPerNode(mach, m, n, nd, plan.Plan{Variant: plan.TSQR, Procs: p}))
 		best := bestCACQR2(mach, m, n, p, nd, 0)
 		caBest.AddPoint(best, best > 0)

@@ -82,7 +82,7 @@ func Table1() string {
 		m, n := 1<<22, 1<<8
 		var ps, words []float64
 		for p := 2; p <= 64; p *= 2 {
-			c, err := costmodel.OneDCQR(m, n, p)
+			c, err := costmodel.CACQR(m, n, costmodel.CACQRParams{C: 1, D: p})
 			if err != nil {
 				continue
 			}
@@ -187,48 +187,58 @@ func Table2() (string, error) {
 }
 
 // Table34 reproduces Tables III and IV: per-line costs of 1D-CQR and
-// 1D-CQR2 for m=64, n=8, P=4, validated against instrumented runs.
+// 1D-CQR2 for m=64, n=8, P=4, validated against instrumented runs of
+// CA-CQR and CA-CQR2 on the 1 × P × 1 grid, Algorithm 8's non-empty lines
+// under Algorithm 6's names. The fold R₂·R₁ is charged the n³ its
+// triangular product runs.
 func Table34() (string, error) {
 	const p, m, n = 4, 64, 8
 	mloc, nn := int64(m/p), int64(n)
+	prm := costmodel.CACQRParams{C: 1, D: p}
 	lines := map[string]Cost2{
 		"1:Syrk":      {Flops: mloc * nn * nn},
 		"2:Allreduce": costmodel.Allreduce(nn*nn, p),
-		"3:CholInv":   {Flops: 2*nn*nn*nn/3 + nn*nn*nn/3},
-		"4:MM(Q)":     {Flops: mloc * nn * nn},
+		"3:CholInv":   costmodel.CFR3D(n, 1, costmodel.CFR3DOptions{}),
+		"4:MM(Q)":     costmodel.MM3DTri(mloc, nn, nn, 1),
 	}
-	model, err := costmodel.OneDCQR(m, n, p)
+	model, err := costmodel.CACQR(m, n, prm)
 	if err != nil {
 		return "", err
 	}
 	a := lin.RandomMatrix(m, n, 2)
-	measured, err := measureRun(p, func(pr *simmpi.Proc) error {
-		local := a.View(pr.Rank()*(m/p), 0, m/p, n).Clone()
-		_, _, err := core.OneDCQR(pr.World(), local, m, n, 0)
-		return err
-	})
+	oneD := func(run func(*grid.Grid, *lin.Matrix, int, int, core.Params) (*lin.Matrix, *lin.Matrix, error)) (simmpi.Counters, error) {
+		return measureRun(p, func(pr *simmpi.Proc) error {
+			g, err := grid.New(pr.World(), 1, p)
+			if err != nil {
+				return err
+			}
+			ad, err := dist.FromGlobal(a, p, 1, g.Y, g.X)
+			if err != nil {
+				return err
+			}
+			_, _, err = run(g, ad.Local, m, n, core.Params{})
+			return err
+		})
+	}
+	measured, err := oneD(core.CACQR)
 	if err != nil {
 		return "", err
 	}
 	out := renderLines(fmt.Sprintf("## Table III — per-line costs of 1D-CQR (Algorithm 6), m=%d n=%d P=%d\n", m, n, p),
 		lines, measured, model)
 
-	model2, err := costmodel.OneDCQR2(m, n, p)
+	model2, err := costmodel.CACQR2(m, n, prm)
 	if err != nil {
 		return "", err
 	}
-	measured2, err := measureRun(p, func(pr *simmpi.Proc) error {
-		local := a.View(pr.Rank()*(m/p), 0, m/p, n).Clone()
-		_, _, err := core.OneDCQR2(pr.World(), local, m, n, 0)
-		return err
-	})
+	measured2, err := oneD(core.CACQR2)
 	if err != nil {
 		return "", err
 	}
 	lines2 := map[string]Cost2{
 		"1:1D-CQR(A)":  model,
 		"2:1D-CQR(Q1)": model,
-		"3:MM(R2*R1)":  {Flops: nn * nn * nn / 3},
+		"3:MM(R2*R1)":  costmodel.MM3DTri(nn, nn, nn, 1),
 	}
 	out += renderLines(fmt.Sprintf("## Table IV — per-line costs of 1D-CQR2 (Algorithm 7), m=%d n=%d P=%d\n", m, n, p),
 		lines2, measured2, model2)

@@ -17,14 +17,14 @@ import (
 // algorithm reported with the communicator it uses and the data shape it
 // moves, from rank 0's perspective, plus end-to-end verification.
 
-// Fig2Trace runs 1D-CQR on P=4 ranks (m=16, n=4) and narrates the steps
-// of Figure 2.
+// Fig2Trace runs 1D-CQR — CA-CQR on the 1 × P × 1 grid — on P=4 ranks
+// (m=16, n=4) and narrates the steps of Figure 2.
 func Fig2Trace() (string, error) {
 	const p, m, n = 4, 16, 4
 	a := lin.RandomMatrix(m, n, 1)
 	var b strings.Builder
 	b.WriteString("## Figure 2 — steps of the 1D-CQR algorithm (real run, P=4, A is 16x4)\n")
-	fmt.Fprintf(&b, "step 1: each rank owns a %dx%d row block of A\n", m/p, n)
+	fmt.Fprintf(&b, "step 1: each rank owns %d cyclic rows of A (a %dx%d block)\n", m/p, m/p, n)
 	fmt.Fprintf(&b, "step 2: local Syrk: X = A_iᵀ·A_i (%dx%d)\n", n, n)
 	fmt.Fprintf(&b, "step 3: Allreduce over the 1D grid sums X into Z = AᵀA (%d words)\n", n*n)
 	fmt.Fprintf(&b, "step 4: every rank redundantly computes Rᵀ, R⁻ᵀ = CholInv(Z)\n")
@@ -32,14 +32,21 @@ func Fig2Trace() (string, error) {
 
 	var resErr error
 	_, err := simmpi.RunWithOptions(p, simmpi.Options{Timeout: 60 * time.Second}, func(pr *simmpi.Proc) error {
-		local := a.View(pr.Rank()*(m/p), 0, m/p, n).Clone()
-		q, r, err := core.OneDCQR(pr.World(), local, m, n, 0)
+		g, err := grid.New(pr.World(), 1, p)
+		if err != nil {
+			return err
+		}
+		ad, err := dist.FromGlobal(a, p, 1, g.Y, g.X)
+		if err != nil {
+			return err
+		}
+		q, r, err := core.CACQR(g, ad.Local, m, n, core.Params{})
 		if err != nil {
 			return err
 		}
 		if pr.Rank() == 0 {
 			qr := lin.MatMul(q, r)
-			if !qr.EqualWithin(a.View(0, 0, m/p, n), 1e-10) {
+			if !qr.EqualWithin(ad.Local, 1e-10) {
 				resErr = fmt.Errorf("trace verification failed")
 			}
 		}

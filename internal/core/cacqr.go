@@ -50,22 +50,37 @@ func (p Params) localWorkers() int {
 // upper factor distributed cyclically over the rank's subcube slice
 // (rows over cube-y, columns over x) and replicated across depth and
 // across subcubes. Both live in the grid's workspace.
+//
+// At c = 1 the subcube is one rank and this is Algorithm 6, 1D-CQR: each
+// of the d ranks holds m/d cyclic rows, the Gram matrix is a local
+// product plus one Allreduce, and every rank factors it whole.
 func CACQR(g *grid.Grid, aLocal *lin.Matrix, m, n int, prm Params) (qLocal, rLocal *lin.Matrix, err error) {
-	return onGrid(g, aLocal, m, n, 1, prm)
+	return onGrid(g, aLocal, m, n, 1, false, prm)
 }
 
 // CACQR2 runs Algorithm 9: two CA-CQR passes and R = R₂·R₁ by MM3D over
 // the subcube. The second pass runs in place — Q₁ becomes Q where it
 // lies, R₂ becomes R — so the rank holds one tall block besides its
-// input and whatever a step needs for the length of that step.
+// input and whatever a step needs for the length of that step. At c = 1
+// it is Algorithm 7, 1D-CQR2.
 func CACQR2(g *grid.Grid, aLocal *lin.Matrix, m, n int, prm Params) (qLocal, rLocal *lin.Matrix, err error) {
-	return onGrid(g, aLocal, m, n, 2, prm)
+	return onGrid(g, aLocal, m, n, 2, false, prm)
+}
+
+// ShiftedCACQR3 is the shifted CholeskyQR3 of Fukaya et al. (the
+// paper's reference [3]) on the grid: one CA-CQR pass on the shifted
+// Gram matrix, whose trace costs one Allreduce of one word over the
+// subcube slice (nothing at c = 1), then CA-CQR2 in place, and a second
+// fold. It factors inputs far beyond CA-CQR2's κ ≈ ε^{-1/2} breakdown,
+// up to κ ≈ 1/ε, at ~1.5× the cost. Arguments and results are CACQR's.
+func ShiftedCACQR3(g *grid.Grid, aLocal *lin.Matrix, m, n int, prm Params) (qLocal, rLocal *lin.Matrix, err error) {
+	return onGrid(g, aLocal, m, n, 3, true, prm)
 }
 
 // onGrid runs the ladder's passes over the grid (see cube). The running
 // R and the block the next Rᵢ lands in take turns; one pass needs only
 // the one block.
-func onGrid(g *grid.Grid, aLocal *lin.Matrix, m, n, passes int, prm Params) (qLocal, rLocal *lin.Matrix, err error) {
+func onGrid(g *grid.Grid, aLocal *lin.Matrix, m, n, passes int, shifted bool, prm Params) (qLocal, rLocal *lin.Matrix, err error) {
 	if err := checkShapes(g, aLocal, m, n); err != nil {
 		return nil, nil, err
 	}
@@ -80,7 +95,7 @@ func onGrid(g *grid.Grid, aLocal *lin.Matrix, m, n, passes int, prm Params) (qLo
 	if passes > 1 {
 		t.ri = ws.Matrix(n/g.C, n/g.C)
 	}
-	if _, err := Ladder(t, m, passes, false); err != nil {
+	if _, err := Ladder(t, m, passes, shifted); err != nil {
 		return nil, nil, err
 	}
 	return t.q, t.r, nil
@@ -104,8 +119,7 @@ func workspace(g *grid.Grid, m, n int, prm Params) (*grid.Workspace, error) {
 // and the Gram matrix z is its cyclic block over the rank's subcube
 // slice. Each line runs under its Table V phase and, on a traced rank,
 // a stage span of the same label. Measuring ‖G−I‖_F would take an
-// Allreduce the paper's algorithm does not pay, so Orth is NaN; nothing
-// runs the grid shifted, so Factor takes no shift.
+// Allreduce the paper's algorithm does not pay, so Orth is NaN.
 type cube struct {
 	g     *grid.Grid
 	ws    *grid.Workspace
@@ -133,8 +147,8 @@ func (t *cube) Orth() float64 { return math.NaN() }
 // Factor is lines 6–8, then from the second pass on Algorithm 9's fold
 // R = Rᵢ·R by MM3D over the subcube: triangular × triangular, the
 // product replacing Rᵢ, run once the pass has given back its workspace.
-func (t *cube) Factor(_ int, _, first bool) error {
-	err := t.factor()
+func (t *cube) Factor(m int, shifted, first bool) error {
+	err := t.factor(m, shifted)
 	t.ws.Release(t.mark)
 	if err != nil {
 		return err
@@ -151,12 +165,29 @@ func (t *cube) Factor(_ int, _, first bool) error {
 // factor is lines 6–8: CFR3D on the subcube, Z = Rᵢᵀ·Rᵢ with L = Rᵢᵀ and
 // Y = L⁻¹; then Q = X·Rᵢ⁻¹ over the subcube (blocked substitution when
 // the top inverse levels were skipped), and the transpose that yields
-// Rᵢ = Lᵀ.
-func (t *cube) factor() error {
+// Rᵢ = Lᵀ. A shifted pass first adds shiftDiagonal's s to Z's diagonal,
+// charged to line 7: the ranks with cube-y = x hold its diagonal
+// entries, and one Allreduce of their sums over the subcube slice is the
+// trace every slice member needs.
+func (t *cube) factor(m int, shifted bool) error {
 	p := t.g.World.Proc()
 	defer t.stg.Done()
 	t.stg.Enter("7:CFR3D")
 	defer p.SetPhase(p.SetPhase("7:CFR3D"))
+	if shifted {
+		onDiagonal := t.g.Cube.X == t.g.Cube.Y
+		var part float64
+		if onDiagonal {
+			part = positiveTrace(t.z)
+		}
+		trace, err := t.g.Cube.Slice.Allreduce([]float64{part})
+		if err != nil {
+			return err
+		}
+		if onDiagonal {
+			shiftDiagonal(t.z, m, t.n, trace[0])
+		}
+	}
 	w := t.prm.localWorkers()
 	res, err := cfr3d.Factor(t.g.Cube, t.z, t.n, cfr3d.Options{BaseSize: t.prm.BaseSize, InverseDepth: t.prm.InverseDepth, Workers: w})
 	if err != nil {

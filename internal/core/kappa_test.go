@@ -6,8 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
+	"cacqr/internal/dist"
+	"cacqr/internal/grid"
 	"cacqr/internal/lin"
 	"cacqr/internal/simmpi"
 )
@@ -104,64 +105,49 @@ func TestKappaShiftedCQR3RegimeBoundary(t *testing.T) {
 }
 
 func TestKappaOneDShiftedCQR3Distributed(t *testing.T) {
-	// The distributed 1D shifted CQR3 must deliver the same robustness
-	// as the sequential one at κ = 1e10 (far beyond plain CQR2), and the
+	// The shifted CQR3 on a 1D grid must deliver the same robustness as
+	// the sequential one at κ = 1e10 (far beyond plain CQR2), and the
 	// replicated R must agree with the sequential run's to roundoff.
 	const p, m, n = 4, 256, 32
 	kappa := 1e10
 	a := lin.RandomWithCond(m, n, kappa, 7)
-	qSeq, rSeq, err := ShiftedCQR3(a, 0)
+	_, rSeq, err := ShiftedCQR3(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = qSeq
-	var rDist *lin.Matrix
-	var orth, resid float64
-	_, err = simmpi.RunWithOptions(p, simmpi.Options{Timeout: 60 * time.Second}, func(pr *simmpi.Proc) error {
-		local := a.View(pr.Rank()*(m/p), 0, m/p, n).Clone()
-		qL, r, err := OneDShiftedCQR3(pr.World(), local, m, n, 0)
+	runOneD(t, p, a, func(g *grid.Grid, local *lin.Matrix) error {
+		q, r, err := ShiftedCACQR3(g, local, m, n, Params{})
 		if err != nil {
 			return err
 		}
-		// Assemble Q on rank 0 by stacking the blocked rows.
-		flat, err := pr.World().Allgather(flatten(qL))
-		if err != nil {
+		if !r.EqualWithin(rSeq, 1e-9) {
+			return errors.New("distributed shifted R differs from the sequential reference")
+		}
+		qG, err := dist.Gather(g.Slice, q, m, n, p, 1)
+		if err != nil || qG == nil {
 			return err
 		}
-		if pr.Rank() == 0 {
-			q := lin.FromSlice(m, n, flat)
-			orth, resid = lin.OrthogonalityError(q), lin.ResidualNorm(a, q, r)
-			rDist = r
+		if orth, resid := lin.OrthogonalityError(qG), lin.ResidualNorm(a, qG, r); orth > orthTol || resid > residTol {
+			return fmt.Errorf("κ=%g distributed: orth=%g resid=%g", kappa, orth, resid)
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if orth > orthTol || resid > residTol {
-		t.Fatalf("κ=%g distributed: orth=%g resid=%g", kappa, orth, resid)
-	}
-	if !rDist.EqualWithin(rSeq, 1e-9) {
-		t.Fatal("distributed shifted R differs from the sequential reference")
-	}
 }
 
 func TestKappaOneDShiftedCQR3ErrorPaths(t *testing.T) {
 	a := lin.RandomWithCond(64, 8, 10, 1)
-	_, err := simmpi.RunWithOptions(3, simmpi.Options{Timeout: 30 * time.Second}, func(pr *simmpi.Proc) error {
-		_, _, err := OneDShiftedCQR3(pr.World(), a.View(0, 0, 21, 8), 64, 8, 0)
-		return err
+	runGrid(t, 1, 3, func(_ *simmpi.Proc, g *grid.Grid) error {
+		if _, _, err := ShiftedCACQR3(g, a.View(0, 0, 21, 8), 64, 8, Params{}); err == nil {
+			return errors.New("indivisible m accepted")
+		}
+		return nil
 	})
-	if err == nil {
-		t.Fatal("indivisible m accepted")
-	}
-	_, err = simmpi.RunWithOptions(2, simmpi.Options{Timeout: 30 * time.Second}, func(pr *simmpi.Proc) error {
-		_, _, err := OneDShiftedCQR3(pr.World(), a.View(0, 0, 16, 8), 64, 8, 0)
-		return err
+	runGrid(t, 1, 2, func(_ *simmpi.Proc, g *grid.Grid) error {
+		if _, _, err := ShiftedCACQR3(g, a.View(0, 0, 16, 8), 64, 8, Params{}); err == nil {
+			return errors.New("wrong local block shape accepted")
+		}
+		return nil
 	})
-	if err == nil {
-		t.Fatal("wrong local block shape accepted")
-	}
 }
 
 func TestKappaSweepWorkersInvariance(t *testing.T) {
@@ -187,15 +173,6 @@ func TestKappaSweepWorkersInvariance(t *testing.T) {
 			t.Fatalf("Workers=4 changed R at %d", i)
 		}
 	}
-}
-
-// flatten is a row-major copy helper for the Allgather above.
-func flatten(m *lin.Matrix) []float64 {
-	out := make([]float64, m.Rows*m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		copy(out[i*m.Cols:(i+1)*m.Cols], m.Data[i*m.Stride:i*m.Stride+m.Cols])
-	}
-	return out
 }
 
 // TestKappaTable logs the κ-vs-orthogonality table the README's

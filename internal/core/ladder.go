@@ -4,7 +4,7 @@
 // factor, fold R = Rᵢ·(Rᵢ₋₁⋯R₁), repeat. The variants differ only in
 // where the tall matrix and its n×n Gram matrix live, and so in how the
 // Gram matrix gets summed and factored, which is what the Tall interface
-// abstracts. Five drivers call Ladder, through four adapters:
+// abstracts. Four drivers call Ladder, through three adapters:
 //
 //   - resident (seq.go): the matrix is in memory, the Gram matrix is one
 //     SYRK, nothing is charged — sequential CholeskyQR/CholeskyQR2
@@ -12,27 +12,25 @@
 //     conclusion points to. The sequential drivers run it with the
 //     kernels fanned out over the pool; the batched drivers (batch.go)
 //     run it serially per item, one item per pool worker.
-//   - rowBlock (cqr1d.go): each rank of a transport.Comm holds m/P rows;
-//     the Gram matrix is a local SYRK plus an Allreduce (Algorithms 6–7),
-//     and every flop is charged to the rank, so a run on the simulated
-//     transport yields exact per-processor α-β-γ costs alongside the
-//     factors.
 //   - internal/stream's driver: the matrix arrives as row panels, the
 //     Gram matrix is a running sum over one scan of the source, and the
 //     inverses are kept to be replayed on the next scan.
-//   - cube (cacqr.go): CA-CQR and CA-CQR2 (Algorithms 8–9) over a tunable
-//     c × d × c grid. The Gram matrix stays distributed over a subcube:
-//     gramProduct (Algorithm 8 lines 1–5) forms it, cfr3d.Factor factors
-//     it, cfr3d.ApplyInvT applies R⁻¹ and an MM3D folds R, each line
-//     charged to its Table V phase. The §V panel variant (panel.go) runs
+//   - cube (cacqr.go): CA-CQR, CA-CQR2 and the shifted CA-CQR3
+//     (Algorithms 8–9) over a tunable c × d × c grid, of which c = 1 is
+//     the 1D algorithm (Algorithms 6–7). The Gram matrix stays
+//     distributed over a subcube: gramProduct (Algorithm 8 lines 1–5)
+//     forms it, cfr3d.Factor factors it, cfr3d.ApplyInvT applies R⁻¹ and
+//     an MM3D folds R, each line charged to its Table V phase, so a run
+//     on the simulated transport yields exact per-processor α-β-γ costs
+//     alongside the factors. The §V panel variant (panel.go) runs
 //     CA-CQR2 once per panel and forms its trailing products with
 //     gramProduct too.
 //
-// The first three hold the Gram matrix whole and share one n×n step,
-// Replicated. Every adapter runs on any transport.Comm it is given
-// (simmpi or tcpnet), and whichever factors the Gram matrix, a breakdown
-// reaches the caller as ErrIllConditioned wrapping
-// lin.ErrNotPositiveDefinite.
+// The first two hold the Gram matrix whole and share one n×n step,
+// Replicated; all three share the shift's formula, shiftDiagonal. Every
+// grid runs on any transport.Comm it is given (simmpi or tcpnet), and
+// whichever adapter factors the Gram matrix, a breakdown reaches the
+// caller as ErrIllConditioned wrapping lin.ErrNotPositiveDefinite.
 package core
 
 import (
@@ -46,7 +44,7 @@ import (
 // ErrIllConditioned is returned when CholeskyQR's Gram matrix is not
 // numerically positive definite, which happens when κ(A)² overflows the
 // precision (the §I condition κ(A) ≲ 1/√ε). Every driver of the family
-// returns it — sequential, 1D, batched, streamed, grid and panel — and it
+// returns it — sequential, batched, streamed, grid and panel — and it
 // wraps the lin.ErrNotPositiveDefinite of the Cholesky that failed.
 var ErrIllConditioned = errors.New("core: matrix too ill-conditioned for CholeskyQR (try ShiftedCQR3)")
 
@@ -61,7 +59,7 @@ type Tall interface {
 	// Orth returns ‖G−I‖_F, or NaN where measuring it would cost
 	// communication the algorithm does not pay.
 	Orth() float64
-	// Factor factors G = RᵢᵀRᵢ — first adding the shift of shiftGram
+	// Factor factors G = RᵢᵀRᵢ — first adding the shift of shiftDiagonal
 	// to G when shifted is set — replaces X by X·Rᵢ⁻¹ and makes the
 	// running R Rᵢ·R, or Rᵢ on the first pass. A G that does not factor
 	// fails with an error wrapping lin.ErrNotPositiveDefinite.
@@ -101,10 +99,10 @@ func Ladder(t Tall, m, passes int, shifted bool) (orth float64, err error) {
 }
 
 // Replicated is the n×n side of a Tall whose Gram matrix G is whole
-// where the step runs — in memory, on every rank of a row-block grid, or
-// beside a streamed source. The adapter sets G; Step factors it and
-// leaves Y = Rᵢ⁻ᵀ for the adapter to apply. Besides the iterate, the
-// step holds at most five n×n matrices: G, L, Y, Rᵢ and the running R.
+// where the step runs — in memory or beside a streamed source. The
+// adapter sets G; Step factors it and leaves Y = Rᵢ⁻ᵀ for the adapter
+// to apply. Besides the iterate, the step holds at most five n×n
+// matrices: G, L, Y, Rᵢ and the running R.
 type Replicated struct {
 	G, Y, R *lin.Matrix
 }
@@ -121,7 +119,7 @@ func (s *Replicated) Orth() float64 { return offIdentity(s.G) }
 // after the first pass the fold's (1/3)n³.
 func (s *Replicated) Step(m int, shifted, first bool) (flops int64, err error) {
 	if shifted {
-		shiftGram(s.G, m)
+		shiftDiagonal(s.G, m, s.G.Rows, positiveTrace(s.G))
 	}
 	l, y, err := lin.CholInv(s.G)
 	if err != nil {
@@ -138,21 +136,27 @@ func (s *Replicated) Step(m int, shifted, first bool) (flops int64, err error) {
 	return flops, nil
 }
 
-// shiftGram adds s = 11·(m·n + n·(n+1))·ε·‖A‖₂² to the diagonal of the
-// Gram matrix g = AᵀA of an m-row A, with the trace bounding
-// ‖A‖₂² ≤ ‖A‖_F² (the bound only needs an upper estimate): O(n)
-// uncharged work on a matrix that is already complete, so no variant
-// communicates for it.
-func shiftGram(g *lin.Matrix, m int) {
-	n := g.Rows
-	norm2sq := 0.0
-	for i := 0; i < n; i++ {
+// positiveTrace sums the positive entries on g's diagonal: tr(AᵀA) =
+// ‖A‖_F² bounds ‖A‖₂² (the shift only needs an upper estimate), or, on
+// a square block that holds part of the diagonal, that block's share.
+func positiveTrace(g *lin.Matrix) float64 {
+	var t float64
+	for i := 0; i < g.Rows; i++ {
 		if d := g.At(i, i); d > 0 {
-			norm2sq += d
+			t += d
 		}
 	}
-	s := 11 * float64(m*n+n*(n+1)) * lin.Eps * norm2sq
-	for i := 0; i < n; i++ {
+	return t
+}
+
+// shiftDiagonal adds the shift of Fukaya et al. for an m × n A,
+// s = 11·(m·n + n·(n+1))·ε·tr(AᵀA), to the diagonal of g: the whole Gram
+// matrix, or a square block of it that holds diagonal entries. O(n)
+// uncharged work, the one formula the replicated step and the grid
+// adapter share.
+func shiftDiagonal(g *lin.Matrix, m, n int, trace float64) {
+	s := 11 * float64(m*n+n*(n+1)) * lin.Eps * trace
+	for i := 0; i < g.Rows; i++ {
 		g.Set(i, i, g.At(i, i)+s)
 	}
 }

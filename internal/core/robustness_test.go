@@ -125,45 +125,3 @@ func TestCACQR2ModerateConditioning(t *testing.T) {
 		return nil
 	})
 }
-
-func TestOneDCQR2AgreesWithCACQR2C1(t *testing.T) {
-	// The c=1 CA grid and the dedicated 1D algorithm implement the same
-	// mathematics: their R factors must agree to roundoff.
-	const p, m, n = 4, 32, 4
-	a := lin.RandomMatrix(m, n, 27)
-	var r1d *lin.Matrix
-	_, err := simmpi.RunWithOptions(p, simmpi.Options{Timeout: 60 * time.Second}, func(pr *simmpi.Proc) error {
-		// Note: 1D uses blocked rows; CA uses cyclic rows. R is
-		// row-layout independent.
-		local := a.View(pr.Rank()*(m/p), 0, m/p, n).Clone()
-		_, r, err := OneDCQR2(pr.World(), local, m, n, 0)
-		if err != nil {
-			return err
-		}
-		if pr.Rank() == 0 {
-			r1d = r
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runGrid(t, 1, p, func(pr *simmpi.Proc, g *grid.Grid) error {
-		ad, err := dist.FromGlobal(a, p, 1, g.Y, g.X)
-		if err != nil {
-			return err
-		}
-		_, rL, err := CACQR2(g, ad.Local, m, n, Params{})
-		if err != nil {
-			return err
-		}
-		r, err := dist.Gather(g.Cube.Slice, rL, n, n, 1, 1)
-		if err != nil {
-			return err
-		}
-		if !r.EqualWithin(r1d, 1e-10) { // 1×1 cube slices: every rank is its root
-			return errors.New("c=1 CA-CQR2 R differs from 1D-CQR2 R")
-		}
-		return nil
-	})
-}

@@ -170,49 +170,23 @@ func CACQR2(m, n int, prm CACQRParams) (Cost, error) {
 	return one.Scale(2).Add(MM3DTri(nloc, nloc, nloc, prm.C)), nil
 }
 
-// OneDCQR is Algorithm 6 on a 1D grid of p processors (Table III).
-func OneDCQR(m, n, p int) (Cost, error) {
-	if m%p != 0 {
-		return Cost{}, fmt.Errorf("costmodel: m=%d not divisible by P=%d", m, p)
-	}
-	mloc, nn := int64(m/p), int64(n)
-	c := Cost{Flops: mloc * nn * nn} // line 1: syrk
-	c = c.Add(Allreduce(nn*nn, p))   // line 2
-	c.Flops += 2*nn*nn*nn/3 + nn*nn*nn/3
-	c.Flops += mloc * nn * nn // line 4 (TRMM rate)
-	return c, nil
-}
-
-// OneDCQR2 is Algorithm 7 (Table IV).
-func OneDCQR2(m, n, p int) (Cost, error) {
-	one, err := OneDCQR(m, n, p)
+// ShiftedCACQR3 models core.ShiftedCACQR3: one CA-CQR pass on the
+// shifted Gram matrix, whose trace is one Allreduce of one word over the
+// c × c subcube slice (the diagonal update itself is O(n) uncharged
+// work; at c = 1 the Allreduce is free), then CA-CQR2 on the result and
+// one more MM3D fold R = R₂₃·R₁. ~1.5× CA-CQR2's cost, stable to
+// κ ≈ 1/ε. The passes run in place, so its footprint is CACQR2Memory.
+func ShiftedCACQR3(m, n int, prm CACQRParams) (Cost, error) {
+	one, err := CACQR(m, n, prm)
 	if err != nil {
 		return Cost{}, err
 	}
-	nn := int64(n)
-	c := one.Scale(2)
-	c.Flops += nn * nn * nn / 3 // R = R₂·R₁
-	return c, nil
-}
-
-// OneDShiftedCQR3 models core.OneDShiftedCQR3: one shifted CholeskyQR
-// pass (whose charges are exactly OneDCQR's — the diagonal shift is O(n)
-// uncharged local work on the already-replicated Gram matrix), then
-// OneDCQR2 on the result, then the local triangular product R = R₂₃·R₁
-// ((1/3)n³ flops). ~1.5× OneDCQR2's cost, stable to κ ≈ 1/ε.
-func OneDShiftedCQR3(m, n, p int) (Cost, error) {
-	one, err := OneDCQR(m, n, p)
+	two, err := CACQR2(m, n, prm)
 	if err != nil {
 		return Cost{}, err
 	}
-	two, err := OneDCQR2(m, n, p)
-	if err != nil {
-		return Cost{}, err
-	}
-	c := one.Add(two)
-	nn := int64(n)
-	c.Flops += nn * nn * nn / 3 // R = R₂₃·R₁
-	return c, nil
+	nloc := int64(n / prm.C)
+	return one.Add(Allreduce(1, prm.C*prm.C)).Add(two).Add(MM3DTri(nloc, nloc, nloc, prm.C)), nil
 }
 
 // PanelCACQR2 models core.PanelCACQR2: panel-wise CA-CQR2 with

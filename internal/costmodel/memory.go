@@ -45,49 +45,6 @@ func CACQR2Memory(m, n int, prm CACQRParams) (int64, error) {
 	return 3*tall + (tall - tall>>min(max(prm.InverseDepth, 0), 62)) + 7*nloc*nloc, nil
 }
 
-// OneDCQR2Memory returns the peak per-process words held by the 1D
-// CholeskyQR2 implementation (Algorithm 7) on p processors, counted from
-// the buffers core.OneDCQR2 keeps live:
-//
-//	A, Q₁, Q (row blocks)        — 3 · mn/p
-//	X, Z, L, Y, R                — 5 · n²
-//
-// p = 1 is the sequential footprint. An upper bound since the ladder
-// updates Q in place after its first pass (A and one Q block live, not
-// three); the third block stays in the model so that the planner's
-// budget decisions do not move with it.
-func OneDCQR2Memory(m, n, p int) (int64, error) {
-	if p < 1 {
-		return 0, fmt.Errorf("costmodel: invalid processor count %d", p)
-	}
-	if m%p != 0 {
-		return 0, fmt.Errorf("costmodel: m=%d not divisible by P=%d", m, p)
-	}
-	mloc := int64(m / p)
-	nn := int64(n)
-	return 3*mloc*nn + 5*nn*nn, nil
-}
-
-// OneDShiftedCQR3Memory returns the peak per-process words of the
-// distributed shifted CholeskyQR3 (core.OneDShiftedCQR3) on p
-// processors: the OneDCQR2 footprint plus one extra live row block (the
-// shifted pass's Q₁, still held while CQR2 refines it) and the extra R₁
-// factor:
-//
-//	A, Q₁, Q₂, Q (row blocks)   — 4 · mn/p
-//	X, Z, L, Y, R₁, R₂₃, R      — 6 · n² (rounded up from CQR2's 5)
-//
-// An upper bound in the same way as OneDCQR2Memory.
-func OneDShiftedCQR3Memory(m, n, p int) (int64, error) {
-	base, err := OneDCQR2Memory(m, n, p)
-	if err != nil {
-		return 0, err
-	}
-	mloc := int64(m / p)
-	nn := int64(n)
-	return base + mloc*nn + nn*nn, nil
-}
-
 // TSQRMemory returns the peak per-process words of the binary-tree TSQR
 // (internal/tsqr) on p processors: the local block, its Householder Q,
 // and the assembled output block (3 · mn/p), plus the up-sweep path of

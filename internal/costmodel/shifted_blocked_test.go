@@ -2,51 +2,56 @@ package costmodel
 
 import "testing"
 
+// oneDCQR is the paper's Table III closed form for one 1D-CQR pass on p
+// ranks: syrk, the n²-word Allreduce, the redundant CholInv, and the
+// TRMM-rate Q update.
+func oneDCQR(m, n, p int) Cost {
+	mloc, nn := int64(m/p), int64(n)
+	c := Allreduce(nn*nn, p)
+	c.Flops = 2*mloc*nn*nn + 2*nn*nn*nn/3 + nn*nn*nn/3
+	return c
+}
+
 func TestOneDShiftedCQR3Composition(t *testing.T) {
-	// The row is one shifted pass (charged exactly as OneDCQR), the
-	// CQR2 refinement, and the final (1/3)n³ triangular product —
-	// mirroring core.OneDShiftedCQR3's Compute calls line by line.
+	// At c = 1 the shifted row is three Table III passes and two folds:
+	// α and β are the 1D closed form's exactly (the trace's Allreduce
+	// over a one-rank slice is free), and each fold charges the n³ its
+	// triangular product runs.
 	const m, n, p = 1024, 64, 8
-	got, err := OneDShiftedCQR3(m, n, p)
+	got, err := ShiftedCACQR3(m, n, CACQRParams{C: 1, D: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := OneDCQR(m, n, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, err := OneDCQR2(m, n, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := one.Add(two)
-	want.Flops += int64(n) * int64(n) * int64(n) / 3
+	want := oneDCQR(m, n, p).Scale(3)
+	want.Flops += 2 * int64(n) * int64(n) * int64(n)
 	if got != want {
-		t.Fatalf("OneDShiftedCQR3 = %v, want %v", got, want)
+		t.Fatalf("ShiftedCACQR3 at c = 1 = %v, want %v", got, want)
+	}
+	two, err := CACQR2(m, n, CACQRParams{C: 1, D: p})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// ~1.5× CQR2 in flops, identical α scaling class.
 	if got.Flops <= two.Flops || got.Flops >= 2*two.Flops {
 		t.Fatalf("shifted flops %d not in (1, 2)× CQR2's %d", got.Flops, two.Flops)
 	}
-	if _, err := OneDShiftedCQR3(100, 64, 8); err == nil {
+	if _, err := ShiftedCACQR3(100, 64, CACQRParams{C: 1, D: 8}); err == nil {
 		t.Fatal("indivisible m accepted")
 	}
 }
 
 func TestOneDShiftedCQR3Memory(t *testing.T) {
+	// The shifted passes run in place, so the row holds what CA-CQR2
+	// holds: at c = 1, three row blocks and seven n × n blocks.
 	const m, n, p = 1024, 64, 8
-	shifted, err := OneDShiftedCQR3Memory(m, n, p)
+	words, err := CACQR2Memory(m, n, CACQRParams{C: 1, D: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := OneDCQR2Memory(m, n, p)
-	if err != nil {
-		t.Fatal(err)
+	if want := 3*int64(m/p)*int64(n) + 7*int64(n)*int64(n); words != want {
+		t.Fatalf("c = 1 footprint %d words, want %d", words, want)
 	}
-	if extra := shifted - base; extra != int64(m/p)*int64(n)+int64(n)*int64(n) {
-		t.Fatalf("shifted footprint adds %d words, want one row block + one n²", extra)
-	}
-	if _, err := OneDShiftedCQR3Memory(100, 64, 8); err == nil {
+	if _, err := CACQR2Memory(100, 64, CACQRParams{C: 1, D: 8}); err == nil {
 		t.Fatal("indivisible m accepted")
 	}
 }

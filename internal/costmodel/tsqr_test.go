@@ -52,7 +52,7 @@ func TestTSQRVersusCQR2Tradeoff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cq, err := OneDCQR2(m, n, p)
+		cq, err := CACQR2(m, n, CACQRParams{C: 1, D: p})
 		if err != nil {
 			t.Fatal(err)
 		}

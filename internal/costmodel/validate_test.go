@@ -96,33 +96,45 @@ func TestCFR3DModelMatchesRun(t *testing.T) {
 }
 
 func TestOneDCQRModelMatchesRun(t *testing.T) {
-	// Validates Tables III and IV.
+	// Validates Tables III and IV: CA-CQR and CA-CQR2 on the 1D grid
+	// charge exactly the 1D closed forms, but for the fold R = R₂·R₁,
+	// charged the n³ its triangular product runs (the paper writes n³/3).
 	const np, m, n = 4, 64, 8
 	a := lin.RandomMatrix(m, n, 3)
-	st := runRanks(t, np, func(p *simmpi.Proc) error {
-		local := a.View(p.Rank()*(m/np), 0, m/np, n).Clone()
-		_, _, err := core.OneDCQR(p.World(), local, m, n, 0)
-		return err
-	})
-	want, err := costmodel.OneDCQR(m, n, np)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.MaxMsgs != want.Msgs || st.MaxWords != want.Words || st.MaxFlops != want.TotalFlops() {
-		t.Fatalf("run (α=%d β=%d γ=%d) vs model %v", st.MaxMsgs, st.MaxWords, st.MaxFlops, want)
-	}
-
-	st2 := runRanks(t, np, func(p *simmpi.Proc) error {
-		local := a.View(p.Rank()*(m/np), 0, m/np, n).Clone()
-		_, _, err := core.OneDCQR2(p.World(), local, m, n, 0)
-		return err
-	})
-	want2, err := costmodel.OneDCQR2(m, n, np)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.MaxMsgs != want2.Msgs || st2.MaxWords != want2.Words || st2.MaxFlops != want2.TotalFlops() {
-		t.Fatalf("CQR2 run (α=%d β=%d γ=%d) vs model %v", st2.MaxMsgs, st2.MaxWords, st2.MaxFlops, want2)
+	mloc, nn := int64(m/np), int64(n)
+	tableIII := costmodel.Allreduce(nn*nn, np)
+	tableIII.Flops = 2*mloc*nn*nn + 2*nn*nn*nn/3 + nn*nn*nn/3
+	tableIV := tableIII.Scale(2)
+	tableIV.Flops += nn * nn * nn
+	for _, tc := range []struct {
+		passes int
+		run    func(*grid.Grid, *lin.Matrix, int, int, core.Params) (*lin.Matrix, *lin.Matrix, error)
+		model  func(int, int, costmodel.CACQRParams) (costmodel.Cost, error)
+		want   costmodel.Cost
+	}{{1, core.CACQR, costmodel.CACQR, tableIII}, {2, core.CACQR2, costmodel.CACQR2, tableIV}} {
+		passes, want := tc.passes, tc.want
+		st := runRanks(t, np, func(p *simmpi.Proc) error {
+			g, err := grid.New(p.World(), 1, np)
+			if err != nil {
+				return err
+			}
+			ad, err := dist.FromGlobal(a, np, 1, g.Y, g.X)
+			if err != nil {
+				return err
+			}
+			_, _, err = tc.run(g, ad.Local, m, n, core.Params{})
+			return err
+		})
+		got, err := tc.model(m, n, costmodel.CACQRParams{C: 1, D: np})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%d passes: model %v, closed form %v", passes, got, want)
+		}
+		if st.MaxMsgs != want.Msgs || st.MaxWords != want.Words || st.MaxFlops != want.TotalFlops() {
+			t.Fatalf("%d passes: run (α=%d β=%d γ=%d) vs model %v", passes, st.MaxMsgs, st.MaxWords, st.MaxFlops, want)
+		}
 	}
 }
 

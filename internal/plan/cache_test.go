@@ -59,7 +59,7 @@ func TestBucketEdgePlanValidInsideBucket(t *testing.T) {
 	variants := []struct {
 		v  Variant
 		pw int
-	}{{OneD, 0}, {CACQR2, 0}, {ShiftedCQR3, 0}, {TSQR, 0}, {TSQR, 8}, {PGEQRF, 8}}
+	}{{CACQR2, 0}, {PanelCACQR2, 16}, {ShiftedCQR3, 0}, {TSQR, 0}, {TSQR, 8}, {PGEQRF, 8}}
 	for b := 1; b <= MaxKappaBucket; b++ {
 		edge := BucketCeil(b)
 		interior := []float64{edge / 9, edge / 2, edge}
@@ -136,7 +136,7 @@ func TestBucketedRequestPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bp.Variant == OneD || bp.Variant == CACQR2 || bp.Variant == PanelCACQR2 {
+	if bp.Variant == CACQR2 || bp.Variant == PanelCACQR2 {
 		t.Fatalf("bucketed κ=3e9 plan chose the plain CQR2 family: %v", bp)
 	}
 	if bp.Variant != rp.Variant {

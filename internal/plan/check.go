@@ -14,8 +14,7 @@ const DefaultPanelRows = 4096
 // establish): it is the one home of every extent rule — c | d, d | m and
 // c | n on a c × d × c grid, c | b | n for the §V panels, a power-of-two
 // rank count and tall (or panel-tall) row blocks for TSQR, pr | m and
-// nb | n for PGEQRF, P | m for the 1D family, panel rows ≥ n for a
-// streamed run — and returns the plan with what follows from its extents
+// nb | n for PGEQRF, panel rows ≥ n for a streamed run — and returns the plan with what follows from its extents
 // filled in: Procs where the plan has a grid, the default and the clamp
 // of a stream plan's panel height. A plan Check accepts is executable
 // and priceable; nothing else in the module decides either.
@@ -96,14 +95,13 @@ func (p *Plan) fit(m, n int) violation {
 		if p.PanelWidth < n {
 			return badWidth("PanelRows %d < n=%d", p.PanelWidth, n)
 		}
-	case OneD, ShiftedCQR3, TSQR:
+	case TSQR:
 		np := p.Procs
 		switch {
 		case np < 1:
 			return bad("invalid processor count %d", np)
 		case m%np != 0:
 			return bad("m=%d not divisible by P=%d", m, np)
-		case p.Variant != TSQR:
 		case np&(np-1) != 0:
 			return bad("TSQR needs a power-of-two rank count, got %d", np)
 		case b < 0 || b > 0 && n%b != 0:
@@ -115,7 +113,7 @@ func (p *Plan) fit(m, n int) violation {
 		case m/np < b:
 			return badWidth("TSQR row blocks of %d rows on P=%d are shorter than the panel width %d", m/np, np, b)
 		}
-	case CACQR2, PanelCACQR2:
+	case CACQR2, PanelCACQR2, ShiftedCQR3:
 		c, d := p.C, p.D
 		switch {
 		case c < 1 || d < c || d%c != 0:
@@ -151,12 +149,9 @@ func (p *Plan) price(m, n int, mach costmodel.Machine, cond float64) error {
 	np, b := p.Procs, p.PanelWidth
 	var err, memErr error
 	switch p.Variant {
-	case OneD:
-		p.Cost, err = costmodel.OneDCQR2(m, n, np)
-		p.MemWords, memErr = costmodel.OneDCQR2Memory(m, n, np)
 	case ShiftedCQR3:
-		p.Cost, err = costmodel.OneDShiftedCQR3(m, n, np)
-		p.MemWords, memErr = costmodel.OneDShiftedCQR3Memory(m, n, np)
+		p.Cost, err = costmodel.ShiftedCACQR3(m, n, prm)
+		p.MemWords, memErr = costmodel.CACQR2Memory(m, n, prm)
 	case CACQR2:
 		p.Cost, err = costmodel.CACQR2(m, n, prm)
 		p.MemWords, memErr = costmodel.CACQR2Memory(m, n, prm)

@@ -35,12 +35,15 @@ func TestCheckTable(t *testing.T) {
 		{"panel b=0", 96, 8, Plan{Variant: PanelCACQR2, C: 2, D: 2}, "panel width 0 must satisfy", Plan{}},
 		{"panel on a bad grid", 96, 8, Plan{Variant: PanelCACQR2, C: 2, D: 3, PanelWidth: 2}, "invalid grid", Plan{}},
 		{"panel fits", 96, 8, Plan{Variant: PanelCACQR2, C: 2, D: 2, PanelWidth: 4}, "", Plan{Procs: 8, PanelWidth: 4}},
-		{"1d on one rank", 96, 8, Plan{Variant: OneD, Procs: 1}, "", Plan{Procs: 1}},
-		{"1d P∤m", 96, 8, Plan{Variant: OneD, Procs: 7}, "m=96 not divisible by P=7", Plan{}},
-		{"1d P=0", 96, 8, Plan{Variant: OneD}, "invalid processor count 0", Plan{}},
-		{"1d any P | m", 96, 8, Plan{Variant: OneD, Procs: 3}, "", Plan{Procs: 3}},
-		{"shifted P∤m", 96, 8, Plan{Variant: ShiftedCQR3, Procs: 7}, "m=96 not divisible by P=7", Plan{}},
-		{"shifted short blocks are fine", 96, 8, Plan{Variant: ShiftedCQR3, Procs: 16}, "", Plan{Procs: 16}},
+		{"1d on one rank", 96, 8, Plan{Variant: CACQR2, C: 1, D: 1}, "", Plan{Procs: 1}},
+		{"1d P∤m", 96, 8, Plan{Variant: CACQR2, C: 1, D: 7}, "96x8 matrix not divisible by the 1x7x1 grid", Plan{}},
+		{"1d P=0", 96, 8, Plan{Variant: CACQR2, Procs: 4}, "invalid grid 0x0x0", Plan{}},
+		{"1d any P | m", 96, 8, Plan{Variant: CACQR2, C: 1, D: 3}, "", Plan{Procs: 3}},
+		{"shifted P∤m", 96, 8, Plan{Variant: ShiftedCQR3, C: 1, D: 7}, "96x8 matrix not divisible by the 1x7x1 grid", Plan{}},
+		{"shifted names its grid", 96, 8, Plan{Variant: ShiftedCQR3, Procs: 8}, "invalid grid 0x0x0", Plan{}},
+		{"shifted c∤d", 96, 8, Plan{Variant: ShiftedCQR3, C: 2, D: 3}, "invalid grid 2x3x2", Plan{}},
+		{"shifted short blocks are fine", 96, 8, Plan{Variant: ShiftedCQR3, C: 1, D: 16}, "", Plan{Procs: 16}},
+		{"shifted on a cube", 96, 8, Plan{Variant: ShiftedCQR3, C: 2, D: 2}, "", Plan{Procs: 8}},
 		{"tsqr P not 2^k", 96, 8, Plan{Variant: TSQR, Procs: 3}, "power-of-two rank count, got 3", Plan{}},
 		{"tsqr blocks short", 96, 8, Plan{Variant: TSQR, Procs: 16}, "row blocks of 6 rows on P=16 are not tall", Plan{}},
 		{"tsqr panel∤n", 96, 8, Plan{Variant: TSQR, Procs: 2, PanelWidth: 3}, "panel width 3 must divide n=8", Plan{}},
@@ -82,33 +85,33 @@ func TestCheckTable(t *testing.T) {
 	}
 }
 
-// One rank is 1D-CQR2's sequential case, not a variant of its own: Best
-// on one rank returns the OneD row priced as one rank's 1D-CQR2, and a
-// OneD plan that names no rank count is a typed rejection, never a
-// silent P = 1.
+// One rank is CA-CQR2's sequential case, 1 × 1 × 1, not a variant of its
+// own: Best on one rank returns that row priced as CA-CQR2 on it, and a
+// plan that names only a rank count is a typed rejection, never a
+// silent grid.
 func TestOneRankIsOneD(t *testing.T) {
 	const m, n = 1024, 64
 	best, err := Best(Request{M: m, N: n, Procs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.Variant != OneD || best.C != 1 || best.D != 1 || best.Procs != 1 {
-		t.Fatalf("Best on one rank = %+v, want 1d-cqr2 with Procs 1", best)
+	if best.Variant != CACQR2 || best.C != 1 || best.D != 1 || best.Procs != 1 {
+		t.Fatalf("Best on one rank = %+v, want ca-cqr2 on 1×1×1", best)
 	}
-	want, err := costmodel.OneDCQR2(m, n, 1)
+	want, err := costmodel.CACQR2(m, n, costmodel.CACQRParams{C: 1, D: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if best.Cost != want || best.Seconds != costmodel.Stampede2.Time(want) {
-		t.Fatalf("one-rank row priced %+v (%g s), want OneDCQR2(m, n, 1) = %+v", best.Cost, best.Seconds, want)
+		t.Fatalf("one-rank row priced %+v (%g s), want CACQR2(m, n, 1×1×1) = %+v", best.Cost, best.Seconds, want)
 	}
 	if !strings.HasPrefix(best.Rationale, "single rank") {
 		t.Fatalf("one-rank rationale %q", best.Rationale)
 	}
-	_, err = Check(m, n, Plan{Variant: OneD})
+	_, err = Check(m, n, Plan{Variant: CACQR2, Procs: 1})
 	var v *violation
-	if !errors.As(err, &v) || !strings.Contains(err.Error(), "invalid processor count 0") {
-		t.Fatalf("OneD without Procs: %v, want a *violation naming the rank count", err)
+	if !errors.As(err, &v) || !strings.Contains(err.Error(), "invalid grid 0x0x0") {
+		t.Fatalf("CA-CQR2 with only Procs: %v, want a *violation naming the grid", err)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 
 func isCQR2Family(v Variant) bool {
 	switch v {
-	case OneD, CACQR2, PanelCACQR2:
+	case CACQR2, PanelCACQR2:
 		return true
 	}
 	return false
@@ -138,7 +138,7 @@ func TestCondGateCanRejectEverything(t *testing.T) {
 func TestPredictOrthogonalityShape(t *testing.T) {
 	// Monotone in κ, unconditionally small for the Householder family,
 	// and the shifted gate widens the regime by orders of magnitude.
-	for _, v := range []Variant{OneD, CACQR2, PanelCACQR2, ShiftedCQR3, TSQR, PGEQRF} {
+	for _, v := range []Variant{CACQR2, PanelCACQR2, ShiftedCQR3, TSQR, PGEQRF} {
 		prev := 0.0
 		for _, k := range []float64{1, 1e4, 1e8, 1e12, 1e16} {
 			o := PredictOrthogonality(v, 1024, 64, 0, k)
@@ -151,7 +151,7 @@ func TestPredictOrthogonalityShape(t *testing.T) {
 	if o := PredictOrthogonality(TSQR, 1024, 64, 0, 1e16); o > 1e-13 {
 		t.Fatalf("TSQR predicted %g at κ=1e16", o)
 	}
-	if o := PredictOrthogonality(OneD, 1024, 64, 0, 1e10); o < 1 {
+	if o := PredictOrthogonality(CACQR2, 1024, 64, 0, 1e10); o < 1 {
 		t.Fatalf("CQR2 family predicted %g at κ=1e10, want breakdown", o)
 	}
 	if o := PredictOrthogonality(ShiftedCQR3, 1024, 64, 0, 1e10); o > 1e-12 {

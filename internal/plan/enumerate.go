@@ -10,8 +10,8 @@ import (
 
 // Enumerate prices every feasible plan for the request and returns them
 // ranked by predicted time (ascending; ties keep the canonical
-// enumeration order: 1D-CQR2 by rank count from 1, ShiftedCQR3 by
-// rank count, CA-CQR2 by (c, d), the panel variant by (c, d, b), TSQR
+// enumeration order: by grid (c, d) from the one-rank 1×1×1, CA-CQR2,
+// then ShiftedCQR3, then from c = 2 the panel variant by b; then TSQR
 // by rank count, blocked TSQR by (p, b)). Plans whose modeled per-rank
 // footprint exceeds the memory budget, or whose predicted orthogonality
 // loss at Request.CondEst exceeds DefaultOrthTol, are rejected. An
@@ -127,33 +127,28 @@ func resolveMachine(m costmodel.Machine) (costmodel.Machine, error) {
 // subtree: a final violation (one not about the width alone) rules out
 // every other width on the same variant and grid.
 
-// inCore enumerates the in-core families. 1D-CQR2 runs over every rank
-// count from p = 1, its sequential case: more ranks cut the dominant
-// 4mn²/p flop term but pay an extra log p latency in the Gram Allreduce,
-// so the optimum can be interior when n² is large relative to mn/p.
-// ShiftedCQR3 (likewise from p = 1) costs ~1.5× as much and never
-// outranks the plain family on well-behaved inputs; its reason to exist
-// is the condition gate — when CondEst puts κ(A) beyond the CQR2
-// family's ε^{-1/2} regime, these rows (and the Householder baselines)
-// are all that survive. The
-// c × d × c grids run over c ≥ 2, c·d·c ≤ Procs, each followed by its §V
-// panel variant at every width b < n. TSQR runs over power-of-two rank
+// inCore enumerates the in-core families. The c × d × c grids run over
+// c·d·c ≤ Procs from c = 1, the 1D grids (d = 1 is the sequential
+// case): more ranks cut the dominant 4mn²/P flop term but pay latency in
+// the Gram reductions, and replication (c > 1) cuts words at c× the
+// memory, so the optimum can be interior. Each grid carries a CA-CQR2
+// row and a ShiftedCQR3 row. ShiftedCQR3 costs ~1.5× as much and never
+// outranks the plain row on well-behaved inputs; its reason to exist is
+// the condition gate — when CondEst puts κ(A) beyond the CQR2 family's
+// ε^{-1/2} regime, these rows (and the Householder baselines) are all
+// that survive. From c = 2 each grid is followed by its §V panel
+// variant at every width b < n. TSQR runs over power-of-two rank
 // counts, and its blocked (BGS2) variant exactly where the plain tree is
 // infeasible (m/p < n) — its reason to exist is lifting that restriction
 // to m/p ≥ b.
 func inCore(req Request, add func(Plan) violation) {
-	for p := 1; p <= req.Procs; p++ {
-		add(Plan{Variant: OneD, C: 1, D: p, Procs: p})
-	}
-	for p := 1; p <= req.Procs; p++ {
-		add(Plan{Variant: ShiftedCQR3, C: 1, D: p, Procs: p})
-	}
-	for c := 2; c*c*c <= req.Procs; c++ {
+	for c := 1; c*c*c <= req.Procs; c++ {
 		for d := c; c*d*c <= req.Procs; d += c {
 			if add(Plan{Variant: CACQR2, C: c, D: d}).final() {
 				continue
 			}
-			for b := c; b < req.N; b += c {
+			add(Plan{Variant: ShiftedCQR3, C: c, D: d})
+			for b := c; c > 1 && b < req.N; b += c {
 				add(Plan{Variant: PanelCACQR2, C: c, D: d, PanelWidth: b})
 			}
 		}
@@ -211,14 +206,15 @@ func pgeqrfReference(req Request, try func(Plan) (Plan, violation)) (best Plan, 
 // rationale is the one-line justification a kept row carries.
 func rationale(p Plan, req Request) string {
 	switch p.Variant {
-	case OneD:
-		if p.Procs == 1 {
-			return "single rank: no communication, CholeskyQR2's ~4mn² flops"
-		}
-		return fmt.Sprintf("c=1 tall-skinny regime: n²-word Gram Allreduce over %d ranks, no replication", p.Procs)
 	case ShiftedCQR3:
-		return fmt.Sprintf("shifted CholeskyQR3 over %d ranks: stable far beyond CQR2's κ≈1e7 ceiling at ~1.5× the flops", p.Procs)
+		return fmt.Sprintf("shifted CholeskyQR3 on %s: stable far beyond CQR2's κ≈1e7 ceiling at ~1.5× the flops", p.GridString())
 	case CACQR2:
+		switch {
+		case p.Procs == 1:
+			return "single rank: no communication, CholeskyQR2's ~4mn² flops"
+		case p.C == 1:
+			return fmt.Sprintf("c=1 tall-skinny regime: n²-word Gram Allreduce over %d ranks, no replication", p.Procs)
+		}
 		return fmt.Sprintf("c=%d replicates the Gram work to cut words/rank ~√c at %d× memory, d=%d row blocks", p.C, p.C, p.D)
 	case PanelCACQR2:
 		return fmt.Sprintf("width-%d panels cut the flop overhead toward Householder's 2mn² at %d extra synchronizations", p.PanelWidth, req.N/p.PanelWidth-1)

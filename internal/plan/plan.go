@@ -2,10 +2,10 @@
 // model and the execution paths: given a matrix shape, a processor
 // budget, a machine model, and a per-rank memory budget, it enumerates
 // every feasible algorithm variant and grid — the paper's tunable
-// c × d × c CA-CQR2 family (Tables I–VI), the 1D CholeskyQR2 special
-// case (on one rank, the sequential algorithm), the §V panel variant,
-// and the TSQR baseline — prices each candidate with internal/costmodel,
-// and returns a ranked list of plans.
+// c × d × c CA-CQR2 family (Tables I–VI), whose c = 1 member is the 1D
+// algorithm (on one rank, the sequential one), its shifted CholeskyQR3,
+// the §V panel variant, and the TSQR baseline — prices each candidate
+// with internal/costmodel, and returns a ranked list of plans.
 //
 // The point is the paper's central tension: the right (c, d) depends on
 // the matrix aspect ratio, the processor count, and the machine's
@@ -42,10 +42,9 @@ import (
 type Variant string
 
 const (
-	// OneD is 1D-CQR2 (Algorithm 7): row blocks over p ranks, c = 1.
-	// Procs = 1 is the sequential CholeskyQR2 with no communication.
-	OneD Variant = "1d-cqr2"
-	// CACQR2 is the paper's Algorithm 9 on a c × d × c grid with c ≥ 2.
+	// CACQR2 is the paper's Algorithm 9 on a c × d × c grid. C = 1 is
+	// 1D-CQR2 (Algorithm 7) over D ranks; C = D = 1 is the sequential
+	// CholeskyQR2 with no communication.
 	CACQR2 Variant = "ca-cqr2"
 	// PanelCACQR2 is the §V panel-wise variant on a c × d × c grid.
 	PanelCACQR2 Variant = "panel-ca-cqr2"
@@ -55,9 +54,10 @@ const (
 	// enumerated exactly where plain TSQR is infeasible.
 	TSQR Variant = "tsqr"
 	// ShiftedCQR3 is the three-pass shifted CholeskyQR3 (Fukaya et al.)
-	// on a 1D grid: ~1.5× OneD's cost, stable to κ ≈ 1/ε where the
-	// CholeskyQR2 family breaks down at κ ≈ ε^{-1/2}. The
-	// condition-aware router's fallback for ill-conditioned inputs.
+	// on a C × D × C grid: ~1.5× CACQR2's cost on the same grid, stable
+	// to κ ≈ 1/ε where the CholeskyQR2 family breaks down at
+	// κ ≈ ε^{-1/2}. The condition-aware router's fallback for
+	// ill-conditioned inputs.
 	ShiftedCQR3 Variant = "shifted-cqr3"
 	// PGEQRF is the ScaLAPACK-style 2D Householder baseline, priced as a
 	// reference row (Request.IncludeBaselines) that the ranking never
@@ -131,6 +131,11 @@ const eps = lin.Eps
 //     streamed ShiftedCQR3 — forced by the condition estimate, or
 //     escalated to when a Gram matrix will not factor or the measured
 //     ‖Q₁ᵀQ₁−I‖_F is ≥ ½ — so the loss is ShiftedCQR3's bound.
+//   - PanelCACQR2: each panel's CholeskyQR2 is O(ε), but the trailing
+//     updates lose orthogonality across panels with the conditioning
+//     like block Gram-Schmidt, about κε (measured 0.25–1.1·κε on
+//     512×64 over 2×4×2 at κ = 1e2…8e6): the CholeskyQR2 bound, or 2κε
+//     where that is larger.
 //   - Blocked TSQR (panelWidth > 0): each panel's tree QR is stable,
 //     but the cross-panel BGS2 updates lose orthogonality with the
 //     conditioning — O(ε·κ), the classical reorthogonalized
@@ -165,6 +170,8 @@ func PredictOrthogonality(v Variant, m, n, panelWidth int, cond float64) float64
 	case ShiftedCQR3, StreamCQR2:
 		shrink := math.Sqrt(11 * float64(m*n+n*(n+1)) * eps)
 		return cqr2Loss(shrink * cond)
+	case PanelCACQR2:
+		return math.Max(cqr2Loss(cond), 2*cond*eps)
 	default: // the plain CholeskyQR2 family
 		return cqr2Loss(cond)
 	}
@@ -181,8 +188,9 @@ func CQR2Breaks(cond float64) bool { return cond*cond*eps >= 1.0/64 }
 // Plan is one priced candidate.
 type Plan struct {
 	Variant Variant
-	// C, D are the grid parameters for the CA-CQR2 family (C = 1 for
-	// OneD; unused for TSQR).
+	// C, D are the grid parameters for the CA-CQR2 family and
+	// ShiftedCQR3 (C = 1 is the 1D grid), and pc, pr for PGEQRF; unused
+	// for TSQR.
 	C, D int
 	// PanelWidth is the panel width b: the §V subpanel width for
 	// PanelCACQR2, the BGS2 panel width for blocked TSQR rows, the
@@ -196,7 +204,7 @@ type Plan struct {
 	// records what it was priced with, and a run executes it.
 	InverseDepth, BaseSize int
 	// Procs is the number of ranks the plan actually uses: c·d·c for
-	// the grid family, the 1D rank count otherwise.
+	// the grid family, TSQR's rank count otherwise.
 	Procs int
 	// Cost is the modeled per-processor critical-path cost.
 	Cost costmodel.Cost
@@ -217,10 +225,10 @@ type Plan struct {
 func (p Plan) MemBytes() int64 { return 8 * p.MemWords }
 
 // GridString renders the processor layout: "c×d×c" for the grid family,
-// "p=…" for the 1D family.
+// "p=…" for TSQR and the streamed run.
 func (p Plan) GridString() string {
 	switch p.Variant {
-	case CACQR2, PanelCACQR2:
+	case CACQR2, PanelCACQR2, ShiftedCQR3:
 		return fmt.Sprintf("%d×%d×%d", p.C, p.D, p.C)
 	case PGEQRF:
 		return fmt.Sprintf("%d×%d", p.D, p.C)

@@ -35,20 +35,9 @@ func bruteForce(t *testing.T, req Request) (Plan, bool) {
 		}
 	}
 
-	// 1D-CQR2, one rank included.
-	for p := 1; p <= req.Procs; p++ {
-		if req.M%p != 0 {
-			continue
-		}
-		c, err := costmodel.OneDCQR2(req.M, req.N, p)
-		if err != nil {
-			continue
-		}
-		mem, merr := costmodel.OneDCQR2Memory(req.M, req.N, p)
-		consider(Plan{Variant: OneD, C: 1, D: p, Procs: p, Cost: c}, mem, merr)
-	}
-	// CA-CQR2 grids and panel widths.
-	for c := 2; c*c*c <= req.Procs; c++ {
+	// CA-CQR2 and the shifted CholeskyQR3 on every grid from the one
+	// rank up (c = 1 is the 1D grid), and from c = 2 the panel widths.
+	for c := 1; c*c*c <= req.Procs; c++ {
 		if req.N%c != 0 {
 			continue
 		}
@@ -57,11 +46,14 @@ func bruteForce(t *testing.T, req Request) (Plan, bool) {
 				continue
 			}
 			prm := costmodel.CACQRParams{C: c, D: d, BaseSize: req.BaseSize, InverseDepth: req.InverseDepth}
+			mem, merr := costmodel.CACQR2Memory(req.M, req.N, prm)
 			if cc, err := costmodel.CACQR2(req.M, req.N, prm); err == nil {
-				mem, merr := costmodel.CACQR2Memory(req.M, req.N, prm)
 				consider(Plan{Variant: CACQR2, C: c, D: d, Procs: c * d * c, Cost: cc}, mem, merr)
 			}
-			for b := c; b < req.N; b += c {
+			if sc, err := costmodel.ShiftedCACQR3(req.M, req.N, prm); err == nil {
+				consider(Plan{Variant: ShiftedCQR3, C: c, D: d, Procs: c * d * c, Cost: sc}, mem, merr)
+			}
+			for b := c; c > 1 && b < req.N; b += c {
 				if req.N%b != 0 {
 					continue
 				}
@@ -73,18 +65,6 @@ func bruteForce(t *testing.T, req Request) (Plan, bool) {
 				consider(Plan{Variant: PanelCACQR2, C: c, D: d, PanelWidth: b, Procs: c * d * c, Cost: pc}, mem, merr)
 			}
 		}
-	}
-	// ShiftedCQR3.
-	for p := 1; p <= req.Procs; p++ {
-		if req.M%p != 0 {
-			continue
-		}
-		c, err := costmodel.OneDShiftedCQR3(req.M, req.N, p)
-		if err != nil {
-			continue
-		}
-		mem, merr := costmodel.OneDShiftedCQR3Memory(req.M, req.N, p)
-		consider(Plan{Variant: ShiftedCQR3, C: 1, D: p, Procs: p, Cost: c}, mem, merr)
 	}
 	// TSQR.
 	for p := 2; p <= req.Procs; p *= 2 {

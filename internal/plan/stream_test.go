@@ -14,7 +14,7 @@ import (
 // still an error. The choice is driven purely by MemBudget.
 func TestStreamFallbackRouting(t *testing.T) {
 	const m, n = 1 << 15, 64
-	seqMem, err := costmodel.OneDCQR2Memory(m, n, 1)
+	seqMem, err := costmodel.CACQR2Memory(m, n, costmodel.CACQRParams{C: 1, D: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestStreamFallbackRouting(t *testing.T) {
 // priced as what will run: one more read pass and the shifted flops.
 func TestStreamSurvivesCondGate(t *testing.T) {
 	const m, n = 1 << 15, 64
-	seqMem, err := costmodel.OneDCQR2Memory(m, n, 1)
+	seqMem, err := costmodel.CACQR2Memory(m, n, costmodel.CACQRParams{C: 1, D: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func TestKappaBucketsShareAndSplitCacheLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Variant == plan.OneD || p.Variant == plan.CACQR2 {
+	if p.Variant == plan.CACQR2 || p.Variant == plan.PanelCACQR2 {
 		t.Fatalf("κ=5e9 served a plain-CQR2 plan: %v", p)
 	}
 }

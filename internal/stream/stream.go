@@ -10,7 +10,7 @@
 // ill-conditioned inputs take one more scan on the shifted ladder
 // (streamed ShiftedCQR3). The passes themselves are core.Ladder and
 // the n×n step — factor the Gram matrix, fold R, shift — is
-// core.Replicated, the same code the in-memory and 1D drivers run; this
+// core.Replicated, the same code the in-memory drivers run; this
 // package is the matrix it runs on. See Factorize.
 //
 // Sources and sinks are deliberately io.Reader-shaped: Dense-backed

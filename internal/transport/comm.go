@@ -294,8 +294,12 @@ func (c *comm) recv(src, tag int, dst []float64, moved *Counters) ([]float64, er
 
 // begin opens the trace span of one collective call. words is the
 // payload this member handed in; a nil rank span makes all of it a
-// no-op.
+// no-op. A member alone in its communicator moves nothing and, as in
+// charge, leaves no trace of the call.
 func (c *comm) begin(op Op, words int) *obs.Span {
+	if len(c.ranks) == 1 {
+		return nil
+	}
 	sp := c.span.Collective(string(op))
 	sp.SetInt("bytes", 8*int64(words))
 	sp.SetInt("peers", int64(len(c.ranks)))

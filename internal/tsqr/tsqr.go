@@ -134,7 +134,7 @@ func Factor(comm transport.Comm, aLocal *lin.Matrix, m, n, workers int) (qLocal,
 	}
 
 	// Broadcast the final R from rank 0 so every rank returns it (the
-	// same contract as 1D-CQR2).
+	// same contract as CA-CQR2 on a 1D grid).
 	rOut, err := dist.Bcast(comm, 0, rCur, nil, n, n)
 	if err != nil {
 		return nil, nil, err

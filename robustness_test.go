@@ -11,6 +11,7 @@ import (
 
 	"cacqr/internal/costmodel"
 	"cacqr/internal/lin"
+	"cacqr/internal/plan"
 )
 
 // E2e dispatch tests for the condition-aware planner and the newly
@@ -30,8 +31,8 @@ func TestAutoFactorizeRoutesOnCondEst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan.Variant != Variant1DCQR2 {
-		t.Fatalf("κ=1e3 routed to %v, want 1d-cqr2", res.Plan)
+	if res.Plan.Variant != VariantCACQR2 || res.Plan.C != 1 {
+		t.Fatalf("κ=1e3 routed to %v, want ca-cqr2 on a 1D grid", res.Plan)
 	}
 	if res.CondEst != 1e3 {
 		t.Fatalf("recorded CondEst %g, want the caller's hint", res.CondEst)
@@ -43,8 +44,8 @@ func TestAutoFactorizeRoutesOnCondEst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan.Variant != VariantShiftedCQR3 {
-		t.Fatalf("κ=1e10 routed to %v, want shifted-cqr3", res.Plan)
+	if res.Plan.Variant != VariantShiftedCQR3 || res.Plan.C != 1 {
+		t.Fatalf("κ=1e10 routed to %v, want shifted-cqr3 on a 1D grid", res.Plan)
 	}
 	if e := OrthogonalityError(res.Q); e > 1e-8 {
 		t.Fatalf("κ=1e10 shifted run: orthogonality %g", e)
@@ -53,14 +54,15 @@ func TestAutoFactorizeRoutesOnCondEst(t *testing.T) {
 		t.Fatalf("κ=1e10 shifted run: residual %g", e)
 	}
 	// The shifted dispatch obeys the same validation contract as every
-	// other variant: measured cost = predicted cost + the final gather.
+	// other variant: measured cost = predicted cost + the scatter of A
+	// and the gather of Q.
 	if res.Stats.Flops != res.Plan.Cost.TotalFlops() {
 		t.Fatalf("measured flops %d != predicted %d", res.Stats.Flops, res.Plan.Cost.TotalFlops())
 	}
-	gather := costmodel.Allgather(int64(m*n), res.Plan.Procs)
-	if res.Stats.Msgs != res.Plan.Cost.Msgs+gather.Msgs || res.Stats.Words != res.Plan.Cost.Words+gather.Words {
-		t.Fatalf("measured comm (%d, %d) != predicted (%d, %d) + gather (%d, %d)",
-			res.Stats.Msgs, res.Stats.Words, res.Plan.Cost.Msgs, res.Plan.Cost.Words, gather.Msgs, gather.Words)
+	io := oneDLoading(m, n, res.Plan.Procs)
+	if res.Stats.Msgs != res.Plan.Cost.Msgs+io.Msgs || res.Stats.Words != res.Plan.Cost.Words+io.Words {
+		t.Fatalf("measured comm (%d, %d) != predicted (%d, %d) + scatter and gather (%d, %d)",
+			res.Stats.Msgs, res.Stats.Words, res.Plan.Cost.Msgs, res.Plan.Cost.Words, io.Msgs, io.Words)
 	}
 }
 
@@ -96,7 +98,7 @@ func TestAutoFactorizeEstimatesCondWhenUnset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Plan.Variant != Variant1DCQR2 {
+	if res.Plan.Variant != VariantCACQR2 {
 		t.Fatalf("benign matrix routed to %v", res.Plan)
 	}
 	if res.CondEst <= 0 || math.IsInf(res.CondEst, 1) {
@@ -270,13 +272,16 @@ func TestKappaSweepTSQRUnconditionallyStable(t *testing.T) {
 // TestFactorizeShifted1DErrorPaths: bad shifted-cqr3 rows are errors.
 func TestFactorizeShifted1DErrorPaths(t *testing.T) {
 	a := RandomMatrix(96, 8, 1)
-	if _, err := FactorizePlan(a, Plan{Variant: VariantShiftedCQR3, Procs: 7}, Options{}); err == nil {
+	if _, err := FactorizePlan(a, Plan{Variant: VariantShiftedCQR3, C: 1, D: 7}, Options{}); err == nil {
 		t.Fatal("indivisible m accepted")
 	}
-	if _, err := FactorizePlan(a, Plan{Variant: VariantShiftedCQR3, Procs: 0}, Options{}); err == nil {
-		t.Fatal("zero procs accepted")
+	if _, err := FactorizePlan(a, Plan{Variant: VariantShiftedCQR3, Procs: 4}, Options{}); err == nil {
+		t.Fatal("a plan without a grid accepted")
 	}
-	if _, err := FactorizePlan(a, Plan{Variant: VariantShiftedCQR3, Procs: 4}, Options{Workers: -1}); err == nil {
+	if _, err := FactorizePlan(a, Plan{Variant: VariantShiftedCQR3, C: 2, D: 3}, Options{}); err == nil {
+		t.Fatal("c ∤ d accepted")
+	}
+	if _, err := FactorizePlan(a, Plan{Variant: VariantShiftedCQR3, C: 1, D: 4}, Options{Workers: -1}); err == nil {
 		t.Fatal("negative Workers accepted")
 	}
 }
@@ -312,7 +317,7 @@ func TestCondEstValidationEverywhere(t *testing.T) {
 		if _, err := AutoFactorize(a, 4, opts); err == nil {
 			t.Fatalf("%s CondEst accepted by AutoFactorize", name)
 		}
-		for _, p := range []Plan{{Variant: Variant1DCQR2, Procs: 1}, {Variant: VariantShiftedCQR3, Procs: 4}} {
+		for _, p := range []Plan{{Variant: VariantCACQR2, C: 1, D: 1}, {Variant: VariantShiftedCQR3, C: 1, D: 4}} {
 			if _, err := FactorizePlan(a, p, opts); err == nil {
 				t.Fatalf("%s CondEst accepted by FactorizePlan(%s)", name, p.Variant)
 			}
@@ -372,11 +377,11 @@ func TestWideMatrixIsOneShapeError(t *testing.T) {
 	for name, call := range map[string]func() error{
 		"FactorizeOnGrid": func() error { _, err := FactorizeOnGrid(wide, GridSpec{C: 2, D: 2}, Options{}); return err },
 		"FactorizePlan": func() error {
-			_, err := FactorizePlan(wide, Plan{Variant: VariantShiftedCQR3, Procs: 4}, Options{})
+			_, err := FactorizePlan(wide, Plan{Variant: VariantShiftedCQR3, C: 1, D: 4}, Options{})
 			return err
 		},
 		"FactorizePlan/unsized": func() error {
-			_, err := FactorizePlan(wide, Plan{Variant: Variant1DCQR2}, Options{})
+			_, err := FactorizePlan(wide, Plan{Variant: VariantCACQR2}, Options{})
 			return err
 		},
 		"AutoFactorize": func() error { _, err := AutoFactorize(wide, 4, Options{}); return err },
@@ -429,23 +434,24 @@ func TestBadShapesFailBeforeLaunch(t *testing.T) {
 		"grid c∤n":          func() (*Result, error) { return FactorizeOnGrid(RandomMatrix(96, 9, 1), GridSpec{C: 2, D: 2}, dead) },
 		"grid c∤d":          func() (*Result, error) { return FactorizeOnGrid(a, GridSpec{C: 2, D: 3}, dead) },
 		"grid panel∤n":      row(Plan{Variant: VariantPanelCACQR2, C: 1, D: 2, PanelWidth: 3}),
-		"1d P∤m":            row(Plan{Variant: Variant1DCQR2, Procs: 7}),
-		"shifted P∤m":       row(Plan{Variant: VariantShiftedCQR3, Procs: 7}),
+		"1d P∤m":            row(Plan{Variant: VariantCACQR2, C: 1, D: 7}),
+		"shifted P∤m":       row(Plan{Variant: VariantShiftedCQR3, C: 1, D: 7}),
+		"shifted c∤d":       row(Plan{Variant: VariantShiftedCQR3, C: 2, D: 3}),
 		"tsqr P not 2^k":    row(Plan{Variant: VariantTSQR, Procs: 3}),
 		"tsqr blocks short": row(Plan{Variant: VariantTSQR, Procs: 16}),
 		"tsqr panel∤n":      row(Plan{Variant: VariantTSQR, Procs: 2, PanelWidth: 3}),
 		"pgeqrf pr∤m":       row(Plan{Variant: VariantPGEQRF, D: 5, C: 1, PanelWidth: 4}),
 		"pgeqrf nb∤n":       row(Plan{Variant: VariantPGEQRF, D: 2, C: 1, PanelWidth: 3}),
 		"plan row d∤m":      row(Plan{Variant: VariantCACQR2, C: 1, D: 5}),
-		"plan row P=0":      row(Plan{Variant: Variant1DCQR2}),
+		"plan row P=0":      row(Plan{Variant: VariantCACQR2}),
 		"plan row unknown":  row(Plan{Variant: "bogus", Procs: 2}),
 		"wide": func() (*Result, error) {
-			return FactorizePlan(RandomMatrix(8, 96, 1), Plan{Variant: Variant1DCQR2, Procs: 2}, dead)
+			return FactorizePlan(RandomMatrix(8, 96, 1), Plan{Variant: VariantCACQR2, C: 1, D: 2}, dead)
 		},
 		"negative workers": func() (*Result, error) {
 			o := dead
 			o.Workers = -1
-			return FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 2}, o)
+			return FactorizePlan(a, Plan{Variant: VariantCACQR2, C: 1, D: 2}, o)
 		},
 		"negative inv depth": func() (*Result, error) {
 			o := dead
@@ -464,7 +470,7 @@ func TestBadShapesFailBeforeLaunch(t *testing.T) {
 	}
 	// The same transport with a runnable job does reach the dialler:
 	// the checks above are not passing because TCP is never attempted.
-	if _, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 2}, dead); err == nil || strings.HasPrefix(err.Error(), "cacqr: ") {
+	if _, err := FactorizePlan(a, Plan{Variant: VariantCACQR2, C: 1, D: 2}, dead); err == nil || strings.HasPrefix(err.Error(), "cacqr: ") {
 		t.Errorf("a valid job on a dead worker returned %v, want a transport error", err)
 	}
 }
@@ -491,7 +497,7 @@ func TestMalformedDenseIsAnError(t *testing.T) {
 			"HouseholderQR":   func() error { _, _, err := HouseholderQR(a); return err },
 			"FactorizeOnGrid": func() error { _, err := FactorizeOnGrid(a, GridSpec{C: 1, D: 2}, Options{}); return err },
 			"FactorizePlan": func() error {
-				_, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 2}, Options{})
+				_, err := FactorizePlan(a, Plan{Variant: VariantCACQR2, C: 1, D: 2}, Options{})
 				return err
 			},
 			"AutoFactorize":        func() error { _, err := AutoFactorize(a, 4, Options{}); return err },
@@ -538,5 +544,29 @@ func TestCQR2BreaksOnOverflowingGram(t *testing.T) {
 	res, err := FactorizeOnGrid(ill, GridSpec{C: 2, D: 4}, Options{})
 	if !errors.Is(err, ErrIllConditioned) || !errors.Is(err, lin.ErrNotPositiveDefinite) {
 		t.Errorf("FactorizeOnGrid(κ = 1e10) on 2×4×2 returned %v (result %v), want ErrIllConditioned wrapping ErrNotPositiveDefinite", err, res)
+	}
+}
+
+// TestPanelPlanPredictsItsOrthogonality holds the §V panel rows'
+// predicted loss to what they measure: each panel's CholeskyQR2 is
+// O(ε), but the trailing updates lose orthogonality across panels like
+// block Gram-Schmidt, about κε, so a κ-blind prediction would let the
+// router keep a panel row whose Q is far from orthogonal.
+func TestPanelPlanPredictsItsOrthogonality(t *testing.T) {
+	const m, n = 512, 64
+	for _, b := range []int{8, 16, 32} {
+		p := Plan{Variant: VariantPanelCACQR2, C: 2, D: 4, PanelWidth: b}
+		for _, seed := range []int64{7, 11} {
+			for _, kappa := range []float64{1, 1e2, 1e4, 1e6, 8e6} {
+				res, err := FactorizePlan(RandomWithCond(m, n, kappa, seed), p, Options{})
+				if err != nil {
+					t.Fatalf("b=%d seed %d κ=%g: %v", b, seed, kappa, err)
+				}
+				got, want := OrthogonalityError(res.Q), plan.PredictOrthogonality(p.Variant, m, n, b, kappa)
+				if got > want {
+					t.Errorf("b=%d seed %d κ=%g: measured ‖QᵀQ−I‖ %.3g > predicted %.3g", b, seed, kappa, got, want)
+				}
+			}
+		}
 	}
 }

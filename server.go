@@ -470,7 +470,7 @@ func (s *Server) SubmitBatchCtx(ctx context.Context, reqs []SubmitRequest) []Bat
 // job.err.
 func (s *Server) execGroup(ctx context.Context, p plan.Plan, jobs []*submitJob) {
 	switch p.Variant {
-	case plan.OneD, plan.CACQR2, plan.PanelCACQR2, plan.ShiftedCQR3:
+	case plan.CACQR2, plan.PanelCACQR2, plan.ShiftedCQR3:
 		as := make([]*lin.Matrix, len(jobs))
 		for i, job := range jobs {
 			// Read-only views, not copies: the batched drivers never
@@ -481,13 +481,13 @@ func (s *Server) execGroup(ctx context.Context, p plan.Plan, jobs []*submitJob) 
 		}
 		// Fused runs bypass the simulated runtime, so Stats carries the
 		// cost model's count for the same passes on one rank — what an
-		// unfused Procs: 1 run of the same matrix measures.
-		batched, onOneRank := core.BatchedCQR2, plan.Plan{Variant: plan.OneD, Procs: 1}
+		// unfused 1×1×1 run of the same matrix measures.
+		batched, onOneRank := core.BatchedCQR2, plan.Plan{Variant: plan.CACQR2, C: 1, D: 1}
 		if p.Variant == plan.ShiftedCQR3 {
 			batched, onOneRank.Variant = core.BatchedShiftedCQR3, plan.ShiftedCQR3
 		}
 		qs, rs, errs := batched(as, s.opts.Options.Workers)
-		model, _ := plan.Price(jobs[0].req.A.Rows, jobs[0].req.A.Cols, onOneRank, costmodel.Machine{}) // P = 1 divides any m
+		model, _ := plan.Price(jobs[0].req.A.Rows, jobs[0].req.A.Cols, onOneRank, costmodel.Machine{}) // 1×1×1 divides any shape
 		for i, job := range jobs {
 			if errs[i] != nil {
 				job.err = errs[i]

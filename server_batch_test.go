@@ -66,14 +66,14 @@ func TestSubmitBatchMatchesPerRequestSubmit(t *testing.T) {
 // A fused run reports the flop count the unfused run of the same plan
 // measures: Submit and SubmitBatch of one matrix agree on Stats.Flops,
 // on the plain route and on the shifted one. On one rank the plain route
-// is the 1D-CQR2 row at P = 1, which still fuses.
+// is the CA-CQR2 row on 1 × 1 × 1, which still fuses.
 func TestSubmitBatchFlopsMatchSubmit(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		req     SubmitRequest
 		variant Variant
 	}{
-		{"plain", SubmitRequest{A: RandomMatrix(512, 32, 21)}, Variant1DCQR2},
+		{"plain", SubmitRequest{A: RandomMatrix(512, 32, 21)}, VariantCACQR2},
 		{"cond1e10", SubmitRequest{A: RandomWithCond(512, 32, 1e10, 22), CondEst: 1e10}, VariantShiftedCQR3},
 	} {
 		srv := newTestServer(t, ServerOptions{Procs: 1})

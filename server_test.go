@@ -92,7 +92,7 @@ func TestServerConditionAwareRoutingPerBucket(t *testing.T) {
 		t.Fatal("κ=1e10 request reused the well-conditioned plan line")
 	}
 	switch well.Plan.Variant {
-	case Variant1DCQR2, VariantCACQR2, VariantPanelCACQR2:
+	case VariantCACQR2, VariantPanelCACQR2:
 	default:
 		t.Fatalf("well-conditioned plan variant %s", well.Plan.Variant)
 	}

@@ -31,8 +31,8 @@ func AutoGrid(procs int) GridSpec { return GridSpec{C: 0, D: procs} }
 // when unset, the same power-iteration estimate AutoFactorize makes —
 // gates the CholeskyQR2 path: an input beyond its κ ≈ 10⁷ regime is
 // rerouted to the shifted three-pass variant (or, past its regime too,
-// to TSQR) on a 1D grid within the spec's rank budget, instead of
-// silently returning a low-accuracy x.
+// to TSQR) on whichever grid within the spec's rank budget the planner
+// ranks cheapest, instead of silently returning a low-accuracy x.
 func SolveLeastSquares(a *Dense, b []float64, spec GridSpec, opts Options) ([]float64, error) {
 	if err := a.validate(); err != nil {
 		return nil, err
@@ -91,8 +91,8 @@ func factorizeCondAware(a *Dense, spec GridSpec, opts Options) (*Result, error) 
 // ErrIllConditioned reports a CholeskyQR Gram/Cholesky breakdown:
 // κ(A)² overflowed the precision, so the Gram matrix was not numerically
 // positive definite. Every CholeskyQR driver returns it — sequential,
-// 1D, batched, streamed, and on the grid FactorizeOnGrid and the
-// CA-CQR2 and panel plans, over either transport — for κ ≳ 10⁷ inputs
+// batched, streamed, and on the grid FactorizeOnGrid and the CA-CQR2,
+// shifted and panel plans, over either transport — for κ ≳ 10⁷ inputs
 // (route those to ShiftedCQR3 or a VariantTSQR plan). SolveLeastSquaresSeq
 // falls back to the shifted variant exactly when it sees this error.
 var ErrIllConditioned = core.ErrIllConditioned

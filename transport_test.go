@@ -21,7 +21,9 @@ import (
 	"testing"
 	"time"
 
+	"cacqr/internal/costmodel"
 	"cacqr/internal/lin"
+	"cacqr/internal/plan"
 )
 
 // startLocalWorkers serves n in-process workers on loopback listeners.
@@ -77,8 +79,8 @@ func TestTCPTransportMatchesSim(t *testing.T) {
 		plan Plan // hand-built: the variant and its extents, nothing priced
 	}
 	cases := []testCase{
-		{"1d", a, Plan{Variant: Variant1DCQR2, Procs: 4}},
-		{"shifted1d", a, Plan{Variant: VariantShiftedCQR3, Procs: 4}},
+		{"1d", a, Plan{Variant: VariantCACQR2, C: 1, D: 8}},
+		{"shifted1d", a, Plan{Variant: VariantShiftedCQR3, C: 1, D: 4}},
 		{"tsqr", a, Plan{Variant: VariantTSQR, Procs: 4}},
 		{"grid", a, Plan{Variant: VariantCACQR2, C: 1, D: 4}},
 		{"grid-c3d3", wide, Plan{Variant: VariantCACQR2, C: 3, D: 3}},
@@ -90,8 +92,7 @@ func TestTCPTransportMatchesSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range rows {
-		name := fmt.Sprintf("row/%s/%s/b%d", p.Variant, p.GridString(), p.PanelWidth)
-		cases = append(cases, testCase{name, small, p})
+		cases = append(cases, testCase{rowName(p), small, p})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,6 +148,64 @@ func TestTCPTransportMatchesSim(t *testing.T) {
 	}
 }
 
+// rowName names a planner row's subtest by variant, layout and width. A
+// c = 1 row of the grid family is the paper's 1D algorithm on Procs
+// ranks and is named as one: "1d-cqr2/p=P", "shifted-cqr3/p=P".
+func rowName(p Plan) string {
+	v, layout := string(p.Variant), p.GridString()
+	if p.C == 1 && (p.Variant == VariantCACQR2 || p.Variant == VariantShiftedCQR3) {
+		layout = fmt.Sprintf("p=%d", p.Procs)
+		if p.Variant == VariantCACQR2 {
+			v = "1d-cqr2"
+		}
+	}
+	return fmt.Sprintf("row/%s/%s/b%d", v, layout, p.PanelWidth)
+}
+
+// TestTCPTransportShiftedGrid runs the shifted CholeskyQR3 on a 2×2×2
+// grid at κ = 1e12, far past plain CA-CQR2's breakdown, on both
+// transports: the factors must be accurate to working precision and
+// bitwise equal across transports, and the simulator must charge the
+// modeled flops. (internal/core's TestShiftedCACQR3OnGrids holds the
+// messages and words to the model, where no loading is mixed in.)
+func TestTCPTransportShiftedGrid(t *testing.T) {
+	const m, n = 256, 32
+	tcp := Options{Transport: TCPTransport(startLocalWorkers(t, 7)...), Timeout: time.Minute}
+	shifted := Plan{Variant: VariantShiftedCQR3, C: 2, D: 2}
+	priced, err := plan.Price(m, n, shifted, costmodel.Machine{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{7, 11} {
+		a := RandomWithCond(m, n, 1e12, seed)
+		sim, err := FactorizePlan(a, shifted, Options{})
+		if err != nil {
+			t.Fatalf("seed %d, sim: %v", seed, err)
+		}
+		over, err := FactorizePlan(a, shifted, tcp)
+		if err != nil {
+			t.Fatalf("seed %d, tcp: %v", seed, err)
+		}
+		for _, side := range []struct {
+			name string
+			res  *Result
+		}{{"sim", sim}, {"tcp", over}} {
+			if e := OrthogonalityError(side.res.Q); e > 1e-12 {
+				t.Errorf("seed %d, %s: ‖QᵀQ−I‖ = %g", seed, side.name, e)
+			}
+			if e := ResidualNorm(a, side.res.Q, side.res.R); e > 1e-12 {
+				t.Errorf("seed %d, %s: ‖A−QR‖/‖A‖ = %g", seed, side.name, e)
+			}
+		}
+		if denseMaxDiff(sim.Q, over.Q) > 0 || denseMaxDiff(sim.R, over.R) > 0 {
+			t.Errorf("seed %d: factors differ between transports", seed)
+		}
+		if sim.Stats.Flops != priced.Cost.TotalFlops() {
+			t.Errorf("seed %d: measured flops %d, modeled %d", seed, sim.Stats.Flops, priced.Cost.TotalFlops())
+		}
+	}
+}
+
 // TestJobGobRoundTrip ships the job of every plan row the planner
 // enumerates — in-core rows, the baseline, and the out-of-core rows a
 // tight budget brings out — through the worker payload codec: what gob
@@ -186,7 +245,7 @@ func TestJobGobRoundTrip(t *testing.T) {
 			t.Errorf("%v: round trip gave %+v, want %+v", p, got, want)
 		}
 	}
-	for _, v := range []Variant{Variant1DCQR2, VariantShiftedCQR3, VariantCACQR2, VariantPanelCACQR2, VariantTSQR, VariantPGEQRF, VariantStreamCQR2} {
+	for _, v := range []Variant{VariantShiftedCQR3, VariantCACQR2, VariantPanelCACQR2, VariantTSQR, VariantPGEQRF, VariantStreamCQR2} {
 		if !seen[v] {
 			t.Errorf("no %s row was enumerated", v)
 		}
@@ -247,7 +306,7 @@ func TestTCPTransportReusesWorkerPool(t *testing.T) {
 	workers := startLocalWorkers(t, 3)
 	opts := Options{Transport: TCPTransport(workers...), Timeout: time.Minute}
 	for _, procs := range []int{1, 2, 4} {
-		if _, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: procs}, opts); err != nil {
+		if _, err := FactorizePlan(a, Plan{Variant: VariantCACQR2, C: 1, D: procs}, opts); err != nil {
 			t.Fatalf("procs=%d over 3-worker pool: %v", procs, err)
 		}
 	}
@@ -257,7 +316,7 @@ func TestTCPTransportTooFewWorkers(t *testing.T) {
 	a := RandomMatrix(256, 16, 3)
 	workers := startLocalWorkers(t, 1)
 	opts := Options{Transport: TCPTransport(workers...), Timeout: time.Minute}
-	_, err := FactorizePlan(a, Plan{Variant: Variant1DCQR2, Procs: 4}, opts)
+	_, err := FactorizePlan(a, Plan{Variant: VariantCACQR2, C: 1, D: 4}, opts)
 	if err == nil || !strings.Contains(err.Error(), "workers") {
 		t.Fatalf("4-rank job on 1 worker returned %v, want worker-count error", err)
 	}
@@ -285,7 +344,7 @@ func TestBreakdownTypedOverTCP(t *testing.T) {
 	}{
 		{"grid", ill, GridSpec{C: 2, D: 4}.asPlan(tcp)},
 		{"panel", singularPanel, Plan{Variant: VariantPanelCACQR2, C: 2, D: 4, PanelWidth: 8}},
-		{"1d", ill, Plan{Variant: Variant1DCQR2, Procs: 8}},
+		{"1d", ill, Plan{Variant: VariantCACQR2, C: 1, D: 8}},
 	} {
 		for rep := 0; rep < 10; rep++ {
 			_, err := FactorizePlan(tc.a, tc.plan, tcp)
@@ -389,7 +448,7 @@ func TestFactorizationAcrossRealProcesses(t *testing.T) {
 		name string
 		plan Plan
 	}{
-		{"cqr2-1d", Plan{Variant: Variant1DCQR2, Procs: 4}},
+		{"cqr2-1d", Plan{Variant: VariantCACQR2, C: 1, D: 4}},
 		{"tsqr", Plan{Variant: VariantTSQR, Procs: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

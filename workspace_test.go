@@ -31,9 +31,12 @@ func workspaceUse(t *testing.T, a *lin.Matrix, p plan.Plan) (highWater, overflow
 			return err
 		}
 		prm := core.Params{InverseDepth: p.InverseDepth, BaseSize: p.BaseSize}
-		if p.Variant == plan.PanelCACQR2 {
+		switch p.Variant {
+		case plan.PanelCACQR2:
 			_, _, err = core.PanelCACQR2(g, ad.Local, m, n, p.PanelWidth, prm)
-		} else {
+		case plan.ShiftedCQR3:
+			_, _, err = core.ShiftedCACQR3(g, ad.Local, m, n, prm)
+		default:
 			_, _, err = core.CACQR2(g, ad.Local, m, n, prm)
 		}
 		ws := g.Workspace(0)
@@ -53,9 +56,10 @@ func workspaceUse(t *testing.T, a *lin.Matrix, p plan.Plan) (highWater, overflow
 // memory M of a grid plan is an identity the run is held to. A rank's
 // workspace is sized from the plan's memory row less the input block the
 // row counts, everything the rank body holds comes out of it, and so no
-// request may overflow it: measured peak ≤ modeled M, for every grid row
-// the planner offers for a small shape, a non-power-of-two grid, and the
-// two benchmark shapes.
+// request may overflow it: measured peak ≤ modeled M, for every CA-CQR2
+// and panel row the planner offers for a small shape (its 1D grids
+// included), a non-power-of-two grid, the two benchmark shapes, and the
+// shifted ladder on a 1D grid and on a cube.
 func TestWorkspaceStaysInsideMemoryModel(t *testing.T) {
 	type run struct {
 		m, n int
@@ -86,6 +90,9 @@ func TestWorkspaceStaysInsideMemoryModel(t *testing.T) {
 		run{2048, 128, plan.Plan{Variant: plan.CACQR2, C: 2, D: 4, InverseDepth: 1}},
 		run{1152, 48, plan.Plan{Variant: plan.CACQR2, C: 3, D: 3, InverseDepth: 2}},
 		run{512, 64, plan.Plan{Variant: plan.PanelCACQR2, C: 2, D: 2, PanelWidth: 16, InverseDepth: 1}},
+		// The shifted ladder's third pass runs in place, inside CA-CQR2's row.
+		run{256, 64, plan.Plan{Variant: plan.ShiftedCQR3, C: 1, D: 4}},
+		run{256, 32, plan.Plan{Variant: plan.ShiftedCQR3, C: 2, D: 2}},
 	)
 	for _, r := range runs {
 		p, err := plan.Price(r.m, r.n, r.p, costmodel.Machine{})
