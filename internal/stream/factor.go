@@ -16,9 +16,10 @@ type Options struct {
 	// clamped to m). This is the knob that trades resident memory for
 	// fewer, larger reads.
 	PanelRows int
-	// Workers bounds the goroutines of the in-core kernels (0 =
-	// GOMAXPROCS, 1 = serial); results are bitwise identical for any
-	// value.
+	// Workers bounds the goroutines of each in-core kernel call (0 =
+	// GOMAXPROCS, 1 = serial); the read-ahead stage and the consumer may
+	// each be running one call at once. Results are bitwise identical
+	// for any value.
 	Workers int
 	// Shifted starts on the shifted ladder (streamed ShiftedCQR3: three
 	// Gram passes, the first one shifted). When false the driver runs
@@ -111,9 +112,10 @@ type driver struct {
 // shift is added to the G₁ already in hand and one more Gram pass is
 // inserted (streamed ShiftedCQR3). The error wraps
 // core.ErrIllConditioned when even that ladder cannot certify the
-// result. Every pass reads one panel ahead of its kernels (readAhead);
-// at no point is more than the source's panel, two panel buffers and
-// O(n²) state resident.
+// result. Every pass reads one panel ahead of its consumer and applies
+// that panel's triangular products there (readAhead); at no point is
+// more than the source's panel, two panel buffers and O(n²) state
+// resident.
 func Factorize(src Source, sink Sink, opts Options) (*Result, error) {
 	m, n := src.Dims()
 	if m < 1 || n < 1 || m < n {
@@ -212,16 +214,17 @@ func (d *driver) Factor(m int, shifted, first bool) error {
 }
 
 // scan is one sequential pass over the source: rewind, read one panel
-// ahead of the kernels, multiply each panel in place by every Yᵀ in d.ys,
-// hand it to use, and insist on exactly m rows. It charges the reads
-// and the triangular products.
+// ahead of the consumer — the read-ahead stage also multiplies each
+// panel in place by every Yᵀ in d.ys — hand each panel to use in order,
+// and insist on exactly m rows. It charges the reads and the triangular
+// products.
 func (d *driver) scan(use func(i int, p *lin.Matrix) error) error {
 	res := d.res
 	if err := d.src.Reset(); err != nil {
 		return fmt.Errorf("stream: rewinding for pass %d: %w", res.ReadPasses+1, err)
 	}
 	res.ReadPasses++
-	ra := startReadAhead(d.src, d.bufs, d.b)
+	ra := startReadAhead(d.src, d.bufs, d.b, d.ys, d.workers)
 	defer ra.close()
 	rows := 0
 	for i := 0; ; i++ {
@@ -235,9 +238,6 @@ func (d *driver) scan(use func(i int, p *lin.Matrix) error) error {
 		rows += p.Rows
 		res.IOOps++
 		res.ReadBytes += 8 * int64(p.Rows) * int64(d.n)
-		for _, y := range d.ys {
-			lin.TrmmParallel(d.workers, lin.Right, lin.Lower, true, y, p)
-		}
 		res.Flops += int64(len(d.ys)) * lin.TrsmFlops(p.Rows, d.n)
 		if err := use(i, p); err != nil {
 			return err

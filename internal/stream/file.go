@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 
 	"cacqr/internal/lin"
@@ -14,7 +15,10 @@ import (
 // bigger than memory can live on disk between passes. Layout is the
 // 8-byte magic, two little-endian int64 dims, then m·n little-endian
 // float64 values row-major — sequential-scan friendly, which is the
-// access pattern every streaming pass makes.
+// access pattern every streaming pass makes. A panel body moves as its
+// own memory (lin.HostBytes): one read into, or one write from, the
+// panel's float64 storage. A big-endian host swaps the words in place
+// in storage the file code owns, which is the only second path.
 
 const fileMagic = "CACQRSTM"
 
@@ -67,15 +71,14 @@ func checkFileSize(size int64, m, n int) error {
 }
 
 // FileSource streams panels from a matrix file written by FileSink (or
-// WriteFile). Each Next reads one panel-sized slab straight from the
-// file and decodes it into a panel buffer that the next call reuses;
-// Reset seeks back to the first data byte, so every pass of the driver
-// costs one sequential scan.
+// WriteFile). Each Next reads one panel's bytes straight into the
+// storage of a panel buffer that the next call reuses — no raw slab, no
+// decode loop; Reset seeks back to the first data byte, so every pass of
+// the driver costs one sequential scan.
 type FileSource struct {
 	f     *os.File
 	m, n  int
 	row   int
-	raw   []byte
 	panel *lin.Matrix
 }
 
@@ -116,15 +119,15 @@ func (s *FileSource) Next(max int) (*lin.Matrix, error) {
 	}
 	r := min(s.m-s.row, max)
 	if s.panel == nil || s.panel.Rows < r {
-		s.raw = make([]byte, 8*r*s.n)
 		s.panel = lin.NewMatrix(r, s.n)
 	}
-	raw, p := s.raw[:8*r*s.n], s.panel.View(0, 0, r, s.n)
-	if _, err := io.ReadFull(s.f, raw); err != nil {
+	p := s.panel.View(0, 0, r, s.n)
+	body := p.Data[:r*s.n]
+	if _, err := io.ReadFull(s.f, lin.HostBytes(body)); err != nil {
 		return nil, fmt.Errorf("stream: reading rows %d..%d: %w", s.row, s.row+r, err)
 	}
-	for i := range p.Data[:r*s.n] {
-		p.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	if !lin.LittleEndianHost() {
+		swapWords(body)
 	}
 	s.row += r
 	return p, nil
@@ -143,13 +146,15 @@ func (s *FileSource) Reset() error {
 func (s *FileSource) Close() error { return s.f.Close() }
 
 // FileSink writes appended panels to a matrix file readable by
-// OpenFile, one panel-sized write each. Close validates that exactly m
-// rows arrived.
+// OpenFile. A contiguous panel on a little-endian host is written from
+// its own memory in one Write, with no staging slab; a strided panel is
+// written row by row, and a big-endian host swaps each row in a one-row
+// buffer. Close validates that exactly m rows arrived.
 type FileSink struct {
 	f    *os.File
 	m, n int
 	row  int
-	raw  []byte
+	buf  []float64
 }
 
 // CreateFile creates path as a panel sink for an m×n matrix.
@@ -168,7 +173,7 @@ func CreateFile(path string, m, n int) (*FileSink, error) {
 	return &FileSink{f: f, m: m, n: n}, nil
 }
 
-// Append implements Sink.
+// Append implements Sink. The panel is never modified.
 func (s *FileSink) Append(panel *lin.Matrix) error {
 	if panel.Cols != s.n {
 		return fmt.Errorf("stream: panel width %d, want %d", panel.Cols, s.n)
@@ -176,20 +181,32 @@ func (s *FileSink) Append(panel *lin.Matrix) error {
 	if s.row+panel.Rows > s.m {
 		return fmt.Errorf("stream: sink overflow at row %d + %d > %d", s.row, panel.Rows, s.m)
 	}
-	if need := 8 * panel.Rows * s.n; cap(s.raw) < need {
-		s.raw = make([]byte, need)
+	step := panel.Rows // rows per Write
+	if !lin.LittleEndianHost() || panel.Stride != s.n {
+		step = 1
 	}
-	raw := s.raw[:0]
-	for i := 0; i < panel.Rows; i++ {
-		for _, v := range panel.Data[i*panel.Stride : i*panel.Stride+s.n] {
-			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+	for i := 0; i < panel.Rows; i += step {
+		words := panel.Data[i*panel.Stride:][:step*s.n]
+		if !lin.LittleEndianHost() {
+			s.buf = append(s.buf[:0], words...)
+			swapWords(s.buf)
+			words = s.buf
 		}
-	}
-	if _, err := s.f.Write(raw); err != nil {
-		return fmt.Errorf("stream: writing rows %d..%d: %w", s.row, s.row+panel.Rows, err)
+		if _, err := s.f.Write(lin.HostBytes(words)); err != nil {
+			return fmt.Errorf("stream: writing rows %d..%d: %w", s.row+i, s.row+i+step, err)
+		}
 	}
 	s.row += panel.Rows
 	return nil
+}
+
+// swapWords reverses the bytes of every word of data in place: the step
+// between a big-endian host's memory and the file's little-endian bytes,
+// in either direction.
+func swapWords(data []float64) {
+	for i, v := range data {
+		data[i] = math.Float64frombits(bits.ReverseBytes64(math.Float64bits(v)))
+	}
 }
 
 // Close closes the file, failing if the row count is short.

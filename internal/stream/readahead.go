@@ -8,17 +8,20 @@ import (
 )
 
 // readAhead keeps a Source one panel ahead of its consumer: a goroutine
-// calls Next and copies the panel into one of two buffers while the
-// consumer computes on the other, so reading and decoding panel i+1
-// overlap the kernels of panel i (the I/O–arithmetic overlap of
-// sequential CAQR, arXiv 0809.2407). Panels come out in source order
-// and belong to the consumer — which may overwrite them — until its
-// following call to next. The source must not be touched between
-// startReadAhead and close.
+// calls Next, copies the panel into one of two buffers and multiplies it
+// in place by every Yᵀ of the pass, while the consumer works on the
+// other buffer — so reading panel i+1 and its triangular products
+// overlap the consumer's in-order work on panel i (the I/O–arithmetic
+// overlap of sequential CAQR, arXiv 0809.2407). Panels come out in
+// source order and belong to the consumer — which may overwrite them —
+// until its following call to next. The source and the inverses must
+// not be touched between startReadAhead and close.
 type readAhead struct {
 	// panels is unbuffered: the reader can hand over panel i+1, and go on
-	// to refill panel i's buffer, only once the consumer has come back
-	// for it and is therefore done with panel i.
+	// to refill panel i's buffer and multiply it, only once the consumer
+	// has come back for it and is therefore done with panel i. That
+	// hand-off is what lets the products run here: the reader never
+	// writes a buffer the consumer still holds.
 	panels chan fetched
 	stop   chan struct{} // closed by close: the consumer has given up
 	done   chan struct{} // closed when the reader goroutine has exited
@@ -30,8 +33,10 @@ type fetched struct {
 }
 
 // startReadAhead starts reading src in panels of at most max rows into
-// bufs (max×n each). The caller must call close on every path.
-func startReadAhead(src Source, bufs [2]*lin.Matrix, max int) *readAhead {
+// bufs (max×n each), each panel multiplied by y₁ᵀ⋯yₖᵀ for ys in order,
+// every product on at most workers goroutines. The caller must call
+// close on every path.
+func startReadAhead(src Source, bufs [2]*lin.Matrix, max int, ys []*lin.Matrix, workers int) *readAhead {
 	r := &readAhead{panels: make(chan fetched), stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(r.done)
@@ -45,6 +50,9 @@ func startReadAhead(src Source, bufs [2]*lin.Matrix, max int) *readAhead {
 				} else {
 					w := buf.View(0, 0, p.Rows, p.Cols)
 					w.CopyFrom(p)
+					for _, y := range ys {
+						lin.TrmmParallel(workers, lin.Right, lin.Lower, true, y, w)
+					}
 					p = w
 				}
 			}

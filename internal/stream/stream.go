@@ -3,21 +3,23 @@
 // touches the other ranks' rows — the allreduce of the n×n Gram matrix —
 // becomes a running sum over row panels, G += AᵢᵀAᵢ (the chunked-Gram
 // loop). The tall m×n matrix arrives as row panels from a Source; each
-// pass is one sequential scan, read one panel ahead of the kernels, that
-// keeps three panels' worth and a few n×n factors resident, and every
-// flop runs in lin's SYRK/TRMM kernels. Two scans give R, a third
-// writes the explicit Q panel by panel into an optional Sink;
-// ill-conditioned inputs take one more scan on the shifted ladder
-// (streamed ShiftedCQR3). The passes themselves are core.Ladder and
-// the n×n step — factor the Gram matrix, fold R, shift — is
-// core.Replicated, the same code the in-memory drivers run; this
-// package is the matrix it runs on. See Factorize.
+// pass is one sequential scan that keeps three panels' worth and a few
+// n×n factors resident, and every flop runs in lin's SYRK/TRMM kernels.
+// A read-ahead stage reads panel i+1 and applies its triangular products
+// while the consumer adds panel i to the Gram sum or writes it out, in
+// panel order. Two scans give R, a third writes the explicit Q panel by
+// panel into an optional Sink; ill-conditioned inputs take one more
+// scan on the shifted ladder (streamed ShiftedCQR3). The passes
+// themselves are core.Ladder and the n×n step — factor the Gram matrix,
+// fold R, shift — is core.Replicated, the same code the in-memory
+// drivers run; this package is the matrix it runs on. See Factorize.
 //
 // Sources and sinks are deliberately io.Reader-shaped: Dense-backed
 // (views over an in-memory matrix), file-backed (a little-endian binary
-// panel format), and generator-backed (the deterministic RandomMatrix
-// sequence, so a daemon can stream a "gen" workload without ever
-// holding it).
+// panel format whose bodies are read into and written from the panels'
+// own memory, with the bytes on disk unchanged), and generator-backed
+// (the deterministic RandomMatrix sequence, so a daemon can stream a
+// "gen" workload without ever holding it).
 package stream
 
 import (

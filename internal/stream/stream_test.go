@@ -389,37 +389,59 @@ func (s slowSource) Next(max int) (*lin.Matrix, error) {
 // after it has exited, whether the consumer drained the source, walked
 // away in the middle, or the source failed — and the source is then
 // free for the next pass (under -race, a reader still inside Next would
-// collide with the Reset that follows).
+// collide with the Reset that follows). Every early exit runs twice:
+// once with a slow Next, once with two inverses and a fast source, so
+// the consumer that walks away finds the reader inside a TRMM.
 func TestReadAheadStopsOnEveryPath(t *testing.T) {
-	const m, n, rows = 640, 4, 64
+	const m, n, rows = 640, 32, 64
 	a := lin.RandomMatrix(m, n, 1)
 	bufs := [2]*lin.Matrix{lin.NewMatrix(rows, n), lin.NewMatrix(rows, n)}
-
-	src := slowSource{NewDenseSource(a)}
-	for _, take := range []int{0, 1, 3, m / rows, m/rows + 2} {
-		if err := src.Reset(); err != nil {
+	var ys []*lin.Matrix
+	for seed := int64(2); seed <= 3; seed++ {
+		_, y, err := lin.CholInv(lin.SyrkNew(lin.RandomMatrix(2*n, n, seed)))
+		if err != nil {
 			t.Fatal(err)
 		}
-		ra := startReadAhead(src, bufs, rows)
-		row := 0
-		for i := 0; i < take; i++ {
-			p, err := ra.next()
-			if row == m {
-				if err != io.EOF {
-					t.Fatalf("take %d: past the end: err = %v, want io.EOF", take, err)
+		ys = append(ys, y)
+	}
+
+	for _, run := range []struct {
+		name string
+		src  Source
+		ys   []*lin.Matrix
+	}{
+		{"slow Next", slowSource{NewDenseSource(a)}, nil},
+		{"two inverses", NewDenseSource(a), ys},
+	} {
+		for _, take := range []int{0, 1, 3, m / rows, m/rows + 2} {
+			if err := run.src.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			ra := startReadAhead(run.src, bufs, rows, run.ys, 2)
+			row := 0
+			for i := 0; i < take; i++ {
+				p, err := ra.next()
+				if row == m {
+					if err != io.EOF {
+						t.Fatalf("%s, take %d: past the end: err = %v, want io.EOF", run.name, take, err)
+					}
+					continue
 				}
-				continue
+				if err != nil {
+					t.Fatalf("%s, take %d: panel %d: %v", run.name, take, i, err)
+				}
+				want := a.View(row, 0, p.Rows, n).Clone()
+				for _, y := range run.ys {
+					lin.Trmm(lin.Right, lin.Lower, true, y, want)
+				}
+				if !p.Equal(want) {
+					t.Fatalf("%s, take %d: panel %d is not rows %d..%d times every Yᵀ", run.name, take, i, row, row+p.Rows)
+				}
+				p.Zero() // the panel is the consumer's to overwrite
+				row += p.Rows
 			}
-			if err != nil {
-				t.Fatalf("take %d: panel %d: %v", take, i, err)
-			}
-			if !p.Equal(a.View(row, 0, p.Rows, n)) {
-				t.Fatalf("take %d: panel %d is not rows %d..%d", take, i, row, row+p.Rows)
-			}
-			p.Zero() // the panel is the consumer's to overwrite
-			row += p.Rows
+			ra.close()
 		}
-		ra.close()
 	}
 
 	// A failing source: the panels before the failure arrive, then the
@@ -436,7 +458,7 @@ func TestReadAheadStopsOnEveryPath(t *testing.T) {
 	if err := os.Truncate(trunc, headerSize+8*n*100); err != nil {
 		t.Fatal(err)
 	}
-	ra := startReadAhead(fs, bufs, rows)
+	ra := startReadAhead(fs, bufs, rows, nil, 0)
 	defer ra.close()
 	if _, err := ra.next(); err != nil {
 		t.Fatalf("first panel: %v", err)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cacqr/internal/lin"
 	"cacqr/internal/transport"
 )
 
@@ -111,7 +112,7 @@ func (n *node) writeLoop(pc *peerConn) {
 				pc.conn.SetWriteDeadline(n.deadline)
 			}
 			hdr = meshHeader(m.Comm, m.Src, m.Tag, len(m.Data))
-			iov = [2][]byte{hdr[:], bodyBytes(m.Data)}
+			iov = [2][]byte{hdr[:], lin.HostBytes(m.Data)}
 			bufs = iov[:]
 			wrote, err := bufs.WriteTo(pc.conn)
 			n.bytes.Add(wrote)

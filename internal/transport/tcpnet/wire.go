@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"unsafe"
 
+	"cacqr/internal/lin"
 	"cacqr/internal/transport"
 )
 
@@ -30,7 +30,7 @@ var ctrlFormats = map[byte]string{
 }
 
 var preambleCtrl = func() byte {
-	if binary.NativeEndian.Uint16([]byte{1, 0}) == 1 {
+	if lin.LittleEndianHost() {
 		return 'L'
 	}
 	return 'B'
@@ -136,11 +136,6 @@ func meshHeader(commID uint64, src, tag, count int) (hdr [meshFrameHeader]byte) 
 	return hdr
 }
 
-// bodyBytes views a payload's own memory as the body of its frame.
-func bodyBytes(data []float64) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), 8*len(data))
-}
-
 // readMeshFrame reads one data-plane message, returning the decoded
 // fields and the total bytes consumed from the wire. The header's
 // element count is a claim, not a fact: the body is read chunkElems at
@@ -167,7 +162,7 @@ func readMeshFrame(r io.Reader, words *transport.FreeList[float64]) (msg transpo
 			words.Put(data)
 			data = grown
 		}
-		if _, err = io.ReadFull(r, bodyBytes(data[got:got+k])); err != nil {
+		if _, err = io.ReadFull(r, lin.HostBytes(data[got:got+k])); err != nil {
 			words.Put(data)
 			//lint:ignore errwrap the cause is io.EOF when the peer died on a chunk boundary, and a truncated frame must never match a clean EOF
 			return msg, 0, fmt.Errorf("%w: %d of %d elements arrived: %v", ErrTruncatedFrame, got, count, err)

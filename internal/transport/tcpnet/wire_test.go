@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"cacqr/internal/lin"
 	"cacqr/internal/transport"
 )
 
@@ -68,7 +69,7 @@ func TestTruncatedFrameCommitsWhatArrived(t *testing.T) {
 // the wire: the header, then the payload's own bytes.
 func encodeFrame(commID uint64, src, tag int, data []float64) []byte {
 	hdr := meshHeader(commID, src, tag, len(data))
-	return append(hdr[:], bodyBytes(data)...)
+	return append(hdr[:], lin.HostBytes(data)...)
 }
 
 // TestFrameRoundTripAcrossChunks: a payload longer than one chunk grows
@@ -251,7 +252,7 @@ func FuzzReadMeshFrame(f *testing.F) {
 			t.Fatalf("whole frame: %v", err)
 		default:
 			hdr := meshHeader(msg.Comm, msg.Src, msg.Tag, len(msg.Data))
-			if got := append(hdr[:], bodyBytes(msg.Data)...); int64(len(got)) != consumed || !bytes.Equal(got, wire[:consumed]) {
+			if got := append(hdr[:], lin.HostBytes(msg.Data)...); int64(len(got)) != consumed || !bytes.Equal(got, wire[:consumed]) {
 				t.Fatalf("consumed %d bytes that re-encode as %d different ones", consumed, len(got))
 			}
 		}
