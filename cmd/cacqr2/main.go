@@ -114,7 +114,7 @@ func main() {
 // CholeskyQR2: two Gram-accumulation passes over row panels, Q written
 // in a third. The matrix here is already resident (the CLI built it),
 // so the point of the report is the footprint the same run would have
-// had against a file- or generator-backed source: three panels' worth
+// had against a file- or generator-backed source: two panels' worth
 // plus O(n²) instead of m·n words.
 func runStream(a *cacqr.Dense, panelRows int, opts cacqr.Options) (*cacqr.Result, error) {
 	opts.PanelRows = panelRows

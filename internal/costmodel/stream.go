@@ -5,7 +5,7 @@ import "fmt"
 // Out-of-core CholeskyQR2: the paper's 1D-CQR2 on one rank that streams
 // row panels, with the Gram allreduce replaced by a running sum
 // G += AᵢᵀAᵢ. Every pass over the matrix is one sequential scan; the
-// resident state is three panel buffers plus a handful of n×n factors, so
+// resident state is two panel buffers plus a handful of n×n factors, so
 // the footprint has no term in m or in the panel count — the algorithm
 // the planner routes to when no in-core variant fits the memory budget.
 // The charges here equal internal/stream's driver counters exactly, the
@@ -65,8 +65,8 @@ func StreamCQR2(m, n, panelRows int, writeQ, shifted bool) (Cost, error) {
 }
 
 // StreamCQR2Memory returns the modeled peak resident words of the
-// streaming driver: the source's live panel and the driver's two
-// read-ahead buffers (b·n each), plus at most eight n×n matrices — the
+// streaming driver: its two read-ahead buffers (b·n each), which the
+// source reads straight into, plus at most eight n×n matrices — the
 // pass-1 Gram kept for escalation, the running Gram, up to three
 // inverses, the running R and the Cholesky factor being folded into it.
 // This is the bound the driver's own accounting is tested against — and
@@ -77,5 +77,5 @@ func StreamCQR2Memory(m, n, panelRows int) (int64, error) {
 		return 0, err
 	}
 	nn := int64(n)
-	return 3*b*nn + 8*nn*nn, nil
+	return 2*b*nn + 8*nn*nn, nil
 }

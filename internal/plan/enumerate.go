@@ -75,7 +75,7 @@ func Enumerate(req Request) ([]Plan, error) {
 	}
 	// Out-of-core fallback: when a finite memory budget rejected every
 	// in-core variant, the streamed CholeskyQR2 rows — whose footprint is
-	// three panels' worth plus O(n²), not the whole matrix — are
+	// two panels' worth plus O(n²), not the whole matrix — are
 	// enumerated. They never compete with in-core rows (the extra passes
 	// over the data on the disk tier always lose), so the routing is
 	// driven purely by MemBudget.
@@ -230,6 +230,6 @@ func rationale(p Plan, req Request) string {
 		if CQR2Breaks(req.CondEst) {
 			reads = 4
 		}
-		return fmt.Sprintf("out-of-core: no in-core variant fits the budget; accumulate the Gram matrix over %d-row panels (%d reads + 1 write), resident ≈ 3 panels + O(n²)", p.PanelWidth, reads)
+		return fmt.Sprintf("out-of-core: no in-core variant fits the budget; accumulate the Gram matrix over %d-row panels (%d reads + 1 write), resident ≈ 2 panels + O(n²)", p.PanelWidth, reads)
 	}
 }

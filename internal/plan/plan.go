@@ -67,7 +67,7 @@ const (
 	// StreamCQR2 is the out-of-core CholeskyQR2 (internal/stream): one
 	// rank streams row panels of PanelWidth rows and accumulates the
 	// Gram matrix over them — 1D-CQR2 with the allreduce turned into a
-	// running sum — so the resident footprint is three panels' worth plus
+	// running sum — so the resident footprint is two panels' worth plus
 	// O(n²) instead of the whole matrix. It pays three reads and one
 	// write of the data on the disk tier (one more read on the shifted
 	// ladder), so the planner enumerates it strictly as a fallback: only

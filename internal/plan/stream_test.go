@@ -18,7 +18,7 @@ func TestStreamFallbackRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The stream footprint 3bn + 8n² has no term in m or the panel
+	// The stream footprint 2bn + 8n² has no term in m or the panel
 	// count, so its floor is the shortest panel, b = n.
 	minStream, err := costmodel.StreamCQR2Memory(m, n, n)
 	if err != nil {

@@ -113,9 +113,9 @@ type driver struct {
 // inserted (streamed ShiftedCQR3). The error wraps
 // core.ErrIllConditioned when even that ladder cannot certify the
 // result. Every pass reads one panel ahead of its consumer and applies
-// that panel's triangular products there (readAhead); at no point is
-// more than the source's panel, two panel buffers and O(n²) state
-// resident.
+// that panel's triangular products there (readAhead); the source reads
+// each panel straight into one of the driver's two panel buffers, and at
+// no point is more than those and O(n²) state resident.
 func Factorize(src Source, sink Sink, opts Options) (*Result, error) {
 	m, n := src.Dims()
 	if m < 1 || n < 1 || m < n {
@@ -133,7 +133,7 @@ func Factorize(src Source, sink Sink, opts Options) (*Result, error) {
 	}
 	res := d.res
 	d.bufs = [2]*lin.Matrix{lin.NewMatrix(b, n), lin.NewMatrix(b, n)}
-	d.acct.alloc(3 * int64(b) * int64(n)) // the source's live panel + bufs
+	d.acct.alloc(2 * int64(b) * int64(n))
 
 	res.Shifted = opts.Shifted
 	var err error
@@ -166,7 +166,7 @@ func Factorize(src Source, sink Sink, opts Options) (*Result, error) {
 func (d *driver) attempt(m, passes int, shifted bool) (err error) {
 	d.ys = nil
 	if d.g1 != nil { // a failed attempt's factors are gone; the panels and g1 stay
-		d.acct.cur = (3*int64(d.b) + int64(d.n)) * int64(d.n)
+		d.acct.cur = (2*int64(d.b) + int64(d.n)) * int64(d.n)
 	}
 	d.res.Pass1Orth, err = core.Ladder(d, m, passes, shifted)
 	d.res.R = d.R
@@ -224,7 +224,7 @@ func (d *driver) scan(use func(i int, p *lin.Matrix) error) error {
 		return fmt.Errorf("stream: rewinding for pass %d: %w", res.ReadPasses+1, err)
 	}
 	res.ReadPasses++
-	ra := startReadAhead(d.src, d.bufs, d.b, d.ys, d.workers)
+	ra := startReadAhead(d.src, d.bufs, d.ys, d.workers)
 	defer ra.close()
 	rows := 0
 	for i := 0; ; i++ {

@@ -2,11 +2,15 @@ package stream
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"math/bits"
 	"os"
+	"path/filepath"
+	"time"
 
 	"cacqr/internal/lin"
 )
@@ -71,15 +75,17 @@ func checkFileSize(size int64, m, n int) error {
 }
 
 // FileSource streams panels from a matrix file written by FileSink (or
-// WriteFile). Each Next reads one panel's bytes straight into the
-// storage of a panel buffer that the next call reuses — no raw slab, no
-// decode loop; Reset seeks back to the first data byte, so every pass of
-// the driver costs one sequential scan.
+// WriteFile). NextInto reads one panel's bytes straight into the
+// caller's panel — no raw slab, no decode loop, no panel of its own;
+// Reset seeks back to the first data byte, so every pass of the driver
+// costs one sequential scan. The source holds its file open: a FileSink
+// that replaces the path meanwhile leaves it reading the old matrix to
+// its end.
 type FileSource struct {
 	f     *os.File
 	m, n  int
 	row   int
-	panel *lin.Matrix
+	panel *lin.Matrix // Next's storage; NextInto never touches it
 }
 
 // OpenFile opens path as a panel source.
@@ -108,29 +114,36 @@ func OpenFile(path string) (*FileSource, error) {
 // Dims implements Source.
 func (s *FileSource) Dims() (int, int) { return s.m, s.n }
 
-// Next implements Source. A file that has shrunk since OpenFile
+// NextInto implements Source. A file that has shrunk since OpenFile
 // validated its size fails here with the rows that could not be read.
-func (s *FileSource) Next(max int) (*lin.Matrix, error) {
-	if max < 1 {
-		return nil, fmt.Errorf("stream: panel size %d", max)
+func (s *FileSource) NextInto(dst *lin.Matrix) (*lin.Matrix, error) {
+	p, err := panelInto(dst, s.row, s.m, s.n)
+	if err != nil {
+		return nil, err
 	}
-	if s.row >= s.m {
-		return nil, io.EOF
-	}
-	r := min(s.m-s.row, max)
-	if s.panel == nil || s.panel.Rows < r {
-		s.panel = lin.NewMatrix(r, s.n)
-	}
-	p := s.panel.View(0, 0, r, s.n)
-	body := p.Data[:r*s.n]
+	body := p.Data[:p.Rows*s.n]
 	if _, err := io.ReadFull(s.f, lin.HostBytes(body)); err != nil {
-		return nil, fmt.Errorf("stream: reading rows %d..%d: %w", s.row, s.row+r, err)
+		return nil, fmt.Errorf("stream: reading rows %d..%d: %w", s.row, s.row+p.Rows, err)
 	}
 	if !lin.LittleEndianHost() {
 		swapWords(body)
 	}
-	s.row += r
+	s.row += p.Rows
 	return p, nil
+}
+
+// Next is NextInto for a reader with no buffer of its own: it reads the
+// next panel of at most max rows into storage the FileSource allocates
+// once and reuses, so the panel is valid only until the following call.
+func (s *FileSource) Next(max int) (*lin.Matrix, error) {
+	if max < 1 {
+		return nil, fmt.Errorf("stream: panel size %d", max)
+	}
+	r := min(s.m, max)
+	if s.panel == nil || s.panel.Rows < r {
+		s.panel = lin.NewMatrix(r, s.n)
+	}
+	return s.NextInto(s.panel.View(0, 0, r, s.n))
 }
 
 // Reset implements Source, seeking back to the first data row.
@@ -149,28 +162,69 @@ func (s *FileSource) Close() error { return s.f.Close() }
 // OpenFile. A contiguous panel on a little-endian host is written from
 // its own memory in one Write, with no staging slab; a strided panel is
 // written row by row, and a big-endian host swaps each row in a one-row
-// buffer. Close validates that exactly m rows arrived.
+// buffer.
+//
+// The new file replaces the path only once it is complete. The panels
+// go to a temporary file beside the path; Close checks that exactly m
+// rows arrived, removes the old file and renames the new one onto the
+// path. So on success the path holds the new matrix; on a failed or
+// cancelled run (Abort, or a Close that fails) and on a crash it holds
+// the previous file bitwise, and nothing at all is left behind when
+// there was none; it is empty only between Close's remove and its
+// rename. A crash can leave the temporary file beside the path; unless
+// every row reached it, OpenFile refuses it as shorter than its header
+// says. A reader that opened the old file
+// reads it to its end. A symlink is resolved first, so the link keeps
+// pointing at the new file; other hard links to the old file keep the
+// old matrix. The new file gets os.Create's mode, not the old one's. An
+// existing path that is not a regular file (a FIFO, a device) is opened
+// and written directly, and never removed. Nothing is synced to disk.
 type FileSink struct {
 	f    *os.File
+	path string // the path Close renames f onto; "" when f is the path itself
 	m, n int
 	row  int
 	buf  []float64
 }
 
-// CreateFile creates path as a panel sink for an m×n matrix.
+// CreateFile creates a panel sink for an m×n matrix that replaces path
+// when it is closed.
 func CreateFile(path string, m, n int) (*FileSink, error) {
 	if m < 1 || n < 1 {
 		return nil, fmt.Errorf("stream: bad sink dims %dx%d", m, n)
 	}
-	f, err := os.Create(path)
+	if target, err := filepath.EvalSymlinks(path); err == nil {
+		path = target
+	}
+	s := &FileSink{path: path, m: m, n: n}
+	var err error
+	if st, serr := os.Stat(path); serr == nil && !st.Mode().IsRegular() {
+		s.path = ""
+		s.f, err = os.Create(path)
+	} else {
+		s.f, err = createBeside(path)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := writeFileHeader(f, m, n); err != nil {
-		f.Close()
+	if err := writeFileHeader(s.f, m, n); err != nil {
+		s.Abort()
 		return nil, err
 	}
-	return &FileSink{f: f, m: m, n: n}, nil
+	return s, nil
+}
+
+// createBeside creates a new file in path's directory under a name no
+// other file has, with os.Create's mode (0666 before the umask).
+func createBeside(path string) (*os.File, error) {
+	dir, base := filepath.Split(path)
+	for try := 0; ; try++ {
+		name := filepath.Join(dir, fmt.Sprintf(".%s.%d-%x.tmp", base, os.Getpid(), time.Now().UnixNano()+int64(try)))
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) || try == 10000 {
+			return f, err
+		}
+	}
 }
 
 // Append implements Sink. The panel is never modified.
@@ -209,22 +263,41 @@ func swapWords(data []float64) {
 	}
 }
 
-// Close closes the file, failing if the row count is short.
+// Close checks that exactly m rows arrived, closes the file and puts
+// it at the path. On any failure it is Abort: the path keeps what it
+// held.
 func (s *FileSink) Close() error {
+	if s.row != s.m {
+		s.Abort()
+		return fmt.Errorf("stream: sink closed after %d of %d rows", s.row, s.m)
+	}
 	if err := s.f.Close(); err != nil {
+		s.Abort()
 		return err
 	}
-	if s.row != s.m {
-		return fmt.Errorf("stream: sink closed after %d of %d rows", s.row, s.m)
+	if s.path == "" {
+		return nil
+	}
+	// Remove, then rename: renaming over an existing file makes ext4
+	// flush the new one first, which costs as much as a truncation.
+	if err := os.Remove(s.path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		s.Abort()
+		return err
+	}
+	if err := os.Rename(s.f.Name(), s.path); err != nil {
+		s.Abort()
+		return err
 	}
 	return nil
 }
 
-// Abort closes the file and removes it: the exit for a run that failed
-// part-way, so no half-written matrix is left behind.
+// Abort closes the file and removes it if it is the temporary one: the
+// exit for a run that failed part-way, which leaves the path as it was.
 func (s *FileSink) Abort() {
 	s.f.Close()
-	os.Remove(s.f.Name())
+	if s.path != "" {
+		os.Remove(s.f.Name())
+	}
 }
 
 // WriteFile spills an entire source to path — the helper tests and the

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -23,9 +24,9 @@ func allocated(f func()) uint64 {
 }
 
 // A file run holds only the panels the memory model counts: FileSource
-// reads straight into its one panel buffer, and FileSink writes a
-// contiguous panel from the panel's own memory, with no byte slab beside
-// either.
+// reads straight into the caller's panel and holds none of its own, and
+// FileSink writes a contiguous panel from the panel's own memory, with
+// no byte slab beside either.
 func TestFileIOAllocatesNoSlab(t *testing.T) {
 	const m, n, rows = 2048, 32, 256
 	const panelBytes = 8 * rows * n
@@ -53,6 +54,7 @@ func TestFileIOAllocatesNoSlab(t *testing.T) {
 	}
 
 	row := 0
+	buf := lin.NewMatrix(rows, n)
 	read := allocated(func() {
 		var src *FileSource
 		if src, err = OpenFile(path); err != nil {
@@ -61,7 +63,7 @@ func TestFileIOAllocatesNoSlab(t *testing.T) {
 		defer src.Close()
 		for {
 			var p *lin.Matrix
-			if p, err = src.Next(rows); err != nil {
+			if p, err = src.NextInto(buf); err != nil {
 				if err == io.EOF {
 					err = nil
 				}
@@ -79,8 +81,8 @@ func TestFileIOAllocatesNoSlab(t *testing.T) {
 	if row != m {
 		t.Fatalf("read %d of %d rows", row, m)
 	}
-	if read >= 3*panelBytes/2 {
-		t.Errorf("OpenFile and a full scan allocated %d bytes, want < %d (1.5 panels)", read, 3*panelBytes/2)
+	if read >= panelBytes/4 {
+		t.Errorf("OpenFile and a full scan into a caller's buffer allocated %d bytes, want < %d (¼ panel)", read, panelBytes/4)
 	}
 }
 
@@ -123,5 +125,55 @@ func TestSwapWordsTurnsBigEndianIntoFileBytes(t *testing.T) {
 	swapWords(words)
 	if !bytes.Equal(raw, want) {
 		t.Fatalf("swapped\n got  %x\n want %x", raw, want)
+	}
+}
+
+// A sink that gets Appends but is never closed stands in for a crash:
+// meanwhile the path holds the old matrix bitwise, and the partial
+// temporary file beside it is one OpenFile refuses. Abort removes that
+// file and nothing else.
+func TestStreamingFileSinkNeverClosed(t *testing.T) {
+	const m, n, rows = 600, 8, 128
+	dir := t.TempDir()
+	path := filepath.Join(dir, "q.mat")
+	if err := WriteFile(path, NewDenseSource(lin.RandomMatrix(m, n, 1)), rows); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snk, err := CreateFile(path, m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := lin.RandomMatrix(m, n, 2)
+	for lo := 0; lo < 3*rows; lo += rows {
+		if err := snk.Append(b.View(lo, 0, rows, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, old) {
+		t.Errorf("mid-write the path no longer holds the old matrix (err %v)", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() == "q.mat" {
+			continue
+		}
+		if src, err := OpenFile(filepath.Join(dir, e.Name())); err == nil {
+			src.Close()
+			t.Errorf("OpenFile accepts the partial file %s", e.Name())
+		}
+	}
+	snk.Abort()
+	if entries, err = os.ReadDir(dir); err != nil || len(entries) != 1 || entries[0].Name() != "q.mat" {
+		t.Errorf("after Abort the directory holds %v (err %v), want only q.mat", entries, err)
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, old) {
+		t.Errorf("after Abort the path no longer holds the old matrix (err %v)", err)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"cacqr/internal/lin"
 )
 
 // validFileBytes builds a well-formed m×n matrix file in memory.
@@ -60,9 +62,10 @@ func FuzzReadMatrixFile(f *testing.F) {
 		}
 		defer src.Close()
 		m, n := src.Dims()
+		buf := lin.NewMatrix(min(m, 64), n)
 		rows := 0
 		for {
-			p, err := src.Next(64)
+			p, err := src.NextInto(buf)
 			if err == io.EOF {
 				break
 			}

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 
 	"cacqr/internal/lin"
@@ -19,7 +18,6 @@ type GenSource struct {
 	seed int64
 	rng  *rand.Rand
 	row  int
-	buf  *lin.Matrix // panel storage, reused by the next call
 }
 
 // NewGenSource builds the generator source for an m×n matrix.
@@ -35,23 +33,17 @@ func NewGenSource(m, n int, seed int64) (*GenSource, error) {
 // Dims implements Source.
 func (s *GenSource) Dims() (int, int) { return s.m, s.n }
 
-// Next implements Source.
-func (s *GenSource) Next(max int) (*lin.Matrix, error) {
-	if max < 1 {
-		return nil, fmt.Errorf("stream: panel size %d", max)
+// NextInto implements Source, generating the next rows straight into
+// dst.
+func (s *GenSource) NextInto(dst *lin.Matrix) (*lin.Matrix, error) {
+	p, err := panelInto(dst, s.row, s.m, s.n)
+	if err != nil {
+		return nil, err
 	}
-	if s.row >= s.m {
-		return nil, io.EOF
-	}
-	r := min(s.m-s.row, max)
-	if s.buf == nil || s.buf.Rows < r {
-		s.buf = lin.NewMatrix(r, s.n)
-	}
-	p := s.buf.View(0, 0, r, s.n)
-	for i := range p.Data[:r*s.n] {
+	for i := range p.Data[:p.Rows*s.n] {
 		p.Data[i] = 2*s.rng.Float64() - 1
 	}
-	s.row += r
+	s.row += p.Rows
 	return p, nil
 }
 

@@ -8,11 +8,12 @@ import (
 )
 
 // readAhead keeps a Source one panel ahead of its consumer: a goroutine
-// calls Next, copies the panel into one of two buffers and multiplies it
-// in place by every Yᵀ of the pass, while the consumer works on the
-// other buffer — so reading panel i+1 and its triangular products
-// overlap the consumer's in-order work on panel i (the I/O–arithmetic
-// overlap of sequential CAQR, arXiv 0809.2407). Panels come out in
+// has the source read the next panel into one of two buffers and
+// multiplies it in place by every Yᵀ of the pass, while the consumer
+// works on the other buffer — so reading panel i+1 and its triangular
+// products overlap the consumer's in-order work on panel i (the
+// I/O–arithmetic overlap of sequential CAQR, arXiv 0809.2407). The two
+// buffers are all the panel memory a scan holds. Panels come out in
 // source order and belong to the consumer — which may overwrite them —
 // until its following call to next. The source and the inverses must
 // not be touched between startReadAhead and close.
@@ -32,28 +33,27 @@ type fetched struct {
 	err error
 }
 
-// startReadAhead starts reading src in panels of at most max rows into
-// bufs (max×n each), each panel multiplied by y₁ᵀ⋯yₖᵀ for ys in order,
+// startReadAhead starts reading src into bufs (b×n each, so panels of
+// at most b rows), each panel multiplied by y₁ᵀ⋯yₖᵀ for ys in order,
 // every product on at most workers goroutines. The caller must call
 // close on every path.
-func startReadAhead(src Source, bufs [2]*lin.Matrix, max int, ys []*lin.Matrix, workers int) *readAhead {
+func startReadAhead(src Source, bufs [2]*lin.Matrix, ys []*lin.Matrix, workers int) *readAhead {
 	r := &readAhead{panels: make(chan fetched), stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(r.done)
 		defer close(r.panels)
 		for i := 0; ; i++ {
-			p, err := src.Next(max)
+			buf := bufs[i%2]
+			p, err := src.NextInto(buf)
 			if err == nil {
-				buf := bufs[i%2]
-				if p.Cols != buf.Cols || p.Rows < 1 || p.Rows > buf.Rows {
-					p, err = nil, fmt.Errorf("source yielded a %dx%d panel (want 1..%d rows of %d)", p.Rows, p.Cols, buf.Rows, buf.Cols)
+				// The products run in place: a panel anywhere but at
+				// the top of buf would have them overwrite the source.
+				if p.Rows < 1 || p.Rows > buf.Rows || p.Cols != buf.Cols || p.Stride != buf.Stride || &p.Data[0] != &buf.Data[0] {
+					p, err = nil, fmt.Errorf("source yielded a %dx%d panel outside its %dx%d buffer", p.Rows, p.Cols, buf.Rows, buf.Cols)
 				} else {
-					w := buf.View(0, 0, p.Rows, p.Cols)
-					w.CopyFrom(p)
 					for _, y := range ys {
-						lin.TrmmParallel(workers, lin.Right, lin.Lower, true, y, w)
+						lin.TrmmParallel(workers, lin.Right, lin.Lower, true, y, p)
 					}
-					p = w
 				}
 			}
 			select {

@@ -2,24 +2,27 @@
 // own algorithm: 1D-CholeskyQR2 on one rank, where the only step that
 // touches the other ranks' rows — the allreduce of the n×n Gram matrix —
 // becomes a running sum over row panels, G += AᵢᵀAᵢ (the chunked-Gram
-// loop). The tall m×n matrix arrives as row panels from a Source; each
-// pass is one sequential scan that keeps three panels' worth and a few
-// n×n factors resident, and every flop runs in lin's SYRK/TRMM kernels.
-// A read-ahead stage reads panel i+1 and applies its triangular products
-// while the consumer adds panel i to the Gram sum or writes it out, in
-// panel order. Two scans give R, a third writes the explicit Q panel by
-// panel into an optional Sink; ill-conditioned inputs take one more
-// scan on the shifted ladder (streamed ShiftedCQR3). The passes
-// themselves are core.Ladder and the n×n step — factor the Gram matrix,
-// fold R, shift — is core.Replicated, the same code the in-memory
-// drivers run; this package is the matrix it runs on. See Factorize.
+// loop). The tall m×n matrix arrives as row panels from a Source, which
+// reads each panel straight into a buffer the caller owns; each pass is
+// one sequential scan that keeps two panels' worth and a few n×n factors
+// resident, and every flop runs in lin's SYRK/TRMM kernels. A read-ahead
+// stage reads panel i+1 into one buffer and applies its triangular
+// products while the consumer adds panel i, in the other, to the Gram
+// sum or writes it out, in panel order. Two scans give R, a third writes
+// the explicit Q panel by panel into an optional Sink; ill-conditioned
+// inputs take one more scan on the shifted ladder (streamed
+// ShiftedCQR3). The passes themselves are core.Ladder and the n×n step —
+// factor the Gram matrix, fold R, shift — is core.Replicated, the same
+// code the in-memory drivers run; this package is the matrix it runs on.
+// See Factorize.
 //
 // Sources and sinks are deliberately io.Reader-shaped: Dense-backed
-// (views over an in-memory matrix), file-backed (a little-endian binary
-// panel format whose bodies are read into and written from the panels'
-// own memory, with the bytes on disk unchanged), and generator-backed
-// (the deterministic RandomMatrix sequence, so a daemon can stream a
-// "gen" workload without ever holding it).
+// (copies out of, and into, an in-memory matrix), file-backed (a
+// little-endian binary panel format whose bodies are read into and
+// written from the panels' own memory, with the bytes on disk unchanged,
+// and whose sink replaces its path only once the new file is complete),
+// and generator-backed (the deterministic RandomMatrix sequence, so a
+// daemon can stream a "gen" workload without ever holding it).
 package stream
 
 import (
@@ -30,20 +33,34 @@ import (
 )
 
 // Source yields consecutive row panels of an m×n matrix, top to
-// bottom. Next returns at most max rows; io.EOF signals exhaustion.
-// Every source must be rewindable and must replay the same values after
-// Reset: Factorize rewinds at entry and scans the matrix two to five
-// times.
+// bottom, into storage the caller owns: no source holds a panel of its
+// own, so a panel is moved once, from where the matrix lives into the
+// buffer that uses it. Every source must be rewindable and must replay
+// the same values after Reset: Factorize rewinds at entry and scans the
+// matrix two to five times.
 type Source interface {
 	// Dims returns the full matrix shape (m, n).
 	Dims() (m, n int)
-	// Next returns the next panel of at most max rows (max ≥ 1). The
-	// returned matrix is only valid until the following Next or Reset
-	// call (sources reuse its storage); callers copy what they must
-	// keep. Returns io.EOF when no rows remain.
-	Next(max int) (*lin.Matrix, error)
+	// NextInto fills the leading rows of dst — at most dst.Rows of them;
+	// dst must be n columns wide and contiguous (Stride == n), as
+	// lin.NewMatrix makes it — with the next panel and returns that view
+	// of dst. Returns io.EOF when no rows remain.
+	NextInto(dst *lin.Matrix) (*lin.Matrix, error)
 	// Reset rewinds the source to the first row.
 	Reset() error
+}
+
+// panelInto checks dst against a source's n columns and returns the
+// view of dst that the next panel of a source at row of m rows fills,
+// or io.EOF once no rows remain.
+func panelInto(dst *lin.Matrix, row, m, n int) (*lin.Matrix, error) {
+	if dst.Rows < 1 || dst.Cols != n || dst.Stride != n {
+		return nil, fmt.Errorf("stream: %dx%d panel buffer of stride %d for a matrix of %d columns", dst.Rows, dst.Cols, dst.Stride, n)
+	}
+	if row >= m {
+		return nil, io.EOF
+	}
+	return dst.View(0, 0, min(m-row, dst.Rows), n), nil
 }
 
 // Sink accepts consecutive row panels of the output matrix, top to
@@ -52,9 +69,10 @@ type Sink interface {
 	Append(panel *lin.Matrix) error
 }
 
-// DenseSource streams an in-memory matrix as row-panel views — the
-// zero-copy adapter the planner's dispatch path uses when an in-memory
-// matrix is routed to the streaming variant.
+// DenseSource streams an in-memory matrix, copying its rows into the
+// caller's panel — the adapter the planner's dispatch path uses when an
+// in-memory matrix is routed to the streaming variant. The matrix is
+// only read.
 type DenseSource struct {
 	a   *lin.Matrix
 	row int
@@ -70,21 +88,16 @@ func (s *DenseSource) Matrix() *lin.Matrix { return s.a }
 // Dims implements Source.
 func (s *DenseSource) Dims() (int, int) { return s.a.Rows, s.a.Cols }
 
-// Next implements Source, returning views into the backing matrix.
-func (s *DenseSource) Next(max int) (*lin.Matrix, error) {
-	if max < 1 {
-		return nil, fmt.Errorf("stream: panel size %d", max)
+// NextInto implements Source, copying the next rows of the backing
+// matrix into dst.
+func (s *DenseSource) NextInto(dst *lin.Matrix) (*lin.Matrix, error) {
+	p, err := panelInto(dst, s.row, s.a.Rows, s.a.Cols)
+	if err != nil {
+		return nil, err
 	}
-	if s.row >= s.a.Rows {
-		return nil, io.EOF
-	}
-	r := s.a.Rows - s.row
-	if r > max {
-		r = max
-	}
-	v := s.a.View(s.row, 0, r, s.a.Cols)
-	s.row += r
-	return v, nil
+	p.CopyFrom(s.a.View(s.row, 0, p.Rows, p.Cols))
+	s.row += p.Rows
+	return p, nil
 }
 
 // Reset implements Source.
@@ -123,15 +136,17 @@ func (s *DenseSink) Matrix() *lin.Matrix { return s.m }
 // Rows reports how many rows have been appended so far.
 func (s *DenseSink) Rows() int { return s.row }
 
-// Drain copies every panel of src into snk, panelRows rows at a time —
-// the plain pump behind spilling a source to disk or materializing one
-// in memory.
+// Drain copies every panel of src into snk through one buffer of
+// min(panelRows, m) rows — the plain pump behind spilling a source to
+// disk or materializing one in memory.
 func Drain(src Source, snk Sink, panelRows int) error {
 	if panelRows < 1 {
 		panelRows = 4096
 	}
+	m, n := src.Dims()
+	buf := lin.NewMatrix(min(panelRows, m), n)
 	for {
-		p, err := src.Next(panelRows)
+		p, err := src.NextInto(buf)
 		if err == io.EOF {
 			return nil
 		}

@@ -272,7 +272,7 @@ func TestStreamingEscalatesUnhinted(t *testing.T) {
 }
 
 // The whole point of streaming: resident memory stays within the
-// modeled footprint — three panels' worth plus O(n²) — with no term in m:
+// modeled footprint — two panels' worth plus O(n²) — with no term in m:
 // the accountant's peak is identical at m and 4m.
 func TestStreamingResidentMemoryBounded(t *testing.T) {
 	n, rows := 32, 256
@@ -376,13 +376,13 @@ func TestReadAheadMatchesSerialScan(t *testing.T) {
 	}
 }
 
-// slowSource makes Next slow enough that a consumer abandoning the scan
-// finds the reader mid-call.
+// slowSource makes NextInto slow enough that a consumer abandoning the
+// scan finds the reader mid-call.
 type slowSource struct{ Source }
 
-func (s slowSource) Next(max int) (*lin.Matrix, error) {
+func (s slowSource) NextInto(dst *lin.Matrix) (*lin.Matrix, error) {
 	time.Sleep(time.Millisecond)
-	return s.Source.Next(max)
+	return s.Source.NextInto(dst)
 }
 
 // The reader goroutine never outlives its scan: close returns only
@@ -417,7 +417,7 @@ func TestReadAheadStopsOnEveryPath(t *testing.T) {
 			if err := run.src.Reset(); err != nil {
 				t.Fatal(err)
 			}
-			ra := startReadAhead(run.src, bufs, rows, run.ys, 2)
+			ra := startReadAhead(run.src, bufs, run.ys, 2)
 			row := 0
 			for i := 0; i < take; i++ {
 				p, err := ra.next()
@@ -458,7 +458,7 @@ func TestReadAheadStopsOnEveryPath(t *testing.T) {
 	if err := os.Truncate(trunc, headerSize+8*n*100); err != nil {
 		t.Fatal(err)
 	}
-	ra := startReadAhead(fs, bufs, rows, nil, 0)
+	ra := startReadAhead(fs, bufs, nil, 0)
 	defer ra.close()
 	if _, err := ra.next(); err != nil {
 		t.Fatalf("first panel: %v", err)
@@ -592,7 +592,8 @@ func TestFileSourceSinkRoundTrip(t *testing.T) {
 }
 
 // GenSource must replay lin.RandomMatrix's sequence bitwise, panel by
-// panel, across Reset.
+// panel, across Reset — each panel generated straight into the rows of
+// the caller's matrix it was given.
 func TestGenSourceMatchesRandomMatrix(t *testing.T) {
 	m, n := 333, 7
 	want := lin.RandomMatrix(m, n, 42)
@@ -602,20 +603,18 @@ func TestGenSourceMatchesRandomMatrix(t *testing.T) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		got := lin.NewMatrix(m, n)
-		row := 0
-		for {
-			p, err := src.Next(50)
-			if err == io.EOF {
-				break
-			}
+		for row := 0; row < m; row += 50 {
+			dst := got.View(row, 0, min(50, m-row), n)
+			p, err := src.NextInto(dst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got.View(row, 0, p.Rows, n).CopyFrom(p)
-			row += p.Rows
+			if &p.Data[0] != &dst.Data[0] || p.Rows != dst.Rows {
+				t.Fatalf("pass %d: rows %d.. came back as a %dx%d panel outside dst", pass, row, p.Rows, p.Cols)
+			}
 		}
-		if row != m {
-			t.Fatalf("pass %d: %d rows, want %d", pass, row, m)
+		if _, err := src.NextInto(lin.NewMatrix(50, n)); err != io.EOF {
+			t.Fatalf("pass %d: after %d rows: err = %v, want io.EOF", pass, m, err)
 		}
 		for i := range got.Data {
 			if got.Data[i] != want.Data[i] {
@@ -624,6 +623,35 @@ func TestGenSourceMatchesRandomMatrix(t *testing.T) {
 		}
 		if err := src.Reset(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// Every source fills only a buffer it can fill in place: one of the
+// wrong width, or whose rows are not contiguous, is an error, never a
+// panel written past its rows.
+func TestSourcesRefuseAMisshapenBuffer(t *testing.T) {
+	const m, n = 40, 6
+	a := lin.RandomMatrix(m, n, 8)
+	path := filepath.Join(t.TempDir(), "a.mat")
+	if err := WriteFile(path, NewDenseSource(a), 16); err != nil {
+		t.Fatal(err)
+	}
+	file, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	gen, err := NewGenSource(m, n, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := lin.NewMatrix(8, n+1)
+	for _, src := range []Source{NewDenseSource(a), file, gen} {
+		for _, dst := range []*lin.Matrix{lin.NewMatrix(8, n-1), wide, wide.View(0, 0, 8, n), lin.NewMatrix(0, n)} {
+			if _, err := src.NextInto(dst); err == nil {
+				t.Errorf("%T filled a %dx%d buffer of stride %d for %d columns", src, dst.Rows, dst.Cols, dst.Stride, n)
+			}
 		}
 	}
 }

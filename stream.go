@@ -33,8 +33,9 @@ func (s *MatrixSource) Close() error {
 	return s.closer()
 }
 
-// SourceFromDense streams an in-memory matrix (not copied: panels are
-// views of a, which a run only reads) — mostly useful for testing the
+// SourceFromDense streams an in-memory matrix (not copied: a streamed
+// run copies each panel out of a into its own buffer, and a resident run
+// reads a in place; neither writes it) — mostly useful for testing the
 // streaming path against in-core results.
 func SourceFromDense(a *Dense) *MatrixSource {
 	return &MatrixSource{src: stream.NewDenseSource(a.view())}
@@ -42,7 +43,10 @@ func SourceFromDense(a *Dense) *MatrixSource {
 
 // SourceFromFile opens a matrix file written by SinkToFile (or
 // WriteMatrixFile) as a panel source. Each streaming pass over the file
-// is one sequential scan.
+// is one sequential scan, read straight into the run's panel buffers.
+// The source holds the file open: a SinkToFile that replaces the path
+// meanwhile — even the one of the run reading it — leaves this source
+// reading the old matrix to its end.
 func SourceFromFile(path string) (*MatrixSource, error) {
 	fs, err := stream.OpenFile(path)
 	if err != nil {
@@ -77,7 +81,7 @@ func WriteMatrixFile(path string, src *MatrixSource, panelRows int) error {
 // SinkToFile (write Q to disk, never resident). A nil sink skips the Q
 // pass entirely — the factorization then reads the source twice instead
 // of three times and returns only R. A sink is bound afresh by every
-// run, so it can be reused (a file sink overwrites its path).
+// run, so it can be reused (a file sink replaces its path each time).
 type MatrixSink struct {
 	path string           // file sink destination; "" = dense
 	q    *lin.Matrix      // dense sink: the Q of the last run
@@ -89,9 +93,18 @@ type MatrixSink struct {
 func SinkToDense() *MatrixSink { return &MatrixSink{} }
 
 // SinkToFile streams Q to a matrix file at path, so even the output
-// never needs m·n resident words. The file is finalized when the
-// factorization returns; a run that fails closes and removes it, so a
-// half-written Q is never left behind.
+// never needs m·n resident words. Q is written to a temporary file
+// beside path and replaces path only once it is complete: when the run
+// succeeds, path holds the new Q; when it fails, is cancelled or
+// crashes, path holds whatever it held before, bitwise — nothing, if
+// there was nothing — and no partial matrix is ever left that
+// SourceFromFile accepts (a crash can leave a partial temporary file
+// beside path, which it refuses). A reader that opened the old file
+// keeps reading it, so the path may be the run's own input. A symlink
+// is resolved, so it points at the new Q; other hard links keep the old
+// matrix; the new file gets os.Create's mode. A path that is not a
+// regular file (a FIFO, a device) is written directly and never
+// removed. Nothing is synced to disk.
 func SinkToFile(path string) *MatrixSink { return &MatrixSink{path: path} }
 
 // Dense returns the assembled Q of a SinkToDense after a successful
@@ -119,8 +132,8 @@ func (s *MatrixSink) open(m, n int) (stream.Sink, error) {
 }
 
 // put delivers the resident Q of an in-core run: a dense sink adopts
-// it, a file sink is written from row-panel views of it — no copy of Q
-// either way.
+// it, a file sink is written from Q's own memory — no copy of Q either
+// way.
 func (s *MatrixSink) put(q *lin.Matrix) error {
 	if s.path == "" {
 		s.q = q
@@ -130,30 +143,26 @@ func (s *MatrixSink) put(q *lin.Matrix) error {
 	if err != nil {
 		return err
 	}
-	if err := stream.Drain(stream.NewDenseSource(q), snk, 0); err != nil {
+	if err := snk.Append(q); err != nil {
 		s.abort()
 		return err
 	}
 	return s.finish()
 }
 
-// finish finalizes a file-backed sink (close + row-count check),
-// removing the file when the check fails.
+// finish finalizes a file-backed sink: the row-count check, then the
+// new file replaces the path (on failure the path keeps what it held).
 func (s *MatrixSink) finish() error {
 	if s.file == nil {
 		return nil
 	}
-	if err := s.file.Close(); err != nil {
-		s.abort()
-		return err
-	}
+	err := s.file.Close()
 	s.file = nil
-	return nil
+	return err
 }
 
 // abort is finish for a failed run: a half-assembled dense Q is
-// dropped, the file sink's descriptor is closed and its partial file
-// removed.
+// dropped, the file sink's temporary file closed and removed.
 func (s *MatrixSink) abort() {
 	s.q = nil
 	if s.file != nil {
@@ -181,7 +190,7 @@ type StreamInfo struct {
 	// no result is returned otherwise.
 	Pass1Orth float64
 	// MaxResidentBytes is the peak matrix memory the driver held at
-	// once — three panels' worth plus O(n²), independent of m.
+	// once — two panels' worth plus O(n²), independent of m.
 	MaxResidentBytes int64
 	// ReadBytes and WrittenBytes are the streaming I/O volumes
 	// (ReadPasses reads of the matrix; one write when Q is produced).
@@ -192,10 +201,10 @@ type StreamInfo struct {
 // Options.PanelRows is unset: max(4096, n), clamped to m.
 const DefaultPanelRows = plan.DefaultPanelRows
 
-// runSource is the source one run reads. Next fails with the context's
-// error once the run's ctx is done, so a cancelled request stops
-// scanning at its next panel and gives back its rank token and pending
-// slot; span, set by a streamed run, hangs its stage span where
+// runSource is the source one run reads. NextInto fails with the
+// context's error once the run's ctx is done, so a cancelled request
+// stops scanning at its next panel and gives back its rank token and
+// pending slot; span, set by a streamed run, hangs its stage span where
 // stream.Factorize looks for it (obs.SpanCarrier).
 type runSource struct {
 	stream.Source
@@ -203,11 +212,11 @@ type runSource struct {
 	span *obs.Span
 }
 
-func (s *runSource) Next(max int) (*lin.Matrix, error) {
+func (s *runSource) NextInto(dst *lin.Matrix) (*lin.Matrix, error) {
 	if err := s.ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.Source.Next(max)
+	return s.Source.NextInto(dst)
 }
 
 func (s *runSource) TraceSpan() *obs.Span { return s.span }
@@ -223,10 +232,13 @@ func (s *runSource) TraceSpan() *obs.Span { return s.span }
 // regime, a Gram matrix that will not factor, or a measured deviation
 // ≥ ½ send the run up one ladder to the streamed ShiftedCQR3 (one more
 // scan) instead of returning a bad Q; ErrIllConditioned is returned when
-// even that cannot certify the result. Peak resident matrix memory is
-// three panels' worth plus O(n²) — never m·n — and is reported in
-// Result.Stream.MaxResidentBytes. A run that fails leaves no partial
-// file behind a SinkToFile.
+// even that cannot certify the result. Each panel is read once, straight
+// into one of the run's two panel buffers, so peak resident matrix
+// memory is two panels' worth plus O(n²) — never m·n — and is reported
+// in Result.Stream.MaxResidentBytes. A SinkToFile's path is replaced
+// only when the run succeeds: a run that fails, is cancelled or crashes
+// leaves the path's previous file bitwise intact and no partial matrix
+// behind, so src and sink may name the same file.
 func FactorizeStreaming(src *MatrixSource, sink *MatrixSink, opts Options) (*Result, error) {
 	if src == nil {
 		return nil, fmt.Errorf("cacqr: FactorizeStreaming needs a source")

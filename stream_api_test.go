@@ -178,11 +178,11 @@ func (s *failingSource) Reset() error {
 	return s.Source.Reset()
 }
 
-func (s *failingSource) Next(max int) (*lin.Matrix, error) {
+func (s *failingSource) NextInto(dst *lin.Matrix) (*lin.Matrix, error) {
 	if s.pass == s.failPass && s.row >= s.failRow {
 		return nil, errInjected
 	}
-	p, err := s.Source.Next(max)
+	p, err := s.Source.NextInto(dst)
 	if err == nil {
 		s.row += p.Rows
 	}
@@ -456,7 +456,7 @@ func TestServerSubmitStream(t *testing.T) {
 	}
 }
 
-// cancelingSource cancels its request's context on its second Next and
+// cancelingSource cancels its request's context on its second NextInto and
 // records whether a scan ever reached the end of the matrix.
 type cancelingSource struct {
 	stream.Source
@@ -465,11 +465,11 @@ type cancelingSource struct {
 	exhausted atomic.Bool
 }
 
-func (s *cancelingSource) Next(max int) (*lin.Matrix, error) {
+func (s *cancelingSource) NextInto(dst *lin.Matrix) (*lin.Matrix, error) {
 	if s.nexts.Add(1) == 2 {
 		s.cancel()
 	}
-	p, err := s.Source.Next(max)
+	p, err := s.Source.NextInto(dst)
 	if err == io.EOF {
 		s.exhausted.Store(true)
 	}
@@ -570,5 +570,209 @@ func TestTracedStreamHasPassSpans(t *testing.T) {
 		res.Stats.Flops-flops > 3*n*n*n {
 		t.Errorf("pass spans sum to %d B read, %d B written, %d flops; run reports %d, %d, %d",
 			read, written, flops, res.Stream.ReadBytes, res.Stream.WrittenBytes, res.Stats.Flops)
+	}
+}
+
+// dirNames lists dir, so a test can tell that a run left no temporary
+// file beside the path it wrote.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// readBytes returns the contents of path.
+func readBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// Factoring a file into its own path replaces it with Q: every pass
+// reads the input, which stays at the path until the Q is complete, and
+// the file left there is bitwise the Q a run into a separate path
+// writes.
+func TestStreamingIntoItsOwnInputFile(t *testing.T) {
+	const m, n, rows = 4096, 32, 512
+	dir := t.TempDir()
+	aPath, selfPath, qPath := filepath.Join(dir, "a.mat"), filepath.Join(dir, "self.mat"), filepath.Join(dir, "q.mat")
+	a := RandomMatrix(m, n, 13)
+	for _, p := range []string{aPath, selfPath} {
+		if err := WriteMatrixFile(p, SourceFromDense(a), rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	factor := func(in, out string) *Result {
+		src, err := SourceFromFile(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		res, err := FactorizeStreaming(src, SinkToFile(out), Options{PanelRows: rows})
+		if err != nil {
+			t.Fatalf("%s into %s: %v", filepath.Base(in), filepath.Base(out), err)
+		}
+		return res
+	}
+	want, got := factor(aPath, qPath), factor(selfPath, selfPath)
+	if !slices.Equal(got.R.Data, want.R.Data) || got.Stats != want.Stats {
+		t.Error("the run into its own input differs from the run into a separate path")
+	}
+	if !slices.Equal(readBytes(t, selfPath), readBytes(t, qPath)) {
+		t.Error("the file left at the input's path is not the Q a run into a separate path writes")
+	}
+}
+
+// A run into its own input that is cancelled part-way — streamed under a
+// tight budget, after the sink was opened — leaves the input bitwise
+// intact and nothing beside it.
+func TestStreamingIntoItsOwnInputFileKeepsItOnCancel(t *testing.T) {
+	const m, n, rows = 4096, 32, 512
+	dir := t.TempDir()
+	selfPath := filepath.Join(dir, "self.mat")
+	if err := WriteMatrixFile(selfPath, SourceFromDense(RandomMatrix(m, n, 13)), rows); err != nil {
+		t.Fatal(err)
+	}
+	input := readBytes(t, selfPath)
+	srv, err := NewServer(ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	file, err := SourceFromFile(selfPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &cancelingSource{Source: file.src, cancel: cancel}
+	_, err = srv.SubmitStreamCtx(ctx, StreamRequest{Source: &MatrixSource{src: src}, Sink: SinkToFile(selfPath), MemBudget: 8 * m * n / 4})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+	}
+	if !slices.Equal(readBytes(t, selfPath), input) {
+		t.Error("a cancelled run into its own input changed the input file")
+	}
+	if names := dirNames(t, dir); !slices.Equal(names, []string{"self.mat"}) {
+		t.Errorf("after the cancelled run the directory holds %v, want only self.mat", names)
+	}
+}
+
+// A SinkToFile over an existing Q replaces it only with a complete new
+// Q. A run that fails part-way or is cancelled leaves the old file
+// bitwise intact and no temporary file beside it; a reader that opened
+// the old Q before a successful rewrite reads the old Q to its end; the
+// new file has the mode os.Create gives a new file; and a symlink at the
+// path is followed, so it points at the new Q.
+func TestStreamingSinkReplacesOnlyOnSuccess(t *testing.T) {
+	const m, n, rows = 800, 8, 200
+	dir := t.TempDir()
+	qPath := filepath.Join(dir, "q.mat")
+	a, b := RandomMatrix(m, n, 3), RandomMatrix(m, n, 4)
+	if _, err := FactorizeStreaming(SourceFromDense(a), SinkToFile(qPath), Options{PanelRows: rows}); err != nil {
+		t.Fatal(err)
+	}
+	old := readBytes(t, qPath)
+	keptOld := func(what string) {
+		t.Helper()
+		if !slices.Equal(readBytes(t, qPath), old) {
+			t.Errorf("%s: the old Q file changed", what)
+		}
+		if names := dirNames(t, dir); !slices.Equal(names, []string{"q.mat"}) {
+			t.Errorf("%s: the directory holds %v, want only q.mat", what, names)
+		}
+	}
+
+	for pass := 1; pass <= 3; pass++ {
+		bad := &MatrixSource{src: &failingSource{Source: stream.NewDenseSource(b.view()), failPass: pass, failRow: 400}}
+		if _, err := FactorizeStreaming(bad, SinkToFile(qPath), Options{PanelRows: rows}); !errors.Is(err, errInjected) {
+			t.Fatalf("pass %d: err = %v, want the injected failure", pass, err)
+		}
+		keptOld("failed run")
+	}
+
+	srv, err := NewServer(ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelling := &cancelingSource{Source: stream.NewDenseSource(b.view()), cancel: cancel}
+	if _, err := srv.SubmitStreamCtx(ctx, StreamRequest{Source: &MatrixSource{src: cancelling}, Sink: SinkToFile(qPath), MemBudget: 8 * m * n / 4}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+	}
+	keptOld("cancelled run")
+
+	// A reader of the old Q, opened before the rewrite.
+	reader, err := SourceFromFile(qPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	oldQ, err := resident(&runSource{Source: reader.src, ctx: context.Background()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FactorizeStreaming(SourceFromDense(b), SinkToFile(qPath), Options{PanelRows: rows}); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := resident(&runSource{Source: reader.src, ctx: context.Background()}); err != nil || !again.Equal(oldQ) {
+		t.Errorf("a reader opened before the rewrite did not read the old Q to its end (err %v)", err)
+	}
+	newQ := readBytes(t, qPath)
+	if slices.Equal(newQ, old) {
+		t.Fatal("the successful run left the old Q in place")
+	}
+	if names := dirNames(t, dir); !slices.Equal(names, []string{"q.mat"}) {
+		t.Errorf("after the rewrite the directory holds %v, want only q.mat", names)
+	}
+
+	sibling := filepath.Join(dir, "sibling")
+	f, err := os.Create(sibling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	qSt, err := os.Stat(qPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sibSt, err := os.Stat(sibling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qSt.Mode() != sibSt.Mode() {
+		t.Errorf("the new Q file has mode %v, os.Create gives %v", qSt.Mode(), sibSt.Mode())
+	}
+	if err := os.Remove(sibling); err != nil {
+		t.Fatal(err)
+	}
+
+	// A symlink destination: the link stays, and points at the new Q.
+	link := filepath.Join(dir, "link.mat")
+	if err := os.Symlink("q.mat", link); err != nil {
+		t.Skipf("no symlinks here: %v", err)
+	}
+	if _, err := FactorizeStreaming(SourceFromDense(a), SinkToFile(link), Options{PanelRows: rows}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Lstat(link); err != nil || st.Mode()&os.ModeSymlink == 0 {
+		t.Fatalf("the symlink was replaced (lstat %v, err %v)", st, err)
+	}
+	if !slices.Equal(readBytes(t, link), old) {
+		t.Error("the symlink does not lead to the new Q")
 	}
 }
