@@ -12,7 +12,7 @@ import (
 // end to end and pays essentially nothing):
 //
 //   - outside internal/obs, code must not compare *obs.Span, *obs.Trace,
-//     *obs.Tracer, or *obs.Stages against nil. The API is nil-safe
+//     or *obs.Tracer against nil. The API is nil-safe
 //     precisely so instrumented code never branches on "is tracing on";
 //     a nil check reintroduces the branch, and the next author copies
 //     it into a hot path.
@@ -27,10 +27,10 @@ var ObsSafety = &Analyzer{
 }
 
 // nilSafeTypes are the obs types whose methods promise nil-safety
-// (the package doc's "every method on *Span, *Stages, *Trace, and
-// *Tracer is nil-safe").
+// (the package doc's "every method on *Span, *Trace, and *Tracer is
+// nil-safe").
 var nilSafeTypes = map[string]bool{
-	"Span": true, "Trace": true, "Tracer": true, "Stages": true,
+	"Span": true, "Trace": true, "Tracer": true,
 }
 
 // isObsPackage matches the real package and fixture stand-ins.

@@ -130,28 +130,30 @@ func Table1() string {
 }
 
 // renderLines prints a per-line cost decomposition sorted by line number.
-func renderLines(title string, lines map[string]Cost2, measured simmpi.Counters, model costmodel.Cost) string {
+func renderLines(title string, lines map[string]costmodel.Cost, measured simmpi.Counters, model costmodel.Cost) string {
 	var b strings.Builder
 	b.WriteString(title)
-	keys := make([]string, 0, len(lines))
-	for k := range lines {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return lineNum(keys[i]) < lineNum(keys[j]) })
 	b.WriteString("# line  operation              α-units      β-words        γ-flops\n")
-	for _, k := range keys {
-		c := lines[k]
-		parts := strings.SplitN(k, ":", 2)
-		fmt.Fprintf(&b, "  %-5s %-20s %9d  %11d  %13d\n", parts[0], parts[1], c.Msgs, c.Words, c.TotalFlops())
-	}
+	writeRows(&b, lines)
 	fmt.Fprintf(&b, "# model total:    α=%d β=%d γ=%d\n", model.Msgs, model.Words, model.TotalFlops())
 	fmt.Fprintf(&b, "# measured run:   α=%d β=%d γ=%d (per-rank maxima; must equal model)\n",
 		measured.Msgs, measured.Words, measured.Flops)
 	return b.String()
 }
 
-// Cost2 aliases the model cost for the renderer.
-type Cost2 = costmodel.Cost
+// writeRows prints one row per line, sorted by line number.
+func writeRows(b *strings.Builder, lines map[string]costmodel.Cost) {
+	keys := make([]string, 0, len(lines))
+	for k := range lines {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return lineNum(keys[i]) < lineNum(keys[j]) })
+	for _, k := range keys {
+		c := lines[k]
+		parts := strings.SplitN(k, ":", 2)
+		fmt.Fprintf(b, "  %-5s %-20s %9d  %11d  %13d\n", parts[0], parts[1], c.Msgs, c.Words, c.TotalFlops())
+	}
+}
 
 func lineNum(key string) int {
 	var n int
@@ -193,18 +195,22 @@ func Table2() (string, error) {
 // triangular product runs.
 func Table34() (string, error) {
 	const p, m, n = 4, 64, 8
-	mloc, nn := int64(m/p), int64(n)
 	prm := costmodel.CACQRParams{C: 1, D: p}
-	lines := map[string]Cost2{
-		"1:Syrk":      {Flops: mloc * nn * nn},
-		"2:Allreduce": costmodel.Allreduce(nn*nn, p),
-		"3:CholInv":   costmodel.CFR3D(n, 1, costmodel.CFR3DOptions{}),
-		"4:MM(Q)":     costmodel.MM3DTri(mloc, nn, nn, 1),
-	}
-	model, err := costmodel.CACQR(m, n, prm)
+	one, err := costmodel.CACQRLines(m, n, prm)
 	if err != nil {
 		return "", err
 	}
+	two, err := costmodel.CACQR2Lines(m, n, prm)
+	if err != nil {
+		return "", err
+	}
+	lines := map[string]costmodel.Cost{
+		"1:Syrk":      one[costmodel.LineGram],
+		"2:Allreduce": one[costmodel.LineAllreduce],
+		"3:CholInv":   one[costmodel.LineCFR3D],
+		"4:MM(Q)":     one[costmodel.LineQ],
+	}
+	model := costmodel.Sum(one)
 	a := lin.RandomMatrix(m, n, 2)
 	oneD := func(run func(*grid.Grid, *lin.Matrix, int, int, core.Params) (*lin.Matrix, *lin.Matrix, error)) (simmpi.Counters, error) {
 		return measureRun(p, func(pr *simmpi.Proc) error {
@@ -227,44 +233,35 @@ func Table34() (string, error) {
 	out := renderLines(fmt.Sprintf("## Table III — per-line costs of 1D-CQR (Algorithm 6), m=%d n=%d P=%d\n", m, n, p),
 		lines, measured, model)
 
-	model2, err := costmodel.CACQR2(m, n, prm)
-	if err != nil {
-		return "", err
-	}
 	measured2, err := oneD(core.CACQR2)
 	if err != nil {
 		return "", err
 	}
-	lines2 := map[string]Cost2{
+	lines2 := map[string]costmodel.Cost{
 		"1:1D-CQR(A)":  model,
 		"2:1D-CQR(Q1)": model,
-		"3:MM(R2*R1)":  costmodel.MM3DTri(nn, nn, nn, 1),
+		"3:MM(R2*R1)":  two[costmodel.LineFold],
 	}
 	out += renderLines(fmt.Sprintf("## Table IV — per-line costs of 1D-CQR2 (Algorithm 7), m=%d n=%d P=%d\n", m, n, p),
-		lines2, measured2, model2)
+		lines2, measured2, costmodel.Sum(two))
 	return out, nil
 }
 
 // Table56 reproduces Tables V and VI: per-line costs of CA-CQR and
 // CA-CQR2 for m=32, n=8 on a 2×4×2 grid, validated against instrumented
-// runs.
+// runs. Table V's rows are the ledger's phases.
 func Table56() (string, error) {
 	const c, d, m, n = 2, 4, 32, 8
-	mloc, nloc := int64(m/d), int64(n/c)
-	cfr := costmodel.CFR3D(n, c, costmodel.CFR3DOptions{})
-	lines := map[string]Cost2{
-		"1:Bcast(A)":       costmodel.Bcast(mloc*nloc, c),
-		"2:MM(WtA)":        {Flops: mloc * nloc * nloc},
-		"3:Reduce":         costmodel.Reduce(nloc*nloc, c),
-		"4:Allreduce":      costmodel.Allreduce(nloc*nloc, d/c),
-		"5:Bcast(Z,depth)": costmodel.Bcast(nloc*nloc, c),
-		"7:CFR3D":          cfr,
-		"8:MM3D(Q)+Transp": costmodel.Transpose(nloc*nloc, c*c).Add(costmodel.MM3DTri(mloc, nloc, nloc, c)).Add(costmodel.Transpose(nloc*nloc, c*c)),
-	}
-	model, err := costmodel.CACQR(m, n, costmodel.CACQRParams{C: c, D: d})
+	prm := costmodel.CACQRParams{C: c, D: d}
+	lines, err := costmodel.CACQRLines(m, n, prm)
 	if err != nil {
 		return "", err
 	}
+	two, err := costmodel.CACQR2Lines(m, n, prm)
+	if err != nil {
+		return "", err
+	}
+	model := costmodel.Sum(lines)
 	a := lin.RandomMatrix(m, n, 3)
 	stats, err := measureRunStats(c*d*c, func(p *simmpi.Proc) error {
 		g, err := grid.New(p.World(), c, d)
@@ -286,22 +283,15 @@ func Table56() (string, error) {
 		lines, measured, model)
 	// The implementation runs each step under a phase label, so the
 	// measured per-line costs are available too — and equal the model.
-	out += "# measured per line (phase instrumentation):\n"
-	keys := make([]string, 0, len(stats.Phases))
-	for k := range stats.Phases {
-		keys = append(keys, k)
+	var phases strings.Builder
+	phases.WriteString("# measured per line (phase instrumentation):\n")
+	perLine := make(map[string]costmodel.Cost, len(stats.Phases))
+	for k, ph := range stats.Phases {
+		perLine[k] = costmodel.Cost{Msgs: ph.Msgs, Words: ph.Words, Flops: ph.Flops}
 	}
-	sort.Slice(keys, func(i, j int) bool { return lineNum(keys[i]) < lineNum(keys[j]) })
-	for _, k := range keys {
-		ph := stats.Phases[k]
-		parts := strings.SplitN(k, ":", 2)
-		out += fmt.Sprintf("  %-5s %-20s %9d  %11d  %13d\n", parts[0], parts[1], ph.Msgs, ph.Words, ph.Flops)
-	}
+	writeRows(&phases, perLine)
+	out += phases.String()
 
-	model2, err := costmodel.CACQR2(m, n, costmodel.CACQRParams{C: c, D: d})
-	if err != nil {
-		return "", err
-	}
 	measured2, err := measureRun(c*d*c, func(p *simmpi.Proc) error {
 		g, err := grid.New(p.World(), c, d)
 		if err != nil {
@@ -317,13 +307,13 @@ func Table56() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	lines2 := map[string]Cost2{
-		"1:CA-CQR(A)":   model,
-		"2:CA-CQR(Q1)":  model,
-		"4:MM3D(R2*R1)": costmodel.MM3DTri(nloc, nloc, nloc, c),
+	lines2 := map[string]costmodel.Cost{
+		"1:CA-CQR(A)":      model,
+		"2:CA-CQR(Q1)":     model,
+		costmodel.LineFold: two[costmodel.LineFold],
 	}
 	out += renderLines(fmt.Sprintf("## Table VI — per-line costs of CA-CQR2 (Algorithm 9), m=%d n=%d grid %dx%dx%d\n", m, n, c, d, c),
-		lines2, measured2, model2)
+		lines2, measured2, costmodel.Sum(two))
 	return out, nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"cacqr/internal/grid"
 	"cacqr/internal/lin"
 	"cacqr/internal/mm3d"
-	"cacqr/internal/obs"
 )
 
 // Params tune the CA-CQR2 algorithm the way the paper's experiment
@@ -88,8 +87,7 @@ func onGrid(g *grid.Grid, aLocal *lin.Matrix, m, n, passes int, shifted bool, pr
 	if err != nil {
 		return nil, nil, err
 	}
-	t := &cube{g: g, ws: ws, prm: prm, n: n, x: aLocal, q: ws.Matrix(m/g.D, n/g.C), r: ws.Matrix(n/g.C, n/g.C),
-		stg: obs.StagesOf(g.World.Proc())}
+	t := &cube{g: g, ws: ws, prm: prm, n: n, x: aLocal, q: ws.Matrix(m/g.D, n/g.C), r: ws.Matrix(n/g.C, n/g.C)}
 	defer ws.Release(ws.Mark())
 	t.ri = t.r
 	if passes > 1 {
@@ -117,8 +115,8 @@ func workspace(g *grid.Grid, m, n int, prm Params) (*grid.Workspace, error) {
 // cube is the Tall of a matrix on a c × d × c grid (Algorithms 8–9):
 // the iterate x is this rank's m/d × n/c block, replicated over depth,
 // and the Gram matrix z is its cyclic block over the rank's subcube
-// slice. Each line runs under its Table V phase and, on a traced rank,
-// a stage span of the same label. Measuring ‖G−I‖_F would take an
+// slice. Each line runs under its costmodel Line phase, which on a
+// traced rank is also its stage span. Measuring ‖G−I‖_F would take an
 // Allreduce the paper's algorithm does not pay, so Orth is NaN.
 type cube struct {
 	g     *grid.Grid
@@ -129,7 +127,6 @@ type cube struct {
 	r, ri *lin.Matrix // the running R, and the block the next Rᵢ lands in
 	z     *lin.Matrix // this pass's Gram block, taken from ws at mark
 	mark  grid.Mark
-	stg   *obs.Stages
 }
 
 // Gram is lines 1–5: Z = XᵀX over the grid. Line 2 is charged at the
@@ -145,8 +142,9 @@ func (t *cube) Gram() error {
 func (t *cube) Orth() float64 { return math.NaN() }
 
 // Factor is lines 6–8, then from the second pass on Algorithm 9's fold
-// R = Rᵢ·R by MM3D over the subcube: triangular × triangular, the
-// product replacing Rᵢ, run once the pass has given back its workspace.
+// R = Rᵢ·R by MM3D over the subcube (Table VI's row 4): triangular ×
+// triangular, the product replacing Rᵢ, run once the pass has given
+// back its workspace.
 func (t *cube) Factor(m int, shifted, first bool) error {
 	err := t.factor(m, shifted)
 	t.ws.Release(t.mark)
@@ -154,6 +152,8 @@ func (t *cube) Factor(m int, shifted, first bool) error {
 		return err
 	}
 	if !first {
+		p := t.g.World.Proc()
+		defer p.SetPhase(p.SetPhase(costmodel.LineFold))
 		if err := mm3d.MultiplyInto(t.g.Cube, t.ri, t.ri, t.r, true, t.prm.localWorkers()); err != nil {
 			return err
 		}
@@ -171,9 +171,7 @@ func (t *cube) Factor(m int, shifted, first bool) error {
 // trace every slice member needs.
 func (t *cube) factor(m int, shifted bool) error {
 	p := t.g.World.Proc()
-	defer t.stg.Done()
-	t.stg.Enter("7:CFR3D")
-	defer p.SetPhase(p.SetPhase("7:CFR3D"))
+	defer p.SetPhase(p.SetPhase(costmodel.LineCFR3D))
 	if shifted {
 		onDiagonal := t.g.Cube.X == t.g.Cube.Y
 		var part float64
@@ -193,8 +191,7 @@ func (t *cube) factor(m int, shifted bool) error {
 	if err != nil {
 		return err
 	}
-	t.stg.Enter("8:MM3D(Q)+Transp")
-	p.SetPhase("8:MM3D(Q)+Transp")
+	p.SetPhase(costmodel.LineQ)
 	if err := cfr3d.ApplyInvT(t.g.Cube, t.q, t.x, res.L, res.Y, t.prm.InverseDepth, true, w); err != nil {
 		return err
 	}
@@ -209,29 +206,24 @@ func (t *cube) factor(m int, shifted bool) error {
 // variant. The result, written into the caller's dst, is distributed
 // cyclically over each subcube slice (rows over cube-y, columns over x)
 // and replicated across depth and subcubes. flops is the charge for the
-// local product of line 2. Each line runs under a phase labeled as in
-// Table V, so measured per-line costs can be checked against the model's
-// decomposition — and, when this rank carries a trace span, under a
-// stage span with the same label.
+// local product of line 2. Each line runs under its costmodel Line
+// phase, so measured per-line costs can be checked against the model's
+// decomposition.
 func gramProduct(g *grid.Grid, ws *grid.Workspace, dst, qLoc, bLoc *lin.Matrix, flops int64, workers int) error {
 	defer ws.Release(ws.Mark())
 	p := g.World.Proc()
-	stg := obs.StagesOf(p)
-	defer stg.Done()
 
 	// Line 1: Bcast Q along Π[:, y, z] from root x = z; W is the block
 	// of the processor column x = z, only read below (on the root it is
 	// qLoc itself: dist's ownership rule).
-	stg.Enter("1:Bcast(A)")
-	defer p.SetPhase(p.SetPhase("1:Bcast(A)"))
+	defer p.SetPhase(p.SetPhase(costmodel.LineBcastA))
 	w, err := dist.Bcast(g.XComm, g.Z, qLoc, ws.Matrix(qLoc.Rows, qLoc.Cols), qLoc.Rows, qLoc.Cols)
 	if err != nil {
 		return err
 	}
 
 	// Line 2: X = Wᵀ·B.
-	stg.Enter("2:MM(WtA)")
-	p.SetPhase("2:MM(WtA)")
+	p.SetPhase(costmodel.LineGram)
 	x := ws.Matrix(qLoc.Cols, bLoc.Cols)
 	lin.GemmParallel(workers, true, false, 1, w, bLoc, 0, x)
 	if err := p.Compute(flops); err != nil {
@@ -241,8 +233,7 @@ func gramProduct(g *grid.Grid, ws *grid.Workspace, dst, qLoc, bLoc *lin.Matrix, 
 	// Line 3: Reduce within the contiguous y-group onto root offset z.
 	// Off the root the block stays zero: line 4's contribution of the
 	// groups that hold no partial sum.
-	stg.Enter("3:Reduce")
-	p.SetPhase("3:Reduce")
+	p.SetPhase(costmodel.LineReduce)
 	y := ws.Matrix(x.Rows, x.Cols)
 	if g.YGroup.Index() != g.Z {
 		y.Zero()
@@ -255,8 +246,7 @@ func gramProduct(g *grid.Grid, ws *grid.Workspace, dst, qLoc, bLoc *lin.Matrix, 
 	// whose offset equals z hold partial sums; the rest contribute
 	// zeros and their result is discarded by the depth broadcast. The
 	// root of that broadcast sums straight into dst.
-	stg.Enter("4:Allreduce")
-	p.SetPhase("4:Allreduce")
+	p.SetPhase(costmodel.LineAllreduce)
 	depthRoot := g.Y % g.C
 	z := dst
 	if g.Z != depthRoot {
@@ -268,8 +258,7 @@ func gramProduct(g *grid.Grid, ws *grid.Workspace, dst, qLoc, bLoc *lin.Matrix, 
 
 	// Line 5: Bcast along depth from root z = y mod c, giving every
 	// slice of every subcube the cyclic block of the product.
-	stg.Enter("5:Bcast(Z,depth)")
-	p.SetPhase("5:Bcast(Z,depth)")
+	p.SetPhase(costmodel.LineBcastDepth)
 	_, err = dist.Bcast(g.ZComm, depthRoot, z, dst, x.Rows, x.Cols)
 	return err
 }

@@ -20,11 +20,14 @@
 //     the 1D algorithm (Algorithms 6–7). The Gram matrix stays
 //     distributed over a subcube: gramProduct (Algorithm 8 lines 1–5)
 //     forms it, cfr3d.Factor factors it, cfr3d.ApplyInvT applies R⁻¹ and
-//     an MM3D folds R, each line charged to its Table V phase, so a run
-//     on the simulated transport yields exact per-processor α-β-γ costs
+//     an MM3D folds R. Each line runs under the phase costmodel names
+//     it (Proc.SetPhase, which on a traced rank is also the stage
+//     span), and every charge sits on a line, so a run on the simulated
+//     transport yields exact per-processor, per-line α-β-γ costs
 //     alongside the factors. The §V panel variant (panel.go) runs
-//     CA-CQR2 once per panel and forms its trailing products with
-//     gramProduct too.
+//     CA-CQR2 once per panel, forms its trailing products with
+//     gramProduct too and charges the trailing update to a line of its
+//     own.
 //
 // The first two hold the Gram matrix whole and share one n×n step,
 // Replicated; all three share the shift's formula, shiftDiagonal. Every

@@ -88,10 +88,12 @@ func panelStep(g *grid.Grid, ws *grid.Workspace, q, r, work *lin.Matrix, m, k, b
 	ws.View(r, k*bloc, (k+1)*bloc, bloc, restLoc).CopyFrom(rkRest)
 
 	// A_rest -= Q_k · R_k,rest over the subcube.
+	p := g.World.Proc()
+	defer p.SetPhase(p.SetPhase(costmodel.LineUpdate))
 	upd := ws.Matrix(rest.Rows, restLoc)
 	if err := mm3d.MultiplyInto(g.Cube, upd, qk, rkRest, false, prm.localWorkers()); err != nil {
 		return fmt.Errorf("core: panel %d trailing update: %w", k, err)
 	}
 	rest.Sub(upd)
-	return g.World.Proc().Compute(lin.AxpyFlops(rest.Rows, rest.Cols))
+	return p.Compute(lin.AxpyFlops(rest.Rows, rest.Cols))
 }

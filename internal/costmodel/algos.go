@@ -34,11 +34,7 @@ type CFR3DOptions struct {
 // CFR3D is Algorithm 3 on an n×n matrix over an edge-e cube, mirroring
 // cfr3d.Factor including its base-size defaulting and rounding.
 func CFR3D(n, e int, opts CFR3DOptions) Cost {
-	var total Cost
-	for _, c := range CFR3DLines(n, e, opts) {
-		total = total.Add(c)
-	}
-	return total
+	return Sum(CFR3DLines(n, e, opts))
 }
 
 // CFR3DLines decomposes the CFR3D cost by Algorithm 3 line, the
@@ -131,6 +127,27 @@ func applyInvTCost(aR, lRows int64, e, k int, tri bool, lines map[string]Cost) C
 	return c.Add(applyInvTCost(aR, half, e, k-1, tri, lines))
 }
 
+// The charged lines of the grid family (Algorithms 6–9 and the §V panel
+// variant). Each name is at once the ledger phase a rank charges the
+// line's cost under (transport.Proc.SetPhase), the stage span a traced
+// rank records for it, and the row of the paper's tables. Lines 1–8 are
+// Algorithm 8's, Table V's rows: CFR3D's own lines (Table II) stay
+// inside line 7, which also holds a shifted pass's trace, and line 8
+// includes the transpose that yields Rᵢ = Lᵀ. LineFold is Algorithm 9's
+// R = Rᵢ·R, Table VI's row 4; LineUpdate is the panel variant's
+// trailing update A_rest −= Q_k·R_k,rest and its axpy.
+const (
+	LineBcastA     = "1:Bcast(A)"
+	LineGram       = "2:MM(WtA)"
+	LineReduce     = "3:Reduce"
+	LineAllreduce  = "4:Allreduce"
+	LineBcastDepth = "5:Bcast(Z,depth)"
+	LineCFR3D      = "7:CFR3D"
+	LineQ          = "8:MM3D(Q)+Transp"
+	LineFold       = "4:MM3D(R2*R1)"
+	LineUpdate     = "9:MM3D(Arest)+axpy"
+)
+
 // CACQRParams mirror core.Params plus the grid shape.
 type CACQRParams struct {
 	C, D         int
@@ -138,95 +155,134 @@ type CACQRParams struct {
 	InverseDepth int
 }
 
-// CACQR is Algorithm 8 for an m×n matrix on a c×d×c grid (Table V).
-func CACQR(m, n int, prm CACQRParams) (Cost, error) {
-	c, d := prm.C, prm.D
-	if m%d != 0 || n%c != 0 {
-		return Cost{}, fmt.Errorf("costmodel: %dx%d not divisible by grid %dx%d", m, n, d, c)
+// Sum totals a per-line table.
+func Sum(lines map[string]Cost) Cost {
+	var total Cost
+	for _, c := range lines {
+		total = total.Add(c)
 	}
-	mloc := int64(m / d)
-	nloc := int64(n / c)
+	return total
+}
 
-	out := Bcast(mloc*nloc, c)               // line 1
-	out.Flops += mloc * nloc * nloc          // line 2 (SYRK rate)
-	out = out.Add(Reduce(nloc*nloc, c))      // line 3
-	out = out.Add(Allreduce(nloc*nloc, d/c)) // line 4
-	out = out.Add(Bcast(nloc*nloc, c))       // line 5 (depth)
-	out = out.Add(CFR3D(n, c, CFR3DOptions{  // line 7
-		BaseSize: prm.BaseSize, InverseDepth: prm.InverseDepth}))
-	out = out.Add(applyInvTCost(mloc, nloc, c, prm.InverseDepth, true, nil)) // line 8
-	out = out.Add(Transpose(nloc*nloc, c*c))                                 // R = Lᵀ
-	return out, nil
+// CACQR is Algorithm 8 for an m×n matrix on a c×d×c grid (Table V): the
+// sum of CACQRLines.
+func CACQR(m, n int, prm CACQRParams) (Cost, error) {
+	lines, err := CACQRLines(m, n, prm)
+	return Sum(lines), err
 }
 
 // CACQR2 is Algorithm 9: two CA-CQR passes plus R = R₂·R₁ over the
-// subcube (Table VI).
+// subcube (Table VI), the sum of CACQR2Lines.
 func CACQR2(m, n int, prm CACQRParams) (Cost, error) {
-	one, err := CACQR(m, n, prm)
-	if err != nil {
-		return Cost{}, err
-	}
-	nloc := int64(n / prm.C)
-	return one.Scale(2).Add(MM3DTri(nloc, nloc, nloc, prm.C)), nil
+	lines, err := CACQR2Lines(m, n, prm)
+	return Sum(lines), err
 }
 
-// ShiftedCACQR3 models core.ShiftedCACQR3: one CA-CQR pass on the
-// shifted Gram matrix, whose trace is one Allreduce of one word over the
-// c × c subcube slice (the diagonal update itself is O(n) uncharged
-// work; at c = 1 the Allreduce is free), then CA-CQR2 on the result and
-// one more MM3D fold R = R₂₃·R₁. ~1.5× CA-CQR2's cost, stable to
-// κ ≈ 1/ε. The passes run in place, so its footprint is CACQR2Memory.
+// ShiftedCACQR3 models core.ShiftedCACQR3, the sum of
+// ShiftedCACQR3Lines: ~1.5× CA-CQR2's cost, stable to κ ≈ 1/ε. The
+// passes run in place, so its footprint is CACQR2Memory.
 func ShiftedCACQR3(m, n int, prm CACQRParams) (Cost, error) {
-	one, err := CACQR(m, n, prm)
-	if err != nil {
-		return Cost{}, err
-	}
-	two, err := CACQR2(m, n, prm)
-	if err != nil {
-		return Cost{}, err
-	}
-	nloc := int64(n / prm.C)
-	return one.Add(Allreduce(1, prm.C*prm.C)).Add(two).Add(MM3DTri(nloc, nloc, nloc, prm.C)), nil
+	lines, err := ShiftedCACQR3Lines(m, n, prm)
+	return Sum(lines), err
 }
 
-// PanelCACQR2 models core.PanelCACQR2: panel-wise CA-CQR2 with
-// Householder-style trailing updates (the paper's §V subpanel proposal).
-// Per panel of width b: one CA-CQR2 of the m×b panel, then the
-// Gram-pattern product R_k,rest = Q_kᵀ·A_rest, the MM3D trailing update,
-// and a local axpy.
+// PanelCACQR2 models core.PanelCACQR2, the sum of PanelCACQR2Lines.
 func PanelCACQR2(m, n, b int, prm CACQRParams) (Cost, error) {
+	lines, err := PanelCACQR2Lines(m, n, b, prm)
+	return Sum(lines), err
+}
+
+// CACQRLines decomposes Algorithm 8 by line, keyed by the Line names.
+func CACQRLines(m, n int, prm CACQRParams) (map[string]Cost, error) {
+	return ladderLines(m, n, 1, false, prm)
+}
+
+// CACQR2Lines decomposes Algorithm 9: both passes' Table V lines, summed
+// line by line, and the fold.
+func CACQR2Lines(m, n int, prm CACQRParams) (map[string]Cost, error) {
+	return ladderLines(m, n, 2, false, prm)
+}
+
+// ShiftedCACQR3Lines decomposes the shifted CholeskyQR3 on the grid: one
+// CA-CQR pass on the shifted Gram matrix, whose trace is one Allreduce
+// of one word over the c × c subcube slice charged to line 7 (the
+// diagonal update itself is O(n) uncharged work; at c = 1 the Allreduce
+// is free), then CA-CQR2 on the result, with a fold after each pass but
+// the first.
+func ShiftedCACQR3Lines(m, n int, prm CACQRParams) (map[string]Cost, error) {
+	return ladderLines(m, n, 3, true, prm)
+}
+
+// ladderLines mirrors core.Ladder on the grid: passes CA-CQR passes, the
+// first shifted when shifted is set, each after the first followed by
+// the fold.
+func ladderLines(m, n, passes int, shifted bool, prm CACQRParams) (map[string]Cost, error) {
+	c, d := prm.C, prm.D
+	if m%d != 0 || n%c != 0 {
+		return nil, fmt.Errorf("costmodel: %dx%d not divisible by grid %dx%d", m, n, d, c)
+	}
+	lines := make(map[string]Cost)
+	addLadderLines(lines, m, n, passes, shifted, prm)
+	return lines, nil
+}
+
+func addLadderLines(lines map[string]Cost, m, n, passes int, shifted bool, prm CACQRParams) {
+	c, d := prm.C, prm.D
+	mloc, nloc := int64(m/d), int64(n/c)
+	cfr := CFR3D(n, c, CFR3DOptions{BaseSize: prm.BaseSize, InverseDepth: prm.InverseDepth})
+	q := applyInvTCost(mloc, nloc, c, prm.InverseDepth, true, nil).Add(Transpose(nloc*nloc, c*c))
+	for i := 0; i < passes; i++ {
+		addGramLines(lines, mloc, nloc, nloc, mloc*nloc*nloc, c, d) // line 2 at the SYRK rate
+		if shifted && i == 0 {
+			addLine(lines, LineCFR3D, Allreduce(1, c*c))
+		}
+		addLine(lines, LineCFR3D, cfr)
+		addLine(lines, LineQ, q)
+		if i > 0 {
+			addLine(lines, LineFold, MM3DTri(nloc, nloc, nloc, c))
+		}
+	}
+}
+
+// addGramLines adds Algorithm 8 lines 1–5 for C = Qᵀ·B with Q's local
+// block mloc × qc and B's mloc × bc (core.gramProduct): broadcast Q,
+// the local product charged flops, and the reduce chain of the qc × bc
+// result.
+func addGramLines(lines map[string]Cost, mloc, qc, bc, flops int64, c, d int) {
+	addLine(lines, LineBcastA, Bcast(mloc*qc, c))
+	addLine(lines, LineGram, Cost{Flops: flops})
+	addLine(lines, LineReduce, Reduce(qc*bc, c))
+	addLine(lines, LineAllreduce, Allreduce(qc*bc, d/c))
+	addLine(lines, LineBcastDepth, Bcast(qc*bc, c))
+}
+
+// PanelCACQR2Lines decomposes core.PanelCACQR2, panel-wise CA-CQR2 with
+// Householder-style trailing updates (the paper's §V subpanel
+// proposal). Per panel of width b: one CA-CQR2 of the m×b panel, then
+// for the columns to its right the product R_k,rest = Q_kᵀ·A_rest on
+// Algorithm 8's lines 1–5 (line 2 at the GEMM rate) and the trailing
+// update, an MM3D and a local axpy.
+func PanelCACQR2Lines(m, n, b int, prm CACQRParams) (map[string]Cost, error) {
 	c, d := prm.C, prm.D
 	if b < 1 || b%c != 0 || n%b != 0 {
-		return Cost{}, fmt.Errorf("costmodel: panel width %d incompatible with c=%d, n=%d", b, c, n)
+		return nil, fmt.Errorf("costmodel: panel width %d incompatible with c=%d, n=%d", b, c, n)
 	}
 	if m%d != 0 {
-		return Cost{}, fmt.Errorf("costmodel: m=%d not divisible by d=%d", m, d)
+		return nil, fmt.Errorf("costmodel: m=%d not divisible by d=%d", m, d)
 	}
 	mloc := int64(m / d)
 	bloc := int64(b / c)
-	var total Cost
-	np := n / b
-	for k := 0; k < np; k++ {
-		pc, err := CACQR2(m, b, prm)
-		if err != nil {
-			return Cost{}, err
-		}
-		total = total.Add(pc)
+	lines := make(map[string]Cost)
+	for k := 0; k < n/b; k++ {
+		addLadderLines(lines, m, b, 2, false, prm)
 		restLoc := int64(n-(k+1)*b) / int64(c)
 		if restLoc == 0 {
 			continue
 		}
-		// gramProduct: Bcast Q strip, local product, reduce chain.
-		total = total.Add(Bcast(mloc*bloc, c))
-		total.Flops += 2 * bloc * restLoc * mloc
-		total = total.Add(Reduce(bloc*restLoc, c))
-		total = total.Add(Allreduce(bloc*restLoc, d/c))
-		total = total.Add(Bcast(bloc*restLoc, c))
-		// Trailing update.
-		total = total.Add(MM3D(mloc, bloc, restLoc, c))
-		total.Flops += 2 * mloc * restLoc
+		addGramLines(lines, mloc, bloc, restLoc, 2*bloc*restLoc*mloc, c, d)
+		addLine(lines, LineUpdate, MM3D(mloc, bloc, restLoc, c).Add(Cost{Flops: 2 * mloc * restLoc}))
 	}
-	return total, nil
+	return lines, nil
 }
 
 // TSQR models the binary-tree Tall-Skinny QR with explicit Q formation

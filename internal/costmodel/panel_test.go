@@ -45,18 +45,6 @@ func TestPanelCACQR2ModelMatchesRun(t *testing.T) {
 			t.Fatalf("c=%d d=%d %dx%d b=%d: run (α=%d β=%d γ=%d) vs model %v",
 				tc.c, tc.d, tc.m, tc.n, tc.b, st.MaxMsgs, st.MaxWords, st.MaxFlops, want)
 		}
-		// The trailing products Q_kᵀ·A_rest are Algorithm 8 lines 1–5 too
-		// and run under the same labels as the panels' Gram matrices:
-		// line 2 holds two SYRK-rate products per panel plus one
-		// GEMM-rate product per panel with columns to its right.
-		mloc, bloc := tc.m/tc.d, tc.b/tc.c
-		var line2 int64
-		for k := 0; k < tc.n/tc.b; k++ {
-			line2 += 2*lin.SyrkFlops(mloc, bloc) + lin.GemmFlops(bloc, (tc.n-(k+1)*tc.b)/tc.c, mloc)
-		}
-		if got := st.Phases["2:MM(WtA)"].Flops; got != line2 {
-			t.Errorf("c=%d d=%d %dx%d b=%d: line 2 charged %d flops, want %d", tc.c, tc.d, tc.m, tc.n, tc.b, got, line2)
-		}
 	}
 }
 

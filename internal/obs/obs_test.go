@@ -58,13 +58,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil span setters allocate %v objects per call", n)
 	}
 
-	var st *Stages
-	st.Enter("a")
-	st.Done()
-	if got := StagesOf(42); got != nil {
-		t.Fatal("StagesOf on a non-carrier returned a sequencer")
-	}
-
 	if got := FromContext(ctx); got != nil {
 		t.Fatal("untraced context carried a span")
 	}
@@ -191,36 +184,6 @@ func TestSpanCap(t *testing.T) {
 	td, _ := tr.Get(trace.ID())
 	if td.DroppedSpans != 7 {
 		t.Fatalf("dropped %d, want 7", td.DroppedSpans)
-	}
-}
-
-type fakeCarrier struct{ sp *Span }
-
-func (f fakeCarrier) TraceSpan() *Span { return f.sp }
-
-func TestStagesSequencing(t *testing.T) {
-	tr := NewTracer(TracerOptions{})
-	trace, _ := tr.Start(context.Background(), "r")
-	st := StagesOf(fakeCarrier{sp: trace.Root()})
-	if st == nil {
-		t.Fatal("carrier with span produced nil stages")
-	}
-	st.Enter("a")
-	st.Enter("b")
-	st.Done()
-	st.Done() // idempotent
-	trace.Finish()
-	td, _ := tr.Get(trace.ID())
-	if n := len(td.Root.Children); n != 2 {
-		t.Fatalf("stages produced %d children, want 2", n)
-	}
-	for i, name := range []string{"a", "b"} {
-		if c := td.Root.Children[i]; c.Name != name || c.Kind != KindStage {
-			t.Fatalf("child %d = %+v", i, c)
-		}
-	}
-	if StagesOf(fakeCarrier{}) != nil {
-		t.Fatal("carrier without span should yield nil stages")
 	}
 }
 

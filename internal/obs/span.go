@@ -6,16 +6,18 @@
 // exposition, and runtime/trace task/region annotation of kernel stages.
 //
 // The design constraint is the disabled path: a Server without a Tracer
-// must pay essentially nothing. Every method on *Span, *Stages, *Trace,
-// and *Tracer is nil-safe — the untraced request path carries nil
+// must pay essentially nothing. Every method on *Span, *Trace, and
+// *Tracer is nil-safe — the untraced request path carries nil
 // pointers end to end and each instrumentation site is a nil check —
 // so tracing can be threaded through the hot path unconditionally.
 //
 // The span stages mirror the paper's cost decomposition: each collective
 // span carries its payload bytes and peer count (the α and β terms of
-// one Table V line), each stage span its wall time (the γ term), and
-// each rank span the transport's measured Counters — the measured data
-// the ROADMAP's self-calibrating planner will fit α-β-γ from.
+// one Table V line), each stage span its wall time and — for a grid
+// line, whose stage is its ledger phase (transport.Traced) — the msgs,
+// words and flops that line charged, and each rank span the
+// transport's measured Counters — the measured data the ROADMAP's
+// self-calibrating planner will fit α-β-γ from.
 package obs
 
 import (
@@ -295,55 +297,9 @@ func FromContext(ctx context.Context) *Span {
 }
 
 // SpanCarrier is the optional interface instrumented layers probe for:
-// a transport Proc wrapped by transport.Traced exposes its rank span
-// through it, which is how kernel code deep inside internal/core finds
-// where to hang stage spans without any signature changes.
+// a streamed source carrying a request's span exposes it through it,
+// which is how internal/stream's driver finds where to hang its pass
+// spans without any signature changes.
 type SpanCarrier interface {
 	TraceSpan() *Span
-}
-
-// Stages tracks a sequence of non-overlapping stage spans under one
-// parent: Enter ends the current stage and opens the next, Done ends
-// the last. A nil *Stages no-ops throughout, so kernel code calls it
-// unconditionally.
-type Stages struct {
-	parent *Span
-	cur    *Span
-}
-
-// NewStages returns a stage sequencer under parent (nil parent → nil,
-// and every call on the result no-ops).
-func NewStages(parent *Span) *Stages {
-	if parent == nil {
-		return nil
-	}
-	return &Stages{parent: parent}
-}
-
-// StagesOf probes v (typically a transport.Proc) for a carried span and
-// returns a stage sequencer under it, or nil when v carries none — the
-// single line that turns an untraced kernel invocation into a no-op.
-func StagesOf(v any) *Stages {
-	if c, ok := v.(SpanCarrier); ok {
-		return NewStages(c.TraceSpan())
-	}
-	return nil
-}
-
-// Enter closes the current stage (if any) and opens a new one.
-func (st *Stages) Enter(name string) {
-	if st == nil {
-		return
-	}
-	st.cur.End()
-	st.cur = st.parent.Stage(name)
-}
-
-// Done closes the current stage. Idempotent.
-func (st *Stages) Done() {
-	if st == nil {
-		return
-	}
-	st.cur.End()
-	st.cur = nil
 }

@@ -11,14 +11,22 @@ type Ledger struct {
 	phases             map[string]Counters
 }
 
-// SetPhase labels subsequent charges with a phase name (e.g. an
-// algorithm line number) and returns the previous label so callers can
-// restore it. Per-phase counters appear in Stats.Phases, letting tests
-// compare measured per-line costs against the model's per-line tables.
-// An empty label disables phase accounting for the following charges.
+// SetPhase labels subsequent charges with a phase name — in the grid
+// algorithms one of costmodel's Line names — and returns the previous
+// label so callers can restore it. A phase entered is a phase recorded,
+// charged or not: per-phase counters appear in Stats.Phases with the
+// same keys as the model's per-line tables, so tests compare the two
+// label by label. An empty label disables phase accounting for the
+// following charges. This is the one stage call: on a Proc wrapped by
+// Traced the switch also ends one stage span and opens the next.
 func (l *Ledger) SetPhase(label string) (prev string) {
 	prev = l.phase
 	l.phase = label
+	if label != "" {
+		if _, ok := l.phases[label]; !ok {
+			l.chargePhase(0, 0, 0)
+		}
+	}
 	return prev
 }
 

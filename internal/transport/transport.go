@@ -123,7 +123,8 @@ type Proc interface {
 	ChargeComm(alphaUnits, words int64)
 	// SetPhase labels subsequent cost charges with a phase name and
 	// returns the previous label. Backends that do not track phases
-	// may ignore the label.
+	// may ignore the label. It is the one stage call: on a Proc
+	// wrapped by Traced it also ends one stage span and opens the next.
 	SetPhase(label string) (prev string)
 	// Counters returns a snapshot of the rank's accumulated costs.
 	Counters() Counters

@@ -24,6 +24,7 @@ import (
 	"cacqr/internal/costmodel"
 	"cacqr/internal/lin"
 	"cacqr/internal/plan"
+	"cacqr/internal/transport"
 )
 
 // startLocalWorkers serves n in-process workers on loopback listeners.
@@ -295,6 +296,59 @@ func TestUnknownVariantFailsOnEveryRank(t *testing.T) {
 	}
 	if d := time.Since(start); d > 10*time.Second {
 		t.Fatalf("unknown variant took %v to fail: ranks waited on each other", d)
+	}
+}
+
+// TestTCPTransportPhasesMatchSim: a worker's ledger names the same lines
+// as the simulator's. For CA-CQR2 on 2×2×2 and one panel row, the phases
+// the workers send back in their job results must carry the simulator's
+// label set and the same flops under each label (messages and words
+// count TCP's linear fans, not the simulator's butterflies).
+func TestTCPTransportPhasesMatchSim(t *testing.T) {
+	const m, n = 64, 16
+	a := RandomMatrix(m, n, 5)
+	tcp := TCPTransport(startLocalWorkers(t, 7)...)
+	plans := []Plan{{Variant: VariantCACQR2, C: 2, D: 2}}
+	rows, err := PlanGrid(m, n, 8, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rows {
+		if p.Variant == VariantPanelCACQR2 {
+			plans = append(plans, p)
+			break
+		}
+	}
+	if len(plans) != 2 {
+		t.Fatalf("no %s row among %d planned for %dx%d on 8 ranks", VariantPanelCACQR2, len(rows), m, n)
+	}
+	for _, p := range plans {
+		t.Run(rowName(p), func(t *testing.T) {
+			phases := map[string]map[string]int64{}
+			for name, side := range map[string]struct {
+				tr  *Transport
+				run func(context.Context, job, *lin.Matrix, func(q, r *lin.Matrix)) (*transport.Stats, error)
+			}{"sim": {SimTransport(), runSim}, "tcp": {tcp, runTCP}} {
+				j, err := newJob(m, n, p, Options{Transport: side.tr, Timeout: time.Minute})
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := side.run(context.Background(), j, a.view(), nil)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				phases[name] = map[string]int64{}
+				for label, c := range st.Phases {
+					phases[name][label] = c.Flops
+				}
+			}
+			if len(phases["sim"]) == 0 {
+				t.Fatal("the simulator recorded no phases")
+			}
+			if fmt.Sprint(phases["tcp"]) != fmt.Sprint(phases["sim"]) {
+				t.Errorf("flops per phase over TCP %v, on the simulator %v", phases["tcp"], phases["sim"])
+			}
+		})
 	}
 }
 
